@@ -11,7 +11,7 @@ plain bytes and may be shared freely across threads.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives import serialization
@@ -34,14 +34,15 @@ class KeyPair:
 
     ``seed`` doubles as the private key material (Ed25519 private keys are
     exactly a 32-byte seed).  ``public`` is the 32-byte raw verification key.
+    ``signer`` is the private key ``det_keygen`` parsed from the seed, kept
+    so that signing never parses it again; it is derived from the seed, so
+    equality, hashing and repr leave it out and stay on (seed, public).
     The seed must never appear in any serialized artifact.
     """
 
     seed: bytes
     public: bytes
-
-    def signer(self) -> Ed25519PrivateKey:
-        return Ed25519PrivateKey.from_private_bytes(self.seed)
+    signer: Ed25519PrivateKey = field(compare=False, repr=False)
 
 
 def det_keygen(seed: bytes) -> KeyPair:
@@ -50,12 +51,12 @@ def det_keygen(seed: bytes) -> KeyPair:
         raise ValueError(f"seed must be {SEED_LEN} bytes, got {len(seed)}")
     private = Ed25519PrivateKey.from_private_bytes(seed)
     public = private.public_key().public_bytes(_RAW, _RAW_PUB)
-    return KeyPair(seed=seed, public=public)
+    return KeyPair(seed=seed, public=public, signer=private)
 
 
 def det_sign(key: KeyPair, message: bytes) -> bytes:
     """Sign deterministically: same (key, message), byte-identical signature."""
-    return key.signer().sign(message)
+    return key.signer.sign(message)
 
 
 def ver_sign(public: bytes, message: bytes, sig: bytes) -> bool:

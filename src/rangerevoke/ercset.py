@@ -100,7 +100,9 @@ class BloomFilter:
     def merged(self, other: "BloomFilter") -> "BloomFilter":
         if not self.compatible(other):
             raise ValueError("cannot merge filters with different parameters")
-        combined = bytes(a | b for a, b in zip(self.bits, other.bits))
+        n = len(self.bits)
+        combined = (int.from_bytes(self.bits, "little")
+                    | int.from_bytes(other.bits, "little")).to_bytes(n, "little")
         return BloomFilter(self.params, self.epoch_id, self.salt, combined)
 
     def copy(self) -> "BloomFilter":

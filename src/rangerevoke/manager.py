@@ -50,7 +50,6 @@ from .pseudonym import (
     Rrp,
     create_rrp,
     pseudonym_keypair,
-    pseudonym_public_keys_of,
     verify_capability,
 )
 from .slot_tree import EpochConfig, NodeLabel, SlotRange, safe_cover
@@ -68,19 +67,20 @@ def empty_ercset(params: FilterParams, epoch_id: int, exact: bool = False) -> Er
 
 
 def revocation_cover_ercset(cid: bytes, epoch_id: int, instance: int,
-                            cfg: EpochConfig, rng: SlotRange,
+                            cfg: EpochConfig, cover: set[NodeLabel],
                             params: FilterParams, exact: bool = False) -> ErcSet:
     """Filter revoking one pseudonym instance over a contiguous slot range.
 
-    Signs only the minimal tree cover of the range instead of materializing
-    every in-range capability; the result is bit-identical to running the
-    full capability pipeline (the cover labels are exactly the latchkeys
-    that survive it).
+    ``cover`` is ``safe_cover(cfg, rng)`` of the range; it depends on the
+    range alone, so a caller revoking many instances computes it once.
+    Signs only the cover's labels instead of materializing every in-range
+    capability; the result is bit-identical to running the full capability
+    pipeline (the cover labels are exactly the latchkeys that survive it).
     """
     keypair = pseudonym_keypair(cid, epoch_id, instance)
     latchkeys = frozenset(
         Latchkey(label, det_sign(keypair, label.canonical_bytes))
-        for label in safe_cover(cfg, rng)
+        for label in cover
     )
     lset = LatchkeySet(keypair.public, latchkeys)
     return latchkeys_encoding(lset, params, cfg.epoch_id, exact=exact)
@@ -203,8 +203,9 @@ class TrustedCore:
         cfg = self.cfg_for(proof.epoch_id)
         if not verify_capability(proof, self.public_key, req.proof_slot, cfg):
             raise IssuanceDenied(DenialReason.BAD_PROOF)
-        known = pseudonym_public_keys_of(req.cid, proof.epoch_id, self.max_instances)
-        if proof.pseudonym_pub not in known:
+        # derive the client's instance keys only until one matches the proof
+        if not any(pseudonym_keypair(req.cid, proof.epoch_id, i).public
+                   == proof.pseudonym_pub for i in range(1, self.max_instances + 1)):
             raise IssuanceDenied(DenialReason.BAD_PROOF)
         if is_revoked(erc, proof):
             raise IssuanceDenied(DenialReason.REVOKED)
@@ -227,9 +228,10 @@ class TrustedCore:
         """Apply an administrator order to both live filters.
 
         Current epoch: every instance is revoked from the order's slot to
-        the end of the epoch via its minimal tree cover.  Next epoch: every
-        instance is revoked outright via its root latchkey.  Merging is
-        idempotent, so replayed orders change nothing.
+        the end of the epoch via the minimal tree cover of that range,
+        computed once and signed under each instance's key.  Next epoch:
+        every instance is revoked outright via its root latchkey.  Merging
+        is idempotent, so replayed orders change nothing.
         """
         if not ver_sign(self.admin_public, order.signed_payload(), order.admin_sig):
             raise ValueError("revocation order signature invalid")
@@ -239,12 +241,12 @@ class TrustedCore:
         cfg_now = self.cfg_for(self.epoch_now)
         cfg_next = self.cfg_for(self.epoch_now + 1)
         self.revoked.add(order.cid)
-        rng = SlotRange(order.rts, cfg_now.slots - 1)
+        cover = safe_cover(cfg_now, SlotRange(order.rts, cfg_now.slots - 1))
         for i in range(1, self.max_instances + 1):
             self.erc_current = merge_ercset(
                 self.erc_current,
                 revocation_cover_ercset(order.cid, self.epoch_now, i, cfg_now,
-                                        rng, self.params, self.exact_filters))
+                                        cover, self.params, self.exact_filters))
             self.erc_next = merge_ercset(
                 self.erc_next,
                 root_only_ercset(order.cid, self.epoch_now + 1, i, cfg_next,

@@ -168,23 +168,24 @@ def safe_cover(cfg: EpochConfig, rng: SlotRange) -> set[NodeLabel]:
     """Minimal label set revoking exactly the slots in ``rng``.
 
     Every root-to-leaf path of an in-range slot meets the set; no path of an
-    out-of-range slot does.  Built bottom-up: start from the range's leaves
-    and replace a complete sibling group by its parent whenever every real
-    leaf under that parent lies in the range.
+    out-of-range slot does.  Built top-down from the root: a node whose real
+    leaves all lie in the range is emitted, a node that only partly overlaps
+    the range is split into its children, and the rest (virtual nodes
+    included) are dropped.  At most two nodes per level overlap partly, so
+    the walk visits O(d·h) nodes instead of the range's leaves.
     """
     if rng.last >= cfg.slots:
         raise ValueError(f"range end {rng.last} beyond T={cfg.slots}")
-    current = {NodeLabel(cfg.epoch_id, cfg.height, s) for s in range(rng.first, rng.last + 1)}
-    for level in range(cfg.height, 0, -1):
-        at_level = {lb for lb in current if lb.level == level}
-        by_parent: dict[int, list[NodeLabel]] = {}
-        for lb in at_level:
-            by_parent.setdefault(lb.index // cfg.fanout, []).append(lb)
-        for parent_idx, group in by_parent.items():
-            parent = NodeLabel(cfg.epoch_id, level - 1, parent_idx)
-            first, last = _leaf_span(cfg, parent)
-            if first in rng and last in rng:
-                # all real leaves of the parent are revoked: collapse
-                current -= set(group)
-                current.add(parent)
-    return current
+    cover = set()
+    stack = [NodeLabel(cfg.epoch_id, 0, 0)]
+    while stack:
+        node = stack.pop()
+        first, last = _leaf_span(cfg, node)
+        if first > rng.last or last < rng.first:
+            continue
+        if first in rng and last in rng:
+            cover.add(node)
+        else:
+            stack += [NodeLabel(cfg.epoch_id, node.level + 1, node.index * cfg.fanout + j)
+                      for j in range(cfg.fanout)]
+    return cover

@@ -1,6 +1,9 @@
+import copy
 import hashlib
+from dataclasses import replace
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -75,3 +78,27 @@ def test_seed_from_parts_length_and_injectivity():
 def test_sign_verify_roundtrip_property(seed, msg):
     key = det_keygen(seed)
     assert ver_sign(key.public, msg, det_sign(key, msg))
+
+
+def test_sign_matches_fresh_key_parse():
+    seed = digest(b"fresh")
+    key = det_keygen(seed)
+    for msg in (b"", b"m", bytes(range(256))):
+        assert det_sign(key, msg) == Ed25519PrivateKey.from_private_bytes(seed).sign(msg)
+
+
+def test_keypair_equality_ignores_cached_signer():
+    a, b = det_keygen(digest(b"k")), det_keygen(digest(b"k"))
+    assert a.signer is not b.signer
+    assert a == b and hash(a) == hash(b)
+    other = replace(a, signer=Ed25519PrivateKey.generate())
+    assert other == a and hash(other) == hash(a)
+    assert "signer" not in repr(a)
+    assert len({a, b, det_keygen(digest(b"o"))}) == 2
+
+
+def test_keypair_deepcopy_signs_identically():
+    key = det_keygen(digest(b"k"))
+    clone = copy.deepcopy(key)
+    assert clone == key
+    assert det_sign(clone, b"msg") == det_sign(key, b"msg")

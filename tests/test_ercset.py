@@ -21,7 +21,7 @@ from rangerevoke.ercset import (
 )
 from rangerevoke.manager import revocation_cover_ercset
 from rangerevoke.pseudonym import create_rrp, get_capability
-from rangerevoke.slot_tree import EpochConfig, NodeLabel, SlotRange
+from rangerevoke.slot_tree import EpochConfig, NodeLabel, SlotRange, safe_cover
 
 PARAMS = FilterParams(8192, 4)
 
@@ -167,7 +167,7 @@ def test_cover_shortcut_is_bit_identical(cid, pm_key):
         rng = SlotRange(first, last)
         caps = caps_for(rng, cfg, cid, pm_key)
         via_pipeline = create_ercset(caps, cfg, PARAMS)
-        via_cover = revocation_cover_ercset(cid, 2, 1, cfg, rng, PARAMS)
+        via_cover = revocation_cover_ercset(cid, 2, 1, cfg, safe_cover(cfg, rng), PARAMS)
         assert via_pipeline.filter == via_cover.filter, (slots, first, last)
 
 
@@ -215,3 +215,32 @@ def test_root_only_revokes_everything(cid, pm_key, fig_cfg):
     root = [lk for lk in caps[0].latchkeys if lk.label == NodeLabel(0, 0, 0)]
     erc.filter.add(root[0].sig)
     assert all(is_revoked(erc, c) for c in caps)
+
+
+def test_bloom_merge_matches_bytewise_or():
+    rnd = random.Random(3)
+    for m in (8, 64, 8192, 70_608):
+        params = FilterParams(m, 4)
+        for density in (0.0, 0.01, 0.5, 1.0):
+            a, b = (BloomFilter(params, 0, bits=bytes(
+                sum((rnd.random() < density) << j for j in range(8))
+                for _ in range(m // 8))) for _ in range(2))
+            a_bits, b_bits = bytes(a.bits), bytes(b.bits)
+            want = bytes(x | y for x, y in zip(a_bits, b_bits))
+            merged = a.merged(b)
+            assert bytes(merged.bits) == want, (m, density)
+            assert merged == b.merged(a)                    # commutes
+            assert merged.merged(merged) == merged          # idempotent
+            assert merged.merged(a) == merged               # absorbs its inputs
+            assert merged.params == params and merged.salt == a.salt
+            assert (bytes(a.bits), bytes(b.bits)) == (a_bits, b_bits)
+
+
+def test_bloom_merge_incompatible_salt_and_type():
+    a = BloomFilter(PARAMS, 0)
+    with pytest.raises(ValueError):
+        a.merged(BloomFilter(PARAMS, 0, salt=b"\x01" * 16))
+    with pytest.raises(ValueError):
+        a.merged(BloomFilter(FilterParams(8192, 5), 0))
+    with pytest.raises(ValueError):
+        a.merged(ExactSet(0))

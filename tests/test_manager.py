@@ -1,9 +1,16 @@
+import copy
 import random
 
 import pytest
 
 from rangerevoke.crypto import det_sign
-from rangerevoke.ercset import ExactSet, FilterParams, is_revoked
+from rangerevoke.ercset import (
+    ExactSet,
+    FilterParams,
+    create_ercset,
+    is_revoked,
+    merge_ercset,
+)
 from rangerevoke.manager import (
     IssuanceDenied,
     PmMode,
@@ -20,7 +27,7 @@ from rangerevoke.messages import (
     RevocationOrder,
 )
 from rangerevoke.pseudonym import create_rrp, get_capability
-from rangerevoke.slot_tree import EpochConfig, SlotRange
+from rangerevoke.slot_tree import EpochConfig, SlotRange, safe_cover
 
 PARAMS = FilterParams(8192, 4)
 GEOMETRY = EpochConfig(0, 60, 15, 2)
@@ -175,8 +182,9 @@ def test_rotate_epoch(pm_key, admin_key, cid):
 
 def test_merge_filters_reports_change(pm_key, admin_key, cid):
     core = make_core(pm_key, admin_key, cid)
-    incoming = revocation_cover_ercset(cid, 0, 1, core.cfg_for(0),
-                                       SlotRange(1, 3), PARAMS, exact=True)
+    cfg = core.cfg_for(0)
+    incoming = revocation_cover_ercset(cid, 0, 1, cfg, safe_cover(cfg, SlotRange(1, 3)),
+                                       PARAMS, exact=True)
     assert core.merge_filters(incoming, None) is True
     assert core.merge_filters(incoming, None) is False   # redundant
 
@@ -318,3 +326,64 @@ def test_quarantine_denies_two_epochs_ahead(pm_key, admin_key, cid):
     node.on_clock(now=61)
     resp = node.handle_request(RequestRrp(cid, 2, 1))
     assert not resp.granted and resp.reason is DenialReason.QUARANTINE
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_revoke_matches_full_capability_pipeline(pm_key, admin_key, cid, exact):
+    """``revoke`` signs one shared cover per instance; its filters must be
+    bit-identical to running ``create_ercset`` over every in-range
+    capability of every instance, plus every next-epoch capability (whose
+    pipeline keeps only the root latchkey)."""
+    instances = 3
+    for slots, fanout in ((1, 2), (4, 2), (7, 2), (13, 2), (5, 3), (10, 3)):
+        geometry = EpochConfig(0, slots, 1, fanout)
+        for rts in range(slots):
+            core = TrustedCore(pm_key, admin_key.public, geometry, PARAMS,
+                               max_instances=instances, exact_filters=exact)
+            core.revoke(signed_order(admin_key, cid, rts, 0))
+            expected = []
+            for epoch_id, first in ((0, rts), (1, 0)):
+                cfg = geometry.with_epoch(epoch_id)
+                erc = empty_ercset(PARAMS, epoch_id, exact)
+                for i in range(1, instances + 1):
+                    rrp = create_rrp(cid, epoch_id, i, pm_key, instances)
+                    caps = [get_capability(rrp, s, cfg) for s in range(first, slots)]
+                    erc = merge_ercset(erc, create_ercset(caps, cfg, PARAMS, exact))
+                expected.append(erc.filter)
+            assert [core.erc_current.filter, core.erc_next.filter] == expected, \
+                (slots, fanout, rts)
+
+
+def test_proof_from_last_instance_accepted(pm_key, admin_key, cid):
+    core = make_core(pm_key, admin_key, cid)
+    last = core.issue(RequestRrp(cid, 0, 8))[-1]
+    more = core.issue(RequestRrp(cid, 1, 1, proof_for(core, last), 0))
+    assert last.instance == 8 and [r.instance for r in more] == [1]
+
+
+def test_proof_of_another_client_rejected(pm_key, admin_key, cid):
+    core = make_core(pm_key, admin_key, cid)
+    other = b"\x07" * 32
+    core.register(other)
+    core.issue(RequestRrp(cid, 0, 1))
+    foreign = core.issue(RequestRrp(other, 0, 1))[0]
+    with pytest.raises(IssuanceDenied) as exc:
+        core.issue(RequestRrp(cid, 0, 1, proof_for(core, foreign), 0))
+    assert exc.value.reason is DenialReason.BAD_PROOF
+
+
+def test_deepcopied_core_signs_identically(pm_key, admin_key, cid):
+    """The benchmark replays every pass on a deep copy of one core."""
+    core = make_core(pm_key, admin_key, cid, exact=False)
+    clone = copy.deepcopy(core)
+    assert clone.pm_key == core.pm_key
+    order = signed_order(admin_key, cid, 2, 0)
+    core.revoke(order)
+    clone.revoke(order)
+    assert clone.erc_current == core.erc_current and clone.erc_next == core.erc_next
+    other = b"\x09" * 32
+    endorsements = []
+    for c in (core, clone):
+        c.register(other)
+        endorsements.append([r.endorsement for r in c.issue(RequestRrp(other, 0, 2))])
+    assert endorsements[0] == endorsements[1]

@@ -175,3 +175,59 @@ def test_cover_exactness_property(data, slots, fanout):
     first = data.draw(st.integers(0, slots - 1))
     last = data.draw(st.integers(first, slots - 1))
     assert_cover_exact(cfg, SlotRange(first, last))
+
+
+def bottom_up_cover(cfg, rng):
+    """Reference cover built bottom-up: start from the range's leaves and
+    replace a sibling group by its parent whenever every real leaf under
+    that parent lies in the range."""
+    current = {NodeLabel(cfg.epoch_id, cfg.height, s) for s in range(rng.first, rng.last + 1)}
+    for level in range(cfg.height, 0, -1):
+        by_parent = {}
+        for lb in current:
+            if lb.level == level:
+                by_parent.setdefault(lb.index // cfg.fanout, []).append(lb)
+        for parent_idx, group in by_parent.items():
+            parent = NodeLabel(cfg.epoch_id, level - 1, parent_idx)
+            span = leaves_under(cfg, parent)
+            if span[0] in rng and span[-1] in rng:
+                current -= set(group)
+                current.add(parent)
+    return current
+
+
+def greedy_cover_size(cfg, rng):
+    """Size of the minimal cover counted on slot indices alone: from the
+    left end of the range, repeatedly take the widest aligned block
+    (clamped to T) that starts there and stays inside the range."""
+    count, pos = 0, rng.first
+    while pos <= rng.last:
+        width = 1
+        while (width < cfg.fanout ** cfg.height and pos % (width * cfg.fanout) == 0
+               and min(pos + width * cfg.fanout, cfg.slots) - 1 <= rng.last):
+            width *= cfg.fanout
+        count, pos = count + 1, pos + width
+    return count
+
+
+@pytest.mark.parametrize("fanout", [2, 3])
+def test_cover_exhaustive_against_oracles(fanout):
+    """Every range [a, b] for T <= 40: the cover meets exactly the in-range
+    paths, equals the bottom-up construction and has the minimal size."""
+    for slots in range(1, 41):
+        cfg = cfg_for(slots, fanout)
+        paths = [set(path_to_root(cfg, s)) for s in range(slots)]
+        for first in range(slots):
+            for last in range(first, slots):
+                rng = SlotRange(first, last)
+                cover = safe_cover(cfg, rng)
+                for slot, path in enumerate(paths):
+                    assert bool(path & cover) == (first <= slot <= last), (slots, rng, slot)
+                assert cover == bottom_up_cover(cfg, rng), (slots, rng)
+                assert len(cover) == greedy_cover_size(cfg, rng), (slots, rng)
+
+
+def test_cover_is_logarithmic_at_a_million_slots():
+    cfg = cfg_for(2**20)
+    assert len(safe_cover(cfg, SlotRange(1, 2**20 - 1))) == 20
+    assert len(safe_cover(cfg, SlotRange(1, 2**20 - 2))) == 38
