@@ -8,7 +8,6 @@ from .crypto import KeyPair, det_keygen, det_sign, digest, ver_sign
 from .ercset import (
     BloomFilter,
     ErcSet,
-    ExactSet,
     FilterParams,
     create_ercset,
     is_revoked,
@@ -26,8 +25,8 @@ from .pseudonym import (
 from .slot_tree import EpochConfig, NodeLabel, SlotRange, path_to_root, safe_cover
 
 __all__ = [
-    "BloomFilter", "Capability", "EpochConfig", "ErcSet", "ExactSet",
-    "FilterParams", "KeyPair", "Latchkey", "NodeLabel", "Rrp", "SlotRange",
+    "BloomFilter", "Capability", "EpochConfig", "ErcSet", "FilterParams",
+    "KeyPair", "Latchkey", "NodeLabel", "Rrp", "SlotRange",
     "create_ercset", "create_rrp", "det_keygen", "det_sign", "digest",
     "get_capability", "is_revoked", "merge_ercset", "path_to_root",
     "pseudonym_public_keys_of", "safe_cover", "ver_sign", "verify_capability",

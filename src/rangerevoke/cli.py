@@ -24,7 +24,9 @@ Scenario files are INI format; times are seconds (floats allowed)::
     epoch_len = 60
     delta = 15
     horizon = 100
-    ...                     ; any SimConfig field, times in seconds
+    ...                     ; also fanout, delta_net, epsilon, gossip_timeout,
+                            ; pull_period, filter_m, filter_k, max_instances;
+                            ; times in seconds; an unknown key is an error
 
     [crashes]
     c1 = pm3 55..80         ; node, then down-window
@@ -37,7 +39,7 @@ Scenario files are INI format; times are seconds (floats allowed)::
     a2 = 8 authenticate client=0 verifier=v0
     a3 = 30 revoke client=0
 
-    [checks]                ; evaluated after the run, see _CHECKS
+    [checks]                ; names from _CHECKS, evaluated after the run
     convergence = yes
     denied_after = 0:40
 """
@@ -186,30 +188,34 @@ def _parse_action_args(tokens: list[str]) -> dict:
     return out
 
 
+# [sim] keys: integer keys name their SimConfig field, the rest are
+# SimConfig times given in seconds; absent keys keep the SimConfig default
+_SIM_INTS = {"seed": "seed", "managers": "n_pms", "fault_bound": "fault_bound",
+             "verifiers": "n_verifiers", "clients": "n_clients",
+             "fanout": "fanout", "filter_m": "filter_m", "filter_k": "filter_k",
+             "max_instances": "max_instances"}
+_SIM_SECONDS = ("epoch_len", "delta", "delta_net", "epsilon", "horizon",
+                "gossip_timeout", "pull_period")
+
+
 def parse_scenario(path: Path) -> tuple[SimConfig, dict[str, str]]:
-    """Read an INI scenario file into a SimConfig plus its checks."""
+    """Read an INI scenario file into a SimConfig plus its checks.
+
+    Unknown ``[sim]`` keys and unknown check names raise ``ValueError``
+    before anything runs.
+    """
     ini = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     with open(path, encoding="utf-8") as fh:
         ini.read_file(fh)
-    sim = ini["sim"] if ini.has_section("sim") else {}
-    seconds = {"epoch_len": 60.0, "delta": 15.0, "delta_net": 0.1,
-               "epsilon": 0.0, "horizon": 120.0, "gossip_timeout": 5.0,
-               "pull_period": 5.0}
-    kwargs: dict = {
-        "seed": int(sim.get("seed", 0)),
-        "n_pms": int(sim.get("managers", 4)),
-        "fault_bound": int(sim.get("fault_bound", 1)),
-        "n_verifiers": int(sim.get("verifiers", 1)),
-        "n_clients": int(sim.get("clients", 1)),
-        "fanout": int(sim.get("fanout", 2)),
-        "filter_m": int(sim.get("filter_m", 8192)),
-        "filter_k": int(sim.get("filter_k", 4)),
-        "max_instances": int(sim.get("max_instances", 8)),
-        "exact_filters": str(sim.get("exact_filters", "no")).lower()
-        in ("1", "yes", "true"),
-    }
-    for name, default in seconds.items():
-        kwargs[name] = _micros(float(sim.get(name, default)))
+    kwargs: dict = {}
+    if ini.has_section("sim"):
+        for key, value in ini.items("sim"):
+            if key in _SIM_INTS:
+                kwargs[_SIM_INTS[key]] = int(value)
+            elif key in _SIM_SECONDS:
+                kwargs[key] = _micros(float(value))
+            else:
+                raise ValueError(f"unknown [sim] key {key!r}")
     windows = []
     if ini.has_section("unstable"):
         for _, value in ini.items("unstable"):
@@ -232,6 +238,9 @@ def parse_scenario(path: Path) -> tuple[SimConfig, dict[str, str]]:
                                  _parse_action_args(tokens[2:])))
     script.sort(key=lambda a: a.at)
     checks = dict(ini.items("checks")) if ini.has_section("checks") else {}
+    for key in checks:
+        if key.split(".")[0] not in _CHECKS:
+            raise ValueError(f"unknown check {key!r}")
     cfg = SimConfig(unstable=tuple(windows), crashes=tuple(crashes),
                     script=tuple(script), **kwargs)
     return cfg, checks
@@ -468,8 +477,7 @@ def _bench_throughput(batches, requests: int = 25) -> list[tuple[int, float]]:
         admin = det_keygen(seed_from_parts(b"bench-admin", 3))
         core = TrustedCore(pm_key, admin.public, geometry,
                            FilterParams(8192, 4),
-                           max_instances=requests * batch + 1,
-                           exact_filters=True)
+                           max_instances=requests * batch + 1)
         cid = digest(b"bench-client")
         core.register(cid)
         first = core.issue(RequestRrp(cid, 0, 1))

@@ -1,4 +1,4 @@
-"""Canonical, bit-exact serialization for every wire and file artifact.
+"""Canonical, bit-exact serialization for every wire artifact.
 
 All integers are big-endian.  The only little-endian structure is the
 filter bit array (bit i = byte i//8, mask 1 << (i % 8)), fixed so that
@@ -31,9 +31,7 @@ from .slot_tree import NodeLabel
 
 CAPABILITY_MAGIC = b"RRPC"
 ERCSET_MAGIC = b"ERCS"
-BUNDLE_MAGIC = b"RRPB"
 ORDER_MAGIC = b"RRPO"
-SNAPSHOT_MAGIC = b"RRPS"
 ENVELOPE_MAGIC = b"RRPE"
 VERSION = 0x01
 
@@ -152,8 +150,6 @@ def _read_capability(r: _Reader) -> Capability:
 
 def encode_ercset(erc: ErcSet) -> bytes:
     flt = erc.filter
-    if not isinstance(flt, BloomFilter):
-        raise TypeError("only Bloom-filter revocation sets have a wire form")
     out = bytearray(ERCSET_MAGIC)
     out.append(VERSION)
     out += struct.pack(">Q", flt.epoch_id)
@@ -184,30 +180,6 @@ def _read_ercset(r: _Reader) -> ErcSet:
         raise FieldError(str(exc)) from exc
     bits = r.take((m + 7) // 8)
     return ErcSet(BloomFilter(params, epoch_id, salt, bits))
-
-
-# -- pseudonym endorsement bundle ------------------------------------------
-
-def encode_rrp_bundle(epoch_id: int, endorsements: list[tuple[int, bytes]]) -> bytes:
-    out = bytearray(BUNDLE_MAGIC)
-    out.append(VERSION)
-    out += struct.pack(">Q", epoch_id)
-    out.append(len(endorsements))
-    for instance, sig in endorsements:
-        out += struct.pack(">Q", instance)
-        out += sig
-    return bytes(out)
-
-
-def decode_rrp_bundle(data: bytes) -> tuple[int, list[tuple[int, bytes]]]:
-    r = _Reader(data)
-    r.expect_magic(BUNDLE_MAGIC)
-    r.expect_version()
-    epoch_id = r.u64()
-    count = r.u8()
-    endorsements = [(r.u64(), r.take(SIG_LEN)) for _ in range(count)]
-    r.done()
-    return epoch_id, endorsements
 
 
 # -- revocation order ------------------------------------------------------
@@ -359,30 +331,3 @@ _MESSAGE_READERS = {
     MsgType.EPOCH_REPORT: _read_report,
 }
 
-
-# -- manager snapshot ------------------------------------------------------
-
-def encode_snapshot(epoch_now: int, registry: list[bytes],
-                    erc_current: ErcSet, erc_next: ErcSet) -> bytes:
-    out = bytearray(SNAPSHOT_MAGIC)
-    out.append(VERSION)
-    out += struct.pack(">Q", epoch_now)
-    out += struct.pack(">I", len(registry))
-    for cid in sorted(registry):
-        out += cid
-    out += _blob(encode_ercset(erc_current))
-    out += _blob(encode_ercset(erc_next))
-    return bytes(out)
-
-
-def decode_snapshot(data: bytes) -> tuple[int, list[bytes], ErcSet, ErcSet]:
-    r = _Reader(data)
-    r.expect_magic(SNAPSHOT_MAGIC)
-    r.expect_version()
-    epoch_now = r.u64()
-    count = r.u32()
-    registry = [r.take(CID_LEN) for _ in range(count)]
-    current = decode_ercset(_read_blob(r))
-    nxt = decode_ercset(_read_blob(r))
-    r.done()
-    return epoch_now, registry, current, nxt

@@ -12,8 +12,9 @@ capability for a non-revoked slot shares any (exclusion-of-non-revoked).
 The second property is what preserves backward unlinkability: nothing a
 client showed outside the revoked range ever appears in the published set.
 
-``ExactSet`` is a drop-in filter stand-in with no false positives, used by
-tests and oracles; production paths use ``BloomFilter``.
+``BloomFilter`` is the only filter the program builds.  ``ExactSet`` is
+an exact-membership stand-in kept for tests, which use it as the oracle
+the lossy filter is compared against; no program path constructs one.
 """
 
 from __future__ import annotations
@@ -105,9 +106,6 @@ class BloomFilter:
                     | int.from_bytes(other.bits, "little")).to_bytes(n, "little")
         return BloomFilter(self.params, self.epoch_id, self.salt, combined)
 
-    def copy(self) -> "BloomFilter":
-        return BloomFilter(self.params, self.epoch_id, self.salt, bytes(self.bits))
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, BloomFilter) and self.compatible(other) \
             and self.bits == other.bits
@@ -148,11 +146,6 @@ class ExactSet:
         out.items = self.items | other.items
         return out
 
-    def copy(self) -> "ExactSet":
-        out = ExactSet(self.epoch_id)
-        out.items = set(self.items)
-        return out
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, ExactSet) and self.epoch_id == other.epoch_id \
             and self.items == other.items
@@ -162,7 +155,7 @@ class ExactSet:
 class ErcSet:
     """A revocation filter bound to one epoch; immutable once built."""
 
-    filter: BloomFilter | ExactSet
+    filter: BloomFilter
 
     @property
     def epoch_id(self) -> int:
@@ -223,22 +216,21 @@ def remove_redundant(lset: LatchkeySet, cfg: EpochConfig) -> LatchkeySet:
     return LatchkeySet(lset.pseudonym_pub, kept)
 
 
-def latchkeys_encoding(lset: LatchkeySet, params: FilterParams, epoch_id: int,
-                       exact: bool = False) -> ErcSet:
+def latchkeys_encoding(lset: LatchkeySet, params: FilterParams, epoch_id: int) -> ErcSet:
     """Insert each latchkey's signature bytes into a fresh filter."""
-    flt = ExactSet(epoch_id) if exact else BloomFilter(params, epoch_id)
+    flt = BloomFilter(params, epoch_id)
     for lk in sorted(lset.latchkeys, key=lambda l: l.label):
         flt.add(lk.sig)
     return ErcSet(flt)
 
 
 def create_ercset(capabilities: list[Capability], cfg: EpochConfig,
-                  params: FilterParams, exact: bool = False) -> ErcSet:
+                  params: FilterParams) -> ErcSet:
     """Full pipeline: capabilities of one pseudonym to an encoded set."""
     unfiltered = merge_latchkeys(capabilities)
     safe = remove_unsafe(unfiltered, cfg)
     compact = remove_redundant(safe, cfg)
-    return latchkeys_encoding(compact, params, cfg.epoch_id, exact=exact)
+    return latchkeys_encoding(compact, params, cfg.epoch_id)
 
 
 def merge_ercset(a: ErcSet, b: ErcSet) -> ErcSet:

@@ -28,7 +28,6 @@ from .crypto import KeyPair, det_sign, ver_sign
 from .ercset import (
     BloomFilter,
     ErcSet,
-    ExactSet,
     FilterParams,
     LatchkeySet,
     is_revoked,
@@ -62,17 +61,18 @@ class PmMode(enum.Enum):
     QUARANTINE = "quarantine"
 
 
-def empty_ercset(params: FilterParams, epoch_id: int, exact: bool = False) -> ErcSet:
-    return ErcSet(ExactSet(epoch_id) if exact else BloomFilter(params, epoch_id))
+def empty_ercset(params: FilterParams, epoch_id: int) -> ErcSet:
+    return ErcSet(BloomFilter(params, epoch_id))
 
 
 def revocation_cover_ercset(cid: bytes, epoch_id: int, instance: int,
                             cfg: EpochConfig, cover: set[NodeLabel],
-                            params: FilterParams, exact: bool = False) -> ErcSet:
+                            params: FilterParams) -> ErcSet:
     """Filter revoking one pseudonym instance over a contiguous slot range.
 
     ``cover`` is ``safe_cover(cfg, rng)`` of the range; it depends on the
-    range alone, so a caller revoking many instances computes it once.
+    range alone, so a caller revoking many instances computes it once.  A
+    whole epoch is the one-label cover ``{NodeLabel(epoch_id, 0, 0)}``.
     Signs only the cover's labels instead of materializing every in-range
     capability; the result is bit-identical to running the full capability
     pipeline (the cover labels are exactly the latchkeys that survive it).
@@ -83,18 +83,7 @@ def revocation_cover_ercset(cid: bytes, epoch_id: int, instance: int,
         for label in cover
     )
     lset = LatchkeySet(keypair.public, latchkeys)
-    return latchkeys_encoding(lset, params, cfg.epoch_id, exact=exact)
-
-
-def root_only_ercset(cid: bytes, epoch_id: int, instance: int,
-                     cfg: EpochConfig, params: FilterParams,
-                     exact: bool = False) -> ErcSet:
-    """Whole-epoch revocation of one instance: just the root latchkey."""
-    keypair = pseudonym_keypair(cid, epoch_id, instance)
-    root = NodeLabel(cfg.epoch_id, 0, 0)
-    lset = LatchkeySet(keypair.public,
-                       frozenset({Latchkey(root, det_sign(keypair, root.canonical_bytes))}))
-    return latchkeys_encoding(lset, params, cfg.epoch_id, exact=exact)
+    return latchkeys_encoding(lset, params, cfg.epoch_id)
 
 
 class IssuanceDenied(Exception):
@@ -113,20 +102,18 @@ class TrustedCore:
 
     def __init__(self, pm_key: KeyPair, admin_public: bytes,
                  geometry: EpochConfig, params: FilterParams,
-                 max_instances: int, epoch_now: int | None = None,
-                 exact_filters: bool = False):
+                 max_instances: int, epoch_now: int | None = None):
         self.pm_key = pm_key
         self.admin_public = admin_public
         self.geometry = geometry          # slot geometry; epoch_id field ignored
         self.params = params
         self.max_instances = max_instances
-        self.exact_filters = exact_filters
         self.epoch_now = geometry.epoch_id if epoch_now is None else epoch_now
         self.registry: set[bytes] = set()
         self.revoked: set[bytes] = set()  # expelled clients (order seen locally)
         self.issued: dict[tuple[bytes, int], int] = {}  # (cid, epoch) -> highest instance
-        self.erc_current = empty_ercset(params, self.epoch_now, exact_filters)
-        self.erc_next = empty_ercset(params, self.epoch_now + 1, exact_filters)
+        self.erc_current = empty_ercset(params, self.epoch_now)
+        self.erc_next = empty_ercset(params, self.epoch_now + 1)
 
     @property
     def public_key(self) -> bytes:
@@ -230,8 +217,9 @@ class TrustedCore:
         Current epoch: every instance is revoked from the order's slot to
         the end of the epoch via the minimal tree cover of that range,
         computed once and signed under each instance's key.  Next epoch:
-        every instance is revoked outright via its root latchkey.  Merging
-        is idempotent, so replayed orders change nothing.
+        every instance is revoked outright via the one-label cover of its
+        root latchkey.  Merging is idempotent, so replayed orders change
+        nothing.
         """
         if not ver_sign(self.admin_public, order.signed_payload(), order.admin_sig):
             raise ValueError("revocation order signature invalid")
@@ -242,15 +230,16 @@ class TrustedCore:
         cfg_next = self.cfg_for(self.epoch_now + 1)
         self.revoked.add(order.cid)
         cover = safe_cover(cfg_now, SlotRange(order.rts, cfg_now.slots - 1))
+        root = {NodeLabel(cfg_next.epoch_id, 0, 0)}
         for i in range(1, self.max_instances + 1):
             self.erc_current = merge_ercset(
                 self.erc_current,
                 revocation_cover_ercset(order.cid, self.epoch_now, i, cfg_now,
-                                        cover, self.params, self.exact_filters))
+                                        cover, self.params))
             self.erc_next = merge_ercset(
                 self.erc_next,
-                root_only_ercset(order.cid, self.epoch_now + 1, i, cfg_next,
-                                 self.params, self.exact_filters))
+                revocation_cover_ercset(order.cid, self.epoch_now + 1, i, cfg_next,
+                                        root, self.params))
 
     # -- filter state -----------------------------------------------------
 
@@ -274,8 +263,7 @@ class TrustedCore:
         """Discard epoch t, promote t+1, open an empty filter for t+2."""
         self.epoch_now += 1
         self.erc_current = self.erc_next
-        self.erc_next = empty_ercset(self.params, self.epoch_now + 1,
-                                     self.exact_filters)
+        self.erc_next = empty_ercset(self.params, self.epoch_now + 1)
 
 
 @dataclass

@@ -8,11 +8,10 @@ byte-identical reports.
 
 Time is integer microseconds.  Messages between nodes are round-tripped
 through the wire codec on delivery, so every run also exercises the
-serialization formats end to end (skipped only for exact-set filters,
-which have no wire form).
+serialization formats end to end.
 
-The module also hosts the synthetic workload generator and the linkage
-adversary that post-processes a run's verifier transcripts.
+The module also hosts the linkage adversary that post-processes a run's
+verifier transcripts.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from dataclasses import dataclass, field
 
 from . import codec
 from .crypto import det_keygen, det_sign, seed_from_parts
-from .ercset import BloomFilter, ErcSet, FilterParams
+from .ercset import ErcSet, FilterParams
 from .manager import PmMode, PmNode, TrustedCore
 from .messages import (
     EpochReport,
@@ -90,7 +89,6 @@ class SimConfig:
     filter_m: int = 8192
     filter_k: int = 4
     max_instances: int = 8
-    exact_filters: bool = False
     event_budget: int = 200_000
 
     def geometry(self) -> EpochConfig:
@@ -171,12 +169,7 @@ class SimReport:
 def _filter_digest(erc: ErcSet | None) -> str:
     if erc is None:
         return "-"
-    flt = erc.filter
-    if isinstance(flt, BloomFilter):
-        material = bytes(flt.bits)
-    else:
-        material = b"".join(sorted(flt.items))
-    return hashlib.sha256(material).hexdigest()[:16]
+    return hashlib.sha256(erc.filter.bits).hexdigest()[:16]
 
 
 class _Client:
@@ -217,8 +210,7 @@ class Simulation:
         self.pms: dict[str, PmNode] = {}
         for node_id in pm_ids:
             core = TrustedCore(self.pm_key, self.admin_key.public, geometry,
-                               params, cfg.max_instances,
-                               exact_filters=cfg.exact_filters)
+                               params, cfg.max_instances)
             self.pms[node_id] = PmNode(
                 node_id, core, pm_ids, cfg.fault_bound,
                 random.Random(self.rng.getrandbits(64)),
@@ -288,8 +280,7 @@ class Simulation:
         if self._crashed(src, self.now):
             return
         self.messages[type(msg).__name__] = self.messages.get(type(msg).__name__, 0) + 1
-        if not self.cfg.exact_filters:
-            msg = codec.decode_message(codec.encode_message(msg))  # wire round-trip
+        msg = codec.decode_message(codec.encode_message(msg))  # wire round-trip
         self._schedule(self.now + self._delay(), ("deliver", src, dst, msg))
 
     def _emit(self, src: str, outgoing) -> None:
@@ -534,55 +525,3 @@ def linkage_adversary(sim: Simulation, revoked_client: int | None = None,
         random_hits=rnd_hits, random_probes=random_probes,
     )
 
-
-# -- synthetic workload ----------------------------------------------------
-
-@dataclass(frozen=True)
-class TraceEvent:
-    at: int
-    client: int
-
-
-@dataclass(frozen=True)
-class Trace:
-    events: tuple[TraceEvent, ...]
-
-    def demand_per_client(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for ev in self.events:
-            out[ev.client] = out.get(ev.client, 0) + 1
-        return out
-
-    def max_demand(self) -> int:
-        demand = self.demand_per_client()
-        return max(demand.values()) if demand else 0
-
-
-def generate_trace(fleet: int, trips_per_client: int,
-                   changes_per_trip: float, epoch_len: int,
-                   seed: int = 0, max_client_demand: int | None = None) -> Trace:
-    """Synthetic access trace: each pseudonym-change event is one access.
-
-    Trip lengths are heavy-tailed (Pareto), so a few clients need far more
-    pseudonyms per epoch than the median.  ``max_client_demand`` scales the
-    heaviest client to a target daily demand.
-    """
-    rng = random.Random(seed)
-    events: list[TraceEvent] = []
-    per_client: list[int] = []
-    for client in range(fleet):
-        n = 0
-        for _ in range(trips_per_client):
-            # pareto(2.5) has mean ~1.7; scale to the requested average
-            length = changes_per_trip * rng.paretovariate(2.5) / 1.7
-            n += max(1, round(length))
-        per_client.append(n)
-    if max_client_demand is not None and per_client:
-        heaviest = max(per_client)
-        idx = per_client.index(heaviest)
-        per_client[idx] = max_client_demand
-    for client, n in enumerate(per_client):
-        for _ in range(n):
-            events.append(TraceEvent(rng.randrange(epoch_len), client))
-    events.sort(key=lambda e: (e.at, e.client))
-    return Trace(tuple(events))

@@ -27,9 +27,10 @@ from rangerevoke.codec import encode_capability
 from rangerevoke.crypto import det_keygen, det_sign, digest, seed_from_parts
 from rangerevoke.ercset import (
     BloomFilter,
+    ErcSet,
+    ExactSet,
     FilterParams,
     is_revoked,
-    latchkeys_encoding,
     merge_latchkeys,
     remove_redundant,
     remove_unsafe,
@@ -99,7 +100,6 @@ def exhaustive_sweep():
     record membership mismatches (criterion 2) and any overlap between the
     safe latchkey set and latchkeys of non-revoked slots (criterion 3)."""
     key = det_keygen(seed_from_parts(b"acceptance-sweep", 0))
-    params = FilterParams(8, 1)          # ignored by the exact-set encoding
     mismatches, leaks, n_ranges = [], [], 0
     for t in range(1, 65):
         cfg = EpochConfig(0, t, 1, 2)
@@ -121,7 +121,9 @@ def exhaustive_sweep():
                 merged = merge_latchkeys([caps[s] for s in in_range])
                 safe = remove_unsafe(merged, cfg)
                 compact = remove_redundant(safe, cfg)
-                erc = latchkeys_encoding(compact, params, 0, exact=True)
+                erc = ErcSet(ExactSet(0))
+                for lk in compact.latchkeys:
+                    erc.filter.add(lk.sig)
                 for s in range(t):
                     if is_revoked(erc, caps[s]) != (first <= s <= last):
                         mismatches.append((t, first, last, s))

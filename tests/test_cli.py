@@ -81,7 +81,33 @@ def test_scenario_failing_check_exits_one(tmp_path, capsys):
 def test_unknown_check_is_config_error(tmp_path, capsys):
     scn = tmp_path / "odd.scn"
     scn.write_text("[sim]\nseed = 1\nhorizon = 5\n[checks]\nbogus = yes\n")
+    with pytest.raises(ValueError, match="bogus"):
+        cli.parse_scenario(scn)
     assert cli.main(["simulate", str(scn)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "bogus" in err         # refused before the run
+
+
+@pytest.mark.parametrize("line", ["exact_filters = yes", "manager = 5"])
+def test_unknown_sim_key_is_config_error(tmp_path, capsys, line):
+    key = line.split()[0]
+    scn = tmp_path / "odd.scn"
+    scn.write_text(f"[sim]\nseed = 1\nhorizon = 5\n{line}\n")
+    with pytest.raises(ValueError, match=key):
+        cli.parse_scenario(scn)
+    assert cli.main(["simulate", str(scn)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and key in err
+
+
+def test_scenario_keys_reach_sim_config(tmp_path):
+    scn = tmp_path / "keys.scn"
+    scn.write_text("[sim]\nmanagers = 3\nfilter_m = 1024\ndelta_net = 0.25\n"
+                   "[checks]\nconvergence = yes\ndenied_after.late = 0:40\n")
+    cfg, checks = cli.parse_scenario(scn)
+    assert (cfg.n_pms, cfg.filter_m, cfg.delta_net) == (3, 1024, 250_000)
+    assert cfg.seed == 0 and cfg.horizon == 120 * 1_000_000   # SimConfig defaults
+    assert checks == {"convergence": "yes", "denied_after.late": "0:40"}
 
 
 def test_bench_command(capsys, tmp_path):

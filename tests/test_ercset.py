@@ -152,7 +152,7 @@ def test_remove_redundant_keeps_highest(cid, pm_key, fig_cfg):
 
 def test_pipeline_worked_example(cid, pm_key, fig_cfg):
     caps = caps_for(SlotRange(1, 3), fig_cfg, cid, pm_key)
-    erc = create_ercset(caps, fig_cfg, PARAMS, exact=True)
+    erc = create_ercset(caps, fig_cfg, PARAMS)
     all_caps = caps_for(SlotRange(0, 3), fig_cfg, cid, pm_key)
     assert not is_revoked(erc, all_caps[0])
     assert all(is_revoked(erc, c) for c in all_caps[1:])
@@ -171,12 +171,15 @@ def test_cover_shortcut_is_bit_identical(cid, pm_key):
         assert via_pipeline.filter == via_cover.filter, (slots, first, last)
 
 
-def test_latchkeys_encoding_exact_flag(cid, pm_key, fig_cfg):
+def test_latchkeys_encoding_inserts_each_latchkey(cid, pm_key, fig_cfg):
     caps = caps_for(SlotRange(0, 3), fig_cfg, cid, pm_key)
     lset = merge_latchkeys(caps)
-    assert isinstance(latchkeys_encoding(lset, PARAMS, 0).filter, BloomFilter)
-    assert isinstance(latchkeys_encoding(lset, PARAMS, 0, exact=True).filter,
-                      ExactSet)
+    erc = latchkeys_encoding(lset, PARAMS, 0)
+    manual = BloomFilter(PARAMS, 0)
+    for lk in lset.latchkeys:
+        manual.add(lk.sig)
+    assert erc.filter == manual
+    assert all(erc.filter.query(lk.sig) for lk in lset.latchkeys)
 
 
 def test_merge_ercset_and_epoch_binding():
@@ -211,9 +214,11 @@ def test_safe_set_disjoint_from_unrevoked_slots(cid, pm_key):
 
 def test_root_only_revokes_everything(cid, pm_key, fig_cfg):
     caps = caps_for(SlotRange(0, 3), fig_cfg, cid, pm_key)
-    erc = ErcSet(ExactSet(0))
+    erc = revocation_cover_ercset(cid, 0, 1, fig_cfg, {NodeLabel(0, 0, 0)}, PARAMS)
     root = [lk for lk in caps[0].latchkeys if lk.label == NodeLabel(0, 0, 0)]
-    erc.filter.add(root[0].sig)
+    manual = BloomFilter(PARAMS, 0)
+    manual.add(root[0].sig)
+    assert erc.filter == manual
     assert all(is_revoked(erc, c) for c in caps)
 
 

@@ -5,11 +5,14 @@ import pytest
 
 from rangerevoke.crypto import det_sign
 from rangerevoke.ercset import (
-    ExactSet,
+    BloomFilter,
     FilterParams,
     create_ercset,
     is_revoked,
     merge_ercset,
+    merge_latchkeys,
+    remove_redundant,
+    remove_unsafe,
 )
 from rangerevoke.manager import (
     IssuanceDenied,
@@ -18,7 +21,6 @@ from rangerevoke.manager import (
     TrustedCore,
     empty_ercset,
     revocation_cover_ercset,
-    root_only_ercset,
 )
 from rangerevoke.messages import (
     DenialReason,
@@ -27,16 +29,15 @@ from rangerevoke.messages import (
     RevocationOrder,
 )
 from rangerevoke.pseudonym import create_rrp, get_capability
-from rangerevoke.slot_tree import EpochConfig, SlotRange, safe_cover
+from rangerevoke.slot_tree import EpochConfig, NodeLabel, SlotRange, safe_cover
 
 PARAMS = FilterParams(8192, 4)
 GEOMETRY = EpochConfig(0, 60, 15, 2)
 
 
-def make_core(pm_key, admin_key, cid, exact=True, epoch_now=0):
+def make_core(pm_key, admin_key, cid, epoch_now=0):
     core = TrustedCore(pm_key, admin_key.public, GEOMETRY, PARAMS,
-                       max_instances=8, epoch_now=epoch_now,
-                       exact_filters=exact)
+                       max_instances=8, epoch_now=epoch_now)
     core.register(cid)
     return core
 
@@ -184,17 +185,18 @@ def test_merge_filters_reports_change(pm_key, admin_key, cid):
     core = make_core(pm_key, admin_key, cid)
     cfg = core.cfg_for(0)
     incoming = revocation_cover_ercset(cid, 0, 1, cfg, safe_cover(cfg, SlotRange(1, 3)),
-                                       PARAMS, exact=True)
+                                       PARAMS)
     assert core.merge_filters(incoming, None) is True
     assert core.merge_filters(incoming, None) is False   # redundant
 
 
 def test_helper_filters(pm_key, cid):
-    cfg = GEOMETRY
-    assert empty_ercset(PARAMS, 0, exact=True).is_empty()
-    root = root_only_ercset(cid, 1, 1, cfg.with_epoch(1), PARAMS, exact=True)
-    cap = get_capability(create_rrp(cid, 1, 1, pm_key, 8), 3, cfg.with_epoch(1))
-    assert is_revoked(root, cap)
+    cfg = GEOMETRY.with_epoch(1)
+    assert empty_ercset(PARAMS, 0).is_empty()
+    root = revocation_cover_ercset(cid, 1, 1, cfg, {NodeLabel(1, 0, 0)}, PARAMS)
+    for slot in range(cfg.slots):
+        assert is_revoked(root, get_capability(create_rrp(cid, 1, 1, pm_key, 8), slot, cfg))
+        assert not is_revoked(root, get_capability(create_rrp(cid, 1, 2, pm_key, 8), slot, cfg))
 
 
 # -- node shell -------------------------------------------------------------
@@ -311,8 +313,7 @@ def test_quarantine_ignores_duplicate_reports(pm_key, admin_key, cid):
 def test_laggard_gets_echo(pm_key, admin_key, cid):
     ahead = make_node(pm_key, admin_key, cid, node_id="pm1")
     ahead.core.rotate_epoch()                  # already in epoch 1
-    behind_report = EpochReport(0, empty_ercset(PARAMS, 0, exact=True),
-                                empty_ercset(PARAMS, 1, exact=True))
+    behind_report = EpochReport(0, empty_ercset(PARAMS, 0), empty_ercset(PARAMS, 1))
     out = ahead.handle_epoch_report("pm3", behind_report)
     assert [o.dst for o in out] == ["pm3"]
     echo = out[0].msg
@@ -328,30 +329,42 @@ def test_quarantine_denies_two_epochs_ahead(pm_key, admin_key, cid):
     assert not resp.granted and resp.reason is DenialReason.QUARANTINE
 
 
-@pytest.mark.parametrize("exact", [False, True])
-def test_revoke_matches_full_capability_pipeline(pm_key, admin_key, cid, exact):
+def test_revoke_matches_full_capability_pipeline(pm_key, admin_key, cid, monkeypatch):
     """``revoke`` signs one shared cover per instance; its filters must be
     bit-identical to running ``create_ercset`` over every in-range
     capability of every instance, plus every next-epoch capability (whose
-    pipeline keeps only the root latchkey)."""
+    pipeline keeps only the root latchkey), and the items it inserts must
+    be exactly the signatures of the latchkeys that survive that pipeline."""
+    added = []
+    add = BloomFilter.add
+
+    def recording_add(flt, item):
+        added.append((flt.epoch_id, item))
+        add(flt, item)
+    monkeypatch.setattr(BloomFilter, "add", recording_add)
     instances = 3
     for slots, fanout in ((1, 2), (4, 2), (7, 2), (13, 2), (5, 3), (10, 3)):
         geometry = EpochConfig(0, slots, 1, fanout)
         for rts in range(slots):
             core = TrustedCore(pm_key, admin_key.public, geometry, PARAMS,
-                               max_instances=instances, exact_filters=exact)
+                               max_instances=instances)
+            added.clear()
             core.revoke(signed_order(admin_key, cid, rts, 0))
-            expected = []
+            inserted = set(added)
+            expected, surviving = [], set()
             for epoch_id, first in ((0, rts), (1, 0)):
                 cfg = geometry.with_epoch(epoch_id)
-                erc = empty_ercset(PARAMS, epoch_id, exact)
+                erc = empty_ercset(PARAMS, epoch_id)
                 for i in range(1, instances + 1):
                     rrp = create_rrp(cid, epoch_id, i, pm_key, instances)
                     caps = [get_capability(rrp, s, cfg) for s in range(first, slots)]
-                    erc = merge_ercset(erc, create_ercset(caps, cfg, PARAMS, exact))
+                    erc = merge_ercset(erc, create_ercset(caps, cfg, PARAMS))
+                    compact = remove_redundant(remove_unsafe(merge_latchkeys(caps), cfg), cfg)
+                    surviving |= {(epoch_id, lk.sig) for lk in compact.latchkeys}
                 expected.append(erc.filter)
             assert [core.erc_current.filter, core.erc_next.filter] == expected, \
                 (slots, fanout, rts)
+            assert inserted == surviving, (slots, fanout, rts)
 
 
 def test_proof_from_last_instance_accepted(pm_key, admin_key, cid):
@@ -374,7 +387,7 @@ def test_proof_of_another_client_rejected(pm_key, admin_key, cid):
 
 def test_deepcopied_core_signs_identically(pm_key, admin_key, cid):
     """The benchmark replays every pass on a deep copy of one core."""
-    core = make_core(pm_key, admin_key, cid, exact=False)
+    core = make_core(pm_key, admin_key, cid)
     clone = copy.deepcopy(core)
     assert clone.pm_key == core.pm_key
     order = signed_order(admin_key, cid, 2, 0)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from rangerevoke.ercset import BloomFilter, ErcSet, ExactSet, FilterParams
+from rangerevoke.ercset import BloomFilter, ErcSet, FilterParams
 from rangerevoke.messages import ErcPullResp
 from rangerevoke.pseudonym import create_rrp, get_capability
 from rangerevoke.slot_tree import EpochConfig
@@ -19,8 +19,12 @@ def make_verifier(pm_key, **kwargs):
 
 def fresh(verifier, now=0, epoch=0):
     """Deliver an empty pull response so the verifier considers itself fresh."""
-    resp = ErcPullResp(ErcSet(ExactSet(epoch)), ErcSet(ExactSet(epoch + 1)))
+    resp = ErcPullResp(empty(epoch), empty(epoch + 1))
     assert verifier.handle_pull_response(resp, now)
+
+
+def empty(epoch, params=PARAMS):
+    return ErcSet(BloomFilter(params, epoch))
 
 
 def cap_for(cid, pm_key, slot, epoch=0, instance=1):
@@ -87,9 +91,9 @@ def test_filter_from_previous_epoch_is_stale(cid, pm_key):
 def test_pull_response_epoch_selection(cid, pm_key):
     v = make_verifier(pm_key)
     # manager one epoch ahead: its *current* filter is useless, next matches
-    resp = ErcPullResp(ErcSet(ExactSet(1)), ErcSet(ExactSet(2)))
+    resp = ErcPullResp(empty(1), empty(2))
     assert not v.handle_pull_response(resp, now=0)       # nothing for epoch 0
-    resp = ErcPullResp(ErcSet(ExactSet(0)), ErcSet(ExactSet(1)))
+    resp = ErcPullResp(empty(0), empty(1))
     assert v.handle_pull_response(resp, now=0)
     # after rollover the lagging response's next filter is the right one
     assert v.handle_pull_response(resp, now=61)
@@ -99,9 +103,9 @@ def test_pull_response_epoch_selection(cid, pm_key):
 def test_pull_response_incompatible_params(pm_key):
     v = make_verifier(pm_key)
     fresh(v, now=0)
-    bloom = ErcPullResp(ErcSet(BloomFilter(PARAMS, 0)),
-                        ErcSet(BloomFilter(PARAMS, 1)))
-    assert not v.handle_pull_response(bloom, now=1)      # exact vs bloom
+    other = FilterParams(4096, 4)
+    resp = ErcPullResp(empty(0, other), empty(1, other))
+    assert not v.handle_pull_response(resp, now=1)       # m differs
 
 
 def test_make_pull_targets_known_manager(pm_key):
