@@ -13,43 +13,13 @@ Every subcommand is deterministic given its flags and seed.  Exit codes:
 ``--out DIR`` writes CSV artifacts; tables always go to stdout.  The env
 var ``RRP_LOG`` (error, info, debug) controls logging.
 
-Scenario files are INI format; times are seconds (floats allowed)::
-
-    [sim]
-    seed = 7
-    managers = 4
-    fault_bound = 1
-    verifiers = 1
-    clients = 2
-    epoch_len = 60
-    delta = 15
-    horizon = 100
-    ...                     ; also fanout, delta_net, epsilon, gossip_timeout,
-                            ; pull_period, filter_m, filter_k, max_instances;
-                            ; times in seconds; an unknown key is an error
-
-    [crashes]
-    c1 = pm3 55..80         ; node, then down-window
-
-    [unstable]
-    w1 = 20..35             ; network partitions: messages held until end
-
-    [script]                ; keys are only for ordering/uniqueness
-    a1 = 2 request client=0 count=6 pm=pm0
-    a2 = 8 authenticate client=0 verifier=v0
-    a3 = 30 revoke client=0
-
-    [checks]                ; names from _CHECKS, evaluated after the run
-    convergence = yes
-    denied_after = 0:40
+Scenario files are described in ``rangerevoke.scenario``.
 """
 
 from __future__ import annotations
 
 import argparse
-import configparser
 import logging
-import math
 import os
 import statistics
 import sys
@@ -63,20 +33,11 @@ from .ercset import FilterParams
 from .manager import TrustedCore
 from .messages import RequestRrp
 from .pseudonym import create_rrp, get_capability, verify_capability
-from .simnet import (
-    MICRO,
-    Action,
-    CrashWindow,
-    SimConfig,
-    Simulation,
-    Window,
-    linkage_adversary,
-)
+from .scenario import SCENARIO_DIR, parse_scenario, resolve_scenario, run_checks
+from .simnet import Simulation
 from .slot_tree import EpochConfig
 
 log = logging.getLogger(__name__)
-
-SCENARIO_DIR = Path(__file__).parent / "scenarios"
 
 BENCH_HEIGHTS = (8, 11, 16, 32)
 BENCH_BATCHES = (4, 8, 16, 32)
@@ -98,10 +59,6 @@ def parse_duration(text: str) -> float:
             raise ValueError(f"unknown time unit in {text!r}") from None
         text = text[:-1]
     return float(text) * unit
-
-
-def _micros(seconds: float) -> int:
-    return round(seconds * MICRO)
 
 
 def _write_csv(out_dir: str | None, name: str, rows: list[list]) -> None:
@@ -175,208 +132,10 @@ def cmd_storage_compare(args: argparse.Namespace) -> int:
 
 # -- simulate ---------------------------------------------------------------
 
-def _parse_action_args(tokens: list[str]) -> dict:
-    out: dict = {}
-    for tok in tokens:
-        key, _, value = tok.partition("=")
-        if not _:
-            raise ValueError(f"expected key=value, got {tok!r}")
-        try:
-            out[key] = int(value)
-        except ValueError:
-            out[key] = value
-    return out
-
-
-# [sim] keys: integer keys name their SimConfig field, the rest are
-# SimConfig times given in seconds; absent keys keep the SimConfig default
-_SIM_INTS = {"seed": "seed", "managers": "n_pms", "fault_bound": "fault_bound",
-             "verifiers": "n_verifiers", "clients": "n_clients",
-             "fanout": "fanout", "filter_m": "filter_m", "filter_k": "filter_k",
-             "max_instances": "max_instances"}
-_SIM_SECONDS = ("epoch_len", "delta", "delta_net", "epsilon", "horizon",
-                "gossip_timeout", "pull_period")
-
-
-def parse_scenario(path: Path) -> tuple[SimConfig, dict[str, str]]:
-    """Read an INI scenario file into a SimConfig plus its checks.
-
-    Unknown ``[sim]`` keys and unknown check names raise ``ValueError``
-    before anything runs.
-    """
-    ini = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    with open(path, encoding="utf-8") as fh:
-        ini.read_file(fh)
-    kwargs: dict = {}
-    if ini.has_section("sim"):
-        for key, value in ini.items("sim"):
-            if key in _SIM_INTS:
-                kwargs[_SIM_INTS[key]] = int(value)
-            elif key in _SIM_SECONDS:
-                kwargs[key] = _micros(float(value))
-            else:
-                raise ValueError(f"unknown [sim] key {key!r}")
-    windows = []
-    if ini.has_section("unstable"):
-        for _, value in ini.items("unstable"):
-            start, _, end = value.partition("..")
-            windows.append(Window(_micros(float(start)), _micros(float(end))))
-    crashes = []
-    if ini.has_section("crashes"):
-        for _, value in ini.items("crashes"):
-            node, span = value.split()
-            start, _, end = span.partition("..")
-            crashes.append(CrashWindow(node, _micros(float(start)),
-                                       _micros(float(end))))
-    script = []
-    if ini.has_section("script"):
-        for _, value in ini.items("script"):
-            tokens = value.split()
-            if len(tokens) < 2:
-                raise ValueError(f"malformed script line {value!r}")
-            script.append(Action(_micros(float(tokens[0])), tokens[1],
-                                 _parse_action_args(tokens[2:])))
-    script.sort(key=lambda a: a.at)
-    checks = dict(ini.items("checks")) if ini.has_section("checks") else {}
-    for key in checks:
-        if key.split(".")[0] not in _CHECKS:
-            raise ValueError(f"unknown check {key!r}")
-    cfg = SimConfig(unstable=tuple(windows), crashes=tuple(crashes),
-                    script=tuple(script), **kwargs)
-    return cfg, checks
-
-
-def _split_spec(value: str) -> tuple[str, str]:
-    head, sep, tail = value.partition(":")
-    if not sep:
-        raise ValueError(f"expected SUBJECT:ARG, got {value!r}")
-    return head.strip(), tail.strip()
-
-
-def _check_convergence(sim: Simulation, report, _arg: str) -> tuple[bool, str]:
-    states = {}
-    for node, epoch, mode, cur, nxt in report.pm_state:
-        if node in sim.correct_pms():
-            states[node] = (epoch, mode, cur, nxt)
-    distinct = set(states.values())
-    if len(distinct) == 1 and next(iter(distinct))[1] == "serving":
-        epoch, _, cur, _ = next(iter(distinct))
-        return True, f"{len(states)} managers agree at epoch {epoch} ({cur})"
-    return False, f"divergent manager states: {sorted(states.items())}"
-
-
-def _check_denied_after(sim: Simulation, report, arg: str) -> tuple[bool, str]:
-    client, at = _split_spec(arg)
-    client, at = int(client), _micros(float(at))
-    hits = [a for a in report.auths if a.client == client and a.at >= at]
-    if not hits:
-        return False, f"client{client} never authenticated after t={at}"
-    bad = [a for a in hits if a.decision == "granted"]
-    if bad:
-        return False, f"client{client} granted at t={bad[0].at}"
-    return True, f"all {len(hits)} attempts denied"
-
-
-def _check_no_grant_after(sim: Simulation, report, arg: str) -> tuple[bool, str]:
-    client, at = _split_spec(arg)
-    client, at = int(client), _micros(float(at))
-    bad = [r for r in report.issuance
-           if r.client == client and r.at >= at and r.granted]
-    if bad:
-        return False, f"client{client} issued {bad[0].count} at t={bad[0].at}"
-    n = sum(1 for r in report.issuance if r.client == client and r.at >= at)
-    return True, f"{n} requests, none granted"
-
-
-def _check_safemode(sim: Simulation, report, arg: str) -> tuple[bool, str]:
-    vid, span = _split_spec(arg)
-    start, _, end = span.partition("..")
-    start, end = _micros(float(start)), _micros(float(end))
-    hits = [a for a in report.auths
-            if a.verifier == vid and start <= a.at < end]
-    if not hits:
-        return False, f"no attempts at {vid} in [{start}, {end})"
-    bad = [a for a in hits if a.decision != "stale-state"]
-    if bad:
-        return False, f"{vid} answered {bad[0].decision} at t={bad[0].at}"
-    return True, f"all {len(hits)} attempts refused as stale"
-
-
-def _check_recovers(sim: Simulation, report, arg: str) -> tuple[bool, str]:
-    vid, at = _split_spec(arg)
-    at = _micros(float(at))
-    hits = [a for a in report.auths
-            if a.verifier == vid and a.at >= at and a.decision == "granted"]
-    if hits:
-        return True, f"{vid} granting again at t={hits[0].at}"
-    return False, f"{vid} never granted after t={at}"
-
-
-def _check_no_cross_links(sim: Simulation, report, _arg: str) -> tuple[bool, str]:
-    stats = linkage_adversary(sim)
-    cross = stats.linked_pairs - stats.linked_and_same_client
-    if cross:
-        return False, f"{cross} cross-client transcript links"
-    return True, (f"{stats.presented} capabilities, "
-                  f"{stats.linked_pairs} links, all same-client")
-
-
-def _check_linkage(sim: Simulation, report, arg: str) -> tuple[bool, str]:
-    client, rts = _split_spec(arg)
-    stats = linkage_adversary(sim, int(client), int(rts))
-    if stats.revoked_prerts_probes == 0:
-        return False, "no pre-revocation latchkeys to probe"
-    p1 = stats.revoked_prerts_hits / stats.revoked_prerts_probes
-    p2 = stats.random_hits / stats.random_probes
-    pooled = ((stats.revoked_prerts_hits + stats.random_hits)
-              / (stats.revoked_prerts_probes + stats.random_probes))
-    se = math.sqrt(max(pooled * (1 - pooled), 1e-12)
-                   * (1 / stats.revoked_prerts_probes + 1 / stats.random_probes))
-    z = (p1 - p2) / se
-    detail = (f"pre-revocation hit rate {p1:.4f} vs random {p2:.4f} "
-              f"(z={z:.2f}, {stats.revoked_prerts_probes} probes)")
-    return z <= 3.0, detail
-
-
-_CHECKS = {
-    "convergence": _check_convergence,
-    "denied_after": _check_denied_after,
-    "no_grant_after": _check_no_grant_after,
-    "safemode": _check_safemode,
-    "recovers": _check_recovers,
-    "no_cross_links": _check_no_cross_links,
-    "linkage": _check_linkage,
-}
-
-
-def run_checks(sim: Simulation, report,
-               checks: dict[str, str]) -> list[tuple[str, bool, str]]:
-    results = []
-    for key, value in checks.items():
-        name = key.split(".")[0]
-        fn = _CHECKS.get(name)
-        if fn is None:
-            raise ValueError(f"unknown check {name!r}")
-        ok, detail = fn(sim, report, value)
-        results.append((key, ok, detail))
-    return results
-
-
-def resolve_scenario(name: str) -> Path:
-    path = Path(name)
-    if path.is_file():
-        return path
-    bundled = SCENARIO_DIR / f"{name}.scn"
-    if bundled.is_file():
-        return bundled
-    raise FileNotFoundError(f"no scenario file or bundled scenario {name!r}")
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     try:
-        path = resolve_scenario(args.scenario)
-        cfg, checks = parse_scenario(path)
-    except (OSError, ValueError, KeyError, configparser.Error) as exc:
+        cfg, checks = parse_scenario(resolve_scenario(args.scenario))
+    except (OSError, ValueError) as exc:
         print(f"error: bad scenario: {exc}", file=sys.stderr)
         return 2
     if args.seed is not None:
@@ -390,16 +149,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         (out / "auths.csv").write_text(report.auth_csv(), encoding="utf-8")
     else:
         print(report.as_text(), end="")
-    failed = 0
-    try:
-        results = run_checks(sim, report, checks)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    results = run_checks(sim, report, checks)
     for name, ok, detail in results:
         print(f"[{'ok' if ok else 'FAIL'}] {name}: {detail}")
-        failed += not ok
-    return 1 if failed else 0
+    return 0 if all(ok for _, ok, _ in results) else 1
 
 
 # -- bench ------------------------------------------------------------------

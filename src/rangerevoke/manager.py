@@ -22,16 +22,14 @@ from __future__ import annotations
 import enum
 import logging
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .crypto import KeyPair, det_sign, ver_sign
 from .ercset import (
     BloomFilter,
     ErcSet,
     FilterParams,
-    LatchkeySet,
     is_revoked,
-    latchkeys_encoding,
     merge_ercset,
 )
 from .messages import (
@@ -45,7 +43,6 @@ from .messages import (
     RrpResponse,
 )
 from .pseudonym import (
-    Latchkey,
     Rrp,
     create_rrp,
     pseudonym_keypair,
@@ -78,12 +75,10 @@ def revocation_cover_ercset(cid: bytes, epoch_id: int, instance: int,
     pipeline (the cover labels are exactly the latchkeys that survive it).
     """
     keypair = pseudonym_keypair(cid, epoch_id, instance)
-    latchkeys = frozenset(
-        Latchkey(label, det_sign(keypair, label.canonical_bytes))
-        for label in cover
-    )
-    lset = LatchkeySet(keypair.public, latchkeys)
-    return latchkeys_encoding(lset, params, cfg.epoch_id)
+    flt = BloomFilter(params, cfg.epoch_id)
+    for label in cover:
+        flt.add(det_sign(keypair, label.canonical_bytes))
+    return ErcSet(flt)
 
 
 class IssuanceDenied(Exception):

@@ -1,0 +1,375 @@
+"""Scenario files: the INI format that ``rangerevoke simulate`` runs.
+
+``parse_scenario`` reads a file whole and checks every entry before a
+simulation starts.  An unknown section, ``[sim]`` key, action, argument or
+check, a malformed value, and a client or node that the ``[sim]`` section
+does not create all raise ``ValueError`` naming the section and key.
+``run_checks`` evaluates the parsed checks against a finished run.
+
+Times are seconds (floats allowed)::
+
+    [sim]
+    seed = 7
+    managers = 4
+    fault_bound = 1
+    verifiers = 1
+    clients = 2
+    epoch_len = 60
+    delta = 15
+    horizon = 100
+    ...                     ; also fanout, delta_net, epsilon, gossip_timeout,
+                            ; pull_period, filter_m, filter_k, max_instances;
+                            ; absent keys keep the SimConfig defaults
+
+    [crashes]
+    c1 = pm3 55..80         ; manager, then down-window
+
+    [unstable]
+    w1 = 20..35             ; network partitions: messages held until end
+
+    [script]                ; keys are only for ordering/uniqueness
+    a1 = 2 request client=0 count=6 pm=pm0
+    a2 = 8 authenticate client=0 verifier=v0
+    a3 = 30 revoke client=0
+    a4 = 40 clock_jump node=v0 by=500000     ; by is in microseconds
+
+    [checks]                ; NAME or NAME.LABEL = argument, see _CHECKS
+    convergence = yes
+    denied_after = 0:40
+"""
+
+from __future__ import annotations
+
+import configparser
+import math
+from pathlib import Path
+
+from .simnet import (
+    MICRO,
+    Action,
+    CrashWindow,
+    SimConfig,
+    Simulation,
+    SimReport,
+    Window,
+    linkage_adversary,
+)
+
+SCENARIO_DIR = Path(__file__).parent / "scenarios"
+
+_SECTIONS = ("sim", "crashes", "unstable", "script", "checks")
+
+# [sim] keys: integer keys name their SimConfig field, the rest are
+# SimConfig times given in seconds
+_SIM_INTS = {"seed": "seed", "managers": "n_pms", "fault_bound": "fault_bound",
+             "verifiers": "n_verifiers", "clients": "n_clients",
+             "fanout": "fanout", "filter_m": "filter_m", "filter_k": "filter_k",
+             "max_instances": "max_instances"}
+_SIM_SECONDS = ("epoch_len", "delta", "delta_net", "epsilon", "horizon",
+                "gossip_timeout", "pull_period")
+
+
+def resolve_scenario(name: str) -> Path:
+    """A scenario file path, or the name of a bundled scenario."""
+    path = Path(name)
+    if path.is_file():
+        return path
+    bundled = SCENARIO_DIR / f"{name}.scn"
+    if bundled.is_file():
+        return bundled
+    raise FileNotFoundError(f"no scenario file or bundled scenario {name!r}")
+
+
+# -- values -----------------------------------------------------------------
+
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"expected an integer, got {text!r}") from None
+
+
+def _bounded(text: str, low: int, high: int, what: str) -> int:
+    value = _int(text)
+    if not low <= value < high:
+        raise ValueError(f"{what} must be in {low}..{high - 1}, got {value}")
+    return value
+
+
+def _seconds(text: str) -> int:
+    """Non-negative seconds (floats allowed) -> integer microseconds."""
+    try:
+        value = float(text)
+        if math.isfinite(value) and value >= 0:
+            return round(value * MICRO)
+    except ValueError:
+        pass
+    raise ValueError(f"expected a time in seconds >= 0, got {text!r}")
+
+
+def _span(text: str) -> tuple[int, int]:
+    """'START..END' in seconds -> (start, end) in microseconds."""
+    start, sep, end = text.partition("..")
+    if not sep:
+        raise ValueError(f"expected START..END, got {text!r}")
+    start, end = _seconds(start), _seconds(end)
+    if start > end:
+        raise ValueError(f"window ends before it starts: {text!r}")
+    return start, end
+
+
+def _member(text: str, ids: list[str], what: str) -> str:
+    if text not in ids:
+        raise ValueError(f"no {what} {text!r} (have {', '.join(ids) or 'none'})")
+    return text
+
+
+def _client(text: str, cfg: SimConfig) -> int:
+    return _bounded(text, 0, cfg.n_clients, "client")
+
+
+def _manager(text: str, cfg: SimConfig) -> str:
+    return _member(text, cfg.pm_ids(), "manager")
+
+
+def _verifier(text: str, cfg: SimConfig) -> str:
+    return _member(text, cfg.verifier_ids(), "verifier")
+
+
+def _slot(text: str, cfg: SimConfig) -> int:
+    return _bounded(text, 0, cfg.geometry().slots, "slot")
+
+
+# the roles of Simulation.ACTION_ARGS
+_ROLES = {
+    "client": _client,
+    "manager": _manager,
+    "verifier": _verifier,
+    "node": lambda text, cfg: _member(text, cfg.pm_ids() + cfg.verifier_ids(), "node"),
+    "count": lambda text, cfg: _bounded(text, 1, 256, "count"),
+    "epoch": lambda text, cfg: _bounded(text, 0, 2**64, "epoch"),
+    "slot": _slot,
+    "micros": lambda text, cfg: _int(text),
+}
+
+
+# -- sections ---------------------------------------------------------------
+
+def _sim_entry(key: str, value: str) -> tuple[str, int]:
+    if key in _SIM_INTS:
+        return _SIM_INTS[key], _int(value)
+    if key in _SIM_SECONDS:
+        return key, _seconds(value)
+    raise ValueError("unknown [sim] key")
+
+
+def _crash(value: str, cfg: SimConfig) -> CrashWindow:
+    parts = value.split()
+    if len(parts) != 2:
+        raise ValueError(f"expected MANAGER START..END, got {value!r}")
+    return CrashWindow(_manager(parts[0], cfg), *_span(parts[1]))
+
+
+def _action(value: str, cfg: SimConfig) -> Action:
+    tokens = value.split()
+    if len(tokens) < 2:
+        raise ValueError(f"expected TIME KIND [ARG=VALUE ...], got {value!r}")
+    at, kind, *pairs = tokens
+    roles = Simulation.ACTION_ARGS.get(kind)
+    if roles is None:
+        raise ValueError(f"unknown action {kind!r}")
+    args: dict[str, int | str] = {}
+    for pair in pairs:
+        key, sep, text = pair.partition("=")
+        if not sep:
+            raise ValueError(f"expected ARG=VALUE, got {pair!r}")
+        if key not in roles:
+            raise ValueError(f"{kind} takes no argument {key!r}")
+        if key in args:
+            raise ValueError(f"argument {key!r} given twice")
+        args[key] = _ROLES[roles[key]](text, cfg)
+    for key in Simulation.REQUIRED_ARGS[kind]:
+        if key not in args:
+            raise ValueError(f"{kind} needs {key}=")
+    return Action(_seconds(at), kind, args)
+
+
+def _check_args(key: str, value: str, cfg: SimConfig) -> tuple[str, tuple]:
+    check = _CHECKS.get(key.split(".")[0])
+    if check is None:
+        raise ValueError("unknown check")
+    parse, _ = check
+    return key, parse(value, cfg)
+
+
+def _section(ini: configparser.ConfigParser, name: str, parse) -> list:
+    """``parse(key, value)`` of every entry, in file order; a ValueError
+    gains the section and key."""
+    out = []
+    for key, value in ini.items(name) if ini.has_section(name) else ():
+        try:
+            out.append(parse(key, value))
+        except ValueError as exc:
+            raise ValueError(f"[{name}] {key}: {exc}") from None
+    return out
+
+
+def parse_scenario(path: Path) -> tuple[SimConfig, dict[str, tuple]]:
+    """Read and check a whole scenario file: its SimConfig, plus each
+    check's key mapped to its parsed arguments.  Raises ``ValueError``."""
+    ini = configparser.ConfigParser(inline_comment_prefixes=(";", "#"),
+                                    interpolation=None)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            ini.read_file(fh)
+    except configparser.Error as exc:
+        raise ValueError(str(exc)) from None
+    for name in ini.sections():
+        if name not in _SECTIONS:
+            raise ValueError(f"unknown section [{name}]")
+    cfg = SimConfig(**dict(_section(ini, "sim", _sim_entry)))
+    cfg.unstable = tuple(_section(ini, "unstable", lambda _, v: Window(*_span(v))))
+    cfg.crashes = tuple(_section(ini, "crashes", lambda _, v: _crash(v, cfg)))
+    cfg.script = tuple(sorted(_section(ini, "script", lambda _, v: _action(v, cfg)),
+                              key=lambda a: a.at))
+    checks = dict(_section(ini, "checks", lambda k, v: _check_args(k, v, cfg)))
+    return cfg, checks
+
+
+# -- checks -----------------------------------------------------------------
+# Each check has a parser from its argument text to a tuple, and a function
+# of (sim, report, *that tuple) returning (ok, detail).
+
+def _flag(text: str, cfg: SimConfig) -> tuple:
+    if text != "yes":
+        raise ValueError(f"expected yes, got {text!r}")
+    return ()
+
+
+def _split(text: str, form: str) -> tuple[str, str]:
+    head, sep, tail = text.partition(":")
+    if not sep:
+        raise ValueError(f"expected {form}, got {text!r}")
+    return head.strip(), tail.strip()
+
+
+def _client_time(text: str, cfg: SimConfig) -> tuple[int, int]:
+    client, at = _split(text, "CLIENT:TIME")
+    return _client(client, cfg), _seconds(at)
+
+
+def _verifier_time(text: str, cfg: SimConfig) -> tuple[str, int]:
+    vid, at = _split(text, "VERIFIER:TIME")
+    return _verifier(vid, cfg), _seconds(at)
+
+
+def _verifier_span(text: str, cfg: SimConfig) -> tuple[str, int, int]:
+    vid, span = _split(text, "VERIFIER:START..END")
+    return (_verifier(vid, cfg), *_span(span))
+
+
+def _client_slot(text: str, cfg: SimConfig) -> tuple[int, int]:
+    client, rts = _split(text, "CLIENT:RTS")
+    return _client(client, cfg), _slot(rts, cfg)
+
+
+def _check_convergence(sim: Simulation, report: SimReport) -> tuple[bool, str]:
+    states = {}
+    for node, epoch, mode, cur, nxt in report.pm_state:
+        if node in sim.correct_pms():
+            states[node] = (epoch, mode, cur, nxt)
+    distinct = set(states.values())
+    if len(distinct) == 1 and next(iter(distinct))[1] == "serving":
+        epoch, _, cur, _ = next(iter(distinct))
+        return True, f"{len(states)} managers agree at epoch {epoch} ({cur})"
+    return False, f"divergent manager states: {sorted(states.items())}"
+
+
+def _check_denied_after(sim: Simulation, report: SimReport, client: int,
+                        at: int) -> tuple[bool, str]:
+    hits = [a for a in report.auths if a.client == client and a.at >= at]
+    if not hits:
+        return False, f"client{client} never authenticated after t={at}"
+    bad = [a for a in hits if a.decision == "granted"]
+    if bad:
+        return False, f"client{client} granted at t={bad[0].at}"
+    return True, f"all {len(hits)} attempts denied"
+
+
+def _check_no_grant_after(sim: Simulation, report: SimReport, client: int,
+                          at: int) -> tuple[bool, str]:
+    bad = [r for r in report.issuance
+           if r.client == client and r.at >= at and r.granted]
+    if bad:
+        return False, f"client{client} issued {bad[0].count} at t={bad[0].at}"
+    n = sum(1 for r in report.issuance if r.client == client and r.at >= at)
+    return True, f"{n} requests, none granted"
+
+
+def _check_safemode(sim: Simulation, report: SimReport, vid: str, start: int,
+                    end: int) -> tuple[bool, str]:
+    hits = [a for a in report.auths
+            if a.verifier == vid and start <= a.at < end]
+    if not hits:
+        return False, f"no attempts at {vid} in [{start}, {end})"
+    bad = [a for a in hits if a.decision != "stale-state"]
+    if bad:
+        return False, f"{vid} answered {bad[0].decision} at t={bad[0].at}"
+    return True, f"all {len(hits)} attempts refused as stale"
+
+
+def _check_recovers(sim: Simulation, report: SimReport, vid: str,
+                    at: int) -> tuple[bool, str]:
+    hits = [a for a in report.auths
+            if a.verifier == vid and a.at >= at and a.decision == "granted"]
+    if hits:
+        return True, f"{vid} granting again at t={hits[0].at}"
+    return False, f"{vid} never granted after t={at}"
+
+
+def _check_no_cross_links(sim: Simulation, report: SimReport) -> tuple[bool, str]:
+    stats = linkage_adversary(sim)
+    cross = stats.linked_pairs - stats.linked_and_same_client
+    if cross:
+        return False, f"{cross} cross-client transcript links"
+    return True, (f"{stats.presented} capabilities, "
+                  f"{stats.linked_pairs} links, all same-client")
+
+
+def _check_linkage(sim: Simulation, report: SimReport, client: int,
+                   rts: int) -> tuple[bool, str]:
+    stats = linkage_adversary(sim, client, rts)
+    if stats.revoked_prerts_probes == 0:
+        return False, "no pre-revocation latchkeys to probe"
+    p1 = stats.revoked_prerts_hits / stats.revoked_prerts_probes
+    p2 = stats.random_hits / stats.random_probes
+    pooled = ((stats.revoked_prerts_hits + stats.random_hits)
+              / (stats.revoked_prerts_probes + stats.random_probes))
+    se = math.sqrt(max(pooled * (1 - pooled), 1e-12)
+                   * (1 / stats.revoked_prerts_probes + 1 / stats.random_probes))
+    z = (p1 - p2) / se
+    detail = (f"pre-revocation hit rate {p1:.4f} vs random {p2:.4f} "
+              f"(z={z:.2f}, {stats.revoked_prerts_probes} probes)")
+    return z <= 3.0, detail
+
+
+_CHECKS = {
+    "convergence": (_flag, _check_convergence),
+    "denied_after": (_client_time, _check_denied_after),
+    "no_grant_after": (_client_time, _check_no_grant_after),
+    "safemode": (_verifier_span, _check_safemode),
+    "recovers": (_verifier_time, _check_recovers),
+    "no_cross_links": (_flag, _check_no_cross_links),
+    "linkage": (_client_slot, _check_linkage),
+}
+
+
+def run_checks(sim: Simulation, report: SimReport,
+               checks: dict[str, tuple]) -> list[tuple[str, bool, str]]:
+    """(key, ok, detail) for each check ``parse_scenario`` returned."""
+    results = []
+    for key, args in checks.items():
+        _, check = _CHECKS[key.split(".")[0]]
+        ok, detail = check(sim, report, *args)
+        results.append((key, ok, detail))
+    return results

@@ -10,8 +10,8 @@ Time is integer microseconds.  Messages between nodes are round-tripped
 through the wire codec on delivery, so every run also exercises the
 serialization formats end to end.
 
-The module also hosts the linkage adversary that post-processes a run's
-verifier transcripts.
+The module also hosts the linkage adversary that post-processes the
+capabilities presented during a run (``Simulation.presented``).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from . import codec
 from .crypto import det_keygen, det_sign, seed_from_parts
 from .ercset import ErcSet, FilterParams
-from .manager import PmMode, PmNode, TrustedCore
+from .manager import PmNode, TrustedCore
 from .messages import (
     EpochReport,
     ErcPullReq,
@@ -37,9 +37,10 @@ from .messages import (
 )
 from .pseudonym import Capability, Rrp, create_rrp, get_capability
 from .slot_tree import EpochConfig
-from .verifier import Decision, VerifierNode
+from .verifier import VerifierNode
 
 MICRO = 1_000_000
+EVENT_BUDGET = 200_000    # a run past this many events has a divergent schedule
 
 
 @dataclass(frozen=True)
@@ -60,8 +61,8 @@ class CrashWindow:
 
 @dataclass(frozen=True)
 class Action:
-    """Scripted workload step; ``kind`` is one of
-    register | request | authenticate | revoke | clock_jump."""
+    """Scripted workload step; ``kind`` and ``args`` follow
+    ``Simulation.ACTION_ARGS``."""
 
     at: int
     kind: str
@@ -89,10 +90,15 @@ class SimConfig:
     filter_m: int = 8192
     filter_k: int = 4
     max_instances: int = 8
-    event_budget: int = 200_000
 
     def geometry(self) -> EpochConfig:
         return EpochConfig(0, self.epoch_len, self.delta, self.fanout)
+
+    def pm_ids(self) -> list[str]:
+        return [f"pm{i}" for i in range(self.n_pms)]
+
+    def verifier_ids(self) -> list[str]:
+        return [f"v{i}" for i in range(self.n_verifiers)]
 
 
 @dataclass(frozen=True)
@@ -206,7 +212,7 @@ class Simulation:
         self.admin_key = det_keygen(seed_from_parts(b"admin", cfg.seed))
         self.pm_key = det_keygen(seed_from_parts(b"manager", cfg.seed))
 
-        pm_ids = [f"pm{i}" for i in range(cfg.n_pms)]
+        pm_ids = cfg.pm_ids()
         self.pms: dict[str, PmNode] = {}
         for node_id in pm_ids:
             core = TrustedCore(self.pm_key, self.admin_key.public, geometry,
@@ -217,8 +223,7 @@ class Simulation:
                 gossip_timeout=cfg.gossip_timeout)
 
         self.verifiers: dict[str, VerifierNode] = {}
-        for i in range(cfg.n_verifiers):
-            node_id = f"v{i}"
+        for node_id in cfg.verifier_ids():
             self.verifiers[node_id] = VerifierNode(
                 node_id, self.pm_key.public, geometry, pm_ids,
                 random.Random(self.rng.getrandbits(64)),
@@ -299,7 +304,7 @@ class Simulation:
                 break
             self.now = at
             self.events_processed += 1
-            if self.events_processed > self.cfg.event_budget:
+            if self.events_processed > EVENT_BUDGET:
                 raise RuntimeError("event budget exceeded; divergent schedule")
             kind = item[0]
             if kind == "deliver":
@@ -386,6 +391,22 @@ class Simulation:
                 return c
         raise KeyError("unknown cid")
 
+    # Action kind -> every argument ``_on_action`` reads, with its role:
+    # "client" a client index, "manager", "verifier" or "node" (either)
+    # an existing node id, "count" a batch of 1..255 pseudonyms, "epoch"
+    # an epoch id, "slot" a slot of the epoch, "micros" integer microseconds.
+    # The arguments in REQUIRED_ARGS have no default.
+    ACTION_ARGS = {
+        "request": {"client": "client", "count": "count", "epoch": "epoch",
+                    "pm": "manager"},
+        "authenticate": {"client": "client", "verifier": "verifier"},
+        "revoke": {"client": "client", "epoch": "epoch", "rts": "slot",
+                   "pm": "manager"},
+        "clock_jump": {"node": "node", "by": "micros"},
+    }
+    REQUIRED_ARGS = {"request": ("client",), "authenticate": ("client",),
+                     "revoke": ("client",), "clock_jump": ("node", "by")}
+
     def _on_action(self, action: Action) -> None:
         args = action.args
         if action.kind == "request":
@@ -426,7 +447,7 @@ class Simulation:
         elif action.kind == "clock_jump":
             self.clock_offset[args["node"]] = \
                 self.clock_offset.get(args["node"], 0) + args["by"]
-        elif action.kind != "register":
+        else:
             raise ValueError(f"unknown action kind {action.kind!r}")
 
     # -- reporting --------------------------------------------------------
@@ -463,15 +484,12 @@ class Simulation:
         )
 
 
-def run_scenario(cfg: SimConfig) -> SimReport:
-    return Simulation(cfg).run()
-
-
 # -- linkage adversary -----------------------------------------------------
 
 @dataclass(frozen=True)
 class LinkageStats:
-    """What a transcript-collecting adversary can and cannot conclude."""
+    """What an adversary holding every presented capability can and
+    cannot conclude."""
 
     presented: int
     linked_pairs: int           # pairs sharing any token (key or latchkey bytes)

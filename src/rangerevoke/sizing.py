@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import stats
+from .slot_tree import tree_height
 
 KB_BITS = 8192
 
@@ -49,8 +49,7 @@ class DeploymentParams:
 
     @property
     def tree_height(self) -> int:
-        return math.ceil(math.log(math.ceil(self.slots), self.fanout)) \
-            if self.slots > 1 else 0
+        return tree_height(math.ceil(self.slots), self.fanout)
 
 
 @dataclass(frozen=True)
@@ -114,9 +113,16 @@ def full_access_probability(p: int, extra: int, fp_capability: float) -> float:
     """
     if p < 1 or extra < 0:
         raise ValueError("need p >= 1 and extra >= 0")
-    if fp_capability <= 0.0:
+    q = fp_capability
+    if q <= 0.0:
         return 1.0
-    return float(stats.binom.cdf(extra, p + extra, fp_capability))
+    if q >= 1.0:
+        return 0.0
+    n = p + extra
+    log_q, log_not_q = math.log(q), math.log1p(-q)
+    tail = sum(math.exp(math.log(math.comb(n, j)) + j * log_q + (n - j) * log_not_q)
+               for j in range(extra + 1))
+    return min(1.0, tail)      # the rounded terms can sum to 1 + 1 ulp
 
 
 def full_access_probability_as_printed(p: int, extra: int, fp_capability: float) -> float:
@@ -194,7 +200,7 @@ def compare_linear_scheme(params: DeploymentParams,
     ceil(log_d T) entries per pseudonym and one pseudonym per access.
     """
     t = math.ceil(params.slots)
-    height = math.ceil(math.log(t, params.fanout)) if t > 1 else 1
+    height = max(1, params.tree_height)
     p = params.needed
     return SchemeComparison(
         slots=t,
@@ -277,11 +283,7 @@ def storage_comparison(delta: float, epoch_seconds: float,
     slots = math.ceil(epoch_seconds / delta)
     demand = epoch_demand(epoch_seconds, daily_demand)
     per_slot = slot_demand(delta, epoch_seconds, demand)
-    height = 1
-    while fanout**height < slots:
-        height += 1
-    if slots <= 1:
-        height, per_slot = 1, demand
+    height = max(1, tree_height(slots, fanout))
     return StorageRow(
         delta=delta, epoch_seconds=epoch_seconds, slots=slots,
         demand=demand, per_slot=per_slot,

@@ -14,9 +14,17 @@ the range; virtual leaves are ignored.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
+
+
+def tree_height(slots: int, fanout: int) -> int:
+    """ceil(log_fanout slots) in integer arithmetic: the least h with
+    fanout**h >= slots (0 for a single slot)."""
+    h = 0
+    while fanout**h < slots:
+        h += 1
+    return h
 
 
 @dataclass(frozen=True)
@@ -49,10 +57,7 @@ class EpochConfig:
     @cached_property
     def height(self) -> int:
         """h = ceil(log_d T); leaves live at level h, the root at level 0."""
-        h = 0
-        while self.fanout**h < self.slots:
-            h += 1
-        return h
+        return tree_height(self.slots, self.fanout)
 
     def with_epoch(self, epoch_id: int) -> "EpochConfig":
         """Same geometry for another epoch."""
@@ -105,10 +110,6 @@ class SlotRange:
 
     def __contains__(self, slot: int) -> bool:
         return self.first <= slot <= self.last
-
-
-def tree_height(cfg: EpochConfig) -> int:
-    return cfg.height
 
 
 def path_to_root(cfg: EpochConfig, slot: int) -> list[NodeLabel]:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import enum
 import logging
 import random
-from dataclasses import dataclass
 
 from .ercset import ErcSet, is_revoked, merge_ercset
 from .messages import ErcPullReq, ErcPullResp
@@ -30,21 +29,6 @@ class Decision(enum.Enum):
     WRONG_SLOT = "wrong-slot"
     NOT_GENUINE = "not-genuine"
     REVOKED = "revoked"
-
-
-@dataclass(frozen=True)
-class TranscriptEntry:
-    """One authentication attempt, as an adversarial verifier would log it."""
-
-    at: int
-    pseudonym_pub: bytes
-    slot: int
-    epoch_id: int
-    decision: Decision
-
-    def line(self) -> str:
-        return (f"{self.at}\t{self.pseudonym_pub.hex()}\t{self.slot}\t"
-                f"{self.epoch_id}\t{self.decision.value}")
 
 
 class VerifierNode:
@@ -71,7 +55,6 @@ class VerifierNode:
         self.epsilon = epsilon
         self.erc_local: ErcSet | None = None
         self.last_pull: int | None = None
-        self.transcript: list[TranscriptEntry] = []
 
     # -- time helpers -----------------------------------------------------
 
@@ -90,12 +73,6 @@ class VerifierNode:
 
     def authenticate(self, cap: Capability, now: int) -> Decision:
         """Pure function of (filter, capability, clock, staleness)."""
-        decision = self._decide(cap, now)
-        self.transcript.append(TranscriptEntry(
-            now, cap.pseudonym_pub, cap.slot, cap.epoch_id, decision))
-        return decision
-
-    def _decide(self, cap: Capability, now: int) -> Decision:
         epoch = self.current_epoch(now)
         # a filter left over from a previous epoch cannot vouch for this one
         if self.is_stale(now) or self.erc_local is None \

@@ -17,11 +17,9 @@ from scipy import stats
 from rangerevoke.cli import (
     BENCH_BATCHES,
     BENCH_HEIGHTS,
-    SCENARIO_DIR,
     _bench_latency,
     _bench_throughput,
     _bench_workers,
-    parse_scenario,
 )
 from rangerevoke.codec import encode_capability
 from rangerevoke.crypto import det_keygen, det_sign, digest, seed_from_parts
@@ -44,13 +42,13 @@ from rangerevoke.pseudonym import (
     get_capability,
     pseudonym_keypair,
 )
+from rangerevoke.scenario import SCENARIO_DIR, parse_scenario
 from rangerevoke.simnet import (
     MICRO,
     Action,
     CrashWindow,
     SimConfig,
     Simulation,
-    run_scenario,
 )
 from rangerevoke.sizing import (
     DeploymentParams,
@@ -406,7 +404,7 @@ def test_10_parallel_verification_speedup():
 def test_11_determinism():
     cfg_a, _ = parse_scenario(SCENARIO_DIR / "quarantine.scn")
     cfg_b, _ = parse_scenario(SCENARIO_DIR / "quarantine.scn")
-    report_a, report_b = run_scenario(cfg_a), run_scenario(cfg_b)
+    report_a, report_b = Simulation(cfg_a).run(), Simulation(cfg_b).run()
     sim_ok = (report_a.as_text() == report_b.as_text()
               and report_a.auth_csv() == report_b.auth_csv())
 

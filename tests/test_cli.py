@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from rangerevoke import cli
+from rangerevoke.simnet import Action, Simulation
 
 
 def test_parse_duration():
@@ -103,11 +109,68 @@ def test_unknown_sim_key_is_config_error(tmp_path, capsys, line):
 def test_scenario_keys_reach_sim_config(tmp_path):
     scn = tmp_path / "keys.scn"
     scn.write_text("[sim]\nmanagers = 3\nfilter_m = 1024\ndelta_net = 0.25\n"
+                   "[script]\na1 = 2.5 request client=0 count=6 pm=pm2\n"
+                   "a2 = 1 clock_jump node=v0 by=-500000\n"
                    "[checks]\nconvergence = yes\ndenied_after.late = 0:40\n")
     cfg, checks = cli.parse_scenario(scn)
     assert (cfg.n_pms, cfg.filter_m, cfg.delta_net) == (3, 1024, 250_000)
     assert cfg.seed == 0 and cfg.horizon == 120 * 1_000_000   # SimConfig defaults
-    assert checks == {"convergence": "yes", "denied_after.late": "0:40"}
+    assert cfg.script == (                                    # in time order
+        Action(1_000_000, "clock_jump", {"node": "v0", "by": -500_000}),
+        Action(2_500_000, "request", {"client": 0, "count": 6, "pm": "pm2"}))
+    assert checks == {"convergence": (), "denied_after.late": (0, 40_000_000)}
+
+
+_VALID = {"sim": ["seed = 1", "managers = 2", "fault_bound = 0", "clients = 3",
+                  "horizon = 20"],
+          "script": ["a1 = 2 request client=0 count=4 pm=pm0"],
+          "checks": ["no_cross_links = yes"]}
+
+# (section, entry added to _VALID, what the error says)
+_MALFORMED = [
+    ("checks", "linkage = 5:3", "[checks] linkage: client must be in 0..2, got 5"),
+    ("script", "a2 = 3 request client=5", "client must be in 0..2, got 5"),
+    ("script", "a2 = 3 authenticate client=0 verifier=v7", "no verifier 'v7'"),
+    ("script", "a2 = 3 request count=2", "request needs client="),
+    ("crashes", "c1 = v0 5..10", "no manager 'v0'"),
+    ("checks", "denied_after = 5", "expected CLIENT:TIME, got '5'"),
+    ("script", "a2 = 3 reqest client=0", "unknown action 'reqest'"),
+    ("script", "a2 = 3 request client=0 count=300", "count must be in 1..255, got 300"),
+    ("checks", "convergence = no", "expected yes, got 'no'"),
+    ("script", "a2 = 3 authenticate client=0 count=2",
+     "authenticate takes no argument 'count'"),
+    ("script", "a2 = 3 request client=0 count=0", "count must be in 1..255, got 0"),
+    ("checks", "recovers = v1:10", "[checks] recovers: no verifier 'v1'"),
+]
+
+
+@pytest.mark.parametrize("section, entry, reason", _MALFORMED,
+                         ids=[entry for _, entry, _ in _MALFORMED])
+def test_malformed_scenario_refused_before_run(tmp_path, capsys, monkeypatch,
+                                               section, entry, reason):
+    def run(self):
+        raise AssertionError("the simulation started")
+    monkeypatch.setattr(Simulation, "run", run)
+    sections = {name: list(entries) for name, entries in _VALID.items()}
+    sections.setdefault(section, []).append(entry)
+    scn = tmp_path / "bad.scn"
+    scn.write_text("".join(f"[{name}]\n" + "".join(f"{e}\n" for e in entries)
+                           for name, entries in sections.items()))
+    assert cli.main(["simulate", str(scn)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: bad scenario: ") and reason in err, err
+
+
+def test_import_cli_loads_no_scipy_or_numpy():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys, rangerevoke.cli; "
+            "print(sorted(m for m in ('scipy', 'numpy') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_bench_command(capsys, tmp_path):

@@ -1,4 +1,4 @@
-from rangerevoke.cli import SCENARIO_DIR, parse_scenario, run_checks
+from rangerevoke.scenario import SCENARIO_DIR, parse_scenario, run_checks
 from rangerevoke.simnet import (
     MICRO,
     Action,
@@ -7,7 +7,6 @@ from rangerevoke.simnet import (
     Simulation,
     Window,
     linkage_adversary,
-    run_scenario,
 )
 
 
@@ -31,15 +30,15 @@ def small_cfg(**overrides) -> SimConfig:
 
 
 def test_determinism_byte_identical():
-    a = run_scenario(small_cfg())
-    b = run_scenario(small_cfg())
+    a = Simulation(small_cfg()).run()
+    b = Simulation(small_cfg()).run()
     assert a.as_text() == b.as_text()
     assert a.auth_csv() == b.auth_csv()
 
 
 def test_seed_changes_trace_not_safety():
-    a = run_scenario(small_cfg())
-    b = run_scenario(small_cfg(seed=3))
+    a = Simulation(small_cfg()).run()
+    b = Simulation(small_cfg(seed=3)).run()
     assert a.as_text() != b.as_text()        # delays, peer choices differ
     for report in (a, b):
         last = [x for x in report.auths if x.client == 0][-1]
@@ -47,13 +46,13 @@ def test_seed_changes_trace_not_safety():
 
 
 def test_revocation_latency_recorded():
-    report = run_scenario(small_cfg())
+    report = Simulation(small_cfg()).run()
     (client, latency), = report.revocation_latency
     assert client == 0 and 0 <= latency <= 25 * MICRO
 
 
 def test_issuance_and_auth_records():
-    report = run_scenario(small_cfg())
+    report = Simulation(small_cfg()).run()
     granted = [r for r in report.issuance if r.granted]
     assert {(r.client, r.count) for r in granted} == {(0, 4), (1, 4)}
     assert all(a.epoch_id == 0 for a in report.auths)
@@ -63,7 +62,7 @@ def test_issuance_and_auth_records():
 def test_unstable_window_defers_delivery():
     # revocation order sent into a partition: denial happens only after it
     cfg = small_cfg(unstable=(Window(18 * MICRO, 40 * MICRO),))
-    report = run_scenario(cfg)
+    report = Simulation(cfg).run()
     auth_30 = [a for a in report.auths if a.client == 0 and a.at == 30 * MICRO]
     auth_45 = [a for a in report.auths if a.client == 0 and a.at == 45 * MICRO]
     assert auth_30[0].decision in ("granted", "stale-state")
@@ -83,7 +82,7 @@ def test_crashed_pm_misses_traffic_then_recovers():
 
 def test_epoch_transition_converges():
     cfg = small_cfg(horizon=90 * MICRO)
-    report = run_scenario(cfg)
+    report = Simulation(cfg).run()
     assert all(s[1] == 1 and s[2] == "serving" for s in report.pm_state)
 
 
@@ -111,6 +110,6 @@ def test_linkage_adversary_counts():
 def test_clock_jump_action():
     cfg = small_cfg(script=small_cfg().script + (
         Action(25 * MICRO, "clock_jump", {"node": "v0", "by": 2 * MICRO}),))
-    report = run_scenario(cfg)       # must simply run deterministically
+    report = Simulation(cfg).run()       # must simply run deterministically
     assert report.events_processed > 0
 

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from scipy import stats
 
 from rangerevoke import sizing
 from rangerevoke.sizing import (
@@ -17,6 +18,7 @@ from rangerevoke.sizing import (
     slot_demand,
     storage_comparison,
 )
+from rangerevoke.slot_tree import EpochConfig
 
 FLEET = DeploymentParams(clients=2.5e8, pseudonyms=10,
                          revoked_fraction=1e-4 / 365,
@@ -89,6 +91,31 @@ def test_full_access_probability_reference():
     fail4 = 1.0 - full_access_probability(10, 4, 0.001)
     assert fail4 <= 5e-12
     assert full_access_probability(10, 0, 0.0) == 1.0
+
+
+@pytest.mark.parametrize("p", [1, 10, 100, 1000, 10**4])
+def test_full_access_probability_matches_scipy_binomial_cdf(p):
+    for extra in (0, 1, 4, 50):
+        for q in (0.0, 1e-12, 1e-9, 1e-6, 1e-3, 0.01, 0.1, 0.5, 0.9, 1.0):
+            expected = float(stats.binom.cdf(extra, p + extra, q))
+            got = full_access_probability(p, extra, q)
+            assert abs(got - expected) <= 1e-10, (p, extra, q, got, expected)
+            assert 0.0 <= got <= 1.0
+
+
+def test_one_integer_tree_height_everywhere():
+    # a float log_d T gave 4 for T = 125, d = 5 and T = 216, d = 6
+    for fanout in range(2, 11):
+        for slots in range(2, 5001):
+            height = EpochConfig(0, slots, 1, fanout).height
+            assert fanout ** (height - 1) < slots <= fanout**height
+            params = DeploymentParams(clients=1, pseudonyms=1, revoked_fraction=0,
+                                      fanout=fanout, epoch_len=slots, delta=1,
+                                      needed=1)
+            assert params.tree_height == height, (slots, fanout)
+            assert compare_linear_scheme(params).revocation_entries_tree == height
+            row = storage_comparison(1, slots, fanout, daily_demand=1)
+            assert row.tree_entries == row.demand * height, (slots, fanout)
 
 
 def test_full_access_probability_as_printed_diverges_for_large_p():

@@ -115,16 +115,6 @@ def test_make_pull_targets_known_manager(pm_key):
     assert req.epoch_id == 0
 
 
-def test_transcript_records_every_attempt(cid, pm_key):
-    v = make_verifier(pm_key)
-    v.authenticate(cap_for(cid, pm_key, 0), now=1)
-    fresh(v, now=2)
-    v.authenticate(cap_for(cid, pm_key, 0), now=3)
-    assert [t.decision for t in v.transcript] == [Decision.STALE_STATE,
-                                                  Decision.GRANTED]
-    assert "granted" in v.transcript[1].line()
-
-
 def test_retry_consumes_extras_on_false_positive(cid, pm_key):
     v = make_verifier(pm_key)
     fresh(v, now=0)
