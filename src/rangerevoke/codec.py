@@ -1,8 +1,25 @@
-"""Canonical, bit-exact serialization for every wire artifact.
+"""Canonical, bit-exact serialization for every wire artifact (format v2).
 
 All integers are big-endian.  The only little-endian structure is the
 filter bit array (bit i = byte i//8, mask 1 << (i % 8)), fixed so that
 filters built by independent parties merge bit-for-bit.
+
+Every message travels in one envelope::
+
+    "RRPE" || version 0x02 || type tag u8 || length u32 || payload
+
+and the tag alone says what the payload holds.  Records inside a payload
+are flat, with no magic, version or length of their own:
+
+* a filter is ``epoch u64 || m u64 || k u8 || bits (m/8 bytes)``; its
+  salt is ``default_salt(epoch)``, so it is not sent;
+* a revocation order is ``cid (32) || rts u64 || epoch u64 || sig (64)``,
+  whose first 48 bytes are the bytes the administrator signed.
+
+The capability is the one standalone record: ``"RRPC" || version 0x01
+|| ...``, encoded alone (``encode_capability``) or as a length-prefixed
+proof inside a ``RequestRrp``.  Its version moves independently of the
+envelope's.
 
 Every decoder is total: malformed bytes raise a typed ``DecodeError``
 subclass, never anything else, and every decoder rejects truncated input
@@ -13,7 +30,7 @@ from __future__ import annotations
 
 import struct
 
-from .ercset import SALT_LEN, BloomFilter, ErcSet, FilterParams
+from .ercset import BloomFilter, ErcSet, FilterParams
 from .messages import (
     DenialReason,
     EpochReport,
@@ -30,10 +47,9 @@ from .pseudonym import Capability, Latchkey
 from .slot_tree import NodeLabel
 
 CAPABILITY_MAGIC = b"RRPC"
-ERCSET_MAGIC = b"ERCS"
-ORDER_MAGIC = b"RRPO"
+CAPABILITY_VERSION = 0x01
 ENVELOPE_MAGIC = b"RRPE"
-VERSION = 0x01
+VERSION = 0x02
 
 PUB_LEN = 32
 SIG_LEN = 64
@@ -95,9 +111,9 @@ class _Reader:
         if got != magic:
             raise BadMagic(f"expected magic {magic!r}, got {got!r}")
 
-    def expect_version(self) -> None:
+    def expect_version(self, version: int) -> None:
         v = self.u8()
-        if v != VERSION:
+        if v != version:
             raise BadVersion(f"unsupported version {v:#04x}")
 
     def done(self) -> None:
@@ -109,7 +125,7 @@ class _Reader:
 
 def encode_capability(cap: Capability) -> bytes:
     out = bytearray(CAPABILITY_MAGIC)
-    out.append(VERSION)
+    out.append(CAPABILITY_VERSION)
     out += struct.pack(">Q", cap.epoch_id)
     out += cap.pseudonym_pub
     out += cap.endorsement
@@ -130,7 +146,7 @@ def decode_capability(data: bytes) -> Capability:
 
 def _read_capability(r: _Reader) -> Capability:
     r.expect_magic(CAPABILITY_MAGIC)
-    r.expect_version()
+    r.expect_version(CAPABILITY_VERSION)
     epoch_id = r.u64()
     pub = r.take(PUB_LEN)
     endorsement = r.take(SIG_LEN)
@@ -146,69 +162,27 @@ def _read_capability(r: _Reader) -> Capability:
     return Capability(epoch_id, pub, endorsement, tuple(latchkeys))
 
 
-# -- revocation filter -----------------------------------------------------
+# -- records inside an envelope ---------------------------------------------
 
-def encode_ercset(erc: ErcSet) -> bytes:
+def _write_filter(out: bytearray, erc: ErcSet) -> None:
     flt = erc.filter
-    out = bytearray(ERCSET_MAGIC)
-    out.append(VERSION)
-    out += struct.pack(">Q", flt.epoch_id)
-    out += struct.pack(">Q", flt.m)
-    out.append(flt.k)
-    out += flt.salt
-    out += bytes(flt.bits)
-    return bytes(out)
+    out += struct.pack(">QQB", flt.epoch_id, flt.m, flt.k)
+    out += flt.bits
 
 
-def decode_ercset(data: bytes) -> ErcSet:
-    r = _Reader(data)
-    erc = _read_ercset(r)
-    r.done()
-    return erc
-
-
-def _read_ercset(r: _Reader) -> ErcSet:
-    r.expect_magic(ERCSET_MAGIC)
-    r.expect_version()
+def _read_filter(r: _Reader) -> ErcSet:
     epoch_id = r.u64()
     m = r.u64()
     k = r.u8()
-    salt = r.take(SALT_LEN)
     try:
         params = FilterParams(m, k)
     except ValueError as exc:
         raise FieldError(str(exc)) from exc
-    bits = r.take((m + 7) // 8)
-    return ErcSet(BloomFilter(params, epoch_id, salt, bits))
+    return ErcSet(BloomFilter(params, epoch_id, r.take(m // 8)))
 
 
-# -- revocation order ------------------------------------------------------
-
-def encode_revocation_order(order: RevocationOrder) -> bytes:
-    out = bytearray(ORDER_MAGIC)
-    out.append(VERSION)
-    out += order.cid
-    out += struct.pack(">Q", order.rts)
-    out += struct.pack(">Q", order.epoch_id)
-    out += order.admin_sig
-    return bytes(out)
-
-
-def decode_revocation_order(data: bytes) -> RevocationOrder:
-    r = _Reader(data)
-    order = _read_revocation_order(r)
-    r.done()
-    return order
-
-
-def _read_revocation_order(r: _Reader) -> RevocationOrder:
-    r.expect_magic(ORDER_MAGIC)
-    r.expect_version()
-    cid = r.take(CID_LEN)
-    rts = r.u64()
-    epoch_id = r.u64()
-    sig = r.take(SIG_LEN)
-    return RevocationOrder(cid, rts, epoch_id, sig)
+def _read_order(r: _Reader) -> RevocationOrder:
+    return RevocationOrder(r.take(CID_LEN), r.u64(), r.u64(), r.take(SIG_LEN))
 
 
 # -- message envelope ------------------------------------------------------
@@ -223,9 +197,9 @@ def _read_blob(r: _Reader) -> bytes:
 
 def encode_message(msg: Message) -> bytes:
     """Envelope: magic || version || type tag u8 || length u32 || payload."""
+    payload = bytearray()
     if isinstance(msg, RequestRrp):
         tag = MsgType.REQUEST_RRP
-        payload = bytearray()
         payload += msg.cid
         payload += struct.pack(">Q", msg.epoch_id)
         payload.append(msg.count)
@@ -235,10 +209,8 @@ def encode_message(msg: Message) -> bytes:
             payload.append(1)
             payload += struct.pack(">Q", msg.proof_slot or 0)
             payload += _blob(encode_capability(msg.proof))
-        payload = bytes(payload)
     elif isinstance(msg, RrpResponse):
         tag = MsgType.RRP_RESPONSE
-        payload = bytearray()
         payload.append(1 if msg.granted else 0)
         payload.append(int(msg.reason))
         payload += struct.pack(">Q", msg.epoch_id)
@@ -246,23 +218,26 @@ def encode_message(msg: Message) -> bytes:
         for instance, sig in msg.endorsements:
             payload += struct.pack(">Q", instance)
             payload += sig
-        payload = bytes(payload)
     elif isinstance(msg, RevocationOrder):
         tag = MsgType.REVOKE
-        payload = encode_revocation_order(msg)
+        payload += msg.signed_payload()
+        payload += msg.admin_sig
     elif isinstance(msg, ErcPush):
         tag = MsgType.ERC_PUSH
-        payload = _blob(encode_ercset(msg.current)) + _blob(encode_ercset(msg.next))
+        _write_filter(payload, msg.current)
+        _write_filter(payload, msg.next)
     elif isinstance(msg, ErcPullReq):
         tag = MsgType.ERC_PULL_REQ
-        payload = struct.pack(">Q", msg.epoch_id)
+        payload += struct.pack(">Q", msg.epoch_id)
     elif isinstance(msg, ErcPullResp):
         tag = MsgType.ERC_PULL_RESP
-        payload = _blob(encode_ercset(msg.current)) + _blob(encode_ercset(msg.next))
+        _write_filter(payload, msg.current)
+        _write_filter(payload, msg.next)
     elif isinstance(msg, EpochReport):
         tag = MsgType.EPOCH_REPORT
-        payload = (struct.pack(">Q", msg.from_epoch)
-                   + _blob(encode_ercset(msg.current)) + _blob(encode_ercset(msg.next)))
+        payload += struct.pack(">Q", msg.from_epoch)
+        _write_filter(payload, msg.current)
+        _write_filter(payload, msg.next)
     else:
         raise TypeError(f"not a wire message: {type(msg).__name__}")
     return ENVELOPE_MAGIC + bytes([VERSION, tag]) + _blob(payload)
@@ -271,7 +246,7 @@ def encode_message(msg: Message) -> bytes:
 def decode_message(data: bytes) -> Message:
     r = _Reader(data)
     r.expect_magic(ENVELOPE_MAGIC)
-    r.expect_version()
+    r.expect_version(VERSION)
     tag = r.u8()
     payload = _Reader(_read_blob(r))
     r.done()
@@ -308,26 +283,13 @@ def _read_response(r: _Reader) -> RrpResponse:
     return RrpResponse(granted, reason, epoch_id, endorsements)
 
 
-def _read_push(r: _Reader) -> ErcPush:
-    return ErcPush(decode_ercset(_read_blob(r)), decode_ercset(_read_blob(r)))
-
-
-def _read_pull_resp(r: _Reader) -> ErcPullResp:
-    return ErcPullResp(decode_ercset(_read_blob(r)), decode_ercset(_read_blob(r)))
-
-
-def _read_report(r: _Reader) -> EpochReport:
-    return EpochReport(r.u64(), decode_ercset(_read_blob(r)),
-                       decode_ercset(_read_blob(r)))
-
-
 _MESSAGE_READERS = {
     MsgType.REQUEST_RRP: _read_request,
     MsgType.RRP_RESPONSE: _read_response,
-    MsgType.REVOKE: _read_revocation_order,
-    MsgType.ERC_PUSH: _read_push,
+    MsgType.REVOKE: _read_order,
+    MsgType.ERC_PUSH: lambda r: ErcPush(_read_filter(r), _read_filter(r)),
     MsgType.ERC_PULL_REQ: lambda r: ErcPullReq(r.u64()),
-    MsgType.ERC_PULL_RESP: _read_pull_resp,
-    MsgType.EPOCH_REPORT: _read_report,
+    MsgType.ERC_PULL_RESP: lambda r: ErcPullResp(_read_filter(r), _read_filter(r)),
+    MsgType.EPOCH_REPORT: lambda r: EpochReport(r.u64(), _read_filter(r),
+                                                _read_filter(r)),
 }
-

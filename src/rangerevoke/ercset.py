@@ -51,20 +51,22 @@ class FilterParams:
 class BloomFilter:
     """Bit-array filter with double-hashing index derivation.
 
-    Items are encoded via digest(item || salt); the first two 8-byte words
-    g1, g2 of the digest give index_j = (g1 + j*g2) mod m.  Bit i lives in
-    byte i//8 at mask 1 << (i % 8).  Filters only accumulate: there is no
-    removal, and merging is bitwise OR.
+    Items are encoded via digest(item || salt), where the salt is
+    ``default_salt(epoch_id)``: it derives from the epoch alone, so it is
+    never stored or sent.  The first two 8-byte words g1, g2 of the digest
+    give index_j = (g1 + j*g2) mod m.  Bit i lives in byte i//8 at mask
+    1 << (i % 8).  Filters only accumulate: there is no removal, and
+    merging is bitwise OR.
     """
 
     __slots__ = ("m", "k", "epoch_id", "salt", "bits")
 
     def __init__(self, params: FilterParams, epoch_id: int,
-                 salt: bytes | None = None, bits: bytes | None = None):
+                 bits: bytes | None = None):
         self.m = params.m
         self.k = params.k
         self.epoch_id = epoch_id
-        self.salt = default_salt(epoch_id) if salt is None else salt
+        self.salt = default_salt(epoch_id)
         nbytes = self.m // 8
         if bits is None:
             self.bits = bytearray(nbytes)
@@ -90,13 +92,9 @@ class BloomFilter:
     def query(self, item: bytes) -> bool:
         return all(self.bits[i >> 3] & (1 << (i & 7)) for i in self._positions(item))
 
-    def is_empty(self) -> bool:
-        return not any(self.bits)
-
     def compatible(self, other: "BloomFilter") -> bool:
         return (isinstance(other, BloomFilter) and self.m == other.m
-                and self.k == other.k and self.epoch_id == other.epoch_id
-                and self.salt == other.salt)
+                and self.k == other.k and self.epoch_id == other.epoch_id)
 
     def merged(self, other: "BloomFilter") -> "BloomFilter":
         if not self.compatible(other):
@@ -104,14 +102,11 @@ class BloomFilter:
         n = len(self.bits)
         combined = (int.from_bytes(self.bits, "little")
                     | int.from_bytes(other.bits, "little")).to_bytes(n, "little")
-        return BloomFilter(self.params, self.epoch_id, self.salt, combined)
+        return BloomFilter(self.params, self.epoch_id, combined)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, BloomFilter) and self.compatible(other) \
             and self.bits == other.bits
-
-    def __hash__(self):  # pragma: no cover - filters are not dict keys
-        return hash((self.m, self.k, self.epoch_id, bytes(self.bits)))
 
 
 class ExactSet:
@@ -132,9 +127,6 @@ class ExactSet:
 
     def query(self, item: bytes) -> bool:
         return digest(item) in self.items
-
-    def is_empty(self) -> bool:
-        return not self.items
 
     def compatible(self, other: "ExactSet") -> bool:
         return isinstance(other, ExactSet) and self.epoch_id == other.epoch_id
@@ -160,9 +152,6 @@ class ErcSet:
     @property
     def epoch_id(self) -> int:
         return self.filter.epoch_id
-
-    def is_empty(self) -> bool:
-        return self.filter.is_empty()
 
 
 @dataclass(frozen=True)

@@ -97,13 +97,13 @@ class TrustedCore:
 
     def __init__(self, pm_key: KeyPair, admin_public: bytes,
                  geometry: EpochConfig, params: FilterParams,
-                 max_instances: int, epoch_now: int | None = None):
+                 max_instances: int):
         self.pm_key = pm_key
         self.admin_public = admin_public
-        self.geometry = geometry          # slot geometry; epoch_id field ignored
+        self.geometry = geometry          # slot geometry; its epoch_id is the start epoch
         self.params = params
         self.max_instances = max_instances
-        self.epoch_now = geometry.epoch_id if epoch_now is None else epoch_now
+        self.epoch_now = geometry.epoch_id
         self.registry: set[bytes] = set()
         self.revoked: set[bytes] = set()  # expelled clients (order seen locally)
         self.issued: dict[tuple[bytes, int], int] = {}  # (cid, epoch) -> highest instance
@@ -276,18 +276,16 @@ class PmNode:
     """
 
     def __init__(self, node_id: str, core: TrustedCore, peers: list[str],
-                 fault_bound: int, rng: random.Random,
-                 gossip_timeout: int = 5_000_000):
+                 fault_bound: int, rng: random.Random):
         self.node_id = node_id
         self.core = core
         self.peers = [p for p in peers if p != node_id]
         self.fault_bound = fault_bound
         self.rng = rng
-        self.gossip_timeout = gossip_timeout
         self.mode = PmMode.SERVING
         self._reports: dict[int, set[str]] = {}  # from_epoch -> senders seen
         self._orders: dict[tuple, RevocationOrder] = {}  # relayed admin orders
-        self.stats = {"pushes": 0, "pulls": 0, "forwards": 0}
+        self.stats = {"pushes": 0, "pulls": 0, "forwards": 0, "stale_orders": 0}
 
     @property
     def cluster_size(self) -> int:
@@ -319,11 +317,17 @@ class PmNode:
         self._orders[key] = order
         fanout = min(self.fault_bound + 1, len(self.peers))
         relays = [Outgoing(p, order) for p in self.rng.sample(self.peers, fanout)]
+        if order.epoch_id < self.core.epoch_now:
+            # expected when an order is relayed across a rotation: the
+            # expulsion still stands, and the filters of the order's epoch
+            # are already gone
+            log.debug("%s: filters unchanged: order for past epoch %d",
+                      self.node_id, order.epoch_id)
+            self.stats["stale_orders"] += 1
+            return relays
         try:
             self.core.revoke(order)
         except ValueError as exc:
-            # typically an order from an epoch this node already left behind:
-            # the expulsion still stands, only the filters stay unchanged
             log.warning("%s: filters unchanged: %s", self.node_id, exc)
             return relays
         return self.eager_push() + relays

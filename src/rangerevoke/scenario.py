@@ -2,8 +2,11 @@
 
 ``parse_scenario`` reads a file whole and checks every entry before a
 simulation starts.  An unknown section, ``[sim]`` key, action, argument or
-check, a malformed value, and a client or node that the ``[sim]`` section
-does not create all raise ``ValueError`` naming the section and key.
+check, a malformed value, a client or node that the ``[sim]`` section
+does not create (also one an action falls back on when an argument is
+omitted), and node counts the simulator cannot run (no manager, or
+``fault_bound`` not below ``managers``) all raise ``ValueError`` naming
+the section and key.
 ``run_checks`` evaluates the parsed checks against a finished run.
 
 Times are seconds (floats allowed)::
@@ -163,6 +166,19 @@ def _sim_entry(key: str, value: str) -> tuple[str, int]:
     raise ValueError("unknown [sim] key")
 
 
+def _check_nodes(cfg: SimConfig) -> None:
+    """At least one manager, no negative node count, and f < N, so that
+    the quarantine quorum N - f is never empty."""
+    if cfg.n_pms < 1:
+        raise ValueError(f"[sim] managers: must be >= 1, got {cfg.n_pms}")
+    for key, value in (("verifiers", cfg.n_verifiers), ("clients", cfg.n_clients)):
+        if value < 0:
+            raise ValueError(f"[sim] {key}: must be >= 0, got {value}")
+    if not 0 <= cfg.fault_bound < cfg.n_pms:
+        raise ValueError(f"[sim] fault_bound: must be in 0..{cfg.n_pms - 1}, "
+                         f"got {cfg.fault_bound}")
+
+
 def _crash(value: str, cfg: SimConfig) -> CrashWindow:
     parts = value.split()
     if len(parts) != 2:
@@ -187,10 +203,17 @@ def _action(value: str, cfg: SimConfig) -> Action:
             raise ValueError(f"{kind} takes no argument {key!r}")
         if key in args:
             raise ValueError(f"argument {key!r} given twice")
-        args[key] = _ROLES[roles[key]](text, cfg)
-    for key in Simulation.REQUIRED_ARGS[kind]:
-        if key not in args:
+        args[key] = _ROLES[roles[key][0]](text, cfg)
+    for key, (role, default) in roles.items():
+        if key in args:
+            continue
+        if key in Simulation.REQUIRED_ARGS[kind]:
             raise ValueError(f"{kind} needs {key}=")
+        if default is not None:
+            try:
+                _ROLES[role](str(default), cfg)
+            except ValueError as exc:
+                raise ValueError(f"{kind} without {key}= uses {default}: {exc}") from None
     return Action(_seconds(at), kind, args)
 
 
@@ -228,6 +251,7 @@ def parse_scenario(path: Path) -> tuple[SimConfig, dict[str, tuple]]:
         if name not in _SECTIONS:
             raise ValueError(f"unknown section [{name}]")
     cfg = SimConfig(**dict(_section(ini, "sim", _sim_entry)))
+    _check_nodes(cfg)
     cfg.unstable = tuple(_section(ini, "unstable", lambda _, v: Window(*_span(v))))
     cfg.crashes = tuple(_section(ini, "crashes", lambda _, v: _crash(v, cfg)))
     cfg.script = tuple(sorted(_section(ini, "script", lambda _, v: _action(v, cfg)),

@@ -20,7 +20,7 @@ import hashlib
 import heapq
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import codec
 from .crypto import det_keygen, det_sign, seed_from_parts
@@ -207,7 +207,6 @@ class Simulation:
         geometry = cfg.geometry()
         self.geometry = geometry
         params = FilterParams(cfg.filter_m, cfg.filter_k)
-        self.params = params
 
         self.admin_key = det_keygen(seed_from_parts(b"admin", cfg.seed))
         self.pm_key = det_keygen(seed_from_parts(b"manager", cfg.seed))
@@ -219,8 +218,7 @@ class Simulation:
                                params, cfg.max_instances)
             self.pms[node_id] = PmNode(
                 node_id, core, pm_ids, cfg.fault_bound,
-                random.Random(self.rng.getrandbits(64)),
-                gossip_timeout=cfg.gossip_timeout)
+                random.Random(self.rng.getrandbits(64)))
 
         self.verifiers: dict[str, VerifierNode] = {}
         for node_id in cfg.verifier_ids():
@@ -248,7 +246,6 @@ class Simulation:
         self.auths: list[AuthRecord] = []
         self.revocations: list[tuple[int, int, int]] = []
         self.presented: list[tuple[int, Capability]] = []  # (client, capability)
-        self.pub_owner: dict[bytes, int] = {}
 
         for action in cfg.script:
             self._schedule(action.at, ("action", action))
@@ -357,7 +354,6 @@ class Simulation:
                                      self.pm_key, self.cfg.max_instances)
                     assert rrp.endorsement == endorsement
                     pool.append(rrp)
-                    self.pub_owner[rrp.keypair.public] = client.index
 
     def _on_pm_timer(self, pm_id: str) -> None:
         self._schedule(self.now + self.cfg.gossip_timeout, ("pm_timer", pm_id))
@@ -391,21 +387,28 @@ class Simulation:
                 return c
         raise KeyError("unknown cid")
 
-    # Action kind -> every argument ``_on_action`` reads, with its role:
-    # "client" a client index, "manager", "verifier" or "node" (either)
-    # an existing node id, "count" a batch of 1..255 pseudonyms, "epoch"
-    # an epoch id, "slot" a slot of the epoch, "micros" integer microseconds.
-    # The arguments in REQUIRED_ARGS have no default.
+    # Action kind -> every argument ``_on_action`` reads: (role, default).
+    # Roles: "client" a client index, "manager", "verifier" or "node"
+    # (either) an existing node id, "count" a batch of 1..255 pseudonyms,
+    # "epoch" an epoch id, "slot" a slot of the epoch, "micros" integer
+    # microseconds.  A default of None is none known before the run: the
+    # argument is in REQUIRED_ARGS, or ``_on_action`` works it out when the
+    # action runs (the current epoch or slot, a random manager).
     ACTION_ARGS = {
-        "request": {"client": "client", "count": "count", "epoch": "epoch",
-                    "pm": "manager"},
-        "authenticate": {"client": "client", "verifier": "verifier"},
-        "revoke": {"client": "client", "epoch": "epoch", "rts": "slot",
-                   "pm": "manager"},
-        "clock_jump": {"node": "node", "by": "micros"},
+        "request": {"client": ("client", None), "count": ("count", 4),
+                    "epoch": ("epoch", None), "pm": ("manager", None)},
+        "authenticate": {"client": ("client", None),
+                         "verifier": ("verifier", "v0")},
+        "revoke": {"client": ("client", None), "epoch": ("epoch", None),
+                   "rts": ("slot", None), "pm": ("manager", "pm0")},
+        "clock_jump": {"node": ("node", None), "by": ("micros", None)},
     }
     REQUIRED_ARGS = {"request": ("client",), "authenticate": ("client",),
                      "revoke": ("client",), "clock_jump": ("node", "by")}
+
+    def _arg(self, action: Action, name: str):
+        """``action``'s argument ``name``, or its default in ACTION_ARGS."""
+        return action.args.get(name, self.ACTION_ARGS[action.kind][name][1])
 
     def _on_action(self, action: Action) -> None:
         args = action.args
@@ -413,13 +416,13 @@ class Simulation:
             client = self.clients[args["client"]]
             epoch_id = args.get("epoch", self.now // self.cfg.epoch_len)
             proof, proof_slot = client.last_proof or (None, None)
-            req = RequestRrp(client.cid, epoch_id, args.get("count", 4),
+            req = RequestRrp(client.cid, epoch_id, self._arg(action, "count"),
                              proof, proof_slot)
             pm = args.get("pm") or self.rng.choice(sorted(self.pms))
             self._send(f"client{client.index}", pm, req)
         elif action.kind == "authenticate":
             client = self.clients[args["client"]]
-            v_id = args.get("verifier", "v0")
+            v_id = self._arg(action, "verifier")
             v = self.verifiers[v_id]
             epoch_id = self.now // self.cfg.epoch_len
             slot = (self.now % self.cfg.epoch_len) // self.cfg.delta
@@ -437,13 +440,11 @@ class Simulation:
             client = self.clients[args["client"]]
             epoch_id = args.get("epoch", self.now // self.cfg.epoch_len)
             rts = args.get("rts", (self.now % self.cfg.epoch_len) // self.cfg.delta)
-            order = RevocationOrder(
-                client.cid, rts, epoch_id,
-                det_sign(self.admin_key,
-                         client.cid + rts.to_bytes(8, "big") + epoch_id.to_bytes(8, "big")))
+            order = RevocationOrder(client.cid, rts, epoch_id, b"")
+            order = replace(order, admin_sig=det_sign(self.admin_key,
+                                                      order.signed_payload()))
             self.revocations.append((self.now, client.index, rts))
-            central = args.get("pm", "pm0")
-            self._send("admin", central, order)
+            self._send("admin", self._arg(action, "pm"), order)
         elif action.kind == "clock_jump":
             self.clock_offset[args["node"]] = \
                 self.clock_offset.get(args["node"], 0) + args["by"]

@@ -4,7 +4,7 @@ A verifier grants access iff its revocation state is fresh, the capability
 belongs to the current epoch and slot (within the clock-skew tolerance),
 verifies as genuine, and none of its latchkeys queries true in the local
 filter.  When the verifier cannot refresh its filter for longer than
-``staleness_limit`` it stops granting anything: stale state may only ever
+three pull periods it stops granting anything: stale state may only ever
 deny, never admit, so safety is preserved at the cost of availability.
 """
 
@@ -42,16 +42,13 @@ class VerifierNode:
 
     def __init__(self, node_id: str, pm_public: bytes, geometry: EpochConfig,
                  pm_ids: list[str], rng: random.Random,
-                 pull_period: int = 5_000_000, staleness_limit: int | None = None,
-                 epsilon: int = 0):
+                 pull_period: int = 5_000_000, epsilon: int = 0):
         self.node_id = node_id
         self.pm_public = pm_public
         self.geometry = geometry
         self.pm_ids = list(pm_ids)
         self.rng = rng
-        self.pull_period = pull_period
-        self.staleness_limit = (3 * pull_period if staleness_limit is None
-                                else staleness_limit)
+        self.staleness_limit = 3 * pull_period
         self.epsilon = epsilon
         self.erc_local: ErcSet | None = None
         self.last_pull: int | None = None

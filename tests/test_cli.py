@@ -123,10 +123,12 @@ def test_scenario_keys_reach_sim_config(tmp_path):
 
 _VALID = {"sim": ["seed = 1", "managers = 2", "fault_bound = 0", "clients = 3",
                   "horizon = 20"],
-          "script": ["a1 = 2 request client=0 count=4 pm=pm0"],
+          "script": ["a1 = 2 request client=0 count=4 pm=pm0",
+                     "a0 = 4 authenticate client=0"],     # verifier v0 by default
           "checks": ["no_cross_links = yes"]}
 
-# (section, entry added to _VALID, what the error says)
+# (section, entry added to _VALID or replacing its entry of the same key,
+# what the error says)
 _MALFORMED = [
     ("checks", "linkage = 5:3", "[checks] linkage: client must be in 0..2, got 5"),
     ("script", "a2 = 3 request client=5", "client must be in 0..2, got 5"),
@@ -141,6 +143,10 @@ _MALFORMED = [
      "authenticate takes no argument 'count'"),
     ("script", "a2 = 3 request client=0 count=0", "count must be in 1..255, got 0"),
     ("checks", "recovers = v1:10", "[checks] recovers: no verifier 'v1'"),
+    ("sim", "verifiers = 0",
+     "[script] a0: authenticate without verifier= uses v0: no verifier 'v0'"),
+    ("sim", "managers = 0", "[sim] managers: must be >= 1, got 0"),
+    ("sim", "fault_bound = 2", "[sim] fault_bound: must be in 0..1, got 2"),
 ]
 
 
@@ -151,7 +157,9 @@ def test_malformed_scenario_refused_before_run(tmp_path, capsys, monkeypatch,
     def run(self):
         raise AssertionError("the simulation started")
     monkeypatch.setattr(Simulation, "run", run)
-    sections = {name: list(entries) for name, entries in _VALID.items()}
+    key = entry.split(" = ")[0]
+    sections = {name: [e for e in entries if e.split(" = ")[0] != key]
+                for name, entries in _VALID.items()}
     sections.setdefault(section, []).append(entry)
     scn = tmp_path / "bad.scn"
     scn.write_text("".join(f"[{name}]\n" + "".join(f"{e}\n" for e in entries)

@@ -1,9 +1,11 @@
+import hashlib
 import random
 
 import pytest
 
 from rangerevoke import codec
-from rangerevoke.ercset import BloomFilter, ErcSet, FilterParams
+from rangerevoke.crypto import det_keygen, digest, seed_from_parts
+from rangerevoke.ercset import BloomFilter, ErcSet, FilterParams, default_salt
 from rangerevoke.messages import (
     DenialReason,
     EpochReport,
@@ -15,8 +17,11 @@ from rangerevoke.messages import (
     RrpResponse,
 )
 from rangerevoke.pseudonym import create_rrp, get_capability
+from rangerevoke.slot_tree import EpochConfig
 
 PARAMS = FilterParams(1024, 3)
+# acceptance #11's capability encoding, unchanged since format v1
+CAPABILITY_SHA256 = "09ce3d3addfefb4e9e06592731e8d7197f61c4274c3ea65219602c08b80f56ac"
 
 
 @pytest.fixture
@@ -40,20 +45,6 @@ def test_capability_roundtrip(cap):
     assert codec.encode_capability(again) == blob
 
 
-def test_ercset_roundtrip():
-    erc = bloom_erc()
-    blob = codec.encode_ercset(erc)
-    again = codec.decode_ercset(blob)
-    assert again == erc
-    assert codec.encode_ercset(again) == blob
-
-
-def test_revocation_order_roundtrip(cid):
-    order = RevocationOrder(cid, 7, 2, b"\x33" * 64)
-    assert codec.decode_revocation_order(
-        codec.encode_revocation_order(order)) == order
-
-
 def test_message_roundtrips(cap, cid):
     messages = [
         RequestRrp(cid, 4, 3),
@@ -69,7 +60,9 @@ def test_message_roundtrips(cap, cid):
     for msg in messages:
         blob = codec.encode_message(msg)
         assert blob[:4] == codec.ENVELOPE_MAGIC
-        assert codec.decode_message(blob) == msg
+        again = codec.decode_message(blob)
+        assert again == msg
+        assert codec.encode_message(again) == blob
 
 
 def test_encode_message_rejects_non_message():
@@ -77,26 +70,64 @@ def test_encode_message_rejects_non_message():
         codec.encode_message("not a message")
 
 
+def test_decoded_filters_take_their_salt_from_the_epoch():
+    for msg in (ErcPush(bloom_erc(0), bloom_erc(1)),
+                ErcPullResp(bloom_erc(5), bloom_erc(6)),
+                EpochReport(3, bloom_erc(3), bloom_erc(4))):
+        again = codec.decode_message(codec.encode_message(msg))
+        for erc in (again.current, again.next):
+            assert erc.filter.salt == default_salt(erc.epoch_id)
+
+
+def test_filter_records_are_flat():
+    """Envelope header 10 bytes, then per filter epoch u64, m u64, k u8 and
+    the bits: no magic, version, length prefix or salt of its own."""
+    blob = codec.encode_message(ErcPush(bloom_erc(0), bloom_erc(1)))
+    assert len(blob) == 10 + 2 * (17 + PARAMS.m // 8)
+    order = codec.encode_message(RevocationOrder(b"\x01" * 32, 7, 2, b"\x33" * 64))
+    assert order[10:] == b"\x01" * 32 + (7).to_bytes(8, "big") \
+        + (2).to_bytes(8, "big") + b"\x33" * 64
+
+
+def test_capability_encoding_is_pinned():
+    """The benchmark's verify workload hashes capability bytes into its
+    input digest, so a codec change that alters them must fail here.  The
+    capability is acceptance #11's."""
+    pm_key = det_keygen(seed_from_parts(b"acceptance-det", 0))
+    rrp = create_rrp(digest(b"acceptance-det-client"), 3, 2, pm_key, 8)
+    blob = codec.encode_capability(
+        get_capability(rrp, 17, EpochConfig(3, 86_400, 600, 2)))
+    assert hashlib.sha256(blob).hexdigest() == CAPABILITY_SHA256
+
+
 # -- failure classes --------------------------------------------------------
 
+def push_blob() -> bytearray:
+    return bytearray(codec.encode_message(ErcPush(bloom_erc(0), bloom_erc(1))))
+
+
 def test_bad_magic():
-    blob = bytearray(codec.encode_ercset(bloom_erc()))
+    blob = push_blob()
     blob[0] ^= 0xFF
     with pytest.raises(codec.BadMagic):
-        codec.decode_ercset(bytes(blob))
+        codec.decode_message(bytes(blob))
 
 
 def test_bad_version():
-    blob = bytearray(codec.encode_ercset(bloom_erc()))
-    blob[4] = 0x7F
-    with pytest.raises(codec.BadVersion):
-        codec.decode_ercset(bytes(blob))
+    for version in (0x01, 0x7F):        # 0x01 is the envelope before flat records
+        blob = push_blob()
+        blob[4] = version
+        with pytest.raises(codec.BadVersion):
+            codec.decode_message(bytes(blob))
 
 
 def test_truncated():
-    blob = codec.encode_ercset(bloom_erc())
+    blob = push_blob()
     with pytest.raises(codec.Truncated):
-        codec.decode_ercset(blob[:-1])
+        codec.decode_message(bytes(blob[:-1]))
+    blob[6:10] = (len(blob) - 11).to_bytes(4, "big")   # payload one byte short
+    with pytest.raises(codec.Truncated):
+        codec.decode_message(bytes(blob[:-1]))
 
 
 def test_trailing_bytes(cap):
@@ -122,22 +153,22 @@ def test_unknown_message_tag(cap):
 
 
 def test_bad_filter_params_is_field_error():
-    blob = bytearray(codec.encode_ercset(bloom_erc()))
-    # zero out the k byte (offset: magic 4 + ver 1 + epoch 8 + m 8)
-    blob[21] = 0
+    blob = push_blob()
+    # zero out the first filter's k byte (offset: envelope 10 + epoch 8 + m 8)
+    blob[26] = 0
     with pytest.raises(codec.FieldError):
-        codec.decode_ercset(bytes(blob))
+        codec.decode_message(bytes(blob))
 
 
 # -- fuzz -------------------------------------------------------------------
 
 def test_fuzz_random_bytes_raise_only_typed_errors(cap, cid):
-    decoders = [codec.decode_capability, codec.decode_ercset,
-                codec.decode_message, codec.decode_revocation_order]
+    decoders = [codec.decode_capability, codec.decode_message]
     rng = random.Random(0)
     seeds = [codec.encode_capability(cap),
-             codec.encode_ercset(bloom_erc()),
              codec.encode_message(ErcPush(bloom_erc(0), bloom_erc(1))),
+             codec.encode_message(ErcPullReq(9)),
+             codec.encode_message(ErcPullResp(bloom_erc(0), bloom_erc(1))),
              codec.encode_message(RevocationOrder(cid, 2, 0, b"\x02" * 64)),
              codec.encode_message(RequestRrp(cid, 4, 3, proof=cap, proof_slot=1)),
              codec.encode_message(RrpResponse(True, DenialReason.NONE, 4,

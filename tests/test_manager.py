@@ -1,4 +1,5 @@
 import copy
+import logging
 import random
 
 import pytest
@@ -35,9 +36,8 @@ PARAMS = FilterParams(8192, 4)
 GEOMETRY = EpochConfig(0, 60, 15, 2)
 
 
-def make_core(pm_key, admin_key, cid, epoch_now=0):
-    core = TrustedCore(pm_key, admin_key.public, GEOMETRY, PARAMS,
-                       max_instances=8, epoch_now=epoch_now)
+def make_core(pm_key, admin_key, cid):
+    core = TrustedCore(pm_key, admin_key.public, GEOMETRY, PARAMS, max_instances=8)
     core.register(cid)
     return core
 
@@ -178,7 +178,7 @@ def test_rotate_epoch(pm_key, admin_key, cid):
     core.rotate_epoch()
     assert core.epoch_now == 1
     assert core.erc_current is promoted
-    assert core.erc_next.epoch_id == 2 and core.erc_next.is_empty()
+    assert core.erc_next.epoch_id == 2 and not any(core.erc_next.filter.bits)
 
 
 def test_merge_filters_reports_change(pm_key, admin_key, cid):
@@ -192,7 +192,7 @@ def test_merge_filters_reports_change(pm_key, admin_key, cid):
 
 def test_helper_filters(pm_key, cid):
     cfg = GEOMETRY.with_epoch(1)
-    assert empty_ercset(PARAMS, 0).is_empty()
+    assert not any(empty_ercset(PARAMS, 0).filter.bits)
     root = revocation_cover_ercset(cid, 1, 1, cfg, {NodeLabel(1, 0, 0)}, PARAMS)
     for slot in range(cfg.slots):
         assert is_revoked(root, get_capability(create_rrp(cid, 1, 1, pm_key, 8), slot, cfg))
@@ -227,11 +227,15 @@ def test_eager_push_fanout(pm_key, admin_key, cid):
     assert node.handle_revoke(order) == []     # replay: nothing new to say
 
 
-def test_stale_epoch_order_still_expels(pm_key, admin_key, cid):
+def test_stale_epoch_order_still_expels(pm_key, admin_key, cid, caplog):
     node = make_node(pm_key, admin_key, cid)
     node.core.rotate_epoch()
-    out = node.handle_revoke(signed_order(admin_key, cid, 1, 0))
+    with caplog.at_level(logging.DEBUG, logger="rangerevoke.manager"):
+        out = node.handle_revoke(signed_order(admin_key, cid, 1, 0))
     assert all(isinstance(o.msg, RevocationOrder) for o in out)  # no filter push
+    assert node.stats["stale_orders"] == 1
+    assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+    assert "filters unchanged" in caplog.text                     # at debug
     resp = node.handle_request(RequestRrp(cid, 1, 1))
     assert not resp.granted and resp.reason is DenialReason.REVOKED
 
@@ -260,10 +264,13 @@ def test_filter_only_knowledge_still_denies_issuance(pm_key, admin_key, cid):
     assert exc.value.reason is DenialReason.REVOKED
 
 
-def test_bad_order_not_gossiped(pm_key, admin_key, cid):
+def test_bad_order_not_gossiped(pm_key, admin_key, cid, caplog):
     node = make_node(pm_key, admin_key, cid)
     order = signed_order(admin_key, cid, 1, 0)
-    assert node.handle_revoke(RevocationOrder(cid, 0, 0, order.admin_sig)) == []
+    with caplog.at_level(logging.WARNING, logger="rangerevoke.manager"):
+        assert node.handle_revoke(RevocationOrder(cid, 0, 0, order.admin_sig)) == []
+    assert [r.levelno for r in caplog.records] == [logging.WARNING]
+    assert "bad signature" in caplog.text
 
 
 def test_redundant_gossip_not_forwarded(pm_key, admin_key, cid):
