@@ -9,7 +9,6 @@ from .ercset import (
     BloomFilter,
     ErcSet,
     FilterParams,
-    create_ercset,
     is_revoked,
     merge_ercset,
 )
@@ -27,7 +26,7 @@ from .slot_tree import EpochConfig, NodeLabel, SlotRange, path_to_root, safe_cov
 __all__ = [
     "BloomFilter", "Capability", "EpochConfig", "ErcSet", "FilterParams",
     "KeyPair", "Latchkey", "NodeLabel", "Rrp", "SlotRange",
-    "create_ercset", "create_rrp", "det_keygen", "det_sign", "digest",
+    "create_rrp", "det_keygen", "det_sign", "digest",
     "get_capability", "is_revoked", "merge_ercset", "path_to_root",
     "pseudonym_public_keys_of", "safe_cover", "ver_sign", "verify_capability",
 ]

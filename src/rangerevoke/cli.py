@@ -1,11 +1,10 @@
-"""Operator command line: sizing calculator, scenario runner, benchmarks,
-storage comparison.
+"""Operator command line: sizing calculator, scenario runner, storage
+comparison.
 
 Subcommands::
 
     rangerevoke size             closed-form filter sizing table
     rangerevoke simulate FILE    run a scenario file, evaluate its checks
-    rangerevoke bench            verification latency / issuance throughput
     rangerevoke storage-compare  revocation storage vs a slot-locked scheme
 
 Every subcommand is deterministic given its flags and seed.  Exit codes:
@@ -13,34 +12,25 @@ Every subcommand is deterministic given its flags and seed.  Exit codes:
 ``--out DIR`` writes CSV artifacts; tables always go to stdout.  The env
 var ``RRP_LOG`` (error, info, debug) controls logging.
 
-Scenario files are described in ``rangerevoke.scenario``.
+Scenario files are described in ``rangerevoke.scenario``; performance is
+measured by ``perfbench/``.
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
-import statistics
 import sys
-import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from . import codec, sizing
-from .crypto import det_keygen, digest, seed_from_parts
-from .ercset import FilterParams
-from .manager import TrustedCore
-from .messages import RequestRrp
-from .pseudonym import create_rrp, get_capability, verify_capability
+from . import sizing
+# SCENARIO_DIR and verify_capability are imported for perfbench/, which
+# reads the one and has its tracer patch the other in this module
+from .pseudonym import verify_capability
 from .scenario import SCENARIO_DIR, parse_scenario, resolve_scenario, run_checks
 from .simnet import Simulation
-from .slot_tree import EpochConfig
-
-log = logging.getLogger(__name__)
-
-BENCH_HEIGHTS = (8, 11, 16, 32)
-BENCH_BATCHES = (4, 8, 16, 32)
 
 
 # -- helpers ----------------------------------------------------------------
@@ -49,16 +39,19 @@ _UNIT_SECONDS = {"s": 1, "m": 60, "h": 3600, "d": 86_400, "y": 31_536_000}
 
 
 def parse_duration(text: str) -> float:
-    """'90', '1.5h', '1d', '1y' -> seconds."""
+    """'90', '1.5h', '1d', '1y' -> seconds; a non-finite result is refused."""
     text = text.strip()
-    unit = 1
+    number, unit = text, 1
     if text and text[-1].isalpha():
         try:
             unit = _UNIT_SECONDS[text[-1]]
         except KeyError:
             raise ValueError(f"unknown time unit in {text!r}") from None
-        text = text[:-1]
-    return float(text) * unit
+        number = text[:-1]
+    seconds = float(number) * unit
+    if not math.isfinite(seconds):
+        raise ValueError(f"duration {text!r} is not a finite number of seconds")
+    return seconds
 
 
 def _write_csv(out_dir: str | None, name: str, rows: list[list]) -> None:
@@ -155,121 +148,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0 if all(ok for _, ok, _ in results) else 1
 
 
-# -- bench ------------------------------------------------------------------
-
-def _bench_geometry(height: int) -> EpochConfig:
-    return EpochConfig(0, 2**height, 1, 2)
-
-
-def _bench_capability(height: int, seed: int) -> tuple[bytes, bytes]:
-    """Returns (encoded capability for slot 0, manager public key)."""
-    pm_key = det_keygen(seed_from_parts(b"bench-pm", seed))
-    cid = digest(seed_from_parts(b"bench-client", seed))
-    rrp = create_rrp(cid, 0, 1, pm_key, 8)
-    cap = get_capability(rrp, 0, _bench_geometry(height))
-    return codec.encode_capability(cap), pm_key.public
-
-
-def _verify_blob_batch(batch: tuple[bytes, ...], pm_pub: bytes,
-                       height: int) -> int:
-    """Worker: decode and fully verify each capability; returns ok count."""
-    cfg = _bench_geometry(height)
-    ok = 0
-    for blob in batch:
-        cap = codec.decode_capability(blob)
-        ok += verify_capability(cap, pm_pub, 0, cfg)
-    return ok
-
-
-def _bench_latency(heights, reps: int) -> list[tuple[int, float]]:
-    rows = []
-    for h in heights:
-        blob, pm_pub = _bench_capability(h, seed=1)
-        cfg = _bench_geometry(h)
-        cap = codec.decode_capability(blob)
-        samples = []
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            assert verify_capability(cap, pm_pub, 0, cfg)
-            samples.append(time.perf_counter() - t0)
-        # median: robust against scheduler hiccups on shared machines
-        rows.append((h, statistics.median(samples) * 1e6))
-    return rows
-
-
-def _bench_workers(height: int, workers: int, batch: int = 48,
-                   ) -> list[tuple[int, float]]:
-    """Wall time to verify a fixed batch with 1 vs N worker processes."""
-    blob, pm_pub = _bench_capability(height, seed=2)
-    blobs = tuple([blob] * batch)
-    rows = []
-    for n in sorted({1, workers}):
-        chunks = [blobs[i::n] for i in range(n)]
-        with ProcessPoolExecutor(max_workers=n) as pool:
-            # warm up the pool so fork/import cost stays out of the timing
-            list(pool.map(_verify_blob_batch, [blobs[:1]] * n,
-                          [pm_pub] * n, [height] * n))
-            t0 = time.perf_counter()
-            done = sum(pool.map(_verify_blob_batch, chunks,
-                                [pm_pub] * n, [height] * n))
-            elapsed = time.perf_counter() - t0
-        assert done == batch
-        rows.append((n, elapsed))
-    return rows
-
-
-def _bench_throughput(batches, requests: int = 25) -> list[tuple[int, float]]:
-    """Issued pseudonyms/s vs batch size; every request after the first
-    carries a capability proof, so bigger batches amortize its check.
-    Rates come from the fastest request cycle, the usual noise-floor
-    estimator for short benchmarks."""
-    rows = []
-    for batch in batches:
-        geometry = EpochConfig(0, 86_400, 600, 2)
-        pm_key = det_keygen(seed_from_parts(b"bench-pm", 3))
-        admin = det_keygen(seed_from_parts(b"bench-admin", 3))
-        core = TrustedCore(pm_key, admin.public, geometry,
-                           FilterParams(8192, 4),
-                           max_instances=requests * batch + 1)
-        cid = digest(b"bench-client")
-        core.register(cid)
-        first = core.issue(RequestRrp(cid, 0, 1))
-        proof = get_capability(first[0], 0, geometry)
-        best = float("inf")
-        for _ in range(requests):
-            t0 = time.perf_counter()
-            core.issue(RequestRrp(cid, 0, batch, proof, 0))
-            best = min(best, time.perf_counter() - t0)
-        rows.append((batch, batch / best))
-    return rows
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    latency = _bench_latency(BENCH_HEIGHTS, args.reps)
-    print("verification latency vs tree height")
-    for h, mean_us in latency:
-        print(f"  h={h:<3d} {mean_us:9.1f} us")
-    worker_rows = _bench_workers(16, args.threads)
-    base = worker_rows[0][1]
-    print("verification wall time vs workers (h=16, fixed batch)")
-    for n, elapsed in worker_rows:
-        print(f"  workers={n:<2d} {elapsed * 1e3:9.1f} ms  "
-              f"speedup={base / elapsed:.2f}x")
-    throughput = _bench_throughput(BENCH_BATCHES)
-    print("issuance throughput vs batch size")
-    for batch, rate in throughput:
-        print(f"  batch={batch:<3d} {rate:9.0f} pseudonyms/s")
-    _write_csv(args.out, "bench_latency.csv",
-               [["height", "mean_us"]] + [[h, f"{v:.3f}"] for h, v in latency])
-    _write_csv(args.out, "bench_workers.csv",
-               [["workers", "wall_s", "speedup"]]
-               + [[n, f"{e:.6f}", f"{base / e:.3f}"] for n, e in worker_rows])
-    _write_csv(args.out, "bench_throughput.csv",
-               [["batch", "pseudonyms_per_s"]]
-               + [[b, f"{r:.1f}"] for b, r in throughput])
-    return 0
-
-
 # -- entry point ------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
@@ -296,12 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
                                     "(quarantine, linkage, safemode)")
     p.add_argument("--seed", type=int, help="override the scenario seed")
     p.set_defaults(fn=cmd_simulate)
-
-    p = sub.add_parser("bench", help="latency/throughput micro-benchmarks")
-    p.add_argument("--threads", type=int, default=4,
-                   help="verification worker processes")
-    p.add_argument("--reps", type=int, default=30)
-    p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("storage-compare",
                        help="revocation storage vs slot-locked scheme")

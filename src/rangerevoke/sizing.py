@@ -35,6 +35,10 @@ class DeploymentParams:
     extra: int = 0            # M: spare pseudonyms carried
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.clients):
+            raise ValueError("clients must be a finite number")
+        if self.fanout < 2:
+            raise ValueError("fanout must be >= 2")
         if min(self.clients, self.pseudonyms, self.fanout,
                self.epoch_len, self.delta, self.needed) <= 0 or self.extra < 0:
             raise ValueError("all deployment parameters must be positive")
@@ -63,15 +67,11 @@ class SizingResult:
 
     @property
     def m_bytes(self) -> int:
-        return m_to_bytes(self.m)
+        return math.ceil(self.m / 8)
 
     @property
     def m_kb(self) -> int:
         return math.ceil(self.m / KB_BITS)
-
-
-def m_to_bytes(m: int) -> int:
-    return math.ceil(m / 8)
 
 
 def expected_insertions(params: DeploymentParams) -> float:
@@ -125,27 +125,6 @@ def full_access_probability(p: int, extra: int, fp_capability: float) -> float:
     return min(1.0, tail)      # the rounded terms can sum to 1 + 1 ulp
 
 
-def full_access_probability_as_printed(p: int, extra: int, fp_capability: float) -> float:
-    """Variant with a constant combinatorial coefficient C(p+M, M+1) on every
-    term of the failure sum (instead of C(p+M, j)).
-
-    Kept alongside the exact binomial tail because published sizing tables
-    were produced with this form; the two agree when fp_capability is small
-    but diverge for large p.  The binomial tail is the one used for
-    planning.
-    """
-    if p < 1 or extra < 0:
-        raise ValueError("need p >= 1 and extra >= 0")
-    q = fp_capability
-    if q <= 0.0:
-        return 1.0
-    total = p + extra
-    coeff = math.comb(total, extra + 1)
-    failure = sum(coeff * q**j * (1.0 - q) ** (total - j)
-                  for j in range(extra + 1, total + 1))
-    return 1.0 - failure
-
-
 def plan_filter(params: DeploymentParams, target_fp: float) -> SizingResult:
     """Smallest whole-byte filter meeting ``target_fp`` at the expected load.
 
@@ -185,15 +164,15 @@ class SchemeComparison:
     """Per-epoch cost of tree-cover revocation vs slot-locked pseudonyms."""
 
     slots: int
-    revocation_entries_tree: int      # R * p * ceil(log_d T)
-    revocation_entries_linear: int    # R * p * T
+    revocation_entries_tree: int      # p * ceil(log_d T)
+    revocation_entries_linear: int    # p * T
     client_pseudonyms_tree: int       # p
     client_pseudonyms_linear: int     # p * T
 
 
-def compare_linear_scheme(params: DeploymentParams,
-                          revoked_clients: int = 1) -> SchemeComparison:
-    """Revocation-entry and client-storage counts for both schemes.
+def compare_linear_scheme(params: DeploymentParams) -> SchemeComparison:
+    """Revocation-entry and client-storage counts for one revoked client
+    under both schemes.
 
     The slot-locked comparator must revoke one entry per slot per pseudonym
     and issue one pseudonym per slot; the tree cover needs at most
@@ -204,8 +183,8 @@ def compare_linear_scheme(params: DeploymentParams,
     p = params.needed
     return SchemeComparison(
         slots=t,
-        revocation_entries_tree=revoked_clients * p * height,
-        revocation_entries_linear=revoked_clients * p * t,
+        revocation_entries_tree=p * height,
+        revocation_entries_linear=p * t,
         client_pseudonyms_tree=p,
         client_pseudonyms_linear=p * t,
     )
@@ -280,9 +259,9 @@ def storage_comparison(delta: float, epoch_seconds: float,
     """Revocation storage for one client under range-revocation (one tree
     cover per pseudonym) vs a slot-locked scheme (one entry per pseudonym
     per slot it is locked to)."""
-    slots = math.ceil(epoch_seconds / delta)
     demand = epoch_demand(epoch_seconds, daily_demand)
     per_slot = slot_demand(delta, epoch_seconds, demand)
+    slots = math.ceil(epoch_seconds / delta)
     height = max(1, tree_height(slots, fanout))
     return StorageRow(
         delta=delta, epoch_seconds=epoch_seconds, slots=slots,

@@ -21,6 +21,8 @@ from functools import cached_property
 def tree_height(slots: int, fanout: int) -> int:
     """ceil(log_fanout slots) in integer arithmetic: the least h with
     fanout**h >= slots (0 for a single slot)."""
+    if fanout < 2:
+        raise ValueError("fanout must be >= 2")
     h = 0
     while fanout**h < slots:
         h += 1
@@ -62,10 +64,6 @@ class EpochConfig:
     def with_epoch(self, epoch_id: int) -> "EpochConfig":
         """Same geometry for another epoch."""
         return EpochConfig(epoch_id, self.epoch_len, self.delta, self.fanout)
-
-    def real_nodes_at(self, level: int) -> int:
-        """Number of existing (non-virtual) nodes at a level."""
-        return -(-self.slots // self.fanout ** (self.height - level))
 
 
 @dataclass(frozen=True, order=True)
@@ -124,45 +122,12 @@ def path_to_root(cfg: EpochConfig, slot: int) -> list[NodeLabel]:
     return path
 
 
-def parent_label(cfg: EpochConfig, label: NodeLabel) -> NodeLabel | None:
-    if label.level == 0:
-        return None
-    return NodeLabel(label.epoch_id, label.level - 1, label.index // cfg.fanout)
-
-
 def _leaf_span(cfg: EpochConfig, label: NodeLabel) -> tuple[int, int]:
     """Real leaves under a node: [first, last] leaf indices, clamped to T."""
     width = cfg.fanout ** (cfg.height - label.level)
     first = label.index * width
     last = min(first + width - 1, cfg.slots - 1)
     return first, last
-
-
-def labels_under(cfg: EpochConfig, label: NodeLabel) -> set[NodeLabel]:
-    """All real descendant labels, the node itself included."""
-    if not (0 <= label.level <= cfg.height):
-        raise ValueError(f"level {label.level} out of range")
-    if label.index >= cfg.real_nodes_at(label.level):
-        raise ValueError(f"node {label} does not exist (virtual)")
-    out = set()
-    frontier = [label]
-    while frontier:
-        node = frontier.pop()
-        out.add(node)
-        if node.level < cfg.height:
-            child_level = node.level + 1
-            limit = cfg.real_nodes_at(child_level)
-            for j in range(cfg.fanout):
-                child = node.index * cfg.fanout + j
-                if child < limit:
-                    frontier.append(NodeLabel(cfg.epoch_id, child_level, child))
-    return out
-
-
-def leaves_under(cfg: EpochConfig, label: NodeLabel) -> range:
-    """Slot indices of the real leaves below a node."""
-    first, last = _leaf_span(cfg, label)
-    return range(first, last + 1)
 
 
 def safe_cover(cfg: EpochConfig, rng: SlotRange) -> set[NodeLabel]:

@@ -16,7 +16,7 @@ import random
 
 from .ercset import ErcSet, is_revoked, merge_ercset
 from .messages import ErcPullReq, ErcPullResp
-from .pseudonym import Capability, Rrp, get_capability, verify_capability
+from .pseudonym import Capability, verify_capability
 from .slot_tree import EpochConfig
 
 log = logging.getLogger(__name__)
@@ -119,24 +119,3 @@ class VerifierNode:
                 return False
         self.last_pull = now
         return True
-
-
-def retry_with_extra_pseudonym(rrps: list[Rrp], slot: int, cfg: EpochConfig,
-                               verifier: VerifierNode, now: int,
-                               ) -> tuple[Decision, int]:
-    """Client-side helper: retry revocation-flagged attempts with unused
-    pseudonyms.
-
-    Returns the final decision and the number of pseudonyms consumed.  Only
-    REVOKED outcomes are retried (they may be filter false positives); any
-    other denial is final.  Exhausting the list leaves the last decision.
-    """
-    if not rrps:
-        raise ValueError("no unused pseudonyms available")
-    decision = Decision.REVOKED
-    for used, rrp in enumerate(rrps, start=1):
-        cap = get_capability(rrp, slot, cfg)
-        decision = verifier.authenticate(cap, now)
-        if decision is not Decision.REVOKED:
-            return decision, used
-    return decision, len(rrps)

@@ -9,38 +9,26 @@ import math
 import os
 import random
 import statistics
+import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from rangerevoke.cli import (
-    BENCH_BATCHES,
-    BENCH_HEIGHTS,
-    _bench_latency,
-    _bench_throughput,
-    _bench_workers,
-)
-from rangerevoke.codec import encode_capability
+from oracles import ExactSet, labels_under, merge_latchkeys, remove_redundant, remove_unsafe
+from rangerevoke.codec import decode_capability, encode_capability
 from rangerevoke.crypto import det_keygen, det_sign, digest, seed_from_parts
-from rangerevoke.ercset import (
-    BloomFilter,
-    ErcSet,
-    ExactSet,
-    FilterParams,
-    is_revoked,
-    merge_latchkeys,
-    remove_redundant,
-    remove_unsafe,
-)
+from rangerevoke.ercset import BloomFilter, ErcSet, FilterParams, is_revoked
 from rangerevoke.manager import TrustedCore
-from rangerevoke.messages import RevocationOrder
+from rangerevoke.messages import RequestRrp, RevocationOrder
 from rangerevoke.pseudonym import (
     Capability,
     Latchkey,
     create_rrp,
     get_capability,
     pseudonym_keypair,
+    verify_capability,
 )
 from rangerevoke.scenario import SCENARIO_DIR, parse_scenario
 from rangerevoke.simnet import (
@@ -61,7 +49,6 @@ from rangerevoke.slot_tree import (
     EpochConfig,
     NodeLabel,
     SlotRange,
-    labels_under,
     path_to_root,
     safe_cover,
 )
@@ -358,6 +345,97 @@ def test_09_backward_unlinkability():
 
 
 # -- 10: benchmark trend gates ----------------------------------------------
+
+BENCH_HEIGHTS = (8, 11, 16, 32)
+BENCH_BATCHES = (4, 8, 16, 32)
+
+
+def _bench_geometry(height: int) -> EpochConfig:
+    return EpochConfig(0, 2**height, 1, 2)
+
+
+def _bench_capability(height: int, seed: int) -> tuple[bytes, bytes]:
+    """Returns (encoded capability for slot 0, manager public key)."""
+    pm_key = det_keygen(seed_from_parts(b"bench-pm", seed))
+    cid = digest(seed_from_parts(b"bench-client", seed))
+    rrp = create_rrp(cid, 0, 1, pm_key, 8)
+    cap = get_capability(rrp, 0, _bench_geometry(height))
+    return encode_capability(cap), pm_key.public
+
+
+def _verify_blob_batch(batch: tuple[bytes, ...], pm_pub: bytes,
+                       height: int) -> int:
+    """Worker: decode and fully verify each capability; returns ok count."""
+    cfg = _bench_geometry(height)
+    ok = 0
+    for blob in batch:
+        cap = decode_capability(blob)
+        ok += verify_capability(cap, pm_pub, 0, cfg)
+    return ok
+
+
+def _bench_latency(heights, reps: int) -> list[tuple[int, float]]:
+    rows = []
+    for h in heights:
+        blob, pm_pub = _bench_capability(h, seed=1)
+        cfg = _bench_geometry(h)
+        cap = decode_capability(blob)
+        samples = []
+        for _ in range(reps):
+            t0 = time.perf_counter()
+            assert verify_capability(cap, pm_pub, 0, cfg)
+            samples.append(time.perf_counter() - t0)
+        # median: robust against scheduler hiccups on shared machines
+        rows.append((h, statistics.median(samples) * 1e6))
+    return rows
+
+
+def _bench_workers(height: int, workers: int, batch: int = 48,
+                   ) -> list[tuple[int, float]]:
+    """Wall time to verify a fixed batch with 1 vs N worker processes."""
+    blob, pm_pub = _bench_capability(height, seed=2)
+    blobs = tuple([blob] * batch)
+    rows = []
+    for n in sorted({1, workers}):
+        chunks = [blobs[i::n] for i in range(n)]
+        with ProcessPoolExecutor(max_workers=n) as pool:
+            # warm up the pool so fork/import cost stays out of the timing
+            list(pool.map(_verify_blob_batch, [blobs[:1]] * n,
+                          [pm_pub] * n, [height] * n))
+            t0 = time.perf_counter()
+            done = sum(pool.map(_verify_blob_batch, chunks,
+                                [pm_pub] * n, [height] * n))
+            elapsed = time.perf_counter() - t0
+        assert done == batch
+        rows.append((n, elapsed))
+    return rows
+
+
+def _bench_throughput(batches, requests: int = 25) -> list[tuple[int, float]]:
+    """Issued pseudonyms/s vs batch size; every request after the first
+    carries a capability proof, so bigger batches amortize its check.
+    Rates come from the fastest request cycle, the usual noise-floor
+    estimator for short benchmarks."""
+    rows = []
+    for batch in batches:
+        geometry = EpochConfig(0, 86_400, 600, 2)
+        pm_key = det_keygen(seed_from_parts(b"bench-pm", 3))
+        admin = det_keygen(seed_from_parts(b"bench-admin", 3))
+        core = TrustedCore(pm_key, admin.public, geometry,
+                           FilterParams(8192, 4),
+                           max_instances=requests * batch + 1)
+        cid = digest(b"bench-client")
+        core.register(cid)
+        first = core.issue(RequestRrp(cid, 0, 1))
+        proof = get_capability(first[0], 0, geometry)
+        best = float("inf")
+        for _ in range(requests):
+            t0 = time.perf_counter()
+            core.issue(RequestRrp(cid, 0, batch, proof, 0))
+            best = min(best, time.perf_counter() - t0)
+        rows.append((batch, batch / best))
+    return rows
+
 
 def _monotone(values) -> bool:
     return all(a < b for a, b in zip(values, values[1:]))

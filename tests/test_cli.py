@@ -42,6 +42,27 @@ def test_size_command_bad_params():
     assert cli.main(["size", "--revoked-frac", "2.0"]) == 2
 
 
+# (arguments, what the error names)
+_BAD_NUMBERS = [
+    ("size --delta 1e999", "duration '1e999'"),
+    ("size --delta 1e308y", "duration '1e308y'"),
+    ("size --clients 1e999", "clients"),
+    ("size --clients nan", "clients"),
+    ("storage-compare --epoch 1e999", "duration '1e999'"),
+    ("size --fanout 1", "fanout"),
+    ("storage-compare --fanout 1", "fanout"),
+    ("storage-compare --delta 0", "delta"),
+]
+
+
+@pytest.mark.parametrize("args, names", _BAD_NUMBERS, ids=[a for a, _ in _BAD_NUMBERS])
+def test_bad_numbers_are_usage_errors(capsys, args, names):
+    assert cli.main(args.split()) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and names in err, err
+    assert "Traceback" not in err
+
+
 def test_storage_compare_command(capsys, tmp_path):
     assert cli.main(["--out", str(tmp_path), "storage-compare"]) == 0
     out = capsys.readouterr().out
@@ -179,15 +200,6 @@ def test_import_cli_loads_no_scipy_or_numpy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
-
-
-def test_bench_command(capsys, tmp_path):
-    assert cli.main(["--out", str(tmp_path), "bench",
-                     "--reps", "3", "--threads", "1"]) == 0
-    out = capsys.readouterr().out
-    assert "verification latency vs tree height" in out
-    assert (tmp_path / "bench_latency.csv").exists()
-    assert (tmp_path / "bench_throughput.csv").exists()
 
 
 def test_usage_error_exit_code():

@@ -4,20 +4,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import (
+    ExactSet,
+    create_ercset,
+    latchkeys_encoding,
+    merge_latchkeys,
+    remove_redundant,
+    remove_unsafe,
+)
 from rangerevoke.crypto import digest
 from rangerevoke.ercset import (
     BloomFilter,
     ErcSet,
-    ExactSet,
     FilterParams,
-    create_ercset,
     default_salt,
     is_revoked,
-    latchkeys_encoding,
     merge_ercset,
-    merge_latchkeys,
-    remove_redundant,
-    remove_unsafe,
 )
 from rangerevoke.manager import revocation_cover_ercset
 from rangerevoke.pseudonym import create_rrp, get_capability

@@ -4,17 +4,9 @@ import random
 
 import pytest
 
+from oracles import create_ercset, merge_latchkeys, remove_redundant, remove_unsafe
 from rangerevoke.crypto import det_sign
-from rangerevoke.ercset import (
-    BloomFilter,
-    FilterParams,
-    create_ercset,
-    is_revoked,
-    merge_ercset,
-    merge_latchkeys,
-    remove_redundant,
-    remove_unsafe,
-)
+from rangerevoke.ercset import BloomFilter, FilterParams, is_revoked, merge_ercset
 from rangerevoke.manager import (
     IssuanceDenied,
     PmMode,

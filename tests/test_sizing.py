@@ -3,6 +3,7 @@ import math
 import pytest
 from scipy import stats
 
+from oracles import full_access_probability_as_printed
 from rangerevoke import sizing
 from rangerevoke.sizing import (
     DeploymentParams,
@@ -12,7 +13,6 @@ from rangerevoke.sizing import (
     expected_insertions,
     false_positive_rate,
     full_access_probability,
-    full_access_probability_as_printed,
     optimal_k,
     plan_filter,
     slot_demand,
@@ -154,8 +154,8 @@ def test_plan_filter_validation_and_degenerate():
 
 
 def test_compare_linear_scheme_growth():
-    a = compare_linear_scheme(with_slots(144), revoked_clients=5)
-    b = compare_linear_scheme(with_slots(1440), revoked_clients=5)
+    a = compare_linear_scheme(with_slots(144))
+    b = compare_linear_scheme(with_slots(1440))
     assert b.revocation_entries_tree / a.revocation_entries_tree == 11 / 8
     assert b.revocation_entries_linear / a.revocation_entries_linear == 10
     assert a.client_pseudonyms_linear == 10 * 144

@@ -2,16 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rangerevoke.slot_tree import (
-    EpochConfig,
-    NodeLabel,
-    SlotRange,
-    labels_under,
-    leaves_under,
-    parent_label,
-    path_to_root,
-    safe_cover,
-)
+from oracles import labels_under, leaves_under, parent_label, real_nodes_at
+from rangerevoke.slot_tree import EpochConfig, NodeLabel, SlotRange, path_to_root, safe_cover
 
 
 def names(labels, fanout=2):
@@ -46,10 +38,10 @@ def test_config_validation():
 
 def test_real_nodes_at():
     cfg = cfg_for(6)
-    assert cfg.real_nodes_at(3) == 6
-    assert cfg.real_nodes_at(2) == 3   # the 4th level-2 node is virtual
-    assert cfg.real_nodes_at(1) == 2
-    assert cfg.real_nodes_at(0) == 1
+    assert real_nodes_at(cfg, 3) == 6
+    assert real_nodes_at(cfg, 2) == 3   # the 4th level-2 node is virtual
+    assert real_nodes_at(cfg, 1) == 2
+    assert real_nodes_at(cfg, 0) == 1
 
 
 # -- labels -----------------------------------------------------------------

@@ -2,11 +2,12 @@ import random
 
 import pytest
 
+from oracles import retry_with_extra_pseudonym
 from rangerevoke.ercset import BloomFilter, ErcSet, FilterParams
 from rangerevoke.messages import ErcPullResp
 from rangerevoke.pseudonym import create_rrp, get_capability
 from rangerevoke.slot_tree import EpochConfig
-from rangerevoke.verifier import Decision, VerifierNode, retry_with_extra_pseudonym
+from rangerevoke.verifier import Decision, VerifierNode
 
 PARAMS = FilterParams(8192, 4)
 GEOMETRY = EpochConfig(0, 60, 15, 2)
