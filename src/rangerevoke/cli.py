@@ -103,22 +103,20 @@ def cmd_size(args: argparse.Namespace) -> int:
 def cmd_storage_compare(args: argparse.Namespace) -> int:
     deltas = [parse_duration(d) for d in args.delta.split(",")]
     epochs = [parse_duration(e) for e in args.epoch.split(",")]
+    points = [(delta, epoch, sizing.storage_comparison(delta, epoch, args.fanout,
+                                                       args.daily_demand))
+              for epoch in epochs for delta in deltas if delta <= epoch]
     rows = [["delta_s", "epoch_s", "slots", "demand", "per_slot",
              "tree_entries", "flat_entries", "tree_kb", "flat_kb", "ratio"]]
     print(f"{'delta':>10} {'epoch':>10} {'slots':>9} {'tree KB':>12} "
           f"{'slot-locked KB':>14} {'ratio':>7}")
-    for epoch in epochs:
-        for delta in deltas:
-            if delta > epoch:
-                continue
-            row = sizing.storage_comparison(delta, epoch, args.fanout,
-                                            args.daily_demand)
-            rows.append([f"{delta:g}", f"{epoch:g}", row.slots, row.demand,
-                         row.per_slot, row.tree_entries, row.flat_entries,
-                         f"{row.tree_kb:.1f}", f"{row.flat_kb:.1f}",
-                         f"{row.ratio:.2f}"])
-            print(f"{delta:>10g} {epoch:>10g} {row.slots:>9} "
-                  f"{row.tree_kb:>12.1f} {row.flat_kb:>14.1f} {row.ratio:>7.2f}")
+    for delta, epoch, row in points:
+        rows.append([f"{delta:g}", f"{epoch:g}", row.slots, row.demand,
+                     row.per_slot, row.tree_entries, row.flat_entries,
+                     f"{row.tree_kb:.1f}", f"{row.flat_kb:.1f}",
+                     f"{row.ratio:.2f}"])
+        print(f"{delta:>10g} {epoch:>10g} {row.slots:>9} "
+              f"{row.tree_kb:>12.1f} {row.flat_kb:>14.1f} {row.ratio:>7.2f}")
     _write_csv(args.out, "storage.csv", rows)
     return 0
 

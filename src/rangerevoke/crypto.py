@@ -4,28 +4,51 @@ Every other module consumes exactly four operations: det_keygen, det_sign,
 ver_sign and digest.  The concrete algorithms (Ed25519, SHA-256) are chosen
 here and nowhere else, so swapping them touches a single file.
 
-All operations are pure: no I/O, no clock, no global state.  Values are
-plain bytes and may be shared freely across threads.
+Ed25519 runs in libsodium, called through ``ctypes``.  There is exactly one
+implementation and no fallback: Ed25519 libraries disagree on hostile
+input (OpenSSL accepts a signature of the identity point under the
+identity public key for every message; libsodium refuses small-order keys
+and points), so a verifier's decisions would otherwise depend on which
+library its host happened to have.
+
+All operations are pure: no I/O, no clock, no global state beyond the
+library handle.  Values are plain bytes and may be shared freely across
+threads.
 """
 
 from __future__ import annotations
 
+import ctypes
+import ctypes.util
 import hashlib
 from dataclasses import dataclass, field
 
-from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives import serialization
-from cryptography.hazmat.primitives.asymmetric.ed25519 import (
-    Ed25519PrivateKey,
-    Ed25519PublicKey,
-)
-
 SEED_LEN = 32
 PUBLIC_KEY_LEN = 32
+SECRET_KEY_LEN = 64
 SIGNATURE_LEN = 64
 
-_RAW = serialization.Encoding.Raw
-_RAW_PUB = serialization.PublicFormat.Raw
+
+def _load_sodium() -> ctypes.CDLL:
+    path = ctypes.util.find_library("sodium")
+    if path is None:
+        raise ImportError("rangerevoke needs the libsodium shared library "
+                          "(libsodium23 on Debian/Ubuntu, brew install libsodium)")
+    lib = ctypes.CDLL(path)
+    ubytes, ulonglong = ctypes.c_char_p, ctypes.c_ulonglong
+    for name, argtypes in (
+            ("sodium_init", []),
+            ("crypto_sign_seed_keypair", [ubytes, ubytes, ubytes]),
+            ("crypto_sign_detached", [ubytes, ctypes.c_void_p, ubytes, ulonglong, ubytes]),
+            ("crypto_sign_verify_detached", [ubytes, ubytes, ulonglong, ubytes])):
+        function = getattr(lib, name)
+        function.argtypes, function.restype = argtypes, ctypes.c_int
+    if lib.sodium_init() < 0:
+        raise ImportError(f"libsodium ({path}) failed to initialize")
+    return lib
+
+
+_sodium = _load_sodium()
 
 
 @dataclass(frozen=True)
@@ -34,29 +57,35 @@ class KeyPair:
 
     ``seed`` doubles as the private key material (Ed25519 private keys are
     exactly a 32-byte seed).  ``public`` is the 32-byte raw verification key.
-    ``signer`` is the private key ``det_keygen`` parsed from the seed, kept
-    so that signing never parses it again; it is derived from the seed, so
-    equality, hashing and repr leave it out and stay on (seed, public).
-    The seed must never appear in any serialized artifact.
+    ``signer`` is libsodium's 64-byte secret key that ``det_keygen``
+    expands from the seed, kept so that signing never expands it again; it
+    is derived from the seed, so equality, hashing and repr leave it out
+    and stay on (seed, public).  Neither the seed nor the signer may appear
+    in any serialized artifact.
     """
 
     seed: bytes
     public: bytes
-    signer: Ed25519PrivateKey = field(compare=False, repr=False)
+    signer: bytes = field(compare=False, repr=False)
 
 
 def det_keygen(seed: bytes) -> KeyPair:
     """Derive a key pair from a 32-byte seed; same seed, same pair."""
     if len(seed) != SEED_LEN:
         raise ValueError(f"seed must be {SEED_LEN} bytes, got {len(seed)}")
-    private = Ed25519PrivateKey.from_private_bytes(seed)
-    public = private.public_key().public_bytes(_RAW, _RAW_PUB)
-    return KeyPair(seed=seed, public=public, signer=private)
+    public = ctypes.create_string_buffer(PUBLIC_KEY_LEN)
+    secret = ctypes.create_string_buffer(SECRET_KEY_LEN)
+    _sodium.crypto_sign_seed_keypair(public, secret, seed)
+    return KeyPair(seed=seed, public=public.raw, signer=secret.raw)
 
 
 def det_sign(key: KeyPair, message: bytes) -> bytes:
     """Sign deterministically: same (key, message), byte-identical signature."""
-    return key.signer.sign(message)
+    if len(key.signer) != SECRET_KEY_LEN:
+        raise ValueError(f"secret key must be {SECRET_KEY_LEN} bytes")
+    sig = ctypes.create_string_buffer(SIGNATURE_LEN)
+    _sodium.crypto_sign_detached(sig, None, message, len(message), key.signer)
+    return sig.raw
 
 
 def ver_sign(public: bytes, message: bytes, sig: bytes) -> bool:
@@ -66,11 +95,7 @@ def ver_sign(public: bytes, message: bytes, sig: bytes) -> bool:
     """
     if len(public) != PUBLIC_KEY_LEN or len(sig) != SIGNATURE_LEN:
         return False
-    try:
-        Ed25519PublicKey.from_public_bytes(public).verify(sig, message)
-    except (InvalidSignature, ValueError):
-        return False
-    return True
+    return _sodium.crypto_sign_verify_detached(sig, message, len(message), public) == 0
 
 
 def digest(message: bytes) -> bytes:

@@ -12,6 +12,8 @@ against, lives in ``tests/oracles.py``.
 
 from __future__ import annotations
 
+import functools
+import hashlib
 from dataclasses import dataclass
 
 from .crypto import digest
@@ -20,10 +22,18 @@ from .pseudonym import Capability
 SALT_LEN = 16
 
 
+@functools.lru_cache(maxsize=16)
 def default_salt(epoch_id: int) -> bytes:
     """Filter salt all parties derive identically from the epoch alone,
-    so independently built filters are mergeable."""
-    return digest(b"ercset-salt" + epoch_id.to_bytes(8, "big"))[:SALT_LEN]
+    so independently built filters are mergeable.
+
+    Derived once per epoch: every filter built, merged or decoded for the
+    epoch shares it.  The cache is bounded because decoded filters name
+    their epoch on the wire, and a live node only needs a few epochs.  The
+    hash is ``crypto.digest``'s SHA-256 called directly: the cache lives
+    as long as the process, so a miss counted as a ``digest`` call would
+    make a run's call counts depend on what ran before it."""
+    return hashlib.sha256(b"ercset-salt" + epoch_id.to_bytes(8, "big")).digest()[:SALT_LEN]
 
 
 @dataclass(frozen=True)

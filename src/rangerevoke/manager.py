@@ -307,7 +307,15 @@ class PmNode:
         key = (order.cid, order.rts, order.epoch_id)
         if key in self._orders:
             return []
-        if not self.core.note_expulsion(order):
+        # the core checks the admin signature once per order: ``revoke``
+        # for an order of the current epoch, ``note_expulsion`` otherwise
+        current = order.epoch_id == self.core.epoch_now
+        try:
+            if current:
+                self.core.revoke(order)
+            elif not self.core.note_expulsion(order):
+                raise ValueError("bad signature")
+        except ValueError:
             log.warning("%s: revocation order rejected: bad signature",
                         self.node_id)
             return []
@@ -317,6 +325,8 @@ class PmNode:
         self._orders[key] = order
         fanout = min(self.fault_bound + 1, len(self.peers))
         relays = [Outgoing(p, order) for p in self.rng.sample(self.peers, fanout)]
+        if current:
+            return self.eager_push() + relays
         if order.epoch_id < self.core.epoch_now:
             # expected when an order is relayed across a rotation: the
             # expulsion still stands, and the filters of the order's epoch
@@ -324,13 +334,10 @@ class PmNode:
             log.debug("%s: filters unchanged: order for past epoch %d",
                       self.node_id, order.epoch_id)
             self.stats["stale_orders"] += 1
-            return relays
-        try:
-            self.core.revoke(order)
-        except ValueError as exc:
-            log.warning("%s: filters unchanged: %s", self.node_id, exc)
-            return relays
-        return self.eager_push() + relays
+        else:
+            log.warning("%s: filters unchanged: order targets epoch %d, current is %d",
+                        self.node_id, order.epoch_id, self.core.epoch_now)
+        return relays
 
     def eager_push(self) -> list[Outgoing]:
         """Send both filters to f+1 distinct random peers."""

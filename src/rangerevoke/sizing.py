@@ -211,6 +211,8 @@ def epoch_demand(epoch_seconds: float, daily: int = 692) -> int:
     """Pseudonyms the busiest client needs over one epoch."""
     if epoch_seconds <= 0:
         raise ValueError("epoch length must be positive")
+    if daily < 1:
+        raise ValueError(f"daily demand must be at least 1, got {daily}")
     days = epoch_seconds / DAY_SECONDS
     key = round(days)
     if key in _DEMAND_PRESETS and math.isclose(days, key) and daily == 692:

@@ -52,15 +52,18 @@ _BAD_NUMBERS = [
     ("size --fanout 1", "fanout"),
     ("storage-compare --fanout 1", "fanout"),
     ("storage-compare --delta 0", "delta"),
+    ("storage-compare --daily-demand -5 --delta 1m --epoch 1d", "daily demand"),
+    ("storage-compare --daily-demand 0", "daily demand"),
 ]
 
 
 @pytest.mark.parametrize("args, names", _BAD_NUMBERS, ids=[a for a, _ in _BAD_NUMBERS])
 def test_bad_numbers_are_usage_errors(capsys, args, names):
     assert cli.main(args.split()) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith("error: ") and names in err, err
     assert "Traceback" not in err
+    assert out == ""
 
 
 def test_storage_compare_command(capsys, tmp_path):

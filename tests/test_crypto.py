@@ -1,15 +1,23 @@
 import copy
+import ctypes.util
 import hashlib
 from dataclasses import replace
 
 import pytest
-from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
+from cryptography.exceptions import InvalidSignature
+from cryptography.hazmat.primitives import serialization
+from cryptography.hazmat.primitives.asymmetric.ed25519 import (
+    Ed25519PrivateKey,
+    Ed25519PublicKey,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rangerevoke import crypto
 from rangerevoke.crypto import (
     SEED_LEN,
     SIGNATURE_LEN,
+    KeyPair,
     det_keygen,
     det_sign,
     digest,
@@ -87,11 +95,73 @@ def test_sign_matches_fresh_key_parse():
         assert det_sign(key, msg) == Ed25519PrivateKey.from_private_bytes(seed).sign(msg)
 
 
+# RFC 8032 section 7.1, TEST 1: a 32-byte seed and the empty message
+RFC8032_SEED = bytes.fromhex(
+    "9d61b19deffd5a60ba844af492ec2cc44449c5697b326919703bac031cae7f60")
+RFC8032_PUBLIC = bytes.fromhex(
+    "d75a980182b10ab7d54bfed3c964073a0ee172f3daa62325af021a68f707511a")
+RFC8032_SIGNATURE = bytes.fromhex(
+    "e5564300c360ac729086e2cc806e828a84877f1eb8e5d974d873e065224901555fb8821590a33bacc61e39701cf9b46bd25bf5f0595bbe24655141438e7a100b")
+
+
+def test_rfc8032_test_1():
+    key = det_keygen(RFC8032_SEED)
+    assert key.public == RFC8032_PUBLIC
+    assert det_sign(key, b"") == RFC8032_SIGNATURE
+    assert ver_sign(RFC8032_PUBLIC, b"", RFC8032_SIGNATURE)
+    assert not ver_sign(RFC8032_PUBLIC, b"\x00", RFC8032_SIGNATURE)
+
+
+def test_identity_key_forgery_refused():
+    # the identity point as public key and as R, with S = 0, satisfies the
+    # verification equation [S]B = R + [h]A for every message; a verifier
+    # must refuse small-order keys instead of granting it
+    identity = b"\x01" + bytes(31)
+    forged = identity + bytes(32)
+    for msg in (b"", b"any message", bytes(range(256))):
+        assert not ver_sign(identity, msg, forged)
+
+
+def _reference_verify(public: bytes, msg: bytes, sig: bytes) -> bool:
+    try:
+        Ed25519PublicKey.from_public_bytes(public).verify(sig, msg)
+    except InvalidSignature:
+        return False
+    return True
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.binary(min_size=32, max_size=32), msg=st.binary(max_size=128),
+       flip=st.integers(min_value=0, max_value=8 * SIGNATURE_LEN - 1))
+def test_agrees_with_reference_implementation(seed, msg, flip):
+    # ``cryptography`` (OpenSSL) is the reference: same key, same signature,
+    # and the same verdict on the honest and on a bit-flipped signature
+    key = det_keygen(seed)
+    reference = Ed25519PrivateKey.from_private_bytes(seed)
+    raw = serialization.Encoding.Raw, serialization.PublicFormat.Raw
+    assert key.public == reference.public_key().public_bytes(*raw)
+    sig = det_sign(key, msg)
+    assert sig == reference.sign(msg)
+    flipped = bytearray(sig)
+    flipped[flip // 8] ^= 1 << (flip % 8)
+    for candidate in (sig, bytes(flipped)):
+        assert ver_sign(key.public, msg, candidate) == _reference_verify(
+            key.public, msg, candidate)
+    assert ver_sign(key.public, msg, sig) and not ver_sign(key.public, msg, bytes(flipped))
+
+
+def test_sign_refuses_malformed_secret_key():
+    key = det_keygen(digest(b"k"))
+    for signer in (b"", key.signer[:32], key.signer + b"\x00"):
+        with pytest.raises(ValueError):
+            det_sign(KeyPair(key.seed, key.public, signer), b"m")
+
+
 def test_keypair_equality_ignores_cached_signer():
     a, b = det_keygen(digest(b"k")), det_keygen(digest(b"k"))
-    assert a.signer is not b.signer
+    assert a.signer == b.signer and len(a.signer) == 64
     assert a == b and hash(a) == hash(b)
-    other = replace(a, signer=Ed25519PrivateKey.generate())
+    other = replace(a, signer=bytes(64))
     assert other == a and hash(other) == hash(a)
     assert "signer" not in repr(a)
     assert len({a, b, det_keygen(digest(b"o"))}) == 2
@@ -102,3 +172,9 @@ def test_keypair_deepcopy_signs_identically():
     clone = copy.deepcopy(key)
     assert clone == key
     assert det_sign(clone, b"msg") == det_sign(key, b"msg")
+
+
+def test_missing_libsodium_is_an_import_error(monkeypatch):
+    monkeypatch.setattr(ctypes.util, "find_library", lambda name: None)
+    with pytest.raises(ImportError, match="libsodium"):
+        crypto._load_sodium()

@@ -41,6 +41,17 @@ def test_default_salt():
     assert len(default_salt(0)) == 16
 
 
+def test_salt_derived_once_per_epoch():
+    for epoch in (0, 1, 7, 2**63):
+        assert default_salt(epoch) == digest(b"ercset-salt" + epoch.to_bytes(8, "big"))[:16]
+    params = FilterParams(64, 2)
+    a, b = BloomFilter(params, 5), BloomFilter(params, 5, bytes(8))
+    b.add(b"x")
+    assert a.salt is b.salt is default_salt(5)
+    assert a.merged(b).salt is a.salt
+    assert a.merged(b).query(b"x")
+
+
 def test_filter_params_validation():
     with pytest.raises(ValueError):
         FilterParams(12, 4)     # not a byte multiple

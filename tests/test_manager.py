@@ -5,6 +5,7 @@ import random
 import pytest
 
 from oracles import create_ercset, merge_latchkeys, remove_redundant, remove_unsafe
+from rangerevoke import manager
 from rangerevoke.crypto import det_sign
 from rangerevoke.ercset import BloomFilter, FilterParams, is_revoked, merge_ercset
 from rangerevoke.manager import (
@@ -230,6 +231,39 @@ def test_stale_epoch_order_still_expels(pm_key, admin_key, cid, caplog):
     assert "filters unchanged" in caplog.text                     # at debug
     resp = node.handle_request(RequestRrp(cid, 1, 1))
     assert not resp.granted and resp.reason is DenialReason.REVOKED
+
+
+def test_future_epoch_order_expels_and_is_relayed(pm_key, admin_key, cid, caplog):
+    node = make_node(pm_key, admin_key, cid)
+    with caplog.at_level(logging.WARNING, logger="rangerevoke.manager"):
+        out = node.handle_revoke(signed_order(admin_key, cid, 1, 3))
+    assert out and all(isinstance(o.msg, RevocationOrder) for o in out)  # no filter push
+    assert "filters unchanged" in caplog.text
+    assert not any(node.core.erc_current.filter.bits)
+    assert not any(node.core.erc_next.filter.bits)
+    assert cid in node.core.revoked and node.stats["stale_orders"] == 0
+
+
+@pytest.mark.parametrize("epoch, rotations, forged", [
+    (0, 0, False),    # current epoch: applied to the filters and pushed
+    (0, 1, False),    # past epoch: recorded and relayed
+    (3, 0, False),    # future epoch: recorded and relayed
+    (0, 0, True),     # bad signature: dropped
+], ids=["current", "past", "future", "forged"])
+def test_one_admin_signature_check_per_order(pm_key, admin_key, cid, monkeypatch,
+                                             epoch, rotations, forged):
+    original, checks = manager.ver_sign, []
+    monkeypatch.setattr(manager, "ver_sign",
+                        lambda *args: checks.append(args) or original(*args))
+    node = make_node(pm_key, admin_key, cid)
+    for _ in range(rotations):
+        node.core.rotate_epoch()
+    order = signed_order(admin_key, cid, 1, epoch)
+    if forged:
+        order = RevocationOrder(cid, 2, epoch, order.admin_sig)
+    assert bool(node.handle_revoke(order)) is not forged
+    assert len(checks) == 1
+    assert (cid in node.core.revoked) is not forged
 
 
 def test_pull_response_carries_orders_to_peers_only(pm_key, admin_key, cid):

@@ -212,3 +212,7 @@ def test_storage_comparison_validation():
         sizing.slot_demand(0, 100, 10)
     with pytest.raises(ValueError):
         sizing.epoch_demand(0)
+    for daily in (0, -5):
+        with pytest.raises(ValueError, match="daily demand"):
+            sizing.epoch_demand(86_400, daily)
+    assert sizing.epoch_demand(1, daily=1) == 1     # tiny demand still rounds up to 1

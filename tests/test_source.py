@@ -86,9 +86,9 @@ def test_every_definition_is_reached_by_the_program():
     assert not unused, f"reached only from tests: {unused}"
 
 
-def test_program_does_not_import_tests():
-    test_modules = {"tests"} | {path.stem for path in (ROOT / "tests").glob("*.py")}
-    offenders = []
+def _absolute_imports():
+    """(module file name, imported top-level package) for every absolute
+    import in src/."""
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
@@ -97,6 +97,19 @@ def test_program_does_not_import_tests():
                 names = [node.module]
             else:
                 continue
-            offenders += [f"{path.name}: {name}" for name in names
-                          if name.split(".")[0] in test_modules]
+            yield from ((path.name, name.split(".")[0]) for name in names)
+
+
+def test_program_does_not_import_tests():
+    test_modules = {"tests"} | {path.stem for path in (ROOT / "tests").glob("*.py")}
+    offenders = [f"{module}: {name}" for module, name in _absolute_imports()
+                 if name in test_modules]
     assert not offenders, f"program modules import test code: {offenders}"
+
+
+def test_program_does_not_import_cryptography():
+    # Ed25519 runs in libsodium only; ``cryptography`` is the tests'
+    # reference implementation, and two backends would disagree on
+    # hostile signatures
+    offenders = [module for module, name in _absolute_imports() if name == "cryptography"]
+    assert not offenders, f"program modules import cryptography: {offenders}"
