@@ -29,12 +29,24 @@ SECRET_KEY_LEN = 64
 SIGNATURE_LEN = 64
 
 
+SODIUM_SONAMES = ("libsodium.so.23", "libsodium.so.26", "libsodium.so", "libsodium.dylib")
+
+
 def _load_sodium() -> ctypes.CDLL:
-    path = ctypes.util.find_library("sodium")
-    if path is None:
-        raise ImportError("rangerevoke needs the libsodium shared library "
-                          "(libsodium23 on Debian/Ubuntu, brew install libsodium)")
-    lib = ctypes.CDLL(path)
+    # sonames first: on Linux ``find_library`` starts an ``ldconfig -p``
+    # subprocess, about 25 ms of every process start
+    for name in SODIUM_SONAMES:
+        try:
+            lib = ctypes.CDLL(name)
+            break
+        except OSError:
+            pass
+    else:
+        path = ctypes.util.find_library("sodium")
+        if path is None:
+            raise ImportError("rangerevoke needs the libsodium shared library "
+                              "(libsodium23 on Debian/Ubuntu, brew install libsodium)")
+        lib = ctypes.CDLL(path)
     ubytes, ulonglong = ctypes.c_char_p, ctypes.c_ulonglong
     for name, argtypes in (
             ("sodium_init", []),
@@ -44,7 +56,7 @@ def _load_sodium() -> ctypes.CDLL:
         function = getattr(lib, name)
         function.argtypes, function.restype = argtypes, ctypes.c_int
     if lib.sodium_init() < 0:
-        raise ImportError(f"libsodium ({path}) failed to initialize")
+        raise ImportError(f"libsodium ({lib._name}) failed to initialize")
     return lib
 
 
@@ -80,22 +92,36 @@ def det_keygen(seed: bytes) -> KeyPair:
 
 
 def det_sign(key: KeyPair, message: bytes) -> bytes:
-    """Sign deterministically: same (key, message), byte-identical signature."""
+    """Sign deterministically: same (key, message), byte-identical signature.
+    ``message`` may be any bytes-like value."""
     if len(key.signer) != SECRET_KEY_LEN:
         raise ValueError(f"secret key must be {SECRET_KEY_LEN} bytes")
     sig = ctypes.create_string_buffer(SIGNATURE_LEN)
-    _sodium.crypto_sign_detached(sig, None, message, len(message), key.signer)
+    try:
+        _sodium.crypto_sign_detached(sig, None, message, len(message), key.signer)
+    except ctypes.ArgumentError:        # a bytes-like message other than bytes
+        message = _raw(message)
+        _sodium.crypto_sign_detached(sig, None, message, len(message), key.signer)
     return sig.raw
 
 
 def ver_sign(public: bytes, message: bytes, sig: bytes) -> bool:
     """Check ``sig`` over ``message`` under ``public``.
 
-    Malformed key or signature bytes yield False, never an exception.
+    Any bytes-like values are accepted.  Malformed key or signature bytes
+    yield False, never an exception.
     """
+    if type(public) is not bytes or type(message) is not bytes or type(sig) is not bytes:
+        public, message, sig = _raw(public), _raw(message), _raw(sig)
     if len(public) != PUBLIC_KEY_LEN or len(sig) != SIGNATURE_LEN:
         return False
     return _sodium.crypto_sign_verify_detached(sig, message, len(message), public) == 0
+
+
+def _raw(value) -> bytes:
+    """A copy of a bytes-like value (``bytearray``, ``memoryview``) as
+    ``bytes``, the only type ctypes passes as a pointer."""
+    return memoryview(value).tobytes()
 
 
 def digest(message: bytes) -> bytes:

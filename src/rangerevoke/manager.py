@@ -42,9 +42,13 @@ from .messages import (
     RevocationOrder,
     RrpResponse,
 )
+# verify_capability is imported for perfbench/, whose tracer patches it in
+# this module; the proof check below does not call it
 from .pseudonym import (
     Rrp,
     create_rrp,
+    endorsement_message,
+    get_capability,
     pseudonym_keypair,
     verify_capability,
 )
@@ -110,10 +114,6 @@ class TrustedCore:
         self.erc_current = empty_ercset(params, self.epoch_now)
         self.erc_next = empty_ercset(params, self.epoch_now + 1)
 
-    @property
-    def public_key(self) -> bytes:
-        return self.pm_key.public
-
     def cfg_for(self, epoch_id: int) -> EpochConfig:
         return self.geometry.with_epoch(epoch_id)
 
@@ -134,8 +134,10 @@ class TrustedCore:
 
         Clients may request pseudonyms for the current or the next epoch
         only.  The first-ever request of a client needs no capability proof
-        (it cannot have one); every later request must present a valid,
-        unrevoked capability of that client.
+        (it cannot have one); every later request must present, for the
+        slot it names, the capability of one of the client's pseudonyms
+        byte for byte as the core rebuilds it, and that capability must not
+        be revoked.
         """
         if req.epoch_id not in (self.epoch_now, self.epoch_now + 1):
             raise IssuanceDenied(DenialReason.QUARANTINE if quarantined
@@ -176,19 +178,32 @@ class TrustedCore:
                 raise IssuanceDenied(DenialReason.REVOKED)
 
     def _check_proof(self, req: RequestRrp) -> None:
+        """Deny unless the proof is exactly the capability the core rebuilds.
+
+        Signing is deterministic: the core re-signs the endorsement, derives
+        the client's keys until one is the proof's and re-signs the slot's
+        latchkeys.  Byte equality passes every genuine proof and refuses
+        latchkeys re-signed with another nonce, which still verify.
+        """
         proof = req.proof
         if proof is None or req.proof_slot is None:
             raise IssuanceDenied(DenialReason.BAD_PROOF)
         erc = self.erc_for(proof.epoch_id)
-        if erc is None:
+        if erc is None or proof.endorsement != det_sign(
+                self.pm_key, endorsement_message(proof.epoch_id, proof.pseudonym_pub)):
             raise IssuanceDenied(DenialReason.BAD_PROOF)
-        cfg = self.cfg_for(proof.epoch_id)
-        if not verify_capability(proof, self.public_key, req.proof_slot, cfg):
+        for instance in range(1, self.max_instances + 1):
+            keypair = pseudonym_keypair(req.cid, proof.epoch_id, instance)
+            if keypair.public == proof.pseudonym_pub:
+                break
+        else:
             raise IssuanceDenied(DenialReason.BAD_PROOF)
-        # derive the client's instance keys only until one matches the proof
-        if not any(pseudonym_keypair(req.cid, proof.epoch_id, i).public
-                   == proof.pseudonym_pub for i in range(1, self.max_instances + 1)):
-            raise IssuanceDenied(DenialReason.BAD_PROOF)
+        rrp = Rrp(req.cid, proof.epoch_id, instance, keypair, proof.endorsement)
+        try:
+            if proof != get_capability(rrp, req.proof_slot, self.cfg_for(proof.epoch_id)):
+                raise IssuanceDenied(DenialReason.BAD_PROOF)
+        except ValueError:              # a slot outside the epoch
+            raise IssuanceDenied(DenialReason.BAD_PROOF) from None
         if is_revoked(erc, proof):
             raise IssuanceDenied(DenialReason.REVOKED)
 

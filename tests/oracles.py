@@ -17,16 +17,31 @@ The program builds the same filter bits from one minimal cover per order
 ``test_revoke_matches_full_capability_pipeline`` compare it with this
 pipeline.  The tree helpers below compute leaf spans on their own instead of
 sharing code with the ``slot_tree`` functions they check.
+
+The manager checks an issuance proof by rebuilding it and comparing bytes;
+``check_proof_by_verifying`` is the signature-verifying check it replaced,
+and ``sign_with_nonce`` is an RFC 8032 signer that takes any nonce, which is
+what a client holding its pseudonym seed can run to forge latchkeys.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, field
 
-from rangerevoke.crypto import digest
-from rangerevoke.ercset import BloomFilter, ErcSet, FilterParams
-from rangerevoke.pseudonym import Capability, Latchkey, Rrp, get_capability
+from rangerevoke.crypto import KeyPair, digest
+from rangerevoke.ercset import BloomFilter, ErcSet, FilterParams, is_revoked
+from rangerevoke.manager import TrustedCore
+from rangerevoke.messages import DenialReason, RequestRrp
+from rangerevoke.pseudonym import (
+    Capability,
+    Latchkey,
+    Rrp,
+    get_capability,
+    pseudonym_public_keys_of,
+    verify_capability,
+)
 from rangerevoke.slot_tree import EpochConfig, NodeLabel
 from rangerevoke.verifier import Decision, VerifierNode
 
@@ -220,3 +235,80 @@ def retry_with_extra_pseudonym(rrps: list[Rrp], slot: int, cfg: EpochConfig,
         if decision is not Decision.REVOKED:
             return decision, used
     return decision, len(rrps)
+
+
+# -- issuance proofs ----------------------------------------------------------
+
+def check_proof_by_verifying(core: TrustedCore, req: RequestRrp) -> DenialReason:
+    """The manager's proof check by signature verification: the capability
+    verifies for the named slot, its key is one of the client's instance
+    keys, and none of its latchkeys is in the filter."""
+    proof = req.proof
+    if proof is None or req.proof_slot is None or core.erc_for(proof.epoch_id) is None:
+        return DenialReason.BAD_PROOF
+    cfg = core.cfg_for(proof.epoch_id)
+    if not verify_capability(proof, core.pm_key.public, req.proof_slot, cfg):
+        return DenialReason.BAD_PROOF
+    if proof.pseudonym_pub not in pseudonym_public_keys_of(req.cid, proof.epoch_id,
+                                                           core.max_instances):
+        return DenialReason.BAD_PROOF
+    if is_revoked(core.erc_for(proof.epoch_id), proof):
+        return DenialReason.REVOKED
+    return DenialReason.NONE
+
+
+# Ed25519 (RFC 8032, section 5.1) over edwards25519 in extended coordinates
+_P = 2**255 - 19
+_L = 2**252 + 27742317777372353535851937790883648493
+_D = -121665 * pow(121666, -1, _P) % _P
+
+
+def _add(p: tuple, q: tuple) -> tuple:
+    a = (p[1] - p[0]) * (q[1] - q[0]) % _P
+    b = (p[1] + p[0]) * (q[1] + q[0]) % _P
+    c = 2 * p[3] * q[3] * _D % _P
+    d = 2 * p[2] * q[2] % _P
+    e, f, g, h = b - a, d - c, d + c, b + a
+    return e * f % _P, g * h % _P, f * g % _P, e * h % _P
+
+
+def _base() -> tuple:
+    y = 4 * pow(5, -1, _P) % _P
+    xx = (y * y - 1) * pow(_D * y * y + 1, -1, _P) % _P
+    x = pow(xx, (_P + 3) // 8, _P)
+    if x * x % _P != xx:
+        x = x * pow(2, (_P - 1) // 4, _P) % _P
+    x = x if x % 2 == 0 else _P - x          # the base point's x is even
+    return x, y, 1, x * y % _P
+
+
+_BASE = _base()
+
+
+def _encode_multiple(scalar: int) -> bytes:
+    """Encoding of [scalar]B."""
+    q, p = (0, 1, 1, 0), _BASE
+    while scalar:
+        if scalar & 1:
+            q = _add(q, p)
+        p, scalar = _add(p, p), scalar >> 1
+    z = pow(q[2], -1, _P)
+    x, y = q[0] * z % _P, q[1] * z % _P
+    return (y | (x & 1) << 255).to_bytes(32, "little")
+
+
+def _int(data: bytes) -> int:
+    return int.from_bytes(hashlib.sha512(data).digest(), "little")
+
+
+def sign_with_nonce(key: KeyPair, message: bytes, nonce: bytes | None = None) -> bytes:
+    """Ed25519 signature of ``message`` under ``key`` with the nonce
+    r = SHA-512(nonce) mod L.  Without a nonce, r is RFC 8032's
+    SHA-512(prefix || message) and the signature is ``det_sign``'s; with
+    one, it is another signature that verifies all the same."""
+    h = hashlib.sha512(key.seed).digest()
+    secret = int.from_bytes(h[:32], "little") & (2**254 - 8) | 2**254
+    r = _int(h[32:] + message if nonce is None else nonce) % _L
+    big_r = _encode_multiple(r)
+    k = _int(big_r + key.public + message) % _L
+    return big_r + ((r + k * secret) % _L).to_bytes(32, "little")

@@ -1,7 +1,12 @@
 import copy
 import ctypes.util
 import hashlib
+import os
+import subprocess
+import sys
+from array import array
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from cryptography.exceptions import InvalidSignature
@@ -174,7 +179,70 @@ def test_keypair_deepcopy_signs_identically():
     assert det_sign(clone, b"msg") == det_sign(key, b"msg")
 
 
+def _no_cdll(name):
+    raise OSError(f"{name}: cannot open shared object file")
+
+
 def test_missing_libsodium_is_an_import_error(monkeypatch):
+    monkeypatch.setattr(ctypes, "CDLL", _no_cdll)
     monkeypatch.setattr(ctypes.util, "find_library", lambda name: None)
     with pytest.raises(ImportError, match="libsodium"):
         crypto._load_sodium()
+
+
+def test_find_library_is_the_last_resort(monkeypatch):
+    found, cdll, tried = "/found/by/find_library", ctypes.CDLL, []
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: tried.append(name) or (
+        cdll(crypto._sodium._name) if name == found else _no_cdll(name)))
+    monkeypatch.setattr(ctypes.util, "find_library", lambda name: found)
+    lib = crypto._load_sodium()
+    assert tried == [*crypto.SODIUM_SONAMES, found]
+    public = ctypes.create_string_buffer(32)
+    assert lib.crypto_sign_seed_keypair(public, ctypes.create_string_buffer(64),
+                                        RFC8032_SEED) == 0
+    assert public.raw == RFC8032_PUBLIC
+
+
+SPAWN_EVENTS = {"subprocess.Popen", "os.system", "os.posix_spawn", "os.spawn",
+                "os.fork", "os.exec"}
+
+
+@pytest.mark.skipif(crypto._sodium._name not in crypto.SODIUM_SONAMES,
+                    reason="libsodium is found here only through find_library")
+def test_import_starts_no_subprocess():
+    # an audit hook in a fresh interpreter sees every process it starts; the
+    # find_library call afterwards shows that the hook would have seen one
+    child = f"""
+import sys
+spawned = []
+sys.addaudithook(lambda event, args: event in {SPAWN_EVENTS!r} and spawned.append(event))
+import rangerevoke.crypto
+print(sorted(set(spawned)))
+import ctypes.util
+ctypes.util.find_library("sodium")
+print(bool(spawned))
+"""
+    src = Path(crypto.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, check=True).stdout.split("\n")
+    assert out[0] == "[]"
+    if sys.platform == "linux":
+        assert out[1] == "True"
+
+
+@pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview, lambda b: array("B", b)],
+                         ids=["bytes", "bytearray", "memoryview", "array"])
+def test_bytes_like_values_are_accepted(wrap):
+    key = det_keygen(digest(b"k"))
+    reference = Ed25519PrivateKey.from_private_bytes(key.seed)
+    for msg in (b"", b"m", bytes(range(256))):
+        sig = det_sign(key, wrap(msg))
+        assert sig == reference.sign(msg)
+        flipped = bytes([sig[0] ^ 1]) + sig[1:]
+        for candidate in (sig, flipped):
+            verdict = ver_sign(wrap(key.public), wrap(msg), wrap(candidate))
+            assert verdict is _reference_verify(key.public, msg, candidate)
+        assert ver_sign(key.public, wrap(msg), sig)
+        assert ver_sign(key.public, wrap(msg + b"x"), sig) is False
+    wide = array("H", [1, 2])               # two items, four bytes
+    assert det_sign(key, memoryview(wide)) == det_sign(key, wide.tobytes())

@@ -1,12 +1,21 @@
 import copy
 import logging
 import random
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
-from oracles import create_ercset, merge_latchkeys, remove_redundant, remove_unsafe
-from rangerevoke import manager
-from rangerevoke.crypto import det_sign
+from oracles import (
+    check_proof_by_verifying,
+    create_ercset,
+    merge_latchkeys,
+    remove_redundant,
+    remove_unsafe,
+    sign_with_nonce,
+)
+from rangerevoke import crypto, manager, pseudonym
+from rangerevoke.crypto import det_sign, ver_sign
 from rangerevoke.ercset import BloomFilter, FilterParams, is_revoked, merge_ercset
 from rangerevoke.manager import (
     IssuanceDenied,
@@ -22,7 +31,7 @@ from rangerevoke.messages import (
     RequestRrp,
     RevocationOrder,
 )
-from rangerevoke.pseudonym import create_rrp, get_capability
+from rangerevoke.pseudonym import Latchkey, create_rrp, get_capability, verify_capability
 from rangerevoke.slot_tree import EpochConfig, NodeLabel, SlotRange, safe_cover
 
 PARAMS = FilterParams(8192, 4)
@@ -433,3 +442,156 @@ def test_deepcopied_core_signs_identically(pm_key, admin_key, cid):
         c.register(other)
         endorsements.append([r.endorsement for r in c.issue(RequestRrp(other, 0, 2))])
     assert endorsements[0] == endorsements[1]
+
+
+# -- proofs are rebuilt, not verified ----------------------------------------
+
+def renonced(cap, rrp, rng):
+    """``cap`` with every latchkey re-signed under a fresh random nonce."""
+    return replace(cap, latchkeys=tuple(
+        Latchkey(lk.label, sign_with_nonce(rrp.keypair, lk.label.canonical_bytes,
+                                           rng.randbytes(32)))
+        for lk in cap.latchkeys))
+
+
+def verdict(core, req):
+    try:
+        core._check_proof(req)
+    except IssuanceDenied as denied:
+        return denied.reason
+    return DenialReason.NONE
+
+
+def count_crypto(monkeypatch) -> Counter:
+    """Count the crypto calls the manager and the pseudonym layer make."""
+    calls = Counter()
+    for module in (manager, pseudonym):
+        for name in ("det_keygen", "det_sign", "ver_sign"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, lambda *args, _name=name:
+                                    calls.update([_name]) or getattr(crypto, _name)(*args))
+    return calls
+
+
+def test_nonce_taking_signer_is_ed25519(pm_key):
+    rng = random.Random(3)
+    for message in (b"", b"m", bytes(range(256))):
+        assert sign_with_nonce(pm_key, message) == det_sign(pm_key, message)
+        forged = sign_with_nonce(pm_key, message, rng.randbytes(32))
+        assert forged != det_sign(pm_key, message)
+        assert ver_sign(pm_key.public, message, forged)
+
+
+def test_renonced_proof_refused(pm_key, admin_key, cid):
+    core = make_core(pm_key, admin_key, cid)
+    rrp = core.issue(RequestRrp(cid, 0, 2))[0]
+    forged = renonced(proof_for(core, rrp, 1), rrp, random.Random(1))
+    assert verify_capability(forged, pm_key.public, 1, core.cfg_for(0))
+    with pytest.raises(IssuanceDenied) as exc:
+        core.issue(RequestRrp(cid, 0, 1, forged, 1))
+    assert exc.value.reason is DenialReason.BAD_PROOF
+    assert [r.instance for r in core.issue(
+        RequestRrp(cid, 0, 1, proof_for(core, rrp, 1), 1))] == [3]
+
+
+def test_renonced_proof_refused_after_gossiped_revocation(pm_key, admin_key, cid):
+    """A core that knows a partial-epoch revocation only from merged filters
+    can tell a revoked proof only by its latchkeys.  (``issue`` would refuse
+    this client earlier, on the next-epoch root latchkeys, so the proof
+    check is called alone.)"""
+    witness, bystander = make_core(pm_key, admin_key, cid), make_core(pm_key, admin_key, cid)
+    rts = 2
+    witness.revoke(signed_order(admin_key, cid, rts, 0))
+    assert bystander.merge_filters(witness.erc_current, witness.erc_next)
+    assert cid not in bystander.revoked
+    rng = random.Random(2)
+    for instance in (1, 5):
+        rrp = create_rrp(cid, 0, instance, pm_key, 8)
+        for slot in range(rts, GEOMETRY.slots):
+            canonical = proof_for(bystander, rrp, slot)
+            assert verdict(bystander, RequestRrp(cid, 0, 1, canonical, slot)) \
+                is DenialReason.REVOKED
+            forged = renonced(canonical, rrp, rng)
+            assert check_proof_by_verifying(bystander, RequestRrp(cid, 0, 1, forged, slot)) \
+                is DenialReason.NONE                # what signature checks said
+            assert verdict(bystander, RequestRrp(cid, 0, 1, forged, slot)) \
+                is DenialReason.BAD_PROOF
+
+
+def test_proof_for_another_slot_refused(pm_key, admin_key, cid):
+    core = make_core(pm_key, admin_key, cid)
+    rrp = create_rrp(cid, 0, 2, pm_key, 8)
+    proof = proof_for(core, rrp, 1)
+    other = proof_for(core, rrp, 2)
+    mixed = replace(proof, latchkeys=other.latchkeys[:1] + proof.latchkeys[1:])
+    for cap, slot in ((proof, -1), (proof, GEOMETRY.slots), (proof, 2), (other, 1),
+                      (mixed, 1), (mixed, 2)):
+        assert verdict(core, RequestRrp(cid, 0, 1, cap, slot)) is DenialReason.BAD_PROOF
+    assert verdict(core, RequestRrp(cid, 0, 1, proof, 1)) is DenialReason.NONE
+
+
+def test_wrong_endorsement_derives_no_key(pm_key, admin_key, cid, monkeypatch):
+    core = make_core(pm_key, admin_key, cid)
+    proof = proof_for(core, create_rrp(cid, 0, 3, pm_key, 8))
+    forged = replace(proof, endorsement=det_sign(admin_key, b"not an endorsement"))
+    calls = count_crypto(monkeypatch)
+    assert verdict(core, RequestRrp(cid, 0, 1, forged, 0)) is DenialReason.BAD_PROOF
+    assert calls == {"det_sign": 1}
+
+
+@pytest.mark.parametrize("instance", [1, 4, 8])
+def test_accepted_proof_costs_signatures_not_verifies(pm_key, admin_key, cid, monkeypatch,
+                                                      instance):
+    core = make_core(pm_key, admin_key, cid)
+    proof = proof_for(core, create_rrp(cid, 1, instance, pm_key, 8), 3)
+    calls = count_crypto(monkeypatch)
+    assert verdict(core, RequestRrp(cid, 0, 1, proof, 3)) is DenialReason.NONE
+    assert calls == {"det_keygen": instance, "det_sign": GEOMETRY.height + 2}
+
+
+def test_rebuilt_proof_check_agrees_with_signature_checks(pm_key, admin_key, cid):
+    """Over every instance of two clients (one revoked from slot 2) in both
+    live epochs, at random slots, and over a one-bit flip in every byte of
+    the public key, the endorsement and each latchkey, and a changed label
+    on each latchkey, the two checks give the same verdict.  Re-nonced
+    latchkeys are the one input they disagree on."""
+    rng = random.Random(11)
+    other = b"\x0b" * 32
+    core = make_core(pm_key, admin_key, cid)
+    core.register(other)
+    core.revoke(signed_order(admin_key, cid, 2, 0))
+
+    def flipped(data: bytes, i: int) -> bytes:
+        out = bytearray(data)
+        out[i] ^= 1 << rng.randrange(8)
+        return bytes(out)
+
+    verdicts = Counter()
+    for owner in (cid, other):
+        for epoch_id in (0, 1):
+            for instance in range(1, core.max_instances + 1):
+                rrp = create_rrp(owner, epoch_id, instance, pm_key, core.max_instances)
+                slot = rng.randrange(GEOMETRY.slots)
+                proof = proof_for(core, rrp, slot)
+                inputs = [(owner, proof), (cid if owner == other else other, proof)]
+                inputs += [(owner, replace(proof, pseudonym_pub=flipped(proof.pseudonym_pub, i)))
+                           for i in range(len(proof.pseudonym_pub))]
+                inputs += [(owner, replace(proof, endorsement=flipped(proof.endorsement, i)))
+                           for i in range(len(proof.endorsement))]
+                for j, lk in enumerate(proof.latchkeys):
+                    keys = list(proof.latchkeys)
+                    keys[j] = replace(lk, label=replace(lk.label, index=lk.label.index ^ 1))
+                    inputs.append((owner, replace(proof, latchkeys=tuple(keys))))
+                    for i in range(len(lk.sig)):
+                        keys[j] = replace(lk, sig=flipped(lk.sig, i))
+                        inputs.append((owner, replace(proof, latchkeys=tuple(keys))))
+                for requester, cap in inputs:
+                    req = RequestRrp(requester, epoch_id, 1, cap, slot)
+                    expected = check_proof_by_verifying(core, req)
+                    assert verdict(core, req) is expected, (owner, epoch_id, instance)
+                    verdicts[expected] += 1
+                forged = renonced(proof, rrp, rng)
+                req = RequestRrp(owner, epoch_id, 1, forged, slot)
+                assert check_proof_by_verifying(core, req) is DenialReason.NONE
+                assert verdict(core, req) is DenialReason.BAD_PROOF
+    assert verdicts[DenialReason.NONE] and verdicts[DenialReason.REVOKED]

@@ -8,6 +8,7 @@ instead of in the benchmark's own two-minute self-tests.  They only read
 ``perfbench/``.
 """
 
+import ast
 import importlib
 import sys
 from pathlib import Path
@@ -61,3 +62,40 @@ def test_workload_sets_up_and_passes_its_oracle(name):
     workload = _import_bench("workloads").WORKLOADS[name](1)
     assert workload.n_ops > 0
     assert not workload.check(0, workload.op(0))     # True means a failed operation
+
+
+def _tracer_test_bindings() -> list[tuple[str, object, str]]:
+    """The (owner, "attr") pairs that the benchmark's tracer self-test names,
+    read from its source with each owner resolved through that file's
+    imports."""
+    tree = ast.parse((BENCH_DIR / "test_perfbench.py").read_text(encoding="utf-8"))
+    names = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            names.update({a.asname or a.name: _import_bench(a.name) for a in node.names
+                          if (BENCH_DIR / f"{a.name}.py").exists()})
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("rangerevoke"):
+            module = importlib.import_module(node.module)
+            names.update({a.asname or a.name: getattr(module, a.name, None) or
+                          importlib.import_module(f"{node.module}.{a.name}")
+                          for a in node.names})
+    test = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+                and node.name == "test_tracer_patches_every_binding_and_restores_it")
+    pairs = []
+    for node in ast.walk(test):
+        if (isinstance(node, ast.Tuple) and len(node.elts) == 2
+                and isinstance(node.elts[1], ast.Constant)
+                and isinstance(node.elts[1].value, str)):
+            owner = ast.unparse(node.elts[0])
+            value = names[owner.split(".")[0]]
+            for part in owner.split(".")[1:]:
+                value = getattr(value, part)
+            pairs.append((owner, value, node.elts[1].value))
+    return pairs
+
+
+def test_every_binding_the_tracer_test_names_exists():
+    pairs = _tracer_test_bindings()
+    assert len(pairs) >= 10
+    missing = [f"{owner}.{attr}" for owner, value, attr in pairs if attr not in vars(value)]
+    assert not missing

@@ -13,8 +13,10 @@ BENCH = ROOT / "perfbench"
 # names a module imports only so that callers can import them from it:
 # perfbench/workloads.py imports SCENARIO_DIR from rangerevoke.cli, and
 # perfbench/test_perfbench.py checks that its tracer patches
-# rangerevoke.cli.verify_capability
-REEXPORTS = {("cli", "SCENARIO_DIR"), ("cli", "verify_capability")}
+# rangerevoke.cli.verify_capability and rangerevoke.manager.verify_capability
+# (neither module calls it: the manager checks a proof by rebuilding it)
+REEXPORTS = {("cli", "SCENARIO_DIR"), ("cli", "verify_capability"),
+             ("manager", "verify_capability")}
 
 
 def _imported_names(tree: ast.Module) -> set[str]:
