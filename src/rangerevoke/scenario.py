@@ -49,6 +49,7 @@ from pathlib import Path
 
 from .simnet import (
     MICRO,
+    REQUIRED,
     Action,
     CrashWindow,
     SimConfig,
@@ -127,32 +128,18 @@ def _member(text: str, ids: list[str], what: str) -> str:
     return text
 
 
-def _client(text: str, cfg: SimConfig) -> int:
-    return _bounded(text, 0, cfg.n_clients, "client")
-
-
-def _manager(text: str, cfg: SimConfig) -> str:
-    return _member(text, cfg.pm_ids(), "manager")
-
-
-def _verifier(text: str, cfg: SimConfig) -> str:
-    return _member(text, cfg.verifier_ids(), "verifier")
-
-
-def _slot(text: str, cfg: SimConfig) -> int:
-    return _bounded(text, 0, cfg.geometry().slots, "slot")
-
-
-# the roles of Simulation.ACTION_ARGS
+# the roles of Simulation.ACTION_ARGS and of the checks' arguments
 _ROLES = {
-    "client": _client,
-    "manager": _manager,
-    "verifier": _verifier,
+    "client": lambda text, cfg: _bounded(text, 0, cfg.n_clients, "client"),
+    "manager": lambda text, cfg: _member(text, cfg.pm_ids(), "manager"),
+    "verifier": lambda text, cfg: _member(text, cfg.verifier_ids(), "verifier"),
     "node": lambda text, cfg: _member(text, cfg.pm_ids() + cfg.verifier_ids(), "node"),
     "count": lambda text, cfg: _bounded(text, 1, 256, "count"),
     "epoch": lambda text, cfg: _bounded(text, 0, 2**64, "epoch"),
-    "slot": _slot,
+    "slot": lambda text, cfg: _bounded(text, 0, cfg.geometry().slots, "slot"),
     "micros": lambda text, cfg: _int(text),
+    "time": lambda text, cfg: _seconds(text),
+    "span": lambda text, cfg: _span(text),
 }
 
 
@@ -183,7 +170,7 @@ def _crash(value: str, cfg: SimConfig) -> CrashWindow:
     parts = value.split()
     if len(parts) != 2:
         raise ValueError(f"expected MANAGER START..END, got {value!r}")
-    return CrashWindow(_manager(parts[0], cfg), *_span(parts[1]))
+    return CrashWindow(_ROLES["manager"](parts[0], cfg), *_span(parts[1]))
 
 
 def _action(value: str, cfg: SimConfig) -> Action:
@@ -207,7 +194,7 @@ def _action(value: str, cfg: SimConfig) -> Action:
     for key, (role, default) in roles.items():
         if key in args:
             continue
-        if key in Simulation.REQUIRED_ARGS[kind]:
+        if default is REQUIRED:
             raise ValueError(f"{kind} needs {key}=")
         if default is not None:
             try:
@@ -218,11 +205,17 @@ def _action(value: str, cfg: SimConfig) -> Action:
 
 
 def _check_args(key: str, value: str, cfg: SimConfig) -> tuple[str, tuple]:
+    """A check's arguments: ``yes`` for a check without roles, else one
+    ``:``-separated value per role."""
     check = _CHECKS.get(key.split(".")[0])
     if check is None:
         raise ValueError("unknown check")
-    parse, _ = check
-    return key, parse(value, cfg)
+    roles, _ = check
+    form = ":".join(role.upper() for role in roles) or "yes"
+    parts = value.split(":") if roles else ([] if value == "yes" else [value])
+    if len(parts) != len(roles):
+        raise ValueError(f"expected {form}, got {value!r}")
+    return key, tuple(_ROLES[role](part.strip(), cfg) for role, part in zip(roles, parts))
 
 
 def _section(ini: configparser.ConfigParser, name: str, parse) -> list:
@@ -261,41 +254,9 @@ def parse_scenario(path: Path) -> tuple[SimConfig, dict[str, tuple]]:
 
 
 # -- checks -----------------------------------------------------------------
-# Each check has a parser from its argument text to a tuple, and a function
-# of (sim, report, *that tuple) returning (ok, detail).
-
-def _flag(text: str, cfg: SimConfig) -> tuple:
-    if text != "yes":
-        raise ValueError(f"expected yes, got {text!r}")
-    return ()
-
-
-def _split(text: str, form: str) -> tuple[str, str]:
-    head, sep, tail = text.partition(":")
-    if not sep:
-        raise ValueError(f"expected {form}, got {text!r}")
-    return head.strip(), tail.strip()
-
-
-def _client_time(text: str, cfg: SimConfig) -> tuple[int, int]:
-    client, at = _split(text, "CLIENT:TIME")
-    return _client(client, cfg), _seconds(at)
-
-
-def _verifier_time(text: str, cfg: SimConfig) -> tuple[str, int]:
-    vid, at = _split(text, "VERIFIER:TIME")
-    return _verifier(vid, cfg), _seconds(at)
-
-
-def _verifier_span(text: str, cfg: SimConfig) -> tuple[str, int, int]:
-    vid, span = _split(text, "VERIFIER:START..END")
-    return (_verifier(vid, cfg), *_span(span))
-
-
-def _client_slot(text: str, cfg: SimConfig) -> tuple[int, int]:
-    client, rts = _split(text, "CLIENT:RTS")
-    return _client(client, cfg), _slot(rts, cfg)
-
+# Each check names the roles of its ``:``-separated arguments (none: the
+# check is set with ``yes``) and has a function of (sim, report, *those
+# arguments) returning (ok, detail).
 
 def _check_convergence(sim: Simulation, report: SimReport) -> tuple[bool, str]:
     states = {}
@@ -330,8 +291,9 @@ def _check_no_grant_after(sim: Simulation, report: SimReport, client: int,
     return True, f"{n} requests, none granted"
 
 
-def _check_safemode(sim: Simulation, report: SimReport, vid: str, start: int,
-                    end: int) -> tuple[bool, str]:
+def _check_safemode(sim: Simulation, report: SimReport, vid: str,
+                    window: tuple[int, int]) -> tuple[bool, str]:
+    start, end = window
     hits = [a for a in report.auths
             if a.verifier == vid and start <= a.at < end]
     if not hits:
@@ -378,13 +340,13 @@ def _check_linkage(sim: Simulation, report: SimReport, client: int,
 
 
 _CHECKS = {
-    "convergence": (_flag, _check_convergence),
-    "denied_after": (_client_time, _check_denied_after),
-    "no_grant_after": (_client_time, _check_no_grant_after),
-    "safemode": (_verifier_span, _check_safemode),
-    "recovers": (_verifier_time, _check_recovers),
-    "no_cross_links": (_flag, _check_no_cross_links),
-    "linkage": (_client_slot, _check_linkage),
+    "convergence": ((), _check_convergence),
+    "denied_after": (("client", "time"), _check_denied_after),
+    "no_grant_after": (("client", "time"), _check_no_grant_after),
+    "safemode": (("verifier", "span"), _check_safemode),
+    "recovers": (("verifier", "time"), _check_recovers),
+    "no_cross_links": ((), _check_no_cross_links),
+    "linkage": (("client", "slot"), _check_linkage),
 }
 
 

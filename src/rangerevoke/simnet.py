@@ -35,11 +35,12 @@ from .messages import (
     RevocationOrder,
     RrpResponse,
 )
-from .pseudonym import Capability, Rrp, create_rrp, get_capability
+from .pseudonym import Capability, Rrp, create_rrp, get_capability, pseudonym_keypair
 from .slot_tree import EpochConfig
 from .verifier import VerifierNode
 
 MICRO = 1_000_000
+REQUIRED = "required"     # an ACTION_ARGS default: the argument must be given
 EVENT_BUDGET = 200_000    # a run past this many events has a divergent schedule
 
 
@@ -303,19 +304,8 @@ class Simulation:
             self.events_processed += 1
             if self.events_processed > EVENT_BUDGET:
                 raise RuntimeError("event budget exceeded; divergent schedule")
-            kind = item[0]
-            if kind == "deliver":
-                self._on_deliver(item[1], item[2], item[3])
-            elif kind == "action":
-                self._on_action(item[1])
-            elif kind == "pm_timer":
-                self._on_pm_timer(item[1])
-            elif kind == "verifier_pull":
-                self._on_verifier_pull(item[1])
-            elif kind == "clock":
-                self._on_clock(item[1])
-            elif kind == "recover":
-                self._on_recover(item[1])
+            kind, *args = item
+            getattr(self, f"_on_{kind}")(*args)
         return self._report()
 
     def _on_deliver(self, src: str, dst: str, msg) -> None:
@@ -335,12 +325,11 @@ class Simulation:
                 self._emit(dst, pm.handle_epoch_report(src, msg))
             elif isinstance(msg, RequestRrp):
                 resp = pm.handle_request(msg)
-                client = self._client_by_cid(msg.cid)
                 self.issuance.append(IssuanceRecord(
-                    self.now, dst, client.index, msg.epoch_id, resp.granted,
-                    "-" if resp.granted else resp.reason.name.lower(),
+                    self.now, dst, int(src.removeprefix("client")), msg.epoch_id,
+                    resp.granted, "-" if resp.granted else resp.reason.name.lower(),
                     len(resp.endorsements)))
-                self._send(dst, f"client{client.index}", resp)
+                self._send(dst, src, resp)
         elif dst in self.verifiers:
             v = self.verifiers[dst]
             if isinstance(msg, ErcPullResp):
@@ -348,12 +337,12 @@ class Simulation:
         elif dst.startswith("client"):
             client = self.clients[int(dst.removeprefix("client"))]
             if isinstance(msg, RrpResponse) and msg.granted:
-                pool = client.unused.setdefault(msg.epoch_id, [])
-                for instance, endorsement in msg.endorsements:
-                    rrp = create_rrp(client.cid, msg.epoch_id, instance,
-                                     self.pm_key, self.cfg.max_instances)
-                    assert rrp.endorsement == endorsement
-                    pool.append(rrp)
+                # the client derives its own keys and keeps the endorsements
+                # as sent: a wrong one is refused by the verifier
+                client.unused.setdefault(msg.epoch_id, []).extend(
+                    Rrp(client.cid, msg.epoch_id, i,
+                        pseudonym_keypair(client.cid, msg.epoch_id, i), endorsement)
+                    for i, endorsement in msg.endorsements)
 
     def _on_pm_timer(self, pm_id: str) -> None:
         self._schedule(self.now + self.cfg.gossip_timeout, ("pm_timer", pm_id))
@@ -381,30 +370,23 @@ class Simulation:
 
     # -- scripted workload ------------------------------------------------
 
-    def _client_by_cid(self, cid: bytes) -> _Client:
-        for c in self.clients:
-            if c.cid == cid:
-                return c
-        raise KeyError("unknown cid")
-
     # Action kind -> every argument ``_on_action`` reads: (role, default).
     # Roles: "client" a client index, "manager", "verifier" or "node"
     # (either) an existing node id, "count" a batch of 1..255 pseudonyms,
     # "epoch" an epoch id, "slot" a slot of the epoch, "micros" integer
-    # microseconds.  A default of None is none known before the run: the
-    # argument is in REQUIRED_ARGS, or ``_on_action`` works it out when the
-    # action runs (the current epoch or slot, a random manager).
+    # microseconds.  An argument with default REQUIRED must be given; a
+    # default of None is none known before the run: ``_on_action`` works
+    # it out when the action runs (the current epoch or slot, a random
+    # manager).
     ACTION_ARGS = {
-        "request": {"client": ("client", None), "count": ("count", 4),
+        "request": {"client": ("client", REQUIRED), "count": ("count", 4),
                     "epoch": ("epoch", None), "pm": ("manager", None)},
-        "authenticate": {"client": ("client", None),
+        "authenticate": {"client": ("client", REQUIRED),
                          "verifier": ("verifier", "v0")},
-        "revoke": {"client": ("client", None), "epoch": ("epoch", None),
+        "revoke": {"client": ("client", REQUIRED), "epoch": ("epoch", None),
                    "rts": ("slot", None), "pm": ("manager", "pm0")},
-        "clock_jump": {"node": ("node", None), "by": ("micros", None)},
+        "clock_jump": {"node": ("node", REQUIRED), "by": ("micros", REQUIRED)},
     }
-    REQUIRED_ARGS = {"request": ("client",), "authenticate": ("client",),
-                     "revoke": ("client",), "clock_jump": ("node", "by")}
 
     def _arg(self, action: Action, name: str):
         """``action``'s argument ``name``, or its default in ACTION_ARGS."""

@@ -99,6 +99,7 @@ def exhaustive_sweep():
                           tuple(Latchkey(lb, sig[lb]) for lb in paths[s]))
             for s in range(t)
         }
+        slot_sigs = [{sig[lb] for lb in paths[s]} for s in range(t)]
         for first in range(t):
             for last in range(first, t):
                 n_ranges += 1
@@ -112,9 +113,9 @@ def exhaustive_sweep():
                 for s in range(t):
                     if is_revoked(erc, caps[s]) != (first <= s <= last):
                         mismatches.append((t, first, last, s))
-                outside = {sig[lb] for s in range(t) if s not in in_range
-                           for lb in paths[s]}
-                if {lk.sig for lk in safe.latchkeys} & outside:
+                safe_sigs = {lk.sig for lk in safe.latchkeys}
+                if any(not safe_sigs.isdisjoint(slot_sigs[s])
+                       for s in range(t) if s not in in_range):
                     leaks.append((t, first, last))
     return mismatches, leaks, n_ranges
 

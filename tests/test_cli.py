@@ -171,6 +171,15 @@ _MALFORMED = [
      "[script] a0: authenticate without verifier= uses v0: no verifier 'v0'"),
     ("sim", "managers = 0", "[sim] managers: must be >= 1, got 0"),
     ("sim", "fault_bound = 2", "[sim] fault_bound: must be in 0..1, got 2"),
+    ("checks", "safemode = v0", "[checks] safemode: expected VERIFIER:SPAN, got 'v0'"),
+    ("checks", "safemode = v0:80..40",
+     "[checks] safemode: window ends before it starts: '80..40'"),
+    ("checks", "linkage = 0:9", "[checks] linkage: slot must be in 0..3, got 9"),
+    ("checks", "recovers = v0:x",
+     "[checks] recovers: expected a time in seconds >= 0, got 'x'"),
+    ("checks", "no_cross_links = no", "[checks] no_cross_links: expected yes, got 'no'"),
+    ("checks", "denied_after = 0:4:0", "[checks] denied_after: expected CLIENT:TIME"),
+    ("checks", "no_grant_after = 3:5", "[checks] no_grant_after: client must be in 0..2"),
 ]
 
 

@@ -1,3 +1,8 @@
+from dataclasses import replace
+
+import pytest
+
+from rangerevoke.manager import PmNode
 from rangerevoke.scenario import SCENARIO_DIR, parse_scenario, run_checks
 from rangerevoke.simnet import (
     MICRO,
@@ -113,3 +118,27 @@ def test_clock_jump_action():
     report = Simulation(cfg).run()       # must simply run deterministically
     assert report.events_processed > 0
 
+
+
+def test_corrupted_endorsement_is_refused_by_the_verifier(monkeypatch):
+    # a manager's reply loses one bit of each endorsement in flight: the
+    # client keeps the pseudonyms, and the verifier finds them not genuine
+    handle_request = PmNode.handle_request
+
+    def corrupting(self, req):
+        resp = handle_request(self, req)
+        return replace(resp, endorsements=tuple(
+            (i, bytes([e[0] ^ 1]) + e[1:]) for i, e in resp.endorsements))
+    monkeypatch.setattr(PmNode, "handle_request", corrupting)
+    report = Simulation(small_cfg()).run()
+    assert [r.granted for r in report.issuance] == [True, True]
+    first = [a for a in report.auths if a.client == 0][0]
+    assert (first.at, first.decision) == (8 * MICRO, "not-genuine")
+    assert all(a.decision != "granted" for a in report.auths)
+
+
+def test_unknown_event_kind_raises():
+    sim = Simulation(small_cfg(script=()))
+    sim._schedule(1, ("no_such_event", "pm0"))
+    with pytest.raises(AttributeError, match="_on_no_such_event"):
+        sim.run()

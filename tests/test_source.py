@@ -115,3 +115,12 @@ def test_program_does_not_import_cryptography():
     # hostile signatures
     offenders = [module for module, name in _absolute_imports() if name == "cryptography"]
     assert not offenders, f"program modules import cryptography: {offenders}"
+
+
+def test_program_has_no_assert():
+    # ``python -O`` strips assert statements, so a check the program relies
+    # on must raise instead
+    offenders = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.Assert)]
+    assert not offenders, f"assert statements in src/: {offenders}"
