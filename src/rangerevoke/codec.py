@@ -1,4 +1,4 @@
-"""Canonical, bit-exact serialization for every wire artifact (format v2).
+"""Canonical, bit-exact serialization for every wire artifact (format v3).
 
 All integers are big-endian.  The only little-endian structure is the
 filter bit array (bit i = byte i//8, mask 1 << (i % 8)), fixed so that
@@ -6,7 +6,7 @@ filters built by independent parties merge bit-for-bit.
 
 Every message travels in one envelope::
 
-    "RRPE" || version 0x02 || type tag u8 || length u32 || payload
+    "RRPE" || version 0x03 || type tag u8 || length u32 || payload
 
 and the tag alone says what the payload holds.  Records inside a payload
 are flat, with no magic, version or length of their own:
@@ -38,7 +38,6 @@ from .messages import (
     ErcPullResp,
     ErcPush,
     Message,
-    MsgType,
     RequestRrp,
     RevocationOrder,
     RrpResponse,
@@ -49,7 +48,7 @@ from .slot_tree import NodeLabel
 CAPABILITY_MAGIC = b"RRPC"
 CAPABILITY_VERSION = 0x01
 ENVELOPE_MAGIC = b"RRPE"
-VERSION = 0x02
+VERSION = 0x03
 
 PUB_LEN = 32
 SIG_LEN = 64
@@ -181,6 +180,11 @@ def _read_filter(r: _Reader) -> ErcSet:
     return ErcSet(BloomFilter(params, epoch_id, r.take(m // 8)))
 
 
+def _write_order(out: bytearray, order: RevocationOrder) -> None:
+    out += order.signed_payload()
+    out += order.admin_sig
+
+
 def _read_order(r: _Reader) -> RevocationOrder:
     return RevocationOrder(r.take(CID_LEN), r.u64(), r.u64(), r.take(SIG_LEN))
 
@@ -195,68 +199,16 @@ def _read_blob(r: _Reader) -> bytes:
     return r.take(r.u32())
 
 
-def encode_message(msg: Message) -> bytes:
-    """Envelope: magic || version || type tag u8 || length u32 || payload."""
-    payload = bytearray()
-    if isinstance(msg, RequestRrp):
-        tag = MsgType.REQUEST_RRP
-        payload += msg.cid
-        payload += struct.pack(">Q", msg.epoch_id)
-        payload.append(msg.count)
-        if msg.proof is None:
-            payload.append(0)
-        else:
-            payload.append(1)
-            payload += struct.pack(">Q", msg.proof_slot or 0)
-            payload += _blob(encode_capability(msg.proof))
-    elif isinstance(msg, RrpResponse):
-        tag = MsgType.RRP_RESPONSE
-        payload.append(1 if msg.granted else 0)
-        payload.append(int(msg.reason))
-        payload += struct.pack(">Q", msg.epoch_id)
-        payload.append(len(msg.endorsements))
-        for instance, sig in msg.endorsements:
-            payload += struct.pack(">Q", instance)
-            payload += sig
-    elif isinstance(msg, RevocationOrder):
-        tag = MsgType.REVOKE
-        payload += msg.signed_payload()
-        payload += msg.admin_sig
-    elif isinstance(msg, ErcPush):
-        tag = MsgType.ERC_PUSH
-        _write_filter(payload, msg.current)
-        _write_filter(payload, msg.next)
-    elif isinstance(msg, ErcPullReq):
-        tag = MsgType.ERC_PULL_REQ
-        payload += struct.pack(">Q", msg.epoch_id)
-    elif isinstance(msg, ErcPullResp):
-        tag = MsgType.ERC_PULL_RESP
-        _write_filter(payload, msg.current)
-        _write_filter(payload, msg.next)
-    elif isinstance(msg, EpochReport):
-        tag = MsgType.EPOCH_REPORT
-        payload += struct.pack(">Q", msg.from_epoch)
-        _write_filter(payload, msg.current)
-        _write_filter(payload, msg.next)
+def _write_request(out: bytearray, msg: RequestRrp) -> None:
+    out += msg.cid
+    out += struct.pack(">Q", msg.epoch_id)
+    out.append(msg.count)
+    if msg.proof is None:
+        out.append(0)
     else:
-        raise TypeError(f"not a wire message: {type(msg).__name__}")
-    return ENVELOPE_MAGIC + bytes([VERSION, tag]) + _blob(payload)
-
-
-def decode_message(data: bytes) -> Message:
-    r = _Reader(data)
-    r.expect_magic(ENVELOPE_MAGIC)
-    r.expect_version(VERSION)
-    tag = r.u8()
-    payload = _Reader(_read_blob(r))
-    r.done()
-    try:
-        kind = MsgType(tag)
-    except ValueError as exc:
-        raise FieldError(f"unknown message type {tag:#04x}") from exc
-    msg = _MESSAGE_READERS[kind](payload)
-    payload.done()
-    return msg
+        out.append(1)
+        out += struct.pack(">Q", msg.proof_slot)
+        out += _blob(encode_capability(msg.proof))
 
 
 def _read_request(r: _Reader) -> RequestRrp:
@@ -271,8 +223,16 @@ def _read_request(r: _Reader) -> RequestRrp:
     return RequestRrp(cid, epoch_id, count, proof, proof_slot)
 
 
+def _write_response(out: bytearray, msg: RrpResponse) -> None:
+    out.append(int(msg.reason))
+    out += struct.pack(">Q", msg.epoch_id)
+    out.append(len(msg.endorsements))
+    for instance, sig in msg.endorsements:
+        out += struct.pack(">Q", instance)
+        out += sig
+
+
 def _read_response(r: _Reader) -> RrpResponse:
-    granted = bool(r.u8())
     try:
         reason = DenialReason(r.u8())
     except ValueError as exc:
@@ -280,16 +240,54 @@ def _read_response(r: _Reader) -> RrpResponse:
     epoch_id = r.u64()
     count = r.u8()
     endorsements = tuple((r.u64(), r.take(SIG_LEN)) for _ in range(count))
-    return RrpResponse(granted, reason, epoch_id, endorsements)
+    return RrpResponse(reason, epoch_id, endorsements)
 
 
-_MESSAGE_READERS = {
-    MsgType.REQUEST_RRP: _read_request,
-    MsgType.RRP_RESPONSE: _read_response,
-    MsgType.REVOKE: _read_order,
-    MsgType.ERC_PUSH: lambda r: ErcPush(_read_filter(r), _read_filter(r)),
-    MsgType.ERC_PULL_REQ: lambda r: ErcPullReq(r.u64()),
-    MsgType.ERC_PULL_RESP: lambda r: ErcPullResp(_read_filter(r), _read_filter(r)),
-    MsgType.EPOCH_REPORT: lambda r: EpochReport(r.u64(), _read_filter(r),
-                                                _read_filter(r)),
+def _write_filters(out: bytearray, msg: ErcPush | ErcPullResp | EpochReport) -> None:
+    _write_filter(out, msg.current)
+    _write_filter(out, msg.next)
+
+
+def _write_report(out: bytearray, msg: EpochReport) -> None:
+    out += struct.pack(">Q", msg.from_epoch)
+    _write_filters(out, msg)
+
+
+# message class -> (type tag, payload writer, payload reader)
+_FORMATS = {
+    RequestRrp: (0x01, _write_request, _read_request),
+    RrpResponse: (0x02, _write_response, _read_response),
+    RevocationOrder: (0x03, _write_order, _read_order),
+    ErcPush: (0x04, _write_filters, lambda r: ErcPush(_read_filter(r), _read_filter(r))),
+    ErcPullReq: (0x05, lambda out, msg: None, lambda r: ErcPullReq()),
+    ErcPullResp: (0x06, _write_filters,
+                  lambda r: ErcPullResp(_read_filter(r), _read_filter(r))),
+    EpochReport: (0x07, _write_report,
+                  lambda r: EpochReport(r.u64(), _read_filter(r), _read_filter(r))),
 }
+_READERS = {tag: read for tag, _, read in _FORMATS.values()}
+
+
+def encode_message(msg: Message) -> bytes:
+    """Envelope: magic || version || type tag u8 || length u32 || payload."""
+    try:
+        tag, write, _ = _FORMATS[type(msg)]
+    except KeyError:
+        raise TypeError(f"not a wire message: {type(msg).__name__}") from None
+    payload = bytearray()
+    write(payload, msg)
+    return ENVELOPE_MAGIC + bytes([VERSION, tag]) + _blob(payload)
+
+
+def decode_message(data: bytes) -> Message:
+    r = _Reader(data)
+    r.expect_magic(ENVELOPE_MAGIC)
+    r.expect_version(VERSION)
+    tag = r.u8()
+    payload = _Reader(_read_blob(r))
+    r.done()
+    if tag not in _READERS:
+        raise FieldError(f"unknown message type {tag:#04x}")
+    msg = _READERS[tag](payload)
+    payload.done()
+    return msg

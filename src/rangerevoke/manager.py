@@ -67,8 +67,7 @@ def empty_ercset(params: FilterParams, epoch_id: int) -> ErcSet:
 
 
 def revocation_cover_ercset(cid: bytes, epoch_id: int, instance: int,
-                            cfg: EpochConfig, cover: set[NodeLabel],
-                            params: FilterParams) -> ErcSet:
+                            cover: set[NodeLabel], params: FilterParams) -> ErcSet:
     """Filter revoking one pseudonym instance over a contiguous slot range.
 
     ``cover`` is ``safe_cover(cfg, rng)`` of the range; it depends on the
@@ -79,7 +78,7 @@ def revocation_cover_ercset(cid: bytes, epoch_id: int, instance: int,
     pipeline (the cover labels are exactly the latchkeys that survive it).
     """
     keypair = pseudonym_keypair(cid, epoch_id, instance)
-    flt = BloomFilter(params, cfg.epoch_id)
+    flt = BloomFilter(params, epoch_id)
     for label in cover:
         flt.add(det_sign(keypair, label.canonical_bytes))
     return ErcSet(flt)
@@ -186,7 +185,7 @@ class TrustedCore:
         latchkeys re-signed with another nonce, which still verify.
         """
         proof = req.proof
-        if proof is None or req.proof_slot is None:
+        if proof is None:
             raise IssuanceDenied(DenialReason.BAD_PROOF)
         erc = self.erc_for(proof.epoch_id)
         if erc is None or proof.endorsement != det_sign(
@@ -209,21 +208,12 @@ class TrustedCore:
 
     # -- revocation -------------------------------------------------------
 
-    def note_expulsion(self, order: RevocationOrder) -> bool:
-        """Record that a client was revoked, regardless of the order's epoch.
-
-        The revoked set is what outlives the two filter epochs; a relayed
-        order from a past epoch still proves the client was expelled.
-        Returns False (state unchanged) for bad signatures.
-        """
-        if not ver_sign(self.admin_public, order.signed_payload(), order.admin_sig):
-            return False
-        self.revoked.add(order.cid)
-        return True
-
     def revoke(self, order: RevocationOrder) -> None:
-        """Apply an administrator order to both live filters.
+        """Apply an administrator order; ``ValueError`` if its signature is bad.
 
+        An order of any epoch expels its client: the revoked set outlives
+        the two filter epochs, so a relayed order from a past epoch still
+        counts.  Only an order of the current epoch writes the filters.
         Current epoch: every instance is revoked from the order's slot to
         the end of the epoch via the minimal tree cover of that range,
         computed once and signed under each instance's key.  Next epoch:
@@ -233,23 +223,20 @@ class TrustedCore:
         """
         if not ver_sign(self.admin_public, order.signed_payload(), order.admin_sig):
             raise ValueError("revocation order signature invalid")
-        if order.epoch_id != self.epoch_now:
-            raise ValueError(
-                f"order targets epoch {order.epoch_id}, current is {self.epoch_now}")
-        cfg_now = self.cfg_for(self.epoch_now)
-        cfg_next = self.cfg_for(self.epoch_now + 1)
         self.revoked.add(order.cid)
+        if order.epoch_id != self.epoch_now:
+            return
+        cfg_now = self.cfg_for(self.epoch_now)
         cover = safe_cover(cfg_now, SlotRange(order.rts, cfg_now.slots - 1))
-        root = {NodeLabel(cfg_next.epoch_id, 0, 0)}
+        root = {NodeLabel(self.epoch_now + 1, 0, 0)}
         for i in range(1, self.max_instances + 1):
             self.erc_current = merge_ercset(
                 self.erc_current,
-                revocation_cover_ercset(order.cid, self.epoch_now, i, cfg_now,
-                                        cover, self.params))
+                revocation_cover_ercset(order.cid, self.epoch_now, i, cover, self.params))
             self.erc_next = merge_ercset(
                 self.erc_next,
-                revocation_cover_ercset(order.cid, self.epoch_now + 1, i, cfg_next,
-                                        root, self.params))
+                revocation_cover_ercset(order.cid, self.epoch_now + 1, i, root,
+                                        self.params))
 
     # -- filter state -----------------------------------------------------
 
@@ -270,8 +257,14 @@ class TrustedCore:
         return changed
 
     def rotate_epoch(self) -> None:
-        """Discard epoch t, promote t+1, open an empty filter for t+2."""
+        """Discard epoch t, promote t+1, open an empty filter for t+2.
+
+        Issuance counters of epoch t-1 go too: ``issue`` reads only the
+        epochs from the new t-1 to the new t+1.
+        """
         self.epoch_now += 1
+        self.issued = {key: end for key, end in self.issued.items()
+                       if key[1] >= self.epoch_now - 1}
         self.erc_current = self.erc_next
         self.erc_next = empty_ercset(self.params, self.epoch_now + 1)
 
@@ -312,8 +305,8 @@ class PmNode:
         try:
             rrps = self.core.issue(req, quarantined=self.mode is PmMode.QUARANTINE)
         except IssuanceDenied as denied:
-            return RrpResponse(False, denied.reason, req.epoch_id)
-        return RrpResponse(True, DenialReason.NONE, req.epoch_id,
+            return RrpResponse(denied.reason, req.epoch_id)
+        return RrpResponse(DenialReason.NONE, req.epoch_id,
                            tuple((r.instance, r.endorsement) for r in rrps))
 
     # -- revocation and gossip --------------------------------------------
@@ -322,14 +315,8 @@ class PmNode:
         key = (order.cid, order.rts, order.epoch_id)
         if key in self._orders:
             return []
-        # the core checks the admin signature once per order: ``revoke``
-        # for an order of the current epoch, ``note_expulsion`` otherwise
-        current = order.epoch_id == self.core.epoch_now
         try:
-            if current:
-                self.core.revoke(order)
-            elif not self.core.note_expulsion(order):
-                raise ValueError("bad signature")
+            self.core.revoke(order)
         except ValueError:
             log.warning("%s: revocation order rejected: bad signature",
                         self.node_id)
@@ -340,7 +327,7 @@ class PmNode:
         self._orders[key] = order
         fanout = min(self.fault_bound + 1, len(self.peers))
         relays = [Outgoing(p, order) for p in self.rng.sample(self.peers, fanout)]
-        if current:
+        if order.epoch_id == self.core.epoch_now:
             return self.eager_push() + relays
         if order.epoch_id < self.core.epoch_now:
             # expected when an order is relayed across a rotation: the
@@ -391,8 +378,7 @@ class PmNode:
         if not self.peers:
             return []
         self.stats["pulls"] += 1
-        return [Outgoing(self.rng.choice(self.peers),
-                         ErcPullReq(self.core.epoch_now))]
+        return [Outgoing(self.rng.choice(self.peers), ErcPullReq())]
 
     # -- epoch transition -------------------------------------------------
 
@@ -408,9 +394,8 @@ class PmNode:
         self._reports.setdefault(self.core.epoch_now, set()).add(self.node_id)
         report = EpochReport(self.core.epoch_now, self.core.erc_current,
                              self.core.erc_next)
-        out = [Outgoing(p, report) for p in self.peers]
-        out += self._maybe_finish_quarantine()
-        return out
+        self._maybe_finish_quarantine()
+        return [Outgoing(p, report) for p in self.peers]
 
     def handle_epoch_report(self, sender: str, report: EpochReport) -> list[Outgoing]:
         try:
@@ -420,7 +405,7 @@ class PmNode:
                         self.node_id, exc)
             return []
         self._reports.setdefault(report.from_epoch, set()).add(sender)
-        out = self._maybe_finish_quarantine()
+        self._maybe_finish_quarantine()
         if (report.from_epoch < self.core.epoch_now
                 and report.current.epoch_id == report.from_epoch):
             # sender is a laggard catching up after a crash (its live filter
@@ -429,17 +414,16 @@ class PmNode:
             # Echoes carry a newer filter, so they are never echoed back.
             echo = EpochReport(report.from_epoch, self.core.erc_current,
                                self.core.erc_next)
-            out.append(Outgoing(sender, echo))
-        return out
+            return [Outgoing(sender, echo)]
+        return []
 
-    def _maybe_finish_quarantine(self) -> list[Outgoing]:
+    def _maybe_finish_quarantine(self) -> None:
         if self.mode is not PmMode.QUARANTINE:
-            return []
+            return
         quorum = self.cluster_size - self.fault_bound
         seen = self._reports.get(self.core.epoch_now, set())
         if len(seen) < quorum:
-            return []
+            return
         self._reports.pop(self.core.epoch_now, None)
         self.core.rotate_epoch()
         self.mode = PmMode.SERVING
-        return []

@@ -12,16 +12,6 @@ from .ercset import ErcSet
 from .pseudonym import Capability
 
 
-class MsgType(enum.IntEnum):
-    REQUEST_RRP = 0x01
-    RRP_RESPONSE = 0x02
-    REVOKE = 0x03
-    ERC_PUSH = 0x04
-    ERC_PULL_REQ = 0x05
-    ERC_PULL_RESP = 0x06
-    EPOCH_REPORT = 0x07
-
-
 class DenialReason(enum.IntEnum):
     NONE = 0
     UNKNOWN_CLIENT = 1
@@ -53,13 +43,20 @@ class RequestRrp:
     proof: Capability | None = None
     proof_slot: int | None = None
 
+    def __post_init__(self) -> None:
+        if (self.proof is None) != (self.proof_slot is None):
+            raise ValueError("a proof needs its slot and a slot its proof")
+
 
 @dataclass(frozen=True)
 class RrpResponse:
-    granted: bool
     reason: DenialReason
     epoch_id: int
     endorsements: tuple[tuple[int, bytes], ...] = ()  # (instance, signature)
+
+    @property
+    def granted(self) -> bool:
+        return self.reason is DenialReason.NONE
 
 
 @dataclass(frozen=True)
@@ -70,7 +67,7 @@ class ErcPush:
 
 @dataclass(frozen=True)
 class ErcPullReq:
-    epoch_id: int
+    """Ask for both live filters; the responder picks the epochs."""
 
 
 @dataclass(frozen=True)

@@ -354,7 +354,7 @@ class Simulation:
     def _on_verifier_pull(self, v_id: str) -> None:
         self._schedule(self.now + self.cfg.pull_period, ("verifier_pull", v_id))
         v = self.verifiers[v_id]
-        target, req = v.make_pull(self.local_time(v_id))
+        target, req = v.make_pull()
         self._send(v_id, target, req)
 
     def _on_clock(self, pm_id: str) -> None:

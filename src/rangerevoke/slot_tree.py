@@ -84,16 +84,6 @@ class NodeLabel:
             + self.index.to_bytes(8, "big")
         )
 
-    def name(self, fanout: int = 2) -> str:
-        """Human-readable label: root is "e", children append their digit,
-        e.g. "e01" is the left child's right child."""
-        digits = []
-        idx = self.index
-        for _ in range(self.level):
-            digits.append(str(idx % fanout))
-            idx //= fanout
-        return "e" + "".join(reversed(digits))
-
 
 @dataclass(frozen=True)
 class SlotRange:

@@ -89,10 +89,9 @@ class VerifierNode:
 
     # -- pull gossip ------------------------------------------------------
 
-    def make_pull(self, now: int) -> tuple[str, ErcPullReq]:
+    def make_pull(self) -> tuple[str, ErcPullReq]:
         """Pick a random manager to refresh from."""
-        target = self.rng.choice(self.pm_ids)
-        return target, ErcPullReq(self.current_epoch(now))
+        return self.rng.choice(self.pm_ids), ErcPullReq()
 
     def handle_pull_response(self, resp: ErcPullResp, now: int) -> bool:
         """Merge the filter matching our epoch; True if the pull counted.

@@ -53,6 +53,17 @@ def real_nodes_at(cfg: EpochConfig, level: int) -> int:
     return -(-cfg.slots // cfg.fanout ** (cfg.height - level))
 
 
+def label_name(label: NodeLabel, fanout: int = 2) -> str:
+    """Human-readable label: root is "e", children append their digit,
+    e.g. "e01" is the left child's right child."""
+    digits = []
+    idx = label.index
+    for _ in range(label.level):
+        digits.append(str(idx % fanout))
+        idx //= fanout
+    return "e" + "".join(reversed(digits))
+
+
 def parent_label(cfg: EpochConfig, label: NodeLabel) -> NodeLabel | None:
     if label.level == 0:
         return None
@@ -244,7 +255,7 @@ def check_proof_by_verifying(core: TrustedCore, req: RequestRrp) -> DenialReason
     verifies for the named slot, its key is one of the client's instance
     keys, and none of its latchkeys is in the filter."""
     proof = req.proof
-    if proof is None or req.proof_slot is None or core.erc_for(proof.epoch_id) is None:
+    if proof is None or core.erc_for(proof.epoch_id) is None:
         return DenialReason.BAD_PROOF
     cfg = core.cfg_for(proof.epoch_id)
     if not verify_capability(proof, core.pm_key.public, req.proof_slot, cfg):

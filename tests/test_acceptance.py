@@ -16,7 +16,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from oracles import ExactSet, labels_under, merge_latchkeys, remove_redundant, remove_unsafe
+from oracles import (
+    ExactSet,
+    label_name,
+    labels_under,
+    merge_latchkeys,
+    remove_redundant,
+    remove_unsafe,
+)
 from rangerevoke.codec import decode_capability, encode_capability
 from rangerevoke.crypto import det_keygen, det_sign, digest, seed_from_parts
 from rangerevoke.ercset import BloomFilter, ErcSet, FilterParams, is_revoked
@@ -65,9 +72,9 @@ def test_01_four_slot_worked_example():
     cfg = EpochConfig(0, 60, 15, 2)
     pm_key = det_keygen(seed_from_parts(b"acceptance-pm", 0))
     cap = get_capability(create_rrp(b"\x07" * 32, 0, 1, pm_key, 8), 0, cfg)
-    path = [lk.label.name() for lk in cap.latchkeys]
-    cover_tail = {lb.name() for lb in safe_cover(cfg, SlotRange(1, 3))}
-    cover_all = {lb.name() for lb in safe_cover(cfg, SlotRange(0, 3))}
+    path = [label_name(lk.label) for lk in cap.latchkeys]
+    cover_tail = {label_name(lb) for lb in safe_cover(cfg, SlotRange(1, 3))}
+    cover_all = {label_name(lb) for lb in safe_cover(cfg, SlotRange(0, 3))}
     ok = (path == ["e00", "e0", "e"]
           and cover_tail == {"e01", "e1"}
           and cover_all == {"e"})

@@ -49,11 +49,11 @@ def test_message_roundtrips(cap, cid):
     messages = [
         RequestRrp(cid, 4, 3),
         RequestRrp(cid, 4, 3, proof=cap, proof_slot=1),
-        RrpResponse(True, DenialReason.NONE, 4, ((1, b"\x01" * 64),)),
-        RrpResponse(False, DenialReason.REVOKED, 4),
+        RrpResponse(DenialReason.NONE, 4, ((1, b"\x01" * 64),)),
+        RrpResponse(DenialReason.REVOKED, 4),
         RevocationOrder(cid, 2, 0, b"\x02" * 64),
         ErcPush(bloom_erc(0), bloom_erc(1)),
-        ErcPullReq(9),
+        ErcPullReq(),
         ErcPullResp(bloom_erc(0), bloom_erc(1)),
         EpochReport(3, bloom_erc(3), bloom_erc(4)),
     ]
@@ -63,6 +63,18 @@ def test_message_roundtrips(cap, cid):
         again = codec.decode_message(blob)
         assert again == msg
         assert codec.encode_message(again) == blob
+
+
+def test_request_proof_and_slot_come_together(cap, cid):
+    with pytest.raises(ValueError):
+        RequestRrp(cid, 4, 3, proof=cap)
+    with pytest.raises(ValueError):
+        RequestRrp(cid, 4, 3, proof_slot=1)
+
+
+def test_response_is_granted_exactly_when_no_reason_is_given():
+    for reason in DenialReason:
+        assert RrpResponse(reason, 4).granted is (reason is DenialReason.NONE)
 
 
 def test_encode_message_rejects_non_message():
@@ -87,6 +99,14 @@ def test_filter_records_are_flat():
     order = codec.encode_message(RevocationOrder(b"\x01" * 32, 7, 2, b"\x33" * 64))
     assert order[10:] == b"\x01" * 32 + (7).to_bytes(8, "big") \
         + (2).to_bytes(8, "big") + b"\x33" * 64
+
+
+def test_pull_request_and_response_payloads():
+    """A pull request is the bare envelope; a response is reason u8, epoch
+    u64, count u8 and instance u64 plus signature per endorsement."""
+    assert codec.encode_message(ErcPullReq()) == b"RRPE\x03\x05" + bytes(4)
+    resp = codec.encode_message(RrpResponse(DenialReason.NONE, 4, ((1, b"\x01" * 64),)))
+    assert len(resp) == 10 + 10 + 72
 
 
 def test_capability_encoding_is_pinned():
@@ -114,7 +134,9 @@ def test_bad_magic():
 
 
 def test_bad_version():
-    for version in (0x01, 0x7F):        # 0x01 is the envelope before flat records
+    # 0x01 is the envelope before flat records; 0x02 sent a granted byte in
+    # RrpResponse and an epoch in ErcPullReq
+    for version in (0x01, 0x02, 0x7F):
         blob = push_blob()
         blob[4] = version
         with pytest.raises(codec.BadVersion):
@@ -146,7 +168,7 @@ def test_zero_latchkeys_rejected(cap):
 
 
 def test_unknown_message_tag(cap):
-    blob = bytearray(codec.encode_message(ErcPullReq(0)))
+    blob = bytearray(codec.encode_message(ErcPullReq()))
     blob[5] = 0x7E
     with pytest.raises(codec.FieldError):
         codec.decode_message(bytes(blob))
@@ -167,11 +189,11 @@ def test_fuzz_random_bytes_raise_only_typed_errors(cap, cid):
     rng = random.Random(0)
     seeds = [codec.encode_capability(cap),
              codec.encode_message(ErcPush(bloom_erc(0), bloom_erc(1))),
-             codec.encode_message(ErcPullReq(9)),
+             codec.encode_message(ErcPullReq()),
              codec.encode_message(ErcPullResp(bloom_erc(0), bloom_erc(1))),
              codec.encode_message(RevocationOrder(cid, 2, 0, b"\x02" * 64)),
              codec.encode_message(RequestRrp(cid, 4, 3, proof=cap, proof_slot=1)),
-             codec.encode_message(RrpResponse(True, DenialReason.NONE, 4,
+             codec.encode_message(RrpResponse(DenialReason.NONE, 4,
                                               ((1, b"\x01" * 64), (2, b"\x02" * 64)))),
              codec.encode_message(EpochReport(3, bloom_erc(3), bloom_erc(4)))]
     for i in range(20_000):

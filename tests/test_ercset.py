@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from oracles import (
     ExactSet,
     create_ercset,
+    label_name,
     latchkeys_encoding,
     merge_latchkeys,
     remove_redundant,
@@ -150,16 +151,16 @@ def test_remove_unsafe_drops_partial_ancestors(cid, pm_key, fig_cfg):
     caps = caps_for(SlotRange(1, 1), fig_cfg, cid, pm_key)
     merged = merge_latchkeys(caps)       # labels e01, e0, e
     safe = remove_unsafe(merged, fig_cfg)
-    assert {l.name() for l in safe.labels} == {"e01"}
+    assert {label_name(l) for l in safe.labels} == {"e01"}
 
 
 def test_remove_redundant_keeps_highest(cid, pm_key, fig_cfg):
     caps = caps_for(SlotRange(0, 3), fig_cfg, cid, pm_key)
     safe = remove_unsafe(merge_latchkeys(caps), fig_cfg)
-    assert {l.name() for l in safe.labels} == {"e", "e0", "e1",
+    assert {label_name(l) for l in safe.labels} == {"e", "e0", "e1",
                                                "e00", "e01", "e10", "e11"}
     compact = remove_redundant(safe, fig_cfg)
-    assert {l.name() for l in compact.labels} == {"e"}
+    assert {label_name(l) for l in compact.labels} == {"e"}
 
 
 def test_pipeline_worked_example(cid, pm_key, fig_cfg):
@@ -179,7 +180,7 @@ def test_cover_shortcut_is_bit_identical(cid, pm_key):
         rng = SlotRange(first, last)
         caps = caps_for(rng, cfg, cid, pm_key)
         via_pipeline = create_ercset(caps, cfg, PARAMS)
-        via_cover = revocation_cover_ercset(cid, 2, 1, cfg, safe_cover(cfg, rng), PARAMS)
+        via_cover = revocation_cover_ercset(cid, 2, 1, safe_cover(cfg, rng), PARAMS)
         assert via_pipeline.filter == via_cover.filter, (slots, first, last)
 
 
@@ -226,7 +227,7 @@ def test_safe_set_disjoint_from_unrevoked_slots(cid, pm_key):
 
 def test_root_only_revokes_everything(cid, pm_key, fig_cfg):
     caps = caps_for(SlotRange(0, 3), fig_cfg, cid, pm_key)
-    erc = revocation_cover_ercset(cid, 0, 1, fig_cfg, {NodeLabel(0, 0, 0)}, PARAMS)
+    erc = revocation_cover_ercset(cid, 0, 1, {NodeLabel(0, 0, 0)}, PARAMS)
     root = [lk for lk in caps[0].latchkeys if lk.label == NodeLabel(0, 0, 0)]
     manual = BloomFilter(PARAMS, 0)
     manual.add(root[0].sig)

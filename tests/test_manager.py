@@ -144,10 +144,14 @@ def test_revoke_rejects_bad_signature(pm_key, admin_key, cid):
         core.revoke(forged)
 
 
-def test_revoke_rejects_wrong_epoch(pm_key, admin_key, cid):
-    core = make_core(pm_key, admin_key, cid)
-    with pytest.raises(ValueError):
-        core.revoke(signed_order(admin_key, cid, 1, 3))
+def test_revoke_of_another_epoch_expels_and_writes_no_filter_bit(pm_key, admin_key, cid):
+    for epoch, rotations in ((3, 0), (0, 1)):      # a future and a past order
+        core = make_core(pm_key, admin_key, cid)
+        for _ in range(rotations):
+            core.rotate_epoch()
+        core.revoke(signed_order(admin_key, cid, 1, epoch))
+        assert cid in core.revoked
+        assert not any(core.erc_current.filter.bits) and not any(core.erc_next.filter.bits)
 
 
 def test_revoke_hits_all_instances_from_rts(pm_key, admin_key, cid):
@@ -173,6 +177,15 @@ def test_revoke_is_idempotent(pm_key, admin_key, cid):
     assert core.erc_current == current and core.erc_next == nxt
 
 
+def test_rotation_drops_issuance_counters_no_request_reads(pm_key, admin_key, cid):
+    core = make_core(pm_key, admin_key, cid)
+    core.issue(RequestRrp(cid, 0, 2))
+    core.rotate_epoch()
+    assert core.issued == {(cid, 0): 2}    # epoch 0 is t-1: a request still reads it
+    core.rotate_epoch()
+    assert core.issued == {}
+
+
 def test_rotate_epoch(pm_key, admin_key, cid):
     core = make_core(pm_key, admin_key, cid)
     core.revoke(signed_order(admin_key, cid, 0, 0))
@@ -186,8 +199,7 @@ def test_rotate_epoch(pm_key, admin_key, cid):
 def test_merge_filters_reports_change(pm_key, admin_key, cid):
     core = make_core(pm_key, admin_key, cid)
     cfg = core.cfg_for(0)
-    incoming = revocation_cover_ercset(cid, 0, 1, cfg, safe_cover(cfg, SlotRange(1, 3)),
-                                       PARAMS)
+    incoming = revocation_cover_ercset(cid, 0, 1, safe_cover(cfg, SlotRange(1, 3)), PARAMS)
     assert core.merge_filters(incoming, None) is True
     assert core.merge_filters(incoming, None) is False   # redundant
 
@@ -195,7 +207,7 @@ def test_merge_filters_reports_change(pm_key, admin_key, cid):
 def test_helper_filters(pm_key, cid):
     cfg = GEOMETRY.with_epoch(1)
     assert not any(empty_ercset(PARAMS, 0).filter.bits)
-    root = revocation_cover_ercset(cid, 1, 1, cfg, {NodeLabel(1, 0, 0)}, PARAMS)
+    root = revocation_cover_ercset(cid, 1, 1, {NodeLabel(1, 0, 0)}, PARAMS)
     for slot in range(cfg.slots):
         assert is_revoked(root, get_capability(create_rrp(cid, 1, 1, pm_key, 8), slot, cfg))
         assert not is_revoked(root, get_capability(create_rrp(cid, 1, 2, pm_key, 8), slot, cfg))

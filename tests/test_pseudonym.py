@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+from oracles import label_name
 from rangerevoke.crypto import det_keygen, digest, ver_sign
 from rangerevoke.pseudonym import (
     Latchkey,
@@ -46,7 +47,7 @@ def test_capability_shape(cid, pm_key, fig_cfg):
     cap = get_capability(rrp, 2, fig_cfg)
     assert cap.slot == 2
     assert len(cap.latchkeys) == fig_cfg.height + 1
-    assert [lk.label.name() for lk in cap.latchkeys] == ["e10", "e1", "e"]
+    assert [label_name(lk.label) for lk in cap.latchkeys] == ["e10", "e1", "e"]
     for lk in cap.latchkeys:
         assert ver_sign(rrp.keypair.public, lk.label.canonical_bytes, lk.sig)
 

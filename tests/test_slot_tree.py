@@ -2,12 +2,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import labels_under, leaves_under, parent_label, real_nodes_at
+from oracles import label_name, labels_under, leaves_under, parent_label, real_nodes_at
 from rangerevoke.slot_tree import EpochConfig, NodeLabel, SlotRange, path_to_root, safe_cover
 
 
 def names(labels, fanout=2):
-    return sorted(l.name(fanout) for l in labels)
+    return sorted(label_name(l, fanout) for l in labels)
 
 
 def cfg_for(slots: int, fanout: int = 2) -> EpochConfig:
@@ -47,11 +47,11 @@ def test_real_nodes_at():
 # -- labels -----------------------------------------------------------------
 
 def test_label_names():
-    assert NodeLabel(0, 0, 0).name() == "e"
-    assert NodeLabel(0, 1, 0).name() == "e0"
-    assert NodeLabel(0, 1, 1).name() == "e1"
-    assert NodeLabel(0, 2, 1).name() == "e01"
-    assert NodeLabel(0, 2, 5).name(3) == "e12"
+    assert label_name(NodeLabel(0, 0, 0)) == "e"
+    assert label_name(NodeLabel(0, 1, 0)) == "e0"
+    assert label_name(NodeLabel(0, 1, 1)) == "e1"
+    assert label_name(NodeLabel(0, 2, 1)) == "e01"
+    assert label_name(NodeLabel(0, 2, 5), 3) == "e12"
 
 
 def test_canonical_bytes_injective():
@@ -65,7 +65,7 @@ def test_canonical_bytes_injective():
 
 def test_path_to_root(fig_cfg):
     path = path_to_root(fig_cfg, 0)
-    assert [l.name() for l in path] == ["e00", "e0", "e"]
+    assert [label_name(l) for l in path] == ["e00", "e0", "e"]
     assert len(path) == fig_cfg.height + 1
     with pytest.raises(ValueError):
         path_to_root(fig_cfg, 4)

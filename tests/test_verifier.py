@@ -4,7 +4,7 @@ import pytest
 
 from oracles import retry_with_extra_pseudonym
 from rangerevoke.ercset import BloomFilter, ErcSet, FilterParams
-from rangerevoke.messages import ErcPullResp
+from rangerevoke.messages import ErcPullReq, ErcPullResp
 from rangerevoke.pseudonym import create_rrp, get_capability
 from rangerevoke.slot_tree import EpochConfig
 from rangerevoke.verifier import Decision, VerifierNode
@@ -111,9 +111,9 @@ def test_pull_response_incompatible_params(pm_key):
 
 def test_make_pull_targets_known_manager(pm_key):
     v = make_verifier(pm_key)
-    target, req = v.make_pull(now=0)
+    target, req = v.make_pull()
     assert target in ("pm0", "pm1")
-    assert req.epoch_id == 0
+    assert req == ErcPullReq()
 
 
 def test_retry_consumes_extras_on_false_positive(cid, pm_key):
