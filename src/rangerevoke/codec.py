@@ -240,7 +240,10 @@ def _read_response(r: _Reader) -> RrpResponse:
     epoch_id = r.u64()
     count = r.u8()
     endorsements = tuple((r.u64(), r.take(SIG_LEN)) for _ in range(count))
-    return RrpResponse(reason, epoch_id, endorsements)
+    try:
+        return RrpResponse(reason, epoch_id, endorsements)
+    except ValueError as exc:
+        raise FieldError(str(exc)) from exc
 
 
 def _write_filters(out: bytearray, msg: ErcPush | ErcPullResp | EpochReport) -> None:

@@ -25,13 +25,7 @@ import random
 from dataclasses import dataclass
 
 from .crypto import KeyPair, det_sign, ver_sign
-from .ercset import (
-    BloomFilter,
-    ErcSet,
-    FilterParams,
-    is_revoked,
-    merge_ercset,
-)
+from .ercset import BloomFilter, ErcSet, FilterParams, merge_ercset
 from .messages import (
     DenialReason,
     EpochReport,
@@ -44,15 +38,8 @@ from .messages import (
 )
 # verify_capability is imported for perfbench/, whose tracer patches it in
 # this module; the proof check below does not call it
-from .pseudonym import (
-    Rrp,
-    create_rrp,
-    endorsement_message,
-    get_capability,
-    pseudonym_keypair,
-    verify_capability,
-)
-from .slot_tree import EpochConfig, NodeLabel, SlotRange, safe_cover
+from .pseudonym import Rrp, endorse, endorsement_message, pseudonym_keypair, verify_capability
+from .slot_tree import EpochConfig, NodeLabel, SlotRange, path_to_root, safe_cover
 
 log = logging.getLogger(__name__)
 
@@ -136,7 +123,8 @@ class TrustedCore:
         (it cannot have one); every later request must present, for the
         slot it names, the capability of one of the client's pseudonyms
         byte for byte as the core rebuilds it, and that capability must not
-        be revoked.
+        be revoked.  Each key and signature is made at most once per
+        request, and nothing outlives the request.
         """
         if req.epoch_id not in (self.epoch_now, self.epoch_now + 1):
             raise IssuanceDenied(DenialReason.QUARANTINE if quarantined
@@ -146,43 +134,50 @@ class TrustedCore:
             raise IssuanceDenied(DenialReason.UNKNOWN_CLIENT)
         if req.cid in self.revoked:
             raise IssuanceDenied(DenialReason.REVOKED)
-        self._check_standing(req.cid)
+        firsts = self._check_standing(req.cid)
         if any(self.issued.get((req.cid, e)) for e in (self.epoch_now - 1,
                                                        self.epoch_now,
                                                        self.epoch_now + 1)):
-            self._check_proof(req)
+            self._check_proof(req, firsts)
         start = self.issued.get((req.cid, req.epoch_id), 0) + 1
         end = start + req.count - 1
         if end > self.max_instances:
             raise IssuanceDenied(DenialReason.BUDGET_EXHAUSTED)
-        rrps = [create_rrp(req.cid, req.epoch_id, i, self.pm_key, self.max_instances)
+        rrps = [endorse(req.cid, req.epoch_id, i, firsts[req.epoch_id][0] if i == 1
+                        else pseudonym_keypair(req.cid, req.epoch_id, i), self.pm_key)
                 for i in range(start, end + 1)]
         self.issued[(req.cid, req.epoch_id)] = end
         return rrps
 
-    def _check_standing(self, cid: bytes) -> None:
+    def _check_standing(self, cid: bytes) -> dict[int, tuple[KeyPair, bytes]]:
         """Deny clients whose pseudonyms are wholesale-revoked for a live epoch.
 
         A manager that learned of a revocation only through gossiped filters
         (never the order itself) can still recognize the client: full-epoch
         revocation puts every instance's root latchkey in the filter, and
         roots are derivable from the cid alone.  One probe per live epoch
-        suffices because revocation always covers instance 1.
+        suffices because revocation always covers instance 1.  Returns each
+        live epoch's instance-1 key pair and unrevoked root latchkey.
         """
+        firsts = {}
         for epoch_id in (self.epoch_now, self.epoch_now + 1):
-            erc = self.erc_for(epoch_id)
             keypair = pseudonym_keypair(cid, epoch_id, 1)
-            root = NodeLabel(epoch_id, 0, 0)
-            if erc.filter.query(det_sign(keypair, root.canonical_bytes)):
+            root = det_sign(keypair, NodeLabel(epoch_id, 0, 0).canonical_bytes)
+            if self.erc_for(epoch_id).filter.query(root):
                 raise IssuanceDenied(DenialReason.REVOKED)
+            firsts[epoch_id] = keypair, root
+        return firsts
 
-    def _check_proof(self, req: RequestRrp) -> None:
+    def _check_proof(self, req: RequestRrp,
+                     firsts: dict[int, tuple[KeyPair, bytes]]) -> None:
         """Deny unless the proof is exactly the capability the core rebuilds.
 
         Signing is deterministic: the core re-signs the endorsement, derives
         the client's keys until one is the proof's and re-signs the slot's
-        latchkeys.  Byte equality passes every genuine proof and refuses
-        latchkeys re-signed with another nonce, which still verify.
+        latchkeys one by one.  Byte equality passes every genuine proof and
+        refuses latchkeys re-signed with another nonce, which still verify.
+        ``firsts`` is what ``_check_standing`` returned: the key scan starts
+        at its instance-1 key, whose root is neither re-signed nor re-queried.
         """
         proof = req.proof
         if proof is None:
@@ -191,19 +186,22 @@ class TrustedCore:
         if erc is None or proof.endorsement != det_sign(
                 self.pm_key, endorsement_message(proof.epoch_id, proof.pseudonym_pub)):
             raise IssuanceDenied(DenialReason.BAD_PROOF)
-        for instance in range(1, self.max_instances + 1):
-            keypair = pseudonym_keypair(req.cid, proof.epoch_id, instance)
-            if keypair.public == proof.pseudonym_pub:
-                break
-        else:
+        first, root = firsts[proof.epoch_id]
+        keys = (pseudonym_keypair(req.cid, proof.epoch_id, i) if i > 1 else first
+                for i in range(1, self.max_instances + 1))
+        keypair = next((k for k in keys if k.public == proof.pseudonym_pub), None)
+        if keypair is None:
             raise IssuanceDenied(DenialReason.BAD_PROOF)
-        rrp = Rrp(req.cid, proof.epoch_id, instance, keypair, proof.endorsement)
         try:
-            if proof != get_capability(rrp, req.proof_slot, self.cfg_for(proof.epoch_id)):
-                raise IssuanceDenied(DenialReason.BAD_PROOF)
+            path = path_to_root(self.cfg_for(proof.epoch_id), req.proof_slot)
         except ValueError:              # a slot outside the epoch
             raise IssuanceDenied(DenialReason.BAD_PROOF) from None
-        if is_revoked(erc, proof):
+        known = {path[-1]: root} if keypair is first else {}   # probed already
+        if [lk.label for lk in proof.latchkeys] != path or any(
+                lk.sig != (known.get(lk.label) or det_sign(keypair, lk.label.canonical_bytes))
+                for lk in proof.latchkeys):
+            raise IssuanceDenied(DenialReason.BAD_PROOF)
+        if any(erc.filter.query(lk.sig) for lk in proof.latchkeys if lk.label not in known):
             raise IssuanceDenied(DenialReason.REVOKED)
 
     # -- revocation -------------------------------------------------------

@@ -54,6 +54,10 @@ class RrpResponse:
     epoch_id: int
     endorsements: tuple[tuple[int, bytes], ...] = ()  # (instance, signature)
 
+    def __post_init__(self) -> None:
+        if self.endorsements and not self.granted:
+            raise ValueError("a denied response carries no endorsements")
+
     @property
     def granted(self) -> bool:
         return self.reason is DenialReason.NONE

@@ -80,13 +80,20 @@ def create_rrp(cid: bytes, epoch_id: int, instance: int, pm_key: KeyPair,
     Pure and deterministic: identical inputs reproduce the identical
     pseudonym, endorsement included.
     """
-    if len(cid) != CLIENT_ID_LEN:
-        raise ValueError(f"cid must be {CLIENT_ID_LEN} bytes")
     if not 1 <= instance <= max_instances:
         raise ValueError(f"instance {instance} outside [1, {max_instances}]")
-    keypair = pseudonym_keypair(cid, epoch_id, instance)
-    endorsement = det_sign(pm_key, endorsement_message(epoch_id, keypair.public))
-    return Rrp(cid, epoch_id, instance, keypair, endorsement)
+    return endorse(cid, epoch_id, instance, pseudonym_keypair(cid, epoch_id, instance),
+                   pm_key)
+
+
+def endorse(cid: bytes, epoch_id: int, instance: int, keypair: KeyPair,
+            pm_key: KeyPair) -> Rrp:
+    """Pseudonym instance ``instance`` from its already derived key pair:
+    the manager signs the endorsement."""
+    if len(cid) != CLIENT_ID_LEN:
+        raise ValueError(f"cid must be {CLIENT_ID_LEN} bytes")
+    return Rrp(cid, epoch_id, instance, keypair,
+               det_sign(pm_key, endorsement_message(epoch_id, keypair.public)))
 
 
 def get_capability(rrp: Rrp, slot: int, cfg: EpochConfig) -> Capability:

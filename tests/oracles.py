@@ -22,23 +22,30 @@ The manager checks an issuance proof by rebuilding it and comparing bytes;
 ``check_proof_by_verifying`` is the signature-verifying check it replaced,
 and ``sign_with_nonce`` is an RFC 8032 signer that takes any nonce, which is
 what a client holding its pseudonym seed can run to forge latchkeys.
+``reference_issue`` is the manager's issuance with every step deriving its
+own keys and the proof compared with a whole rebuilt capability, the form
+the program's key-reusing ``TrustedCore.issue`` is checked against.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, field
 
-from rangerevoke.crypto import KeyPair, digest
+from rangerevoke.crypto import KeyPair, det_sign, digest
 from rangerevoke.ercset import BloomFilter, ErcSet, FilterParams, is_revoked
-from rangerevoke.manager import TrustedCore
+from rangerevoke.manager import IssuanceDenied, TrustedCore
 from rangerevoke.messages import DenialReason, RequestRrp
 from rangerevoke.pseudonym import (
     Capability,
     Latchkey,
     Rrp,
+    create_rrp,
+    endorsement_message,
     get_capability,
+    pseudonym_keypair,
     pseudonym_public_keys_of,
     verify_capability,
 )
@@ -100,10 +107,15 @@ def labels_under(cfg: EpochConfig, label: NodeLabel) -> set[NodeLabel]:
 
 # -- exact-membership filter --------------------------------------------------
 
+_digest = functools.lru_cache(maxsize=1 << 12)(digest)
+
+
 class ExactSet:
     """Exact-membership stand-in for BloomFilter; zero false positives.
 
-    Stores item digests only, mirroring the one-way encoding.
+    Stores item digests only, mirroring the one-way encoding.  Sweeps query
+    the same few hundred latchkeys many times, so each digest is computed
+    once while it stays in a small cache.
     """
 
     __slots__ = ("epoch_id", "items")
@@ -113,10 +125,10 @@ class ExactSet:
         self.items = set(items)
 
     def add(self, item: bytes) -> None:
-        self.items.add(digest(item))
+        self.items.add(_digest(item))
 
     def query(self, item: bytes) -> bool:
-        return digest(item) in self.items
+        return _digest(item) in self.items
 
     def compatible(self, other: "ExactSet") -> bool:
         return isinstance(other, ExactSet) and self.epoch_id == other.epoch_id
@@ -266,6 +278,63 @@ def check_proof_by_verifying(core: TrustedCore, req: RequestRrp) -> DenialReason
     if is_revoked(core.erc_for(proof.epoch_id), proof):
         return DenialReason.REVOKED
     return DenialReason.NONE
+
+
+def reference_issue(core: TrustedCore, req: RequestRrp,
+                    quarantined: bool = False) -> list[Rrp]:
+    """``TrustedCore.issue`` with no reuse: the standing probe, the proof
+    check and each new pseudonym derive their own keys, and the proof is
+    compared with the whole capability ``get_capability`` rebuilds.  Raises
+    ``IssuanceDenied`` and records the issued instances like the core."""
+    if req.epoch_id not in (core.epoch_now, core.epoch_now + 1):
+        raise IssuanceDenied(DenialReason.QUARANTINE if quarantined
+                             and req.epoch_id == core.epoch_now + 2
+                             else DenialReason.EPOCH_OUT_OF_WINDOW)
+    if req.cid not in core.registry:
+        raise IssuanceDenied(DenialReason.UNKNOWN_CLIENT)
+    if req.cid in core.revoked:
+        raise IssuanceDenied(DenialReason.REVOKED)
+    for epoch_id in (core.epoch_now, core.epoch_now + 1):
+        keypair = pseudonym_keypair(req.cid, epoch_id, 1)
+        root = NodeLabel(epoch_id, 0, 0)
+        if core.erc_for(epoch_id).filter.query(det_sign(keypair, root.canonical_bytes)):
+            raise IssuanceDenied(DenialReason.REVOKED)
+    if any(core.issued.get((req.cid, e)) for e in (core.epoch_now - 1,
+                                                   core.epoch_now,
+                                                   core.epoch_now + 1)):
+        _reference_check_proof(core, req)
+    start = core.issued.get((req.cid, req.epoch_id), 0) + 1
+    end = start + req.count - 1
+    if end > core.max_instances:
+        raise IssuanceDenied(DenialReason.BUDGET_EXHAUSTED)
+    rrps = [create_rrp(req.cid, req.epoch_id, i, core.pm_key, core.max_instances)
+            for i in range(start, end + 1)]
+    core.issued[(req.cid, req.epoch_id)] = end
+    return rrps
+
+
+def _reference_check_proof(core: TrustedCore, req: RequestRrp) -> None:
+    proof = req.proof
+    if proof is None:
+        raise IssuanceDenied(DenialReason.BAD_PROOF)
+    erc = core.erc_for(proof.epoch_id)
+    if erc is None or proof.endorsement != det_sign(
+            core.pm_key, endorsement_message(proof.epoch_id, proof.pseudonym_pub)):
+        raise IssuanceDenied(DenialReason.BAD_PROOF)
+    for instance in range(1, core.max_instances + 1):
+        keypair = pseudonym_keypair(req.cid, proof.epoch_id, instance)
+        if keypair.public == proof.pseudonym_pub:
+            break
+    else:
+        raise IssuanceDenied(DenialReason.BAD_PROOF)
+    rrp = Rrp(req.cid, proof.epoch_id, instance, keypair, proof.endorsement)
+    try:
+        if proof != get_capability(rrp, req.proof_slot, core.cfg_for(proof.epoch_id)):
+            raise IssuanceDenied(DenialReason.BAD_PROOF)
+    except ValueError:              # a slot outside the epoch
+        raise IssuanceDenied(DenialReason.BAD_PROOF) from None
+    if is_revoked(erc, proof):
+        raise IssuanceDenied(DenialReason.REVOKED)
 
 
 # Ed25519 (RFC 8032, section 5.1) over edwards25519 in extended coordinates

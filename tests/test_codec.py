@@ -77,6 +77,18 @@ def test_response_is_granted_exactly_when_no_reason_is_given():
         assert RrpResponse(reason, 4).granted is (reason is DenialReason.NONE)
 
 
+def test_denied_response_carries_no_endorsements():
+    endorsements = ((1, b"\x01" * 64),)
+    for reason in DenialReason:
+        if reason is not DenialReason.NONE:
+            with pytest.raises(ValueError):
+                RrpResponse(reason, 4, endorsements)
+    blob = bytearray(codec.encode_message(RrpResponse(DenialReason.NONE, 4, endorsements)))
+    blob[10] = DenialReason.REVOKED        # the reason byte follows the 10-byte envelope
+    with pytest.raises(codec.FieldError):
+        codec.decode_message(bytes(blob))
+
+
 def test_encode_message_rejects_non_message():
     with pytest.raises(TypeError):
         codec.encode_message("not a message")

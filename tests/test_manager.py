@@ -10,12 +10,13 @@ from oracles import (
     check_proof_by_verifying,
     create_ercset,
     merge_latchkeys,
+    reference_issue,
     remove_redundant,
     remove_unsafe,
     sign_with_nonce,
 )
 from rangerevoke import crypto, manager, pseudonym
-from rangerevoke.crypto import det_sign, ver_sign
+from rangerevoke.crypto import KeyPair, det_sign, seed_from_parts, ver_sign
 from rangerevoke.ercset import BloomFilter, FilterParams, is_revoked, merge_ercset
 from rangerevoke.manager import (
     IssuanceDenied,
@@ -31,7 +32,13 @@ from rangerevoke.messages import (
     RequestRrp,
     RevocationOrder,
 )
-from rangerevoke.pseudonym import Latchkey, create_rrp, get_capability, verify_capability
+from rangerevoke.pseudonym import (
+    Latchkey,
+    create_rrp,
+    get_capability,
+    pseudonym_keypair,
+    verify_capability,
+)
 from rangerevoke.slot_tree import EpochConfig, NodeLabel, SlotRange, safe_cover
 
 PARAMS = FilterParams(8192, 4)
@@ -466,23 +473,48 @@ def renonced(cap, rrp, rng):
         for lk in cap.latchkeys))
 
 
-def verdict(core, req):
+def probed(core, cid):
+    """What ``_check_standing`` hands on when the client's root latchkeys
+    are unrevoked: each live epoch's instance-1 key pair and root latchkey."""
+    firsts = {}
+    for epoch_id in (core.epoch_now, core.epoch_now + 1):
+        keypair = pseudonym_keypair(cid, epoch_id, 1)
+        firsts[epoch_id] = keypair, det_sign(keypair, NodeLabel(epoch_id, 0, 0).canonical_bytes)
+    return firsts
+
+
+def verdict(core, req, firsts=None):
+    """``_check_proof`` alone, called as after a standing probe that passed."""
     try:
-        core._check_proof(req)
+        core._check_proof(req, firsts or probed(core, req.cid))
     except IssuanceDenied as denied:
         return denied.reason
     return DenialReason.NONE
 
 
-def count_crypto(monkeypatch) -> Counter:
-    """Count the crypto calls the manager and the pseudonym layer make."""
-    calls = Counter()
+def count_crypto(monkeypatch) -> tuple[Counter, list[bytes]]:
+    """Count the crypto calls the manager and the pseudonym layer make, and
+    list the seeds passed to ``det_keygen`` in call order."""
+    calls, seeds = Counter(), []
+
+    def counted(name):
+        def call(*args):
+            calls.update([name])
+            if name == "det_keygen":
+                seeds.append(args[0])
+            return getattr(crypto, name)(*args)
+        return call
     for module in (manager, pseudonym):
         for name in ("det_keygen", "det_sign", "ver_sign"):
             if hasattr(module, name):
-                monkeypatch.setattr(module, name, lambda *args, _name=name:
-                                    calls.update([_name]) or getattr(crypto, _name)(*args))
-    return calls
+                monkeypatch.setattr(module, name, counted(name))
+    return calls, seeds
+
+
+def test_probed_is_what_the_standing_probe_returns(pm_key, admin_key, cid):
+    core = make_core(pm_key, admin_key, cid)
+    core.rotate_epoch()
+    assert core._check_standing(cid) == probed(core, cid)
 
 
 def test_nonce_taking_signer_is_ed25519(pm_key):
@@ -530,6 +562,22 @@ def test_renonced_proof_refused_after_gossiped_revocation(pm_key, admin_key, cid
                 is DenialReason.BAD_PROOF
 
 
+def test_only_the_probed_root_goes_unqueried(pm_key, admin_key, cid):
+    """A filter holding instance 3's root alone, as a false positive would:
+    the probe's instance-1 roots pass, an instance-3 proof is revoked by its
+    root and an instance-1 proof of the same slot is not."""
+    core = make_core(pm_key, admin_key, cid)
+    first = core.issue(RequestRrp(cid, 0, 3))[0]
+    assert core.merge_filters(revocation_cover_ercset(cid, 0, 3, {NodeLabel(0, 0, 0)}, PARAMS),
+                              None)
+    third = create_rrp(cid, 0, 3, pm_key, 8)
+    with pytest.raises(IssuanceDenied) as exc:
+        core.issue(RequestRrp(cid, 0, 1, proof_for(core, third, 2), 2))
+    assert exc.value.reason is DenialReason.REVOKED
+    assert [r.instance for r in core.issue(RequestRrp(cid, 0, 1, proof_for(core, first, 2), 2))] \
+        == [4]
+
+
 def test_proof_for_another_slot_refused(pm_key, admin_key, cid):
     core = make_core(pm_key, admin_key, cid)
     rrp = create_rrp(cid, 0, 2, pm_key, 8)
@@ -546,19 +594,51 @@ def test_wrong_endorsement_derives_no_key(pm_key, admin_key, cid, monkeypatch):
     core = make_core(pm_key, admin_key, cid)
     proof = proof_for(core, create_rrp(cid, 0, 3, pm_key, 8))
     forged = replace(proof, endorsement=det_sign(admin_key, b"not an endorsement"))
-    calls = count_crypto(monkeypatch)
-    assert verdict(core, RequestRrp(cid, 0, 1, forged, 0)) is DenialReason.BAD_PROOF
+    firsts = probed(core, cid)
+    calls, _ = count_crypto(monkeypatch)
+    assert verdict(core, RequestRrp(cid, 0, 1, forged, 0), firsts) is DenialReason.BAD_PROOF
     assert calls == {"det_sign": 1}
 
 
 @pytest.mark.parametrize("instance", [1, 4, 8])
 def test_accepted_proof_costs_signatures_not_verifies(pm_key, admin_key, cid, monkeypatch,
                                                       instance):
+    """The key scan starts from the probe's instance-1 key, and an
+    instance-1 proof's root latchkey is the probe's."""
     core = make_core(pm_key, admin_key, cid)
     proof = proof_for(core, create_rrp(cid, 1, instance, pm_key, 8), 3)
-    calls = count_crypto(monkeypatch)
-    assert verdict(core, RequestRrp(cid, 0, 1, proof, 3)) is DenialReason.NONE
-    assert calls == {"det_keygen": instance, "det_sign": GEOMETRY.height + 2}
+    firsts = probed(core, cid)
+    calls, seeds = count_crypto(monkeypatch)
+    assert verdict(core, RequestRrp(cid, 0, 1, proof, 3), firsts) is DenialReason.NONE
+    assert calls == Counter(det_keygen=instance - 1,
+                            det_sign=GEOMETRY.height + 1 + (instance > 1))
+    assert seeds == [seed_from_parts(cid, 1, i) for i in range(2, instance + 1)]
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_issue_derives_each_key_and_makes_each_signature_once(pm_key, admin_key, cid,
+                                                              monkeypatch, count):
+    """A current-epoch request with an instance-1 proof that issues
+    instances 3 .. 2 + count: the probe's two instance-1 keys and one key
+    per new instance; two probe roots, the endorsement check, the proof's
+    h non-root latchkeys and one endorsement per new instance."""
+    core = make_core(pm_key, admin_key, cid)
+    first = core.issue(RequestRrp(cid, 0, 2))[0]
+    req = RequestRrp(cid, 0, count, proof_for(core, first, 1), 1)
+    calls, seeds = count_crypto(monkeypatch)
+    rrps = core.issue(req)
+    assert [r.instance for r in rrps] == list(range(3, 3 + count))
+    assert calls == Counter(det_keygen=2 + count, det_sign=GEOMETRY.height + 3 + count)
+    assert sorted(seeds) == sorted([seed_from_parts(cid, 0, 1), seed_from_parts(cid, 1, 1)]
+                                   + [seed_from_parts(cid, 0, r.instance) for r in rrps])
+    calls.clear()
+    seeds.clear()
+    other = b"\x0c" * 32
+    core.register(other)
+    assert [r.instance for r in core.issue(RequestRrp(other, 1, count))] \
+        == list(range(1, 1 + count))                    # a new instance 1 reuses its key
+    assert calls == Counter(det_keygen=1 + count, det_sign=2 + count)
+    assert len(set(seeds)) == len(seeds)
 
 
 def test_rebuilt_proof_check_agrees_with_signature_checks(pm_key, admin_key, cid):
@@ -566,12 +646,18 @@ def test_rebuilt_proof_check_agrees_with_signature_checks(pm_key, admin_key, cid
     live epochs, at random slots, and over a one-bit flip in every byte of
     the public key, the endorsement and each latchkey, and a changed label
     on each latchkey, the two checks give the same verdict.  Re-nonced
-    latchkeys are the one input they disagree on."""
+    latchkeys are the one input they disagree on.  The revocation reaches
+    the core as a merged current-epoch filter: the proof check takes the
+    standing probe's roots as unrevoked, and an order would revoke the
+    next epoch's roots (``issue`` then denies before any proof check;
+    ``test_issue_matches_the_reference_issuance`` covers that path)."""
     rng = random.Random(11)
     other = b"\x0b" * 32
     core = make_core(pm_key, admin_key, cid)
     core.register(other)
-    core.revoke(signed_order(admin_key, cid, 2, 0))
+    witness = make_core(pm_key, admin_key, cid)
+    witness.revoke(signed_order(admin_key, cid, 2, 0))
+    assert core.merge_filters(witness.erc_current, None)
 
     def flipped(data: bytes, i: int) -> bytes:
         out = bytearray(data)
@@ -607,3 +693,157 @@ def test_rebuilt_proof_check_agrees_with_signature_checks(pm_key, admin_key, cid
                 assert check_proof_by_verifying(core, req) is DenialReason.NONE
                 assert verdict(core, req) is DenialReason.BAD_PROOF
     assert verdicts[DenialReason.NONE] and verdicts[DenialReason.REVOKED]
+
+
+# -- issuance against the reference; nothing kept per pseudonym --------------
+
+def test_issue_matches_the_reference_issuance(pm_key, admin_key):
+    """Seeded random requests, orders, filter merges and rotations go to the
+    core and to a copy that issues through ``reference_issue``: each request
+    gets byte-equal pseudonyms or the same denial, and both record the same
+    issued instances.  Proofs are of instance 1 or k, of any epoch, the
+    requester's or another client's, genuine, re-nonced at one level or at
+    all, with one bit or one label changed, or named for another slot or one
+    outside the epoch.  A small filter adds false positives."""
+    rng = random.Random(41)
+    geometry = EpochConfig(0, 600, 60, 2)                  # T = 10, h = 4
+    instances = 5
+    clients = [seed_from_parts(b"differential", i) for i in range(13)]
+    seen = Counter()
+    for params in (PARAMS, FilterParams(256, 2)):
+        core = TrustedCore(pm_key, admin_key.public, geometry, params, instances)
+        for c in clients[:-1]:                             # the last is never registered
+            core.register(c)
+        reference = copy.deepcopy(core)
+        for step in range(600):
+            roll = rng.random()
+            if roll < 0.015:
+                order = signed_order(admin_key, rng.choice(clients[:-1]),
+                                     rng.randrange(geometry.slots), core.epoch_now)
+                core.revoke(order)
+                reference.revoke(order)
+                continue
+            if roll < 0.06:                                # known from filters only
+                witness = TrustedCore(pm_key, admin_key.public,
+                                      geometry.with_epoch(core.epoch_now), params, instances)
+                witness.revoke(signed_order(admin_key, rng.choice(clients[:-1]),
+                                            rng.randrange(geometry.slots // 2), core.epoch_now))
+                nxt = witness.erc_next if rng.random() < 0.25 else None
+                assert core.merge_filters(witness.erc_current, nxt) \
+                    == reference.merge_filters(witness.erc_current, nxt)
+                continue
+            if step % 200 == 199:
+                core.rotate_epoch()
+                reference.rotate_epoch()
+            requester = rng.choice(clients)
+            epoch_id = max(0, core.epoch_now + rng.choice((-1, 0, 0, 0, 1, 1, 1, 2)))
+            count = instances if rng.random() < 0.05 else rng.randint(1, 3)
+            req, kind = RequestRrp(requester, epoch_id, count), "none"
+            if rng.random() < 0.85:
+                req, kind = random_proof_request(rng, pm_key, core, requester, epoch_id,
+                                                 count, clients, instances)
+            quarantined = rng.random() < 0.2
+            checked = requester in core.registry and requester not in core.revoked and any(
+                core.issued.get((requester, core.epoch_now + d)) for d in (-1, 0, 1))
+            outcome = issued_or_denied(core.issue, req, quarantined)
+            expected = issued_or_denied(reference_issue, reference, req, quarantined)
+            assert outcome == expected, (step, kind)
+            assert core.issued == reference.issued
+            seen[kind, checked, outcome[0] if isinstance(outcome[0], DenialReason)
+                 else DenialReason.NONE] += 1
+    for kind in ("genuine 1", "genuine k"):                # proofs that had to pass
+        assert seen[kind, True, DenialReason.NONE] and seen[kind, True, DenialReason.REVOKED]
+    renonced = [f"re-nonced at {level}" for level in ("all", *range(geometry.height + 1))]
+    for kind in (*renonced, "flipped", "relabelled", "another slot", "outside",
+                 "another client's"):
+        assert seen[kind, True, DenialReason.BAD_PROOF], kind
+    assert {reason for *_, reason in seen} == set(DenialReason)
+
+
+def issued_or_denied(issue, *args) -> list:
+    try:
+        return issue(*args)
+    except IssuanceDenied as denied:
+        return [denied.reason]
+
+
+def random_proof_request(rng, pm_key, core, requester, epoch_id, count, clients, instances):
+    """A request with one of the proofs ``test_issue_matches_the_reference_issuance``
+    lists, and the name of its kind."""
+    owner = requester
+    kind = rng.choice(("genuine 1", "genuine k", "genuine k", "re-nonced", "flipped",
+                       "relabelled", "another slot", "outside", "another client's"))
+    if kind == "another client's":
+        owner = rng.choice([c for c in clients if c != requester])
+    proof_epoch = max(0, core.epoch_now + rng.choice((-1, 0, 0, 1)))
+    cfg = core.cfg_for(proof_epoch)
+    instance = 1 if kind == "genuine 1" or rng.random() < 0.4 else rng.randint(2, instances)
+    rrp = create_rrp(owner, proof_epoch, instance, pm_key, instances)
+    slot = rng.randrange(cfg.slots)
+    proof, proof_slot = get_capability(rrp, slot, cfg), slot
+    keys = list(proof.latchkeys)
+    level = rng.randrange(len(keys))
+    if kind == "re-nonced":
+        levels = range(len(keys)) if rng.random() < 0.2 else [level]
+        for j in levels:
+            keys[j] = Latchkey(keys[j].label, sign_with_nonce(
+                rrp.keypair, keys[j].label.canonical_bytes, rng.randbytes(32)))
+        kind += f" at {keys[level].label.level}" if len(levels) == 1 else " at all"
+    elif kind == "flipped":
+        field = rng.choice(("pseudonym_pub", "endorsement", "latchkey"))
+        flip = 1 << rng.randrange(8)
+        data = bytearray(keys[level].sig if field == "latchkey" else getattr(proof, field))
+        data[rng.randrange(len(data))] ^= flip
+        if field == "latchkey":
+            keys[level] = replace(keys[level], sig=bytes(data))
+        else:
+            proof = replace(proof, **{field: bytes(data)})
+    elif kind == "relabelled":
+        label = keys[level].label
+        keys[level] = replace(keys[level], label=replace(label, index=label.index ^ 1))
+    elif kind == "another slot":
+        proof_slot = (slot + rng.randrange(1, cfg.slots)) % cfg.slots
+    elif kind == "outside":
+        proof_slot = rng.choice((-1, cfg.slots))
+    proof = replace(proof, latchkeys=tuple(keys))
+    return RequestRrp(requester, epoch_id, count, proof, proof_slot), kind
+
+
+def test_core_keeps_no_pseudonym_key_or_seed(pm_key, admin_key):
+    """The manager re-creates every pseudonym from (cid, epoch, instance):
+    after issuances with proofs, orders, merges and a rotation, no key pair
+    but the manager's own and no pseudonym seed is reachable from the core."""
+    clients = [seed_from_parts(b"stateless", i) for i in range(4)]
+    core = TrustedCore(pm_key, admin_key.public, GEOMETRY, PARAMS, max_instances=8)
+    for c in clients:
+        core.register(c)
+        first = core.issue(RequestRrp(c, 0, 2))[0]
+        core.issue(RequestRrp(c, 1, 3, proof_for(core, first, 1), 1))
+        core.issue(RequestRrp(c, 0, 1, proof_for(core, first, 2), 2))
+    core.revoke(signed_order(admin_key, clients[0], 2, 0))
+    witness = make_core(pm_key, admin_key, clients[1])
+    witness.revoke(signed_order(admin_key, clients[1], 0, 0))
+    assert core.merge_filters(witness.erc_current, witness.erc_next)
+    core.rotate_epoch()
+    for c in clients[2:]:
+        proof = proof_for(core, create_rrp(c, 1, 3, pm_key, 8), 3)
+        assert len(core.issue(RequestRrp(c, 2, 2, proof, 3))) == 2
+    found, stack, visited = [], [core], set()
+    while stack:
+        obj = stack.pop()
+        if id(obj) in visited:
+            continue
+        visited.add(id(obj))
+        found.append(obj)
+        if isinstance(obj, dict):
+            stack += [*obj.keys(), *obj.values()]
+        elif isinstance(obj, list | tuple | set | frozenset):
+            stack += list(obj)
+        elif not isinstance(obj, bytes | bytearray | str | int | float | type(None)):
+            stack += list(getattr(obj, "__dict__", {}).values())
+            stack += [getattr(obj, name) for name in getattr(type(obj), "__slots__", ())
+                      if hasattr(obj, name)]
+    assert [k for k in found if isinstance(k, KeyPair)] == [core.pm_key]
+    seeds = [seed_from_parts(c, e, i) for c in clients for e in range(4) for i in range(1, 9)]
+    blobs = [bytes(b) for b in found if isinstance(b, bytes | bytearray)]
+    assert blobs and not [s for s in seeds for b in blobs if s in b]
