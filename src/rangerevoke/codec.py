@@ -79,8 +79,13 @@ class FieldError(DecodeError):
     """A structurally present field holds an invalid value."""
 
 
+# the gossip path's fixed-width headers, written and read in one step
+_FILTER_HEAD = struct.Struct(">QQB")        # epoch, m, k
+_ENVELOPE_HEAD = struct.Struct(">BI")       # type tag, payload length
+
+
 class _Reader:
-    """Cursor over immutable bytes; every read checks remaining length."""
+    """Cursor over immutable bytes; every read checks remaining length once."""
 
     __slots__ = ("data", "pos")
 
@@ -88,16 +93,23 @@ class _Reader:
         self.data = data
         self.pos = 0
 
+    def _advance(self, n: int) -> int:   # claims n bytes, returns their offset
+        pos = self.pos
+        if pos + n > len(self.data):
+            raise Truncated(f"need {n} bytes at offset {pos}, "
+                            f"have {len(self.data) - pos}")
+        self.pos = pos + n
+        return pos
+
     def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise Truncated(f"need {n} bytes at offset {self.pos}, "
-                            f"have {len(self.data) - self.pos}")
-        out = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return out
+        pos = self._advance(n)
+        return self.data[pos:pos + n]
+
+    def unpack(self, fmt: struct.Struct) -> tuple:
+        return fmt.unpack_from(self.data, self._advance(fmt.size))
 
     def u8(self) -> int:
-        return self.take(1)[0]
+        return self.data[self._advance(1)]
 
     def u32(self) -> int:
         return struct.unpack(">I", self.take(4))[0]
@@ -165,14 +177,12 @@ def _read_capability(r: _Reader) -> Capability:
 
 def _write_filter(out: bytearray, erc: ErcSet) -> None:
     flt = erc.filter
-    out += struct.pack(">QQB", flt.epoch_id, flt.m, flt.k)
+    out += _FILTER_HEAD.pack(flt.epoch_id, flt.m, flt.k)
     out += flt.bits
 
 
 def _read_filter(r: _Reader) -> ErcSet:
-    epoch_id = r.u64()
-    m = r.u64()
-    k = r.u8()
+    epoch_id, m, k = r.unpack(_FILTER_HEAD)
     try:
         params = FilterParams(m, k)
     except ValueError as exc:
@@ -279,15 +289,15 @@ def encode_message(msg: Message) -> bytes:
         raise TypeError(f"not a wire message: {type(msg).__name__}") from None
     payload = bytearray()
     write(payload, msg)
-    return ENVELOPE_MAGIC + bytes([VERSION, tag]) + _blob(payload)
+    return ENVELOPE_MAGIC + bytes([VERSION]) + _ENVELOPE_HEAD.pack(tag, len(payload)) + payload
 
 
 def decode_message(data: bytes) -> Message:
     r = _Reader(data)
     r.expect_magic(ENVELOPE_MAGIC)
     r.expect_version(VERSION)
-    tag = r.u8()
-    payload = _Reader(_read_blob(r))
+    tag, length = r.unpack(_ENVELOPE_HEAD)
+    payload = _Reader(r.take(length))
     r.done()
     if tag not in _READERS:
         raise FieldError(f"unknown message type {tag:#04x}")

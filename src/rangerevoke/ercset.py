@@ -99,12 +99,17 @@ class BloomFilter:
                 and self.k == other.k and self.epoch_id == other.epoch_id)
 
     def merged(self, other: "BloomFilter") -> "BloomFilter":
+        """Bitwise OR with a compatible filter: the receiver itself when
+        ``other`` adds no bit, so an idle merge builds nothing and callers
+        tell a gain by identity (no filter is modified once shared)."""
         if not self.compatible(other):
             raise ValueError("cannot merge filters with different parameters")
-        n = len(self.bits)
-        combined = (int.from_bytes(self.bits, "little")
-                    | int.from_bytes(other.bits, "little")).to_bytes(n, "little")
-        return BloomFilter(self.params, self.epoch_id, combined)
+        mine = int.from_bytes(self.bits, "little")
+        combined = mine | int.from_bytes(other.bits, "little")
+        if combined == mine:
+            return self
+        return BloomFilter(self.params, self.epoch_id,
+                           combined.to_bytes(len(self.bits), "little"))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, BloomFilter) and self.compatible(other) \
@@ -123,8 +128,10 @@ class ErcSet:
 
 
 def merge_ercset(a: ErcSet, b: ErcSet) -> ErcSet:
-    """Bitwise OR of two compatible sets; commutative and idempotent."""
-    return ErcSet(a.filter.merged(b.filter))
+    """Bitwise OR of two compatible sets; commutative and idempotent.
+    ``a`` itself when ``b`` adds no bit."""
+    flt = a.filter.merged(b.filter)
+    return a if flt is a.filter else ErcSet(flt)
 
 
 def is_revoked(erc: ErcSet, cap: Capability) -> bool:

@@ -38,7 +38,8 @@ from .messages import (
 )
 # verify_capability is imported for perfbench/, whose tracer patches it in
 # this module; the proof check below does not call it
-from .pseudonym import Rrp, endorse, endorsement_message, pseudonym_keypair, verify_capability
+from .pseudonym import (CLIENT_ID_LEN, Rrp, endorse, endorsement_message, pseudonym_keypair,
+                        verify_capability)
 from .slot_tree import EpochConfig, NodeLabel, SlotRange, path_to_root, safe_cover
 
 log = logging.getLogger(__name__)
@@ -104,6 +105,8 @@ class TrustedCore:
         return self.geometry.with_epoch(epoch_id)
 
     def register(self, cid: bytes) -> None:
+        if len(cid) != CLIENT_ID_LEN:
+            raise ValueError(f"cid must be {CLIENT_ID_LEN} bytes")
         self.registry.add(cid)
 
     def erc_for(self, epoch_id: int) -> ErcSet | None:
@@ -246,11 +249,11 @@ class TrustedCore:
                 continue
             if incoming.epoch_id == self.erc_current.epoch_id:
                 merged = merge_ercset(self.erc_current, incoming)
-                changed |= merged != self.erc_current
+                changed |= merged is not self.erc_current
                 self.erc_current = merged
             elif incoming.epoch_id == self.erc_next.epoch_id:
                 merged = merge_ercset(self.erc_next, incoming)
-                changed |= merged != self.erc_next
+                changed |= merged is not self.erc_next
                 self.erc_next = merged
         return changed
 

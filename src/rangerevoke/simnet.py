@@ -6,9 +6,10 @@ windows, arbitrary delay in unstable ones, per-node clock skew, scripted
 crash/recovery of managers.  Identical (config, seed) pairs reproduce
 byte-identical reports.
 
-Time is integer microseconds.  Messages between nodes are round-tripped
-through the wire codec on delivery, so every run also exercises the
-serialization formats end to end.
+Time is integer microseconds.  Messages travel as wire bytes, encoded
+once per fan-out and decoded on delivery, after the receiver's crash
+check, into each receiver's own copy; every run exercises the codec end
+to end, and a message lost to a crash or the horizon is never decoded.
 
 The module also hosts the linkage adversary that post-processes the
 capabilities presented during a run (``Simulation.presented``).
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field, replace
 from . import codec
 from .crypto import det_keygen, det_sign, seed_from_parts
 from .ercset import ErcSet, FilterParams
-from .manager import PmNode, TrustedCore
+from .manager import Outgoing, PmNode, TrustedCore
 from .messages import (
     EpochReport,
     ErcPullReq,
@@ -180,17 +181,22 @@ def _filter_digest(erc: ErcSet | None) -> str:
 
 
 class _Client:
-    """Client-side state: secret id and the unused pseudonyms per epoch."""
+    """Client-side state: secret id and, per epoch, the endorsements not shown yet."""
 
     def __init__(self, index: int, cid: bytes):
         self.index = index
         self.cid = cid
-        self.unused: dict[int, list[Rrp]] = {}
+        self.unused: dict[int, list[tuple[int, bytes]]] = {}
         self.last_proof: tuple[Capability, int] | None = None
 
     def take(self, epoch_id: int) -> Rrp | None:
+        """The next unused pseudonym, its key derived now and its endorsement as sent."""
         pool = self.unused.get(epoch_id)
-        return pool.pop(0) if pool else None
+        if not pool:
+            return None
+        instance, endorsement = pool.pop(0)
+        return Rrp(self.cid, epoch_id, instance,
+                   pseudonym_keypair(self.cid, epoch_id, instance), endorsement)
 
 
 class Simulation:
@@ -280,15 +286,20 @@ class Simulation:
         return deliver_at - self.now
 
     def _send(self, src: str, dst: str, msg) -> None:
+        self._emit(src, [Outgoing(dst, msg)])
+
+    def _emit(self, src: str, outgoing: list[Outgoing]) -> None:
+        """Schedule each delivery with its wire bytes, one encoding per message object."""
         if self._crashed(src, self.now):
             return
-        self.messages[type(msg).__name__] = self.messages.get(type(msg).__name__, 0) + 1
-        msg = codec.decode_message(codec.encode_message(msg))  # wire round-trip
-        self._schedule(self.now + self._delay(), ("deliver", src, dst, msg))
-
-    def _emit(self, src: str, outgoing) -> None:
+        wire: dict[int, bytes] = {}
         for out in outgoing:
-            self._send(src, out.dst, out.msg)
+            name = type(out.msg).__name__
+            self.messages[name] = self.messages.get(name, 0) + 1
+            data = wire.get(id(out.msg))
+            if data is None:
+                data = wire[id(out.msg)] = codec.encode_message(out.msg)
+            self._schedule(self.now + self._delay(), ("deliver", src, out.dst, data))
 
     def local_time(self, node: str) -> int:
         return self.now + self.clock_offset.get(node, 0)
@@ -308,9 +319,10 @@ class Simulation:
             getattr(self, f"_on_{kind}")(*args)
         return self._report()
 
-    def _on_deliver(self, src: str, dst: str, msg) -> None:
+    def _on_deliver(self, src: str, dst: str, data: bytes) -> None:
         if self._crashed(dst, self.now):
             return
+        msg = codec.decode_message(data)
         if dst in self.pms:
             pm = self.pms[dst]
             if isinstance(msg, (ErcPush, ErcPullResp)):
@@ -337,12 +349,7 @@ class Simulation:
         elif dst.startswith("client"):
             client = self.clients[int(dst.removeprefix("client"))]
             if isinstance(msg, RrpResponse) and msg.granted:
-                # the client derives its own keys and keeps the endorsements
-                # as sent: a wrong one is refused by the verifier
-                client.unused.setdefault(msg.epoch_id, []).extend(
-                    Rrp(client.cid, msg.epoch_id, i,
-                        pseudonym_keypair(client.cid, msg.epoch_id, i), endorsement)
-                    for i, endorsement in msg.endorsements)
+                client.unused.setdefault(msg.epoch_id, []).extend(msg.endorsements)
 
     def _on_pm_timer(self, pm_id: str) -> None:
         self._schedule(self.now + self.cfg.gossip_timeout, ("pm_timer", pm_id))

@@ -194,6 +194,30 @@ def test_bad_filter_params_is_field_error():
         codec.decode_message(bytes(blob))
 
 
+def test_every_prefix_is_truncated_and_one_more_byte_is_trailing(cap, cid):
+    """Every proper prefix of a valid encoding raises ``Truncated`` and the
+    encoding plus one byte raises ``TrailingBytes``: one encoding of each
+    of the 7 message kinds, and a capability."""
+    messages = [
+        RequestRrp(cid, 4, 3, proof=cap, proof_slot=1),
+        RrpResponse(DenialReason.NONE, 4, ((1, b"\x01" * 64), (2, b"\x02" * 64))),
+        RevocationOrder(cid, 2, 0, b"\x02" * 64),
+        ErcPush(bloom_erc(0), bloom_erc(1)),
+        ErcPullReq(),
+        ErcPullResp(bloom_erc(0), bloom_erc(1)),
+        EpochReport(3, bloom_erc(3), bloom_erc(4)),
+    ]
+    assert len({type(msg) for msg in messages}) == 7
+    cases = [(codec.decode_message, codec.encode_message(msg)) for msg in messages]
+    cases.append((codec.decode_capability, codec.encode_capability(cap)))
+    for decode, blob in cases:
+        for end in range(len(blob)):
+            with pytest.raises(codec.Truncated):
+                decode(blob[:end])
+        with pytest.raises(codec.TrailingBytes):
+            decode(blob + b"\x00")
+
+
 # -- fuzz -------------------------------------------------------------------
 
 def test_fuzz_random_bytes_raise_only_typed_errors(cap, cid):

@@ -252,6 +252,12 @@ def test_bloom_merge_matches_bytewise_or():
             assert merged.merged(a) == merged               # absorbs its inputs
             assert merged.params == params and merged.salt == a.salt
             assert (bytes(a.bits), bytes(b.bits)) == (a_bits, b_bits)
+            # the receiver itself exactly when nothing is gained
+            assert (merged is a) == (want == a_bits)
+            erc = ErcSet(a)
+            assert (merge_ercset(erc, ErcSet(b)) is erc) == (want == a_bits)
+            subset = BloomFilter(params, 0, bits=bytes(x & y for x, y in zip(a_bits, b_bits)))
+            assert a.merged(subset) is a and merge_ercset(erc, ErcSet(subset)) is erc
 
 
 def test_bloom_merge_incompatible_epoch_and_type():

@@ -236,6 +236,17 @@ def test_handle_request_response(pm_key, admin_key, cid):
     assert not resp.granted and resp.reason is DenialReason.UNKNOWN_CLIENT
 
 
+def test_short_client_id_is_refused(pm_key, admin_key, cid):
+    # a client id must be 32 bytes when it is registered; a request naming
+    # a shorter one is answered as an unknown client, not with an exception
+    node = make_node(pm_key, admin_key, cid)
+    short = cid[:31]
+    with pytest.raises(ValueError, match="32 bytes"):
+        node.core.register(short)
+    resp = node.handle_request(RequestRrp(short, 0, 1))
+    assert not resp.granted and resp.reason is DenialReason.UNKNOWN_CLIENT
+
+
 def test_eager_push_fanout(pm_key, admin_key, cid):
     node = make_node(pm_key, admin_key, cid, f=1)
     order = signed_order(admin_key, cid, 1, 0)

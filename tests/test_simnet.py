@@ -1,8 +1,12 @@
+import hashlib
 from dataclasses import replace
 
 import pytest
 
-from rangerevoke.manager import PmNode
+from rangerevoke import codec, pseudonym
+from rangerevoke.manager import Outgoing, PmNode
+from rangerevoke.messages import ErcPush, RequestRrp
+from rangerevoke.pseudonym import create_rrp
 from rangerevoke.scenario import SCENARIO_DIR, parse_scenario, run_checks
 from rangerevoke.simnet import (
     MICRO,
@@ -13,6 +17,17 @@ from rangerevoke.simnet import (
     Window,
     linkage_adversary,
 )
+
+# SHA-256 of (report.txt, auths.csv) that ``rangerevoke --out DIR simulate
+# NAME`` writes for each bundled scenario
+BUNDLED_REPORTS = {
+    "quarantine": ("f8bff1bd8d868251d609a868a79cb3223ffea68402d9bc534381e4f6f4446e1a",
+                   "1e3ea17d79824602cd6dbd32e78ad5546fa2ce2014eb39c7d75a280c7d3d4f94"),
+    "linkage": ("971c59edc19dbfbb2b6f3478a7d739e19deba5963d2478a7367effaf1d519d7c",
+                "252dbbdf4b88794148c0376cddba209ddb27f221f4a9f2003ef0434920dab090"),
+    "safemode": ("576cfb22988326e3eca0ce686686885f91138542ac91891466f51bf3f52d4e40",
+                 "7ac8c13529f6364ec86ff3c9bda5a43c8a90c05600e5afe33f92c7379e763b3f"),
+}
 
 
 def small_cfg(**overrides) -> SimConfig:
@@ -142,3 +157,87 @@ def test_unknown_event_kind_raises():
     sim._schedule(1, ("no_such_event", "pm0"))
     with pytest.raises(AttributeError, match="_on_no_such_event"):
         sim.run()
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_REPORTS))
+def test_bundled_reports_are_pinned(name):
+    # a simulator change that moves any decision, message count or filter
+    # bit of a bundled scenario fails here
+    cfg, _ = parse_scenario(SCENARIO_DIR / f"{name}.scn")
+    report = Simulation(cfg).run()
+    got = tuple(hashlib.sha256(text.encode("utf-8")).hexdigest()
+                for text in (report.as_text(), report.auth_csv()))
+    assert got == BUNDLED_REPORTS[name]
+
+
+def test_one_encoding_per_fan_out_and_one_decode_per_delivery(monkeypatch):
+    """Each ``_emit`` encodes each distinct message object once, however
+    many receivers it has, and only deliveries to a live node decode."""
+    calls = {"encode": 0, "decode": 0, "delivered": 0}
+    encode, decode = codec.encode_message, codec.decode_message
+    emit, deliver = Simulation._emit, Simulation._on_deliver
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    def checked_emit(sim, src, outgoing):
+        before = calls["encode"]
+        emit(sim, src, outgoing)
+        distinct = 0 if sim._crashed(src, sim.now) else len({id(o.msg) for o in outgoing})
+        assert calls["encode"] - before == distinct
+
+    def counted_deliver(sim, src, dst, data):
+        assert isinstance(data, bytes)
+        calls["delivered"] += not sim._crashed(dst, sim.now)
+        deliver(sim, src, dst, data)
+
+    monkeypatch.setattr(codec, "encode_message", counting("encode", encode))
+    monkeypatch.setattr(codec, "decode_message", counting("decode", decode))
+    monkeypatch.setattr(Simulation, "_emit", checked_emit)
+    monkeypatch.setattr(Simulation, "_on_deliver", counted_deliver)
+    cfg = small_cfg(crashes=(CrashWindow("pm2", 15 * MICRO, 35 * MICRO),),
+                    horizon=70 * MICRO)
+    report = Simulation(cfg).run()
+    sends = sum(report.messages.values())
+    assert calls["encode"] < sends                    # fan-outs share an encoding
+    assert calls["decode"] == calls["delivered"] < sends
+
+
+def test_receivers_of_one_push_decode_their_own_copies(monkeypatch):
+    sim = Simulation(small_cfg(script=()))
+    core = sim.pms["pm0"].core
+    push = ErcPush(core.erc_current, core.erc_next)
+    sim._queue.clear()
+    sim._emit("pm0", [Outgoing("pm1", push), Outgoing("pm2", push)])
+    deliveries = [item for _, _, item in sim._queue]
+    assert sorted(item[2] for item in deliveries) == ["pm1", "pm2"]
+    assert deliveries[0][3] is deliveries[1][3]                 # one encoding
+    received = []
+    monkeypatch.setattr(PmNode, "handle_ercsets",
+                        lambda self, current, nxt: received.append(current) or [])
+    for _, src, dst, data in deliveries:
+        sim._on_deliver(src, dst, data)
+    a, b = received
+    assert a == b == push.current                               # the filter as sent
+    assert len({id(a.filter), id(b.filter), id(push.current.filter)}) == 3
+
+
+def test_client_derives_a_key_only_when_it_shows_the_pseudonym(monkeypatch):
+    sim = Simulation(small_cfg(script=()))
+    client = sim.clients[0]
+    resp = sim.pms["pm0"].handle_request(RequestRrp(client.cid, 0, 3))
+    assert resp.granted
+    derived = []
+    det_keygen = pseudonym.det_keygen
+    monkeypatch.setattr(pseudonym, "det_keygen",
+                        lambda seed: derived.append(seed) or det_keygen(seed))
+    sim._on_deliver("pm0", "client0", codec.encode_message(resp))
+    assert derived == []
+    rrp = client.take(0)
+    assert len(derived) == 1
+    assert rrp == create_rrp(client.cid, 0, 1, sim.pm_key, sim.cfg.max_instances)
+    assert [client.take(0).instance, client.take(0).instance] == [2, 3]
+    assert client.take(0) is None
