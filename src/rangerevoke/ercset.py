@@ -136,4 +136,8 @@ def merge_ercset(a: ErcSet, b: ErcSet) -> ErcSet:
 
 def is_revoked(erc: ErcSet, cap: Capability) -> bool:
     """A capability is revoked iff any of its latchkeys queries true."""
-    return any(erc.filter.query(lk.sig) for lk in cap.latchkeys)
+    query = erc.filter.query
+    for lk in cap.latchkeys:
+        if query(lk.sig):
+            return True
+    return False

@@ -210,7 +210,8 @@ class TrustedCore:
     # -- revocation -------------------------------------------------------
 
     def revoke(self, order: RevocationOrder) -> None:
-        """Apply an administrator order; ``ValueError`` if its signature is bad.
+        """Apply an administrator order; ``ValueError``, and no state
+        change, if its signature is bad or its slot lies outside the epoch.
 
         An order of any epoch expels its client: the revoked set outlives
         the two filter epochs, so a relayed order from a past epoch still
@@ -222,12 +223,15 @@ class TrustedCore:
         root latchkey.  Merging is idempotent, so replayed orders change
         nothing.
         """
+        cfg_now = self.cfg_for(self.epoch_now)   # every epoch has the same slots
+        if not 0 <= order.rts < cfg_now.slots:
+            raise ValueError(f"rts {order.rts} outside the epoch's "
+                             f"{cfg_now.slots} slots")
         if not ver_sign(self.admin_public, order.signed_payload(), order.admin_sig):
-            raise ValueError("revocation order signature invalid")
+            raise ValueError("bad signature")
         self.revoked.add(order.cid)
         if order.epoch_id != self.epoch_now:
             return
-        cfg_now = self.cfg_for(self.epoch_now)
         cover = safe_cover(cfg_now, SlotRange(order.rts, cfg_now.slots - 1))
         root = {NodeLabel(self.epoch_now + 1, 0, 0)}
         for i in range(1, self.max_instances + 1):
@@ -318,9 +322,8 @@ class PmNode:
             return []
         try:
             self.core.revoke(order)
-        except ValueError:
-            log.warning("%s: revocation order rejected: bad signature",
-                        self.node_id)
+        except ValueError as exc:
+            log.warning("%s: revocation order rejected: %s", self.node_id, exc)
             return []
         # Relay the order itself alongside the filters: it is admin-signed,
         # so peers that never served this client still learn the expulsion

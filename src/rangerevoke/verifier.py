@@ -52,6 +52,10 @@ class VerifierNode:
         self.epsilon = epsilon
         self.erc_local: ErcSet | None = None
         self.last_pull: int | None = None
+        # capabilities found genuine at the newest (epoch, slot) verified,
+        # by leaf signature
+        self._genuine: dict[bytes, Capability] = {}
+        self._genuine_at = (-1, -1)
 
     # -- time helpers -----------------------------------------------------
 
@@ -69,7 +73,17 @@ class VerifierNode:
     # -- authentication ---------------------------------------------------
 
     def authenticate(self, cap: Capability, now: int) -> Decision:
-        """Pure function of (filter, capability, clock, staleness)."""
+        """Decide one showing of a capability.
+
+        The decision is a pure function of (filter, capability, clock,
+        staleness): freshness, epoch, slot and revocation are checked on
+        every showing.  Only the genuineness check is remembered: a
+        capability that verified at the newest (epoch, slot) this verifier
+        has verified is not verified again when the identical capability
+        is shown in that slot.  Verifying a capability of a newer slot
+        forgets the older ones; one of an older slot that the skew still
+        admits is verified on every showing and never remembered.
+        """
         epoch = self.current_epoch(now)
         # a filter left over from a previous epoch cannot vouch for this one
         if self.is_stale(now) or self.erc_local is None \
@@ -80,12 +94,28 @@ class VerifierNode:
         slot = cap.slot
         if not self._slot_acceptable(now, cap.epoch_id, slot):
             return Decision.WRONG_SLOT
-        cfg = self.geometry.with_epoch(cap.epoch_id)
-        if not verify_capability(cap, self.pm_public, slot, cfg):
+        if not self._is_genuine(cap, slot):
             return Decision.NOT_GENUINE
         if is_revoked(self.erc_local, cap):
             return Decision.REVOKED
         return Decision.GRANTED
+
+    def _is_genuine(self, cap: Capability, slot: int) -> bool:
+        """``verify_capability``, skipped for a capability equal in every
+        field to one already found genuine in its slot.  The leaf signature
+        only finds the candidate; equality decides."""
+        leaf = cap.latchkeys[0].sig
+        if cap == self._genuine.get(leaf):
+            return True
+        if not verify_capability(cap, self.pm_public, slot,
+                                 self.geometry.with_epoch(cap.epoch_id)):
+            return False
+        at = (cap.epoch_id, slot)
+        if at > self._genuine_at:
+            self._genuine, self._genuine_at = {}, at
+        if at == self._genuine_at:
+            self._genuine[leaf] = cap
+        return True
 
     # -- pull gossip ------------------------------------------------------
 

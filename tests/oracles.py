@@ -33,6 +33,7 @@ import functools
 import hashlib
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 from rangerevoke.crypto import KeyPair, det_sign, digest
 from rangerevoke.ercset import BloomFilter, ErcSet, FilterParams, is_revoked
@@ -169,7 +170,7 @@ def merge_latchkeys(capabilities: list[Capability]) -> LatchkeySet:
     epochs = {c.epoch_id for c in capabilities}
     if len(epochs) > 1:
         raise ValueError("capabilities from different epochs cannot be merged")
-    merged = frozenset(lk for c in capabilities for lk in c.latchkeys)
+    merged = frozenset(chain.from_iterable(c.latchkeys for c in capabilities))
     return LatchkeySet(pseudonym_pub=pubs.pop(), latchkeys=merged)
 
 
@@ -183,7 +184,7 @@ def remove_unsafe(lset: LatchkeySet, cfg: EpochConfig) -> LatchkeySet:
     leaf_slots = {lk.label.index for lk in lset.latchkeys if lk.label.level == cfg.height}
     safe = frozenset(
         lk for lk in lset.latchkeys
-        if all(s in leaf_slots for s in leaves_under(cfg, lk.label))
+        if leaf_slots.issuperset(leaves_under(cfg, lk.label))
     )
     return LatchkeySet(lset.pseudonym_pub, safe)
 

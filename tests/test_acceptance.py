@@ -96,17 +96,17 @@ def exhaustive_sweep():
     for t in range(1, 65):
         cfg = EpochConfig(0, t, 1, 2)
         paths = {s: path_to_root(cfg, s) for s in range(t)}
-        sig = {}
+        latchkey = {}       # one object per label: capabilities share them
         for path in paths.values():
             for label in path:
-                if label not in sig:
-                    sig[label] = det_sign(key, label.canonical_bytes)
+                if label not in latchkey:
+                    latchkey[label] = Latchkey(label, det_sign(key, label.canonical_bytes))
         caps = {
             s: Capability(0, key.public, b"\x00" * 64,
-                          tuple(Latchkey(lb, sig[lb]) for lb in paths[s]))
+                          tuple(latchkey[lb] for lb in paths[s]))
             for s in range(t)
         }
-        slot_sigs = [{sig[lb] for lb in paths[s]} for s in range(t)]
+        slot_sigs = [{latchkey[lb].sig for lb in paths[s]} for s in range(t)]
         for first in range(t):
             for last in range(first, t):
                 n_ranges += 1

@@ -338,6 +338,20 @@ def test_bad_order_not_gossiped(pm_key, admin_key, cid, caplog):
     assert "bad signature" in caplog.text
 
 
+@pytest.mark.parametrize("epoch", [0, 1, 3], ids=["current", "next", "future"])
+@pytest.mark.parametrize("rts", [4, 2**64 - 1])      # T = 4 in every epoch
+def test_order_outside_the_epoch_is_refused_whole(pm_key, admin_key, cid, caplog,
+                                                  rts, epoch):
+    node = make_node(pm_key, admin_key, cid)
+    with caplog.at_level(logging.WARNING, logger="rangerevoke.manager"):
+        assert node.handle_revoke(signed_order(admin_key, cid, rts, epoch)) == []
+    assert f"rts {rts} outside the epoch" in caplog.text
+    assert cid not in node.core.revoked and not node._orders
+    assert not any(node.core.erc_current.filter.bits)
+    assert not any(node.core.erc_next.filter.bits)
+    assert node.handle_request(RequestRrp(cid, 0, 1)).granted
+
+
 def test_redundant_gossip_not_forwarded(pm_key, admin_key, cid):
     a = make_node(pm_key, admin_key, cid, node_id="pm0")
     b = make_node(pm_key, admin_key, cid, node_id="pm1")

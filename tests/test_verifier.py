@@ -1,11 +1,15 @@
 import random
+from dataclasses import replace
 
 import pytest
 
 from oracles import retry_with_extra_pseudonym
-from rangerevoke.ercset import BloomFilter, ErcSet, FilterParams
-from rangerevoke.messages import ErcPullReq, ErcPullResp
-from rangerevoke.pseudonym import create_rrp, get_capability
+from rangerevoke import codec, pseudonym, verifier
+from rangerevoke.crypto import det_sign
+from rangerevoke.ercset import BloomFilter, ErcSet, FilterParams, is_revoked
+from rangerevoke.manager import TrustedCore
+from rangerevoke.messages import ErcPullReq, ErcPullResp, RevocationOrder
+from rangerevoke.pseudonym import create_rrp, get_capability, verify_capability
 from rangerevoke.slot_tree import EpochConfig
 from rangerevoke.verifier import Decision, VerifierNode
 
@@ -143,3 +147,148 @@ def test_retry_exhausts_pool(cid, pm_key):
         v.erc_local.filter.add(get_capability(rrp, 0, GEOMETRY).latchkeys[-1].sig)
     decision, used = retry_with_extra_pseudonym(rrps, 0, GEOMETRY, v, now=1)
     assert decision is Decision.REVOKED and used == 2
+
+
+# -- the genuineness cache ----------------------------------------------------
+
+def counting(monkeypatch):
+    """Count Ed25519 verifies and filter queries from here on."""
+    counts = {"ver_sign": 0, "query": 0}
+
+    def wrap(name, original):
+        def counted(*args):
+            counts[name] += 1
+            return original(*args)
+        return counted
+
+    monkeypatch.setattr(pseudonym, "ver_sign", wrap("ver_sign", pseudonym.ver_sign))
+    monkeypatch.setattr(BloomFilter, "query", wrap("query", BloomFilter.query))
+    return counts
+
+
+def test_genuineness_is_checked_once_per_capability_in_its_slot(cid, pm_key,
+                                                                monkeypatch):
+    # the verify workload's geometry (T = 1,440, h = 11), one pseudonym shown
+    # at consecutive slots
+    cfg = EpochConfig(0, 86_400, 60)
+    h = cfg.height
+    v = VerifierNode("v0", pm_key.public, cfg, ["pm0"], random.Random(4),
+                     pull_period=cfg.epoch_len, epsilon=5)
+    fresh(v)
+    rrp = create_rrp(cid, 0, 1, pm_key, 8)
+    caps = [get_capability(rrp, slot, cfg) for slot in range(100, 106)]
+    counts = counting(monkeypatch)
+
+    def cost(cap, now):
+        before = dict(counts)
+        decision = v.authenticate(cap, now)
+        return decision, counts["ver_sign"] - before["ver_sign"], \
+            counts["query"] - before["query"]
+
+    for earlier, cap in zip([None] + caps, caps):
+        start = cap.slot * cfg.delta
+        assert cost(cap, start + 1) == (Decision.GRANTED, h + 2, h + 1)
+        copy = codec.decode_capability(codec.encode_capability(cap))
+        assert cost(copy, start + 30) == (Decision.GRANTED, 0, h + 1)
+        if earlier is not None:       # the skew still admits the previous slot
+            for _ in range(2):        # verified each time, never remembered
+                assert cost(earlier, start + 2) == (Decision.GRANTED, h + 2, h + 1)
+        assert list(v._genuine.values()) == [cap]
+    # a revocation merged between two showings denies the second
+    v.erc_local.filter.add(caps[-1].latchkeys[-1].sig)
+    assert cost(caps[-1], caps[-1].slot * cfg.delta + 40) == \
+        (Decision.REVOKED, 0, h + 1)
+
+
+def flip(data: bytes, rng: random.Random) -> bytes:
+    at = rng.randrange(len(data))
+    return data[:at] + bytes([data[at] ^ 1 << rng.randrange(8)]) + data[at + 1:]
+
+
+def tampered(cap, rng):
+    """A copy with one bit flipped in the endorsement or one latchkey."""
+    at = rng.randrange(-1, len(cap.latchkeys))
+    if at < 0:
+        return replace(cap, endorsement=flip(cap.endorsement, rng))
+    latchkeys = list(cap.latchkeys)
+    latchkeys[at] = replace(latchkeys[at], sig=flip(latchkeys[at].sig, rng))
+    return replace(cap, latchkeys=tuple(latchkeys))
+
+
+def cache_free(v, cap, now):
+    """The decision with no memory: every check, ``verify_capability`` then
+    ``is_revoked``, on every showing."""
+    epoch = now // GEOMETRY.epoch_len
+    if v.last_pull is None or now - v.last_pull > v.staleness_limit \
+            or v.erc_local.epoch_id != epoch:
+        return Decision.STALE_STATE
+    if cap.epoch_id != epoch:
+        return Decision.WRONG_EPOCH
+    start = epoch * GEOMETRY.epoch_len + cap.slot * GEOMETRY.delta
+    if not start - v.epsilon <= now < start + GEOMETRY.delta + v.epsilon:
+        return Decision.WRONG_SLOT
+    if not verify_capability(cap, v.pm_public, cap.slot, GEOMETRY.with_epoch(epoch)):
+        return Decision.NOT_GENUINE
+    if is_revoked(v.erc_local, cap):
+        return Decision.REVOKED
+    return Decision.GRANTED
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_cache_never_changes_a_decision(pm_key, admin_key, monkeypatch, seed):
+    """A seeded stream over three epochs of four slots: repeated showings,
+    tampered copies, revocations merged between two showings of one
+    capability, lapsed pulls, slots the skew admits or not, and epoch
+    changes."""
+    rng = random.Random(f"verifier-cache/{seed}")
+    cids = [bytes([i + 1]) * 32 for i in range(3)]
+    core = TrustedCore(pm_key, admin_key.public, GEOMETRY, PARAMS, 2)
+    rrps = {}
+    v = make_verifier(pm_key, epsilon=2)
+    calls = []
+    monkeypatch.setattr(verifier, "verify_capability",
+                        lambda *args: calls.append(args) or verify_capability(*args))
+    decisions = []
+
+    def show(cap, now):
+        decision = v.authenticate(cap, now)
+        assert decision is cache_free(v, cap, now), (seed, now, cap)
+        decisions.append(decision)
+        return decision
+
+    flipped = 0
+    for now in range(3 * GEOMETRY.epoch_len):
+        epoch, slot_now = divmod(now, GEOMETRY.epoch_len)
+        slot_now //= GEOMETRY.delta
+        if epoch > core.epoch_now:
+            core.rotate_epoch()
+        if rng.random() < 0.3 and not 100 <= now < 120:   # pulls lapse for 20 s
+            v.handle_pull_response(ErcPullResp(core.erc_current, core.erc_next), now)
+        granted = None
+        for _ in range(rng.randrange(4)):
+            cid, instance = rng.choice(cids), rng.randint(1, 2)
+            cap_epoch = epoch - (rng.random() < 0.05)
+            slot = slot_now + rng.choice((0, 0, 0, 0, -1, 1))
+            if cap_epoch < 0 or not 0 <= slot < GEOMETRY.slots:
+                continue
+            if (cid, cap_epoch, instance) not in rrps:
+                rrps[cid, cap_epoch, instance] = create_rrp(cid, cap_epoch, instance,
+                                                            pm_key, 2)
+            cap = get_capability(rrps[cid, cap_epoch, instance], slot,
+                                 GEOMETRY.with_epoch(cap_epoch))
+            if rng.random() < 0.2:
+                cap = tampered(cap, rng)
+            if show(cap, now) is Decision.GRANTED:
+                granted = cid, cap
+        if granted and rng.random() < 0.1:   # revoke it, then show it again
+            cid, cap = granted
+            order = RevocationOrder(cid, cap.slot, cap.epoch_id, b"")
+            core.revoke(replace(order, admin_sig=det_sign(admin_key,
+                                                          order.signed_payload())))
+            v.handle_pull_response(ErcPullResp(core.erc_current, core.erc_next), now)
+            flipped += show(cap, now) is Decision.REVOKED
+    assert set(decisions) == set(Decision)
+    assert flipped
+    checked = sum(d in (Decision.GRANTED, Decision.REVOKED, Decision.NOT_GENUINE)
+                  for d in decisions)
+    assert 0 < len(calls) < checked    # some showings skipped the signatures
