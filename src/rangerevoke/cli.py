@@ -106,6 +106,9 @@ def cmd_storage_compare(args: argparse.Namespace) -> int:
     points = [(delta, epoch, sizing.storage_comparison(delta, epoch, args.fanout,
                                                        args.daily_demand))
               for epoch in epochs for delta in deltas if delta <= epoch]
+    if not points:
+        raise ValueError("no slot length fits in an epoch: every --delta "
+                         "exceeds every --epoch")
     rows = [["delta_s", "epoch_s", "slots", "demand", "per_slot",
              "tree_entries", "flat_entries", "tree_kb", "flat_kb", "ratio"]]
     print(f"{'delta':>10} {'epoch':>10} {'slots':>9} {'tree KB':>12} "

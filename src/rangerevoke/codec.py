@@ -82,6 +82,7 @@ class FieldError(DecodeError):
 # the gossip path's fixed-width headers, written and read in one step
 _FILTER_HEAD = struct.Struct(">QQB")        # epoch, m, k
 _ENVELOPE_HEAD = struct.Struct(">BI")       # type tag, payload length
+_LATCHKEY = struct.Struct(f">BQ{SIG_LEN}s")  # level, index, signature
 
 
 class _Reader:
@@ -164,13 +165,10 @@ def _read_capability(r: _Reader) -> Capability:
     count = r.u8()
     if count == 0:
         raise FieldError("capability carries no latchkeys")
-    latchkeys = []
-    for _ in range(count):
-        level = r.u8()
-        index = r.u64()
-        sig = r.take(SIG_LEN)
-        latchkeys.append(Latchkey(NodeLabel(epoch_id, level, index), sig))
-    return Capability(epoch_id, pub, endorsement, tuple(latchkeys))
+    records = r.take(count * _LATCHKEY.size)
+    return Capability(epoch_id, pub, endorsement, tuple(
+        Latchkey(NodeLabel(epoch_id, level, index), sig)
+        for level, index, sig in _LATCHKEY.iter_unpack(records)))
 
 
 # -- records inside an envelope ---------------------------------------------
@@ -230,7 +228,10 @@ def _read_request(r: _Reader) -> RequestRrp:
     if r.u8():
         proof_slot = r.u64()
         proof = decode_capability(_read_blob(r))
-    return RequestRrp(cid, epoch_id, count, proof, proof_slot)
+    try:
+        return RequestRrp(cid, epoch_id, count, proof, proof_slot)
+    except ValueError as exc:
+        raise FieldError(str(exc)) from exc
 
 
 def _write_response(out: bytearray, msg: RrpResponse) -> None:

@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import struct
 from dataclasses import dataclass
 
 from .crypto import digest
 from .pseudonym import Capability
 
 SALT_LEN = 16
+_WORDS = struct.Struct(">QQ")       # g1, g2: the digest's first two words
 
 
 @functools.lru_cache(maxsize=16)
@@ -55,10 +57,13 @@ class BloomFilter:
 
     Items are encoded via digest(item || salt), where the salt is
     ``default_salt(epoch_id)``: it derives from the epoch alone, so it is
-    never stored or sent.  The first two 8-byte words g1, g2 of the digest
-    give index_j = (g1 + j*g2) mod m.  Bit i lives in byte i//8 at mask
-    1 << (i % 8).  Filters only accumulate: there is no removal, and
-    merging is bitwise OR.
+    never stored or sent.  The first two 8-byte big-endian words g1, g2 of
+    the digest give index_j = (g1 + j*g2) mod m for j = 0..k-1.  Bit i
+    lives in byte i//8 at mask 1 << (i % 8).  ``query`` probes index_0,
+    index_1, ... in that order and answers False at the first clear bit,
+    so an item that is not in a half-full filter costs about two probes,
+    not k.  Filters only accumulate: there is no removal, and merging is
+    bitwise OR.
     """
 
     __slots__ = ("m", "k", "epoch_id", "salt", "bits")
@@ -81,18 +86,26 @@ class BloomFilter:
     def params(self) -> FilterParams:
         return FilterParams(self.m, self.k)
 
-    def _positions(self, item: bytes) -> list[int]:
-        d = digest(item + self.salt)
-        g1 = int.from_bytes(d[:8], "big")
-        g2 = int.from_bytes(d[8:16], "big")
-        return [(g1 + j * g2) % self.m for j in range(self.k)]
+    def _probe(self, item: bytes) -> tuple[int, int]:
+        """index_0 and the step between consecutive indices, both mod m."""
+        g1, g2 = _WORDS.unpack_from(digest(item + self.salt))
+        return g1 % self.m, g2 % self.m
 
     def add(self, item: bytes) -> None:
-        for i in self._positions(item):
-            self.bits[i >> 3] |= 1 << (i & 7)
+        i, step = self._probe(item)
+        m, bits = self.m, self.bits
+        for _ in range(self.k):
+            bits[i >> 3] |= 1 << (i & 7)
+            i = (i + step) % m
 
     def query(self, item: bytes) -> bool:
-        return all(self.bits[i >> 3] & (1 << (i & 7)) for i in self._positions(item))
+        i, step = self._probe(item)
+        m, bits = self.m, self.bits
+        for _ in range(self.k):
+            if not bits[i >> 3] & (1 << (i & 7)):
+                return False
+            i = (i + step) % m
+        return True
 
     def compatible(self, other: "BloomFilter") -> bool:
         return (isinstance(other, BloomFilter) and self.m == other.m
@@ -101,9 +114,13 @@ class BloomFilter:
     def merged(self, other: "BloomFilter") -> "BloomFilter":
         """Bitwise OR with a compatible filter: the receiver itself when
         ``other`` adds no bit, so an idle merge builds nothing and callers
-        tell a gain by identity (no filter is modified once shared)."""
+        tell a gain by identity (no filter is modified once shared).  Most
+        gossiped filters equal the receiver's, which one byte comparison
+        settles."""
         if not self.compatible(other):
             raise ValueError("cannot merge filters with different parameters")
+        if other.bits == self.bits:
+            return self
         mine = int.from_bytes(self.bits, "little")
         combined = mine | int.from_bytes(other.bits, "little")
         if combined == mine:

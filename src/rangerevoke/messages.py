@@ -37,6 +37,9 @@ class RevocationOrder:
 
 @dataclass(frozen=True)
 class RequestRrp:
+    """Ask for ``count`` pseudonyms, 1..255 (one byte on the wire; a
+    request for none would cost the manager keys and signatures)."""
+
     cid: bytes
     epoch_id: int
     count: int
@@ -44,6 +47,8 @@ class RequestRrp:
     proof_slot: int | None = None
 
     def __post_init__(self) -> None:
+        if not 1 <= self.count <= 255:
+            raise ValueError(f"count must be in 1..255, got {self.count}")
         if (self.proof is None) != (self.proof_slot is None):
             raise ValueError("a proof needs its slot and a slot its proof")
 

@@ -118,26 +118,34 @@ def verify_capability(cap: Capability, pm_public: bytes, expected_slot: int,
     """Genuineness check; revocation is a separate, later check.
 
     True iff the endorsement verifies under the manager key, the labels are
-    exactly the expected slot's root-to-leaf path, and every latchkey
+    exactly the expected slot's leaf-to-root path, and every latchkey
     verifies under the pseudonym key.  Any failure, malformed input
-    included, yields False.  The per-latchkey checks are independent and may
-    run in parallel.
+    included, yields False.  Every label is checked first, in one walk up
+    the tree that builds no path: latchkey j must be the ``NodeLabel``
+    (epoch, h - j, slot // d**j).  Only then do the signatures run, the
+    endorsement first and the latchkeys leaf to root, stopping at the
+    first that fails.  The per-latchkey checks are independent and may run
+    in parallel.
     """
-    try:
-        expected_path = path_to_root(cfg, expected_slot)
-    except ValueError:
+    epoch_id, height = cfg.epoch_id, cfg.height
+    if cap.epoch_id != epoch_id or not 0 <= expected_slot < cfg.slots \
+            or len(cap.latchkeys) != height + 1:
         return False
-    if cap.epoch_id != cfg.epoch_id:
-        return False
-    if [lk.label for lk in cap.latchkeys] != expected_path:
-        return False
-    if not ver_sign(pm_public, endorsement_message(cap.epoch_id, cap.pseudonym_pub),
+    index, fanout = expected_slot, cfg.fanout
+    for level, lk in zip(range(height, -1, -1), cap.latchkeys):
+        label = lk.label
+        if type(label) is not NodeLabel or label.index != index \
+                or label.level != level or label.epoch_id != epoch_id:
+            return False
+        index //= fanout
+    if not ver_sign(pm_public, endorsement_message(epoch_id, cap.pseudonym_pub),
                     cap.endorsement):
         return False
-    return all(
-        ver_sign(cap.pseudonym_pub, lk.label.canonical_bytes, lk.sig)
-        for lk in cap.latchkeys
-    )
+    public = cap.pseudonym_pub
+    for lk in cap.latchkeys:
+        if not ver_sign(public, lk.label.canonical_bytes, lk.sig):
+            return False
+    return True
 
 
 def pseudonym_public_keys_of(cid: bytes, epoch_id: int, max_instances: int) -> list[bytes]:

@@ -14,8 +14,11 @@ the range; virtual leaves are ignored.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from functools import cached_property
+
+_LABEL = struct.Struct(">QBQ")      # epoch_id, level, index
 
 
 def tree_height(slots: int, fanout: int) -> int:
@@ -78,11 +81,7 @@ class NodeLabel:
     def canonical_bytes(self) -> bytes:
         """Injective binary form, the exact message signed for a latchkey:
         epoch_id u64 BE || level u8 || index u64 BE."""
-        return (
-            self.epoch_id.to_bytes(8, "big")
-            + self.level.to_bytes(1, "big")
-            + self.index.to_bytes(8, "big")
-        )
+        return _LABEL.pack(self.epoch_id, self.level, self.index)
 
 
 @dataclass(frozen=True)

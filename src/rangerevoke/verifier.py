@@ -56,6 +56,7 @@ class VerifierNode:
         # by leaf signature
         self._genuine: dict[bytes, Capability] = {}
         self._genuine_at = (-1, -1)
+        self._cfg = geometry            # the geometry of the epoch last verified
 
     # -- time helpers -----------------------------------------------------
 
@@ -107,8 +108,9 @@ class VerifierNode:
         leaf = cap.latchkeys[0].sig
         if cap == self._genuine.get(leaf):
             return True
-        if not verify_capability(cap, self.pm_public, slot,
-                                 self.geometry.with_epoch(cap.epoch_id)):
+        if self._cfg.epoch_id != cap.epoch_id:
+            self._cfg = self.geometry.with_epoch(cap.epoch_id)
+        if not verify_capability(cap, self.pm_public, slot, self._cfg):
             return False
         at = (cap.epoch_id, slot)
         if at > self._genuine_at:

@@ -25,6 +25,14 @@ what a client holding its pseudonym seed can run to forge latchkeys.
 ``reference_issue`` is the manager's issuance with every step deriving its
 own keys and the proof compared with a whole rebuilt capability, the form
 the program's key-reusing ``TrustedCore.issue`` is checked against.
+
+The authentication path does each per-latchkey step in one pass:
+``BloomFilter.query`` stops at its first clear bit, ``verify_capability``
+checks labels as it walks up the tree, and the codec unpacks all latchkey
+records at once.  ``filter_positions``, ``query_every_position``,
+``verify_capability_by_path`` and ``decode_capability_by_field`` are the
+straight-line forms they replaced, which the differential tests compare
+them with.
 """
 
 from __future__ import annotations
@@ -35,7 +43,8 @@ import math
 from dataclasses import dataclass, field
 from itertools import chain
 
-from rangerevoke.crypto import KeyPair, det_sign, digest
+from rangerevoke import codec
+from rangerevoke.crypto import KeyPair, det_sign, digest, ver_sign
 from rangerevoke.ercset import BloomFilter, ErcSet, FilterParams, is_revoked
 from rangerevoke.manager import IssuanceDenied, TrustedCore
 from rangerevoke.messages import DenialReason, RequestRrp
@@ -50,7 +59,7 @@ from rangerevoke.pseudonym import (
     pseudonym_public_keys_of,
     verify_capability,
 )
-from rangerevoke.slot_tree import EpochConfig, NodeLabel
+from rangerevoke.slot_tree import EpochConfig, NodeLabel, path_to_root
 from rangerevoke.verifier import Decision, VerifierNode
 
 
@@ -336,6 +345,63 @@ def _reference_check_proof(core: TrustedCore, req: RequestRrp) -> None:
         raise IssuanceDenied(DenialReason.BAD_PROOF) from None
     if is_revoked(erc, proof):
         raise IssuanceDenied(DenialReason.REVOKED)
+
+
+# -- the authentication path, step by step -------------------------------------
+
+def filter_positions(flt: BloomFilter, item: bytes) -> list[int]:
+    """All k bit indices of ``item``: (g1 + j*g2) mod m for j = 0..k-1."""
+    d = digest(item + flt.salt)
+    g1 = int.from_bytes(d[:8], "big")
+    g2 = int.from_bytes(d[8:16], "big")
+    return [(g1 + j * g2) % flt.m for j in range(flt.k)]
+
+
+def query_every_position(flt: BloomFilter, item: bytes) -> bool:
+    """``BloomFilter.query`` computing all k positions before any probe."""
+    return all(flt.bits[i >> 3] & (1 << (i & 7)) for i in filter_positions(flt, item))
+
+
+def verify_capability_by_path(cap: Capability, pm_public: bytes, expected_slot: int,
+                              cfg: EpochConfig) -> bool:
+    """``verify_capability`` comparing the labels with the slot's whole
+    ``path_to_root``."""
+    try:
+        expected_path = path_to_root(cfg, expected_slot)
+    except ValueError:
+        return False
+    if cap.epoch_id != cfg.epoch_id:
+        return False
+    if [lk.label for lk in cap.latchkeys] != expected_path:
+        return False
+    if not ver_sign(pm_public, endorsement_message(cap.epoch_id, cap.pseudonym_pub),
+                    cap.endorsement):
+        return False
+    return all(
+        ver_sign(cap.pseudonym_pub, lk.label.canonical_bytes, lk.sig)
+        for lk in cap.latchkeys
+    )
+
+
+def decode_capability_by_field(data: bytes) -> Capability:
+    """``codec.decode_capability`` reading each latchkey field by field."""
+    r = codec._Reader(data)
+    r.expect_magic(codec.CAPABILITY_MAGIC)
+    r.expect_version(codec.CAPABILITY_VERSION)
+    epoch_id = r.u64()
+    pub = r.take(codec.PUB_LEN)
+    endorsement = r.take(codec.SIG_LEN)
+    count = r.u8()
+    if count == 0:
+        raise codec.FieldError("capability carries no latchkeys")
+    latchkeys = []
+    for _ in range(count):
+        level = r.u8()
+        index = r.u64()
+        sig = r.take(codec.SIG_LEN)
+        latchkeys.append(Latchkey(NodeLabel(epoch_id, level, index), sig))
+    r.done()
+    return Capability(epoch_id, pub, endorsement, tuple(latchkeys))
 
 
 # Ed25519 (RFC 8032, section 5.1) over edwards25519 in extended coordinates

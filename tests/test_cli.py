@@ -54,6 +54,7 @@ _BAD_NUMBERS = [
     ("storage-compare --delta 0", "delta"),
     ("storage-compare --daily-demand -5 --delta 1m --epoch 1d", "daily demand"),
     ("storage-compare --daily-demand 0", "daily demand"),
+    ("storage-compare --delta 2d --epoch 1d", "every --delta exceeds every --epoch"),
 ]
 
 
@@ -73,6 +74,12 @@ def test_storage_compare_command(capsys, tmp_path):
     lines = (tmp_path / "storage.csv").read_text().splitlines()
     assert lines[0].startswith("delta_s,")
     assert len(lines) > 5
+
+
+def test_storage_compare_skips_only_slots_longer_than_the_epoch(capsys):
+    assert cli.main(["storage-compare", "--delta", "1h,2d", "--epoch", "1d"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert [row.split()[:2] for row in rows] == [["3600", "86400"]]
 
 
 def test_simulate_bundled_scenario(capsys, tmp_path):

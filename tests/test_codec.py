@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from oracles import decode_capability_by_field
 from rangerevoke import codec
 from rangerevoke.crypto import det_keygen, digest, seed_from_parts
 from rangerevoke.ercset import BloomFilter, ErcSet, FilterParams, default_salt
@@ -216,6 +217,55 @@ def test_every_prefix_is_truncated_and_one_more_byte_is_trailing(cap, cid):
                 decode(blob[:end])
         with pytest.raises(codec.TrailingBytes):
             decode(blob + b"\x00")
+
+
+@pytest.mark.parametrize("epoch_len, delta, height", [(60, 60, 0), (120, 60, 1),
+                                                      (86_400, 60, 11), (86_400, 1, 17)])
+def test_capability_decoder_matches_field_by_field_reader(pm_key, cid, epoch_len, delta,
+                                                          height):
+    """Round trips at tree heights 0, 1, 11 and 17 (1 s slots), and the
+    reader that takes each latchkey field by field: the same capability
+    from every valid encoding, and the same error class from every proper
+    prefix, from one byte more and from seeded byte flips."""
+    cfg = EpochConfig(9, epoch_len, delta)
+    assert cfg.height == height
+    rng = random.Random(height)
+    rrp = create_rrp(cid, 9, 3, pm_key, 8)
+    for slot in sorted({0, cfg.slots - 1, rng.randrange(cfg.slots)}):
+        cap = get_capability(rrp, slot, cfg)
+        blob = codec.encode_capability(cap)
+        assert len(blob) == 4 + 1 + 8 + 32 + 64 + 1 + 73 * (height + 1)
+        decoded = codec.decode_capability(blob)
+        assert decoded == cap == decode_capability_by_field(blob)
+        assert codec.encode_capability(decoded) == blob
+        mutants = [blob[:end] for end in range(len(blob))] + [blob + b"\x00"]
+        for _ in range(300):
+            mutant = bytearray(blob)
+            mutant[rng.randrange(len(mutant))] ^= 1 << rng.randrange(8)
+            mutants.append(bytes(mutant))
+        for mutant in mutants:
+            outcomes = []
+            for decode in (codec.decode_capability, decode_capability_by_field):
+                try:
+                    outcomes.append(decode(mutant))
+                except codec.DecodeError as exc:
+                    outcomes.append(type(exc))
+            assert outcomes[0] == outcomes[1], mutant
+
+
+def test_request_count_outside_1_to_255_is_refused(cid):
+    """A request names 1..255 pseudonyms: the constructor refuses any other
+    count, and a count byte of 0 decodes to ``FieldError``."""
+    for count in (0, 256, -1):
+        with pytest.raises(ValueError, match="count"):
+            RequestRrp(cid, 0, count)
+    blob = bytearray(codec.encode_message(RequestRrp(cid, 0, 1)))
+    blob[10 + 32 + 8] = 0                   # the count byte after cid and epoch
+    with pytest.raises(codec.FieldError, match="count"):
+        codec.decode_message(bytes(blob))
+    for valid in (1, 255):
+        msg = RequestRrp(cid, 0, valid)
+        assert codec.decode_message(codec.encode_message(msg)) == msg
 
 
 # -- fuzz -------------------------------------------------------------------

@@ -7,12 +7,15 @@ from hypothesis import strategies as st
 from oracles import (
     ExactSet,
     create_ercset,
+    filter_positions,
     label_name,
     latchkeys_encoding,
     merge_latchkeys,
+    query_every_position,
     remove_redundant,
     remove_unsafe,
 )
+from rangerevoke import sizing
 from rangerevoke.crypto import digest
 from rangerevoke.ercset import (
     BloomFilter,
@@ -124,6 +127,67 @@ def test_bloom_never_false_negative_property(items):
     for item in items:
         flt.add(item)
     assert all(flt.query(item) for item in items)
+
+
+def _planned(delta: int) -> FilterParams:
+    """The `rangerevoke size` defaults for a one-day epoch at this slot
+    length: 103,328 bits at 60 s slots and 70,608 at 600 s, the filters of
+    the verify and manage benchmark workloads."""
+    plan = sizing.plan_filter(sizing.DeploymentParams(
+        clients=250_000_000, pseudonyms=10, revoked_fraction=1e-4 / 365,
+        delta=delta), 0.001)
+    return FilterParams(plan.m, plan.k)
+
+
+class _CountingBits(bytearray):
+    """A filter's bit array that counts the bytes read from it."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+@pytest.mark.parametrize("delta", [60, 600])
+def test_query_stops_at_first_clear_bit_and_matches_every_position(delta):
+    """``query`` answers as the reference that computes all k positions,
+    on an empty, a half full and a full filter at the planned sizes.  It
+    reads the positions in order j = 0, 1, ... and stops after the first
+    clear one.  ``add`` sets exactly the reference's positions."""
+    params = _planned(delta)
+    assert params.k == 10 and params.m in (103_328, 70_608)
+    rng = random.Random(delta)
+    nbytes = params.m // 8
+    added = [rng.randbytes(64) for _ in range(200)]
+    fresh = [rng.randbytes(64) for _ in range(1000)]
+    half = BloomFilter(params, 0, rng.randbytes(nbytes))
+    want = bytearray(half.bits)
+    for item in added:
+        half.add(item)
+        for i in filter_positions(half, item):
+            want[i >> 3] |= 1 << (i & 7)
+        assert half.bits == want
+    filters = {"empty": BloomFilter(params, 0), "half": half,
+               "full": BloomFilter(params, 0, b"\xff" * nbytes)}
+    fill = sum(bin(b).count("1") for b in half.bits) / params.m
+    assert 0.45 < fill < 0.55
+    for name, flt in filters.items():
+        flt.bits = _CountingBits(flt.bits)
+        answers = []
+        for item in added + fresh:
+            is_set = [bool(flt.bits[i >> 3] & (1 << (i & 7)))
+                      for i in filter_positions(flt, item)]
+            flt.bits.reads = 0
+            got = flt.query(item)
+            assert flt.bits.reads == (is_set.index(False) + 1 if not all(is_set)
+                                      else params.k), (name, item)
+            assert got == query_every_position(flt, item) == all(is_set), (name, item)
+            answers.append(got)
+        if name == "half":
+            assert all(answers[:len(added)]) and not all(answers[len(added):])
+        else:
+            assert set(answers) == {name == "full"}
 
 
 # -- pipeline ---------------------------------------------------------------
@@ -254,6 +318,7 @@ def test_bloom_merge_matches_bytewise_or():
             assert (bytes(a.bits), bytes(b.bits)) == (a_bits, b_bits)
             # the receiver itself exactly when nothing is gained
             assert (merged is a) == (want == a_bits)
+            assert merged.merged(BloomFilter(params, 0, bytes(merged.bits))) is merged
             erc = ErcSet(a)
             assert (merge_ercset(erc, ErcSet(b)) is erc) == (want == a_bits)
             subset = BloomFilter(params, 0, bits=bytes(x & y for x, y in zip(a_bits, b_bits)))

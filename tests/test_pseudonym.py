@@ -1,8 +1,11 @@
 import dataclasses
+import random
 
 import pytest
 
-from oracles import label_name
+import oracles
+from oracles import label_name, verify_capability_by_path
+from rangerevoke import pseudonym
 from rangerevoke.crypto import det_keygen, digest, ver_sign
 from rangerevoke.pseudonym import (
     Latchkey,
@@ -13,7 +16,7 @@ from rangerevoke.pseudonym import (
     pseudonym_public_keys_of,
     verify_capability,
 )
-from rangerevoke.slot_tree import EpochConfig
+from rangerevoke.slot_tree import EpochConfig, NodeLabel
 
 
 def test_create_rrp_deterministic(cid, pm_key):
@@ -127,3 +130,76 @@ def test_tall_tree_capability(cid, pm_key):
     cap = get_capability(rrp, 12345, cfg)
     assert len(cap.latchkeys) == 17
     assert verify_capability(cap, pm_key.public, 12345, cfg)
+
+
+def _label_mutants(cap, rng):
+    """(what changed, capability) for one latchkey, chosen at random, with
+    each label field changed in turn, its label replaced by a tuple of the
+    same fields and by None, and its signature flipped; plus the capability
+    with a latchkey dropped, duplicated or moved, and with its own epoch,
+    key or endorsement changed."""
+    j = rng.randrange(len(cap.latchkeys))
+    lk = cap.latchkeys[j]
+    label = lk.label
+    relabelled = {
+        "epoch": NodeLabel(label.epoch_id + rng.choice((-1, 1)), label.level, label.index),
+        "level": NodeLabel(label.epoch_id, label.level + rng.choice((-1, 1)), label.index),
+        "index": NodeLabel(label.epoch_id, label.level, label.index + rng.choice((-1, 1))),
+        "label type tuple": (label.epoch_id, label.level, label.index),
+        "label type None": None,
+    }
+    flipped = bytearray(lk.sig)
+    flipped[rng.randrange(len(flipped))] ^= 1 << rng.randrange(8)
+    swaps = {what: Latchkey(new, lk.sig) for what, new in relabelled.items()}
+    swaps["signature"] = Latchkey(label, bytes(flipped))
+    for what, new in swaps.items():
+        yield what, dataclasses.replace(
+            cap, latchkeys=cap.latchkeys[:j] + (new,) + cap.latchkeys[j + 1:])
+    latchkeys = cap.latchkeys
+    for what, changed in (("length, no leaf", latchkeys[1:]),
+                          ("length, no root", latchkeys[:-1]),
+                          ("length, root twice", latchkeys + latchkeys[-1:]),
+                          ("length, none", ()),
+                          ("order", latchkeys[::-1])):
+        yield what, dataclasses.replace(cap, latchkeys=changed)
+    yield "capability epoch", dataclasses.replace(cap, epoch_id=cap.epoch_id + 1)
+    yield "pseudonym key", dataclasses.replace(cap, pseudonym_pub=bytes(32))
+    yield "endorsement", dataclasses.replace(cap, endorsement=bytes(64))
+
+
+@pytest.mark.parametrize("cfg", [EpochConfig(0, 600, 60, 2), EpochConfig(2, 700, 60, 3)],
+                         ids=["d=2", "d=3"])
+def test_label_walk_matches_path_reference(cid, pm_key, cfg, monkeypatch):
+    """``verify_capability`` gives the verdict of the reference that builds
+    the slot's whole ``path_to_root``, over genuine capabilities and each
+    field mutated, at expected slots inside and outside the epoch, and
+    makes the same Ed25519 checks in the same order.  Neither raises.
+    T = 10 at d = 2 and T = 12 at d = 3, so both trees have virtual leaves."""
+    calls = []
+
+    def recorded(public, message, sig):
+        calls.append((public, message, sig))
+        return ver_sign(public, message, sig)
+
+    monkeypatch.setattr(pseudonym, "ver_sign", recorded)
+    monkeypatch.setattr(oracles, "ver_sign", recorded)
+    rng = random.Random(cfg.fanout)
+    other_pm = det_keygen(digest(b"not the pm")).public
+    for instance in (1, 2):
+        rrp = create_rrp(cid, cfg.epoch_id, instance, pm_key, 8)
+        for slot in rng.sample(range(cfg.slots), 4):
+            cap = get_capability(rrp, slot, cfg)
+            cases = [("genuine", cap, slot, pm_key.public),
+                     ("other manager", cap, slot, other_pm)]
+            cases += [(f"expected slot {s}", cap, s, pm_key.public)
+                      for s in (slot - 1, slot + 1, -1, cfg.slots, 2**64)]
+            cases += [(what, mutant, slot, pm_key.public)
+                      for what, mutant in _label_mutants(cap, rng)]
+            for what, presented, expected_slot, pm_public in cases:
+                calls.clear()
+                got = verify_capability(presented, pm_public, expected_slot, cfg)
+                made = list(calls)
+                calls.clear()
+                want = verify_capability_by_path(presented, pm_public, expected_slot, cfg)
+                assert (got, made) == (want, calls), (what, slot)
+                assert got == (what == "genuine"), (what, slot)

@@ -124,3 +124,34 @@ def test_program_has_no_assert():
                  for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                  if isinstance(node, ast.Assert)]
     assert not offenders, f"assert statements in src/: {offenders}"
+
+
+# the one function outside crypto.py that may call hashlib in each module
+# that does: default_salt's cache outlives any one run, so it skips
+# ``digest`` to keep call counts per run (its docstring), and a report's
+# filter digest names a filter for a reader, it protects nothing
+HASHLIB_OUTSIDE_CRYPTO = {"ercset": "default_salt", "simnet": "_filter_digest"}
+
+
+def test_only_crypto_uses_hashlib():
+    """The crypto module's docstring says the algorithms are chosen there
+    and nowhere else: no other module hashes, except as listed above."""
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "crypto":
+            continue
+        allowed = HASHLIB_OUTSIDE_CRYPTO.get(path.stem)
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            inside = isinstance(top, ast.FunctionDef) and top.name == allowed
+            for node in ast.walk(top):
+                if isinstance(node, ast.ImportFrom):
+                    bad = node.module == "hashlib"
+                elif isinstance(node, ast.Import):     # plain, where it is called
+                    bad = any(a.name == "hashlib" and (a.asname or allowed is None)
+                              for a in node.names)
+                else:
+                    bad = isinstance(node, ast.Name) and node.id == "hashlib" \
+                        and not inside
+                if bad:
+                    offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders, f"hashlib used outside crypto.py: {offenders}"
