@@ -29,7 +29,7 @@ from . import sizing
 # SCENARIO_DIR and verify_capability are imported for perfbench/, which
 # reads the one and has its tracer patch the other in this module
 from .pseudonym import verify_capability
-from .scenario import SCENARIO_DIR, parse_scenario, resolve_scenario, run_checks
+from .scenario import SCENARIO_DIR, parse_scenario, resolve_scenario, run_checks, u64
 from .simnet import Simulation
 
 
@@ -173,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run a scenario file")
     p.add_argument("scenario", help="path or bundled name "
                                     "(quarantine, linkage, safemode)")
-    p.add_argument("--seed", type=int, help="override the scenario seed")
+    p.add_argument("--seed", type=u64, help="override the scenario seed, 0..2**64-1")
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("storage-compare",

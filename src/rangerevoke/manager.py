@@ -8,13 +8,13 @@ trusted hardware:
   per-client issuance counters, and the two live revocation filters (one
   for the current epoch, one for the next).  It alone builds filters and
   decides issuance.
-* ``PmNode`` is the untrusted host shell: peer bookkeeping, gossip fan-out,
-  pull timers and the epoch-transition quarantine.  It moves serialized
-  values around but never touches key material or client ids directly.
+* ``PmNode`` is the untrusted host shell: message routing, peer bookkeeping,
+  gossip fan-out, pull timers and the epoch-transition quarantine.  It never
+  touches key material or client ids directly.
 
-A node is a single logical state machine: every handler runs serially and
-returns the messages to transmit, so nodes drop unchanged into the
-deterministic simulator or behind a real transport.
+A node is a single state machine on its own local clock: ``deliver`` and the
+timer hooks return the messages to transmit, so nodes drop unchanged into
+the deterministic simulator or behind a real transport.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from __future__ import annotations
 import enum
 import logging
 import random
-from dataclasses import dataclass
 
 from .crypto import KeyPair, det_sign, ver_sign
 from .ercset import BloomFilter, ErcSet, FilterParams, merge_ercset
@@ -32,6 +31,8 @@ from .messages import (
     ErcPullReq,
     ErcPullResp,
     ErcPush,
+    Message,
+    Outgoing,
     RequestRrp,
     RevocationOrder,
     RrpResponse,
@@ -274,12 +275,6 @@ class TrustedCore:
         self.erc_next = empty_ercset(self.params, self.epoch_now + 1)
 
 
-@dataclass
-class Outgoing:
-    dst: str
-    msg: object
-
-
 class PmNode:
     """Untrusted host shell around a ``TrustedCore``; one per manager.
 
@@ -289,20 +284,36 @@ class PmNode:
     """
 
     def __init__(self, node_id: str, core: TrustedCore, peers: list[str],
-                 fault_bound: int, rng: random.Random):
+                 fault_bound: int, rng: random.Random, gossip_timeout: int):
         self.node_id = node_id
         self.core = core
         self.peers = [p for p in peers if p != node_id]
         self.fault_bound = fault_bound
+        self.fanout = min(fault_bound + 1, len(self.peers))   # peers per push or relay
         self.rng = rng
+        self.gossip_timeout = gossip_timeout
         self.mode = PmMode.SERVING
-        self._reports: dict[int, set[str]] = {}  # from_epoch -> senders seen
+        self._reports: dict[int, set[str]] = {}  # from_epoch >= epoch_now -> senders
+        self._last_update: int | None = None     # when filters last arrived
         self._orders: dict[tuple, RevocationOrder] = {}  # relayed admin orders
         self.stats = {"pushes": 0, "pulls": 0, "forwards": 0, "stale_orders": 0}
 
-    @property
-    def cluster_size(self) -> int:
-        return len(self.peers) + 1
+    def deliver(self, sender: str, msg: Message, now: int) -> list[Outgoing]:
+        """Route one message from ``sender`` at local time ``now``."""
+        match msg:
+            case ErcPullReq():
+                return self.handle_pull_request(sender)
+            case ErcPush() | ErcPullResp():
+                self._last_update = now
+                return self.handle_ercsets(msg.current, msg.next)
+            case EpochReport():
+                self._last_update = now
+                return self.handle_epoch_report(sender, msg)
+            case RevocationOrder():
+                return self.handle_revoke(msg)
+            case RequestRrp():
+                return [Outgoing(sender, self.handle_request(msg))]
+        return []
 
     # -- client-facing ----------------------------------------------------
 
@@ -329,8 +340,7 @@ class PmNode:
         # so peers that never served this client still learn the expulsion
         # and keep denying it after both filter epochs have been discarded.
         self._orders[key] = order
-        fanout = min(self.fault_bound + 1, len(self.peers))
-        relays = [Outgoing(p, order) for p in self.rng.sample(self.peers, fanout)]
+        relays = [Outgoing(p, order) for p in self.rng.sample(self.peers, self.fanout)]
         if order.epoch_id == self.core.epoch_now:
             return self.eager_push() + relays
         if order.epoch_id < self.core.epoch_now:
@@ -347,21 +357,23 @@ class PmNode:
 
     def eager_push(self) -> list[Outgoing]:
         """Send both filters to f+1 distinct random peers."""
-        fanout = min(self.fault_bound + 1, len(self.peers))
-        targets = self.rng.sample(self.peers, fanout)
+        targets = self.rng.sample(self.peers, self.fanout)
         self.stats["pushes"] += len(targets)
         push = ErcPush(self.core.erc_current, self.core.erc_next)
         return [Outgoing(t, push) for t in targets]
 
+    def _merge(self, current: ErcSet, nxt: ErcSet, what: str) -> bool | None:
+        """True if any bits were gained; None, with a warning, if incompatible."""
+        try:
+            return self.core.merge_filters(current, nxt)
+        except ValueError as exc:
+            log.warning("%s: dropping incompatible %s: %s", self.node_id, what, exc)
+            return None
+
     def handle_ercsets(self, current: ErcSet, nxt: ErcSet) -> list[Outgoing]:
         """Push/pull-response handler: discard if redundant, else merge and
         re-push to another f+1 random peers."""
-        try:
-            changed = self.core.merge_filters(current, nxt)
-        except ValueError as exc:
-            log.warning("%s: dropping incompatible filters: %s", self.node_id, exc)
-            return []
-        if not changed:
+        if not self._merge(current, nxt, "filters"):
             return []
         out = self.eager_push()
         self.stats["forwards"] += len(out)
@@ -377,8 +389,17 @@ class PmNode:
             out += [Outgoing(requester, order) for order in self._orders.values()]
         return out
 
-    def on_gossip_timeout(self) -> list[Outgoing]:
-        """No recent updates: pull from one random peer."""
+    def on_gossip_timer(self, now: int) -> list[Outgoing]:
+        """Pull unless filters arrived within the last ``gossip_timeout``."""
+        if self._last_update is not None and now - self._last_update < self.gossip_timeout:
+            return []
+        return self._pull()
+
+    def on_recover(self, now: int) -> list[Outgoing]:
+        """Back from a crash: begin a missed epoch transition, then pull."""
+        return self.on_clock(now) + self._pull()
+
+    def _pull(self) -> list[Outgoing]:
         if not self.peers:
             return []
         self.stats["pulls"] += 1
@@ -388,12 +409,9 @@ class PmNode:
 
     def on_clock(self, now: int) -> list[Outgoing]:
         """Enter quarantine when the local clock crosses an epoch boundary."""
-        local_epoch = now // self.core.geometry.epoch_len
-        if local_epoch > self.core.epoch_now and self.mode is PmMode.SERVING:
-            return self.begin_transition()
-        return []
-
-    def begin_transition(self) -> list[Outgoing]:
+        local_epoch, _ = self.core.geometry.epoch_and_slot(now)
+        if local_epoch <= self.core.epoch_now or self.mode is not PmMode.SERVING:
+            return []
         self.mode = PmMode.QUARANTINE
         self._reports.setdefault(self.core.epoch_now, set()).add(self.node_id)
         report = EpochReport(self.core.epoch_now, self.core.erc_current,
@@ -402,14 +420,11 @@ class PmNode:
         return [Outgoing(p, report) for p in self.peers]
 
     def handle_epoch_report(self, sender: str, report: EpochReport) -> list[Outgoing]:
-        try:
-            self.core.merge_filters(report.current, report.next)
-        except ValueError as exc:
-            log.warning("%s: dropping incompatible epoch report: %s",
-                        self.node_id, exc)
+        if self._merge(report.current, report.next, "epoch report") is None:
             return []
-        self._reports.setdefault(report.from_epoch, set()).add(sender)
-        self._maybe_finish_quarantine()
+        if report.from_epoch >= self.core.epoch_now:     # a past quorum is moot
+            self._reports.setdefault(report.from_epoch, set()).add(sender)
+            self._maybe_finish_quarantine()
         if (report.from_epoch < self.core.epoch_now
                 and report.current.epoch_id == report.from_epoch):
             # sender is a laggard catching up after a crash (its live filter
@@ -422,12 +437,9 @@ class PmNode:
         return []
 
     def _maybe_finish_quarantine(self) -> None:
-        if self.mode is not PmMode.QUARANTINE:
-            return
-        quorum = self.cluster_size - self.fault_bound
-        seen = self._reports.get(self.core.epoch_now, set())
-        if len(seen) < quorum:
-            return
-        self._reports.pop(self.core.epoch_now, None)
-        self.core.rotate_epoch()
-        self.mode = PmMode.SERVING
+        quorum = len(self.peers) + 1 - self.fault_bound
+        if (self.mode is PmMode.QUARANTINE
+                and len(self._reports.get(self.core.epoch_now, ())) >= quorum):
+            self._reports.pop(self.core.epoch_now, None)
+            self.core.rotate_epoch()
+            self.mode = PmMode.SERVING

@@ -97,3 +97,11 @@ class EpochReport:
 
 Message = (RequestRrp | RrpResponse | RevocationOrder | ErcPush
            | ErcPullReq | ErcPullResp | EpochReport)
+
+
+@dataclass
+class Outgoing:
+    """A message a node answers with, and the node it is for."""
+
+    dst: str
+    msg: Message

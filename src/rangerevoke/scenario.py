@@ -63,9 +63,9 @@ SCENARIO_DIR = Path(__file__).parent / "scenarios"
 
 _SECTIONS = ("sim", "crashes", "unstable", "script", "checks")
 
-# [sim] keys: integer keys name their SimConfig field, the rest are
-# SimConfig times given in seconds
-_SIM_INTS = {"seed": "seed", "managers": "n_pms", "fault_bound": "fault_bound",
+# [sim] keys besides seed: integer keys name their SimConfig field, the
+# rest are SimConfig times given in seconds
+_SIM_INTS = {"managers": "n_pms", "fault_bound": "fault_bound",
              "verifiers": "n_verifiers", "clients": "n_clients",
              "fanout": "fanout", "filter_m": "filter_m", "filter_k": "filter_k",
              "max_instances": "max_instances"}
@@ -98,6 +98,11 @@ def _bounded(text: str, low: int, high: int, what: str) -> int:
     if not low <= value < high:
         raise ValueError(f"{what} must be in {low}..{high - 1}, got {value}")
     return value
+
+
+def u64(text: str, what: str = "value") -> int:
+    """0..2**64-1: an epoch id, or a seed (``seed_from_parts`` encodes both)."""
+    return _bounded(text, 0, 2**64, what)
 
 
 def _seconds(text: str) -> int:
@@ -135,7 +140,7 @@ _ROLES = {
     "verifier": lambda text, cfg: _member(text, cfg.verifier_ids(), "verifier"),
     "node": lambda text, cfg: _member(text, cfg.pm_ids() + cfg.verifier_ids(), "node"),
     "count": lambda text, cfg: _bounded(text, 1, 256, "count"),
-    "epoch": lambda text, cfg: _bounded(text, 0, 2**64, "epoch"),
+    "epoch": lambda text, cfg: u64(text, "epoch"),
     "slot": lambda text, cfg: _bounded(text, 0, cfg.geometry().slots, "slot"),
     "micros": lambda text, cfg: _int(text),
     "time": lambda text, cfg: _seconds(text),
@@ -146,6 +151,8 @@ _ROLES = {
 # -- sections ---------------------------------------------------------------
 
 def _sim_entry(key: str, value: str) -> tuple[str, int]:
+    if key == "seed":
+        return key, u64(value, "seed")
     if key in _SIM_INTS:
         return _SIM_INTS[key], _int(value)
     if key in _SIM_SECONDS:

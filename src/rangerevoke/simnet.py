@@ -4,7 +4,9 @@ One seeded event loop drives manager nodes, verifiers, clients and the
 administrator under partial synchrony: bounded message delay in stable
 windows, arbitrary delay in unstable ones, per-node clock skew, scripted
 crash/recovery of managers.  Identical (config, seed) pairs reproduce
-byte-identical reports.
+byte-identical reports.  The loop carries bytes, keeps time and applies
+crashes; each node routes what its ``deliver`` receives and runs its own
+timer rules.
 
 Time is integer microseconds.  Messages travel as wire bytes, encoded
 once per fan-out and decoded on delivery, after the receiver's crash
@@ -26,16 +28,8 @@ from dataclasses import dataclass, field, replace
 from . import codec
 from .crypto import det_keygen, det_sign, seed_from_parts
 from .ercset import ErcSet, FilterParams
-from .manager import Outgoing, PmNode, TrustedCore
-from .messages import (
-    EpochReport,
-    ErcPullReq,
-    ErcPullResp,
-    ErcPush,
-    RequestRrp,
-    RevocationOrder,
-    RrpResponse,
-)
+from .manager import PmNode, TrustedCore
+from .messages import Outgoing, RequestRrp, RevocationOrder, RrpResponse
 from .pseudonym import Capability, Rrp, create_rrp, get_capability, pseudonym_keypair
 from .slot_tree import EpochConfig
 from .verifier import VerifierNode
@@ -225,7 +219,7 @@ class Simulation:
                                params, cfg.max_instances)
             self.pms[node_id] = PmNode(
                 node_id, core, pm_ids, cfg.fault_bound,
-                random.Random(self.rng.getrandbits(64)))
+                random.Random(self.rng.getrandbits(64)), cfg.gossip_timeout)
 
         self.verifiers: dict[str, VerifierNode] = {}
         for node_id in cfg.verifier_ids():
@@ -242,13 +236,10 @@ class Simulation:
             for pm in self.pms.values():
                 pm.core.register(client.cid)
 
-        self.clock_offset: dict[str, int] = {}
-        all_ids = pm_ids + list(self.verifiers)
-        for node_id in all_ids:
-            self.clock_offset[node_id] = (
-                self.rng.randint(-cfg.epsilon, cfg.epsilon) if cfg.epsilon else 0)
+        self.clock_offset = {  # each node's local time minus the true time
+            node_id: self.rng.randint(-cfg.epsilon, cfg.epsilon) if cfg.epsilon else 0
+            for node_id in pm_ids + list(self.verifiers)}
 
-        self._last_update: dict[str, int] = {p: 0 for p in pm_ids}
         self.issuance: list[IssuanceRecord] = []
         self.auths: list[AuthRecord] = []
         self.revocations: list[tuple[int, int, int]] = []
@@ -268,7 +259,8 @@ class Simulation:
     # -- plumbing ---------------------------------------------------------
 
     def _next_boundary(self, t: int) -> int:
-        return (t // self.cfg.epoch_len + 1) * self.cfg.epoch_len + 1
+        epoch_id, _ = self.geometry.epoch_and_slot(t)
+        return (epoch_id + 1) * self.cfg.epoch_len + 1
 
     def _schedule(self, at: int, item) -> None:
         heapq.heappush(self._queue, (at, next(self._seq), item))
@@ -285,12 +277,9 @@ class Simulation:
                 deliver_at = w.end + self.rng.randint(1, self.cfg.delta_net)
         return deliver_at - self.now
 
-    def _send(self, src: str, dst: str, msg) -> None:
-        self._emit(src, [Outgoing(dst, msg)])
-
     def _emit(self, src: str, outgoing: list[Outgoing]) -> None:
         """Schedule each delivery with its wire bytes, one encoding per message object."""
-        if self._crashed(src, self.now):
+        if not outgoing or self._crashed(src, self.now):
             return
         wire: dict[int, bytes] = {}
         for out in outgoing:
@@ -323,57 +312,37 @@ class Simulation:
         if self._crashed(dst, self.now):
             return
         msg = codec.decode_message(data)
-        if dst in self.pms:
-            pm = self.pms[dst]
-            if isinstance(msg, (ErcPush, ErcPullResp)):
-                self._last_update[dst] = self.now
-                self._emit(dst, pm.handle_ercsets(msg.current, msg.next))
-            elif isinstance(msg, ErcPullReq):
-                self._emit(dst, pm.handle_pull_request(src))
-            elif isinstance(msg, RevocationOrder):
-                self._emit(dst, pm.handle_revoke(msg))
-            elif isinstance(msg, EpochReport):
-                self._last_update[dst] = self.now
-                self._emit(dst, pm.handle_epoch_report(src, msg))
-            elif isinstance(msg, RequestRrp):
-                resp = pm.handle_request(msg)
-                self.issuance.append(IssuanceRecord(
-                    self.now, dst, int(src.removeprefix("client")), msg.epoch_id,
-                    resp.granted, "-" if resp.granted else resp.reason.name.lower(),
-                    len(resp.endorsements)))
-                self._send(dst, src, resp)
-        elif dst in self.verifiers:
-            v = self.verifiers[dst]
-            if isinstance(msg, ErcPullResp):
-                v.handle_pull_response(msg, self.local_time(dst))
-        elif dst.startswith("client"):
+        node = self.pms.get(dst) or self.verifiers.get(dst)
+        if node is None:
             client = self.clients[int(dst.removeprefix("client"))]
             if isinstance(msg, RrpResponse) and msg.granted:
                 client.unused.setdefault(msg.epoch_id, []).extend(msg.endorsements)
+            return
+        outgoing = node.deliver(src, msg, self.local_time(dst))
+        if isinstance(msg, RequestRrp) and dst in self.pms:
+            resp = outgoing[0].msg
+            self.issuance.append(IssuanceRecord(
+                self.now, dst, int(src.removeprefix("client")), msg.epoch_id,
+                resp.granted, "-" if resp.granted else resp.reason.name.lower(),
+                len(resp.endorsements)))
+        self._emit(dst, outgoing)
 
     def _on_pm_timer(self, pm_id: str) -> None:
         self._schedule(self.now + self.cfg.gossip_timeout, ("pm_timer", pm_id))
-        if self._crashed(pm_id, self.now):
-            return
-        if self.now - self._last_update[pm_id] >= self.cfg.gossip_timeout:
-            self._emit(pm_id, self.pms[pm_id].on_gossip_timeout())
+        if not self._crashed(pm_id, self.now):
+            self._emit(pm_id, self.pms[pm_id].on_gossip_timer(self.local_time(pm_id)))
 
     def _on_verifier_pull(self, v_id: str) -> None:
         self._schedule(self.now + self.cfg.pull_period, ("verifier_pull", v_id))
-        v = self.verifiers[v_id]
-        target, req = v.make_pull()
-        self._send(v_id, target, req)
+        self._emit(v_id, self.verifiers[v_id].on_pull_timer())
 
     def _on_clock(self, pm_id: str) -> None:
         self._schedule(self._next_boundary(self.now), ("clock", pm_id))
-        if self._crashed(pm_id, self.now):
-            return
-        self._emit(pm_id, self.pms[pm_id].on_clock(self.local_time(pm_id)))
+        if not self._crashed(pm_id, self.now):
+            self._emit(pm_id, self.pms[pm_id].on_clock(self.local_time(pm_id)))
 
     def _on_recover(self, pm_id: str) -> None:
-        pm = self.pms[pm_id]
-        self._emit(pm_id, pm.on_clock(self.local_time(pm_id)))  # missed boundary?
-        self._emit(pm_id, pm.on_gossip_timeout())
+        self._emit(pm_id, self.pms[pm_id].on_recover(self.local_time(pm_id)))
 
     # -- scripted workload ------------------------------------------------
 
@@ -401,20 +370,19 @@ class Simulation:
 
     def _on_action(self, action: Action) -> None:
         args = action.args
+        epoch_id, slot = self.geometry.epoch_and_slot(self.now)
         if action.kind == "request":
             client = self.clients[args["client"]]
-            epoch_id = args.get("epoch", self.now // self.cfg.epoch_len)
+            epoch_id = args.get("epoch", epoch_id)
             proof, proof_slot = client.last_proof or (None, None)
             req = RequestRrp(client.cid, epoch_id, self._arg(action, "count"),
                              proof, proof_slot)
             pm = args.get("pm") or self.rng.choice(sorted(self.pms))
-            self._send(f"client{client.index}", pm, req)
+            self._emit(f"client{client.index}", [Outgoing(pm, req)])
         elif action.kind == "authenticate":
             client = self.clients[args["client"]]
             v_id = self._arg(action, "verifier")
             v = self.verifiers[v_id]
-            epoch_id = self.now // self.cfg.epoch_len
-            slot = (self.now % self.cfg.epoch_len) // self.cfg.delta
             rrp = client.take(epoch_id)
             if rrp is None:
                 return
@@ -427,13 +395,13 @@ class Simulation:
                                          cap.pseudonym_pub))
         elif action.kind == "revoke":
             client = self.clients[args["client"]]
-            epoch_id = args.get("epoch", self.now // self.cfg.epoch_len)
-            rts = args.get("rts", (self.now % self.cfg.epoch_len) // self.cfg.delta)
+            epoch_id = args.get("epoch", epoch_id)
+            rts = args.get("rts", slot)
             order = RevocationOrder(client.cid, rts, epoch_id, b"")
             order = replace(order, admin_sig=det_sign(self.admin_key,
                                                       order.signed_payload()))
             self.revocations.append((self.now, client.index, rts))
-            self._send("admin", self._arg(action, "pm"), order)
+            self._emit("admin", [Outgoing(self._arg(action, "pm"), order)])
         elif action.kind == "clock_jump":
             self.clock_offset[args["node"]] = \
                 self.clock_offset.get(args["node"], 0) + args["by"]

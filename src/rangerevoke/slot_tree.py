@@ -64,6 +64,11 @@ class EpochConfig:
         """h = ceil(log_d T); leaves live at level h, the root at level 0."""
         return tree_height(self.slots, self.fanout)
 
+    def epoch_and_slot(self, t: int) -> tuple[int, int]:
+        """(epoch, slot) of time ``t``; epoch e starts at ``e * epoch_len``."""
+        epoch_id, offset = divmod(t, self.epoch_len)
+        return epoch_id, offset // self.delta
+
     def with_epoch(self, epoch_id: int) -> "EpochConfig":
         """Same geometry for another epoch."""
         return EpochConfig(epoch_id, self.epoch_len, self.delta, self.fanout)

@@ -6,6 +6,7 @@ verifies as genuine, and none of its latchkeys queries true in the local
 filter.  When the verifier cannot refresh its filter for longer than
 three pull periods it stops granting anything: stale state may only ever
 deny, never admit, so safety is preserved at the cost of availability.
+Like a manager, it takes whole messages through ``deliver``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import logging
 import random
 
 from .ercset import ErcSet, is_revoked, merge_ercset
-from .messages import ErcPullReq, ErcPullResp
+from .messages import ErcPullReq, ErcPullResp, Message, Outgoing
 from .pseudonym import Capability, verify_capability
 from .slot_tree import EpochConfig
 
@@ -60,9 +61,6 @@ class VerifierNode:
 
     # -- time helpers -----------------------------------------------------
 
-    def current_epoch(self, now: int) -> int:
-        return now // self.geometry.epoch_len
-
     def is_stale(self, now: int) -> bool:
         return self.last_pull is None or now - self.last_pull > self.staleness_limit
 
@@ -85,7 +83,7 @@ class VerifierNode:
         forgets the older ones; one of an older slot that the skew still
         admits is verified on every showing and never remembered.
         """
-        epoch = self.current_epoch(now)
+        epoch, _ = self.geometry.epoch_and_slot(now)
         # a filter left over from a previous epoch cannot vouch for this one
         if self.is_stale(now) or self.erc_local is None \
                 or self.erc_local.epoch_id != epoch:
@@ -121,9 +119,15 @@ class VerifierNode:
 
     # -- pull gossip ------------------------------------------------------
 
-    def make_pull(self) -> tuple[str, ErcPullReq]:
-        """Pick a random manager to refresh from."""
-        return self.rng.choice(self.pm_ids), ErcPullReq()
+    def deliver(self, sender: str, msg: Message, now: int) -> list[Outgoing]:
+        """Take one message at local time ``now``; only a pull response counts."""
+        if isinstance(msg, ErcPullResp):
+            self.handle_pull_response(msg, now)
+        return []
+
+    def on_pull_timer(self) -> list[Outgoing]:
+        """Ask a random manager for its filters."""
+        return [Outgoing(self.rng.choice(self.pm_ids), ErcPullReq())]
 
     def handle_pull_response(self, resp: ErcPullResp, now: int) -> bool:
         """Merge the filter matching our epoch; True if the pull counted.
@@ -131,12 +135,8 @@ class VerifierNode:
         A response carrying no filter for our current epoch (e.g. from a
         badly lagging manager) does not reset staleness.
         """
-        wanted = self.current_epoch(now)
-        incoming = None
-        if resp.current.epoch_id == wanted:
-            incoming = resp.current
-        elif resp.next.epoch_id == wanted:
-            incoming = resp.next
+        wanted, _ = self.geometry.epoch_and_slot(now)
+        incoming = next((f for f in (resp.current, resp.next) if f.epoch_id == wanted), None)
         if incoming is None:
             log.debug("%s: pull response has no epoch-%d filter", self.node_id, wanted)
             return False

@@ -94,6 +94,14 @@ def test_simulate_seed_override_keeps_checks(capsys):
     assert cli.main(["simulate", "safemode", "--seed", "99"]) == 0
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64), "x"])
+def test_simulate_seed_out_of_range_is_usage_error(capsys, seed):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["simulate", "safemode", "--seed", seed])
+    assert exc.value.code == 2
+    assert "argument --seed: " in capsys.readouterr().err
+
+
 def test_simulate_missing_scenario(capsys):
     assert cli.main(["simulate", "no-such-scenario"]) == 2
     assert "bad scenario" in capsys.readouterr().err
@@ -187,6 +195,9 @@ _MALFORMED = [
     ("checks", "no_cross_links = no", "[checks] no_cross_links: expected yes, got 'no'"),
     ("checks", "denied_after = 0:4:0", "[checks] denied_after: expected CLIENT:TIME"),
     ("checks", "no_grant_after = 3:5", "[checks] no_grant_after: client must be in 0..2"),
+    ("sim", "seed = 18446744073709551616",
+     "[sim] seed: seed must be in 0..18446744073709551615, got 18446744073709551616"),
+    ("sim", "seed = -1", "[sim] seed: seed must be in 0..18446744073709551615, got -1"),
 ]
 
 

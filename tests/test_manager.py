@@ -29,6 +29,8 @@ from rangerevoke.manager import (
 from rangerevoke.messages import (
     DenialReason,
     EpochReport,
+    ErcPullReq,
+    Outgoing,
     RequestRrp,
     RevocationOrder,
 )
@@ -222,10 +224,41 @@ def test_helper_filters(pm_key, cid):
 
 # -- node shell -------------------------------------------------------------
 
-def make_node(pm_key, admin_key, cid, node_id="pm0", n=4, f=1, seed=1):
+def make_node(pm_key, admin_key, cid, node_id="pm0", n=4, f=1, seed=1, timeout=5):
     peers = [f"pm{i}" for i in range(n)]
     core = make_core(pm_key, admin_key, cid)
-    return PmNode(node_id, core, peers, f, random.Random(seed))
+    return PmNode(node_id, core, peers, f, random.Random(seed), timeout)
+
+
+def test_deliver_takes_every_wire_message(pm_key, admin_key, cid, wire_messages):
+    """No decoded message makes a manager raise, from any sender, serving
+    or in quarantine: each is answered with a list of ``Outgoing``."""
+    for now in (1, 61):
+        node = make_node(pm_key, admin_key, cid)
+        node.on_clock(now)
+        assert (node.mode is PmMode.QUARANTINE) is (now == 61)
+        for sender in ("pm1", "v0", "client0"):
+            for label, msg in wire_messages:
+                out = node.deliver(sender, msg, now)
+                assert isinstance(out, list), label
+                assert all(isinstance(o, Outgoing) for o in out), label
+
+
+def test_deliver_answers_a_request_to_its_sender(pm_key, admin_key, cid):
+    node = make_node(pm_key, admin_key, cid)
+    [out] = node.deliver("client0", RequestRrp(cid, 0, 2), now=1)
+    assert out.dst == "client0" and out.msg.granted and len(out.msg.endorsements) == 2
+
+
+@pytest.mark.parametrize("kind", ["push", "pull-response", "report"])
+def test_gossip_timer_pulls_only_after_a_quiet_timeout(pm_key, admin_key, cid,
+                                                      wire_messages, kind):
+    node = make_node(pm_key, admin_key, cid, timeout=5)
+    node.deliver("pm1", dict(wire_messages)[kind], now=100)
+    assert node.on_gossip_timer(104) == []
+    out = node.on_gossip_timer(105)
+    assert [type(o.msg) for o in out] == [ErcPullReq] and out[0].dst in node.peers
+    assert node.stats["pulls"] == 1
 
 
 def test_handle_request_response(pm_key, admin_key, cid):
@@ -370,7 +403,7 @@ def test_pull_request_response(pm_key, admin_key, cid):
 
 def test_gossip_timeout_pulls_one_peer(pm_key, admin_key, cid):
     node = make_node(pm_key, admin_key, cid)
-    out = node.on_gossip_timeout()
+    out = node.on_gossip_timer(now=0)           # no filters have ever arrived
     assert len(out) == 1 and out[0].dst != "pm0"
 
 
@@ -394,6 +427,18 @@ def test_quarantine_ignores_duplicate_reports(pm_key, admin_key, cid):
     node.handle_epoch_report("pm1", report)
     node.handle_epoch_report("pm1", report)
     assert node.mode is PmMode.QUARANTINE
+
+
+def test_reports_of_a_past_epoch_are_echoed_not_kept(pm_key, admin_key, cid):
+    node = make_node(pm_key, admin_key, cid, n=4, f=1)
+    node.on_clock(now=61)
+    report = EpochReport(0, node.core.erc_current, node.core.erc_next)
+    node.handle_epoch_report("pm1", report)
+    node.handle_epoch_report("pm2", report)
+    assert node.core.epoch_now == 1
+    out = node.handle_epoch_report("pm3", report)       # after the quorum
+    assert [(o.dst, o.msg.from_epoch) for o in out] == [("pm3", 0)]
+    assert node._reports == {}
 
 
 def test_laggard_gets_echo(pm_key, admin_key, cid):

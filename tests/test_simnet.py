@@ -4,8 +4,8 @@ from dataclasses import replace
 import pytest
 
 from rangerevoke import codec, pseudonym
-from rangerevoke.manager import Outgoing, PmNode
-from rangerevoke.messages import ErcPush, RequestRrp
+from rangerevoke.manager import PmNode
+from rangerevoke.messages import ErcPush, Outgoing, RequestRrp
 from rangerevoke.pseudonym import create_rrp
 from rangerevoke.scenario import SCENARIO_DIR, parse_scenario, run_checks
 from rangerevoke.simnet import (

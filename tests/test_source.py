@@ -155,3 +155,12 @@ def test_only_crypto_uses_hashlib():
                 if bad:
                     offenders.append(f"{path.name}:{node.lineno}")
     assert not offenders, f"hashlib used outside crypto.py: {offenders}"
+
+
+def test_simulator_routes_no_message():
+    """Each node routes its own messages through ``deliver``: the simulator
+    names no ``handle_*`` method, so it cannot pick a handler by type."""
+    tree = ast.parse((SRC / "simnet.py").read_text(encoding="utf-8"))
+    offenders = [f"simnet.py:{node.lineno}: {node.attr}" for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and node.attr.startswith("handle_")]
+    assert not offenders, f"the simulator calls node handlers: {offenders}"

@@ -8,7 +8,7 @@ from rangerevoke import codec, pseudonym, verifier
 from rangerevoke.crypto import det_sign
 from rangerevoke.ercset import BloomFilter, ErcSet, FilterParams, is_revoked
 from rangerevoke.manager import TrustedCore
-from rangerevoke.messages import ErcPullReq, ErcPullResp, RevocationOrder
+from rangerevoke.messages import ErcPullReq, ErcPullResp, Outgoing, RevocationOrder
 from rangerevoke.pseudonym import create_rrp, get_capability, verify_capability
 from rangerevoke.slot_tree import EpochConfig
 from rangerevoke.verifier import Decision, VerifierNode
@@ -115,9 +115,19 @@ def test_pull_response_incompatible_params(pm_key):
 
 def test_make_pull_targets_known_manager(pm_key):
     v = make_verifier(pm_key)
-    target, req = v.make_pull()
-    assert target in ("pm0", "pm1")
-    assert req == ErcPullReq()
+    [out] = v.on_pull_timer()
+    assert out.dst in ("pm0", "pm1")
+    assert out.msg == ErcPullReq()
+
+
+def test_deliver_takes_every_wire_message(pm_key, wire_messages):
+    """No decoded message makes a verifier raise or answer; only a pull
+    response with a filter of its epoch refreshes it."""
+    v = make_verifier(pm_key)
+    for label, msg in wire_messages:
+        assert v.deliver("pm0", msg, now=1) == [], label
+        assert (v.last_pull == 1) is (label == "pull-response"), label
+        v.last_pull = None
 
 
 def test_retry_consumes_extras_on_false_positive(cid, pm_key):
