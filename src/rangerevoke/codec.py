@@ -23,11 +23,17 @@ envelope's.
 
 Every decoder is total: malformed bytes raise a typed ``DecodeError``
 subclass, never anything else, and every decoder rejects truncated input
-and trailing garbage.
+and trailing garbage.  Decoders read at explicit offsets: each
+fixed-size part is one precompiled ``struct`` unpack behind one length
+check, and a filter's bits are one slice.  An encoder packs the envelope
+head in one call and joins the payload's parts once.  Encoders take
+well-formed messages: ``struct`` pads or cuts a fixed-size byte field of
+another length, and no program path builds one.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 
 from .ercset import BloomFilter, ErcSet, FilterParams
@@ -79,208 +85,194 @@ class FieldError(DecodeError):
     """A structurally present field holds an invalid value."""
 
 
-# the gossip path's fixed-width headers, written and read in one step
-_FILTER_HEAD = struct.Struct(">QQB")        # epoch, m, k
-_ENVELOPE_HEAD = struct.Struct(">BI")       # type tag, payload length
+# fixed-size parts, each written and read in one step
+_ENVELOPE = struct.Struct(">4sBBI")          # magic, version, type tag, length
+_CAPABILITY_HEAD = struct.Struct(f">4sBQ{PUB_LEN}s{SIG_LEN}sB")  # ... latchkey count
 _LATCHKEY = struct.Struct(f">BQ{SIG_LEN}s")  # level, index, signature
+_FILTER_HEAD = struct.Struct(">QQB")         # epoch, m, k
+_ORDER = struct.Struct(f">{CID_LEN}sQQ{SIG_LEN}s")
+_REQUEST_HEAD = struct.Struct(f">{CID_LEN}sQBB")  # cid, epoch, count, has proof
+_PROOF_HEAD = struct.Struct(">QI")           # proof slot, capability length
+_RESPONSE_HEAD = struct.Struct(">BQB")       # reason, epoch, endorsement count
+_ENDORSEMENT = struct.Struct(f">Q{SIG_LEN}s")  # instance, signature
+_U64 = struct.Struct(">Q")
+_REASONS = {int(reason): reason for reason in DenialReason}
 
 
-class _Reader:
-    """Cursor over immutable bytes; every read checks remaining length once."""
+def _need(data: bytes, end: int) -> None:
+    if end > len(data):
+        raise Truncated(f"need {end} bytes, have {len(data)}")
 
-    __slots__ = ("data", "pos")
 
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
+def _short_head(data: bytes, magic: bytes, version: int) -> DecodeError:
+    """The error for ``data`` shorter than its fixed head: a wrong magic
+    or version among the bytes present is named first."""
+    if len(data) >= len(magic) and data[:len(magic)] != magic:
+        return BadMagic(f"expected magic {magic!r}, got {data[:len(magic)]!r}")
+    if len(data) > len(magic) and data[len(magic)] != version:
+        return BadVersion(f"unsupported version {data[len(magic)]:#04x}")
+    return Truncated(f"{len(data)} bytes is shorter than the head")
 
-    def _advance(self, n: int) -> int:   # claims n bytes, returns their offset
-        pos = self.pos
-        if pos + n > len(self.data):
-            raise Truncated(f"need {n} bytes at offset {pos}, "
-                            f"have {len(self.data) - pos}")
-        self.pos = pos + n
-        return pos
 
-    def take(self, n: int) -> bytes:
-        pos = self._advance(n)
-        return self.data[pos:pos + n]
+def _check_head(magic: bytes, version: int, want_magic: bytes, want_version: int) -> None:
+    if magic != want_magic:
+        raise BadMagic(f"expected magic {want_magic!r}, got {magic!r}")
+    if version != want_version:
+        raise BadVersion(f"unsupported version {version:#04x}")
 
-    def unpack(self, fmt: struct.Struct) -> tuple:
-        return fmt.unpack_from(self.data, self._advance(fmt.size))
 
-    def u8(self) -> int:
-        return self.data[self._advance(1)]
-
-    def u32(self) -> int:
-        return struct.unpack(">I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack(">Q", self.take(8))[0]
-
-    def expect_magic(self, magic: bytes) -> None:
-        got = self.take(len(magic))
-        if got != magic:
-            raise BadMagic(f"expected magic {magic!r}, got {got!r}")
-
-    def expect_version(self, version: int) -> None:
-        v = self.u8()
-        if v != version:
-            raise BadVersion(f"unsupported version {v:#04x}")
-
-    def done(self) -> None:
-        if self.pos != len(self.data):
-            raise TrailingBytes(f"{len(self.data) - self.pos} trailing bytes")
+def _end(data: bytes, end: int) -> None:
+    """``data`` must end at ``end``."""
+    if end != len(data):
+        _need(data, end)
+        raise TrailingBytes(f"{len(data) - end} trailing bytes")
 
 
 # -- capability ------------------------------------------------------------
 
 def encode_capability(cap: Capability) -> bytes:
-    out = bytearray(CAPABILITY_MAGIC)
-    out.append(CAPABILITY_VERSION)
-    out += struct.pack(">Q", cap.epoch_id)
-    out += cap.pseudonym_pub
-    out += cap.endorsement
-    out.append(len(cap.latchkeys))
-    for lk in cap.latchkeys:
-        out.append(lk.label.level)
-        out += struct.pack(">Q", lk.label.index)
-        out += lk.sig
-    return bytes(out)
+    return b"".join((
+        _CAPABILITY_HEAD.pack(CAPABILITY_MAGIC, CAPABILITY_VERSION, cap.epoch_id,
+                              cap.pseudonym_pub, cap.endorsement, len(cap.latchkeys)),
+        *(_LATCHKEY.pack(lk.label.level, lk.label.index, lk.sig) for lk in cap.latchkeys)))
 
 
 def decode_capability(data: bytes) -> Capability:
-    r = _Reader(data)
-    cap = _read_capability(r)
-    r.done()
-    return cap
-
-
-def _read_capability(r: _Reader) -> Capability:
-    r.expect_magic(CAPABILITY_MAGIC)
-    r.expect_version(CAPABILITY_VERSION)
-    epoch_id = r.u64()
-    pub = r.take(PUB_LEN)
-    endorsement = r.take(SIG_LEN)
-    count = r.u8()
+    if len(data) < _CAPABILITY_HEAD.size:
+        raise _short_head(data, CAPABILITY_MAGIC, CAPABILITY_VERSION)
+    magic, version, epoch_id, pub, endorsement, count = _CAPABILITY_HEAD.unpack_from(data)
+    _check_head(magic, version, CAPABILITY_MAGIC, CAPABILITY_VERSION)
     if count == 0:
         raise FieldError("capability carries no latchkeys")
-    records = r.take(count * _LATCHKEY.size)
+    end = _CAPABILITY_HEAD.size + count * _LATCHKEY.size
+    _end(data, end)
     return Capability(epoch_id, pub, endorsement, tuple(
         Latchkey(NodeLabel(epoch_id, level, index), sig)
-        for level, index, sig in _LATCHKEY.iter_unpack(records)))
+        for level, index, sig in _LATCHKEY.iter_unpack(data[_CAPABILITY_HEAD.size:end])))
 
 
-# -- records inside an envelope ---------------------------------------------
+# -- payloads: each reader takes the message and the payload's offset, and
+# returns the message and the offset after it ------------------------------
 
-def _write_filter(out: bytearray, erc: ErcSet) -> None:
-    flt = erc.filter
-    out += _FILTER_HEAD.pack(flt.epoch_id, flt.m, flt.k)
-    out += flt.bits
-
-
-def _read_filter(r: _Reader) -> ErcSet:
-    epoch_id, m, k = r.unpack(_FILTER_HEAD)
+@functools.lru_cache(maxsize=16)
+def _filter_params(m: int, k: int) -> FilterParams:
+    """Shared by every filter decoded with (m, k).  Bounded like
+    ``default_salt``: the wire names any (m, k), a live node sees one."""
     try:
-        params = FilterParams(m, k)
+        return FilterParams(m, k)
     except ValueError as exc:
         raise FieldError(str(exc)) from exc
-    return ErcSet(BloomFilter(params, epoch_id, r.take(m // 8)))
 
 
-def _write_order(out: bytearray, order: RevocationOrder) -> None:
-    out += order.signed_payload()
-    out += order.admin_sig
+def _read_filter(data: bytes, pos: int) -> tuple[ErcSet, int]:
+    bits = pos + _FILTER_HEAD.size
+    if bits > len(data):
+        raise Truncated(f"filter head needs {bits} bytes, have {len(data)}")
+    epoch_id, m, k = _FILTER_HEAD.unpack_from(data, pos)
+    params = _filter_params(m, k)
+    end = bits + m // 8
+    if end > len(data):
+        raise Truncated(f"filter bits need {end} bytes, have {len(data)}")
+    return ErcSet(BloomFilter(params, epoch_id, data[bits:end])), end
 
 
-def _read_order(r: _Reader) -> RevocationOrder:
-    return RevocationOrder(r.take(CID_LEN), r.u64(), r.u64(), r.take(SIG_LEN))
+def _write_filters(msg: ErcPush | ErcPullResp | EpochReport) -> tuple:
+    cur, nxt = msg.current.filter, msg.next.filter
+    return (_FILTER_HEAD.pack(cur.epoch_id, cur.m, cur.k), cur.bits,
+            _FILTER_HEAD.pack(nxt.epoch_id, nxt.m, nxt.k), nxt.bits)
 
 
-# -- message envelope ------------------------------------------------------
-
-def _blob(data: bytes) -> bytes:
-    return struct.pack(">I", len(data)) + data
-
-
-def _read_blob(r: _Reader) -> bytes:
-    return r.take(r.u32())
+def _read_filters(cls):
+    def read(data: bytes, pos: int) -> tuple[Message, int]:
+        current, pos = _read_filter(data, pos)
+        nxt, pos = _read_filter(data, pos)
+        return cls(current, nxt), pos
+    return read
 
 
-def _write_request(out: bytearray, msg: RequestRrp) -> None:
-    out += msg.cid
-    out += struct.pack(">Q", msg.epoch_id)
-    out.append(msg.count)
+def _write_report(msg: EpochReport) -> tuple:
+    return (_U64.pack(msg.from_epoch), *_write_filters(msg))
+
+
+def _read_report(data: bytes, pos: int) -> tuple[EpochReport, int]:
+    _need(data, pos + _U64.size)
+    (from_epoch,) = _U64.unpack_from(data, pos)
+    current, pos = _read_filter(data, pos + _U64.size)
+    nxt, pos = _read_filter(data, pos)
+    return EpochReport(from_epoch, current, nxt), pos
+
+
+def _write_order(order: RevocationOrder) -> tuple:
+    return (_ORDER.pack(order.cid, order.rts, order.epoch_id, order.admin_sig),)
+
+
+def _read_order(data: bytes, pos: int) -> tuple[RevocationOrder, int]:
+    _need(data, pos + _ORDER.size)
+    return RevocationOrder(*_ORDER.unpack_from(data, pos)), pos + _ORDER.size
+
+
+def _write_request(msg: RequestRrp) -> tuple:
+    head = _REQUEST_HEAD.pack(msg.cid, msg.epoch_id, msg.count, msg.proof is not None)
     if msg.proof is None:
-        out.append(0)
-    else:
-        out.append(1)
-        out += struct.pack(">Q", msg.proof_slot)
-        out += _blob(encode_capability(msg.proof))
+        return (head,)
+    proof = encode_capability(msg.proof)
+    return head, _PROOF_HEAD.pack(msg.proof_slot, len(proof)), proof
 
 
-def _read_request(r: _Reader) -> RequestRrp:
-    cid = r.take(CID_LEN)
-    epoch_id = r.u64()
-    count = r.u8()
-    proof = None
-    proof_slot = None
-    if r.u8():
-        proof_slot = r.u64()
-        proof = decode_capability(_read_blob(r))
+def _read_request(data: bytes, pos: int) -> tuple[RequestRrp, int]:
+    _need(data, pos + _REQUEST_HEAD.size)
+    cid, epoch_id, count, has_proof = _REQUEST_HEAD.unpack_from(data, pos)
+    pos += _REQUEST_HEAD.size
+    proof = proof_slot = None
+    if has_proof:
+        _need(data, pos + _PROOF_HEAD.size)
+        proof_slot, length = _PROOF_HEAD.unpack_from(data, pos)
+        pos += _PROOF_HEAD.size
+        _need(data, pos + length)
+        proof = decode_capability(data[pos:pos + length])
+        pos += length
     try:
-        return RequestRrp(cid, epoch_id, count, proof, proof_slot)
+        return RequestRrp(cid, epoch_id, count, proof, proof_slot), pos
     except ValueError as exc:
         raise FieldError(str(exc)) from exc
 
 
-def _write_response(out: bytearray, msg: RrpResponse) -> None:
-    out.append(int(msg.reason))
-    out += struct.pack(">Q", msg.epoch_id)
-    out.append(len(msg.endorsements))
-    for instance, sig in msg.endorsements:
-        out += struct.pack(">Q", instance)
-        out += sig
+def _write_response(msg: RrpResponse) -> tuple:
+    return (_RESPONSE_HEAD.pack(msg.reason, msg.epoch_id, len(msg.endorsements)),
+            *(_ENDORSEMENT.pack(instance, sig) for instance, sig in msg.endorsements))
 
 
-def _read_response(r: _Reader) -> RrpResponse:
+def _read_response(data: bytes, pos: int) -> tuple[RrpResponse, int]:
+    _need(data, pos + 1)
+    reason = _REASONS.get(data[pos])        # named before a short head, as it comes first
+    if reason is None:
+        raise FieldError("unknown denial reason")
+    _need(data, pos + _RESPONSE_HEAD.size)
+    _, epoch_id, count = _RESPONSE_HEAD.unpack_from(data, pos)
+    pos += _RESPONSE_HEAD.size
+    end = pos + count * _ENDORSEMENT.size
+    _need(data, end)
     try:
-        reason = DenialReason(r.u8())
-    except ValueError as exc:
-        raise FieldError("unknown denial reason") from exc
-    epoch_id = r.u64()
-    count = r.u8()
-    endorsements = tuple((r.u64(), r.take(SIG_LEN)) for _ in range(count))
-    try:
-        return RrpResponse(reason, epoch_id, endorsements)
+        return RrpResponse(reason, epoch_id,
+                           tuple(_ENDORSEMENT.iter_unpack(data[pos:end]))), end
     except ValueError as exc:
         raise FieldError(str(exc)) from exc
 
 
-def _write_filters(out: bytearray, msg: ErcPush | ErcPullResp | EpochReport) -> None:
-    _write_filter(out, msg.current)
-    _write_filter(out, msg.next)
-
-
-def _write_report(out: bytearray, msg: EpochReport) -> None:
-    out += struct.pack(">Q", msg.from_epoch)
-    _write_filters(out, msg)
-
-
-# message class -> (type tag, payload writer, payload reader)
+# message class -> (type tag, writer of the payload's parts, payload reader)
 _FORMATS = {
     RequestRrp: (0x01, _write_request, _read_request),
     RrpResponse: (0x02, _write_response, _read_response),
     RevocationOrder: (0x03, _write_order, _read_order),
-    ErcPush: (0x04, _write_filters, lambda r: ErcPush(_read_filter(r), _read_filter(r))),
-    ErcPullReq: (0x05, lambda out, msg: None, lambda r: ErcPullReq()),
-    ErcPullResp: (0x06, _write_filters,
-                  lambda r: ErcPullResp(_read_filter(r), _read_filter(r))),
-    EpochReport: (0x07, _write_report,
-                  lambda r: EpochReport(r.u64(), _read_filter(r), _read_filter(r))),
+    ErcPush: (0x04, _write_filters, _read_filters(ErcPush)),
+    ErcPullReq: (0x05, lambda msg: (), lambda data, pos: (ErcPullReq(), pos)),
+    ErcPullResp: (0x06, _write_filters, _read_filters(ErcPullResp)),
+    EpochReport: (0x07, _write_report, _read_report),
 }
 _READERS = {tag: read for tag, _, read in _FORMATS.values()}
 
+
+# -- message envelope ------------------------------------------------------
 
 def encode_message(msg: Message) -> bytes:
     """Envelope: magic || version || type tag u8 || length u32 || payload."""
@@ -288,20 +280,19 @@ def encode_message(msg: Message) -> bytes:
         tag, write, _ = _FORMATS[type(msg)]
     except KeyError:
         raise TypeError(f"not a wire message: {type(msg).__name__}") from None
-    payload = bytearray()
-    write(payload, msg)
-    return ENVELOPE_MAGIC + bytes([VERSION]) + _ENVELOPE_HEAD.pack(tag, len(payload)) + payload
+    payload = b"".join(write(msg))
+    return _ENVELOPE.pack(ENVELOPE_MAGIC, VERSION, tag, len(payload)) + payload
 
 
 def decode_message(data: bytes) -> Message:
-    r = _Reader(data)
-    r.expect_magic(ENVELOPE_MAGIC)
-    r.expect_version(VERSION)
-    tag, length = r.unpack(_ENVELOPE_HEAD)
-    payload = _Reader(r.take(length))
-    r.done()
-    if tag not in _READERS:
+    if len(data) < _ENVELOPE.size:
+        raise _short_head(data, ENVELOPE_MAGIC, VERSION)
+    magic, version, tag, length = _ENVELOPE.unpack_from(data)
+    _check_head(magic, version, ENVELOPE_MAGIC, VERSION)
+    _end(data, _ENVELOPE.size + length)
+    read = _READERS.get(tag)
+    if read is None:
         raise FieldError(f"unknown message type {tag:#04x}")
-    msg = _READERS[tag](payload)
-    payload.done()
+    msg, end = read(data, _ENVELOPE.size)
+    _end(data, end)
     return msg

@@ -61,6 +61,11 @@ def _load_sodium() -> ctypes.CDLL:
 
 
 _sodium = _load_sodium()
+# output buffer types, built once; each call still makes its own buffer, so
+# calls on different threads share none
+_PublicBuffer = ctypes.c_char * PUBLIC_KEY_LEN
+_SecretBuffer = ctypes.c_char * SECRET_KEY_LEN
+_SignatureBuffer = ctypes.c_char * SIGNATURE_LEN
 
 
 @dataclass(frozen=True)
@@ -85,8 +90,8 @@ def det_keygen(seed: bytes) -> KeyPair:
     """Derive a key pair from a 32-byte seed; same seed, same pair."""
     if len(seed) != SEED_LEN:
         raise ValueError(f"seed must be {SEED_LEN} bytes, got {len(seed)}")
-    public = ctypes.create_string_buffer(PUBLIC_KEY_LEN)
-    secret = ctypes.create_string_buffer(SECRET_KEY_LEN)
+    public = _PublicBuffer()
+    secret = _SecretBuffer()
     _sodium.crypto_sign_seed_keypair(public, secret, seed)
     return KeyPair(seed=seed, public=public.raw, signer=secret.raw)
 
@@ -96,7 +101,7 @@ def det_sign(key: KeyPair, message: bytes) -> bytes:
     ``message`` may be any bytes-like value."""
     if len(key.signer) != SECRET_KEY_LEN:
         raise ValueError(f"secret key must be {SECRET_KEY_LEN} bytes")
-    sig = ctypes.create_string_buffer(SIGNATURE_LEN)
+    sig = _SignatureBuffer()
     try:
         _sodium.crypto_sign_detached(sig, None, message, len(message), key.signer)
     except ctypes.ArgumentError:        # a bytes-like message other than bytes

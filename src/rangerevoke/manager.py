@@ -293,7 +293,7 @@ class PmNode:
         self.rng = rng
         self.gossip_timeout = gossip_timeout
         self.mode = PmMode.SERVING
-        self._reports: dict[int, set[str]] = {}  # from_epoch >= epoch_now -> senders
+        self._reports: dict[int, set[str]] = {}  # epoch_now or epoch_now + 1 -> senders
         self._last_update: int | None = None     # when filters last arrived
         self._orders: dict[tuple, RevocationOrder] = {}  # relayed admin orders
         self.stats = {"pushes": 0, "pulls": 0, "forwards": 0, "stale_orders": 0}
@@ -304,11 +304,9 @@ class PmNode:
             case ErcPullReq():
                 return self.handle_pull_request(sender)
             case ErcPush() | ErcPullResp():
-                self._last_update = now
-                return self.handle_ercsets(msg.current, msg.next)
+                return self.handle_ercsets(msg.current, msg.next, now)
             case EpochReport():
-                self._last_update = now
-                return self.handle_epoch_report(sender, msg)
+                return self.handle_epoch_report(sender, msg, now)
             case RevocationOrder():
                 return self.handle_revoke(msg)
             case RequestRrp():
@@ -362,18 +360,22 @@ class PmNode:
         push = ErcPush(self.core.erc_current, self.core.erc_next)
         return [Outgoing(t, push) for t in targets]
 
-    def _merge(self, current: ErcSet, nxt: ErcSet, what: str) -> bool | None:
-        """True if any bits were gained; None, with a warning, if incompatible."""
+    def _merge(self, current: ErcSet, nxt: ErcSet, what: str, now: int) -> bool | None:
+        """True if any bits were gained; None, with a warning, if incompatible.
+        Filters that merge, gainful or not, count as an update at ``now``:
+        dropped ones do not postpone the next pull."""
         try:
-            return self.core.merge_filters(current, nxt)
+            gained = self.core.merge_filters(current, nxt)
         except ValueError as exc:
             log.warning("%s: dropping incompatible %s: %s", self.node_id, what, exc)
             return None
+        self._last_update = now
+        return gained
 
-    def handle_ercsets(self, current: ErcSet, nxt: ErcSet) -> list[Outgoing]:
+    def handle_ercsets(self, current: ErcSet, nxt: ErcSet, now: int) -> list[Outgoing]:
         """Push/pull-response handler: discard if redundant, else merge and
         re-push to another f+1 random peers."""
-        if not self._merge(current, nxt, "filters"):
+        if not self._merge(current, nxt, "filters", now):
             return []
         out = self.eager_push()
         self.stats["forwards"] += len(out)
@@ -419,10 +421,15 @@ class PmNode:
         self._maybe_finish_quarantine()
         return [Outgoing(p, report) for p in self.peers]
 
-    def handle_epoch_report(self, sender: str, report: EpochReport) -> list[Outgoing]:
-        if self._merge(report.current, report.next, "epoch report") is None:
+    def handle_epoch_report(self, sender: str, report: EpochReport,
+                            now: int) -> list[Outgoing]:
+        if self._merge(report.current, report.next, "epoch report", now) is None:
             return []
-        if report.from_epoch >= self.core.epoch_now:     # a past quorum is moot
+        # a past quorum is moot.  One two or more epochs ahead counts only
+        # after this node rotates twice, and by then its own reports draw
+        # echoes from the nodes ahead, so those senders are not kept: any
+        # sender can name any epoch
+        if self.core.epoch_now <= report.from_epoch <= self.core.epoch_now + 1:
             self._reports.setdefault(report.from_epoch, set()).add(sender)
             self._maybe_finish_quarantine()
         if (report.from_epoch < self.core.epoch_now

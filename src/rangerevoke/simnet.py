@@ -235,6 +235,10 @@ class Simulation:
         for client in self.clients:
             for pm in self.pms.values():
                 pm.core.register(client.cid)
+        self._nodes: dict[str, PmNode | VerifierNode] = {**self.pms, **self.verifiers}
+        self._crash_windows: dict[str, list[tuple[int, int]]] = {}
+        for crash in cfg.crashes:
+            self._crash_windows.setdefault(crash.node, []).append((crash.start, crash.end))
 
         self.clock_offset = {  # each node's local time minus the true time
             node_id: self.rng.randint(-cfg.epsilon, cfg.epsilon) if cfg.epsilon else 0
@@ -266,7 +270,8 @@ class Simulation:
         heapq.heappush(self._queue, (at, next(self._seq), item))
 
     def _crashed(self, node: str, t: int) -> bool:
-        return any(c.node == node and c.start <= t < c.end for c in self.cfg.crashes)
+        windows = self._crash_windows.get(node)
+        return windows is not None and any(start <= t < end for start, end in windows)
 
     def _delay(self) -> int:
         base = self.rng.randint(1, self.cfg.delta_net)
@@ -279,16 +284,19 @@ class Simulation:
 
     def _emit(self, src: str, outgoing: list[Outgoing]) -> None:
         """Schedule each delivery with its wire bytes, one encoding per message object."""
-        if not outgoing or self._crashed(src, self.now):
+        now = self.now
+        if not outgoing or self._crashed(src, now):
             return
+        messages, delay, queue, seq = self.messages, self._delay, self._queue, self._seq
         wire: dict[int, bytes] = {}
         for out in outgoing:
-            name = type(out.msg).__name__
-            self.messages[name] = self.messages.get(name, 0) + 1
-            data = wire.get(id(out.msg))
+            msg = out.msg
+            name = type(msg).__name__
+            messages[name] = messages.get(name, 0) + 1
+            data = wire.get(id(msg))
             if data is None:
-                data = wire[id(out.msg)] = codec.encode_message(out.msg)
-            self._schedule(self.now + self._delay(), ("deliver", src, out.dst, data))
+                data = wire[id(msg)] = codec.encode_message(msg)
+            heapq.heappush(queue, (now + delay(), next(seq), ("deliver", src, out.dst, data)))
 
     def local_time(self, node: str) -> int:
         return self.now + self.clock_offset.get(node, 0)
@@ -296,23 +304,27 @@ class Simulation:
     # -- event handlers ---------------------------------------------------
 
     def run(self) -> SimReport:
-        while self._queue:
-            at, _, item = heapq.heappop(self._queue)
-            if at > self.cfg.horizon:
+        queue, horizon = self._queue, self.cfg.horizon
+        handlers = {}           # event kind -> its bound ``_on_<kind>`` method
+        while queue:
+            at, _, item = heapq.heappop(queue)
+            if at > horizon:
                 break
             self.now = at
             self.events_processed += 1
             if self.events_processed > EVENT_BUDGET:
                 raise RuntimeError("event budget exceeded; divergent schedule")
-            kind, *args = item
-            getattr(self, f"_on_{kind}")(*args)
+            handler = handlers.get(item[0])
+            if handler is None:
+                handler = handlers[item[0]] = getattr(self, f"_on_{item[0]}")
+            handler(*item[1:])
         return self._report()
 
     def _on_deliver(self, src: str, dst: str, data: bytes) -> None:
         if self._crashed(dst, self.now):
             return
         msg = codec.decode_message(data)
-        node = self.pms.get(dst) or self.verifiers.get(dst)
+        node = self._nodes.get(dst)
         if node is None:
             client = self.clients[int(dst.removeprefix("client"))]
             if isinstance(msg, RrpResponse) and msg.granted:

@@ -32,7 +32,9 @@ checks labels as it walks up the tree, and the codec unpacks all latchkey
 records at once.  ``filter_positions``, ``query_every_position``,
 ``verify_capability_by_path`` and ``decode_capability_by_field`` are the
 straight-line forms they replaced, which the differential tests compare
-them with.
+them with.  Gossip decodes each message the same way, every fixed-size
+part in one ``struct`` step; ``decode_message_by_field`` is the
+field-by-field reader that replaced, with its cursor ``_Reader``.
 """
 
 from __future__ import annotations
@@ -47,7 +49,17 @@ from rangerevoke import codec
 from rangerevoke.crypto import KeyPair, det_sign, digest, ver_sign
 from rangerevoke.ercset import BloomFilter, ErcSet, FilterParams, is_revoked
 from rangerevoke.manager import IssuanceDenied, TrustedCore
-from rangerevoke.messages import DenialReason, RequestRrp
+from rangerevoke.messages import (
+    DenialReason,
+    EpochReport,
+    ErcPullReq,
+    ErcPullResp,
+    ErcPush,
+    Message,
+    RequestRrp,
+    RevocationOrder,
+    RrpResponse,
+)
 from rangerevoke.pseudonym import (
     Capability,
     Latchkey,
@@ -383,9 +395,50 @@ def verify_capability_by_path(cap: Capability, pm_public: bytes, expected_slot: 
     )
 
 
+class _Reader:
+    """Cursor over immutable bytes; every read checks remaining length once."""
+
+    __slots__ = ("data", "pos")
+
+    def __init__(self, data: bytes):
+        self.data = data
+        self.pos = 0
+
+    def take(self, n: int) -> bytes:
+        pos = self.pos
+        if pos + n > len(self.data):
+            raise codec.Truncated(f"need {n} bytes at offset {pos}, "
+                                  f"have {len(self.data) - pos}")
+        self.pos = pos + n
+        return self.data[pos:pos + n]
+
+    def u8(self) -> int:
+        return self.take(1)[0]
+
+    def u32(self) -> int:
+        return int.from_bytes(self.take(4), "big")
+
+    def u64(self) -> int:
+        return int.from_bytes(self.take(8), "big")
+
+    def expect_magic(self, magic: bytes) -> None:
+        got = self.take(len(magic))
+        if got != magic:
+            raise codec.BadMagic(f"expected magic {magic!r}, got {got!r}")
+
+    def expect_version(self, version: int) -> None:
+        v = self.u8()
+        if v != version:
+            raise codec.BadVersion(f"unsupported version {v:#04x}")
+
+    def done(self) -> None:
+        if self.pos != len(self.data):
+            raise codec.TrailingBytes(f"{len(self.data) - self.pos} trailing bytes")
+
+
 def decode_capability_by_field(data: bytes) -> Capability:
     """``codec.decode_capability`` reading each latchkey field by field."""
-    r = codec._Reader(data)
+    r = _Reader(data)
     r.expect_magic(codec.CAPABILITY_MAGIC)
     r.expect_version(codec.CAPABILITY_VERSION)
     epoch_id = r.u64()
@@ -402,6 +455,73 @@ def decode_capability_by_field(data: bytes) -> Capability:
         latchkeys.append(Latchkey(NodeLabel(epoch_id, level, index), sig))
     r.done()
     return Capability(epoch_id, pub, endorsement, tuple(latchkeys))
+
+
+def _filter_by_field(r: _Reader) -> ErcSet:
+    epoch_id, m, k = r.u64(), r.u64(), r.u8()
+    try:
+        params = FilterParams(m, k)
+    except ValueError as exc:
+        raise codec.FieldError(str(exc)) from exc
+    return ErcSet(BloomFilter(params, epoch_id, r.take(m // 8)))
+
+
+def _request_by_field(r: _Reader) -> RequestRrp:
+    cid = r.take(codec.CID_LEN)
+    epoch_id = r.u64()
+    count = r.u8()
+    proof = proof_slot = None
+    if r.u8():
+        proof_slot = r.u64()
+        proof = decode_capability_by_field(r.take(r.u32()))
+    try:
+        return RequestRrp(cid, epoch_id, count, proof, proof_slot)
+    except ValueError as exc:
+        raise codec.FieldError(str(exc)) from exc
+
+
+def _response_by_field(r: _Reader) -> RrpResponse:
+    reason = r.u8()
+    try:
+        reason = DenialReason(reason)
+    except ValueError as exc:
+        raise codec.FieldError("unknown denial reason") from exc
+    epoch_id = r.u64()
+    count = r.u8()
+    endorsements = tuple((r.u64(), r.take(codec.SIG_LEN)) for _ in range(count))
+    try:
+        return RrpResponse(reason, epoch_id, endorsements)
+    except ValueError as exc:
+        raise codec.FieldError(str(exc)) from exc
+
+
+# type tag -> payload reader, each field taken on its own
+_MESSAGES_BY_FIELD = {
+    0x01: _request_by_field,
+    0x02: _response_by_field,
+    0x03: lambda r: RevocationOrder(r.take(codec.CID_LEN), r.u64(), r.u64(),
+                                    r.take(codec.SIG_LEN)),
+    0x04: lambda r: ErcPush(_filter_by_field(r), _filter_by_field(r)),
+    0x05: lambda r: ErcPullReq(),
+    0x06: lambda r: ErcPullResp(_filter_by_field(r), _filter_by_field(r)),
+    0x07: lambda r: EpochReport(r.u64(), _filter_by_field(r), _filter_by_field(r)),
+}
+
+
+def decode_message_by_field(data: bytes) -> Message:
+    """``codec.decode_message`` reading each field with its own length
+    check: the envelope, then the payload as a length-delimited slice."""
+    r = _Reader(data)
+    r.expect_magic(codec.ENVELOPE_MAGIC)
+    r.expect_version(codec.VERSION)
+    tag = r.u8()
+    payload = _Reader(r.take(r.u32()))
+    r.done()
+    if tag not in _MESSAGES_BY_FIELD:
+        raise codec.FieldError(f"unknown message type {tag:#04x}")
+    msg = _MESSAGES_BY_FIELD[tag](payload)
+    payload.done()
+    return msg
 
 
 # Ed25519 (RFC 8032, section 5.1) over edwards25519 in extended coordinates

@@ -198,6 +198,14 @@ _MALFORMED = [
     ("sim", "seed = 18446744073709551616",
      "[sim] seed: seed must be in 0..18446744073709551615, got 18446744073709551616"),
     ("sim", "seed = -1", "[sim] seed: seed must be in 0..18446744073709551615, got -1"),
+    ("unstable", "w1 = 20", "[unstable] w1: expected START..END, got '20'"),
+    ("sim", "clients = -1", "[sim] clients: must be >= 0, got -1"),
+    ("crashes", "c1 = pm0", "[crashes] c1: expected MANAGER START..END, got 'pm0'"),
+    ("script", "a2 = 3 request client", "[script] a2: expected ARG=VALUE, got 'client'"),
+    ("script", "a2 = 3 request client=0 client=1",
+     "[script] a2: argument 'client' given twice"),
+    ("sim", "managers", "Source contains parsing errors"),
+    ("extra", "x = 1", "unknown section [extra]"),
 ]
 
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from oracles import decode_capability_by_field
+from oracles import decode_capability_by_field, decode_message_by_field
 from rangerevoke import codec
 from rangerevoke.crypto import det_keygen, digest, seed_from_parts
 from rangerevoke.ercset import BloomFilter, ErcSet, FilterParams, default_salt
@@ -35,6 +35,19 @@ def bloom_erc(epoch=0, items=(b"a", b"b")):
     for item in items:
         flt.add(item)
     return ErcSet(flt)
+
+
+def one_of_each(cap, cid):
+    """One fixed instance of each of the 7 message types, in tag order."""
+    return [
+        RequestRrp(cid, 4, 3, proof=cap, proof_slot=1),
+        RrpResponse(DenialReason.NONE, 4, ((1, b"\x01" * 64), (2, b"\x02" * 64))),
+        RevocationOrder(cid, 2, 0, b"\x02" * 64),
+        ErcPush(bloom_erc(0), bloom_erc(1)),
+        ErcPullReq(),
+        ErcPullResp(bloom_erc(5), bloom_erc(6, items=(b"c",))),
+        EpochReport(3, bloom_erc(3), bloom_erc(4)),
+    ]
 
 
 # -- round-trips ------------------------------------------------------------
@@ -133,6 +146,26 @@ def test_capability_encoding_is_pinned():
     assert hashlib.sha256(blob).hexdigest() == CAPABILITY_SHA256
 
 
+# SHA-256 of ``encode_message`` over ``one_of_each``, by message type
+MESSAGE_SHA256 = {
+    "RequestRrp": "cb9a7ed34102a09de198017b6915907907c51be9e31565249397c614b90c5b97",
+    "RrpResponse": "a611cf50b6e0bceb1bf84ddd3b5841569e42e5fb6016a8075ea57f696b027ed9",
+    "RevocationOrder": "12a27bccecf0e82492d82d7915e2e0664be072c2bbeaaf322ab793e6de7a5594",
+    "ErcPush": "698df616d264bd78b1755631f2c1e049673346fbc7478165610b779bdda58ef1",
+    "ErcPullReq": "f9235774846b0c2b7e889e02cad22d5f903098b78366e1a81f914ee7ac77b0bd",
+    "ErcPullResp": "f891159410ed328a9e3109a6cf8c6ffafaeb531e803314d460c91392ecbf63d0",
+    "EpochReport": "c803423927b24e94131b716529c4e8f32796a0ad718186525196183ff0eacef1",
+}
+
+
+def test_message_encodings_are_pinned(cap, cid):
+    """Each message type's wire bytes, fixed: a codec change that moves a
+    byte of any of them must fail here."""
+    digests = {type(msg).__name__: hashlib.sha256(codec.encode_message(msg)).hexdigest()
+               for msg in one_of_each(cap, cid)}
+    assert digests == MESSAGE_SHA256
+
+
 # -- failure classes --------------------------------------------------------
 
 def push_blob() -> bytearray:
@@ -163,6 +196,14 @@ def test_truncated():
     blob[6:10] = (len(blob) - 11).to_bytes(4, "big")   # payload one byte short
     with pytest.raises(codec.Truncated):
         codec.decode_message(bytes(blob[:-1]))
+
+
+def test_empty_payload_is_truncated_not_a_bad_field():
+    """A response's first field is its reason byte: with no payload at all
+    it is missing, not invalid."""
+    for tag in (0x01, 0x02, 0x03, 0x04, 0x06, 0x07):
+        with pytest.raises(codec.Truncated):
+            codec.decode_message(b"RRPE\x03" + bytes([tag]) + bytes(4))
 
 
 def test_trailing_bytes(cap):
@@ -217,6 +258,31 @@ def test_every_prefix_is_truncated_and_one_more_byte_is_trailing(cap, cid):
                 decode(blob[:end])
         with pytest.raises(codec.TrailingBytes):
             decode(blob + b"\x00")
+
+
+def test_message_decoder_matches_field_by_field_reader(cap, cid):
+    """Against the reader that takes each field with its own length check
+    (``oracles.decode_message_by_field``): the same message from each
+    type's encoding, and the same message or the same error class from
+    every proper prefix, from one byte more and from 300 seeded bit flips."""
+    for tag, msg in enumerate(one_of_each(cap, cid), start=1):
+        blob = codec.encode_message(msg)
+        assert blob[5] == tag
+        assert codec.decode_message(blob) == msg == decode_message_by_field(blob)
+        rng = random.Random(tag)
+        mutants = [blob[:end] for end in range(len(blob))] + [blob + b"\x00"]
+        for _ in range(300):
+            mutant = bytearray(blob)
+            mutant[rng.randrange(len(mutant))] ^= 1 << rng.randrange(8)
+            mutants.append(bytes(mutant))
+        for mutant in mutants:
+            outcomes = []
+            for decode in (codec.decode_message, decode_message_by_field):
+                try:
+                    outcomes.append(decode(mutant))
+                except codec.DecodeError as exc:
+                    outcomes.append(type(exc))
+            assert outcomes[0] == outcomes[1], (type(msg).__name__, mutant)
 
 
 @pytest.mark.parametrize("epoch_len, delta, height", [(60, 60, 0), (120, 60, 1),

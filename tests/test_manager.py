@@ -30,6 +30,7 @@ from rangerevoke.messages import (
     DenialReason,
     EpochReport,
     ErcPullReq,
+    ErcPullResp,
     Outgoing,
     RequestRrp,
     RevocationOrder,
@@ -261,6 +262,37 @@ def test_gossip_timer_pulls_only_after_a_quiet_timeout(pm_key, admin_key, cid,
     assert node.stats["pulls"] == 1
 
 
+@pytest.mark.parametrize("kind", ["push-incompatible", "pull-response-incompatible",
+                                  "report-incompatible"])
+def test_dropped_filters_do_not_postpone_the_pull(pm_key, admin_key, cid, wire_messages,
+                                                  kind):
+    """Filters refused as incompatible are no update: a pull still goes
+    out within ``gossip_timeout`` of them."""
+    messages = dict(wire_messages)
+    push = messages["push-incompatible"]
+    messages["pull-response-incompatible"] = ErcPullResp(push.current, push.next)
+    node = make_node(pm_key, admin_key, cid, timeout=5)
+    assert node.deliver("pm1", messages[kind], now=100) == []
+    out = node.on_gossip_timer(104)
+    assert [type(o.msg) for o in out] == [ErcPullReq]
+
+
+def test_reports_far_ahead_keep_no_senders(pm_key, admin_key, cid):
+    """Only a quorum for the current or the next epoch can complete before
+    the next rotation: reports naming later epochs still merge their
+    filters, but their senders are not kept."""
+    node = make_node(pm_key, admin_key, cid, n=4, f=1)
+    other = make_node(pm_key, admin_key, cid, node_id="pm1")
+    other.handle_revoke(signed_order(admin_key, cid, 1, 0))
+    for from_epoch in range(2, 1002):
+        node.deliver("pm1", EpochReport(from_epoch, other.core.erc_current,
+                                        other.core.erc_next), now=1)
+    assert node.core.erc_current == other.core.erc_current     # merged all the same
+    assert len(node._reports) <= 2
+    node.deliver("pm1", EpochReport(1, other.core.erc_current, other.core.erc_next), now=1)
+    assert node._reports == {1: {"pm1"}}
+
+
 def test_handle_request_response(pm_key, admin_key, cid):
     node = make_node(pm_key, admin_key, cid)
     resp = node.handle_request(RequestRrp(cid, 0, 2))
@@ -389,9 +421,9 @@ def test_redundant_gossip_not_forwarded(pm_key, admin_key, cid):
     a = make_node(pm_key, admin_key, cid, node_id="pm0")
     b = make_node(pm_key, admin_key, cid, node_id="pm1")
     a.handle_revoke(signed_order(admin_key, cid, 1, 0))
-    forwarded = b.handle_ercsets(a.core.erc_current, a.core.erc_next)
+    forwarded = b.handle_ercsets(a.core.erc_current, a.core.erc_next, 1)
     assert len(forwarded) == 2
-    assert b.handle_ercsets(a.core.erc_current, a.core.erc_next) == []
+    assert b.handle_ercsets(a.core.erc_current, a.core.erc_next, 1) == []
 
 
 def test_pull_request_response(pm_key, admin_key, cid):
@@ -413,9 +445,9 @@ def test_quarantine_quorum(pm_key, admin_key, cid):
     assert node.mode is PmMode.QUARANTINE
     assert len(out) == 3                       # report to every peer
     report = EpochReport(0, node.core.erc_current, node.core.erc_next)
-    node.handle_epoch_report("pm1", report)
+    node.handle_epoch_report("pm1", report, 61)
     assert node.mode is PmMode.QUARANTINE      # 2 of 3 needed reports
-    node.handle_epoch_report("pm2", report)
+    node.handle_epoch_report("pm2", report, 61)
     assert node.mode is PmMode.SERVING         # self + 2 peers = N - f
     assert node.core.epoch_now == 1
 
@@ -424,8 +456,8 @@ def test_quarantine_ignores_duplicate_reports(pm_key, admin_key, cid):
     node = make_node(pm_key, admin_key, cid, n=4, f=1)
     node.on_clock(now=61)
     report = EpochReport(0, node.core.erc_current, node.core.erc_next)
-    node.handle_epoch_report("pm1", report)
-    node.handle_epoch_report("pm1", report)
+    node.handle_epoch_report("pm1", report, 61)
+    node.handle_epoch_report("pm1", report, 61)
     assert node.mode is PmMode.QUARANTINE
 
 
@@ -433,10 +465,10 @@ def test_reports_of_a_past_epoch_are_echoed_not_kept(pm_key, admin_key, cid):
     node = make_node(pm_key, admin_key, cid, n=4, f=1)
     node.on_clock(now=61)
     report = EpochReport(0, node.core.erc_current, node.core.erc_next)
-    node.handle_epoch_report("pm1", report)
-    node.handle_epoch_report("pm2", report)
+    node.handle_epoch_report("pm1", report, 61)
+    node.handle_epoch_report("pm2", report, 61)
     assert node.core.epoch_now == 1
-    out = node.handle_epoch_report("pm3", report)       # after the quorum
+    out = node.handle_epoch_report("pm3", report, 61)       # after the quorum
     assert [(o.dst, o.msg.from_epoch) for o in out] == [("pm3", 0)]
     assert node._reports == {}
 
@@ -445,12 +477,12 @@ def test_laggard_gets_echo(pm_key, admin_key, cid):
     ahead = make_node(pm_key, admin_key, cid, node_id="pm1")
     ahead.core.rotate_epoch()                  # already in epoch 1
     behind_report = EpochReport(0, empty_ercset(PARAMS, 0), empty_ercset(PARAMS, 1))
-    out = ahead.handle_epoch_report("pm3", behind_report)
+    out = ahead.handle_epoch_report("pm3", behind_report, 61)
     assert [o.dst for o in out] == ["pm3"]
     echo = out[0].msg
     assert echo.from_epoch == 0 and echo.current.epoch_id == 1
     # echoes themselves are never echoed back
-    assert ahead.handle_epoch_report("pm2", echo) == []
+    assert ahead.handle_epoch_report("pm2", echo, 61) == []
 
 
 def test_quarantine_denies_two_epochs_ahead(pm_key, admin_key, cid):

@@ -217,7 +217,7 @@ def test_receivers_of_one_push_decode_their_own_copies(monkeypatch):
     assert deliveries[0][3] is deliveries[1][3]                 # one encoding
     received = []
     monkeypatch.setattr(PmNode, "handle_ercsets",
-                        lambda self, current, nxt: received.append(current) or [])
+                        lambda self, current, nxt, now: received.append(current) or [])
     for _, src, dst, data in deliveries:
         sim._on_deliver(src, dst, data)
     a, b = received
