@@ -26,9 +26,9 @@ subclass, never anything else, and every decoder rejects truncated input
 and trailing garbage.  Decoders read at explicit offsets: each
 fixed-size part is one precompiled ``struct`` unpack behind one length
 check, and a filter's bits are one slice.  An encoder packs the envelope
-head in one call and joins the payload's parts once.  Encoders take
-well-formed messages: ``struct`` pads or cuts a fixed-size byte field of
-another length, and no program path builds one.
+head in one call and joins the payload's parts once.  Encoders refuse a
+fixed-size byte field of another length with ``ValueError``, where
+``struct`` would pad or cut it.
 """
 
 from __future__ import annotations
@@ -48,17 +48,14 @@ from .messages import (
     RevocationOrder,
     RrpResponse,
 )
-from .pseudonym import Capability, Latchkey
+from .crypto import PUBLIC_KEY_LEN, SIGNATURE_LEN
+from .pseudonym import CLIENT_ID_LEN, Capability, Latchkey
 from .slot_tree import NodeLabel
 
 CAPABILITY_MAGIC = b"RRPC"
 CAPABILITY_VERSION = 0x01
 ENVELOPE_MAGIC = b"RRPE"
 VERSION = 0x03
-
-PUB_LEN = 32
-SIG_LEN = 64
-CID_LEN = 32
 
 
 class DecodeError(ValueError):
@@ -87,14 +84,14 @@ class FieldError(DecodeError):
 
 # fixed-size parts, each written and read in one step
 _ENVELOPE = struct.Struct(">4sBBI")          # magic, version, type tag, length
-_CAPABILITY_HEAD = struct.Struct(f">4sBQ{PUB_LEN}s{SIG_LEN}sB")  # ... latchkey count
-_LATCHKEY = struct.Struct(f">BQ{SIG_LEN}s")  # level, index, signature
+_CAPABILITY_HEAD = struct.Struct(f">4sBQ{PUBLIC_KEY_LEN}s{SIGNATURE_LEN}sB")  # ... latchkey count
+_LATCHKEY = struct.Struct(f">BQ{SIGNATURE_LEN}s")  # level, index, signature
 _FILTER_HEAD = struct.Struct(">QQB")         # epoch, m, k
-_ORDER = struct.Struct(f">{CID_LEN}sQQ{SIG_LEN}s")
-_REQUEST_HEAD = struct.Struct(f">{CID_LEN}sQBB")  # cid, epoch, count, has proof
+_ORDER = struct.Struct(f">{CLIENT_ID_LEN}sQQ{SIGNATURE_LEN}s")
+_REQUEST_HEAD = struct.Struct(f">{CLIENT_ID_LEN}sQBB")  # cid, epoch, count, has proof
 _PROOF_HEAD = struct.Struct(">QI")           # proof slot, capability length
 _RESPONSE_HEAD = struct.Struct(">BQB")       # reason, epoch, endorsement count
-_ENDORSEMENT = struct.Struct(f">Q{SIG_LEN}s")  # instance, signature
+_ENDORSEMENT = struct.Struct(f">Q{SIGNATURE_LEN}s")  # instance, signature
 _U64 = struct.Struct(">Q")
 _REASONS = {int(reason): reason for reason in DenialReason}
 
@@ -121,6 +118,12 @@ def _check_head(magic: bytes, version: int, want_magic: bytes, want_version: int
         raise BadVersion(f"unsupported version {version:#04x}")
 
 
+def _sized(what: str, size: int, *fields: bytes) -> None:
+    for value in fields:
+        if len(value) != size:
+            raise ValueError(f"{what} must be {size} bytes, got {len(value)}")
+
+
 def _end(data: bytes, end: int) -> None:
     """``data`` must end at ``end``."""
     if end != len(data):
@@ -131,6 +134,8 @@ def _end(data: bytes, end: int) -> None:
 # -- capability ------------------------------------------------------------
 
 def encode_capability(cap: Capability) -> bytes:
+    _sized("pseudonym key", PUBLIC_KEY_LEN, cap.pseudonym_pub)
+    _sized("signature", SIGNATURE_LEN, cap.endorsement, *(lk.sig for lk in cap.latchkeys))
     return b"".join((
         _CAPABILITY_HEAD.pack(CAPABILITY_MAGIC, CAPABILITY_VERSION, cap.epoch_id,
                               cap.pseudonym_pub, cap.endorsement, len(cap.latchkeys)),
@@ -203,6 +208,8 @@ def _read_report(data: bytes, pos: int) -> tuple[EpochReport, int]:
 
 
 def _write_order(order: RevocationOrder) -> tuple:
+    _sized("client id", CLIENT_ID_LEN, order.cid)
+    _sized("signature", SIGNATURE_LEN, order.admin_sig)
     return (_ORDER.pack(order.cid, order.rts, order.epoch_id, order.admin_sig),)
 
 
@@ -212,6 +219,7 @@ def _read_order(data: bytes, pos: int) -> tuple[RevocationOrder, int]:
 
 
 def _write_request(msg: RequestRrp) -> tuple:
+    _sized("client id", CLIENT_ID_LEN, msg.cid)
     head = _REQUEST_HEAD.pack(msg.cid, msg.epoch_id, msg.count, msg.proof is not None)
     if msg.proof is None:
         return (head,)
@@ -238,6 +246,7 @@ def _read_request(data: bytes, pos: int) -> tuple[RequestRrp, int]:
 
 
 def _write_response(msg: RrpResponse) -> tuple:
+    _sized("signature", SIGNATURE_LEN, *(sig for _, sig in msg.endorsements))
     return (_RESPONSE_HEAD.pack(msg.reason, msg.epoch_id, len(msg.endorsements)),
             *(_ENDORSEMENT.pack(instance, sig) for instance, sig in msg.endorsements))
 

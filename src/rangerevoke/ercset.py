@@ -38,6 +38,10 @@ def default_salt(epoch_id: int) -> bytes:
     return hashlib.sha256(b"ercset-salt" + epoch_id.to_bytes(8, "big")).digest()[:SALT_LEN]
 
 
+class IncompatibleFilters(ValueError):
+    """Filters of different geometry or epoch cannot merge."""
+
+
 @dataclass(frozen=True)
 class FilterParams:
     """Bloom geometry: m bits, k index functions."""
@@ -118,7 +122,7 @@ class BloomFilter:
         gossiped filters equal the receiver's, which one byte comparison
         settles."""
         if not self.compatible(other):
-            raise ValueError("cannot merge filters with different parameters")
+            raise IncompatibleFilters("cannot merge filters with different parameters")
         if other.bits == self.bits:
             return self
         mine = int.from_bytes(self.bits, "little")

@@ -13,8 +13,11 @@ trusted hardware:
   touches key material or client ids directly.
 
 A node is a single state machine on its own local clock: ``deliver`` and the
-timer hooks return the messages to transmit, so nodes drop unchanged into
-the deterministic simulator or behind a real transport.
+timer hooks, each run by one periodic tick, return the messages to
+transmit, so nodes drop unchanged into the simulator or behind a real
+transport.  Filters enter one way, whichever message carries them: the core
+merges both or neither, only filters for a held epoch postpone the pull,
+and gainful ones are forwarded or, in a report, counted towards a quorum.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import logging
 import random
 
 from .crypto import KeyPair, det_sign, ver_sign
-from .ercset import BloomFilter, ErcSet, FilterParams, merge_ercset
+from .ercset import BloomFilter, ErcSet, FilterParams, IncompatibleFilters, merge_ercset
 from .messages import (
     DenialReason,
     EpochReport,
@@ -246,21 +249,22 @@ class TrustedCore:
 
     # -- filter state -----------------------------------------------------
 
-    def merge_filters(self, current: ErcSet | None, nxt: ErcSet | None) -> bool:
-        """Merge compatible incoming filters; True if any bits were gained."""
-        changed = False
+    def merge_filters(self, current: ErcSet, nxt: ErcSet) -> bool | None:
+        """Merge the filters for the two epochs held, all or nothing: an
+        incompatible one raises ``IncompatibleFilters`` before any is kept.
+        None if neither is for a held epoch, else whether a bit was gained."""
+        held = [self.erc_current, self.erc_next]
+        taken = False
         for incoming in (current, nxt):
-            if incoming is None:
-                continue
-            if incoming.epoch_id == self.erc_current.epoch_id:
-                merged = merge_ercset(self.erc_current, incoming)
-                changed |= merged is not self.erc_current
-                self.erc_current = merged
-            elif incoming.epoch_id == self.erc_next.epoch_id:
-                merged = merge_ercset(self.erc_next, incoming)
-                changed |= merged is not self.erc_next
-                self.erc_next = merged
-        return changed
+            i = incoming.epoch_id - self.epoch_now
+            if 0 <= i <= 1:
+                held[i] = merge_ercset(held[i], incoming)
+                taken = True
+        if not taken:
+            return None
+        gained = held[0] is not self.erc_current or held[1] is not self.erc_next
+        self.erc_current, self.erc_next = held
+        return gained
 
     def rotate_epoch(self) -> None:
         """Discard epoch t, promote t+1, open an empty filter for t+2.
@@ -301,12 +305,23 @@ class PmNode:
     def deliver(self, sender: str, msg: Message, now: int) -> list[Outgoing]:
         """Route one message from ``sender`` at local time ``now``."""
         match msg:
+            case ErcPush() | ErcPullResp() | EpochReport():
+                try:
+                    gained = self.core.merge_filters(msg.current, msg.next)
+                except IncompatibleFilters as exc:
+                    log.warning("%s: dropping incompatible filters: %s", self.node_id, exc)
+                    return []
+                if gained is not None:
+                    self._last_update = now
+                if type(msg) is EpochReport:
+                    return self.handle_epoch_report(sender, msg)
+                if not gained:
+                    return []
+                out = self.eager_push()
+                self.stats["forwards"] += len(out)
+                return out
             case ErcPullReq():
                 return self.handle_pull_request(sender)
-            case ErcPush() | ErcPullResp():
-                return self.handle_ercsets(msg.current, msg.next, now)
-            case EpochReport():
-                return self.handle_epoch_report(sender, msg, now)
             case RevocationOrder():
                 return self.handle_revoke(msg)
             case RequestRrp():
@@ -360,27 +375,6 @@ class PmNode:
         push = ErcPush(self.core.erc_current, self.core.erc_next)
         return [Outgoing(t, push) for t in targets]
 
-    def _merge(self, current: ErcSet, nxt: ErcSet, what: str, now: int) -> bool | None:
-        """True if any bits were gained; None, with a warning, if incompatible.
-        Filters that merge, gainful or not, count as an update at ``now``:
-        dropped ones do not postpone the next pull."""
-        try:
-            gained = self.core.merge_filters(current, nxt)
-        except ValueError as exc:
-            log.warning("%s: dropping incompatible %s: %s", self.node_id, what, exc)
-            return None
-        self._last_update = now
-        return gained
-
-    def handle_ercsets(self, current: ErcSet, nxt: ErcSet, now: int) -> list[Outgoing]:
-        """Push/pull-response handler: discard if redundant, else merge and
-        re-push to another f+1 random peers."""
-        if not self._merge(current, nxt, "filters", now):
-            return []
-        out = self.eager_push()
-        self.stats["forwards"] += len(out)
-        return out
-
     def handle_pull_request(self, requester: str) -> list[Outgoing]:
         out = [Outgoing(requester,
                         ErcPullResp(self.core.erc_current, self.core.erc_next))]
@@ -421,10 +415,8 @@ class PmNode:
         self._maybe_finish_quarantine()
         return [Outgoing(p, report) for p in self.peers]
 
-    def handle_epoch_report(self, sender: str, report: EpochReport,
-                            now: int) -> list[Outgoing]:
-        if self._merge(report.current, report.next, "epoch report", now) is None:
-            return []
+    def handle_epoch_report(self, sender: str, report: EpochReport) -> list[Outgoing]:
+        """Count a report whose filters ``deliver`` merged, or echo a laggard."""
         # a past quorum is moot.  One two or more epochs ahead counts only
         # after this node rotates twice, and by then its own reports draw
         # echoes from the nodes ahead, so those senders are not kept: any

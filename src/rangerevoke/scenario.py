@@ -4,9 +4,8 @@
 simulation starts.  An unknown section, ``[sim]`` key, action, argument or
 check, a malformed value, a client or node that the ``[sim]`` section
 does not create (also one an action falls back on when an argument is
-omitted), and node counts the simulator cannot run (no manager, or
-``fault_bound`` not below ``managers``) all raise ``ValueError`` naming
-the section and key.
+omitted), and ``[sim]`` values the simulator cannot run (see
+``_check_nodes``) all raise ``ValueError`` naming the section and key.
 ``run_checks`` evaluates the parsed checks against a finished run.
 
 Times are seconds (floats allowed)::
@@ -71,6 +70,10 @@ _SIM_INTS = {"managers": "n_pms", "fault_bound": "fault_bound",
              "max_instances": "max_instances"}
 _SIM_SECONDS = ("epoch_len", "delta", "delta_net", "epsilon", "horizon",
                 "gossip_timeout", "pull_period")
+# least [sim] values the simulator runs; times are periods and delays
+_SIM_LEAST = {"managers": 1, "verifiers": 0, "clients": 0, "fanout": 2, "filter_m": 8,
+              "filter_k": 1, "epoch_len": 1, "delta": 1, "delta_net": 1,
+              "gossip_timeout": 1, "pull_period": 1}
 
 
 def resolve_scenario(name: str) -> Path:
@@ -161,13 +164,17 @@ def _sim_entry(key: str, value: str) -> tuple[str, int]:
 
 
 def _check_nodes(cfg: SimConfig) -> None:
-    """At least one manager, no negative node count, and f < N, so that
-    the quarantine quorum N - f is never empty."""
-    if cfg.n_pms < 1:
-        raise ValueError(f"[sim] managers: must be >= 1, got {cfg.n_pms}")
-    for key, value in (("verifiers", cfg.n_verifiers), ("clients", cfg.n_clients)):
-        if value < 0:
-            raise ValueError(f"[sim] {key}: must be >= 0, got {value}")
+    """Values at least ``_SIM_LEAST``, whole filter bytes, a slot within
+    its epoch, and f < N so that the quarantine quorum N - f is not empty."""
+    for key, least in _SIM_LEAST.items():
+        value = getattr(cfg, _SIM_INTS.get(key, key))
+        if value < least:
+            raise ValueError(f"[sim] {key}: must be >= {least}, got {value}" if key in _SIM_INTS
+                             else f"[sim] {key}: must be > 0 s, got {value / MICRO:g} s")
+    if cfg.filter_m % 8:
+        raise ValueError(f"[sim] filter_m: must be a multiple of 8, got {cfg.filter_m}")
+    if cfg.delta > cfg.epoch_len:
+        raise ValueError(f"[sim] delta: must not exceed epoch_len ({cfg.epoch_len / MICRO:g} s)")
     if not 0 <= cfg.fault_bound < cfg.n_pms:
         raise ValueError(f"[sim] fault_bound: must be in 0..{cfg.n_pms - 1}, "
                          f"got {cfg.fault_bound}")

@@ -5,8 +5,8 @@ administrator under partial synchrony: bounded message delay in stable
 windows, arbitrary delay in unstable ones, per-node clock skew, scripted
 crash/recovery of managers.  Identical (config, seed) pairs reproduce
 byte-identical reports.  The loop carries bytes, keeps time and applies
-crashes; each node routes what its ``deliver`` receives and runs its own
-timer rules.
+crashes; each node routes what its ``deliver`` receives, and one periodic
+tick runs each of its timer hooks, whose rules are the node's own.
 
 Time is integer microseconds.  Messages travel as wire bytes, encoded
 once per fan-out and decoded on delivery, after the receiver's crash
@@ -251,20 +251,17 @@ class Simulation:
 
         for action in cfg.script:
             self._schedule(action.at, ("action", action))
-        for pm_id in pm_ids:
-            self._schedule(cfg.gossip_timeout, ("pm_timer", pm_id))
-            self._schedule(self._next_boundary(0), ("clock", pm_id))
-        for v_id in self.verifiers:
-            self._schedule(1, ("verifier_pull", v_id))
+        for pm_id, pm in self.pms.items():
+            self._schedule(cfg.gossip_timeout,
+                           ("tick", pm_id, pm.on_gossip_timer, cfg.gossip_timeout))
+            self._schedule(cfg.epoch_len + 1, ("tick", pm_id, pm.on_clock, cfg.epoch_len))
+        for v_id, v in self.verifiers.items():
+            self._schedule(1, ("tick", v_id, v.on_pull_timer, cfg.pull_period))
         for crash in cfg.crashes:
             # recovering managers immediately pull-gossip
             self._schedule(crash.end, ("recover", crash.node))
 
     # -- plumbing ---------------------------------------------------------
-
-    def _next_boundary(self, t: int) -> int:
-        epoch_id, _ = self.geometry.epoch_and_slot(t)
-        return (epoch_id + 1) * self.cfg.epoch_len + 1
 
     def _schedule(self, at: int, item) -> None:
         heapq.heappush(self._queue, (at, next(self._seq), item))
@@ -283,9 +280,9 @@ class Simulation:
         return deliver_at - self.now
 
     def _emit(self, src: str, outgoing: list[Outgoing]) -> None:
-        """Schedule each delivery with its wire bytes, one encoding per message object."""
+        """Schedule each delivery of ``src``, which is up, with its wire bytes."""
         now = self.now
-        if not outgoing or self._crashed(src, now):
+        if not outgoing:
             return
         messages, delay, queue, seq = self.messages, self._delay, self._queue, self._seq
         wire: dict[int, bytes] = {}
@@ -339,22 +336,17 @@ class Simulation:
                 len(resp.endorsements)))
         self._emit(dst, outgoing)
 
-    def _on_pm_timer(self, pm_id: str) -> None:
-        self._schedule(self.now + self.cfg.gossip_timeout, ("pm_timer", pm_id))
-        if not self._crashed(pm_id, self.now):
-            self._emit(pm_id, self.pms[pm_id].on_gossip_timer(self.local_time(pm_id)))
-
-    def _on_verifier_pull(self, v_id: str) -> None:
-        self._schedule(self.now + self.cfg.pull_period, ("verifier_pull", v_id))
-        self._emit(v_id, self.verifiers[v_id].on_pull_timer())
-
-    def _on_clock(self, pm_id: str) -> None:
-        self._schedule(self._next_boundary(self.now), ("clock", pm_id))
-        if not self._crashed(pm_id, self.now):
-            self._emit(pm_id, self.pms[pm_id].on_clock(self.local_time(pm_id)))
+    def _on_tick(self, node_id: str, hook, period: int) -> None:
+        """Run a node's periodic ``hook`` at its local time unless it is down."""
+        now = self.now
+        self._schedule(now + period, ("tick", node_id, hook, period))
+        if not self._crashed(node_id, now):
+            self._emit(node_id, hook(now + self.clock_offset.get(node_id, 0)))
 
     def _on_recover(self, pm_id: str) -> None:
-        self._emit(pm_id, self.pms[pm_id].on_recover(self.local_time(pm_id)))
+        outgoing = self.pms[pm_id].on_recover(self.local_time(pm_id))
+        if not self._crashed(pm_id, self.now):      # down again in another window
+            self._emit(pm_id, outgoing)
 
     # -- scripted workload ------------------------------------------------
 

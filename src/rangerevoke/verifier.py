@@ -125,28 +125,23 @@ class VerifierNode:
             self.handle_pull_response(msg, now)
         return []
 
-    def on_pull_timer(self) -> list[Outgoing]:
+    def on_pull_timer(self, now: int) -> list[Outgoing]:
         """Ask a random manager for its filters."""
         return [Outgoing(self.rng.choice(self.pm_ids), ErcPullReq())]
 
     def handle_pull_response(self, resp: ErcPullResp, now: int) -> bool:
-        """Merge the filter matching our epoch; True if the pull counted.
-
-        A response carrying no filter for our current epoch (e.g. from a
-        badly lagging manager) does not reset staleness.
-        """
+        """Take the filter of our epoch; True if the pull counted.  A pull
+        with none (from a lagging manager) or one incompatible with ours does not."""
         wanted, _ = self.geometry.epoch_and_slot(now)
         incoming = next((f for f in (resp.current, resp.next) if f.epoch_id == wanted), None)
         if incoming is None:
             log.debug("%s: pull response has no epoch-%d filter", self.node_id, wanted)
             return False
-        if self.erc_local is None or self.erc_local.epoch_id != wanted:
-            self.erc_local = incoming
-        else:
-            try:
-                self.erc_local = merge_ercset(self.erc_local, incoming)
-            except ValueError as exc:
-                log.warning("%s: dropping incompatible filter: %s", self.node_id, exc)
+        local = self.erc_local
+        if local is not None and local.epoch_id == wanted:
+            if not local.filter.compatible(incoming.filter):
+                log.warning("%s: dropping incompatible filter", self.node_id)
                 return False
-        self.last_pull = now
+            incoming = merge_ercset(local, incoming)
+        self.erc_local, self.last_pull = incoming, now
         return True

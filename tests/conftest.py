@@ -46,11 +46,19 @@ def fig_cfg():
 def wire_messages(pm_key, admin_key, cid, fig_cfg):
     """(label, message) pairs as decoded from their wire bytes: one of every
     wire type, and hostile ones (forged, out of range, incompatible
-    filters, far epochs), for ``fig_cfg`` and 8192-bit filters with k = 4."""
+    filters, far epochs), for ``fig_cfg`` and 8192-bit filters with k = 4.
+    A hostile message's label is the label of its well-formed kind plus a
+    suffix (see ``hostile_messages``)."""
     params, other = FilterParams(8192, 4), FilterParams(4096, 4)
 
     def filters(epoch, p=params):
         return ErcSet(BloomFilter(p, epoch)), ErcSet(BloomFilter(p, epoch + 1))
+
+    def gainful(epoch):
+        """A filter with one bit pattern that no other sample holds."""
+        flt = BloomFilter(params, epoch)
+        flt.add(b"hostile")
+        return ErcSet(flt)
 
     def order(rts, epoch, sig=None):
         unsigned = RevocationOrder(cid, rts, epoch, b"")
@@ -68,6 +76,8 @@ def wire_messages(pm_key, admin_key, cid, fig_cfg):
         ("order-rts-outside-epoch", order(2**64 - 1, 0)),
         ("push", ErcPush(*filters(0))),
         ("push-incompatible", ErcPush(*filters(0, other))),
+        ("push-half-incompatible", ErcPush(gainful(0), filters(0, other)[1])),
+        ("push-far-epoch", ErcPush(gainful(5), gainful(6))),
         ("pull-request", ErcPullReq()),
         ("pull-response", ErcPullResp(*filters(0))),
         ("pull-response-far-epoch", ErcPullResp(*filters(5))),
@@ -78,3 +88,11 @@ def wire_messages(pm_key, admin_key, cid, fig_cfg):
     assert {type(msg) for _, msg in samples} == set(get_args(Message))
     return [(label, codec.decode_message(codec.encode_message(msg)))
             for label, msg in samples]
+
+
+@pytest.fixture
+def hostile_messages(wire_messages):
+    """The hostile ``wire_messages``: each label extends a well-formed one's."""
+    labels = [label for label, _ in wire_messages]
+    return [(label, msg) for label, msg in wire_messages
+            if any(label.startswith(f"{base}-") for base in labels)]

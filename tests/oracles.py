@@ -46,7 +46,8 @@ from dataclasses import dataclass, field
 from itertools import chain
 
 from rangerevoke import codec
-from rangerevoke.crypto import KeyPair, det_sign, digest, ver_sign
+from rangerevoke.crypto import (PUBLIC_KEY_LEN, SIGNATURE_LEN, KeyPair, det_sign, digest,
+                               ver_sign)
 from rangerevoke.ercset import BloomFilter, ErcSet, FilterParams, is_revoked
 from rangerevoke.manager import IssuanceDenied, TrustedCore
 from rangerevoke.messages import (
@@ -61,6 +62,7 @@ from rangerevoke.messages import (
     RrpResponse,
 )
 from rangerevoke.pseudonym import (
+    CLIENT_ID_LEN,
     Capability,
     Latchkey,
     Rrp,
@@ -442,8 +444,8 @@ def decode_capability_by_field(data: bytes) -> Capability:
     r.expect_magic(codec.CAPABILITY_MAGIC)
     r.expect_version(codec.CAPABILITY_VERSION)
     epoch_id = r.u64()
-    pub = r.take(codec.PUB_LEN)
-    endorsement = r.take(codec.SIG_LEN)
+    pub = r.take(PUBLIC_KEY_LEN)
+    endorsement = r.take(SIGNATURE_LEN)
     count = r.u8()
     if count == 0:
         raise codec.FieldError("capability carries no latchkeys")
@@ -451,7 +453,7 @@ def decode_capability_by_field(data: bytes) -> Capability:
     for _ in range(count):
         level = r.u8()
         index = r.u64()
-        sig = r.take(codec.SIG_LEN)
+        sig = r.take(SIGNATURE_LEN)
         latchkeys.append(Latchkey(NodeLabel(epoch_id, level, index), sig))
     r.done()
     return Capability(epoch_id, pub, endorsement, tuple(latchkeys))
@@ -467,7 +469,7 @@ def _filter_by_field(r: _Reader) -> ErcSet:
 
 
 def _request_by_field(r: _Reader) -> RequestRrp:
-    cid = r.take(codec.CID_LEN)
+    cid = r.take(CLIENT_ID_LEN)
     epoch_id = r.u64()
     count = r.u8()
     proof = proof_slot = None
@@ -488,7 +490,7 @@ def _response_by_field(r: _Reader) -> RrpResponse:
         raise codec.FieldError("unknown denial reason") from exc
     epoch_id = r.u64()
     count = r.u8()
-    endorsements = tuple((r.u64(), r.take(codec.SIG_LEN)) for _ in range(count))
+    endorsements = tuple((r.u64(), r.take(SIGNATURE_LEN)) for _ in range(count))
     try:
         return RrpResponse(reason, epoch_id, endorsements)
     except ValueError as exc:
@@ -499,8 +501,8 @@ def _response_by_field(r: _Reader) -> RrpResponse:
 _MESSAGES_BY_FIELD = {
     0x01: _request_by_field,
     0x02: _response_by_field,
-    0x03: lambda r: RevocationOrder(r.take(codec.CID_LEN), r.u64(), r.u64(),
-                                    r.take(codec.SIG_LEN)),
+    0x03: lambda r: RevocationOrder(r.take(CLIENT_ID_LEN), r.u64(), r.u64(),
+                                    r.take(SIGNATURE_LEN)),
     0x04: lambda r: ErcPush(_filter_by_field(r), _filter_by_field(r)),
     0x05: lambda r: ErcPullReq(),
     0x06: lambda r: ErcPullResp(_filter_by_field(r), _filter_by_field(r)),

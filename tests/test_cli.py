@@ -206,6 +206,16 @@ _MALFORMED = [
      "[script] a2: argument 'client' given twice"),
     ("sim", "managers", "Source contains parsing errors"),
     ("extra", "x = 1", "unknown section [extra]"),
+    ("sim", "gossip_timeout = 0", "[sim] gossip_timeout: must be > 0 s, got 0 s"),
+    ("sim", "pull_period = 0", "[sim] pull_period: must be > 0 s, got 0 s"),
+    ("sim", "delta_net = 0", "[sim] delta_net: must be > 0 s, got 0 s"),
+    ("sim", "filter_m = 12", "[sim] filter_m: must be a multiple of 8, got 12"),
+    ("sim", "filter_m = 0", "[sim] filter_m: must be >= 8, got 0"),
+    ("sim", "filter_k = 0", "[sim] filter_k: must be >= 1, got 0"),
+    ("sim", "delta = 0", "[sim] delta: must be > 0 s, got 0 s"),
+    ("sim", "delta = 90", "[sim] delta: must not exceed epoch_len (60 s)"),
+    ("sim", "epoch_len = 0", "[sim] epoch_len: must be > 0 s, got 0 s"),
+    ("sim", "fanout = 1", "[sim] fanout: must be >= 2, got 1"),
 ]
 
 

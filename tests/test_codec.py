@@ -1,5 +1,6 @@
 import hashlib
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -332,6 +333,37 @@ def test_request_count_outside_1_to_255_is_refused(cid):
     for valid in (1, 255):
         msg = RequestRrp(cid, 0, valid)
         assert codec.decode_message(codec.encode_message(msg)) == msg
+
+
+
+def test_encoders_refuse_fixed_size_fields_of_another_length(cap, cid):
+    """Each fixed-size byte field one byte short or long is refused, where
+    ``struct`` would pad or cut it into a message that decodes."""
+    def resized(value: bytes, by: int) -> bytes:
+        return value[:by] if by < 0 else value + bytes(by)
+
+    def latchkey(c, by):
+        return replace(c, latchkeys=(replace(c.latchkeys[0], sig=resized(c.latchkeys[0].sig, by)),
+                                     *c.latchkeys[1:]))
+
+    builders = [
+        lambda by: codec.encode_capability(
+            replace(cap, pseudonym_pub=resized(cap.pseudonym_pub, by))),
+        lambda by: codec.encode_capability(replace(cap, endorsement=resized(cap.endorsement, by))),
+        lambda by: codec.encode_capability(latchkey(cap, by)),
+        lambda by: codec.encode_message(RequestRrp(resized(cid, by), 0, 1)),
+        lambda by: codec.encode_message(RequestRrp(cid, 0, 1, latchkey(cap, by), 1)),
+        lambda by: codec.encode_message(
+            RrpResponse(DenialReason.NONE, 0, ((1, bytes(64)), (2, resized(bytes(64), by))))),
+        lambda by: codec.encode_message(RevocationOrder(resized(cid, by), 0, 0, bytes(64))),
+        lambda by: codec.encode_message(RevocationOrder(cid, 0, 0, resized(bytes(64), by))),
+    ]
+    for i, build in enumerate(builders):
+        build(0)                                    # the right length encodes
+        for by in (-1, 1):
+            with pytest.raises(ValueError, match="must be"):
+                build(by)
+                pytest.fail(f"builder {i} encoded a field of another length ({by:+d})")
 
 
 # -- fuzz -------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import logging
 import random
 from collections import Counter
@@ -31,9 +32,11 @@ from rangerevoke.messages import (
     EpochReport,
     ErcPullReq,
     ErcPullResp,
+    ErcPush,
     Outgoing,
     RequestRrp,
     RevocationOrder,
+    RrpResponse,
 )
 from rangerevoke.pseudonym import (
     Latchkey,
@@ -210,8 +213,8 @@ def test_merge_filters_reports_change(pm_key, admin_key, cid):
     core = make_core(pm_key, admin_key, cid)
     cfg = core.cfg_for(0)
     incoming = revocation_cover_ercset(cid, 0, 1, safe_cover(cfg, SlotRange(1, 3)), PARAMS)
-    assert core.merge_filters(incoming, None) is True
-    assert core.merge_filters(incoming, None) is False   # redundant
+    assert core.merge_filters(incoming, empty_ercset(PARAMS, 1)) is True
+    assert core.merge_filters(incoming, empty_ercset(PARAMS, 1)) is False   # redundant
 
 
 def test_helper_filters(pm_key, cid):
@@ -263,11 +266,14 @@ def test_gossip_timer_pulls_only_after_a_quiet_timeout(pm_key, admin_key, cid,
 
 
 @pytest.mark.parametrize("kind", ["push-incompatible", "pull-response-incompatible",
-                                  "report-incompatible"])
+                                  "report-incompatible", "push-half-incompatible",
+                                  "push-far-epoch", "pull-response-far-epoch",
+                                  "report-future"])
 def test_dropped_filters_do_not_postpone_the_pull(pm_key, admin_key, cid, wire_messages,
                                                   kind):
-    """Filters refused as incompatible are no update: a pull still goes
-    out within ``gossip_timeout`` of them."""
+    """Filters refused as incompatible, or for no epoch the node holds,
+    are no update: a pull still goes out within ``gossip_timeout`` of
+    them."""
     messages = dict(wire_messages)
     push = messages["push-incompatible"]
     messages["pull-response-incompatible"] = ErcPullResp(push.current, push.next)
@@ -275,6 +281,35 @@ def test_dropped_filters_do_not_postpone_the_pull(pm_key, admin_key, cid, wire_m
     assert node.deliver("pm1", messages[kind], now=100) == []
     out = node.on_gossip_timer(104)
     assert [type(o.msg) for o in out] == [ErcPullReq]
+
+
+def node_trace(node):
+    """Everything of a manager that a message could change."""
+    core = node.core
+    return (core.epoch_now, node.mode, node._last_update,
+            [(erc.epoch_id, hashlib.sha256(erc.filter.bits).hexdigest())
+             for erc in (core.erc_current, core.erc_next)],
+            {e: set(s) for e, s in node._reports.items()}, set(core.revoked),
+            dict(node._orders), dict(core.issued), dict(node.stats))
+
+
+def test_refused_messages_leave_no_trace(pm_key, admin_key, cid, wire_messages,
+                                         hostile_messages):
+    """A hostile message changes no filter bit, no pull deadline, quorum,
+    order, issuance or counter of a manager, serving or in quarantine,
+    and draws nothing but a denial to its sender."""
+    assert {"push-half-incompatible", "push-far-epoch"} <= dict(hostile_messages).keys()
+    for now in (1, 61):
+        node = make_node(pm_key, admin_key, cid)
+        # the client holds pseudonyms, so a later request needs a proof
+        assert node.deliver("client0", dict(wire_messages)["request"], now)[0].msg.granted
+        node.on_clock(now)
+        for label, msg in hostile_messages:
+            before = node_trace(node)
+            out = node.deliver("pm1", msg, now)
+            assert node_trace(node) == before, label
+            assert all(o.dst == "pm1" and isinstance(o.msg, RrpResponse)
+                       and not o.msg.granted for o in out), label
 
 
 def test_reports_far_ahead_keep_no_senders(pm_key, admin_key, cid):
@@ -421,9 +456,9 @@ def test_redundant_gossip_not_forwarded(pm_key, admin_key, cid):
     a = make_node(pm_key, admin_key, cid, node_id="pm0")
     b = make_node(pm_key, admin_key, cid, node_id="pm1")
     a.handle_revoke(signed_order(admin_key, cid, 1, 0))
-    forwarded = b.handle_ercsets(a.core.erc_current, a.core.erc_next, 1)
+    forwarded = b.deliver("pm0", ErcPush(a.core.erc_current, a.core.erc_next), 1)
     assert len(forwarded) == 2
-    assert b.handle_ercsets(a.core.erc_current, a.core.erc_next, 1) == []
+    assert b.deliver("pm0", ErcPush(a.core.erc_current, a.core.erc_next), 1) == []
 
 
 def test_pull_request_response(pm_key, admin_key, cid):
@@ -445,9 +480,9 @@ def test_quarantine_quorum(pm_key, admin_key, cid):
     assert node.mode is PmMode.QUARANTINE
     assert len(out) == 3                       # report to every peer
     report = EpochReport(0, node.core.erc_current, node.core.erc_next)
-    node.handle_epoch_report("pm1", report, 61)
+    node.deliver("pm1", report, 61)
     assert node.mode is PmMode.QUARANTINE      # 2 of 3 needed reports
-    node.handle_epoch_report("pm2", report, 61)
+    node.deliver("pm2", report, 61)
     assert node.mode is PmMode.SERVING         # self + 2 peers = N - f
     assert node.core.epoch_now == 1
 
@@ -456,8 +491,8 @@ def test_quarantine_ignores_duplicate_reports(pm_key, admin_key, cid):
     node = make_node(pm_key, admin_key, cid, n=4, f=1)
     node.on_clock(now=61)
     report = EpochReport(0, node.core.erc_current, node.core.erc_next)
-    node.handle_epoch_report("pm1", report, 61)
-    node.handle_epoch_report("pm1", report, 61)
+    node.deliver("pm1", report, 61)
+    node.deliver("pm1", report, 61)
     assert node.mode is PmMode.QUARANTINE
 
 
@@ -465,10 +500,10 @@ def test_reports_of_a_past_epoch_are_echoed_not_kept(pm_key, admin_key, cid):
     node = make_node(pm_key, admin_key, cid, n=4, f=1)
     node.on_clock(now=61)
     report = EpochReport(0, node.core.erc_current, node.core.erc_next)
-    node.handle_epoch_report("pm1", report, 61)
-    node.handle_epoch_report("pm2", report, 61)
+    node.deliver("pm1", report, 61)
+    node.deliver("pm2", report, 61)
     assert node.core.epoch_now == 1
-    out = node.handle_epoch_report("pm3", report, 61)       # after the quorum
+    out = node.deliver("pm3", report, 61)       # after the quorum
     assert [(o.dst, o.msg.from_epoch) for o in out] == [("pm3", 0)]
     assert node._reports == {}
 
@@ -477,12 +512,12 @@ def test_laggard_gets_echo(pm_key, admin_key, cid):
     ahead = make_node(pm_key, admin_key, cid, node_id="pm1")
     ahead.core.rotate_epoch()                  # already in epoch 1
     behind_report = EpochReport(0, empty_ercset(PARAMS, 0), empty_ercset(PARAMS, 1))
-    out = ahead.handle_epoch_report("pm3", behind_report, 61)
+    out = ahead.deliver("pm3", behind_report, 61)
     assert [o.dst for o in out] == ["pm3"]
     echo = out[0].msg
     assert echo.from_epoch == 0 and echo.current.epoch_id == 1
     # echoes themselves are never echoed back
-    assert ahead.handle_epoch_report("pm2", echo, 61) == []
+    assert ahead.deliver("pm2", echo, 61) == []
 
 
 def test_quarantine_denies_two_epochs_ahead(pm_key, admin_key, cid):
@@ -671,7 +706,7 @@ def test_only_the_probed_root_goes_unqueried(pm_key, admin_key, cid):
     core = make_core(pm_key, admin_key, cid)
     first = core.issue(RequestRrp(cid, 0, 3))[0]
     assert core.merge_filters(revocation_cover_ercset(cid, 0, 3, {NodeLabel(0, 0, 0)}, PARAMS),
-                              None)
+                              empty_ercset(PARAMS, 1))
     third = create_rrp(cid, 0, 3, pm_key, 8)
     with pytest.raises(IssuanceDenied) as exc:
         core.issue(RequestRrp(cid, 0, 1, proof_for(core, third, 2), 2))
@@ -759,7 +794,7 @@ def test_rebuilt_proof_check_agrees_with_signature_checks(pm_key, admin_key, cid
     core.register(other)
     witness = make_core(pm_key, admin_key, cid)
     witness.revoke(signed_order(admin_key, cid, 2, 0))
-    assert core.merge_filters(witness.erc_current, None)
+    assert core.merge_filters(witness.erc_current, empty_ercset(PARAMS, 1))
 
     def flipped(data: bytes, i: int) -> bytes:
         out = bytearray(data)
@@ -830,7 +865,8 @@ def test_issue_matches_the_reference_issuance(pm_key, admin_key):
                                       geometry.with_epoch(core.epoch_now), params, instances)
                 witness.revoke(signed_order(admin_key, rng.choice(clients[:-1]),
                                             rng.randrange(geometry.slots // 2), core.epoch_now))
-                nxt = witness.erc_next if rng.random() < 0.25 else None
+                nxt = witness.erc_next if rng.random() < 0.25 \
+                    else empty_ercset(params, core.epoch_now + 1)
                 assert core.merge_filters(witness.erc_current, nxt) \
                     == reference.merge_filters(witness.erc_current, nxt)
                 continue

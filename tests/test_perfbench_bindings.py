@@ -59,9 +59,18 @@ def test_tracer_installs_and_restores_every_binding():
 
 @pytest.mark.parametrize("name", ["verify", "manage", "gossip"])
 def test_workload_sets_up_and_passes_its_oracle(name):
+    """One operation passes its oracle, and the per-layer metrics read from
+    the program's state after it (gossip: after its first grid run, whose
+    revocation reach they read)."""
     workload = _import_bench("workloads").WORKLOADS[name](1)
     assert workload.n_ops > 0
-    assert not workload.check(0, workload.op(0))     # True means a failed operation
+    workload.start_pass()
+    for i in range(workload.n_ops):
+        assert not workload.check(i, workload.op(i))  # True means a failed operation
+        if name != "gossip" or workload.runs[i][0].startswith("grid/"):
+            break
+    metrics = workload.layer_metrics()
+    assert metrics and all(isinstance(v, int | float) and v >= 0 for v in metrics.values())
 
 
 def _tracer_test_bindings() -> list[tuple[str, object, str]]:

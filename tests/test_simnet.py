@@ -216,8 +216,8 @@ def test_receivers_of_one_push_decode_their_own_copies(monkeypatch):
     assert sorted(item[2] for item in deliveries) == ["pm1", "pm2"]
     assert deliveries[0][3] is deliveries[1][3]                 # one encoding
     received = []
-    monkeypatch.setattr(PmNode, "handle_ercsets",
-                        lambda self, current, nxt, now: received.append(current) or [])
+    monkeypatch.setattr(PmNode, "deliver",
+                        lambda self, sender, msg, now: received.append(msg.current) or [])
     for _, src, dst, data in deliveries:
         sim._on_deliver(src, dst, data)
     a, b = received

@@ -115,7 +115,7 @@ def test_pull_response_incompatible_params(pm_key):
 
 def test_make_pull_targets_known_manager(pm_key):
     v = make_verifier(pm_key)
-    [out] = v.on_pull_timer()
+    [out] = v.on_pull_timer(now=0)
     assert out.dst in ("pm0", "pm1")
     assert out.msg == ErcPullReq()
 
@@ -128,6 +128,19 @@ def test_deliver_takes_every_wire_message(pm_key, wire_messages):
         assert v.deliver("pm0", msg, now=1) == [], label
         assert (v.last_pull == 1) is (label == "pull-response"), label
         v.last_pull = None
+
+
+def test_refused_messages_leave_no_trace(pm_key, hostile_messages):
+    """A hostile message leaves a verifier's filter and freshness as they
+    were, and draws no message."""
+    v = make_verifier(pm_key)
+    fresh(v, now=0)
+    v.erc_local.filter.add(b"revoked")
+    held, bits = v.erc_local, bytes(v.erc_local.filter.bits)
+    for label, msg in hostile_messages:
+        assert v.deliver("pm0", msg, now=1) == [], label
+        assert v.erc_local is held and bytes(held.filter.bits) == bits, label
+        assert v.last_pull == 0, label
 
 
 def test_retry_consumes_extras_on_false_positive(cid, pm_key):
