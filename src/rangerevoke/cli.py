@@ -73,8 +73,9 @@ def cmd_size(args: argparse.Namespace) -> int:
         epoch_len=round(args.slots * delta), delta=round(delta),
         needed=args.needed, extra=args.extra)
     result = sizing.plan_filter(params, args.fp)
-    cmp_ = sizing.compare_linear_scheme(params)
-    print(f"slots T              {cmp_.slots}")
+    row = sizing.storage_row(params.delta, params.epoch_len, params.fanout,
+                             params.needed, params.needed)
+    print(f"slots T              {row.slots}")
     print(f"tree height h        {max(1, params.tree_height)}")
     print(f"expected inserts n   {result.n:.1f}")
     print(f"filter size m        {result.m} bits = {result.m_bytes} bytes "
@@ -84,14 +85,14 @@ def cmd_size(args: argparse.Namespace) -> int:
     print(f"per-capability FP    {result.fp_capability:.3e}")
     print(f"P(full access)       {result.full_access:.12f}  "
           f"(p={params.needed}, M={params.extra})")
-    print(f"revocation entries   tree {cmp_.revocation_entries_tree}  "
-          f"slot-locked {cmp_.revocation_entries_linear}")
-    print(f"client pseudonyms    tree {cmp_.client_pseudonyms_tree}  "
-          f"slot-locked {cmp_.client_pseudonyms_linear}")
+    print(f"revocation entries   tree {row.tree_entries}  "
+          f"slot-locked {row.flat_entries}")
+    print(f"client pseudonyms    tree {row.demand}  "
+          f"slot-locked {row.flat_entries}")
     _write_csv(args.out, "size.csv", [
         ["slots", "n", "m_bits", "m_kb", "k", "fp_probe", "fp_capability",
          "full_access"],
-        [cmp_.slots, f"{result.n:.3f}", result.m, result.m_kb, result.k,
+        [row.slots, f"{result.n:.3f}", result.m, result.m_kb, result.k,
          f"{result.fp_rate:.6e}", f"{result.fp_capability:.6e}",
          f"{result.full_access:.12e}"],
     ])

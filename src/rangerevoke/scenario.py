@@ -6,7 +6,8 @@ check, a malformed value, a client or node that the ``[sim]`` section
 does not create (also one an action falls back on when an argument is
 omitted), and ``[sim]`` values the simulator cannot run (see
 ``_check_nodes``) all raise ``ValueError`` naming the section and key.
-``run_checks`` evaluates the parsed checks against a finished run.
+``run_checks`` evaluates the parsed checks against a finished run; the
+linkage adversary is the two functions beside the checks that read it.
 
 Times are seconds (floats allowed)::
 
@@ -43,9 +44,12 @@ Times are seconds (floats allowed)::
 from __future__ import annotations
 
 import configparser
+import itertools
 import math
+import random
 from pathlib import Path
 
+from .pseudonym import create_rrp, get_capability
 from .simnet import (
     MICRO,
     REQUIRED,
@@ -55,7 +59,6 @@ from .simnet import (
     Simulation,
     SimReport,
     Window,
-    linkage_adversary,
 )
 
 SCENARIO_DIR = Path(__file__).parent / "scenarios"
@@ -327,29 +330,66 @@ def _check_recovers(sim: Simulation, report: SimReport, vid: str,
     return False, f"{vid} never granted after t={at}"
 
 
+def transcript_links(sim: Simulation) -> tuple[int, int]:
+    """(linked, cross-client) pairs among the capabilities presented in a
+    run: a pair is linked when it shares a token, the pseudonym key or a
+    latchkey's bytes, and cross-client when two clients presented it."""
+    linked = cross = 0
+    pairs = itertools.combinations(sim.presented, 2)
+    for (client_a, cap_a), (client_b, cap_b) in pairs:
+        tokens_a = {cap_a.pseudonym_pub} | {lk.sig for lk in cap_a.latchkeys}
+        tokens_b = {cap_b.pseudonym_pub} | {lk.sig for lk in cap_b.latchkeys}
+        if tokens_a & tokens_b:
+            linked += 1
+            cross += client_a != client_b
+    return linked, cross
+
+
 def _check_no_cross_links(sim: Simulation, report: SimReport) -> tuple[bool, str]:
-    stats = linkage_adversary(sim)
-    cross = stats.linked_pairs - stats.linked_and_same_client
+    linked, cross = transcript_links(sim)
     if cross:
         return False, f"{cross} cross-client transcript links"
-    return True, (f"{stats.presented} capabilities, "
-                  f"{stats.linked_pairs} links, all same-client")
+    return True, f"{len(sim.presented)} capabilities, {linked} links, all same-client"
+
+
+RANDOM_PROBES = 10_000
+
+
+def prerevocation_probe(sim: Simulation, client: int, rts: int) -> tuple[int, int, int]:
+    """The backward-unlinkability probe against pm0's current filter:
+    (hits, probes) of every latchkey of ``client``'s pseudonyms in slots
+    before ``rts``, and the hits of RANDOM_PROBES random strings.  With no
+    latchkey to probe, no random string is drawn either."""
+    erc = sim.pms["pm0"].core.erc_current
+    cid = sim.clients[client].cid
+    geometry = sim.geometry.with_epoch(erc.epoch_id)
+    seen: set[bytes] = set()
+    for instance in range(1, sim.cfg.max_instances + 1):
+        rrp = create_rrp(cid, erc.epoch_id, instance, sim.pm_key, sim.cfg.max_instances)
+        for slot in range(rts):
+            seen.update(lk.sig for lk in get_capability(rrp, slot, geometry).latchkeys)
+    if not seen:
+        return 0, 0, 0
+    hits = sum(erc.filter.query(sig) for sig in seen)
+    probe_rng = random.Random(sim.cfg.seed ^ 0x5EED)
+    random_hits = sum(erc.filter.query(probe_rng.randbytes(64))
+                      for _ in range(RANDOM_PROBES))
+    return hits, len(seen), random_hits
 
 
 def _check_linkage(sim: Simulation, report: SimReport, client: int,
                    rts: int) -> tuple[bool, str]:
-    stats = linkage_adversary(sim, client, rts)
-    if stats.revoked_prerts_probes == 0:
+    hits, probes, random_hits = prerevocation_probe(sim, client, rts)
+    if probes == 0:
         return False, "no pre-revocation latchkeys to probe"
-    p1 = stats.revoked_prerts_hits / stats.revoked_prerts_probes
-    p2 = stats.random_hits / stats.random_probes
-    pooled = ((stats.revoked_prerts_hits + stats.random_hits)
-              / (stats.revoked_prerts_probes + stats.random_probes))
+    p1 = hits / probes
+    p2 = random_hits / RANDOM_PROBES
+    pooled = (hits + random_hits) / (probes + RANDOM_PROBES)
     se = math.sqrt(max(pooled * (1 - pooled), 1e-12)
-                   * (1 / stats.revoked_prerts_probes + 1 / stats.random_probes))
+                   * (1 / probes + 1 / RANDOM_PROBES))
     z = (p1 - p2) / se
     detail = (f"pre-revocation hit rate {p1:.4f} vs random {p2:.4f} "
-              f"(z={z:.2f}, {stats.revoked_prerts_probes} probes)")
+              f"(z={z:.2f}, {probes} probes)")
     return z <= 3.0, detail
 
 

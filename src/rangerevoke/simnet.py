@@ -13,8 +13,8 @@ once per fan-out and decoded on delivery, after the receiver's crash
 check, into each receiver's own copy; every run exercises the codec end
 to end, and a message lost to a crash or the horizon is never decoded.
 
-The module also hosts the linkage adversary that post-processes the
-capabilities presented during a run (``Simulation.presented``).
+A run keeps every capability its clients presented
+(``Simulation.presented``) for the checks in ``scenario`` to read.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .crypto import det_keygen, det_sign, seed_from_parts
 from .ercset import ErcSet, FilterParams
 from .manager import PmNode, TrustedCore
 from .messages import Outgoing, RequestRrp, RevocationOrder, RrpResponse
-from .pseudonym import Capability, Rrp, create_rrp, get_capability, pseudonym_keypair
+from .pseudonym import Capability, Rrp, get_capability, pseudonym_keypair
 from .slot_tree import EpochConfig
 from .verifier import VerifierNode
 
@@ -310,7 +310,9 @@ class Simulation:
             self.now = at
             self.events_processed += 1
             if self.events_processed > EVENT_BUDGET:
-                raise RuntimeError("event budget exceeded; divergent schedule")
+                raise ValueError(f"event budget of {EVENT_BUDGET} events exceeded at "
+                                 f"t={at / MICRO:g} s, before the [sim] horizon of "
+                                 f"{horizon / MICRO:g} s")
             handler = handlers.get(item[0])
             if handler is None:
                 handler = handlers[item[0]] = getattr(self, f"_on_{item[0]}")
@@ -344,9 +346,8 @@ class Simulation:
             self._emit(node_id, hook(now + self.clock_offset.get(node_id, 0)))
 
     def _on_recover(self, pm_id: str) -> None:
-        outgoing = self.pms[pm_id].on_recover(self.local_time(pm_id))
-        if not self._crashed(pm_id, self.now):      # down again in another window
-            self._emit(pm_id, outgoing)
+        if not self._crashed(pm_id, self.now):      # not down in another window
+            self._emit(pm_id, self.pms[pm_id].on_recover(self.local_time(pm_id)))
 
     # -- scripted workload ------------------------------------------------
 
@@ -444,64 +445,3 @@ class Simulation:
             revocations=self.revocations, revocation_latency=latency,
             messages=self.messages,
         )
-
-
-# -- linkage adversary -----------------------------------------------------
-
-@dataclass(frozen=True)
-class LinkageStats:
-    """What an adversary holding every presented capability can and
-    cannot conclude."""
-
-    presented: int
-    linked_pairs: int           # pairs sharing any token (key or latchkey bytes)
-    same_client_pairs: int      # ground truth
-    linked_and_same_client: int
-    revoked_prerts_hits: int    # revoked client's pre-revocation latchkeys in filter
-    revoked_prerts_probes: int
-    random_hits: int            # fresh random strings against the same filter
-    random_probes: int
-
-
-def linkage_adversary(sim: Simulation, revoked_client: int | None = None,
-                      rts: int | None = None,
-                      random_probes: int = 10_000) -> LinkageStats:
-    """Pairwise linking over all presented capabilities plus the
-    backward-unlinkability probe: do the revoked client's pre-revocation
-    latchkeys hit the published filter more often than random strings?"""
-    caps = sim.presented
-    linked = same = both = 0
-    for (ca_client, ca), (cb_client, cb) in itertools.combinations(caps, 2):
-        tokens_a = {ca.pseudonym_pub} | {lk.sig for lk in ca.latchkeys}
-        tokens_b = {cb.pseudonym_pub} | {lk.sig for lk in cb.latchkeys}
-        is_linked = bool(tokens_a & tokens_b)
-        is_same = ca_client == cb_client
-        linked += is_linked
-        same += is_same
-        both += is_linked and is_same
-    pre_hits = pre_probes = rnd_hits = 0
-    if revoked_client is not None and rts is not None and rts > 0:
-        erc = next(iter(sim.pms.values())).core.erc_current
-        client = sim.clients[revoked_client]
-        epoch = erc.epoch_id
-        cfg = sim.geometry.with_epoch(epoch)
-        seen: set[bytes] = set()
-        for instance in range(1, sim.cfg.max_instances + 1):
-            rrp = create_rrp(client.cid, epoch, instance, sim.pm_key,
-                             sim.cfg.max_instances)
-            for slot in range(rts):
-                for lk in get_capability(rrp, slot, cfg).latchkeys:
-                    seen.add(lk.sig)
-        for sig in sorted(seen):
-            pre_probes += 1
-            pre_hits += erc.filter.query(sig)
-        probe_rng = random.Random(sim.cfg.seed ^ 0x5EED)
-        for _ in range(random_probes):
-            rnd_hits += erc.filter.query(probe_rng.randbytes(64))
-    return LinkageStats(
-        presented=len(caps), linked_pairs=linked, same_client_pairs=same,
-        linked_and_same_client=both,
-        revoked_prerts_hits=pre_hits, revoked_prerts_probes=pre_probes,
-        random_hits=rnd_hits, random_probes=random_probes,
-    )
-

@@ -8,7 +8,12 @@ Closed-form models used when sizing the Bloom filter for a fleet:
 * the per-capability false-positive rate 1 - (1 - x)^h (a capability is a
   chain of h latchkey probes, any one of which can collide);
 * the probability that a client with M spare pseudonyms completes all p
-  accesses despite per-capability false positives.
+  accesses despite per-capability false positives;
+* one slot-locked cost model, ``storage_row``: a revoked client's entries
+  per epoch under the tree cover vs under pseudonyms locked to single
+  slots.  ``rangerevoke size`` gives it the p accesses as the demand and as
+  the per-slot provisioning; ``storage_comparison`` gives it a
+  trace-calibrated demand for ``rangerevoke storage-compare``.
 
 Sizes are reported with 1 KB = 8192 bits = 1024 bytes.
 """
@@ -159,37 +164,6 @@ def _result(params: DeploymentParams, n: float, m: int, k: int) -> SizingResult:
     )
 
 
-@dataclass(frozen=True)
-class SchemeComparison:
-    """Per-epoch cost of tree-cover revocation vs slot-locked pseudonyms."""
-
-    slots: int
-    revocation_entries_tree: int      # p * ceil(log_d T)
-    revocation_entries_linear: int    # p * T
-    client_pseudonyms_tree: int       # p
-    client_pseudonyms_linear: int     # p * T
-
-
-def compare_linear_scheme(params: DeploymentParams) -> SchemeComparison:
-    """Revocation-entry and client-storage counts for one revoked client
-    under both schemes.
-
-    The slot-locked comparator must revoke one entry per slot per pseudonym
-    and issue one pseudonym per slot; the tree cover needs at most
-    ceil(log_d T) entries per pseudonym and one pseudonym per access.
-    """
-    t = math.ceil(params.slots)
-    height = max(1, params.tree_height)
-    p = params.needed
-    return SchemeComparison(
-        slots=t,
-        revocation_entries_tree=p * height,
-        revocation_entries_linear=p * t,
-        client_pseudonyms_tree=p,
-        client_pseudonyms_linear=p * t,
-    )
-
-
 # -- storage sweep over (delta, epoch) --------------------------------------
 
 DAY_SECONDS = 86_400
@@ -233,15 +207,15 @@ def slot_demand(delta: float, epoch_seconds: float, demand: int) -> int:
 
 @dataclass(frozen=True)
 class StorageRow:
-    """One point of the per-(delta, epoch) storage comparison."""
+    """One client's revocation entries per epoch at one (delta, epoch)."""
 
     delta: float
     epoch_seconds: float
     slots: int
-    demand: int              # busiest client's pseudonyms per epoch
+    demand: int              # the client's pseudonyms per epoch
     per_slot: int            # slot-locked provisioning per slot
-    tree_entries: int
-    flat_entries: int
+    tree_entries: int        # demand * max(1, h)
+    flat_entries: int        # per_slot * T, also the slot-locked pseudonyms issued
 
     @property
     def tree_kb(self) -> float:
@@ -256,13 +230,12 @@ class StorageRow:
         return self.flat_entries / self.tree_entries
 
 
-def storage_comparison(delta: float, epoch_seconds: float,
-                       fanout: int = 2, daily_demand: int = 692) -> StorageRow:
-    """Revocation storage for one client under range-revocation (one tree
-    cover per pseudonym) vs a slot-locked scheme (one entry per pseudonym
-    per slot it is locked to)."""
-    demand = epoch_demand(epoch_seconds, daily_demand)
-    per_slot = slot_demand(delta, epoch_seconds, demand)
+def storage_row(delta: float, epoch_seconds: float, fanout: int,
+                demand: int, per_slot: int) -> StorageRow:
+    """Revocation entries for one client over one epoch under range-revocation
+    (a tree cover of at most max(1, h) latchkeys for each of its ``demand``
+    pseudonyms) vs a slot-locked scheme (one entry for each of the
+    ``per_slot`` pseudonyms locked to each of the T slots)."""
     slots = math.ceil(epoch_seconds / delta)
     height = max(1, tree_height(slots, fanout))
     return StorageRow(
@@ -271,3 +244,13 @@ def storage_comparison(delta: float, epoch_seconds: float,
         tree_entries=demand * height,
         flat_entries=per_slot * slots,
     )
+
+
+def storage_comparison(delta: float, epoch_seconds: float,
+                       fanout: int = 2, daily_demand: int = 692) -> StorageRow:
+    """``storage_row`` for the busiest client of the calibrated trace: its
+    epoch demand, and a slot-locked scheme provisioned for its busiest
+    window of length ``delta``."""
+    demand = epoch_demand(epoch_seconds, daily_demand)
+    return storage_row(delta, epoch_seconds, fanout, demand,
+                       slot_demand(delta, epoch_seconds, demand))

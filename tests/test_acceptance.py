@@ -47,10 +47,10 @@ from rangerevoke.simnet import (
 )
 from rangerevoke.sizing import (
     DeploymentParams,
-    compare_linear_scheme,
     expected_insertions,
     full_access_probability,
     plan_filter,
+    storage_row,
 )
 from rangerevoke.slot_tree import (
     EpochConfig,
@@ -209,14 +209,11 @@ def test_06_spare_pseudonym_failure_model():
 # -- 7: logarithmic growth of revocation state ------------------------------
 
 def test_07_logarithmic_revocation_growth():
-    ten_min = compare_linear_scheme(DeploymentParams(**FLEET, delta=600,
-                                                     needed=10))
-    one_min = compare_linear_scheme(DeploymentParams(**FLEET, delta=60,
-                                                     needed=10))
-    tree_growth = (one_min.revocation_entries_tree
-                   / ten_min.revocation_entries_tree)
-    flat_growth = (one_min.revocation_entries_linear
-                   / ten_min.revocation_entries_linear)
+    # a client showing p = 10 pseudonyms; slot-locked, 10 in each slot
+    ten_min, one_min = (storage_row(delta, FLEET["epoch_len"], FLEET["fanout"], 10, 10)
+                        for delta in (600, 60))
+    tree_growth = one_min.tree_entries / ten_min.tree_entries
+    flat_growth = one_min.flat_entries / ten_min.flat_entries
     # end-to-end: actual suffix covers at both resolutions
     cover_144 = safe_cover(EpochConfig(0, 144, 1, 2), SlotRange(1, 143))
     cover_1440 = safe_cover(EpochConfig(0, 1440, 1, 2), SlotRange(1, 1439))

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -5,8 +6,34 @@ from pathlib import Path
 
 import pytest
 
-from rangerevoke import cli
+from rangerevoke import cli, simnet
+from rangerevoke.scenario import SCENARIO_DIR, parse_scenario, run_checks
 from rangerevoke.simnet import Action, Simulation
+
+# SHA-256 of (stdout, the one CSV) that ``rangerevoke --out DIR ARGS`` writes
+ANALYSIS_OUTPUTS = {
+    "size": ("217702185baed0c35cf2f26c2374a8ff68cffd1e59bea83a98605329a85def64",
+             "1408996ce77b67bb3ecfb0caf5d65c4871bccd2ac0b2c4b46875681b028043b5"),
+    "size --slots 1440 --delta 60":
+            ("ed4d4feb1a115e628354555dd2a0ca975d1907c7c578b92a0fe92692c42886a7",
+             "80c71270f623211a7898ce85dfd0c8f92ddcab5aa83e3f5127f37e8ccbf5c2f1"),
+    "size --slots 1": ("b4e5b9f64ab33af552f6c6709b5188112e21a00d92aa05a7b716ef480539f827",
+                       "39eb459c70d363def46e533e3edfa03d4450d45c3d71c0f74c71aadcf6e7f077"),
+    "storage-compare":
+            ("9788a34a07703e4dc5a9f0856c75b80f4d3c6c84858a96aa0551be139ab55148",
+             "a9abdc0a94339597de55947463af24248cd44daa311616258ea25b291d0ef2bb"),
+}
+
+# SHA-256 of the "key<TAB>ok<TAB>detail" lines of each bundled scenario's checks
+BUNDLED_CHECKS = {
+    "quarantine": "290b10ebfd0fcecb1f25c0c1be6f98c14e6c2c3ba9d27bf10b32aeef895d8183",
+    "linkage": "8c2e2810f2a19af315304cf2763ccc69e5f06e70dc73ee393d6b2208e251d51a",
+    "safemode": "8bf863f6e16e351c4bf32abb448f040e279036cdb98ac5ca3eb511deb50e02b0",
+}
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def test_parse_duration():
@@ -80,6 +107,34 @@ def test_storage_compare_skips_only_slots_longer_than_the_epoch(capsys):
     assert cli.main(["storage-compare", "--delta", "1h,2d", "--epoch", "1d"]) == 0
     header, *rows = capsys.readouterr().out.splitlines()
     assert [row.split()[:2] for row in rows] == [["3600", "86400"]]
+
+
+@pytest.mark.parametrize("args", sorted(ANALYSIS_OUTPUTS))
+def test_analysis_outputs_are_pinned(capsys, tmp_path, args):
+    # a change to the sizing or slot-locked cost model that moves any
+    # printed or written figure fails here
+    assert cli.main(["--out", str(tmp_path)] + args.split()) == 0
+    [csv] = tmp_path.iterdir()
+    got = (sha256(capsys.readouterr().out), sha256(csv.read_text(encoding="utf-8")))
+    assert got == ANALYSIS_OUTPUTS[args]
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_CHECKS))
+def test_bundled_check_lines_are_pinned(name):
+    cfg, checks = parse_scenario(SCENARIO_DIR / f"{name}.scn")
+    sim = Simulation(cfg)
+    results = run_checks(sim, sim.run(), checks)
+    assert sha256("".join(f"{key}\t{ok}\t{detail}\n" for key, ok, detail in results)) \
+        == BUNDLED_CHECKS[name]
+
+
+def test_event_budget_is_a_config_error(capsys, monkeypatch):
+    monkeypatch.setattr(simnet, "EVENT_BUDGET", 50)
+    assert cli.main(["simulate", "safemode"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: event budget of 50 events exceeded at t=80.0061 s, "
+                   "before the [sim] horizon of 120 s\n")
 
 
 def test_simulate_bundled_scenario(capsys, tmp_path):

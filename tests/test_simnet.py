@@ -7,7 +7,13 @@ from rangerevoke import codec, pseudonym
 from rangerevoke.manager import PmNode
 from rangerevoke.messages import ErcPush, Outgoing, RequestRrp
 from rangerevoke.pseudonym import create_rrp
-from rangerevoke.scenario import SCENARIO_DIR, parse_scenario, run_checks
+from rangerevoke.scenario import (
+    SCENARIO_DIR,
+    parse_scenario,
+    prerevocation_probe,
+    run_checks,
+    transcript_links,
+)
 from rangerevoke.simnet import (
     MICRO,
     Action,
@@ -15,7 +21,6 @@ from rangerevoke.simnet import (
     SimConfig,
     Simulation,
     Window,
-    linkage_adversary,
 )
 
 # SHA-256 of (report.txt, auths.csv) that ``rangerevoke --out DIR simulate
@@ -100,6 +105,30 @@ def test_crashed_pm_misses_traffic_then_recovers():
     assert len(states) == 1                      # pull gossip caught pm2 up
 
 
+def test_recovery_inside_another_crash_window_is_skipped(monkeypatch):
+    # pm2 is down for 10..20 s and 15..30 s: it recovers once, at 30 s
+    recovered = []
+    on_recover = PmNode.on_recover
+    monkeypatch.setattr(PmNode, "on_recover",
+                        lambda self, now: recovered.append((self.node_id, now))
+                        or on_recover(self, now))
+    cfg = small_cfg(crashes=(CrashWindow("pm2", 10 * MICRO, 20 * MICRO),
+                             CrashWindow("pm2", 15 * MICRO, 30 * MICRO)))
+    Simulation(cfg).run()
+    assert recovered == [("pm2", 30 * MICRO)]
+
+
+def test_nothing_to_show_records_nothing():
+    # a client holding no pseudonym shows nothing, and a verifier that
+    # never got a filter reports no digest
+    cfg = small_cfg(script=(Action(0, "authenticate", {"client": 0}),), horizon=0)
+    sim = Simulation(cfg)
+    report = sim.run()
+    assert sim.presented == [] and report.auths == []
+    assert [digest for _, _, digest in report.verifier_state] == ["-"]
+    assert "\tfilter=-\n" in report.as_text()
+
+
 def test_epoch_transition_converges():
     cfg = small_cfg(horizon=90 * MICRO)
     report = Simulation(cfg).run()
@@ -119,12 +148,12 @@ def test_linkage_adversary_counts():
     cfg = small_cfg()
     sim = Simulation(cfg)
     sim.run()
-    stats = linkage_adversary(sim, revoked_client=0, rts=1,
-                              random_probes=2000)
-    assert stats.presented >= 4
-    assert stats.linked_pairs == stats.linked_and_same_client
-    assert stats.revoked_prerts_probes > 0
-    assert stats.revoked_prerts_hits <= stats.revoked_prerts_probes
+    assert len(sim.presented) >= 4
+    _, cross = transcript_links(sim)
+    assert cross == 0
+    hits, probes, _ = prerevocation_probe(sim, client=0, rts=1)
+    assert probes > 0
+    assert hits <= probes
 
 
 def test_clock_jump_action():
@@ -156,6 +185,9 @@ def test_unknown_event_kind_raises():
     sim = Simulation(small_cfg(script=()))
     sim._schedule(1, ("no_such_event", "pm0"))
     with pytest.raises(AttributeError, match="_on_no_such_event"):
+        sim.run()
+    sim = Simulation(small_cfg(script=(Action(1, "dance"),)))
+    with pytest.raises(ValueError, match="unknown action kind 'dance'"):
         sim.run()
 
 

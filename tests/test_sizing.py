@@ -8,7 +8,6 @@ from rangerevoke import sizing
 from rangerevoke.sizing import (
     DeploymentParams,
     capability_false_positive,
-    compare_linear_scheme,
     epoch_demand,
     expected_insertions,
     false_positive_rate,
@@ -17,6 +16,7 @@ from rangerevoke.sizing import (
     plan_filter,
     slot_demand,
     storage_comparison,
+    storage_row,
 )
 from rangerevoke.slot_tree import EpochConfig
 
@@ -91,6 +91,8 @@ def test_full_access_probability_reference():
     fail4 = 1.0 - full_access_probability(10, 4, 0.001)
     assert fail4 <= 5e-12
     assert full_access_probability(10, 0, 0.0) == 1.0
+    with pytest.raises(ValueError, match="p >= 1"):
+        full_access_probability(0, 0, 0.001)
 
 
 @pytest.mark.parametrize("p", [1, 10, 100, 1000, 10**4])
@@ -113,7 +115,7 @@ def test_one_integer_tree_height_everywhere():
                                       fanout=fanout, epoch_len=slots, delta=1,
                                       needed=1)
             assert params.tree_height == height, (slots, fanout)
-            assert compare_linear_scheme(params).revocation_entries_tree == height
+            assert storage_row(1, slots, fanout, 1, 1).tree_entries == height
             row = storage_comparison(1, slots, fanout, daily_demand=1)
             assert row.tree_entries == row.demand * height, (slots, fanout)
 
@@ -145,6 +147,18 @@ def test_plan_filter_is_minimal_whole_byte():
                                result.n) > 0.001
 
 
+def test_plan_filter_walks_down_from_the_textbook_optimum():
+    # at k = 1 the optimum -n ln(p) / (ln 2)^2 overshoots: the plan is
+    # 200 bits below its starting point and still the least that holds
+    heavy = DeploymentParams(clients=2.5e8, pseudonyms=10, revoked_fraction=0.1)
+    n = expected_insertions(heavy)
+    assert (math.ceil(-n * math.log(0.5) / math.log(2) ** 2) // 8) * 8 == 2_586_003_808
+    result = plan_filter(heavy, 0.5)
+    assert (result.m, result.k) == (2_586_003_608, 1)
+    assert result.fp_rate <= 0.5
+    assert false_positive_rate(result.m - 8, optimal_k(result.m - 8, n), n) > 0.5
+
+
 def test_plan_filter_validation_and_degenerate():
     with pytest.raises(ValueError):
         plan_filter(FLEET, 0.0)
@@ -153,19 +167,24 @@ def test_plan_filter_validation_and_degenerate():
     assert plan_filter(empty, 0.001).m == 8
 
 
+def slot_locked(slots: int):
+    """The comparison ``rangerevoke size`` prints: p = 10 pseudonyms, 10 per slot."""
+    return storage_row(600, 600 * slots, 2, 10, 10)
+
+
 def test_compare_linear_scheme_growth():
-    a = compare_linear_scheme(with_slots(144))
-    b = compare_linear_scheme(with_slots(1440))
-    assert b.revocation_entries_tree / a.revocation_entries_tree == 11 / 8
-    assert b.revocation_entries_linear / a.revocation_entries_linear == 10
-    assert a.client_pseudonyms_linear == 10 * 144
-    assert a.client_pseudonyms_tree == 10
+    a = slot_locked(144)
+    b = slot_locked(1440)
+    assert b.tree_entries / a.tree_entries == 11 / 8
+    assert b.flat_entries / a.flat_entries == 10
+    assert a.flat_entries == 10 * 144           # also the slot-locked pseudonyms
+    assert a.demand == 10
 
 
 def test_compare_linear_single_slot_equal():
-    c = compare_linear_scheme(with_slots(1))
-    assert c.revocation_entries_tree == c.revocation_entries_linear
-    assert c.client_pseudonyms_tree == c.client_pseudonyms_linear
+    c = slot_locked(1)
+    assert c.tree_entries == c.flat_entries
+    assert c.demand == c.flat_entries            # one pseudonym per access either way
 
 
 # -- storage sweep ----------------------------------------------------------
