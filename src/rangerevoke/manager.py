@@ -18,6 +18,8 @@ transmit, so nodes drop unchanged into the simulator or behind a real
 transport.  Filters enter one way, whichever message carries them: the core
 merges both or neither, only filters for a held epoch postpone the pull,
 and gainful ones are forwarded or, in a report, counted towards a quorum.
+An admin order takes effect by one rule in whatever epoch it arrives;
+the node relays it, and pushes the filters if it changed them.
 """
 
 from __future__ import annotations
@@ -217,35 +219,35 @@ class TrustedCore:
         """Apply an administrator order; ``ValueError``, and no state
         change, if its signature is bad or its slot lies outside the epoch.
 
-        An order of any epoch expels its client: the revoked set outlives
-        the two filter epochs, so a relayed order from a past epoch still
-        counts.  Only an order of the current epoch writes the filters.
-        Current epoch: every instance is revoked from the order's slot to
-        the end of the epoch via the minimal tree cover of that range,
-        computed once and signed under each instance's key.  Next epoch:
-        every instance is revoked outright via the one-label cover of its
-        root latchkey.  Merging is idempotent, so replayed orders change
-        nothing.
+        An order of epoch E expels its client for good and revokes every
+        instance from slot ``rts`` to the end of E, and all of E + 1, where
+        the client may already hold pseudonyms.  One rule, whatever epoch
+        the core is in, writes each held epoch's part: E gets the minimal
+        tree cover of [rts, T - 1], computed once and signed under each
+        instance's key; E + 1 each instance's root latchkey; any other
+        epoch nothing.  A core at E - 1 need not write E + 1: it has
+        expelled the client.  Merging is idempotent, so replays change nothing.
         """
-        cfg_now = self.cfg_for(self.epoch_now)   # every epoch has the same slots
-        if not 0 <= order.rts < cfg_now.slots:
+        cfg = self.cfg_for(order.epoch_id)      # every epoch has the same slots
+        if not 0 <= order.rts < cfg.slots:
             raise ValueError(f"rts {order.rts} outside the epoch's "
-                             f"{cfg_now.slots} slots")
+                             f"{cfg.slots} slots")
         if not ver_sign(self.admin_public, order.signed_payload(), order.admin_sig):
             raise ValueError("bad signature")
         self.revoked.add(order.cid)
-        if order.epoch_id != self.epoch_now:
-            return
-        cover = safe_cover(cfg_now, SlotRange(order.rts, cfg_now.slots - 1))
-        root = {NodeLabel(self.epoch_now + 1, 0, 0)}
-        for i in range(1, self.max_instances + 1):
-            self.erc_current = merge_ercset(
-                self.erc_current,
-                revocation_cover_ercset(order.cid, self.epoch_now, i, cover, self.params))
-            self.erc_next = merge_ercset(
-                self.erc_next,
-                revocation_cover_ercset(order.cid, self.epoch_now + 1, i, root,
-                                        self.params))
+        held = [self.erc_current, self.erc_next]
+        for j in range(2):
+            epoch_id = self.epoch_now + j
+            if epoch_id == order.epoch_id:
+                cover = safe_cover(cfg, SlotRange(order.rts, cfg.slots - 1))
+            elif epoch_id == order.epoch_id + 1:
+                cover = {NodeLabel(epoch_id, 0, 0)}
+            else:
+                continue
+            for i in range(1, self.max_instances + 1):
+                held[j] = merge_ercset(held[j], revocation_cover_ercset(
+                    order.cid, epoch_id, i, cover, self.params))
+        self.erc_current, self.erc_next = held
 
     # -- filter state -----------------------------------------------------
 
@@ -300,7 +302,7 @@ class PmNode:
         self._reports: dict[int, set[str]] = {}  # epoch_now or epoch_now + 1 -> senders
         self._last_update: int | None = None     # when filters last arrived
         self._orders: dict[tuple, RevocationOrder] = {}  # relayed admin orders
-        self.stats = {"pushes": 0, "pulls": 0, "forwards": 0, "stale_orders": 0}
+        self.stats = {"pushes": 0, "pulls": 0, "forwards": 0}
 
     def deliver(self, sender: str, msg: Message, now: int) -> list[Outgoing]:
         """Route one message from ``sender`` at local time ``now``."""
@@ -344,28 +346,23 @@ class PmNode:
         key = (order.cid, order.rts, order.epoch_id)
         if key in self._orders:
             return []
+        before = self.core.erc_current, self.core.erc_next
         try:
             self.core.revoke(order)
         except ValueError as exc:
             log.warning("%s: revocation order rejected: %s", self.node_id, exc)
             return []
-        # Relay the order itself alongside the filters: it is admin-signed,
-        # so peers that never served this client still learn the expulsion
-        # and keep denying it after both filter epochs have been discarded.
+        # Relay the admin-signed order itself: peers that never served this
+        # client learn the expulsion, which outlives both filter epochs.
         self._orders[key] = order
         relays = [Outgoing(p, order) for p in self.rng.sample(self.peers, self.fanout)]
-        if order.epoch_id == self.core.epoch_now:
-            return self.eager_push() + relays
-        if order.epoch_id < self.core.epoch_now:
-            # expected when an order is relayed across a rotation: the
-            # expulsion still stands, and the filters of the order's epoch
-            # are already gone
-            log.debug("%s: filters unchanged: order for past epoch %d",
-                      self.node_id, order.epoch_id)
-            self.stats["stale_orders"] += 1
-        else:
+        if order.epoch_id > self.core.epoch_now + 1:
             log.warning("%s: filters unchanged: order targets epoch %d, current is %d",
                         self.node_id, order.epoch_id, self.core.epoch_now)
+        # pushed on a gain, and for the current epoch even if gossip came first
+        if before != (self.core.erc_current, self.core.erc_next) \
+                or order.epoch_id == self.core.epoch_now:
+            return self.eager_push() + relays
         return relays
 
     def eager_push(self) -> list[Outgoing]:

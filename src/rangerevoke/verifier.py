@@ -15,7 +15,7 @@ import enum
 import logging
 import random
 
-from .ercset import ErcSet, is_revoked, merge_ercset
+from .ercset import ErcSet, IncompatibleFilters, is_revoked, merge_ercset
 from .messages import ErcPullReq, ErcPullResp, Message, Outgoing
 from .pseudonym import Capability, verify_capability
 from .slot_tree import EpochConfig
@@ -137,11 +137,11 @@ class VerifierNode:
         if incoming is None:
             log.debug("%s: pull response has no epoch-%d filter", self.node_id, wanted)
             return False
-        local = self.erc_local
-        if local is not None and local.epoch_id == wanted:
-            if not local.filter.compatible(incoming.filter):
+        if self.erc_local is not None and self.erc_local.epoch_id == wanted:
+            try:
+                incoming = merge_ercset(self.erc_local, incoming)
+            except IncompatibleFilters:
                 log.warning("%s: dropping incompatible filter", self.node_id)
                 return False
-            incoming = merge_ercset(local, incoming)
         self.erc_local, self.last_pull = incoming, now
         return True

@@ -157,14 +157,35 @@ def test_revoke_rejects_bad_signature(pm_key, admin_key, cid):
         core.revoke(forged)
 
 
-def test_revoke_of_another_epoch_expels_and_writes_no_filter_bit(pm_key, admin_key, cid):
-    for epoch, rotations in ((3, 0), (0, 1)):      # a future and a past order
-        core = make_core(pm_key, admin_key, cid)
-        for _ in range(rotations):
-            core.rotate_epoch()
-        core.revoke(signed_order(admin_key, cid, 1, epoch))
-        assert cid in core.revoked
-        assert not any(core.erc_current.filter.bits) and not any(core.erc_next.filter.bits)
+@pytest.mark.parametrize("offset, current, nxt", [
+    (-2, None, None),
+    (-1, "roots", None),
+    (0, "cover", "roots"),
+    (1, None, "cover"),
+    (3, None, None),
+], ids=["late-2", "late-1", "current", "early-1", "early-3"])
+def test_an_order_writes_its_part_of_each_held_epoch(pm_key, admin_key, cid,
+                                                       offset, current, nxt):
+    """An order of epoch E = epoch_now + ``offset`` revokes [rts, T - 1] of
+    E and all of E + 1: each held epoch's filter holds exactly the cover
+    labels or the roots of every instance that this rule gives it, and the
+    client is expelled whatever E is."""
+    core = make_core(pm_key, admin_key, cid)
+    for _ in range(2):
+        core.rotate_epoch()
+    order_epoch = core.epoch_now + offset
+    core.revoke(signed_order(admin_key, cid, 1, order_epoch))
+    assert cid in core.revoked
+    for erc, part in ((core.erc_current, current), (core.erc_next, nxt)):
+        e = erc.epoch_id
+        labels = {"cover": [NodeLabel(e, 2, 1), NodeLabel(e, 1, 1)],   # [1, 3] of T = 4
+                  "roots": [NodeLabel(e, 0, 0)], None: []}[part]
+        expected = BloomFilter(PARAMS, e)
+        for i in range(1, 9):
+            for label in labels:
+                expected.add(det_sign(pseudonym_keypair(cid, e, i), label.canonical_bytes))
+        assert erc.filter == expected, e
+        assert any(erc.filter.bits) is (part is not None), e
 
 
 def test_revoke_hits_all_instances_from_rts(pm_key, admin_key, cid):
@@ -360,33 +381,46 @@ def test_eager_push_fanout(pm_key, admin_key, cid):
 
 
 def test_stale_epoch_order_still_expels(pm_key, admin_key, cid, caplog):
+    """An order one epoch late writes the roots of the epoch after its own
+    and pushes them; one two epochs late writes nothing and is only
+    relayed.  Neither is abnormal, so neither logs."""
     node = make_node(pm_key, admin_key, cid)
     node.core.rotate_epoch()
     with caplog.at_level(logging.DEBUG, logger="rangerevoke.manager"):
         out = node.handle_revoke(signed_order(admin_key, cid, 1, 0))
-    assert all(isinstance(o.msg, RevocationOrder) for o in out)  # no filter push
-    assert node.stats["stale_orders"] == 1
-    assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
-    assert "filters unchanged" in caplog.text                     # at debug
-    resp = node.handle_request(RequestRrp(cid, 1, 1))
+        assert {type(o.msg) for o in out} == {ErcPush, RevocationOrder}
+        assert any(node.core.erc_current.filter.bits)
+        node.core.rotate_epoch()
+        out = node.handle_revoke(signed_order(admin_key, cid, 2, 0))
+        assert out and all(isinstance(o.msg, RevocationOrder) for o in out)
+    assert not caplog.records
+    resp = node.handle_request(RequestRrp(cid, 2, 1))
     assert not resp.granted and resp.reason is DenialReason.REVOKED
 
 
 def test_future_epoch_order_expels_and_is_relayed(pm_key, admin_key, cid, caplog):
+    """An order one epoch early writes its cover into the next epoch's
+    filter and pushes it; one further ahead writes no bit, is relayed and
+    draws the one warning."""
+    node = make_node(pm_key, admin_key, cid)
+    out = node.handle_revoke(signed_order(admin_key, cid, 1, 1))
+    assert {type(o.msg) for o in out} == {ErcPush, RevocationOrder}
+    assert any(node.core.erc_next.filter.bits)
     node = make_node(pm_key, admin_key, cid)
     with caplog.at_level(logging.WARNING, logger="rangerevoke.manager"):
         out = node.handle_revoke(signed_order(admin_key, cid, 1, 3))
     assert out and all(isinstance(o.msg, RevocationOrder) for o in out)  # no filter push
+    assert [r.levelno for r in caplog.records] == [logging.WARNING]
     assert "filters unchanged" in caplog.text
     assert not any(node.core.erc_current.filter.bits)
     assert not any(node.core.erc_next.filter.bits)
-    assert cid in node.core.revoked and node.stats["stale_orders"] == 0
+    assert cid in node.core.revoked
 
 
 @pytest.mark.parametrize("epoch, rotations, forged", [
     (0, 0, False),    # current epoch: applied to the filters and pushed
-    (0, 1, False),    # past epoch: recorded and relayed
-    (3, 0, False),    # future epoch: recorded and relayed
+    (0, 1, False),    # past epoch: next epoch's roots written, pushed and relayed
+    (3, 0, False),    # far future epoch: recorded and relayed
     (0, 0, True),     # bad signature: dropped
 ], ids=["current", "past", "future", "forged"])
 def test_one_admin_signature_check_per_order(pm_key, admin_key, cid, monkeypatch,

@@ -118,6 +118,25 @@ def test_recovery_inside_another_crash_window_is_skipped(monkeypatch):
     assert recovered == [("pm2", 30 * MICRO)]
 
 
+def test_an_order_sent_at_an_epoch_boundary_still_revokes_the_next_epoch():
+    """An epoch-0 order reaches pm0 just before or just after the managers
+    rotate to epoch 1, depending on the seed.  The client took epoch-1
+    pseudonyms at 10 s; whichever epoch the order arrives in, none of them
+    may be granted at 75 s."""
+    granted = []
+    for seed in range(40):
+        cfg = SimConfig(seed=seed, n_pms=4, horizon=80 * MICRO, script=(
+            Action(10 * MICRO, "request", {"client": 0, "count": 4, "epoch": 1}),
+            Action(59_999_000, "revoke", {"client": 0, "pm": "pm0"}),
+            Action(75 * MICRO, "authenticate", {"client": 0}),
+        ))
+        [auth] = Simulation(cfg).run().auths
+        assert auth.epoch_id == 1 and auth.decision in ("granted", "revoked"), seed
+        if auth.decision == "granted":
+            granted.append(seed)
+    assert granted == []
+
+
 def test_nothing_to_show_records_nothing():
     # a client holding no pseudonym shows nothing, and a verifier that
     # never got a filter reports no digest

@@ -113,6 +113,18 @@ def test_pull_response_incompatible_params(pm_key):
     assert not v.handle_pull_response(resp, now=1)       # m differs
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "a verifier adopts its first filter whatever its shape, so a 4096-bit one "
+    "locks out every honest 8192-bit one after it; refusing it needs the planned "
+    "filter params in VerifierNode(...), whose call perfbench/workloads.py pins "
+    "(ROADMAP item 1), or authenticated gossip (ROADMAP item 3)"))
+def test_a_first_filter_of_another_shape_does_not_lock_out_honest_ones(pm_key):
+    v = make_verifier(pm_key)
+    other = FilterParams(4096, 4)
+    v.handle_pull_response(ErcPullResp(empty(0, other), empty(1, other)), now=0)
+    assert v.handle_pull_response(ErcPullResp(empty(0), empty(1)), now=1)
+
+
 def test_make_pull_targets_known_manager(pm_key):
     v = make_verifier(pm_key)
     [out] = v.on_pull_timer(now=0)
