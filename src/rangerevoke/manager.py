@@ -359,9 +359,7 @@ class PmNode:
         if order.epoch_id > self.core.epoch_now + 1:
             log.warning("%s: filters unchanged: order targets epoch %d, current is %d",
                         self.node_id, order.epoch_id, self.core.epoch_now)
-        # pushed on a gain, and for the current epoch even if gossip came first
-        if before != (self.core.erc_current, self.core.erc_next) \
-                or order.epoch_id == self.core.epoch_now:
+        if before != (self.core.erc_current, self.core.erc_next):   # pushed on a gain only
             return self.eager_push() + relays
         return relays
 

@@ -20,8 +20,7 @@ Times are seconds (floats allowed)::
     epoch_len = 60
     delta = 15
     horizon = 100
-    ...                     ; also fanout, delta_net, epsilon, gossip_timeout,
-                            ; pull_period, filter_m, filter_k, max_instances;
+    ...                     ; also delta_net, gossip_timeout, pull_period;
                             ; absent keys keep the SimConfig defaults
 
     [crashes]
@@ -68,15 +67,12 @@ _SECTIONS = ("sim", "crashes", "unstable", "script", "checks")
 # [sim] keys besides seed: integer keys name their SimConfig field, the
 # rest are SimConfig times given in seconds
 _SIM_INTS = {"managers": "n_pms", "fault_bound": "fault_bound",
-             "verifiers": "n_verifiers", "clients": "n_clients",
-             "fanout": "fanout", "filter_m": "filter_m", "filter_k": "filter_k",
-             "max_instances": "max_instances"}
-_SIM_SECONDS = ("epoch_len", "delta", "delta_net", "epsilon", "horizon",
-                "gossip_timeout", "pull_period")
+             "verifiers": "n_verifiers", "clients": "n_clients"}
+_SIM_SECONDS = ("epoch_len", "delta", "delta_net", "horizon", "gossip_timeout",
+                "pull_period")
 # least [sim] values the simulator runs; times are periods and delays
-_SIM_LEAST = {"managers": 1, "verifiers": 0, "clients": 0, "fanout": 2, "filter_m": 8,
-              "filter_k": 1, "epoch_len": 1, "delta": 1, "delta_net": 1,
-              "gossip_timeout": 1, "pull_period": 1}
+_SIM_LEAST = {"managers": 1, "verifiers": 0, "clients": 0, "epoch_len": 1, "delta": 1,
+              "delta_net": 1, "gossip_timeout": 1, "pull_period": 1}
 
 
 def resolve_scenario(name: str) -> Path:
@@ -167,15 +163,13 @@ def _sim_entry(key: str, value: str) -> tuple[str, int]:
 
 
 def _check_nodes(cfg: SimConfig) -> None:
-    """Values at least ``_SIM_LEAST``, whole filter bytes, a slot within
-    its epoch, and f < N so that the quarantine quorum N - f is not empty."""
+    """Values at least ``_SIM_LEAST``, a slot within its epoch, and f < N
+    so that the quarantine quorum N - f is not empty."""
     for key, least in _SIM_LEAST.items():
         value = getattr(cfg, _SIM_INTS.get(key, key))
         if value < least:
             raise ValueError(f"[sim] {key}: must be >= {least}, got {value}" if key in _SIM_INTS
                              else f"[sim] {key}: must be > 0 s, got {value / MICRO:g} s")
-    if cfg.filter_m % 8:
-        raise ValueError(f"[sim] filter_m: must be a multiple of 8, got {cfg.filter_m}")
     if cfg.delta > cfg.epoch_len:
         raise ValueError(f"[sim] delta: must not exceed epoch_len ({cfg.epoch_len / MICRO:g} s)")
     if not 0 <= cfg.fault_bound < cfg.n_pms:
@@ -360,12 +354,13 @@ def prerevocation_probe(sim: Simulation, client: int, rts: int) -> tuple[int, in
     (hits, probes) of every latchkey of ``client``'s pseudonyms in slots
     before ``rts``, and the hits of RANDOM_PROBES random strings.  With no
     latchkey to probe, no random string is drawn either."""
-    erc = sim.pms["pm0"].core.erc_current
+    core = sim.pms["pm0"].core
+    erc = core.erc_current
     cid = sim.clients[client].cid
     geometry = sim.geometry.with_epoch(erc.epoch_id)
     seen: set[bytes] = set()
-    for instance in range(1, sim.cfg.max_instances + 1):
-        rrp = create_rrp(cid, erc.epoch_id, instance, sim.pm_key, sim.cfg.max_instances)
+    for instance in range(1, core.max_instances + 1):
+        rrp = create_rrp(cid, erc.epoch_id, instance, sim.pm_key, core.max_instances)
         for slot in range(rts):
             seen.update(lk.sig for lk in get_capability(rrp, slot, geometry).latchkeys)
     if not seen:

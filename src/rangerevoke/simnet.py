@@ -2,11 +2,13 @@
 
 One seeded event loop drives manager nodes, verifiers, clients and the
 administrator under partial synchrony: bounded message delay in stable
-windows, arbitrary delay in unstable ones, per-node clock skew, scripted
-crash/recovery of managers.  Identical (config, seed) pairs reproduce
-byte-identical reports.  The loop carries bytes, keeps time and applies
-crashes; each node routes what its ``deliver`` receives, and one periodic
-tick runs each of its timer hooks, whose rules are the node's own.
+windows, arbitrary delay in unstable ones, scripted clock jumps
+(``clock_jump``) and scripted crash/recovery of managers.  Every run uses
+one binary slot tree, ``FILTER`` and ``INSTANCES``, and node clocks agree
+until a ``clock_jump`` moves one.  Identical (config, seed) pairs
+reproduce byte-identical reports.  The loop carries bytes, keeps time and
+applies crashes; each node routes what its ``deliver`` receives, and one
+periodic tick runs each of its timer hooks, whose rules are the node's own.
 
 Time is integer microseconds.  Messages travel as wire bytes, encoded
 once per fan-out and decoded on delivery, after the receiver's crash
@@ -37,6 +39,8 @@ from .verifier import VerifierNode
 MICRO = 1_000_000
 REQUIRED = "required"     # an ACTION_ARGS default: the argument must be given
 EVENT_BUDGET = 200_000    # a run past this many events has a divergent schedule
+FILTER = FilterParams(8192, 4)  # every manager's filter (m, k)
+INSTANCES = 8                   # I: pseudonyms per client and epoch
 
 
 @dataclass(frozen=True)
@@ -74,21 +78,16 @@ class SimConfig:
     n_clients: int = 1
     epoch_len: int = 60 * MICRO
     delta: int = 15 * MICRO
-    fanout: int = 2
     delta_net: int = 100_000          # max delay in stable windows
-    epsilon: int = 0                  # max clock skew
     unstable: tuple[Window, ...] = ()
     crashes: tuple[CrashWindow, ...] = ()
     script: tuple[Action, ...] = ()
     horizon: int = 2 * 60 * MICRO
     gossip_timeout: int = 5 * MICRO
     pull_period: int = 5 * MICRO
-    filter_m: int = 8192
-    filter_k: int = 4
-    max_instances: int = 8
 
     def geometry(self) -> EpochConfig:
-        return EpochConfig(0, self.epoch_len, self.delta, self.fanout)
+        return EpochConfig(0, self.epoch_len, self.delta)
 
     def pm_ids(self) -> list[str]:
         return [f"pm{i}" for i in range(self.n_pms)]
@@ -207,7 +206,6 @@ class Simulation:
 
         geometry = cfg.geometry()
         self.geometry = geometry
-        params = FilterParams(cfg.filter_m, cfg.filter_k)
 
         self.admin_key = det_keygen(seed_from_parts(b"admin", cfg.seed))
         self.pm_key = det_keygen(seed_from_parts(b"manager", cfg.seed))
@@ -216,7 +214,7 @@ class Simulation:
         self.pms: dict[str, PmNode] = {}
         for node_id in pm_ids:
             core = TrustedCore(self.pm_key, self.admin_key.public, geometry,
-                               params, cfg.max_instances)
+                               FILTER, INSTANCES)
             self.pms[node_id] = PmNode(
                 node_id, core, pm_ids, cfg.fault_bound,
                 random.Random(self.rng.getrandbits(64)), cfg.gossip_timeout)
@@ -226,7 +224,7 @@ class Simulation:
             self.verifiers[node_id] = VerifierNode(
                 node_id, self.pm_key.public, geometry, pm_ids,
                 random.Random(self.rng.getrandbits(64)),
-                pull_period=cfg.pull_period, epsilon=cfg.epsilon)
+                pull_period=cfg.pull_period)
 
         self.clients = [
             _Client(i, seed_from_parts(b"client", cfg.seed, i))
@@ -240,9 +238,7 @@ class Simulation:
         for crash in cfg.crashes:
             self._crash_windows.setdefault(crash.node, []).append((crash.start, crash.end))
 
-        self.clock_offset = {  # each node's local time minus the true time
-            node_id: self.rng.randint(-cfg.epsilon, cfg.epsilon) if cfg.epsilon else 0
-            for node_id in pm_ids + list(self.verifiers)}
+        self.clock_offset: dict[str, int] = {}  # local minus true time, by clock_jump
 
         self.issuance: list[IssuanceRecord] = []
         self.auths: list[AuthRecord] = []
@@ -406,7 +402,12 @@ class Simulation:
             order = replace(order, admin_sig=det_sign(self.admin_key,
                                                       order.signed_payload()))
             self.revocations.append((self.now, client.index, rts))
-            self._emit("admin", [Outgoing(self._arg(action, "pm"), order)])
+            # to pm= and the next f managers in id order, so that one correct
+            # manager gets the order whichever f are down
+            ids = self.cfg.pm_ids()
+            first = ids.index(self._arg(action, "pm"))
+            self._emit("admin", [Outgoing(ids[(first + j) % len(ids)], order)
+                                 for j in range(self.cfg.fault_bound + 1)])
         elif action.kind == "clock_jump":
             self.clock_offset[args["node"]] = \
                 self.clock_offset.get(args["node"], 0) + args["by"]

@@ -202,12 +202,12 @@ def test_unknown_sim_key_is_config_error(tmp_path, capsys, line):
 
 def test_scenario_keys_reach_sim_config(tmp_path):
     scn = tmp_path / "keys.scn"
-    scn.write_text("[sim]\nmanagers = 3\nfilter_m = 1024\ndelta_net = 0.25\n"
+    scn.write_text("[sim]\nmanagers = 3\npull_period = 2\ndelta_net = 0.25\n"
                    "[script]\na1 = 2.5 request client=0 count=6 pm=pm2\n"
                    "a2 = 1 clock_jump node=v0 by=-500000\n"
                    "[checks]\nconvergence = yes\ndenied_after.late = 0:40\n")
     cfg, checks = cli.parse_scenario(scn)
-    assert (cfg.n_pms, cfg.filter_m, cfg.delta_net) == (3, 1024, 250_000)
+    assert (cfg.n_pms, cfg.pull_period, cfg.delta_net) == (3, 2_000_000, 250_000)
     assert cfg.seed == 0 and cfg.horizon == 120 * 1_000_000   # SimConfig defaults
     assert cfg.script == (                                    # in time order
         Action(1_000_000, "clock_jump", {"node": "v0", "by": -500_000}),
@@ -264,13 +264,14 @@ _MALFORMED = [
     ("sim", "gossip_timeout = 0", "[sim] gossip_timeout: must be > 0 s, got 0 s"),
     ("sim", "pull_period = 0", "[sim] pull_period: must be > 0 s, got 0 s"),
     ("sim", "delta_net = 0", "[sim] delta_net: must be > 0 s, got 0 s"),
-    ("sim", "filter_m = 12", "[sim] filter_m: must be a multiple of 8, got 12"),
-    ("sim", "filter_m = 0", "[sim] filter_m: must be >= 8, got 0"),
-    ("sim", "filter_k = 0", "[sim] filter_k: must be >= 1, got 0"),
+    # keys of settings every run now takes from the simulator's constants
+    ("sim", "filter_m = 12", "[sim] filter_m: unknown [sim] key"),
+    ("sim", "filter_m = 0", "[sim] filter_m: unknown [sim] key"),
+    ("sim", "filter_k = 0", "[sim] filter_k: unknown [sim] key"),
     ("sim", "delta = 0", "[sim] delta: must be > 0 s, got 0 s"),
     ("sim", "delta = 90", "[sim] delta: must not exceed epoch_len (60 s)"),
     ("sim", "epoch_len = 0", "[sim] epoch_len: must be > 0 s, got 0 s"),
-    ("sim", "fanout = 1", "[sim] fanout: must be >= 2, got 1"),
+    ("sim", "fanout = 1", "[sim] fanout: unknown [sim] key"),
 ]
 
 

@@ -400,20 +400,36 @@ def test_stale_epoch_order_still_expels(pm_key, admin_key, cid, caplog):
 
 def test_future_epoch_order_expels_and_is_relayed(pm_key, admin_key, cid, caplog):
     """An order one epoch early writes its cover into the next epoch's
-    filter and pushes it; one further ahead writes no bit, is relayed and
-    draws the one warning."""
+    filter and pushes it, silently; one two epochs ahead writes no bit, is
+    relayed and draws the one warning."""
     node = make_node(pm_key, admin_key, cid)
-    out = node.handle_revoke(signed_order(admin_key, cid, 1, 1))
+    with caplog.at_level(logging.WARNING, logger="rangerevoke.manager"):
+        out = node.handle_revoke(signed_order(admin_key, cid, 1, 1))
+    assert not caplog.records
     assert {type(o.msg) for o in out} == {ErcPush, RevocationOrder}
     assert any(node.core.erc_next.filter.bits)
     node = make_node(pm_key, admin_key, cid)
     with caplog.at_level(logging.WARNING, logger="rangerevoke.manager"):
-        out = node.handle_revoke(signed_order(admin_key, cid, 1, 3))
+        out = node.handle_revoke(signed_order(admin_key, cid, 1, 2))
     assert out and all(isinstance(o.msg, RevocationOrder) for o in out)  # no filter push
     assert [r.levelno for r in caplog.records] == [logging.WARNING]
     assert "filters unchanged" in caplog.text
     assert not any(node.core.erc_current.filter.bits)
     assert not any(node.core.erc_next.filter.bits)
+    assert cid in node.core.revoked
+
+
+def test_an_order_whose_bits_a_push_brought_is_only_relayed(pm_key, admin_key, cid):
+    """A manager whose filters already hold an order's bits, pushed by the
+    peer that applied the order first, gains nothing from the order and
+    answers it with relays alone."""
+    order = signed_order(admin_key, cid, 1, 0)
+    push = next(o.msg for o in make_node(pm_key, admin_key, cid).handle_revoke(order)
+                if isinstance(o.msg, ErcPush))
+    node = make_node(pm_key, admin_key, cid, node_id="pm1")
+    assert node.deliver("pm0", push, 0)                 # the push gained bits
+    out = node.handle_revoke(order)
+    assert len(out) == 2 and all(o.msg is order for o in out)
     assert cid in node.core.revoked
 
 

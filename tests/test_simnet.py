@@ -15,6 +15,7 @@ from rangerevoke.scenario import (
     transcript_links,
 )
 from rangerevoke.simnet import (
+    INSTANCES,
     MICRO,
     Action,
     CrashWindow,
@@ -26,9 +27,9 @@ from rangerevoke.simnet import (
 # SHA-256 of (report.txt, auths.csv) that ``rangerevoke --out DIR simulate
 # NAME`` writes for each bundled scenario
 BUNDLED_REPORTS = {
-    "quarantine": ("f8bff1bd8d868251d609a868a79cb3223ffea68402d9bc534381e4f6f4446e1a",
+    "quarantine": ("1981a99c6da26cf3b42e741d84da2c87d8ec48298999556bac5071200f71700d",
                    "1e3ea17d79824602cd6dbd32e78ad5546fa2ce2014eb39c7d75a280c7d3d4f94"),
-    "linkage": ("971c59edc19dbfbb2b6f3478a7d739e19deba5963d2478a7367effaf1d519d7c",
+    "linkage": ("69d2c14964432b00b73a718947db6b471a45535bd8b4d29a29c61eb1de581f87",
                 "252dbbdf4b88794148c0376cddba209ddb27f221f4a9f2003ef0434920dab090"),
     "safemode": ("576cfb22988326e3eca0ce686686885f91138542ac91891466f51bf3f52d4e40",
                  "7ac8c13529f6364ec86ff3c9bda5a43c8a90c05600e5afe33f92c7379e763b3f"),
@@ -135,6 +136,31 @@ def test_an_order_sent_at_an_epoch_boundary_still_revokes_the_next_epoch():
         if auth.decision == "granted":
             granted.append(seed)
     assert granted == []
+
+
+def test_an_order_survives_a_down_entry_manager():
+    """The admin sends each order to ``pm=`` and the next f managers.  pm0
+    goes down 50 ms after the order is sent to it, so in some seeds the
+    order reaches pm0 after the crash; pm1's copy must then carry it to
+    every manager, pm0 included once it is back."""
+    lost = []
+    for seed in range(40):
+        cfg = SimConfig(seed=seed, n_pms=4, fault_bound=1, horizon=50 * MICRO,
+                        crashes=(CrashWindow("pm0", 20_050_000, 40 * MICRO),),
+                        script=(Action(20 * MICRO, "revoke", {"client": 0, "pm": "pm0"}),))
+        sim = Simulation(cfg)
+        sim.run()
+        cid = sim.clients[0].cid
+        if not all(cid in sim.pms[p].core.revoked for p in sim.correct_pms()):
+            lost.append(seed)
+    assert lost == []
+
+
+def test_a_lone_manager_rotates_on_its_own_report():
+    # one manager is its own quorum (N - f = 1): its clock alone ends each
+    # quarantine
+    report = Simulation(SimConfig(n_pms=1, fault_bound=0, horizon=130 * MICRO)).run()
+    assert [row[:3] for row in report.pm_state] == [("pm0", 2, "serving")]
 
 
 def test_nothing_to_show_records_nothing():
@@ -289,6 +315,6 @@ def test_client_derives_a_key_only_when_it_shows_the_pseudonym(monkeypatch):
     assert derived == []
     rrp = client.take(0)
     assert len(derived) == 1
-    assert rrp == create_rrp(client.cid, 0, 1, sim.pm_key, sim.cfg.max_instances)
+    assert rrp == create_rrp(client.cid, 0, 1, sim.pm_key, INSTANCES)
     assert [client.take(0).instance, client.take(0).instance] == [2, 3]
     assert client.take(0) is None

@@ -28,8 +28,9 @@ def test_slots_and_height():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        EpochConfig(0, 0, 1)
+    for epoch_len, delta in ((0, 1), (10, 0)):
+        with pytest.raises(ValueError, match="must be positive"):
+            EpochConfig(0, epoch_len, delta)
     with pytest.raises(ValueError):
         EpochConfig(0, 10, 20)
     with pytest.raises(ValueError):

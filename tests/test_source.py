@@ -1,10 +1,15 @@
 """Static checks over the program's own source."""
 
 import ast
+import configparser
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+
+from rangerevoke.scenario import SCENARIO_DIR, _sim_entry
+from rangerevoke.simnet import SimConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "rangerevoke"
@@ -164,3 +169,32 @@ def test_simulator_routes_no_message():
     offenders = [f"simnet.py:{node.lineno}: {node.attr}" for node in ast.walk(tree)
                  if isinstance(node, ast.Attribute) and node.attr.startswith("handle_")]
     assert not offenders, f"the simulator calls node handlers: {offenders}"
+
+
+def _keywords_of_sim_config_calls(tree: ast.AST) -> set[str]:
+    return {kw.arg for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "SimConfig"
+            for kw in node.keywords}
+
+
+def test_every_sim_config_field_is_set_by_some_run():
+    """A simulator setting that no run changes is a mode kept for tests
+    alone: each ``SimConfig`` field must be set by a bundled scenario (a
+    ``[sim]`` key, or the section of the same name), by a ``SimConfig(...)``
+    keyword under perfbench/, or by an assignment to another object's
+    attribute of that name in src/ (``cfg.seed = ...``)."""
+    set_by = set()
+    for path in SCENARIO_DIR.glob("*.scn"):
+        ini = configparser.ConfigParser(inline_comment_prefixes=(";",), interpolation=None)
+        ini.read(path, encoding="utf-8")
+        set_by |= {_sim_entry(key, value)[0] for key, value in ini.items("sim")}
+        set_by |= set(ini.sections())
+    for path in BENCH.glob("*.py"):
+        set_by |= _keywords_of_sim_config_calls(ast.parse(path.read_text(encoding="utf-8")))
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            targets = node.targets if isinstance(node, ast.Assign) else []
+            set_by |= {t.attr for t in targets if isinstance(t, ast.Attribute)
+                       and isinstance(t.value, ast.Name) and t.value.id != "self"}
+    unset = sorted(f.name for f in fields(SimConfig) if f.name not in set_by)
+    assert not unset, f"SimConfig fields that no run sets: {unset}"
