@@ -36,7 +36,7 @@ from __future__ import annotations
 import functools
 import struct
 
-from .ercset import BloomFilter, ErcSet, FilterParams
+from .ercset import BloomFilter, FilterParams
 from .messages import (
     DenialReason,
     EpochReport,
@@ -169,7 +169,7 @@ def _filter_params(m: int, k: int) -> FilterParams:
         raise FieldError(str(exc)) from exc
 
 
-def _read_filter(data: bytes, pos: int) -> tuple[ErcSet, int]:
+def _read_filter(data: bytes, pos: int) -> tuple[BloomFilter, int]:
     bits = pos + _FILTER_HEAD.size
     if bits > len(data):
         raise Truncated(f"filter head needs {bits} bytes, have {len(data)}")
@@ -178,11 +178,11 @@ def _read_filter(data: bytes, pos: int) -> tuple[ErcSet, int]:
     end = bits + m // 8
     if end > len(data):
         raise Truncated(f"filter bits need {end} bytes, have {len(data)}")
-    return ErcSet(BloomFilter(params, epoch_id, data[bits:end])), end
+    return BloomFilter(params, epoch_id, data[bits:end]), end
 
 
 def _write_filters(msg: ErcPush | ErcPullResp | EpochReport) -> tuple:
-    cur, nxt = msg.current.filter, msg.next.filter
+    cur, nxt = msg.current, msg.next
     return (_FILTER_HEAD.pack(cur.epoch_id, cur.m, cur.k), cur.bits,
             _FILTER_HEAD.pack(nxt.epoch_id, nxt.m, nxt.k), nxt.bits)
 

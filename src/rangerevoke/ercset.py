@@ -7,7 +7,8 @@ iff one of its latchkeys queries true.  The paper's construction of the
 same set from a pseudonym's capabilities, the pipeline it is checked
 against, lives in ``tests/oracles.py``.
 
-``BloomFilter`` is the only filter the program builds.
+``BloomFilter`` is the one filter type: managers, verifiers, messages
+and the codec all hold it directly.
 """
 
 from __future__ import annotations
@@ -90,6 +91,14 @@ class BloomFilter:
     def params(self) -> FilterParams:
         return FilterParams(self.m, self.k)
 
+    @property
+    def filter(self) -> "BloomFilter":
+        """The filter itself: a binding kept only for the benchmark under
+        ``perfbench/``, whose ``layer_metrics`` still reads
+        ``erc_current.filter`` and ``erc_local.filter``.  The benchmark
+        revision of ROADMAP item 1 drops those reads and deletes this."""
+        return self
+
     def _probe(self, item: bytes) -> tuple[int, int]:
         """index_0 and the step between consecutive indices, both mod m."""
         g1, g2 = _WORDS.unpack_from(digest(item + self.salt))
@@ -137,27 +146,9 @@ class BloomFilter:
             and self.bits == other.bits
 
 
-@dataclass(frozen=True)
-class ErcSet:
-    """A revocation filter bound to one epoch; immutable once built."""
-
-    filter: BloomFilter
-
-    @property
-    def epoch_id(self) -> int:
-        return self.filter.epoch_id
-
-
-def merge_ercset(a: ErcSet, b: ErcSet) -> ErcSet:
-    """Bitwise OR of two compatible sets; commutative and idempotent.
-    ``a`` itself when ``b`` adds no bit."""
-    flt = a.filter.merged(b.filter)
-    return a if flt is a.filter else ErcSet(flt)
-
-
-def is_revoked(erc: ErcSet, cap: Capability) -> bool:
+def is_revoked(flt: BloomFilter, cap: Capability) -> bool:
     """A capability is revoked iff any of its latchkeys queries true."""
-    query = erc.filter.query
+    query = flt.query
     for lk in cap.latchkeys:
         if query(lk.sig):
             return True

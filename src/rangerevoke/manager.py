@@ -29,7 +29,7 @@ import logging
 import random
 
 from .crypto import KeyPair, det_sign, ver_sign
-from .ercset import BloomFilter, ErcSet, FilterParams, IncompatibleFilters, merge_ercset
+from .ercset import BloomFilter, FilterParams, IncompatibleFilters
 from .messages import (
     DenialReason,
     EpochReport,
@@ -56,12 +56,8 @@ class PmMode(enum.Enum):
     QUARANTINE = "quarantine"
 
 
-def empty_ercset(params: FilterParams, epoch_id: int) -> ErcSet:
-    return ErcSet(BloomFilter(params, epoch_id))
-
-
 def revocation_cover_ercset(cid: bytes, epoch_id: int, instance: int,
-                            cover: set[NodeLabel], params: FilterParams) -> ErcSet:
+                            cover: set[NodeLabel], params: FilterParams) -> BloomFilter:
     """Filter revoking one pseudonym instance over a contiguous slot range.
 
     ``cover`` is ``safe_cover(cfg, rng)`` of the range; it depends on the
@@ -75,7 +71,7 @@ def revocation_cover_ercset(cid: bytes, epoch_id: int, instance: int,
     flt = BloomFilter(params, epoch_id)
     for label in cover:
         flt.add(det_sign(keypair, label.canonical_bytes))
-    return ErcSet(flt)
+    return flt
 
 
 class IssuanceDenied(Exception):
@@ -104,8 +100,8 @@ class TrustedCore:
         self.registry: set[bytes] = set()
         self.revoked: set[bytes] = set()  # expelled clients (order seen locally)
         self.issued: dict[tuple[bytes, int], int] = {}  # (cid, epoch) -> highest instance
-        self.erc_current = empty_ercset(params, self.epoch_now)
-        self.erc_next = empty_ercset(params, self.epoch_now + 1)
+        self.erc_current = BloomFilter(params, self.epoch_now)
+        self.erc_next = BloomFilter(params, self.epoch_now + 1)
 
     def cfg_for(self, epoch_id: int) -> EpochConfig:
         return self.geometry.with_epoch(epoch_id)
@@ -115,7 +111,7 @@ class TrustedCore:
             raise ValueError(f"cid must be {CLIENT_ID_LEN} bytes")
         self.registry.add(cid)
 
-    def erc_for(self, epoch_id: int) -> ErcSet | None:
+    def erc_for(self, epoch_id: int) -> BloomFilter | None:
         if epoch_id == self.epoch_now:
             return self.erc_current
         if epoch_id == self.epoch_now + 1:
@@ -172,7 +168,7 @@ class TrustedCore:
         for epoch_id in (self.epoch_now, self.epoch_now + 1):
             keypair = pseudonym_keypair(cid, epoch_id, 1)
             root = det_sign(keypair, NodeLabel(epoch_id, 0, 0).canonical_bytes)
-            if self.erc_for(epoch_id).filter.query(root):
+            if self.erc_for(epoch_id).query(root):
                 raise IssuanceDenied(DenialReason.REVOKED)
             firsts[epoch_id] = keypair, root
         return firsts
@@ -210,7 +206,7 @@ class TrustedCore:
                 lk.sig != (known.get(lk.label) or det_sign(keypair, lk.label.canonical_bytes))
                 for lk in proof.latchkeys):
             raise IssuanceDenied(DenialReason.BAD_PROOF)
-        if any(erc.filter.query(lk.sig) for lk in proof.latchkeys if lk.label not in known):
+        if any(erc.query(lk.sig) for lk in proof.latchkeys if lk.label not in known):
             raise IssuanceDenied(DenialReason.REVOKED)
 
     # -- revocation -------------------------------------------------------
@@ -245,13 +241,13 @@ class TrustedCore:
             else:
                 continue
             for i in range(1, self.max_instances + 1):
-                held[j] = merge_ercset(held[j], revocation_cover_ercset(
+                held[j] = held[j].merged(revocation_cover_ercset(
                     order.cid, epoch_id, i, cover, self.params))
         self.erc_current, self.erc_next = held
 
     # -- filter state -----------------------------------------------------
 
-    def merge_filters(self, current: ErcSet, nxt: ErcSet) -> bool | None:
+    def merge_filters(self, current: BloomFilter, nxt: BloomFilter) -> bool | None:
         """Merge the filters for the two epochs held, all or nothing: an
         incompatible one raises ``IncompatibleFilters`` before any is kept.
         None if neither is for a held epoch, else whether a bit was gained."""
@@ -260,7 +256,7 @@ class TrustedCore:
         for incoming in (current, nxt):
             i = incoming.epoch_id - self.epoch_now
             if 0 <= i <= 1:
-                held[i] = merge_ercset(held[i], incoming)
+                held[i] = held[i].merged(incoming)
                 taken = True
         if not taken:
             return None
@@ -278,7 +274,7 @@ class TrustedCore:
         self.issued = {key: end for key, end in self.issued.items()
                        if key[1] >= self.epoch_now - 1}
         self.erc_current = self.erc_next
-        self.erc_next = empty_ercset(self.params, self.epoch_now + 1)
+        self.erc_next = BloomFilter(self.params, self.epoch_now + 1)
 
 
 class PmNode:

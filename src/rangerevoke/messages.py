@@ -8,7 +8,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .ercset import ErcSet
+from .ercset import BloomFilter
 from .pseudonym import Capability
 
 
@@ -70,8 +70,8 @@ class RrpResponse:
 
 @dataclass(frozen=True)
 class ErcPush:
-    current: ErcSet
-    next: ErcSet
+    current: BloomFilter
+    next: BloomFilter
 
 
 @dataclass(frozen=True)
@@ -81,8 +81,8 @@ class ErcPullReq:
 
 @dataclass(frozen=True)
 class ErcPullResp:
-    current: ErcSet
-    next: ErcSet
+    current: BloomFilter
+    next: BloomFilter
 
 
 @dataclass(frozen=True)
@@ -91,8 +91,8 @@ class EpochReport:
     and its successor."""
 
     from_epoch: int
-    current: ErcSet
-    next: ErcSet
+    current: BloomFilter
+    next: BloomFilter
 
 
 Message = (RequestRrp | RrpResponse | RevocationOrder | ErcPush

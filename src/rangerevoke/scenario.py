@@ -365,9 +365,9 @@ def prerevocation_probe(sim: Simulation, client: int, rts: int) -> tuple[int, in
             seen.update(lk.sig for lk in get_capability(rrp, slot, geometry).latchkeys)
     if not seen:
         return 0, 0, 0
-    hits = sum(erc.filter.query(sig) for sig in seen)
+    hits = sum(erc.query(sig) for sig in seen)
     probe_rng = random.Random(sim.cfg.seed ^ 0x5EED)
-    random_hits = sum(erc.filter.query(probe_rng.randbytes(64))
+    random_hits = sum(erc.query(probe_rng.randbytes(64))
                       for _ in range(RANDOM_PROBES))
     return hits, len(seen), random_hits
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 
 from . import codec
 from .crypto import det_keygen, det_sign, seed_from_parts
-from .ercset import ErcSet, FilterParams
+from .ercset import BloomFilter, FilterParams
 from .manager import PmNode, TrustedCore
 from .messages import Outgoing, RequestRrp, RevocationOrder, RrpResponse
 from .pseudonym import Capability, Rrp, get_capability, pseudonym_keypair
@@ -167,10 +167,10 @@ class SimReport:
         return "\n".join(rows) + "\n"
 
 
-def _filter_digest(erc: ErcSet | None) -> str:
-    if erc is None:
+def _filter_digest(flt: BloomFilter | None) -> str:
+    if flt is None:
         return "-"
-    return hashlib.sha256(erc.filter.bits).hexdigest()[:16]
+    return hashlib.sha256(flt.bits).hexdigest()[:16]
 
 
 class _Client:

@@ -15,7 +15,7 @@ import enum
 import logging
 import random
 
-from .ercset import ErcSet, IncompatibleFilters, is_revoked, merge_ercset
+from .ercset import BloomFilter, IncompatibleFilters, is_revoked
 from .messages import ErcPullReq, ErcPullResp, Message, Outgoing
 from .pseudonym import Capability, verify_capability
 from .slot_tree import EpochConfig
@@ -51,7 +51,7 @@ class VerifierNode:
         self.rng = rng
         self.staleness_limit = 3 * pull_period
         self.epsilon = epsilon
-        self.erc_local: ErcSet | None = None
+        self.erc_local: BloomFilter | None = None
         self.last_pull: int | None = None
         # capabilities found genuine at the newest (epoch, slot) verified,
         # by leaf signature
@@ -139,7 +139,7 @@ class VerifierNode:
             return False
         if self.erc_local is not None and self.erc_local.epoch_id == wanted:
             try:
-                incoming = merge_ercset(self.erc_local, incoming)
+                incoming = self.erc_local.merged(incoming)
             except IncompatibleFilters:
                 log.warning("%s: dropping incompatible filter", self.node_id)
                 return False

@@ -5,7 +5,7 @@ import pytest
 
 from rangerevoke import codec
 from rangerevoke.crypto import det_keygen, det_sign, seed_from_parts
-from rangerevoke.ercset import BloomFilter, ErcSet, FilterParams
+from rangerevoke.ercset import BloomFilter, FilterParams
 from rangerevoke.messages import (
     DenialReason,
     EpochReport,
@@ -52,13 +52,13 @@ def wire_messages(pm_key, admin_key, cid, fig_cfg):
     params, other = FilterParams(8192, 4), FilterParams(4096, 4)
 
     def filters(epoch, p=params):
-        return ErcSet(BloomFilter(p, epoch)), ErcSet(BloomFilter(p, epoch + 1))
+        return BloomFilter(p, epoch), BloomFilter(p, epoch + 1)
 
     def gainful(epoch):
         """A filter with one bit pattern that no other sample holds."""
         flt = BloomFilter(params, epoch)
         flt.add(b"hostile")
-        return ErcSet(flt)
+        return flt
 
     def order(rts, epoch, sig=None):
         unsigned = RevocationOrder(cid, rts, epoch, b"")

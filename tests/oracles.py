@@ -48,7 +48,7 @@ from itertools import chain
 from rangerevoke import codec
 from rangerevoke.crypto import (PUBLIC_KEY_LEN, SIGNATURE_LEN, KeyPair, det_sign, digest,
                                ver_sign)
-from rangerevoke.ercset import BloomFilter, ErcSet, FilterParams, is_revoked
+from rangerevoke.ercset import BloomFilter, FilterParams, is_revoked
 from rangerevoke.manager import IssuanceDenied, TrustedCore
 from rangerevoke.messages import (
     DenialReason,
@@ -222,16 +222,16 @@ def remove_redundant(lset: LatchkeySet, cfg: EpochConfig) -> LatchkeySet:
     return LatchkeySet(lset.pseudonym_pub, kept)
 
 
-def latchkeys_encoding(lset: LatchkeySet, params: FilterParams, epoch_id: int) -> ErcSet:
+def latchkeys_encoding(lset: LatchkeySet, params: FilterParams, epoch_id: int) -> BloomFilter:
     """Insert each latchkey's signature bytes into a fresh filter."""
     flt = BloomFilter(params, epoch_id)
     for lk in sorted(lset.latchkeys, key=lambda l: l.label):
         flt.add(lk.sig)
-    return ErcSet(flt)
+    return flt
 
 
 def create_ercset(capabilities: list[Capability], cfg: EpochConfig,
-                  params: FilterParams) -> ErcSet:
+                  params: FilterParams) -> BloomFilter:
     """Full pipeline: capabilities of one pseudonym to an encoded set."""
     unfiltered = merge_latchkeys(capabilities)
     safe = remove_unsafe(unfiltered, cfg)
@@ -321,7 +321,7 @@ def reference_issue(core: TrustedCore, req: RequestRrp,
     for epoch_id in (core.epoch_now, core.epoch_now + 1):
         keypair = pseudonym_keypair(req.cid, epoch_id, 1)
         root = NodeLabel(epoch_id, 0, 0)
-        if core.erc_for(epoch_id).filter.query(det_sign(keypair, root.canonical_bytes)):
+        if core.erc_for(epoch_id).query(det_sign(keypair, root.canonical_bytes)):
             raise IssuanceDenied(DenialReason.REVOKED)
     if any(core.issued.get((req.cid, e)) for e in (core.epoch_now - 1,
                                                    core.epoch_now,
@@ -459,13 +459,13 @@ def decode_capability_by_field(data: bytes) -> Capability:
     return Capability(epoch_id, pub, endorsement, tuple(latchkeys))
 
 
-def _filter_by_field(r: _Reader) -> ErcSet:
+def _filter_by_field(r: _Reader) -> BloomFilter:
     epoch_id, m, k = r.u64(), r.u64(), r.u8()
     try:
         params = FilterParams(m, k)
     except ValueError as exc:
         raise codec.FieldError(str(exc)) from exc
-    return ErcSet(BloomFilter(params, epoch_id, r.take(m // 8)))
+    return BloomFilter(params, epoch_id, r.take(m // 8))
 
 
 def _request_by_field(r: _Reader) -> RequestRrp:

@@ -26,7 +26,7 @@ from oracles import (
 )
 from rangerevoke.codec import decode_capability, encode_capability
 from rangerevoke.crypto import det_keygen, det_sign, digest, seed_from_parts
-from rangerevoke.ercset import BloomFilter, ErcSet, FilterParams, is_revoked
+from rangerevoke.ercset import BloomFilter, FilterParams, is_revoked
 from rangerevoke.manager import TrustedCore
 from rangerevoke.messages import RequestRrp, RevocationOrder
 from rangerevoke.pseudonym import (
@@ -114,9 +114,9 @@ def exhaustive_sweep():
                 merged = merge_latchkeys([caps[s] for s in in_range])
                 safe = remove_unsafe(merged, cfg)
                 compact = remove_redundant(safe, cfg)
-                erc = ErcSet(ExactSet(0))
+                erc = ExactSet(0)
                 for lk in compact.latchkeys:
-                    erc.filter.add(lk.sig)
+                    erc.add(lk.sig)
                 for s in range(t):
                     if is_revoked(erc, caps[s]) != (first <= s <= last):
                         mismatches.append((t, first, last, s))
@@ -325,12 +325,11 @@ def test_09_backward_unlinkability():
     for instance in range(1, 129):
         keypair = pseudonym_keypair(cid, epoch, instance)
         for label in pre_labels:
-            pre_hits += erc.filter.query(det_sign(keypair,
-                                                  label.canonical_bytes))
+            pre_hits += erc.query(det_sign(keypair, label.canonical_bytes))
             pre_probes += 1
     rng = random.Random(9)
     rand_probes = 100_000
-    rand_hits = sum(erc.filter.query(rng.randbytes(64))
+    rand_hits = sum(erc.query(rng.randbytes(64))
                     for _ in range(rand_probes))
 
     p_pre = pre_hits / pre_probes

@@ -7,7 +7,7 @@ import pytest
 from oracles import decode_capability_by_field, decode_message_by_field
 from rangerevoke import codec
 from rangerevoke.crypto import det_keygen, digest, seed_from_parts
-from rangerevoke.ercset import BloomFilter, ErcSet, FilterParams, default_salt
+from rangerevoke.ercset import BloomFilter, FilterParams, default_salt
 from rangerevoke.messages import (
     DenialReason,
     EpochReport,
@@ -35,7 +35,7 @@ def bloom_erc(epoch=0, items=(b"a", b"b")):
     flt = BloomFilter(PARAMS, epoch)
     for item in items:
         flt.add(item)
-    return ErcSet(flt)
+    return flt
 
 
 def one_of_each(cap, cid):
@@ -115,7 +115,7 @@ def test_decoded_filters_take_their_salt_from_the_epoch():
                 EpochReport(3, bloom_erc(3), bloom_erc(4))):
         again = codec.decode_message(codec.encode_message(msg))
         for erc in (again.current, again.next):
-            assert erc.filter.salt == default_salt(erc.epoch_id)
+            assert erc.salt == default_salt(erc.epoch_id)
 
 
 def test_filter_records_are_flat():

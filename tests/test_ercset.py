@@ -19,11 +19,9 @@ from rangerevoke import sizing
 from rangerevoke.crypto import digest
 from rangerevoke.ercset import (
     BloomFilter,
-    ErcSet,
     FilterParams,
     default_salt,
     is_revoked,
-    merge_ercset,
 )
 from rangerevoke.manager import revocation_cover_ercset
 from rangerevoke.pseudonym import create_rrp, get_capability
@@ -91,7 +89,7 @@ def test_bloom_merge_is_union():
     b.add(b"only-b")
     m = a.merged(b)
     assert m.query(b"only-a") and m.query(b"only-b")
-    assert m == b.merged(a)
+    assert m == b.merged(a) and m.epoch_id == 0
     assert a.merged(a) == a         # idempotent
 
 
@@ -245,7 +243,7 @@ def test_cover_shortcut_is_bit_identical(cid, pm_key):
         caps = caps_for(rng, cfg, cid, pm_key)
         via_pipeline = create_ercset(caps, cfg, PARAMS)
         via_cover = revocation_cover_ercset(cid, 2, 1, safe_cover(cfg, rng), PARAMS)
-        assert via_pipeline.filter == via_cover.filter, (slots, first, last)
+        assert via_pipeline == via_cover, (slots, first, last)
 
 
 def test_latchkeys_encoding_inserts_each_latchkey(cid, pm_key, fig_cfg):
@@ -255,19 +253,8 @@ def test_latchkeys_encoding_inserts_each_latchkey(cid, pm_key, fig_cfg):
     manual = BloomFilter(PARAMS, 0)
     for lk in lset.latchkeys:
         manual.add(lk.sig)
-    assert erc.filter == manual
-    assert all(erc.filter.query(lk.sig) for lk in lset.latchkeys)
-
-
-def test_merge_ercset_and_epoch_binding():
-    a = ErcSet(BloomFilter(PARAMS, 0))
-    b = ErcSet(BloomFilter(PARAMS, 0))
-    a.filter.add(b"x")
-    merged = merge_ercset(a, b)
-    assert merged.filter.query(b"x")
-    assert merged.epoch_id == 0
-    with pytest.raises(ValueError):
-        merge_ercset(a, ErcSet(BloomFilter(PARAMS, 1)))
+    assert erc == manual
+    assert all(erc.query(lk.sig) for lk in lset.latchkeys)
 
 
 def test_safe_set_disjoint_from_unrevoked_slots(cid, pm_key):
@@ -295,7 +282,7 @@ def test_root_only_revokes_everything(cid, pm_key, fig_cfg):
     root = [lk for lk in caps[0].latchkeys if lk.label == NodeLabel(0, 0, 0)]
     manual = BloomFilter(PARAMS, 0)
     manual.add(root[0].sig)
-    assert erc.filter == manual
+    assert erc == manual
     assert all(is_revoked(erc, c) for c in caps)
 
 
@@ -319,10 +306,8 @@ def test_bloom_merge_matches_bytewise_or():
             # the receiver itself exactly when nothing is gained
             assert (merged is a) == (want == a_bits)
             assert merged.merged(BloomFilter(params, 0, bytes(merged.bits))) is merged
-            erc = ErcSet(a)
-            assert (merge_ercset(erc, ErcSet(b)) is erc) == (want == a_bits)
             subset = BloomFilter(params, 0, bits=bytes(x & y for x, y in zip(a_bits, b_bits)))
-            assert a.merged(subset) is a and merge_ercset(erc, ErcSet(subset)) is erc
+            assert a.merged(subset) is a
 
 
 def test_bloom_merge_incompatible_epoch_and_type():

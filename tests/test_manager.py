@@ -18,13 +18,12 @@ from oracles import (
 )
 from rangerevoke import crypto, manager, pseudonym
 from rangerevoke.crypto import KeyPair, det_sign, seed_from_parts, ver_sign
-from rangerevoke.ercset import BloomFilter, FilterParams, is_revoked, merge_ercset
+from rangerevoke.ercset import BloomFilter, FilterParams, is_revoked
 from rangerevoke.manager import (
     IssuanceDenied,
     PmMode,
     PmNode,
     TrustedCore,
-    empty_ercset,
     revocation_cover_ercset,
 )
 from rangerevoke.messages import (
@@ -41,6 +40,7 @@ from rangerevoke.messages import (
 from rangerevoke.pseudonym import (
     Latchkey,
     create_rrp,
+    endorse,
     get_capability,
     pseudonym_keypair,
     verify_capability,
@@ -122,6 +122,21 @@ def test_proof_must_belong_to_requesting_client(pm_key, admin_key, cid):
     assert exc.value.reason is DenialReason.BAD_PROOF
 
 
+def test_proof_from_past_the_instance_budget_is_bad(pm_key, admin_key, cid):
+    """A genuinely endorsed proof of instance I + 1 is not the client's: the
+    key scan stops at I, so one bound past it would grant the request."""
+    core = make_core(pm_key, admin_key, cid)
+    core.issue(RequestRrp(cid, 0, 2))
+    last = core.max_instances
+    beyond = endorse(cid, 0, last + 1, pseudonym_keypair(cid, 0, last + 1), pm_key)
+    with pytest.raises(IssuanceDenied) as exc:
+        core.issue(RequestRrp(cid, 0, 1, proof_for(core, beyond), 0))
+    assert exc.value.reason is DenialReason.BAD_PROOF
+    at_budget = endorse(cid, 0, last, pseudonym_keypair(cid, 0, last), pm_key)
+    assert [r.instance for r in core.issue(
+        RequestRrp(cid, 0, 1, proof_for(core, at_budget), 0))] == [3]
+
+
 def test_revoked_proof_denied(pm_key, admin_key, cid):
     core = make_core(pm_key, admin_key, cid)
     rrp = core.issue(RequestRrp(cid, 0, 2))[0]
@@ -184,8 +199,8 @@ def test_an_order_writes_its_part_of_each_held_epoch(pm_key, admin_key, cid,
         for i in range(1, 9):
             for label in labels:
                 expected.add(det_sign(pseudonym_keypair(cid, e, i), label.canonical_bytes))
-        assert erc.filter == expected, e
-        assert any(erc.filter.bits) is (part is not None), e
+        assert erc == expected, e
+        assert any(erc.bits) is (part is not None), e
 
 
 def test_revoke_hits_all_instances_from_rts(pm_key, admin_key, cid):
@@ -227,20 +242,19 @@ def test_rotate_epoch(pm_key, admin_key, cid):
     core.rotate_epoch()
     assert core.epoch_now == 1
     assert core.erc_current is promoted
-    assert core.erc_next.epoch_id == 2 and not any(core.erc_next.filter.bits)
+    assert core.erc_next.epoch_id == 2 and not any(core.erc_next.bits)
 
 
 def test_merge_filters_reports_change(pm_key, admin_key, cid):
     core = make_core(pm_key, admin_key, cid)
     cfg = core.cfg_for(0)
     incoming = revocation_cover_ercset(cid, 0, 1, safe_cover(cfg, SlotRange(1, 3)), PARAMS)
-    assert core.merge_filters(incoming, empty_ercset(PARAMS, 1)) is True
-    assert core.merge_filters(incoming, empty_ercset(PARAMS, 1)) is False   # redundant
+    assert core.merge_filters(incoming, BloomFilter(PARAMS, 1)) is True
+    assert core.merge_filters(incoming, BloomFilter(PARAMS, 1)) is False   # redundant
 
 
 def test_helper_filters(pm_key, cid):
     cfg = GEOMETRY.with_epoch(1)
-    assert not any(empty_ercset(PARAMS, 0).filter.bits)
     root = revocation_cover_ercset(cid, 1, 1, {NodeLabel(1, 0, 0)}, PARAMS)
     for slot in range(cfg.slots):
         assert is_revoked(root, get_capability(create_rrp(cid, 1, 1, pm_key, 8), slot, cfg))
@@ -308,7 +322,7 @@ def node_trace(node):
     """Everything of a manager that a message could change."""
     core = node.core
     return (core.epoch_now, node.mode, node._last_update,
-            [(erc.epoch_id, hashlib.sha256(erc.filter.bits).hexdigest())
+            [(erc.epoch_id, hashlib.sha256(erc.bits).hexdigest())
              for erc in (core.erc_current, core.erc_next)],
             {e: set(s) for e, s in node._reports.items()}, set(core.revoked),
             dict(node._orders), dict(core.issued), dict(node.stats))
@@ -389,7 +403,7 @@ def test_stale_epoch_order_still_expels(pm_key, admin_key, cid, caplog):
     with caplog.at_level(logging.DEBUG, logger="rangerevoke.manager"):
         out = node.handle_revoke(signed_order(admin_key, cid, 1, 0))
         assert {type(o.msg) for o in out} == {ErcPush, RevocationOrder}
-        assert any(node.core.erc_current.filter.bits)
+        assert any(node.core.erc_current.bits)
         node.core.rotate_epoch()
         out = node.handle_revoke(signed_order(admin_key, cid, 2, 0))
         assert out and all(isinstance(o.msg, RevocationOrder) for o in out)
@@ -407,15 +421,15 @@ def test_future_epoch_order_expels_and_is_relayed(pm_key, admin_key, cid, caplog
         out = node.handle_revoke(signed_order(admin_key, cid, 1, 1))
     assert not caplog.records
     assert {type(o.msg) for o in out} == {ErcPush, RevocationOrder}
-    assert any(node.core.erc_next.filter.bits)
+    assert any(node.core.erc_next.bits)
     node = make_node(pm_key, admin_key, cid)
     with caplog.at_level(logging.WARNING, logger="rangerevoke.manager"):
         out = node.handle_revoke(signed_order(admin_key, cid, 1, 2))
     assert out and all(isinstance(o.msg, RevocationOrder) for o in out)  # no filter push
     assert [r.levelno for r in caplog.records] == [logging.WARNING]
     assert "filters unchanged" in caplog.text
-    assert not any(node.core.erc_current.filter.bits)
-    assert not any(node.core.erc_next.filter.bits)
+    assert not any(node.core.erc_current.bits)
+    assert not any(node.core.erc_next.bits)
     assert cid in node.core.revoked
 
 
@@ -497,8 +511,8 @@ def test_order_outside_the_epoch_is_refused_whole(pm_key, admin_key, cid, caplog
         assert node.handle_revoke(signed_order(admin_key, cid, rts, epoch)) == []
     assert f"rts {rts} outside the epoch" in caplog.text
     assert cid not in node.core.revoked and not node._orders
-    assert not any(node.core.erc_current.filter.bits)
-    assert not any(node.core.erc_next.filter.bits)
+    assert not any(node.core.erc_current.bits)
+    assert not any(node.core.erc_next.bits)
     assert node.handle_request(RequestRrp(cid, 0, 1)).granted
 
 
@@ -561,7 +575,7 @@ def test_reports_of_a_past_epoch_are_echoed_not_kept(pm_key, admin_key, cid):
 def test_laggard_gets_echo(pm_key, admin_key, cid):
     ahead = make_node(pm_key, admin_key, cid, node_id="pm1")
     ahead.core.rotate_epoch()                  # already in epoch 1
-    behind_report = EpochReport(0, empty_ercset(PARAMS, 0), empty_ercset(PARAMS, 1))
+    behind_report = EpochReport(0, BloomFilter(PARAMS, 0), BloomFilter(PARAMS, 1))
     out = ahead.deliver("pm3", behind_report, 61)
     assert [o.dst for o in out] == ["pm3"]
     echo = out[0].msg
@@ -602,15 +616,15 @@ def test_revoke_matches_full_capability_pipeline(pm_key, admin_key, cid, monkeyp
             expected, surviving = [], set()
             for epoch_id, first in ((0, rts), (1, 0)):
                 cfg = geometry.with_epoch(epoch_id)
-                erc = empty_ercset(PARAMS, epoch_id)
+                erc = BloomFilter(PARAMS, epoch_id)
                 for i in range(1, instances + 1):
                     rrp = create_rrp(cid, epoch_id, i, pm_key, instances)
                     caps = [get_capability(rrp, s, cfg) for s in range(first, slots)]
-                    erc = merge_ercset(erc, create_ercset(caps, cfg, PARAMS))
+                    erc = erc.merged(create_ercset(caps, cfg, PARAMS))
                     compact = remove_redundant(remove_unsafe(merge_latchkeys(caps), cfg), cfg)
                     surviving |= {(epoch_id, lk.sig) for lk in compact.latchkeys}
-                expected.append(erc.filter)
-            assert [core.erc_current.filter, core.erc_next.filter] == expected, \
+                expected.append(erc)
+            assert [core.erc_current, core.erc_next] == expected, \
                 (slots, fanout, rts)
             assert inserted == surviving, (slots, fanout, rts)
 
@@ -756,7 +770,7 @@ def test_only_the_probed_root_goes_unqueried(pm_key, admin_key, cid):
     core = make_core(pm_key, admin_key, cid)
     first = core.issue(RequestRrp(cid, 0, 3))[0]
     assert core.merge_filters(revocation_cover_ercset(cid, 0, 3, {NodeLabel(0, 0, 0)}, PARAMS),
-                              empty_ercset(PARAMS, 1))
+                              BloomFilter(PARAMS, 1))
     third = create_rrp(cid, 0, 3, pm_key, 8)
     with pytest.raises(IssuanceDenied) as exc:
         core.issue(RequestRrp(cid, 0, 1, proof_for(core, third, 2), 2))
@@ -844,7 +858,7 @@ def test_rebuilt_proof_check_agrees_with_signature_checks(pm_key, admin_key, cid
     core.register(other)
     witness = make_core(pm_key, admin_key, cid)
     witness.revoke(signed_order(admin_key, cid, 2, 0))
-    assert core.merge_filters(witness.erc_current, empty_ercset(PARAMS, 1))
+    assert core.merge_filters(witness.erc_current, BloomFilter(PARAMS, 1))
 
     def flipped(data: bytes, i: int) -> bytes:
         out = bytearray(data)
@@ -916,7 +930,7 @@ def test_issue_matches_the_reference_issuance(pm_key, admin_key):
                 witness.revoke(signed_order(admin_key, rng.choice(clients[:-1]),
                                             rng.randrange(geometry.slots // 2), core.epoch_now))
                 nxt = witness.erc_next if rng.random() < 0.25 \
-                    else empty_ercset(params, core.epoch_now + 1)
+                    else BloomFilter(params, core.epoch_now + 1)
                 assert core.merge_filters(witness.erc_current, nxt) \
                     == reference.merge_filters(witness.erc_current, nxt)
                 continue

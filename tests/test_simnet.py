@@ -4,8 +4,9 @@ from dataclasses import replace
 import pytest
 
 from rangerevoke import codec, pseudonym
-from rangerevoke.manager import PmNode
-from rangerevoke.messages import ErcPush, Outgoing, RequestRrp
+from rangerevoke.crypto import det_sign
+from rangerevoke.manager import PmNode, TrustedCore
+from rangerevoke.messages import ErcPush, Outgoing, RequestRrp, RevocationOrder
 from rangerevoke.pseudonym import create_rrp
 from rangerevoke.scenario import (
     SCENARIO_DIR,
@@ -15,6 +16,7 @@ from rangerevoke.scenario import (
     transcript_links,
 )
 from rangerevoke.simnet import (
+    FILTER,
     INSTANCES,
     MICRO,
     Action,
@@ -154,6 +156,65 @@ def test_an_order_survives_a_down_entry_manager():
         if not all(cid in sim.pms[p].core.revoked for p in sim.correct_pms()):
             lost.append(seed)
     assert lost == []
+
+
+ORDER_AT = 20 * MICRO
+
+
+class _DeadlineSimulation(Simulation):
+    """Adds one scripted action, ``sample``: it records each verifier that,
+    at that instant, neither denies every capability as stale-state nor
+    holds every bit that client 0's order sets in the verifier's epoch."""
+
+    def __init__(self, cfg: SimConfig):
+        super().__init__(cfg)
+        self.misses: list[tuple[int, str]] = []
+        core = TrustedCore(self.pm_key, self.admin_key.public, self.geometry,
+                           FILTER, INSTANCES)
+        epoch_id, rts = self.geometry.epoch_and_slot(ORDER_AT)
+        order = RevocationOrder(self.clients[0].cid, rts, epoch_id, b"")
+        core.revoke(replace(order, admin_sig=det_sign(self.admin_key,
+                                                      order.signed_payload())))
+        self.order_bits = {f.epoch_id: f for f in (core.erc_current, core.erc_next)}
+
+    def holds_or_denies(self, v_id: str) -> bool:
+        v, now = self.verifiers[v_id], self.local_time(v_id)
+        epoch_id, _ = self.geometry.epoch_and_slot(now)
+        flt, want = v.erc_local, self.order_bits.get(epoch_id)
+        if v.is_stale(now) or flt is None or flt.epoch_id != epoch_id:
+            return True
+        return want is None or flt.merged(want) is flt
+
+    def _on_action(self, action: Action) -> None:
+        if action.kind != "sample":
+            super()._on_action(action)
+            return
+        self.misses += [(self.now, v_id) for v_id in sorted(self.verifiers)
+                        if not self.holds_or_denies(v_id)]
+
+
+@pytest.mark.parametrize("crash", [False, True], ids=["no-crash", "entry-down-after"])
+def test_every_verifier_holds_an_order_or_is_stale_by_the_deadline(crash):
+    """From t_order + D on, D = staleness limit + 2 * delta_net (15.2 s
+    here), every verifier either holds every bit of the order for its
+    epoch or denies everything as stale-state; sampled every 0.5 s to the
+    horizon, which lies in the next epoch.  With ``crash``, the entry
+    manager goes down as soon as the order has surely reached it."""
+    horizon, step = 100 * MICRO, MICRO // 2
+    base = SimConfig(n_pms=4, fault_bound=1, n_verifiers=3, horizon=horizon)
+    deadline = ORDER_AT + 3 * base.pull_period + 2 * base.delta_net
+    crashes = (CrashWindow("pm0", ORDER_AT + base.delta_net + 1, 40 * MICRO),) if crash else ()
+    script = (Action(ORDER_AT, "revoke", {"client": 0, "pm": "pm0"}),
+              *(Action(t, "sample") for t in range(deadline, horizon + 1, step)))
+    late = {}
+    for seed in range(20):
+        sim = _DeadlineSimulation(replace(base, seed=seed, crashes=crashes, script=script))
+        sim.run()
+        for flt in (v.erc_local for v in sim.verifiers.values()):   # not vacuous
+            assert flt.epoch_id == 1 and flt.merged(sim.order_bits[1]) is flt, seed
+        if sim.misses:
+            late[seed] = sim.misses[0]
+    assert late == {}
 
 
 def test_a_lone_manager_rotates_on_its_own_report():
@@ -299,7 +360,7 @@ def test_receivers_of_one_push_decode_their_own_copies(monkeypatch):
         sim._on_deliver(src, dst, data)
     a, b = received
     assert a == b == push.current                               # the filter as sent
-    assert len({id(a.filter), id(b.filter), id(push.current.filter)}) == 3
+    assert len({id(a), id(b), id(push.current)}) == 3
 
 
 def test_client_derives_a_key_only_when_it_shows_the_pseudonym(monkeypatch):

@@ -198,3 +198,19 @@ def test_every_sim_config_field_is_set_by_some_run():
                        and isinstance(t.value, ast.Name) and t.value.id != "self"}
     unset = sorted(f.name for f in fields(SimConfig) if f.name not in set_by)
     assert not unset, f"SimConfig fields that no run sets: {unset}"
+
+
+def _filter_reads(path: Path) -> list[int]:
+    return [node.lineno for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and node.attr == "filter"]
+
+
+def test_filter_alias_serves_only_the_benchmark():
+    """``BloomFilter.filter`` returns the filter itself: the program holds
+    the filter directly, and only perfbench/workloads.py still reads the
+    attribute.  Once it does not, the alias goes."""
+    in_src = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+              for line in _filter_reads(path)]
+    assert not in_src, f"src/ reads an attribute named filter: {in_src}"
+    assert _filter_reads(BENCH / "workloads.py"), \
+        "perfbench/workloads.py no longer reads .filter: delete BloomFilter.filter"

@@ -6,7 +6,7 @@ import pytest
 from oracles import retry_with_extra_pseudonym
 from rangerevoke import codec, pseudonym, verifier
 from rangerevoke.crypto import det_sign
-from rangerevoke.ercset import BloomFilter, ErcSet, FilterParams, is_revoked
+from rangerevoke.ercset import BloomFilter, FilterParams, is_revoked
 from rangerevoke.manager import TrustedCore
 from rangerevoke.messages import ErcPullReq, ErcPullResp, Outgoing, RevocationOrder
 from rangerevoke.pseudonym import create_rrp, get_capability, verify_capability
@@ -29,7 +29,7 @@ def fresh(verifier, now=0, epoch=0):
 
 
 def empty(epoch, params=PARAMS):
-    return ErcSet(BloomFilter(params, epoch))
+    return BloomFilter(params, epoch)
 
 
 def cap_for(cid, pm_key, slot, epoch=0, instance=1):
@@ -79,7 +79,7 @@ def test_revoked(cid, pm_key):
     v = make_verifier(pm_key)
     fresh(v, now=0)
     cap = cap_for(cid, pm_key, 0)
-    v.erc_local.filter.add(cap.latchkeys[-1].sig)   # revoke via the root
+    v.erc_local.add(cap.latchkeys[-1].sig)   # revoke via the root
     assert v.authenticate(cap, now=1) is Decision.REVOKED
     assert v.authenticate(cap_for(cid, pm_key, 0, instance=2), now=1) \
         is Decision.GRANTED
@@ -147,11 +147,11 @@ def test_refused_messages_leave_no_trace(pm_key, hostile_messages):
     were, and draws no message."""
     v = make_verifier(pm_key)
     fresh(v, now=0)
-    v.erc_local.filter.add(b"revoked")
-    held, bits = v.erc_local, bytes(v.erc_local.filter.bits)
+    v.erc_local.add(b"revoked")
+    held, bits = v.erc_local, bytes(v.erc_local.bits)
     for label, msg in hostile_messages:
         assert v.deliver("pm0", msg, now=1) == [], label
-        assert v.erc_local is held and bytes(held.filter.bits) == bits, label
+        assert v.erc_local is held and bytes(held.bits) == bits, label
         assert v.last_pull == 0, label
 
 
@@ -160,7 +160,7 @@ def test_retry_consumes_extras_on_false_positive(cid, pm_key):
     fresh(v, now=0)
     rrps = [create_rrp(cid, 0, i, pm_key, 8) for i in (1, 2, 3)]
     # simulate a filter false positive on the first pseudonym only
-    v.erc_local.filter.add(get_capability(rrps[0], 0, GEOMETRY).latchkeys[0].sig)
+    v.erc_local.add(get_capability(rrps[0], 0, GEOMETRY).latchkeys[0].sig)
     decision, used = retry_with_extra_pseudonym(rrps, 0, GEOMETRY, v, now=1)
     assert decision is Decision.GRANTED and used == 2
 
@@ -179,7 +179,7 @@ def test_retry_exhausts_pool(cid, pm_key):
     fresh(v, now=0)
     rrps = [create_rrp(cid, 0, i, pm_key, 8) for i in (1, 2)]
     for rrp in rrps:
-        v.erc_local.filter.add(get_capability(rrp, 0, GEOMETRY).latchkeys[-1].sig)
+        v.erc_local.add(get_capability(rrp, 0, GEOMETRY).latchkeys[-1].sig)
     decision, used = retry_with_extra_pseudonym(rrps, 0, GEOMETRY, v, now=1)
     assert decision is Decision.REVOKED and used == 2
 
@@ -230,7 +230,7 @@ def test_genuineness_is_checked_once_per_capability_in_its_slot(cid, pm_key,
                 assert cost(earlier, start + 2) == (Decision.GRANTED, h + 2, h + 1)
         assert list(v._genuine.values()) == [cap]
     # a revocation merged between two showings denies the second
-    v.erc_local.filter.add(caps[-1].latchkeys[-1].sig)
+    v.erc_local.add(caps[-1].latchkeys[-1].sig)
     assert cost(caps[-1], caps[-1].slot * cfg.delta + 40) == \
         (Decision.REVOKED, 0, h + 1)
 
