@@ -101,6 +101,18 @@ def test_bloom_merge_incompatible():
         a.merged(BloomFilter(FilterParams(4096, 4), 0))
 
 
+def test_merge_ercset_and_epoch_binding():
+    """A merged revocation filter keeps its epoch and never joins a
+    filter of another epoch."""
+    a, b = BloomFilter(PARAMS, 0), BloomFilter(PARAMS, 0)
+    a.add(b"x")
+    merged = a.merged(b)
+    assert merged.query(b"x")
+    assert merged.epoch_id == 0
+    with pytest.raises(ValueError):
+        a.merged(BloomFilter(PARAMS, 1))
+
+
 def test_bloom_rejects_bad_bits_length():
     with pytest.raises(ValueError):
         BloomFilter(PARAMS, 0, bits=b"\x00" * 3)
