@@ -33,7 +33,6 @@ Times are seconds (floats allowed)::
     a1 = 2 request client=0 count=6 pm=pm0
     a2 = 8 authenticate client=0 verifier=v0
     a3 = 30 revoke client=0
-    a4 = 40 clock_jump node=v0 by=500000     ; by is in microseconds
 
     [checks]                ; NAME or NAME.LABEL = argument, see _CHECKS
     convergence = yes
@@ -140,11 +139,9 @@ _ROLES = {
     "client": lambda text, cfg: _bounded(text, 0, cfg.n_clients, "client"),
     "manager": lambda text, cfg: _member(text, cfg.pm_ids(), "manager"),
     "verifier": lambda text, cfg: _member(text, cfg.verifier_ids(), "verifier"),
-    "node": lambda text, cfg: _member(text, cfg.pm_ids() + cfg.verifier_ids(), "node"),
     "count": lambda text, cfg: _bounded(text, 1, 256, "count"),
     "epoch": lambda text, cfg: u64(text, "epoch"),
     "slot": lambda text, cfg: _bounded(text, 0, cfg.geometry().slots, "slot"),
-    "micros": lambda text, cfg: _int(text),
     "time": lambda text, cfg: _seconds(text),
     "span": lambda text, cfg: _span(text),
 }

@@ -2,13 +2,13 @@
 
 One seeded event loop drives manager nodes, verifiers, clients and the
 administrator under partial synchrony: bounded message delay in stable
-windows, arbitrary delay in unstable ones, scripted clock jumps
-(``clock_jump``) and scripted crash/recovery of managers.  Every run uses
-one binary slot tree, ``FILTER`` and ``INSTANCES``, and node clocks agree
-until a ``clock_jump`` moves one.  Identical (config, seed) pairs
-reproduce byte-identical reports.  The loop carries bytes, keeps time and
-applies crashes; each node routes what its ``deliver`` receives, and one
-periodic tick runs each of its timer hooks, whose rules are the node's own.
+windows, arbitrary delay in unstable ones, and scripted crash/recovery
+of managers.  Every run uses one binary slot tree, ``FILTER`` and
+``INSTANCES``, and every node reads one clock, ``Simulation.now``.
+Identical (config, seed) pairs reproduce byte-identical reports.  The
+loop carries bytes, keeps time and applies crashes; each node routes what
+its ``deliver`` receives, and one periodic tick runs each of its timer
+hooks, whose rules are the node's own.
 
 Time is integer microseconds.  Messages travel as wire bytes, encoded
 once per fan-out and decoded on delivery, after the receiver's crash
@@ -238,8 +238,6 @@ class Simulation:
         for crash in cfg.crashes:
             self._crash_windows.setdefault(crash.node, []).append((crash.start, crash.end))
 
-        self.clock_offset: dict[str, int] = {}  # local minus true time, by clock_jump
-
         self.issuance: list[IssuanceRecord] = []
         self.auths: list[AuthRecord] = []
         self.revocations: list[tuple[int, int, int]] = []
@@ -292,7 +290,8 @@ class Simulation:
             heapq.heappush(queue, (now + delay(), next(seq), ("deliver", src, out.dst, data)))
 
     def local_time(self, node: str) -> int:
-        return self.now + self.clock_offset.get(node, 0)
+        """Every node's clock: ``now``.  Kept for perfbench/workloads.py."""
+        return self.now
 
     # -- event handlers ---------------------------------------------------
 
@@ -325,7 +324,7 @@ class Simulation:
             if isinstance(msg, RrpResponse) and msg.granted:
                 client.unused.setdefault(msg.epoch_id, []).extend(msg.endorsements)
             return
-        outgoing = node.deliver(src, msg, self.local_time(dst))
+        outgoing = node.deliver(src, msg, self.now)
         if isinstance(msg, RequestRrp) and dst in self.pms:
             resp = outgoing[0].msg
             self.issuance.append(IssuanceRecord(
@@ -335,26 +334,25 @@ class Simulation:
         self._emit(dst, outgoing)
 
     def _on_tick(self, node_id: str, hook, period: int) -> None:
-        """Run a node's periodic ``hook`` at its local time unless it is down."""
+        """Run a node's periodic ``hook`` unless it is down."""
         now = self.now
         self._schedule(now + period, ("tick", node_id, hook, period))
         if not self._crashed(node_id, now):
-            self._emit(node_id, hook(now + self.clock_offset.get(node_id, 0)))
+            self._emit(node_id, hook(now))
 
     def _on_recover(self, pm_id: str) -> None:
         if not self._crashed(pm_id, self.now):      # not down in another window
-            self._emit(pm_id, self.pms[pm_id].on_recover(self.local_time(pm_id)))
+            self._emit(pm_id, self.pms[pm_id].on_recover(self.now))
 
     # -- scripted workload ------------------------------------------------
 
     # Action kind -> every argument ``_on_action`` reads: (role, default).
-    # Roles: "client" a client index, "manager", "verifier" or "node"
-    # (either) an existing node id, "count" a batch of 1..255 pseudonyms,
-    # "epoch" an epoch id, "slot" a slot of the epoch, "micros" integer
-    # microseconds.  An argument with default REQUIRED must be given; a
-    # default of None is none known before the run: ``_on_action`` works
-    # it out when the action runs (the current epoch or slot, a random
-    # manager).
+    # Roles: "client" a client index, "manager" or "verifier" an existing
+    # node id, "count" a batch of 1..255 pseudonyms, "epoch" an epoch id,
+    # "slot" a slot of the epoch.  An argument with default REQUIRED must
+    # be given; a default of None is none known before the run:
+    # ``_on_action`` works it out when the action runs (the current epoch
+    # or slot, a random manager).
     ACTION_ARGS = {
         "request": {"client": ("client", REQUIRED), "count": ("count", 4),
                     "epoch": ("epoch", None), "pm": ("manager", None)},
@@ -362,7 +360,6 @@ class Simulation:
                          "verifier": ("verifier", "v0")},
         "revoke": {"client": ("client", REQUIRED), "epoch": ("epoch", None),
                    "rts": ("slot", None), "pm": ("manager", "pm0")},
-        "clock_jump": {"node": ("node", REQUIRED), "by": ("micros", REQUIRED)},
     }
 
     def _arg(self, action: Action, name: str):
@@ -389,7 +386,7 @@ class Simulation:
                 return
             cap = get_capability(rrp, slot, self.geometry.with_epoch(epoch_id))
             client.last_proof = (cap, slot)
-            decision = v.authenticate(cap, self.local_time(v_id))
+            decision = v.authenticate(cap, self.now)
             self.presented.append((client.index, cap))
             self.auths.append(AuthRecord(self.now, v_id, client.index, slot,
                                          epoch_id, decision.value,
@@ -408,9 +405,6 @@ class Simulation:
             first = ids.index(self._arg(action, "pm"))
             self._emit("admin", [Outgoing(ids[(first + j) % len(ids)], order)
                                  for j in range(self.cfg.fault_bound + 1)])
-        elif action.kind == "clock_jump":
-            self.clock_offset[args["node"]] = \
-                self.clock_offset.get(args["node"], 0) + args["by"]
         else:
             raise ValueError(f"unknown action kind {action.kind!r}")
 
@@ -430,7 +424,7 @@ class Simulation:
         verifier_state = []
         for v_id in sorted(self.verifiers):
             v = self.verifiers[v_id]
-            mode = "safe" if v.is_stale(self.local_time(v_id)) else "serving"
+            mode = "safe" if v.is_stale(self.now) else "serving"
             verifier_state.append((v_id, mode, _filter_digest(v.erc_local)))
         latency = []
         for at, client_idx, _rts in self.revocations:

@@ -53,11 +53,11 @@ class VerifierNode:
         self.epsilon = epsilon
         self.erc_local: BloomFilter | None = None
         self.last_pull: int | None = None
-        # capabilities found genuine at the newest (epoch, slot) verified,
-        # by leaf signature
+        # capabilities found genuine in the (epoch, slot) of this
+        # verifier's clock, by leaf signature
         self._genuine: dict[bytes, Capability] = {}
         self._genuine_at = (-1, -1)
-        self._cfg = geometry            # the geometry of the epoch last verified
+        self._cfg = geometry            # the geometry of the clock's epoch
 
     # -- time helpers -----------------------------------------------------
 
@@ -76,46 +76,34 @@ class VerifierNode:
 
         The decision is a pure function of (filter, capability, clock,
         staleness): freshness, epoch, slot and revocation are checked on
-        every showing.  Only the genuineness check is remembered: a
-        capability that verified at the newest (epoch, slot) this verifier
-        has verified is not verified again when the identical capability
-        is shown in that slot.  Verifying a capability of a newer slot
-        forgets the older ones; one of an older slot that the skew still
-        admits is verified on every showing and never remembered.
+        every showing.  Only the genuineness check is remembered:
+        ``verify_capability`` is skipped for a capability equal in every
+        field to one already found genuine in the current slot of the
+        verifier's clock.  The leaf signature only finds the candidate;
+        equality decides.  The memo empties when the clock's slot changes.
         """
-        epoch, _ = self.geometry.epoch_and_slot(now)
+        at = self.geometry.epoch_and_slot(now)
+        epoch = at[0]
         # a filter left over from a previous epoch cannot vouch for this one
         if self.is_stale(now) or self.erc_local is None \
                 or self.erc_local.epoch_id != epoch:
             return Decision.STALE_STATE
         if cap.epoch_id != epoch:
             return Decision.WRONG_EPOCH
-        slot = cap.slot
-        if not self._slot_acceptable(now, cap.epoch_id, slot):
+        if not self._slot_acceptable(now, epoch, cap.slot):
             return Decision.WRONG_SLOT
-        if not self._is_genuine(cap, slot):
-            return Decision.NOT_GENUINE
+        if at != self._genuine_at:
+            self._genuine, self._genuine_at = {}, at
+            if self._cfg.epoch_id != epoch:
+                self._cfg = self.geometry.with_epoch(epoch)
+        leaf = cap.latchkeys[0].sig
+        if cap != self._genuine.get(leaf):
+            if not verify_capability(cap, self.pm_public, cap.slot, self._cfg):
+                return Decision.NOT_GENUINE
+            self._genuine[leaf] = cap
         if is_revoked(self.erc_local, cap):
             return Decision.REVOKED
         return Decision.GRANTED
-
-    def _is_genuine(self, cap: Capability, slot: int) -> bool:
-        """``verify_capability``, skipped for a capability equal in every
-        field to one already found genuine in its slot.  The leaf signature
-        only finds the candidate; equality decides."""
-        leaf = cap.latchkeys[0].sig
-        if cap == self._genuine.get(leaf):
-            return True
-        if self._cfg.epoch_id != cap.epoch_id:
-            self._cfg = self.geometry.with_epoch(cap.epoch_id)
-        if not verify_capability(cap, self.pm_public, slot, self._cfg):
-            return False
-        at = (cap.epoch_id, slot)
-        if at > self._genuine_at:
-            self._genuine, self._genuine_at = {}, at
-        if at == self._genuine_at:
-            self._genuine[leaf] = cap
-        return True
 
     # -- pull gossip ------------------------------------------------------
 

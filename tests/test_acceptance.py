@@ -230,7 +230,9 @@ def test_07_logarithmic_revocation_growth():
 # -- 8: distributed safety over all small crash topologies ------------------
 
 def _safety_cfg(n_pms: int, crash_node: str | None, seed: int,
-                horizon_s: int) -> SimConfig:
+                horizon_s: int, down_at: int = 25 * MICRO) -> SimConfig:
+    """``crash_node`` is down from ``down_at`` to 80 s; the order at 30 s
+    goes to pm0 unless pm0 is already down by then."""
     s = MICRO
 
     def pm(i: int) -> str:
@@ -246,7 +248,8 @@ def _safety_cfg(n_pms: int, crash_node: str | None, seed: int,
         Action(21 * s, "request",
                {"client": 1, "count": 4, "epoch": 1, "pm": pm(2)}),
         Action(30 * s, "revoke",
-               {"client": 0, "pm": pm(1) if crash_node == "pm0" else pm(0)}),
+               {"client": 0,
+                "pm": pm(1) if crash_node == "pm0" and down_at <= 30 * s else pm(0)}),
         Action(36 * s, "authenticate", {"client": 0}),
         Action(50 * s, "authenticate", {"client": 0}),
         Action(70 * s, "authenticate", {"client": 0}),
@@ -262,7 +265,7 @@ def _safety_cfg(n_pms: int, crash_node: str | None, seed: int,
             script.append(Action((base + i) * s + s // 2, "request",
                                  {"client": 0, "count": 2, "epoch": 2,
                                   "pm": f"pm{i}"}))
-    crashes = (CrashWindow(crash_node, 25 * s, 80 * s),) if crash_node else ()
+    crashes = (CrashWindow(crash_node, down_at, 80 * s),) if crash_node else ()
     return SimConfig(seed=seed, n_pms=n_pms, fault_bound=1, n_verifiers=1,
                      n_clients=2, epoch_len=60 * s, delta=15 * s,
                      delta_net=100_000, crashes=crashes, script=tuple(script),
@@ -271,31 +274,38 @@ def _safety_cfg(n_pms: int, crash_node: str | None, seed: int,
 
 
 def test_08_distributed_safety_exhaustive():
+    # every <=1-crash subset, down from 25 s; then the entry manager pm0
+    # down from within delta_net (100 ms) of the order at 30 s, so that
+    # the order may or may not reach it first
+    schedules = [(n_pms, crash, 25 * MICRO) for n_pms in (3, 4, 5)
+               for crash in [None] + [f"pm{i}" for i in range(n_pms)]]
+    schedules += [(n_pms, "pm0", 30 * MICRO + ms * 1000) for n_pms in (3, 4, 5)
+                for ms in (10, 50, 99)]
     runs = 0
     grant_violations, convergence_failures = [], []
     for horizon_s, final_epoch in ((100, 1), (150, 2)):
-        for n_pms in (3, 4, 5):
-            for crash in [None] + [f"pm{i}" for i in range(n_pms)]:
-                for seed in (1, 2, 3):
-                    runs += 1
-                    sim = Simulation(_safety_cfg(n_pms, crash, seed, horizon_s))
-                    report = sim.run()
-                    case = (n_pms, crash, seed, horizon_s)
-                    if any(r.granted for r in report.issuance
-                           if r.client == 0 and r.epoch_id == 2):
-                        grant_violations.append(case)
-                    correct = set(sim.correct_pms())
-                    rows = [r for r in report.pm_state if r[0] in correct]
-                    converged = (
-                        all(r[1] == final_epoch and r[2] == "serving"
-                            for r in rows)
-                        and len({r[3] for r in rows}) == 1
-                        and len({r[4] for r in rows}) == 1)
-                    if not converged:
-                        convergence_failures.append(case)
+        for n_pms, crash, down_at in schedules:
+            for seed in (1, 2, 3):
+                runs += 1
+                sim = Simulation(_safety_cfg(n_pms, crash, seed, horizon_s, down_at))
+                report = sim.run()
+                case = (n_pms, crash, down_at, seed, horizon_s)
+                if any(r.granted for r in report.issuance
+                       if r.client == 0 and r.epoch_id == 2):
+                    grant_violations.append(case)
+                correct = set(sim.correct_pms())
+                rows = [r for r in report.pm_state if r[0] in correct]
+                converged = (
+                    all(r[1] == final_epoch and r[2] == "serving"
+                        for r in rows)
+                    and len({r[3] for r in rows}) == 1
+                    and len({r[4] for r in rows}) == 1)
+                if not converged:
+                    convergence_failures.append(case)
     ok = not grant_violations and not convergence_failures
-    detail = (f"{runs} runs (N in 3..5, f=1, every <=1-crash subset, 3 delay "
-              f"schedules, 2 horizons): epoch-2 grants to the revoked client: "
+    detail = (f"{runs} runs (N in 3..5, f=1, every <=1-crash subset and the entry "
+              f"manager down 10..99 ms after the order, 3 delay schedules, "
+              f"2 horizons): epoch-2 grants to the revoked client: "
               f"{len(grant_violations)}, correct-manager convergence "
               f"failures: {len(convergence_failures)}")
     if grant_violations or convergence_failures:

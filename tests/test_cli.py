@@ -204,13 +204,13 @@ def test_scenario_keys_reach_sim_config(tmp_path):
     scn = tmp_path / "keys.scn"
     scn.write_text("[sim]\nmanagers = 3\npull_period = 2\ndelta_net = 0.25\n"
                    "[script]\na1 = 2.5 request client=0 count=6 pm=pm2\n"
-                   "a2 = 1 clock_jump node=v0 by=-500000\n"
+                   "a2 = 1 authenticate client=0\n"
                    "[checks]\nconvergence = yes\ndenied_after.late = 0:40\n")
     cfg, checks = cli.parse_scenario(scn)
     assert (cfg.n_pms, cfg.pull_period, cfg.delta_net) == (3, 2_000_000, 250_000)
     assert cfg.seed == 0 and cfg.horizon == 120 * 1_000_000   # SimConfig defaults
     assert cfg.script == (                                    # in time order
-        Action(1_000_000, "clock_jump", {"node": "v0", "by": -500_000}),
+        Action(1_000_000, "authenticate", {"client": 0}),
         Action(2_500_000, "request", {"client": 0, "count": 6, "pm": "pm2"}))
     assert checks == {"convergence": (), "denied_after.late": (0, 40_000_000)}
 

@@ -305,15 +305,21 @@ def test_gossip_timer_pulls_only_after_a_quiet_timeout(pm_key, admin_key, cid,
                                   "push-far-epoch", "pull-response-far-epoch",
                                   "report-future"])
 def test_dropped_filters_do_not_postpone_the_pull(pm_key, admin_key, cid, wire_messages,
-                                                  kind):
+                                                  kind, caplog):
     """Filters refused as incompatible, or for no epoch the node holds,
     are no update: a pull still goes out within ``gossip_timeout`` of
-    them."""
+    them.  Only incompatible ones are abnormal enough to warn of."""
     messages = dict(wire_messages)
     push = messages["push-incompatible"]
     messages["pull-response-incompatible"] = ErcPullResp(push.current, push.next)
     node = make_node(pm_key, admin_key, cid, timeout=5)
-    assert node.deliver("pm1", messages[kind], now=100) == []
+    with caplog.at_level(logging.WARNING, logger="rangerevoke"):
+        assert node.deliver("pm1", messages[kind], now=100) == []
+    warned = [r.getMessage() for r in caplog.records]
+    if kind.endswith("incompatible"):
+        assert len(warned) == 1 and warned[0].startswith("pm0: dropping incompatible filters")
+    else:
+        assert warned == []
     out = node.on_gossip_timer(104)
     assert [type(o.msg) for o in out] == [ErcPullReq]
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from rangerevoke.scenario import SCENARIO_DIR, _sim_entry
-from rangerevoke.simnet import SimConfig
+from rangerevoke.simnet import SimConfig, Simulation
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "rangerevoke"
@@ -177,6 +177,13 @@ def _keywords_of_sim_config_calls(tree: ast.AST) -> set[str]:
             for kw in node.keywords}
 
 
+def _bundled_scenarios():
+    for path in SCENARIO_DIR.glob("*.scn"):
+        ini = configparser.ConfigParser(inline_comment_prefixes=(";",), interpolation=None)
+        ini.read(path, encoding="utf-8")
+        yield ini
+
+
 def test_every_sim_config_field_is_set_by_some_run():
     """A simulator setting that no run changes is a mode kept for tests
     alone: each ``SimConfig`` field must be set by a bundled scenario (a
@@ -184,9 +191,7 @@ def test_every_sim_config_field_is_set_by_some_run():
     keyword under perfbench/, or by an assignment to another object's
     attribute of that name in src/ (``cfg.seed = ...``)."""
     set_by = set()
-    for path in SCENARIO_DIR.glob("*.scn"):
-        ini = configparser.ConfigParser(inline_comment_prefixes=(";",), interpolation=None)
-        ini.read(path, encoding="utf-8")
+    for ini in _bundled_scenarios():
         set_by |= {_sim_entry(key, value)[0] for key, value in ini.items("sim")}
         set_by |= set(ini.sections())
     for path in BENCH.glob("*.py"):
@@ -200,17 +205,44 @@ def test_every_sim_config_field_is_set_by_some_run():
     assert not unset, f"SimConfig fields that no run sets: {unset}"
 
 
-def _filter_reads(path: Path) -> list[int]:
-    return [node.lineno for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-            if isinstance(node, ast.Attribute) and node.attr == "filter"]
+def test_every_action_is_taken_by_some_run():
+    """An action kind that no run scripts is a mode kept for tests alone:
+    each ``Simulation.ACTION_ARGS`` kind must appear in a bundled
+    scenario's ``[script]`` or as the kind of an ``Action(...)`` call
+    under perfbench/."""
+    taken = set()
+    for ini in _bundled_scenarios():
+        taken |= {value.split()[1] for _, value in ini.items("script")}
+    for path in BENCH.glob("*.py"):
+        taken |= {node.args[1].value
+                  for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                  if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Action"
+                  and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)}
+    untaken = sorted(Simulation.ACTION_ARGS.keys() - taken)
+    assert not untaken, f"action kinds that no run takes: {untaken}"
+
+
+def _used_only_by_the_benchmark(attr: str, owner: str) -> None:
+    """No src/ module uses an attribute named ``attr``, and
+    perfbench/workloads.py still does."""
+    def uses(path: Path) -> list[int]:
+        return [node.lineno for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, ast.Attribute) and node.attr == attr]
+    in_src = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py")) for line in uses(path)]
+    assert not in_src, f"src/ uses an attribute named {attr}: {in_src}"
+    assert uses(BENCH / "workloads.py"), \
+        f"perfbench/workloads.py no longer uses .{attr}: delete {owner}.{attr}"
 
 
 def test_filter_alias_serves_only_the_benchmark():
     """``BloomFilter.filter`` returns the filter itself: the program holds
     the filter directly, and only perfbench/workloads.py still reads the
     attribute.  Once it does not, the alias goes."""
-    in_src = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
-              for line in _filter_reads(path)]
-    assert not in_src, f"src/ reads an attribute named filter: {in_src}"
-    assert _filter_reads(BENCH / "workloads.py"), \
-        "perfbench/workloads.py no longer reads .filter: delete BloomFilter.filter"
+    _used_only_by_the_benchmark("filter", "BloomFilter")
+
+
+def test_local_time_serves_only_the_benchmark():
+    """Every node of a run reads one clock, ``Simulation.now``, and
+    ``Simulation.local_time`` returns it: only perfbench/workloads.py
+    still calls it.  Once it does not, the method goes."""
+    _used_only_by_the_benchmark("local_time", "Simulation")

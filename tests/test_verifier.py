@@ -1,3 +1,4 @@
+import logging
 import random
 from dataclasses import replace
 
@@ -105,12 +106,14 @@ def test_pull_response_epoch_selection(cid, pm_key):
     assert v.erc_local.epoch_id == 1
 
 
-def test_pull_response_incompatible_params(pm_key):
+def test_pull_response_incompatible_params(pm_key, caplog):
     v = make_verifier(pm_key)
     fresh(v, now=0)
     other = FilterParams(4096, 4)
     resp = ErcPullResp(empty(0, other), empty(1, other))
-    assert not v.handle_pull_response(resp, now=1)       # m differs
+    with caplog.at_level(logging.WARNING, logger="rangerevoke"):
+        assert not v.handle_pull_response(resp, now=1)   # m differs
+    assert [r.getMessage() for r in caplog.records] == ["v0: dropping incompatible filter"]
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -223,12 +226,15 @@ def test_genuineness_is_checked_once_per_capability_in_its_slot(cid, pm_key,
     for earlier, cap in zip([None] + caps, caps):
         start = cap.slot * cfg.delta
         assert cost(cap, start + 1) == (Decision.GRANTED, h + 2, h + 1)
+        # the clock's slot changed: nothing found genuine before is kept
+        assert list(v._genuine.values()) == [cap]
         copy = codec.decode_capability(codec.encode_capability(cap))
         assert cost(copy, start + 30) == (Decision.GRANTED, 0, h + 1)
-        if earlier is not None:       # the skew still admits the previous slot
-            for _ in range(2):        # verified each time, never remembered
-                assert cost(earlier, start + 2) == (Decision.GRANTED, h + 2, h + 1)
-        assert list(v._genuine.values()) == [cap]
+        if earlier is not None:       # the skew still admits the previous slot:
+            # verified once more in the clock's slot, then remembered
+            assert cost(earlier, start + 2) == (Decision.GRANTED, h + 2, h + 1)
+            assert cost(earlier, start + 3) == (Decision.GRANTED, 0, h + 1)
+            assert list(v._genuine.values()) == [cap, earlier]
     # a revocation merged between two showings denies the second
     v.erc_local.add(caps[-1].latchkeys[-1].sig)
     assert cost(caps[-1], caps[-1].slot * cfg.delta + 40) == \
