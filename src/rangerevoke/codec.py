@@ -23,10 +23,11 @@ envelope's.
 
 Every decoder is total: malformed bytes raise a typed ``DecodeError``
 subclass, never anything else, and every decoder rejects truncated input
-and trailing garbage.  Decoders read at explicit offsets: each
-fixed-size part is one precompiled ``struct`` unpack behind one length
-check, and a filter's bits are one slice.  An encoder packs the envelope
-head in one call and joins the payload's parts once.  Encoders refuse a
+and trailing garbage.  Decoders read at explicit offsets: one head reader
+checks a standalone record's magic and version, one part reader does
+every fixed-size part's length check and precompiled ``struct`` unpack,
+and a filter's bits are one slice.  An encoder joins the record's mark
+(magic and version), its head and its parts once.  Encoders refuse a
 fixed-size byte field of another length with ``ValueError``, where
 ``struct`` would pad or cut it.
 """
@@ -82,9 +83,13 @@ class FieldError(DecodeError):
     """A structurally present field holds an invalid value."""
 
 
+# a standalone record's mark: its magic and version
+_ENVELOPE_MARK = ENVELOPE_MAGIC + bytes((VERSION,))
+_CAPABILITY_MARK = CAPABILITY_MAGIC + bytes((CAPABILITY_VERSION,))
+
 # fixed-size parts, each written and read in one step
-_ENVELOPE = struct.Struct(">4sBBI")          # magic, version, type tag, length
-_CAPABILITY_HEAD = struct.Struct(f">4sBQ{PUBLIC_KEY_LEN}s{SIGNATURE_LEN}sB")  # ... latchkey count
+_ENVELOPE = struct.Struct(">BI")             # type tag, length
+_CAPABILITY_HEAD = struct.Struct(f">Q{PUBLIC_KEY_LEN}s{SIGNATURE_LEN}sB")  # ... latchkey count
 _LATCHKEY = struct.Struct(f">BQ{SIGNATURE_LEN}s")  # level, index, signature
 _FILTER_HEAD = struct.Struct(">QQB")         # epoch, m, k
 _ORDER = struct.Struct(f">{CLIENT_ID_LEN}sQQ{SIGNATURE_LEN}s")
@@ -101,21 +106,25 @@ def _need(data: bytes, end: int) -> None:
         raise Truncated(f"need {end} bytes, have {len(data)}")
 
 
-def _short_head(data: bytes, magic: bytes, version: int) -> DecodeError:
-    """The error for ``data`` shorter than its fixed head: a wrong magic
-    or version among the bytes present is named first."""
-    if len(data) >= len(magic) and data[:len(magic)] != magic:
-        return BadMagic(f"expected magic {magic!r}, got {data[:len(magic)]!r}")
-    if len(data) > len(magic) and data[len(magic)] != version:
-        return BadVersion(f"unsupported version {data[len(magic)]:#04x}")
-    return Truncated(f"{len(data)} bytes is shorter than the head")
+def _read(data: bytes, pos: int, part: struct.Struct) -> tuple[tuple, int]:
+    """The fields of the fixed-size ``part`` at ``pos``, and the offset after it."""
+    end = pos + part.size
+    if end > len(data):
+        raise Truncated(f"need {end} bytes, have {len(data)}")
+    return part.unpack_from(data, pos), end
 
 
-def _check_head(magic: bytes, version: int, want_magic: bytes, want_version: int) -> None:
-    if magic != want_magic:
-        raise BadMagic(f"expected magic {want_magic!r}, got {magic!r}")
-    if version != want_version:
-        raise BadVersion(f"unsupported version {version:#04x}")
+def _read_head(data: bytes, mark: bytes, head: struct.Struct) -> tuple[tuple, int]:
+    """A standalone record's ``head`` fields after its 5-byte ``mark``.
+    Among the bytes present, a wrong magic is named first, then a wrong
+    version, then a short head."""
+    got = data[:5]
+    if got != mark:
+        if len(got) >= 4 and got[:4] != mark[:4]:
+            raise BadMagic(f"expected magic {mark[:4]!r}, got {got[:4]!r}")
+        if len(got) == 5:
+            raise BadVersion(f"unsupported version {got[4]:#04x}")
+    return _read(data, 5, head)
 
 
 def _sized(what: str, size: int, *fields: bytes) -> None:
@@ -137,23 +146,22 @@ def encode_capability(cap: Capability) -> bytes:
     _sized("pseudonym key", PUBLIC_KEY_LEN, cap.pseudonym_pub)
     _sized("signature", SIGNATURE_LEN, cap.endorsement, *(lk.sig for lk in cap.latchkeys))
     return b"".join((
-        _CAPABILITY_HEAD.pack(CAPABILITY_MAGIC, CAPABILITY_VERSION, cap.epoch_id,
-                              cap.pseudonym_pub, cap.endorsement, len(cap.latchkeys)),
+        _CAPABILITY_MARK,
+        _CAPABILITY_HEAD.pack(cap.epoch_id, cap.pseudonym_pub, cap.endorsement,
+                              len(cap.latchkeys)),
         *(_LATCHKEY.pack(lk.label.level, lk.label.index, lk.sig) for lk in cap.latchkeys)))
 
 
 def decode_capability(data: bytes) -> Capability:
-    if len(data) < _CAPABILITY_HEAD.size:
-        raise _short_head(data, CAPABILITY_MAGIC, CAPABILITY_VERSION)
-    magic, version, epoch_id, pub, endorsement, count = _CAPABILITY_HEAD.unpack_from(data)
-    _check_head(magic, version, CAPABILITY_MAGIC, CAPABILITY_VERSION)
+    (epoch_id, pub, endorsement, count), pos = _read_head(data, _CAPABILITY_MARK,
+                                                          _CAPABILITY_HEAD)
     if count == 0:
         raise FieldError("capability carries no latchkeys")
-    end = _CAPABILITY_HEAD.size + count * _LATCHKEY.size
+    end = pos + count * _LATCHKEY.size
     _end(data, end)
     return Capability(epoch_id, pub, endorsement, tuple(
         Latchkey(NodeLabel(epoch_id, level, index), sig)
-        for level, index, sig in _LATCHKEY.iter_unpack(data[_CAPABILITY_HEAD.size:end])))
+        for level, index, sig in _LATCHKEY.iter_unpack(data[pos:end])))
 
 
 # -- payloads: each reader takes the message and the payload's offset, and
@@ -170,14 +178,10 @@ def _filter_params(m: int, k: int) -> FilterParams:
 
 
 def _read_filter(data: bytes, pos: int) -> tuple[BloomFilter, int]:
-    bits = pos + _FILTER_HEAD.size
-    if bits > len(data):
-        raise Truncated(f"filter head needs {bits} bytes, have {len(data)}")
-    epoch_id, m, k = _FILTER_HEAD.unpack_from(data, pos)
+    (epoch_id, m, k), bits = _read(data, pos, _FILTER_HEAD)
     params = _filter_params(m, k)
     end = bits + m // 8
-    if end > len(data):
-        raise Truncated(f"filter bits need {end} bytes, have {len(data)}")
+    _need(data, end)
     return BloomFilter(params, epoch_id, data[bits:end]), end
 
 
@@ -187,24 +191,18 @@ def _write_filters(msg: ErcPush | ErcPullResp | EpochReport) -> tuple:
             _FILTER_HEAD.pack(nxt.epoch_id, nxt.m, nxt.k), nxt.bits)
 
 
-def _read_filters(cls):
+def _read_filters(cls, lead: struct.Struct = struct.Struct(">")):
+    """Reader of a ``cls`` message: ``lead``'s fields, then two filters."""
     def read(data: bytes, pos: int) -> tuple[Message, int]:
+        fields, pos = _read(data, pos, lead)
         current, pos = _read_filter(data, pos)
         nxt, pos = _read_filter(data, pos)
-        return cls(current, nxt), pos
+        return cls(*fields, current, nxt), pos
     return read
 
 
 def _write_report(msg: EpochReport) -> tuple:
     return (_U64.pack(msg.from_epoch), *_write_filters(msg))
-
-
-def _read_report(data: bytes, pos: int) -> tuple[EpochReport, int]:
-    _need(data, pos + _U64.size)
-    (from_epoch,) = _U64.unpack_from(data, pos)
-    current, pos = _read_filter(data, pos + _U64.size)
-    nxt, pos = _read_filter(data, pos)
-    return EpochReport(from_epoch, current, nxt), pos
 
 
 def _write_order(order: RevocationOrder) -> tuple:
@@ -214,8 +212,8 @@ def _write_order(order: RevocationOrder) -> tuple:
 
 
 def _read_order(data: bytes, pos: int) -> tuple[RevocationOrder, int]:
-    _need(data, pos + _ORDER.size)
-    return RevocationOrder(*_ORDER.unpack_from(data, pos)), pos + _ORDER.size
+    fields, pos = _read(data, pos, _ORDER)
+    return RevocationOrder(*fields), pos
 
 
 def _write_request(msg: RequestRrp) -> tuple:
@@ -228,14 +226,12 @@ def _write_request(msg: RequestRrp) -> tuple:
 
 
 def _read_request(data: bytes, pos: int) -> tuple[RequestRrp, int]:
-    _need(data, pos + _REQUEST_HEAD.size)
-    cid, epoch_id, count, has_proof = _REQUEST_HEAD.unpack_from(data, pos)
-    pos += _REQUEST_HEAD.size
+    (cid, epoch_id, count, has_proof), pos = _read(data, pos, _REQUEST_HEAD)
     proof = proof_slot = None
+    if has_proof > 1:
+        raise FieldError(f"has-proof byte must be 0 or 1, got {has_proof}")
     if has_proof:
-        _need(data, pos + _PROOF_HEAD.size)
-        proof_slot, length = _PROOF_HEAD.unpack_from(data, pos)
-        pos += _PROOF_HEAD.size
+        (proof_slot, length), pos = _read(data, pos, _PROOF_HEAD)
         _need(data, pos + length)
         proof = decode_capability(data[pos:pos + length])
         pos += length
@@ -256,9 +252,7 @@ def _read_response(data: bytes, pos: int) -> tuple[RrpResponse, int]:
     reason = _REASONS.get(data[pos])        # named before a short head, as it comes first
     if reason is None:
         raise FieldError("unknown denial reason")
-    _need(data, pos + _RESPONSE_HEAD.size)
-    _, epoch_id, count = _RESPONSE_HEAD.unpack_from(data, pos)
-    pos += _RESPONSE_HEAD.size
+    (_, epoch_id, count), pos = _read(data, pos, _RESPONSE_HEAD)
     end = pos + count * _ENDORSEMENT.size
     _need(data, end)
     try:
@@ -276,7 +270,7 @@ _FORMATS = {
     ErcPush: (0x04, _write_filters, _read_filters(ErcPush)),
     ErcPullReq: (0x05, lambda msg: (), lambda data, pos: (ErcPullReq(), pos)),
     ErcPullResp: (0x06, _write_filters, _read_filters(ErcPullResp)),
-    EpochReport: (0x07, _write_report, _read_report),
+    EpochReport: (0x07, _write_report, _read_filters(EpochReport, _U64)),
 }
 _READERS = {tag: read for tag, _, read in _FORMATS.values()}
 
@@ -290,18 +284,15 @@ def encode_message(msg: Message) -> bytes:
     except KeyError:
         raise TypeError(f"not a wire message: {type(msg).__name__}") from None
     payload = b"".join(write(msg))
-    return _ENVELOPE.pack(ENVELOPE_MAGIC, VERSION, tag, len(payload)) + payload
+    return b"".join((_ENVELOPE_MARK, _ENVELOPE.pack(tag, len(payload)), payload))
 
 
 def decode_message(data: bytes) -> Message:
-    if len(data) < _ENVELOPE.size:
-        raise _short_head(data, ENVELOPE_MAGIC, VERSION)
-    magic, version, tag, length = _ENVELOPE.unpack_from(data)
-    _check_head(magic, version, ENVELOPE_MAGIC, VERSION)
-    _end(data, _ENVELOPE.size + length)
+    (tag, length), pos = _read_head(data, _ENVELOPE_MARK, _ENVELOPE)
+    _end(data, pos + length)
     read = _READERS.get(tag)
     if read is None:
         raise FieldError(f"unknown message type {tag:#04x}")
-    msg, end = read(data, _ENVELOPE.size)
+    msg, end = read(data, pos)
     _end(data, end)
     return msg

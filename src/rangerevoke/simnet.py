@@ -265,12 +265,16 @@ class Simulation:
         return windows is not None and any(start <= t < end for start, end in windows)
 
     def _delay(self) -> int:
-        base = self.rng.randint(1, self.cfg.delta_net)
-        deliver_at = self.now + base
-        for w in self.cfg.unstable:
+        rng, delta_net, windows = self.rng, self.cfg.delta_net, self.cfg.unstable
+        deliver_at = self.now + rng.randint(1, delta_net)
+        for w in windows:
             if deliver_at in w or self.now in w:
                 # unstable window: hold the message until stability returns
-                deliver_at = w.end + self.rng.randint(1, self.cfg.delta_net)
+                deliver_at = w.end + rng.randint(1, delta_net)
+        # a hold can end inside another window: hold on until none holds it
+        # (a run without windows builds no list per message)
+        while windows and (held := [w for w in windows if deliver_at in w]):
+            deliver_at = held[0].end + rng.randint(1, delta_net)
         return deliver_at - self.now
 
     def _emit(self, src: str, outgoing: list[Outgoing]) -> None:

@@ -39,7 +39,6 @@ field-by-field reader that replaced, with its cursor ``_Reader``.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -131,7 +130,19 @@ def labels_under(cfg: EpochConfig, label: NodeLabel) -> set[NodeLabel]:
 
 # -- exact-membership filter --------------------------------------------------
 
-_digest = functools.lru_cache(maxsize=1 << 12)(digest)
+class _Digests(dict):
+    """item -> ``digest(item)``, emptied when it outgrows 4,096 entries; a
+    hit is one dict lookup, which ``functools.lru_cache`` does not give a
+    bytes argument."""
+
+    def __missing__(self, item: bytes) -> bytes:
+        if len(self) >= 1 << 12:
+            self.clear()
+        value = self[item] = digest(item)
+        return value
+
+
+_digest = _Digests().__getitem__
 
 
 class ExactSet:
@@ -193,7 +204,9 @@ def merge_latchkeys(capabilities: list[Capability]) -> LatchkeySet:
     epochs = {c.epoch_id for c in capabilities}
     if len(epochs) > 1:
         raise ValueError("capabilities from different epochs cannot be merged")
-    merged = frozenset(chain.from_iterable(c.latchkeys for c in capabilities))
+    # capabilities of one pseudonym share latchkey objects: hash each object once
+    latchkeys = list(chain.from_iterable(c.latchkeys for c in capabilities))
+    merged = frozenset(dict(zip(map(id, latchkeys), latchkeys)).values())
     return LatchkeySet(pseudonym_pub=pubs.pop(), latchkeys=merged)
 
 
@@ -205,19 +218,20 @@ def remove_unsafe(lset: LatchkeySet, cfg: EpochConfig) -> LatchkeySet:
     that can never appear in a capability for a non-revoked slot.
     """
     leaf_slots = {lk.label.index for lk in lset.latchkeys if lk.label.level == cfg.height}
-    safe = frozenset(
-        lk for lk in lset.latchkeys
-        if leaf_slots.issuperset(leaves_under(cfg, lk.label))
-    )
-    return LatchkeySet(lset.pseudonym_pub, safe)
+    # a leaf covers only its own slot; the few unsafe latchkeys are all
+    # that the difference hashes again
+    unsafe = [lk for lk in lset.latchkeys if lk.label.level < cfg.height
+              and not leaf_slots.issuperset(leaves_under(cfg, lk.label))]
+    return LatchkeySet(lset.pseudonym_pub, frozenset(lset.latchkeys).difference(unsafe))
 
 
 def remove_redundant(lset: LatchkeySet, cfg: EpochConfig) -> LatchkeySet:
     """Drop latchkeys whose parent latchkey is also present (size-only pass)."""
-    labels = lset.labels
+    # labels as tuples, which hash without running Python code
+    labels = {(lk.label.epoch_id, lk.label.level, lk.label.index) for lk in lset.latchkeys}
     kept = frozenset(
         lk for lk in lset.latchkeys
-        if parent_label(cfg, lk.label) not in labels
+        if (lk.label.epoch_id, lk.label.level - 1, lk.label.index // cfg.fanout) not in labels
     )
     return LatchkeySet(lset.pseudonym_pub, kept)
 
@@ -473,7 +487,10 @@ def _request_by_field(r: _Reader) -> RequestRrp:
     epoch_id = r.u64()
     count = r.u8()
     proof = proof_slot = None
-    if r.u8():
+    has_proof = r.u8()
+    if has_proof not in (0, 1):
+        raise codec.FieldError(f"has-proof byte must be 0 or 1, got {has_proof}")
+    if has_proof:
         proof_slot = r.u64()
         proof = decode_capability_by_field(r.take(r.u32()))
     try:

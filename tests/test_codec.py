@@ -261,11 +261,46 @@ def test_every_prefix_is_truncated_and_one_more_byte_is_trailing(cap, cid):
             decode(blob + b"\x00")
 
 
+def test_short_head_names_magic_then_version_then_length(cap):
+    """Input shorter than a record's head, for the capability and the
+    message envelope: among the bytes present a wrong magic is named
+    first (once all 4 are present), then a wrong version, then the short
+    head, as the field-by-field reader names them."""
+    cases = [(codec.decode_capability, decode_capability_by_field,
+              codec.encode_capability(cap), 4 + 1 + 8 + 32 + 64 + 1),
+             (codec.decode_message, decode_message_by_field, bytes(push_blob()), 10)]
+    for decode, by_field, blob, head in cases:
+        for end in range(head):
+            for flip in (None, *range(min(end, 5))):     # a magic byte, then the version
+                mutant = bytearray(blob[:end])
+                if flip is not None:
+                    mutant[flip] ^= 0x01
+                expected = (codec.Truncated if flip is None or end < 4
+                            else codec.BadMagic if flip < 4 else codec.BadVersion)
+                for reader in (decode, by_field):
+                    with pytest.raises(expected):
+                        reader(bytes(mutant))
+
+
+def test_has_proof_byte_is_0_or_1(cap, cid):
+    """A request's has-proof byte means no proof (0) or a proof (1); any
+    other value is refused, so one request has one encoding."""
+    for msg in (RequestRrp(cid, 4, 3), RequestRrp(cid, 4, 3, proof=cap, proof_slot=1)):
+        blob = bytearray(codec.encode_message(msg))
+        assert blob[10 + 32 + 8 + 1] == (msg.proof is not None)  # after cid, epoch, count
+        for value in range(2, 256):
+            blob[10 + 32 + 8 + 1] = value
+            for decode in (codec.decode_message, decode_message_by_field):
+                with pytest.raises(codec.FieldError):
+                    decode(bytes(blob))
+
+
 def test_message_decoder_matches_field_by_field_reader(cap, cid):
     """Against the reader that takes each field with its own length check
     (``oracles.decode_message_by_field``): the same message from each
     type's encoding, and the same message or the same error class from
-    every proper prefix, from one byte more and from 300 seeded bit flips."""
+    every proper prefix, from one byte more and from 300 seeded bit flips.
+    A mutant that decodes re-encodes to itself."""
     for tag, msg in enumerate(one_of_each(cap, cid), start=1):
         blob = codec.encode_message(msg)
         assert blob[5] == tag
@@ -284,6 +319,8 @@ def test_message_decoder_matches_field_by_field_reader(cap, cid):
                 except codec.DecodeError as exc:
                     outcomes.append(type(exc))
             assert outcomes[0] == outcomes[1], (type(msg).__name__, mutant)
+            if not isinstance(outcomes[0], type):
+                assert codec.encode_message(outcomes[0]) == mutant
 
 
 @pytest.mark.parametrize("epoch_len, delta, height", [(60, 60, 0), (120, 60, 1),
@@ -293,7 +330,8 @@ def test_capability_decoder_matches_field_by_field_reader(pm_key, cid, epoch_len
     """Round trips at tree heights 0, 1, 11 and 17 (1 s slots), and the
     reader that takes each latchkey field by field: the same capability
     from every valid encoding, and the same error class from every proper
-    prefix, from one byte more and from seeded byte flips."""
+    prefix, from one byte more and from seeded byte flips.  A mutant that
+    decodes re-encodes to itself."""
     cfg = EpochConfig(9, epoch_len, delta)
     assert cfg.height == height
     rng = random.Random(height)
@@ -318,6 +356,8 @@ def test_capability_decoder_matches_field_by_field_reader(pm_key, cid, epoch_len
                 except codec.DecodeError as exc:
                     outcomes.append(type(exc))
             assert outcomes[0] == outcomes[1], mutant
+            if not isinstance(outcomes[0], type):
+                assert codec.encode_capability(outcomes[0]) == mutant
 
 
 def test_request_count_outside_1_to_255_is_refused(cid):
@@ -369,7 +409,10 @@ def test_encoders_refuse_fixed_size_fields_of_another_length(cap, cid):
 # -- fuzz -------------------------------------------------------------------
 
 def test_fuzz_random_bytes_raise_only_typed_errors(cap, cid):
-    decoders = [codec.decode_capability, codec.decode_message]
+    """Mutated encodings and random bytes raise only ``DecodeError``s, and
+    whatever decodes re-encodes to the same bytes."""
+    decoders = [(codec.decode_capability, codec.encode_capability),
+                (codec.decode_message, codec.encode_message)]
     rng = random.Random(0)
     seeds = [codec.encode_capability(cap),
              codec.encode_message(ErcPush(bloom_erc(0), bloom_erc(1))),
@@ -389,8 +432,9 @@ def test_fuzz_random_bytes_raise_only_typed_errors(cap, cid):
                          if rng.random() < 0.3 else base)
         else:
             blob = rng.randbytes(rng.randint(0, 80))
-        for decode in decoders:
+        for decode, encode in decoders:
             try:
-                decode(blob)
+                decoded = decode(blob)
             except codec.DecodeError:
-                pass
+                continue
+            assert encode(decoded) == blob

@@ -98,6 +98,22 @@ def test_unstable_window_defers_delivery():
     assert auth_45[0].decision in ("revoked", "stale-state")
 
 
+@pytest.mark.parametrize("windows", [((19, 30), (10, 20)), ((10, 20), (19, 30)),
+                                     ((10, 50), (20, 30)), ((20, 30), (10, 50))])
+def test_no_delivery_lands_inside_a_window_whatever_their_order(windows):
+    """Crossing and nested windows, each listed both ways round: a message
+    sent at 15 s or at 25 s is held until after every window it would
+    arrive in."""
+    sim = Simulation(small_cfg(unstable=tuple(Window(start * MICRO, end * MICRO)
+                                              for start, end in windows)))
+    for sent in (15 * MICRO, 25 * MICRO):
+        sim.now = sent
+        for _ in range(50):
+            deliver_at = sent + sim._delay()
+            assert not any(deliver_at in w for w in sim.cfg.unstable), (sent, deliver_at)
+            assert deliver_at <= max(end for _, end in windows) * MICRO + sim.cfg.delta_net
+
+
 def test_crashed_pm_misses_traffic_then_recovers():
     cfg = small_cfg(
         crashes=(CrashWindow("pm2", 15 * MICRO, 35 * MICRO),),
