@@ -18,8 +18,9 @@ transmit, so nodes drop unchanged into the simulator or behind a real
 transport.  Filters enter one way, whichever message carries them: the core
 merges both or neither, only filters for a held epoch postpone the pull,
 and gainful ones are forwarded or, in a report, counted towards a quorum.
-An admin order takes effect by one rule in whatever epoch it arrives;
-the node relays it, and pushes the filters if it changed them.
+An admin order expels its client and is relayed; only the managers the
+admin sends it to sign its filter bits, by one rule in whatever epoch it
+arrives, and push them on a gain.
 """
 
 from __future__ import annotations
@@ -211,19 +212,10 @@ class TrustedCore:
 
     # -- revocation -------------------------------------------------------
 
-    def revoke(self, order: RevocationOrder) -> None:
-        """Apply an administrator order; ``ValueError``, and no state
-        change, if its signature is bad or its slot lies outside the epoch.
-
-        An order of epoch E expels its client for good and revokes every
-        instance from slot ``rts`` to the end of E, and all of E + 1, where
-        the client may already hold pseudonyms.  One rule, whatever epoch
-        the core is in, writes each held epoch's part: E gets the minimal
-        tree cover of [rts, T - 1], computed once and signed under each
-        instance's key; E + 1 each instance's root latchkey; any other
-        epoch nothing.  A core at E - 1 need not write E + 1: it has
-        expelled the client.  Merging is idempotent, so replays change nothing.
-        """
+    def expel(self, order: RevocationOrder) -> None:
+        """Expel an administrator order's client for good, writing no filter
+        bit; ``ValueError``, and no state change, if its signature is bad or
+        its slot lies outside the epoch."""
         cfg = self.cfg_for(order.epoch_id)      # every epoch has the same slots
         if not 0 <= order.rts < cfg.slots:
             raise ValueError(f"rts {order.rts} outside the epoch's "
@@ -231,6 +223,21 @@ class TrustedCore:
         if not ver_sign(self.admin_public, order.signed_payload(), order.admin_sig):
             raise ValueError("bad signature")
         self.revoked.add(order.cid)
+
+    def revoke(self, order: RevocationOrder) -> None:
+        """``expel``, then write the order's filter bits.
+
+        An order of epoch E revokes every instance from slot ``rts`` to the
+        end of E, and all of E + 1, where the client may already hold
+        pseudonyms.  One rule, whatever epoch the core is in, writes each
+        held epoch's part: E gets the minimal tree cover of [rts, T - 1],
+        computed once and signed under each instance's key; E + 1 each
+        instance's root latchkey; any other epoch nothing.  A core at
+        E - 1 need not write E + 1: it has expelled the client.  Merging
+        is idempotent, so replays change nothing.
+        """
+        self.expel(order)
+        cfg = self.cfg_for(order.epoch_id)
         held = [self.erc_current, self.erc_next]
         for j in range(2):
             epoch_id = self.epoch_now + j
@@ -298,6 +305,7 @@ class PmNode:
         self._reports: dict[int, set[str]] = {}  # epoch_now or epoch_now + 1 -> senders
         self._last_update: int | None = None     # when filters last arrived
         self._orders: dict[tuple, RevocationOrder] = {}  # relayed admin orders
+        self._signed: set[tuple] = set()   # orders whose bits this core wrote
         self.stats = {"pushes": 0, "pulls": 0, "forwards": 0}
 
     def deliver(self, sender: str, msg: Message, now: int) -> list[Outgoing]:
@@ -321,7 +329,7 @@ class PmNode:
             case ErcPullReq():
                 return self.handle_pull_request(sender)
             case RevocationOrder():
-                return self.handle_revoke(msg)
+                return self.handle_revoke(sender, msg)
             case RequestRrp():
                 return [Outgoing(sender, self.handle_request(msg))]
         return []
@@ -338,20 +346,30 @@ class PmNode:
 
     # -- revocation and gossip --------------------------------------------
 
-    def handle_revoke(self, order: RevocationOrder) -> list[Outgoing]:
+    def handle_revoke(self, sender: str, order: RevocationOrder) -> list[Outgoing]:
+        """Relay an admin order once and sign its bits only on the admin's
+        own copy.  A peer's copy, relayed or resent in a pull response, only
+        expels; it never stands in for the admin's, so a spoofed sender can
+        delay that work but not drop it."""
         key = (order.cid, order.rts, order.epoch_id)
-        if key in self._orders:
+        relayed = sender in self.peers
+        if key in (self._orders if relayed else self._signed):
             return []
         before = self.core.erc_current, self.core.erc_next
         try:
-            self.core.revoke(order)
+            (self.core.expel if relayed else self.core.revoke)(order)
         except ValueError as exc:
             log.warning("%s: revocation order rejected: %s", self.node_id, exc)
             return []
-        # Relay the admin-signed order itself: peers that never served this
-        # client learn the expulsion, which outlives both filter epochs.
-        self._orders[key] = order
-        relays = [Outgoing(p, order) for p in self.rng.sample(self.peers, self.fanout)]
+        # Relay the admin-signed order itself, once: peers that never served
+        # this client learn the expulsion, which outlives both filter epochs.
+        relays = []
+        if key not in self._orders:
+            self._orders[key] = order
+            relays = [Outgoing(p, order) for p in self.rng.sample(self.peers, self.fanout)]
+        if relayed:
+            return relays
+        self._signed.add(key)
         if order.epoch_id > self.core.epoch_now + 1:
             log.warning("%s: filters unchanged: order targets epoch %d, current is %d",
                         self.node_id, order.epoch_id, self.core.epoch_now)

@@ -359,7 +359,7 @@ def test_reports_far_ahead_keep_no_senders(pm_key, admin_key, cid):
     filters, but their senders are not kept."""
     node = make_node(pm_key, admin_key, cid, n=4, f=1)
     other = make_node(pm_key, admin_key, cid, node_id="pm1")
-    other.handle_revoke(signed_order(admin_key, cid, 1, 0))
+    other.handle_revoke("admin", signed_order(admin_key, cid, 1, 0))
     for from_epoch in range(2, 1002):
         node.deliver("pm1", EpochReport(from_epoch, other.core.erc_current,
                                         other.core.erc_next), now=1)
@@ -391,13 +391,13 @@ def test_short_client_id_is_refused(pm_key, admin_key, cid):
 def test_eager_push_fanout(pm_key, admin_key, cid):
     node = make_node(pm_key, admin_key, cid, f=1)
     order = signed_order(admin_key, cid, 1, 0)
-    out = node.handle_revoke(order)
+    out = node.handle_revoke("admin", order)
     pushes = [o for o in out if not isinstance(o.msg, RevocationOrder)]
     relays = [o for o in out if isinstance(o.msg, RevocationOrder)]
     assert len({o.dst for o in pushes}) == 2   # filters to f + 1 distinct peers
     assert len({o.dst for o in relays}) == 2   # the order itself travels too
     assert all(o.dst != "pm0" for o in out)
-    assert node.handle_revoke(order) == []     # replay: nothing new to say
+    assert node.handle_revoke("admin", order) == []     # replay: nothing new to say
 
 
 def test_stale_epoch_order_still_expels(pm_key, admin_key, cid, caplog):
@@ -407,11 +407,11 @@ def test_stale_epoch_order_still_expels(pm_key, admin_key, cid, caplog):
     node = make_node(pm_key, admin_key, cid)
     node.core.rotate_epoch()
     with caplog.at_level(logging.DEBUG, logger="rangerevoke.manager"):
-        out = node.handle_revoke(signed_order(admin_key, cid, 1, 0))
+        out = node.handle_revoke("admin", signed_order(admin_key, cid, 1, 0))
         assert {type(o.msg) for o in out} == {ErcPush, RevocationOrder}
         assert any(node.core.erc_current.bits)
         node.core.rotate_epoch()
-        out = node.handle_revoke(signed_order(admin_key, cid, 2, 0))
+        out = node.handle_revoke("admin", signed_order(admin_key, cid, 2, 0))
         assert out and all(isinstance(o.msg, RevocationOrder) for o in out)
     assert not caplog.records
     resp = node.handle_request(RequestRrp(cid, 2, 1))
@@ -424,13 +424,13 @@ def test_future_epoch_order_expels_and_is_relayed(pm_key, admin_key, cid, caplog
     relayed and draws the one warning."""
     node = make_node(pm_key, admin_key, cid)
     with caplog.at_level(logging.WARNING, logger="rangerevoke.manager"):
-        out = node.handle_revoke(signed_order(admin_key, cid, 1, 1))
+        out = node.handle_revoke("admin", signed_order(admin_key, cid, 1, 1))
     assert not caplog.records
     assert {type(o.msg) for o in out} == {ErcPush, RevocationOrder}
     assert any(node.core.erc_next.bits)
     node = make_node(pm_key, admin_key, cid)
     with caplog.at_level(logging.WARNING, logger="rangerevoke.manager"):
-        out = node.handle_revoke(signed_order(admin_key, cid, 1, 2))
+        out = node.handle_revoke("admin", signed_order(admin_key, cid, 1, 2))
     assert out and all(isinstance(o.msg, RevocationOrder) for o in out)  # no filter push
     assert [r.levelno for r in caplog.records] == [logging.WARNING]
     assert "filters unchanged" in caplog.text
@@ -444,12 +444,92 @@ def test_an_order_whose_bits_a_push_brought_is_only_relayed(pm_key, admin_key, c
     peer that applied the order first, gains nothing from the order and
     answers it with relays alone."""
     order = signed_order(admin_key, cid, 1, 0)
-    push = next(o.msg for o in make_node(pm_key, admin_key, cid).handle_revoke(order)
+    entry = make_node(pm_key, admin_key, cid)
+    push = next(o.msg for o in entry.handle_revoke("admin", order)
                 if isinstance(o.msg, ErcPush))
     node = make_node(pm_key, admin_key, cid, node_id="pm1")
     assert node.deliver("pm0", push, 0)                 # the push gained bits
-    out = node.handle_revoke(order)
+    out = node.handle_revoke("admin", order)
     assert len(out) == 2 and all(o.msg is order for o in out)
+    assert cid in node.core.revoked
+
+
+def count_ed25519(monkeypatch) -> Counter:
+    """Count ``det_keygen``, ``det_sign`` and ``ver_sign`` calls made
+    through the manager and pseudonym modules from now on."""
+    calls = Counter()
+
+    def counted(module, name):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args: calls.update([name]) or original(*args))
+    counted(manager, "det_sign")
+    counted(manager, "ver_sign")
+    counted(pseudonym, "det_keygen")
+    return calls
+
+
+@pytest.mark.parametrize("via", ["relay", "pull-response"])
+def test_a_peer_relay_expels_and_relays_without_signing(pm_key, admin_key, cid,
+                                                        monkeypatch, via):
+    """An order from a peer, relayed or resent in a pull response, costs
+    one admin-signature check and no key or filter signature: it expels
+    its client and is relayed to f + 1 peers, and no filter bit changes."""
+    order = signed_order(admin_key, cid, 1, 0)
+    entry = make_node(pm_key, admin_key, cid)
+    entry.deliver("admin", order, 0)
+    [resent] = [o.msg for o in entry.handle_pull_request("pm1")
+                if isinstance(o.msg, RevocationOrder)]
+    node = make_node(pm_key, admin_key, cid, node_id="pm1")
+    before = node.core.erc_current, node.core.erc_next
+    calls = count_ed25519(monkeypatch)
+    out = node.deliver("pm0", order if via == "relay" else resent, 1)
+    assert calls == {"ver_sign": 1}
+    assert node.core.erc_current is before[0] and node.core.erc_next is before[1]
+    assert cid in node.core.revoked
+    assert all(isinstance(o.msg, RevocationOrder) for o in out)   # no ErcPush
+    assert len({o.dst for o in out}) == 2 and "pm1" not in {o.dst for o in out}
+    assert node.stats["pushes"] == 0
+    assert node.deliver("pm2", order, 1) == []          # a second relay: nothing to do
+
+
+def test_a_relay_with_a_bad_signature_expels_nobody(pm_key, admin_key, cid, caplog):
+    node = make_node(pm_key, admin_key, cid, node_id="pm1")
+    forged = RevocationOrder(cid, 2, 0, signed_order(admin_key, cid, 1, 0).admin_sig)
+    with caplog.at_level(logging.WARNING, logger="rangerevoke.manager"):
+        assert node.deliver("pm0", forged, 1) == []
+    assert [r.levelno for r in caplog.records] == [logging.WARNING]
+    assert "bad signature" in caplog.text
+    assert cid not in node.core.revoked and not node._orders
+
+
+def test_the_admins_copy_after_a_relay_is_applied_in_full(pm_key, admin_key, cid):
+    """A relay seen first does not stand in for the admin's own copy: that
+    copy still writes every bit a fresh core's ``revoke`` writes and
+    pushes them, without relaying the order a second time."""
+    order = signed_order(admin_key, cid, 1, 0)
+    node = make_node(pm_key, admin_key, cid, node_id="pm1")
+    relays = node.deliver("pm0", order, 1)
+    out = node.deliver("admin", order, 2)
+    assert [type(o.msg) for o in out] == [ErcPush, ErcPush]
+    assert not {o.dst for o in out} & {"pm1"}
+    fresh = make_core(pm_key, admin_key, cid)
+    fresh.revoke(order)
+    assert (node.core.erc_current, node.core.erc_next) == (fresh.erc_current,
+                                                           fresh.erc_next)
+    assert node.stats["pushes"] == 2 and len(relays) == 2
+    assert node.deliver("admin", order, 3) == []         # the admin's replay
+
+
+def test_a_future_epoch_relay_logs_nothing(pm_key, admin_key, cid, caplog):
+    """Only a manager that signs an order warns that it left the filters
+    unchanged; a relay recipient signs nothing, so a relay for a far
+    epoch is expelled on and relayed in silence."""
+    node = make_node(pm_key, admin_key, cid, node_id="pm1")
+    with caplog.at_level(logging.WARNING, logger="rangerevoke.manager"):
+        out = node.deliver("pm0", signed_order(admin_key, cid, 1, 2), 1)
+    assert not caplog.records
+    assert len(out) == 2 and all(isinstance(o.msg, RevocationOrder) for o in out)
     assert cid in node.core.revoked
 
 
@@ -470,14 +550,14 @@ def test_one_admin_signature_check_per_order(pm_key, admin_key, cid, monkeypatch
     order = signed_order(admin_key, cid, 1, epoch)
     if forged:
         order = RevocationOrder(cid, 2, epoch, order.admin_sig)
-    assert bool(node.handle_revoke(order)) is not forged
+    assert bool(node.handle_revoke("admin", order)) is not forged
     assert len(checks) == 1
     assert (cid in node.core.revoked) is not forged
 
 
 def test_pull_response_carries_orders_to_peers_only(pm_key, admin_key, cid):
     node = make_node(pm_key, admin_key, cid)
-    node.handle_revoke(signed_order(admin_key, cid, 1, 0))
+    node.handle_revoke("admin", signed_order(admin_key, cid, 1, 0))
     to_peer = node.handle_pull_request("pm2")
     assert any(isinstance(o.msg, RevocationOrder) for o in to_peer)
     to_verifier = node.handle_pull_request("v0")
@@ -503,7 +583,7 @@ def test_bad_order_not_gossiped(pm_key, admin_key, cid, caplog):
     node = make_node(pm_key, admin_key, cid)
     order = signed_order(admin_key, cid, 1, 0)
     with caplog.at_level(logging.WARNING, logger="rangerevoke.manager"):
-        assert node.handle_revoke(RevocationOrder(cid, 0, 0, order.admin_sig)) == []
+        assert node.handle_revoke("admin", RevocationOrder(cid, 0, 0, order.admin_sig)) == []
     assert [r.levelno for r in caplog.records] == [logging.WARNING]
     assert "bad signature" in caplog.text
 
@@ -514,7 +594,7 @@ def test_order_outside_the_epoch_is_refused_whole(pm_key, admin_key, cid, caplog
                                                   rts, epoch):
     node = make_node(pm_key, admin_key, cid)
     with caplog.at_level(logging.WARNING, logger="rangerevoke.manager"):
-        assert node.handle_revoke(signed_order(admin_key, cid, rts, epoch)) == []
+        assert node.handle_revoke("admin", signed_order(admin_key, cid, rts, epoch)) == []
     assert f"rts {rts} outside the epoch" in caplog.text
     assert cid not in node.core.revoked and not node._orders
     assert not any(node.core.erc_current.bits)
@@ -525,7 +605,7 @@ def test_order_outside_the_epoch_is_refused_whole(pm_key, admin_key, cid, caplog
 def test_redundant_gossip_not_forwarded(pm_key, admin_key, cid):
     a = make_node(pm_key, admin_key, cid, node_id="pm0")
     b = make_node(pm_key, admin_key, cid, node_id="pm1")
-    a.handle_revoke(signed_order(admin_key, cid, 1, 0))
+    a.handle_revoke("admin", signed_order(admin_key, cid, 1, 0))
     forwarded = b.deliver("pm0", ErcPush(a.core.erc_current, a.core.erc_next), 1)
     assert len(forwarded) == 2
     assert b.deliver("pm0", ErcPush(a.core.erc_current, a.core.erc_next), 1) == []

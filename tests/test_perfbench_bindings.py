@@ -76,6 +76,18 @@ def test_workload_sets_up_and_passes_its_oracle(name):
     assert metrics and all(isinstance(v, int | float) and v >= 0 for v in metrics.values())
 
 
+def test_every_gossip_run_passes_its_oracle():
+    """One whole seed-1 gossip pass, every grid cell and bundled scenario
+    through the benchmark's own ``check``: a protocol change that breaks
+    one of its runs fails here, not only as the benchmark's failed
+    operations."""
+    workload = _import_bench("workloads").WORKLOADS["gossip"](1)
+    workload.start_pass()
+    failed = [workload.runs[i][0] for i in range(workload.n_ops)
+              if workload.check(i, workload.op(i))]
+    assert workload.n_ops == 63 and failed == []
+
+
 def _tracer_test_bindings() -> list[tuple[str, object, str]]:
     """The (owner, "attr") pairs that the benchmark's tracer self-test names,
     read from its source with each owner resolved through that file's

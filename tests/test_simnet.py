@@ -4,10 +4,10 @@ from dataclasses import replace
 
 import pytest
 
-from rangerevoke import codec, pseudonym
+from rangerevoke import codec, manager, pseudonym
 from rangerevoke.crypto import det_sign
 from rangerevoke.manager import PmNode, TrustedCore
-from rangerevoke.messages import ErcPush, Outgoing, RequestRrp, RevocationOrder
+from rangerevoke.messages import DenialReason, ErcPush, Outgoing, RequestRrp, RevocationOrder
 from rangerevoke.pseudonym import create_rrp
 from rangerevoke.scenario import (
     SCENARIO_DIR,
@@ -232,6 +232,117 @@ def test_every_verifier_holds_an_order_or_is_stale_by_the_deadline(crash):
         if sim.misses:
             late[seed] = sim.misses[0]
     assert late == {}
+
+
+def count_signers(monkeypatch) -> dict[bytes, set[TrustedCore]]:
+    """Per client id, the cores that wrote bits of an order for it: each
+    ``manager.revocation_cover_ercset`` call is charged to the core whose
+    ``revoke`` is running."""
+    signers, running = {}, []
+    cover, revoke = manager.revocation_cover_ercset, TrustedCore.revoke
+
+    def tracked(core, order):
+        running.append(core)
+        try:
+            revoke(core, order)
+        finally:
+            running.pop()
+
+    def counted(cid, *args):
+        signers.setdefault(cid, set()).add(running[-1])
+        return cover(cid, *args)
+    monkeypatch.setattr(TrustedCore, "revoke", tracked)
+    monkeypatch.setattr(manager, "revocation_cover_ercset", counted)
+    return signers
+
+
+def assert_signed_by_entry_managers_alone(sim, signers) -> None:
+    """1 to f + 1 of the run's cores wrote the order's bits, every manager
+    expelled the client, and the correct managers hold equal filters."""
+    cid, f = sim.clients[0].cid, sim.cfg.fault_bound
+    cores = {pm.core for pm in sim.pms.values()}
+    assert 1 <= len(signers.get(cid, set()) & cores) <= f + 1
+    correct = sim.correct_pms()
+    assert all(cid in sim.pms[p].core.revoked for p in correct)
+    filters = [(sim.pms[p].core.erc_current, sim.pms[p].core.erc_next) for p in correct]
+    assert all(pair == filters[0] for pair in filters)
+
+
+@pytest.mark.parametrize("crash", [False, True], ids=["no-crash", "entry-down-after"])
+def test_only_the_entry_managers_sign_an_order(monkeypatch, crash):
+    """In the deadline test's runs, the f + 1 managers the admin sends the
+    order to are the only ones that sign its bits; the others expel on a
+    relay and take the bits from gossip, and all still converge."""
+    base = SimConfig(n_pms=4, fault_bound=1, n_verifiers=3, horizon=100 * MICRO)
+    crashes = (CrashWindow("pm0", ORDER_AT + base.delta_net + 1, 40 * MICRO),) if crash else ()
+    script = (Action(ORDER_AT, "revoke", {"client": 0, "pm": "pm0"}),)
+    signers = count_signers(monkeypatch)
+    for seed in range(20):
+        signers.clear()
+        sim = Simulation(replace(base, seed=seed, crashes=crashes, script=script))
+        sim.run()
+        assert_signed_by_entry_managers_alone(sim, signers)
+
+
+def test_only_the_entry_managers_sign_an_order_among_five(monkeypatch):
+    """An acceptance #8 grid cell: N = 5, f = 1, pm0 down from 25 s to
+    80 s, the order at 30 s sent to pm1 and pm2."""
+    signers = count_signers(monkeypatch)
+    for seed in (1, 2, 3):
+        signers.clear()
+        sim = Simulation(SimConfig(
+            seed=seed, n_pms=5, fault_bound=1, n_clients=2, horizon=100 * MICRO,
+            crashes=(CrashWindow("pm0", 25 * MICRO, 80 * MICRO),),
+            script=(Action(30 * MICRO, "revoke", {"client": 0, "pm": "pm1"}),)))
+        sim.run()
+        assert_signed_by_entry_managers_alone(sim, signers)
+
+
+def test_a_relay_recipient_behind_the_entry_managers_still_revokes(monkeypatch):
+    """An epoch-0 order sent just before the boundary reaches, in some
+    seeds, both entry managers in epoch 1 (they write the epoch-1 roots
+    only) and another manager, by relay, still in epoch 0 (it writes
+    nothing).  That manager has expelled the client; no verifier accepts
+    an epoch-0 capability any more, and the epoch-1 bits reach it by
+    gossip: the client's epoch-1 pseudonyms are denied, and it holds the
+    entry managers' filters."""
+    arrivals = []
+    handle_revoke = PmNode.handle_revoke
+
+    def recorded(node, sender, order):
+        arrivals.append((node.node_id, sender in node.peers, node.core.epoch_now))
+        return handle_revoke(node, sender, order)
+    monkeypatch.setattr(PmNode, "handle_revoke", recorded)
+    behind = []
+    for seed in range(100):
+        arrivals.clear()
+        sim = Simulation(SimConfig(seed=seed, n_pms=4, horizon=80 * MICRO, script=(
+            Action(10 * MICRO, "request", {"client": 0, "count": 4, "epoch": 1}),
+            Action(59_999_000, "revoke", {"client": 0, "pm": "pm0"}),
+            Action(75 * MICRO, "authenticate", {"client": 0}),
+        )))
+        report = sim.run()
+        first = {}
+        for node_id, relayed, epoch in arrivals:
+            first.setdefault(node_id, (relayed, epoch))
+        if any(relayed or epoch != 1 for node_id, (relayed, epoch) in first.items()
+               if node_id in ("pm0", "pm1")):
+            continue        # some entry manager took the order in epoch 0
+        lagging = [node_id for node_id, (relayed, epoch) in first.items()
+                   if relayed and epoch == 0]
+        if not lagging:
+            continue
+        behind.append(seed)
+        [auth] = report.auths
+        assert (auth.epoch_id, auth.decision) == (1, "revoked"), seed
+        cid, entry = sim.clients[0].cid, sim.pms["pm0"].core
+        for node_id in lagging:
+            core = sim.pms[node_id].core
+            assert core.epoch_now == 1 and cid in core.revoked, seed
+            assert core.erc_current == entry.erc_current, seed
+            resp = sim.pms[node_id].handle_request(RequestRrp(cid, 1, 1))
+            assert resp.reason is DenialReason.REVOKED, seed
+    assert behind                    # the case occurs
 
 
 def test_a_lone_manager_rotates_on_its_own_report():
