@@ -20,7 +20,8 @@ merges both or neither, only filters for a held epoch postpone the pull,
 and gainful ones are forwarded or, in a report, counted towards a quorum.
 An admin order expels its client and is relayed; only the managers the
 admin sends it to sign its filter bits, by one rule in whatever epoch it
-arrives, and push them on a gain.
+arrives and again on entering the order's epoch if it came earlier, and
+push them on a gain.
 """
 
 from __future__ import annotations
@@ -232,9 +233,9 @@ class TrustedCore:
         pseudonyms.  One rule, whatever epoch the core is in, writes each
         held epoch's part: E gets the minimal tree cover of [rts, T - 1],
         computed once and signed under each instance's key; E + 1 each
-        instance's root latchkey; any other epoch nothing.  A core at
-        E - 1 need not write E + 1: it has expelled the client.  Merging
-        is idempotent, so replays change nothing.
+        instance's root latchkey; any other epoch nothing.  A core before
+        E cannot write E + 1; its node applies the order again on entering
+        E.  Merging is idempotent, so replays change nothing.
         """
         self.expel(order)
         cfg = self.cfg_for(order.epoch_id)
@@ -421,8 +422,7 @@ class PmNode:
         self._reports.setdefault(self.core.epoch_now, set()).add(self.node_id)
         report = EpochReport(self.core.epoch_now, self.core.erc_current,
                              self.core.erc_next)
-        self._maybe_finish_quarantine()
-        return [Outgoing(p, report) for p in self.peers]
+        return [Outgoing(p, report) for p in self.peers] + self._maybe_finish_quarantine()
 
     def handle_epoch_report(self, sender: str, report: EpochReport) -> list[Outgoing]:
         """Count a report whose filters ``deliver`` merged, or echo a laggard."""
@@ -430,9 +430,10 @@ class PmNode:
         # after this node rotates twice, and by then its own reports draw
         # echoes from the nodes ahead, so those senders are not kept: any
         # sender can name any epoch
+        out = []
         if self.core.epoch_now <= report.from_epoch <= self.core.epoch_now + 1:
             self._reports.setdefault(report.from_epoch, set()).add(sender)
-            self._maybe_finish_quarantine()
+            out = self._maybe_finish_quarantine()
         if (report.from_epoch < self.core.epoch_now
                 and report.current.epoch_id == report.from_epoch):
             # sender is a laggard catching up after a crash (its live filter
@@ -441,13 +442,26 @@ class PmNode:
             # Echoes carry a newer filter, so they are never echoed back.
             echo = EpochReport(report.from_epoch, self.core.erc_current,
                                self.core.erc_next)
-            return [Outgoing(sender, echo)]
-        return []
+            return out + [Outgoing(sender, echo)]
+        return out
 
-    def _maybe_finish_quarantine(self) -> None:
+    def _maybe_finish_quarantine(self) -> list[Outgoing]:
+        """Rotate once a quorum reported, and push the filters on a gain.
+
+        An order this core signed before its epoch E began could write no
+        E + 1 roots; it is signed again on entering E, when E + 1 is held.
+        """
         quorum = len(self.peers) + 1 - self.fault_bound
-        if (self.mode is PmMode.QUARANTINE
-                and len(self._reports.get(self.core.epoch_now, ())) >= quorum):
-            self._reports.pop(self.core.epoch_now, None)
-            self.core.rotate_epoch()
-            self.mode = PmMode.SERVING
+        if (self.mode is not PmMode.QUARANTINE
+                or len(self._reports.get(self.core.epoch_now, ())) < quorum):
+            return []
+        self._reports.pop(self.core.epoch_now, None)
+        self.core.rotate_epoch()
+        self.mode = PmMode.SERVING
+        before = self.core.erc_current, self.core.erc_next
+        for key in self._signed:
+            if key[2] == self.core.epoch_now:
+                self.core.revoke(self._orders[key])
+        if before != (self.core.erc_current, self.core.erc_next):
+            return self.eager_push()
+        return []

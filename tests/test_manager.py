@@ -521,6 +521,33 @@ def test_the_admins_copy_after_a_relay_is_applied_in_full(pm_key, admin_key, cid
     assert node.deliver("admin", order, 3) == []         # the admin's replay
 
 
+def test_an_order_taken_before_its_epoch_is_signed_again_on_entering_it(
+        pm_key, admin_key, cid, monkeypatch):
+    """A core in epoch 0 that signs an epoch-1 order holds no epoch 2, so
+    it writes the epoch-1 cover alone.  On rotating into epoch 1 it signs
+    the order again: its filters then equal those of a fresh epoch-1 core
+    that took both orders, with the epoch-2 roots, and it pushes them.  The
+    epoch-0 order is not signed again."""
+    node = make_node(pm_key, admin_key, cid)
+    orders = signed_order(admin_key, cid, 1, 0), signed_order(admin_key, cid, 1, 1)
+    for order in orders:
+        node.deliver("admin", order, 1)
+    node.on_clock(61)
+    report = EpochReport(0, node.core.erc_current, node.core.erc_next)
+    node.deliver("pm1", report, 61)
+    calls = count_ed25519(monkeypatch)
+    out = node.deliver("pm2", report, 61)
+    assert node.core.epoch_now == 1
+    assert len({o.dst for o in out if isinstance(o.msg, ErcPush)}) == 2
+    assert calls["ver_sign"] == 1                        # the epoch-1 order alone
+    fresh = make_core(pm_key, admin_key, cid)
+    fresh.rotate_epoch()
+    for order in orders:
+        fresh.revoke(order)
+    assert (node.core.erc_current, node.core.erc_next) == (fresh.erc_current,
+                                                           fresh.erc_next)
+
+
 def test_a_future_epoch_relay_logs_nothing(pm_key, admin_key, cid, caplog):
     """Only a manager that signs an order warns that it left the filters
     unchanged; a relay recipient signs nothing, so a relay for a far

@@ -298,6 +298,18 @@ def test_only_the_entry_managers_sign_an_order_among_five(monkeypatch):
         assert_signed_by_entry_managers_alone(sim, signers)
 
 
+def record_arrivals(monkeypatch) -> list[tuple[str, bool, int]]:
+    """Every order a manager takes: (node id, from a peer, its epoch)."""
+    arrivals = []
+    handle_revoke = PmNode.handle_revoke
+
+    def recorded(node, sender, order):
+        arrivals.append((node.node_id, sender in node.peers, node.core.epoch_now))
+        return handle_revoke(node, sender, order)
+    monkeypatch.setattr(PmNode, "handle_revoke", recorded)
+    return arrivals
+
+
 def test_a_relay_recipient_behind_the_entry_managers_still_revokes(monkeypatch):
     """An epoch-0 order sent just before the boundary reaches, in some
     seeds, both entry managers in epoch 1 (they write the epoch-1 roots
@@ -306,13 +318,7 @@ def test_a_relay_recipient_behind_the_entry_managers_still_revokes(monkeypatch):
     an epoch-0 capability any more, and the epoch-1 bits reach it by
     gossip: the client's epoch-1 pseudonyms are denied, and it holds the
     entry managers' filters."""
-    arrivals = []
-    handle_revoke = PmNode.handle_revoke
-
-    def recorded(node, sender, order):
-        arrivals.append((node.node_id, sender in node.peers, node.core.epoch_now))
-        return handle_revoke(node, sender, order)
-    monkeypatch.setattr(PmNode, "handle_revoke", recorded)
+    arrivals = record_arrivals(monkeypatch)
     behind = []
     for seed in range(100):
         arrivals.clear()
@@ -343,6 +349,35 @@ def test_a_relay_recipient_behind_the_entry_managers_still_revokes(monkeypatch):
             resp = sim.pms[node_id].handle_request(RequestRrp(cid, 1, 1))
             assert resp.reason is DenialReason.REVOKED, seed
     assert behind                    # the case occurs
+
+def test_entry_managers_behind_a_relay_recipient_still_revoke_the_next_epoch(monkeypatch):
+    """The mirror of the case above.  An epoch-1 order sent just after the
+    boundary reaches, in some seeds, both entry managers still in epoch 0
+    (they write the epoch-1 cover only), while pm3, already in epoch 1,
+    grants the client epoch-2 pseudonyms before the order reaches it.  The
+    entry managers write the epoch-2 roots when they rotate into epoch 1,
+    so the client's epoch-2 pseudonym is denied."""
+    arrivals = record_arrivals(monkeypatch)
+    ahead = []
+    for seed in range(200):
+        arrivals.clear()
+        sim = Simulation(SimConfig(seed=seed, n_pms=4, horizon=130 * MICRO, script=(
+            Action(60 * MICRO, "revoke", {"client": 0, "pm": "pm0"}),
+            Action(60_030_000, "request", {"client": 0, "count": 4, "epoch": 2,
+                                           "pm": "pm3"}),
+            Action(125 * MICRO, "authenticate", {"client": 0}),
+        )))
+        report = sim.run()
+        for auth in report.auths:
+            assert (auth.epoch_id, auth.decision) == (2, "revoked"), seed
+        first = {}
+        for node_id, relayed, epoch in arrivals:
+            first.setdefault(node_id, (relayed, epoch))
+        if (all(first[p] == (False, 0) for p in ("pm0", "pm1"))
+                and [r.granted for r in report.issuance] == [True]):
+            ahead.append(seed)
+            assert len(report.auths) == 1, seed
+    assert len(ahead) >= 3           # the case occurs
 
 
 def test_a_lone_manager_rotates_on_its_own_report():
@@ -519,3 +554,4 @@ def test_client_derives_a_key_only_when_it_shows_the_pseudonym(monkeypatch):
     assert rrp == create_rrp(client.cid, 0, 1, sim.pm_key, INSTANCES)
     assert [client.take(0).instance, client.take(0).instance] == [2, 3]
     assert client.take(0) is None
+
