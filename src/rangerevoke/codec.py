@@ -1,4 +1,4 @@
-"""Canonical, bit-exact serialization for every wire artifact (format v3).
+"""Canonical, bit-exact serialization for every wire artifact (format v4).
 
 All integers are big-endian.  The only little-endian structure is the
 filter bit array (bit i = byte i//8, mask 1 << (i % 8)), fixed so that
@@ -6,13 +6,18 @@ filters built by independent parties merge bit-for-bit.
 
 Every message travels in one envelope::
 
-    "RRPE" || version 0x03 || type tag u8 || length u32 || payload
+    "RRPE" || version 0x04 || type tag u8 || length u32 || payload
 
 and the tag alone says what the payload holds.  Records inside a payload
 are flat, with no magic, version or length of their own:
 
-* a filter is ``epoch u64 || m u64 || k u8 || bits (m/8 bytes)``; its
-  salt is ``default_salt(epoch)``, so it is not sent;
+* a filter is ``epoch u64 || bits (m/8 bytes)``: every node of a
+  deployment builds its filters with one plan (m, k), which
+  ``decode_message`` takes, and its salt is ``default_salt(epoch)``, so
+  none of these is sent.  Records of another plan's length leave the
+  payload short or long (``Truncated`` or ``TrailingBytes``); whatever
+  decodes holds filters of the plan, so no decoded message carries a
+  filter its receiver cannot merge;
 * a revocation order is ``cid (32) || rts u64 || epoch u64 || sig (64)``,
   whose first 48 bytes are the bytes the administrator signed.
 
@@ -26,15 +31,14 @@ subclass, never anything else, and every decoder rejects truncated input
 and trailing garbage.  Decoders read at explicit offsets: one head reader
 checks a standalone record's magic and version, one part reader does
 every fixed-size part's length check and precompiled ``struct`` unpack,
-and a filter's bits are one slice.  An encoder joins the record's mark
-(magic and version), its head and its parts once.  Encoders refuse a
-fixed-size byte field of another length with ``ValueError``, where
-``struct`` would pad or cut it.
+and a filter's bits are one slice of the plan's length.  An encoder
+joins the record's mark (magic and version), its head and its parts
+once.  Encoders refuse a fixed-size byte field of another length with
+``ValueError``, where ``struct`` would pad or cut it.
 """
 
 from __future__ import annotations
 
-import functools
 import struct
 
 from .ercset import BloomFilter, FilterParams
@@ -56,7 +60,7 @@ from .slot_tree import NodeLabel
 CAPABILITY_MAGIC = b"RRPC"
 CAPABILITY_VERSION = 0x01
 ENVELOPE_MAGIC = b"RRPE"
-VERSION = 0x03
+VERSION = 0x04
 
 
 class DecodeError(ValueError):
@@ -91,7 +95,6 @@ _CAPABILITY_MARK = CAPABILITY_MAGIC + bytes((CAPABILITY_VERSION,))
 _ENVELOPE = struct.Struct(">BI")             # type tag, length
 _CAPABILITY_HEAD = struct.Struct(f">Q{PUBLIC_KEY_LEN}s{SIGNATURE_LEN}sB")  # ... latchkey count
 _LATCHKEY = struct.Struct(f">BQ{SIGNATURE_LEN}s")  # level, index, signature
-_FILTER_HEAD = struct.Struct(">QQB")         # epoch, m, k
 _ORDER = struct.Struct(f">{CLIENT_ID_LEN}sQQ{SIGNATURE_LEN}s")
 _REQUEST_HEAD = struct.Struct(f">{CLIENT_ID_LEN}sQBB")  # cid, epoch, count, has proof
 _PROOF_HEAD = struct.Struct(">QI")           # proof slot, capability length
@@ -164,39 +167,27 @@ def decode_capability(data: bytes) -> Capability:
         for level, index, sig in _LATCHKEY.iter_unpack(data[pos:end])))
 
 
-# -- payloads: each reader takes the message and the payload's offset, and
-# returns the message and the offset after it ------------------------------
+# -- payloads: each reader takes the message, the payload's offset and the
+# filter plan, and returns the message and the offset after it -------------
 
-@functools.lru_cache(maxsize=16)
-def _filter_params(m: int, k: int) -> FilterParams:
-    """Shared by every filter decoded with (m, k).  Bounded like
-    ``default_salt``: the wire names any (m, k), a live node sees one."""
-    try:
-        return FilterParams(m, k)
-    except ValueError as exc:
-        raise FieldError(str(exc)) from exc
-
-
-def _read_filter(data: bytes, pos: int) -> tuple[BloomFilter, int]:
-    (epoch_id, m, k), bits = _read(data, pos, _FILTER_HEAD)
-    params = _filter_params(m, k)
-    end = bits + m // 8
+def _read_filter(data: bytes, pos: int, plan: FilterParams) -> tuple[BloomFilter, int]:
+    (epoch_id,), bits = _read(data, pos, _U64)
+    end = bits + plan.m // 8
     _need(data, end)
-    return BloomFilter(params, epoch_id, data[bits:end]), end
+    return BloomFilter(plan, epoch_id, data[bits:end]), end
 
 
 def _write_filters(msg: ErcPush | ErcPullResp | EpochReport) -> tuple:
     cur, nxt = msg.current, msg.next
-    return (_FILTER_HEAD.pack(cur.epoch_id, cur.m, cur.k), cur.bits,
-            _FILTER_HEAD.pack(nxt.epoch_id, nxt.m, nxt.k), nxt.bits)
+    return _U64.pack(cur.epoch_id), cur.bits, _U64.pack(nxt.epoch_id), nxt.bits
 
 
 def _read_filters(cls, lead: struct.Struct = struct.Struct(">")):
     """Reader of a ``cls`` message: ``lead``'s fields, then two filters."""
-    def read(data: bytes, pos: int) -> tuple[Message, int]:
+    def read(data: bytes, pos: int, plan: FilterParams) -> tuple[Message, int]:
         fields, pos = _read(data, pos, lead)
-        current, pos = _read_filter(data, pos)
-        nxt, pos = _read_filter(data, pos)
+        current, pos = _read_filter(data, pos, plan)
+        nxt, pos = _read_filter(data, pos, plan)
         return cls(*fields, current, nxt), pos
     return read
 
@@ -211,7 +202,7 @@ def _write_order(order: RevocationOrder) -> tuple:
     return (_ORDER.pack(order.cid, order.rts, order.epoch_id, order.admin_sig),)
 
 
-def _read_order(data: bytes, pos: int) -> tuple[RevocationOrder, int]:
+def _read_order(data: bytes, pos: int, plan: FilterParams) -> tuple[RevocationOrder, int]:
     fields, pos = _read(data, pos, _ORDER)
     return RevocationOrder(*fields), pos
 
@@ -225,7 +216,7 @@ def _write_request(msg: RequestRrp) -> tuple:
     return head, _PROOF_HEAD.pack(msg.proof_slot, len(proof)), proof
 
 
-def _read_request(data: bytes, pos: int) -> tuple[RequestRrp, int]:
+def _read_request(data: bytes, pos: int, plan: FilterParams) -> tuple[RequestRrp, int]:
     (cid, epoch_id, count, has_proof), pos = _read(data, pos, _REQUEST_HEAD)
     proof = proof_slot = None
     if has_proof > 1:
@@ -247,7 +238,7 @@ def _write_response(msg: RrpResponse) -> tuple:
             *(_ENDORSEMENT.pack(instance, sig) for instance, sig in msg.endorsements))
 
 
-def _read_response(data: bytes, pos: int) -> tuple[RrpResponse, int]:
+def _read_response(data: bytes, pos: int, plan: FilterParams) -> tuple[RrpResponse, int]:
     _need(data, pos + 1)
     reason = _REASONS.get(data[pos])        # named before a short head, as it comes first
     if reason is None:
@@ -268,7 +259,7 @@ _FORMATS = {
     RrpResponse: (0x02, _write_response, _read_response),
     RevocationOrder: (0x03, _write_order, _read_order),
     ErcPush: (0x04, _write_filters, _read_filters(ErcPush)),
-    ErcPullReq: (0x05, lambda msg: (), lambda data, pos: (ErcPullReq(), pos)),
+    ErcPullReq: (0x05, lambda msg: (), lambda data, pos, plan: (ErcPullReq(), pos)),
     ErcPullResp: (0x06, _write_filters, _read_filters(ErcPullResp)),
     EpochReport: (0x07, _write_report, _read_filters(EpochReport, _U64)),
 }
@@ -287,12 +278,13 @@ def encode_message(msg: Message) -> bytes:
     return b"".join((_ENVELOPE_MARK, _ENVELOPE.pack(tag, len(payload)), payload))
 
 
-def decode_message(data: bytes) -> Message:
+def decode_message(data: bytes, plan: FilterParams) -> Message:
+    """The message in ``data``, whose filters are built with ``plan``."""
     (tag, length), pos = _read_head(data, _ENVELOPE_MARK, _ENVELOPE)
     _end(data, pos + length)
     read = _READERS.get(tag)
     if read is None:
         raise FieldError(f"unknown message type {tag:#04x}")
-    msg, end = read(data, pos)
+    msg, end = read(data, pos, plan)
     _end(data, end)
     return msg

@@ -9,8 +9,10 @@ trusted hardware:
   for the current epoch, one for the next).  It alone builds filters and
   decides issuance.
 * ``PmNode`` is the untrusted host shell: message routing, peer bookkeeping,
-  gossip fan-out, pull timers and the epoch-transition quarantine.  It never
-  touches key material or client ids directly.
+  gossip fan-out, pull timers and the epoch-transition quarantine.  It
+  holds no key material, but it does see client ids: every
+  ``RequestRrp`` and ``RevocationOrder`` it routes carries its client's
+  cid in clear, and ``_orders`` is keyed by it (ROADMAP item 14).
 
 A node is a single state machine on its own local clock: ``deliver`` and the
 timer hooks, each run by one periodic tick, return the messages to
@@ -31,7 +33,7 @@ import logging
 import random
 
 from .crypto import KeyPair, det_sign, ver_sign
-from .ercset import BloomFilter, FilterParams, IncompatibleFilters
+from .ercset import BloomFilter, FilterParams
 from .messages import (
     DenialReason,
     EpochReport,
@@ -256,9 +258,10 @@ class TrustedCore:
     # -- filter state -----------------------------------------------------
 
     def merge_filters(self, current: BloomFilter, nxt: BloomFilter) -> bool | None:
-        """Merge the filters for the two epochs held, all or nothing: an
-        incompatible one raises ``IncompatibleFilters`` before any is kept.
-        None if neither is for a held epoch, else whether a bit was gained."""
+        """Merge the filters for the two epochs held, all or nothing: one
+        of another shape raises ``IncompatibleFilters`` before any is kept
+        (the codec decodes none).  None if neither is for a held epoch,
+        else whether a bit was gained."""
         held = [self.erc_current, self.erc_next]
         taken = False
         for incoming in (current, nxt):
@@ -313,11 +316,7 @@ class PmNode:
         """Route one message from ``sender`` at local time ``now``."""
         match msg:
             case ErcPush() | ErcPullResp() | EpochReport():
-                try:
-                    gained = self.core.merge_filters(msg.current, msg.next)
-                except IncompatibleFilters as exc:
-                    log.warning("%s: dropping incompatible filters: %s", self.node_id, exc)
-                    return []
+                gained = self.core.merge_filters(msg.current, msg.next)
                 if gained is not None:
                     self._last_update = now
                 if type(msg) is EpochReport:

@@ -34,8 +34,11 @@ class Latchkey:
 class Rrp:
     """Range-revocable pseudonym.
 
-    ``cid`` and the private half of ``keypair`` are secrets shared only by
-    the client and the manager; neither ever appears in a capability.
+    ``cid`` seeds every pseudonym key of its client, and neither it nor
+    the private half of ``keypair`` ever appears in a capability.  The
+    cid is not yet a secret of the client and the manager: it travels in
+    clear in every ``RequestRrp`` and ``RevocationOrder``, so whoever
+    reads one can derive the client's keys (ROADMAP item 14).
     """
 
     cid: bytes

@@ -11,9 +11,10 @@ its ``deliver`` receives, and one periodic tick runs each of its timer
 hooks, whose rules are the node's own.
 
 Time is integer microseconds.  Messages travel as wire bytes, encoded
-once per fan-out and decoded on delivery, after the receiver's crash
-check, into each receiver's own copy; every run exercises the codec end
-to end, and a message lost to a crash or the horizon is never decoded.
+once per fan-out and decoded under ``FILTER`` on delivery, after the
+receiver's crash check, into each receiver's own copy; every run
+exercises the codec end to end, and a message lost to a crash or the
+horizon is never decoded.
 
 A run keeps every capability its clients presented
 (``Simulation.presented``) for the checks in ``scenario`` to read.
@@ -321,7 +322,7 @@ class Simulation:
     def _on_deliver(self, src: str, dst: str, data: bytes) -> None:
         if self._crashed(dst, self.now):
             return
-        msg = codec.decode_message(data)
+        msg = codec.decode_message(data, FILTER)
         node = self._nodes.get(dst)
         if node is None:
             client = self.clients[int(dst.removeprefix("client"))]

@@ -15,7 +15,7 @@ import enum
 import logging
 import random
 
-from .ercset import BloomFilter, IncompatibleFilters, is_revoked
+from .ercset import BloomFilter, is_revoked
 from .messages import ErcPullReq, ErcPullResp, Message, Outgoing
 from .pseudonym import Capability, verify_capability
 from .slot_tree import EpochConfig
@@ -119,17 +119,13 @@ class VerifierNode:
 
     def handle_pull_response(self, resp: ErcPullResp, now: int) -> bool:
         """Take the filter of our epoch; True if the pull counted.  A pull
-        with none (from a lagging manager) or one incompatible with ours does not."""
+        with none (from a lagging manager) does not."""
         wanted, _ = self.geometry.epoch_and_slot(now)
         incoming = next((f for f in (resp.current, resp.next) if f.epoch_id == wanted), None)
         if incoming is None:
             log.debug("%s: pull response has no epoch-%d filter", self.node_id, wanted)
             return False
         if self.erc_local is not None and self.erc_local.epoch_id == wanted:
-            try:
-                incoming = self.erc_local.merged(incoming)
-            except IncompatibleFilters:
-                log.warning("%s: dropping incompatible filter", self.node_id)
-                return False
+            incoming = self.erc_local.merged(incoming)
         self.erc_local, self.last_pull = incoming, now
         return True

@@ -45,14 +45,15 @@ def fig_cfg():
 @pytest.fixture
 def wire_messages(pm_key, admin_key, cid, fig_cfg):
     """(label, message) pairs as decoded from their wire bytes: one of every
-    wire type, and hostile ones (forged, out of range, incompatible
-    filters, far epochs), for ``fig_cfg`` and 8192-bit filters with k = 4.
-    A hostile message's label is the label of its well-formed kind plus a
-    suffix (see ``hostile_messages``)."""
-    params, other = FilterParams(8192, 4), FilterParams(4096, 4)
+    wire type, and hostile ones (forged, out of range, far epochs), for
+    ``fig_cfg`` and the plan of 8192-bit filters with k = 4, which every
+    filter is built and decoded with.  A filter of another plan does not
+    decode (``test_codec``).  A hostile message's label is the label of its
+    well-formed kind plus a suffix (see ``hostile_messages``)."""
+    params = FilterParams(8192, 4)
 
-    def filters(epoch, p=params):
-        return BloomFilter(p, epoch), BloomFilter(p, epoch + 1)
+    def filters(epoch):
+        return BloomFilter(params, epoch), BloomFilter(params, epoch + 1)
 
     def gainful(epoch):
         """A filter with one bit pattern that no other sample holds."""
@@ -75,18 +76,15 @@ def wire_messages(pm_key, admin_key, cid, fig_cfg):
         ("order-forged", order(2, 0, bytes(64))),
         ("order-rts-outside-epoch", order(2**64 - 1, 0)),
         ("push", ErcPush(*filters(0))),
-        ("push-incompatible", ErcPush(*filters(0, other))),
-        ("push-half-incompatible", ErcPush(gainful(0), filters(0, other)[1])),
         ("push-far-epoch", ErcPush(gainful(5), gainful(6))),
         ("pull-request", ErcPullReq()),
         ("pull-response", ErcPullResp(*filters(0))),
         ("pull-response-far-epoch", ErcPullResp(*filters(5))),
         ("report", EpochReport(0, *filters(0))),
         ("report-future", EpochReport(7, *filters(7))),
-        ("report-incompatible", EpochReport(0, *filters(0, other))),
     ]
     assert {type(msg) for _, msg in samples} == set(get_args(Message))
-    return [(label, codec.decode_message(codec.encode_message(msg)))
+    return [(label, codec.decode_message(codec.encode_message(msg), params))
             for label, msg in samples]
 
 

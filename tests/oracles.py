@@ -473,13 +473,9 @@ def decode_capability_by_field(data: bytes) -> Capability:
     return Capability(epoch_id, pub, endorsement, tuple(latchkeys))
 
 
-def _filter_by_field(r: _Reader) -> BloomFilter:
-    epoch_id, m, k = r.u64(), r.u64(), r.u8()
-    try:
-        params = FilterParams(m, k)
-    except ValueError as exc:
-        raise codec.FieldError(str(exc)) from exc
-    return BloomFilter(params, epoch_id, r.take(m // 8))
+def _filter_by_field(r: _Reader, plan: FilterParams) -> BloomFilter:
+    epoch_id = r.u64()
+    return BloomFilter(plan, epoch_id, r.take(plan.m // 8))
 
 
 def _request_by_field(r: _Reader) -> RequestRrp:
@@ -514,22 +510,24 @@ def _response_by_field(r: _Reader) -> RrpResponse:
         raise codec.FieldError(str(exc)) from exc
 
 
-# type tag -> payload reader, each field taken on its own
+# type tag -> payload reader of (cursor, filter plan), each field taken on its own
 _MESSAGES_BY_FIELD = {
-    0x01: _request_by_field,
-    0x02: _response_by_field,
-    0x03: lambda r: RevocationOrder(r.take(CLIENT_ID_LEN), r.u64(), r.u64(),
-                                    r.take(SIGNATURE_LEN)),
-    0x04: lambda r: ErcPush(_filter_by_field(r), _filter_by_field(r)),
-    0x05: lambda r: ErcPullReq(),
-    0x06: lambda r: ErcPullResp(_filter_by_field(r), _filter_by_field(r)),
-    0x07: lambda r: EpochReport(r.u64(), _filter_by_field(r), _filter_by_field(r)),
+    0x01: lambda r, plan: _request_by_field(r),
+    0x02: lambda r, plan: _response_by_field(r),
+    0x03: lambda r, plan: RevocationOrder(r.take(CLIENT_ID_LEN), r.u64(), r.u64(),
+                                          r.take(SIGNATURE_LEN)),
+    0x04: lambda r, plan: ErcPush(_filter_by_field(r, plan), _filter_by_field(r, plan)),
+    0x05: lambda r, plan: ErcPullReq(),
+    0x06: lambda r, plan: ErcPullResp(_filter_by_field(r, plan), _filter_by_field(r, plan)),
+    0x07: lambda r, plan: EpochReport(r.u64(), _filter_by_field(r, plan),
+                                      _filter_by_field(r, plan)),
 }
 
 
-def decode_message_by_field(data: bytes) -> Message:
+def decode_message_by_field(data: bytes, plan: FilterParams) -> Message:
     """``codec.decode_message`` reading each field with its own length
-    check: the envelope, then the payload as a length-delimited slice."""
+    check: the envelope, then the payload as a length-delimited slice
+    whose filters are built with ``plan``."""
     r = _Reader(data)
     r.expect_magic(codec.ENVELOPE_MAGIC)
     r.expect_version(codec.VERSION)
@@ -538,7 +536,7 @@ def decode_message_by_field(data: bytes) -> Message:
     r.done()
     if tag not in _MESSAGES_BY_FIELD:
         raise codec.FieldError(f"unknown message type {tag:#04x}")
-    msg = _MESSAGES_BY_FIELD[tag](payload)
+    msg = _MESSAGES_BY_FIELD[tag](payload, plan)
     payload.done()
     return msg
 

@@ -1,6 +1,7 @@
 import hashlib
 import random
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
@@ -21,9 +22,14 @@ from rangerevoke.messages import (
 from rangerevoke.pseudonym import create_rrp, get_capability
 from rangerevoke.slot_tree import EpochConfig
 
-PARAMS = FilterParams(1024, 3)
+PARAMS = FilterParams(1024, 3)    # the plan every filter here is built and decoded with
 # acceptance #11's capability encoding, unchanged since format v1
 CAPABILITY_SHA256 = "09ce3d3addfefb4e9e06592731e8d7197f61c4274c3ea65219602c08b80f56ac"
+
+
+# the message decoder and the field-by-field reader, under PARAMS
+read_message = partial(codec.decode_message, plan=PARAMS)
+read_message_by_field = partial(decode_message_by_field, plan=PARAMS)
 
 
 @pytest.fixture
@@ -75,7 +81,7 @@ def test_message_roundtrips(cap, cid):
     for msg in messages:
         blob = codec.encode_message(msg)
         assert blob[:4] == codec.ENVELOPE_MAGIC
-        again = codec.decode_message(blob)
+        again = codec.decode_message(blob, PARAMS)
         assert again == msg
         assert codec.encode_message(again) == blob
 
@@ -101,7 +107,7 @@ def test_denied_response_carries_no_endorsements():
     blob = bytearray(codec.encode_message(RrpResponse(DenialReason.NONE, 4, endorsements)))
     blob[10] = DenialReason.REVOKED        # the reason byte follows the 10-byte envelope
     with pytest.raises(codec.FieldError):
-        codec.decode_message(bytes(blob))
+        codec.decode_message(bytes(blob), PARAMS)
 
 
 def test_encode_message_rejects_non_message():
@@ -113,16 +119,16 @@ def test_decoded_filters_take_their_salt_from_the_epoch():
     for msg in (ErcPush(bloom_erc(0), bloom_erc(1)),
                 ErcPullResp(bloom_erc(5), bloom_erc(6)),
                 EpochReport(3, bloom_erc(3), bloom_erc(4))):
-        again = codec.decode_message(codec.encode_message(msg))
+        again = codec.decode_message(codec.encode_message(msg), PARAMS)
         for erc in (again.current, again.next):
             assert erc.salt == default_salt(erc.epoch_id)
 
 
 def test_filter_records_are_flat():
-    """Envelope header 10 bytes, then per filter epoch u64, m u64, k u8 and
-    the bits: no magic, version, length prefix or salt of its own."""
+    """Envelope header 10 bytes, then per filter epoch u64 and the bits: no
+    magic, version, length prefix, plan or salt of its own."""
     blob = codec.encode_message(ErcPush(bloom_erc(0), bloom_erc(1)))
-    assert len(blob) == 10 + 2 * (17 + PARAMS.m // 8)
+    assert len(blob) == 10 + 2 * (8 + PARAMS.m // 8)
     order = codec.encode_message(RevocationOrder(b"\x01" * 32, 7, 2, b"\x33" * 64))
     assert order[10:] == b"\x01" * 32 + (7).to_bytes(8, "big") \
         + (2).to_bytes(8, "big") + b"\x33" * 64
@@ -131,7 +137,7 @@ def test_filter_records_are_flat():
 def test_pull_request_and_response_payloads():
     """A pull request is the bare envelope; a response is reason u8, epoch
     u64, count u8 and instance u64 plus signature per endorsement."""
-    assert codec.encode_message(ErcPullReq()) == b"RRPE\x03\x05" + bytes(4)
+    assert codec.encode_message(ErcPullReq()) == b"RRPE\x04\x05" + bytes(4)
     resp = codec.encode_message(RrpResponse(DenialReason.NONE, 4, ((1, b"\x01" * 64),)))
     assert len(resp) == 10 + 10 + 72
 
@@ -149,13 +155,13 @@ def test_capability_encoding_is_pinned():
 
 # SHA-256 of ``encode_message`` over ``one_of_each``, by message type
 MESSAGE_SHA256 = {
-    "RequestRrp": "cb9a7ed34102a09de198017b6915907907c51be9e31565249397c614b90c5b97",
-    "RrpResponse": "a611cf50b6e0bceb1bf84ddd3b5841569e42e5fb6016a8075ea57f696b027ed9",
-    "RevocationOrder": "12a27bccecf0e82492d82d7915e2e0664be072c2bbeaaf322ab793e6de7a5594",
-    "ErcPush": "698df616d264bd78b1755631f2c1e049673346fbc7478165610b779bdda58ef1",
-    "ErcPullReq": "f9235774846b0c2b7e889e02cad22d5f903098b78366e1a81f914ee7ac77b0bd",
-    "ErcPullResp": "f891159410ed328a9e3109a6cf8c6ffafaeb531e803314d460c91392ecbf63d0",
-    "EpochReport": "c803423927b24e94131b716529c4e8f32796a0ad718186525196183ff0eacef1",
+    "RequestRrp": "166d73cbe8716003e3c570576e01d59a81c3d324c99491bc12a3a56c56b565d9",
+    "RrpResponse": "9c987a6dea728eddd8ffdce43e34f6b0bb7734f88a292abff9b97f7a6bca993d",
+    "RevocationOrder": "6759e268d6a5b86d37cccd25cfa41127aabd52f2977b4aeee83867a13e9f7d18",
+    "ErcPush": "eed64f251444ae6bf4d8e1734bf7ff5256f40f87d3b0ba336dea855652ffdb60",
+    "ErcPullReq": "5f7015e39642f70e9ef7a89514ced6fc30654ea4cc77c1e5cb3d2cfc56013cbf",
+    "ErcPullResp": "6e65ad06f4cefd1be0825abe3b67e723608a05e930ef95026d0c460713f39354",
+    "EpochReport": "e26c1405ad55cb916e9a1c7ddc162a8e1fe6237badae52bd9a19224dd23db895",
 }
 
 
@@ -177,26 +183,26 @@ def test_bad_magic():
     blob = push_blob()
     blob[0] ^= 0xFF
     with pytest.raises(codec.BadMagic):
-        codec.decode_message(bytes(blob))
+        codec.decode_message(bytes(blob), PARAMS)
 
 
 def test_bad_version():
     # 0x01 is the envelope before flat records; 0x02 sent a granted byte in
-    # RrpResponse and an epoch in ErcPullReq
-    for version in (0x01, 0x02, 0x7F):
+    # RrpResponse and an epoch in ErcPullReq; 0x03 sent each filter's m and k
+    for version in (0x01, 0x02, 0x03, 0x7F):
         blob = push_blob()
         blob[4] = version
         with pytest.raises(codec.BadVersion):
-            codec.decode_message(bytes(blob))
+            codec.decode_message(bytes(blob), PARAMS)
 
 
 def test_truncated():
     blob = push_blob()
     with pytest.raises(codec.Truncated):
-        codec.decode_message(bytes(blob[:-1]))
+        codec.decode_message(bytes(blob[:-1]), PARAMS)
     blob[6:10] = (len(blob) - 11).to_bytes(4, "big")   # payload one byte short
     with pytest.raises(codec.Truncated):
-        codec.decode_message(bytes(blob[:-1]))
+        codec.decode_message(bytes(blob[:-1]), PARAMS)
 
 
 def test_empty_payload_is_truncated_not_a_bad_field():
@@ -204,7 +210,7 @@ def test_empty_payload_is_truncated_not_a_bad_field():
     it is missing, not invalid."""
     for tag in (0x01, 0x02, 0x03, 0x04, 0x06, 0x07):
         with pytest.raises(codec.Truncated):
-            codec.decode_message(b"RRPE\x03" + bytes([tag]) + bytes(4))
+            codec.decode_message(b"RRPE\x04" + bytes([tag]) + bytes(4), PARAMS)
 
 
 def test_trailing_bytes(cap):
@@ -226,15 +232,24 @@ def test_unknown_message_tag(cap):
     blob = bytearray(codec.encode_message(ErcPullReq()))
     blob[5] = 0x7E
     with pytest.raises(codec.FieldError):
-        codec.decode_message(bytes(blob))
+        codec.decode_message(bytes(blob), PARAMS)
 
 
-def test_bad_filter_params_is_field_error():
-    blob = push_blob()
-    # zero out the first filter's k byte (offset: envelope 10 + epoch 8 + m 8)
-    blob[26] = 0
-    with pytest.raises(codec.FieldError):
-        codec.decode_message(bytes(blob))
+def test_a_filter_of_another_plan_is_a_decode_error():
+    """A 4096-bit filter record, decoded under the 8192-bit plan, leaves
+    the payload short or long: as the first, the second or both filters of
+    a push, a pull response and a report, both readers raise
+    ``Truncated`` or ``TrailingBytes``.  A record of the plan's length
+    decodes with the plan's k, whatever k it was built with."""
+    plan, other = FilterParams(8192, 4), FilterParams(4096, 4)
+    for build in (ErcPush, ErcPullResp, lambda cur, nxt: EpochReport(0, cur, nxt)):
+        for shapes in ((other, plan), (plan, other), (other, other)):
+            blob = codec.encode_message(build(*(BloomFilter(p, e) for e, p in enumerate(shapes))))
+            for decode in (codec.decode_message, decode_message_by_field):
+                with pytest.raises((codec.Truncated, codec.TrailingBytes)):
+                    decode(blob, plan)
+    built = ErcPush(BloomFilter(FilterParams(8192, 3), 0), BloomFilter(plan, 1))
+    assert codec.decode_message(codec.encode_message(built), plan).current.k == plan.k
 
 
 def test_every_prefix_is_truncated_and_one_more_byte_is_trailing(cap, cid):
@@ -251,7 +266,7 @@ def test_every_prefix_is_truncated_and_one_more_byte_is_trailing(cap, cid):
         EpochReport(3, bloom_erc(3), bloom_erc(4)),
     ]
     assert len({type(msg) for msg in messages}) == 7
-    cases = [(codec.decode_message, codec.encode_message(msg)) for msg in messages]
+    cases = [(read_message, codec.encode_message(msg)) for msg in messages]
     cases.append((codec.decode_capability, codec.encode_capability(cap)))
     for decode, blob in cases:
         for end in range(len(blob)):
@@ -268,7 +283,7 @@ def test_short_head_names_magic_then_version_then_length(cap):
     head, as the field-by-field reader names them."""
     cases = [(codec.decode_capability, decode_capability_by_field,
               codec.encode_capability(cap), 4 + 1 + 8 + 32 + 64 + 1),
-             (codec.decode_message, decode_message_by_field, bytes(push_blob()), 10)]
+             (read_message, read_message_by_field, bytes(push_blob()), 10)]
     for decode, by_field, blob, head in cases:
         for end in range(head):
             for flip in (None, *range(min(end, 5))):     # a magic byte, then the version
@@ -290,7 +305,7 @@ def test_has_proof_byte_is_0_or_1(cap, cid):
         assert blob[10 + 32 + 8 + 1] == (msg.proof is not None)  # after cid, epoch, count
         for value in range(2, 256):
             blob[10 + 32 + 8 + 1] = value
-            for decode in (codec.decode_message, decode_message_by_field):
+            for decode in (read_message, read_message_by_field):
                 with pytest.raises(codec.FieldError):
                     decode(bytes(blob))
 
@@ -304,7 +319,7 @@ def test_message_decoder_matches_field_by_field_reader(cap, cid):
     for tag, msg in enumerate(one_of_each(cap, cid), start=1):
         blob = codec.encode_message(msg)
         assert blob[5] == tag
-        assert codec.decode_message(blob) == msg == decode_message_by_field(blob)
+        assert codec.decode_message(blob, PARAMS) == msg == decode_message_by_field(blob, PARAMS)
         rng = random.Random(tag)
         mutants = [blob[:end] for end in range(len(blob))] + [blob + b"\x00"]
         for _ in range(300):
@@ -313,7 +328,7 @@ def test_message_decoder_matches_field_by_field_reader(cap, cid):
             mutants.append(bytes(mutant))
         for mutant in mutants:
             outcomes = []
-            for decode in (codec.decode_message, decode_message_by_field):
+            for decode in (read_message, read_message_by_field):
                 try:
                     outcomes.append(decode(mutant))
                 except codec.DecodeError as exc:
@@ -369,10 +384,10 @@ def test_request_count_outside_1_to_255_is_refused(cid):
     blob = bytearray(codec.encode_message(RequestRrp(cid, 0, 1)))
     blob[10 + 32 + 8] = 0                   # the count byte after cid and epoch
     with pytest.raises(codec.FieldError, match="count"):
-        codec.decode_message(bytes(blob))
+        codec.decode_message(bytes(blob), PARAMS)
     for valid in (1, 255):
         msg = RequestRrp(cid, 0, valid)
-        assert codec.decode_message(codec.encode_message(msg)) == msg
+        assert codec.decode_message(codec.encode_message(msg), PARAMS) == msg
 
 
 
@@ -412,7 +427,7 @@ def test_fuzz_random_bytes_raise_only_typed_errors(cap, cid):
     """Mutated encodings and random bytes raise only ``DecodeError``s, and
     whatever decodes re-encodes to the same bytes."""
     decoders = [(codec.decode_capability, codec.encode_capability),
-                (codec.decode_message, codec.encode_message)]
+                (read_message, codec.encode_message)]
     rng = random.Random(0)
     seeds = [codec.encode_capability(cap),
              codec.encode_message(ErcPush(bloom_erc(0), bloom_erc(1))),

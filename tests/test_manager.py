@@ -18,7 +18,7 @@ from oracles import (
 )
 from rangerevoke import crypto, manager, pseudonym
 from rangerevoke.crypto import KeyPair, det_sign, seed_from_parts, ver_sign
-from rangerevoke.ercset import BloomFilter, FilterParams, is_revoked
+from rangerevoke.ercset import BloomFilter, FilterParams, IncompatibleFilters, is_revoked
 from rangerevoke.manager import (
     IssuanceDenied,
     PmMode,
@@ -30,7 +30,6 @@ from rangerevoke.messages import (
     DenialReason,
     EpochReport,
     ErcPullReq,
-    ErcPullResp,
     ErcPush,
     Outgoing,
     RequestRrp,
@@ -253,6 +252,19 @@ def test_merge_filters_reports_change(pm_key, admin_key, cid):
     assert core.merge_filters(incoming, BloomFilter(PARAMS, 1)) is False   # redundant
 
 
+def test_merge_filters_takes_both_or_neither(pm_key, admin_key, cid):
+    """A gainful filter beside one of another shape is not kept: the
+    second raises before the first is stored.  No decoded message holds
+    such a pair; only a direct caller can hand one over."""
+    core = make_core(pm_key, admin_key, cid)
+    gainful = revocation_cover_ercset(cid, 0, 1, {NodeLabel(0, 0, 0)}, PARAMS)
+    held = core.erc_current, core.erc_next
+    with pytest.raises(IncompatibleFilters):
+        core.merge_filters(gainful, BloomFilter(FilterParams(4096, 4), 1))
+    assert core.erc_current is held[0] and core.erc_next is held[1]
+    assert not any(core.erc_current.bits)
+
+
 def test_helper_filters(pm_key, cid):
     cfg = GEOMETRY.with_epoch(1)
     root = revocation_cover_ercset(cid, 1, 1, {NodeLabel(1, 0, 0)}, PARAMS)
@@ -300,26 +312,17 @@ def test_gossip_timer_pulls_only_after_a_quiet_timeout(pm_key, admin_key, cid,
     assert node.stats["pulls"] == 1
 
 
-@pytest.mark.parametrize("kind", ["push-incompatible", "pull-response-incompatible",
-                                  "report-incompatible", "push-half-incompatible",
-                                  "push-far-epoch", "pull-response-far-epoch",
+@pytest.mark.parametrize("kind", ["push-far-epoch", "pull-response-far-epoch",
                                   "report-future"])
 def test_dropped_filters_do_not_postpone_the_pull(pm_key, admin_key, cid, wire_messages,
                                                   kind, caplog):
-    """Filters refused as incompatible, or for no epoch the node holds,
-    are no update: a pull still goes out within ``gossip_timeout`` of
-    them.  Only incompatible ones are abnormal enough to warn of."""
-    messages = dict(wire_messages)
-    push = messages["push-incompatible"]
-    messages["pull-response-incompatible"] = ErcPullResp(push.current, push.next)
+    """Filters for no epoch the node holds are no update, and no warning:
+    a pull still goes out within ``gossip_timeout`` of them.  Filters of
+    another plan do not decode (``test_codec``)."""
     node = make_node(pm_key, admin_key, cid, timeout=5)
     with caplog.at_level(logging.WARNING, logger="rangerevoke"):
-        assert node.deliver("pm1", messages[kind], now=100) == []
-    warned = [r.getMessage() for r in caplog.records]
-    if kind.endswith("incompatible"):
-        assert len(warned) == 1 and warned[0].startswith("pm0: dropping incompatible filters")
-    else:
-        assert warned == []
+        assert node.deliver("pm1", dict(wire_messages)[kind], now=100) == []
+    assert caplog.records == []
     out = node.on_gossip_timer(104)
     assert [type(o.msg) for o in out] == [ErcPullReq]
 
@@ -339,7 +342,7 @@ def test_refused_messages_leave_no_trace(pm_key, admin_key, cid, wire_messages,
     """A hostile message changes no filter bit, no pull deadline, quorum,
     order, issuance or counter of a manager, serving or in quarantine,
     and draws nothing but a denial to its sender."""
-    assert {"push-half-incompatible", "push-far-epoch"} <= dict(hostile_messages).keys()
+    assert "push-far-epoch" in dict(hostile_messages)
     for now in (1, 61):
         node = make_node(pm_key, admin_key, cid)
         # the client holds pseudonyms, so a later request needs a proof

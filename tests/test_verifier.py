@@ -1,4 +1,3 @@
-import logging
 import random
 from dataclasses import replace
 
@@ -106,21 +105,12 @@ def test_pull_response_epoch_selection(cid, pm_key):
     assert v.erc_local.epoch_id == 1
 
 
-def test_pull_response_incompatible_params(pm_key, caplog):
-    v = make_verifier(pm_key)
-    fresh(v, now=0)
-    other = FilterParams(4096, 4)
-    resp = ErcPullResp(empty(0, other), empty(1, other))
-    with caplog.at_level(logging.WARNING, logger="rangerevoke"):
-        assert not v.handle_pull_response(resp, now=1)   # m differs
-    assert [r.getMessage() for r in caplog.records] == ["v0: dropping incompatible filter"]
-
-
 @pytest.mark.xfail(strict=True, reason=(
-    "a verifier adopts its first filter whatever its shape, so a 4096-bit one "
-    "locks out every honest 8192-bit one after it; refusing it needs the planned "
-    "filter params in VerifierNode(...), whose call perfbench/workloads.py pins "
-    "(ROADMAP item 1), or authenticated gossip (ROADMAP item 3)"))
+    "a verifier handed filter objects adopts its first one whatever its shape, "
+    "and merging an honest 8192-bit one into a 4096-bit one then raises "
+    "IncompatibleFilters; no such filter decodes from the wire, but refusing it "
+    "here needs the planned filter params in VerifierNode(...), whose call "
+    "perfbench/workloads.py pins (ROADMAP items 1 and 15)"))
 def test_a_first_filter_of_another_shape_does_not_lock_out_honest_ones(pm_key):
     v = make_verifier(pm_key)
     other = FilterParams(4096, 4)
