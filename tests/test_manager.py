@@ -16,7 +16,7 @@ from oracles import (
     remove_unsafe,
     sign_with_nonce,
 )
-from rangerevoke import crypto, manager, pseudonym
+from rangerevoke import codec, crypto, manager, pseudonym
 from rangerevoke.crypto import KeyPair, det_sign, seed_from_parts, ver_sign
 from rangerevoke.ercset import BloomFilter, FilterParams, IncompatibleFilters, is_revoked
 from rangerevoke.manager import (
@@ -30,6 +30,7 @@ from rangerevoke.messages import (
     DenialReason,
     EpochReport,
     ErcPullReq,
+    ErcPullResp,
     ErcPush,
     Outgoing,
     RequestRrp,
@@ -312,16 +313,36 @@ def test_gossip_timer_pulls_only_after_a_quiet_timeout(pm_key, admin_key, cid,
     assert node.stats["pulls"] == 1
 
 
-@pytest.mark.parametrize("kind", ["push-far-epoch", "pull-response-far-epoch",
+def other_plan_message(kind, cid):
+    """The ``kind``-incompatible message: a push, pull response or report
+    whose filters are 4096-bit, or a push whose first filter is a gainful
+    one of ``PARAMS`` and whose second is 4096-bit."""
+    other = BloomFilter(FilterParams(4096, 4), 0), BloomFilter(FilterParams(4096, 4), 1)
+    gainful = revocation_cover_ercset(cid, 0, 1, {NodeLabel(0, 0, 0)}, PARAMS)
+    return {"push-incompatible": ErcPush(*other),
+            "push-half-incompatible": ErcPush(gainful, other[1]),
+            "pull-response-incompatible": ErcPullResp(*other),
+            "report-incompatible": EpochReport(0, *other)}[kind]
+
+
+@pytest.mark.parametrize("kind", ["push-incompatible", "pull-response-incompatible",
+                                  "report-incompatible", "push-half-incompatible",
+                                  "push-far-epoch", "pull-response-far-epoch",
                                   "report-future"])
 def test_dropped_filters_do_not_postpone_the_pull(pm_key, admin_key, cid, wire_messages,
                                                   kind, caplog):
     """Filters for no epoch the node holds are no update, and no warning:
     a pull still goes out within ``gossip_timeout`` of them.  Filters of
-    another plan do not decode (``test_codec``)."""
+    another plan are dropped before the node: their bytes do not decode
+    under the node's plan, so nothing reaches ``deliver``."""
     node = make_node(pm_key, admin_key, cid, timeout=5)
     with caplog.at_level(logging.WARNING, logger="rangerevoke"):
-        assert node.deliver("pm1", dict(wire_messages)[kind], now=100) == []
+        if kind.endswith("incompatible"):
+            blob = codec.encode_message(other_plan_message(kind, cid))
+            with pytest.raises((codec.Truncated, codec.TrailingBytes)):
+                codec.decode_message(blob, PARAMS)
+        else:
+            assert node.deliver("pm1", dict(wire_messages)[kind], now=100) == []
     assert caplog.records == []
     out = node.on_gossip_timer(104)
     assert [type(o.msg) for o in out] == [ErcPullReq]

@@ -105,6 +105,22 @@ def test_pull_response_epoch_selection(cid, pm_key):
     assert v.erc_local.epoch_id == 1
 
 
+def test_pull_response_incompatible_params(pm_key):
+    """A pull response of 4096-bit filters never reaches a verifier of the
+    8192-bit plan: its bytes do not decode (m differs), so the verifier
+    stays stale.  The same response built with the plan decodes and is
+    taken."""
+    v = make_verifier(pm_key)
+    other = FilterParams(4096, 4)
+    blob = codec.encode_message(ErcPullResp(empty(0, other), empty(1, other)))
+    with pytest.raises((codec.Truncated, codec.TrailingBytes)):
+        codec.decode_message(blob, PARAMS)
+    assert v.erc_local is None
+    resp = codec.decode_message(codec.encode_message(ErcPullResp(empty(0), empty(1))), PARAMS)
+    assert v.handle_pull_response(resp, now=1)
+    assert v.erc_local.m == PARAMS.m
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "a verifier handed filter objects adopts its first one whatever its shape, "
     "and merging an honest 8192-bit one into a 4096-bit one then raises "
