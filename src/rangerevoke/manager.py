@@ -19,7 +19,13 @@ timer hooks, each run by one periodic tick, return the messages to
 transmit, so nodes drop unchanged into the simulator or behind a real
 transport.  Filters enter one way, whichever message carries them: the core
 merges both or neither, only filters for a held epoch postpone the pull,
-and gainful ones are forwarded or, in a report, counted towards a quorum.
+and gainful pushed or pulled ones are forwarded.  The epoch transition is
+one set: the managers, this one included, that reported leaving the
+current epoch; a manager in its own set is in quarantine.  Only a peer's
+report of that epoch counts; a laggard's report of a past epoch draws an
+echo, but the one completing a quorum does not.  Rotation follows the
+clock, and a gossip tick in quarantine reports again.
+
 An admin order expels its client and is relayed; only the managers the
 admin sends it to sign its filter bits, by one rule in whatever epoch it
 arrives and again on entering the order's epoch if it came earlier, and
@@ -305,8 +311,7 @@ class PmNode:
         self.fanout = min(fault_bound + 1, len(self.peers))   # peers per push or relay
         self.rng = rng
         self.gossip_timeout = gossip_timeout
-        self.mode = PmMode.SERVING
-        self._reports: dict[int, set[str]] = {}  # epoch_now or epoch_now + 1 -> senders
+        self._reports: set[str] = set()   # managers that reported leaving epoch_now
         self._last_update: int | None = None     # when filters last arrived
         self._orders: dict[tuple, RevocationOrder] = {}  # relayed admin orders
         self._signed: set[tuple] = set()   # orders whose bits this core wrote
@@ -320,7 +325,7 @@ class PmNode:
                 if gained is not None:
                     self._last_update = now
                 if type(msg) is EpochReport:
-                    return self.handle_epoch_report(sender, msg)
+                    return self.handle_epoch_report(sender, msg, now)
                 if not gained:
                     return []
                 out = self.eager_push()
@@ -395,10 +400,12 @@ class PmNode:
         return out
 
     def on_gossip_timer(self, now: int) -> list[Outgoing]:
-        """Pull unless filters arrived within the last ``gossip_timeout``."""
+        """Report again in quarantine; pull unless filters arrived within
+        the last ``gossip_timeout``."""
+        out = self.on_clock(now) if self.node_id in self._reports else []
         if self._last_update is not None and now - self._last_update < self.gossip_timeout:
-            return []
-        return self._pull()
+            return out
+        return out + self._pull()
 
     def on_recover(self, now: int) -> list[Outgoing]:
         """Back from a crash: begin a missed epoch transition, then pull."""
@@ -412,55 +419,48 @@ class PmNode:
 
     # -- epoch transition -------------------------------------------------
 
+    @property
+    def mode(self) -> PmMode:
+        return PmMode.QUARANTINE if self.node_id in self._reports else PmMode.SERVING
+
     def on_clock(self, now: int) -> list[Outgoing]:
-        """Enter quarantine when the local clock crosses an epoch boundary."""
-        local_epoch, _ = self.core.geometry.epoch_and_slot(now)
-        if local_epoch <= self.core.epoch_now or self.mode is not PmMode.SERVING:
+        """Report leaving ``epoch_now`` once the local clock is past it."""
+        if self.core.geometry.epoch_and_slot(now)[0] <= self.core.epoch_now:
             return []
-        self.mode = PmMode.QUARANTINE
-        self._reports.setdefault(self.core.epoch_now, set()).add(self.node_id)
+        self._reports.add(self.node_id)
         report = EpochReport(self.core.epoch_now, self.core.erc_current,
                              self.core.erc_next)
-        return [Outgoing(p, report) for p in self.peers] + self._maybe_finish_quarantine()
+        return [Outgoing(p, report) for p in self.peers] + self._maybe_finish_quarantine(now)
 
-    def handle_epoch_report(self, sender: str, report: EpochReport) -> list[Outgoing]:
-        """Count a report whose filters ``deliver`` merged, or echo a laggard."""
-        # a past quorum is moot.  One two or more epochs ahead counts only
-        # after this node rotates twice, and by then its own reports draw
-        # echoes from the nodes ahead, so those senders are not kept: any
-        # sender can name any epoch
-        out = []
-        if self.core.epoch_now <= report.from_epoch <= self.core.epoch_now + 1:
-            self._reports.setdefault(report.from_epoch, set()).add(sender)
-            out = self._maybe_finish_quarantine()
+    def handle_epoch_report(self, sender: str, report: EpochReport, now: int) -> list[Outgoing]:
+        """Count a peer's report of ``epoch_now``, or echo a peer that lags."""
+        if sender not in self.peers:
+            return []
+        if report.from_epoch == self.core.epoch_now:
+            self._reports.add(sender)
+            return self._maybe_finish_quarantine(now)
         if (report.from_epoch < self.core.epoch_now
                 and report.current.epoch_id == report.from_epoch):
-            # sender is a laggard catching up after a crash (its live filter
-            # still belongs to the old epoch): echo a report for that epoch
-            # so it can assemble a quorum long after everyone moved on.
-            # Echoes carry a newer filter, so they are never echoed back.
-            echo = EpochReport(report.from_epoch, self.core.erc_current,
-                               self.core.erc_next)
-            return out + [Outgoing(sender, echo)]
-        return out
+            # the sender lags; an echo's newer filter is never echoed back
+            return [Outgoing(sender, EpochReport(report.from_epoch, self.core.erc_current,
+                                                 self.core.erc_next))]
+        return []
 
-    def _maybe_finish_quarantine(self) -> list[Outgoing]:
-        """Rotate once a quorum reported, and push the filters on a gain.
+    def _maybe_finish_quarantine(self, now: int) -> list[Outgoing]:
+        """Rotate once a quorum reported, push the filters on a gain, and
+        report the new epoch at once if the clock is already past it.
 
         An order this core signed before its epoch E began could write no
         E + 1 roots; it is signed again on entering E, when E + 1 is held.
         """
         quorum = len(self.peers) + 1 - self.fault_bound
-        if (self.mode is not PmMode.QUARANTINE
-                or len(self._reports.get(self.core.epoch_now, ())) < quorum):
+        if self.node_id not in self._reports or len(self._reports) < quorum:
             return []
-        self._reports.pop(self.core.epoch_now, None)
+        self._reports.clear()
         self.core.rotate_epoch()
-        self.mode = PmMode.SERVING
         before = self.core.erc_current, self.core.erc_next
         for key in self._signed:
             if key[2] == self.core.epoch_now:
                 self.core.revoke(self._orders[key])
-        if before != (self.core.erc_current, self.core.erc_next):
-            return self.eager_push()
-        return []
+        out = self.eager_push() if before != (self.core.erc_current, self.core.erc_next) else []
+        return out + self.on_clock(now)

@@ -354,7 +354,7 @@ def node_trace(node):
     return (core.epoch_now, node.mode, node._last_update,
             [(erc.epoch_id, hashlib.sha256(erc.bits).hexdigest())
              for erc in (core.erc_current, core.erc_next)],
-            {e: set(s) for e, s in node._reports.items()}, set(core.revoked),
+            set(node._reports), set(core.revoked),
             dict(node._orders), dict(core.issued), dict(node.stats))
 
 
@@ -378,19 +378,19 @@ def test_refused_messages_leave_no_trace(pm_key, admin_key, cid, wire_messages,
 
 
 def test_reports_far_ahead_keep_no_senders(pm_key, admin_key, cid):
-    """Only a quorum for the current or the next epoch can complete before
-    the next rotation: reports naming later epochs still merge their
-    filters, but their senders are not kept."""
+    """Only a report of the current epoch counts: reports naming any other
+    epoch, the next one included, still merge their filters, but their
+    senders are not kept."""
     node = make_node(pm_key, admin_key, cid, n=4, f=1)
     other = make_node(pm_key, admin_key, cid, node_id="pm1")
     other.handle_revoke("admin", signed_order(admin_key, cid, 1, 0))
-    for from_epoch in range(2, 1002):
+    for from_epoch in range(1, 1002):
         node.deliver("pm1", EpochReport(from_epoch, other.core.erc_current,
                                         other.core.erc_next), now=1)
     assert node.core.erc_current == other.core.erc_current     # merged all the same
-    assert len(node._reports) <= 2
-    node.deliver("pm1", EpochReport(1, other.core.erc_current, other.core.erc_next), now=1)
-    assert node._reports == {1: {"pm1"}}
+    assert node._reports == set()
+    node.deliver("pm1", EpochReport(0, other.core.erc_current, other.core.erc_next), now=1)
+    assert node._reports == {"pm1"}
 
 
 def test_handle_request_response(pm_key, admin_key, cid):
@@ -706,7 +706,7 @@ def test_reports_of_a_past_epoch_are_echoed_not_kept(pm_key, admin_key, cid):
     assert node.core.epoch_now == 1
     out = node.deliver("pm3", report, 61)       # after the quorum
     assert [(o.dst, o.msg.from_epoch) for o in out] == [("pm3", 0)]
-    assert node._reports == {}
+    assert node._reports == set()
 
 
 def test_laggard_gets_echo(pm_key, admin_key, cid):
@@ -719,6 +719,55 @@ def test_laggard_gets_echo(pm_key, admin_key, cid):
     assert echo.from_epoch == 0 and echo.current.epoch_id == 1
     # echoes themselves are never echoed back
     assert ahead.deliver("pm2", echo, 61) == []
+
+
+def test_the_report_that_completes_a_quorum_draws_no_echo(pm_key, admin_key, cid):
+    node = make_node(pm_key, admin_key, cid, n=4, f=1)
+    node.on_clock(now=61)
+    report = EpochReport(0, node.core.erc_current, node.core.erc_next)
+    assert node.deliver("pm1", report, 61) == []
+    assert node.deliver("pm2", report, 61) == []    # rotates, answers nothing
+    assert node.core.epoch_now == 1 and node.mode is PmMode.SERVING
+
+
+def test_only_a_peers_report_counts_or_draws_an_echo(pm_key, admin_key, cid):
+    node = make_node(pm_key, admin_key, cid, n=4, f=1)
+    node.on_clock(now=61)
+    report = EpochReport(0, node.core.erc_current, node.core.erc_next)
+    for sender in ("v0", "client0", "admin", "pm0"):
+        assert node.deliver(sender, report, 61) == []
+    assert node._reports == {"pm0"} and node.core.epoch_now == 0
+    node.deliver("pm1", report, 61)
+    node.deliver("pm2", report, 61)
+    assert node.core.epoch_now == 1
+    assert node.deliver("v0", report, 61) == []         # a laggard's, but no peer's
+
+
+def test_rotation_follows_the_clock(pm_key, admin_key, cid):
+    """A manager whose clock is already past the next boundary when it
+    rotates goes back into quarantine at once, reporting its new epoch."""
+    node = make_node(pm_key, admin_key, cid, n=4, f=1)
+    node.on_clock(now=121)                      # down across two boundaries
+    report = EpochReport(0, node.core.erc_current, node.core.erc_next)
+    node.deliver("pm1", report, 121)
+    out = node.deliver("pm2", report, 121)
+    assert node.core.epoch_now == 1 and node.mode is PmMode.QUARANTINE
+    assert [(o.dst, o.msg.from_epoch) for o in out] == [("pm1", 1), ("pm2", 1), ("pm3", 1)]
+    assert node._reports == {"pm0"}
+
+
+def test_a_quarantined_manager_reports_again_on_each_gossip_tick(pm_key, admin_key, cid):
+    """A report lost to a crash, or dropped by a peer still in the epoch
+    before, is sent again: peers past the epoch then echo it."""
+    node = make_node(pm_key, admin_key, cid, n=4, f=1)
+    assert [type(o.msg) for o in node.on_gossip_timer(5)] == [ErcPullReq]
+    node.on_clock(now=61)
+    node.deliver("pm1", EpochReport(0, node.core.erc_current, node.core.erc_next), 61)
+    out = node.on_gossip_timer(65)
+    assert [(o.dst, o.msg.from_epoch) for o in out
+            if isinstance(o.msg, EpochReport)] == [("pm1", 0), ("pm2", 0), ("pm3", 0)]
+    node.deliver("pm2", EpochReport(0, node.core.erc_current, node.core.erc_next), 66)
+    assert not any(isinstance(o.msg, EpochReport) for o in node.on_gossip_timer(70))
 
 
 def test_quarantine_denies_two_epochs_ahead(pm_key, admin_key, cid):

@@ -30,7 +30,7 @@ from rangerevoke.simnet import (
 # SHA-256 of (report.txt, auths.csv) that ``rangerevoke --out DIR simulate
 # NAME`` writes for each bundled scenario
 BUNDLED_REPORTS = {
-    "quarantine": ("1981a99c6da26cf3b42e741d84da2c87d8ec48298999556bac5071200f71700d",
+    "quarantine": ("74a7b266f5a71442f42d62a39503324682305bb01baefc94027a342d4bbf44fb",
                    "1e3ea17d79824602cd6dbd32e78ad5546fa2ce2014eb39c7d75a280c7d3d4f94"),
     "linkage": ("69d2c14964432b00b73a718947db6b471a45535bd8b4d29a29c61eb1de581f87",
                 "252dbbdf4b88794148c0376cddba209ddb27f221f4a9f2003ef0434920dab090"),
@@ -385,6 +385,29 @@ def test_a_lone_manager_rotates_on_its_own_report():
     # quarantine
     report = Simulation(SimConfig(n_pms=1, fault_bound=0, horizon=130 * MICRO)).run()
     assert [row[:3] for row in report.pm_state] == [("pm0", 2, "serving")]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_manager_down_across_two_boundaries_catches_up(seed):
+    # pm3 misses the boundaries at 60 s and 120 s; back at 130 s, it
+    # rotates twice on its peers' echoes instead of staying an epoch behind
+    cfg = SimConfig(seed=seed, n_pms=4, fault_bound=1, horizon=160 * MICRO,
+                    crashes=(CrashWindow("pm3", 55 * MICRO, 130 * MICRO),))
+    report = Simulation(cfg).run()
+    assert {row[1:] for row in report.pm_state} == {report.pm_state[0][1:]}
+    assert report.pm_state[0][1:3] == (2, "serving")
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_a_manager_that_every_quorum_needs_still_rotates(seed):
+    # pm3 is down for good, so each quorum of three needs pm2, which is
+    # down across the 60 s boundary: its late report completes its peers'
+    # quorum and draws no echo, so it reports again on its gossip tick
+    cfg = SimConfig(seed=seed, n_pms=4, fault_bound=1, horizon=200 * MICRO,
+                    crashes=(CrashWindow("pm3", 30 * MICRO, 300 * MICRO),
+                             CrashWindow("pm2", 50 * MICRO, 70 * MICRO)))
+    report = Simulation(cfg).run()
+    assert [row[1:3] for row in report.pm_state[:3]] == [(3, "serving")] * 3
 
 
 def test_nothing_to_show_records_nothing():
