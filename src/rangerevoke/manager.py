@@ -7,7 +7,8 @@ trusted hardware:
   signing key, the administrator public key, the client registry and
   per-client issuance counters, and the two live revocation filters (one
   for the current epoch, one for the next).  It alone builds filters and
-  decides issuance.
+  decides issuance.  Per pseudonym it keeps only public values: each
+  client's instance-1 public key and root latchkey of each live epoch.
 * ``PmNode`` is the untrusted host shell: message routing, peer bookkeeping,
   gossip fan-out, pull timers and the epoch-transition quarantine.  It
   holds no key material, but it does see client ids: every
@@ -38,7 +39,7 @@ import enum
 import logging
 import random
 
-from .crypto import KeyPair, det_sign, ver_sign
+from .crypto import PUBLIC_KEY_LEN, KeyPair, det_sign, ver_sign
 from .ercset import BloomFilter, FilterParams
 from .messages import (
     DenialReason,
@@ -84,6 +85,14 @@ def revocation_cover_ercset(cid: bytes, epoch_id: int, instance: int,
     return flt
 
 
+def _first_key(keys: dict[int, KeyPair], cid: bytes, epoch_id: int) -> KeyPair:
+    """Instance 1's key pair for ``epoch_id``, derived at most once into
+    ``keys``, which lives for one request."""
+    if epoch_id not in keys:
+        keys[epoch_id] = pseudonym_keypair(cid, epoch_id, 1)
+    return keys[epoch_id]
+
+
 class IssuanceDenied(Exception):
     def __init__(self, reason: DenialReason):
         super().__init__(reason.name.lower().replace("_", "-"))
@@ -110,6 +119,9 @@ class TrustedCore:
         self.registry: set[bytes] = set()
         self.revoked: set[bytes] = set()  # expelled clients (order seen locally)
         self.issued: dict[tuple[bytes, int], int] = {}  # (cid, epoch) -> highest instance
+        # live epoch -> cid -> instance 1's public key ‖ root latchkey, flat
+        # bytes so that copying a core stays cheap
+        self.firsts: dict[int, dict[bytes, bytes]] = {}
         self.erc_current = BloomFilter(params, self.epoch_now)
         self.erc_next = BloomFilter(params, self.epoch_now + 1)
 
@@ -139,7 +151,7 @@ class TrustedCore:
         slot it names, the capability of one of the client's pseudonyms
         byte for byte as the core rebuilds it, and that capability must not
         be revoked.  Each key and signature is made at most once per
-        request, and nothing outlives the request.
+        request; no key pair outlives it.
         """
         if req.epoch_id not in (self.epoch_now, self.epoch_now + 1):
             raise IssuanceDenied(DenialReason.QUARANTINE if quarantined
@@ -149,50 +161,56 @@ class TrustedCore:
             raise IssuanceDenied(DenialReason.UNKNOWN_CLIENT)
         if req.cid in self.revoked:
             raise IssuanceDenied(DenialReason.REVOKED)
-        firsts = self._check_standing(req.cid)
+        keys = self._check_standing(req.cid)
         if any(self.issued.get((req.cid, e)) for e in (self.epoch_now - 1,
                                                        self.epoch_now,
                                                        self.epoch_now + 1)):
-            self._check_proof(req, firsts)
+            self._check_proof(req, keys)
         start = self.issued.get((req.cid, req.epoch_id), 0) + 1
         end = start + req.count - 1
         if end > self.max_instances:
             raise IssuanceDenied(DenialReason.BUDGET_EXHAUSTED)
-        rrps = [endorse(req.cid, req.epoch_id, i, firsts[req.epoch_id][0] if i == 1
-                        else pseudonym_keypair(req.cid, req.epoch_id, i), self.pm_key)
+        rrps = [endorse(req.cid, req.epoch_id, i, _first_key(keys, req.cid, req.epoch_id)
+                        if i == 1 else pseudonym_keypair(req.cid, req.epoch_id, i), self.pm_key)
                 for i in range(start, end + 1)]
         self.issued[(req.cid, req.epoch_id)] = end
         return rrps
 
-    def _check_standing(self, cid: bytes) -> dict[int, tuple[KeyPair, bytes]]:
+    def _check_standing(self, cid: bytes) -> dict[int, KeyPair]:
         """Deny clients whose pseudonyms are wholesale-revoked for a live epoch.
 
         A manager that learned of a revocation only through gossiped filters
         (never the order itself) can still recognize the client: full-epoch
         revocation puts every instance's root latchkey in the filter, and
         roots are derivable from the cid alone.  One probe per live epoch
-        suffices because revocation always covers instance 1.  Returns each
-        live epoch's instance-1 key pair and unrevoked root latchkey.
+        suffices because revocation always covers instance 1.  Each probe
+        queries the current filter, but ``firsts`` keeps the probed public
+        key and root latchkey, so only a client's first probe in an epoch
+        derives and signs.  Returns the instance-1 key pairs it derived,
+        by epoch, for the rest of the request to reuse.
         """
-        firsts = {}
+        keys: dict[int, KeyPair] = {}
         for epoch_id in (self.epoch_now, self.epoch_now + 1):
-            keypair = pseudonym_keypair(cid, epoch_id, 1)
-            root = det_sign(keypair, NodeLabel(epoch_id, 0, 0).canonical_bytes)
-            if self.erc_for(epoch_id).query(root):
+            kept = self.firsts.setdefault(epoch_id, {})
+            if cid not in kept:
+                keypair = _first_key(keys, cid, epoch_id)
+                kept[cid] = keypair.public + det_sign(
+                    keypair, NodeLabel(epoch_id, 0, 0).canonical_bytes)
+            if self.erc_for(epoch_id).query(kept[cid][PUBLIC_KEY_LEN:]):
                 raise IssuanceDenied(DenialReason.REVOKED)
-            firsts[epoch_id] = keypair, root
-        return firsts
+        return keys
 
-    def _check_proof(self, req: RequestRrp,
-                     firsts: dict[int, tuple[KeyPair, bytes]]) -> None:
+    def _check_proof(self, req: RequestRrp, keys: dict[int, KeyPair]) -> None:
         """Deny unless the proof is exactly the capability the core rebuilds.
 
         Signing is deterministic: the core re-signs the endorsement, derives
         the client's keys until one is the proof's and re-signs the slot's
         latchkeys one by one.  Byte equality passes every genuine proof and
         refuses latchkeys re-signed with another nonce, which still verify.
-        ``firsts`` is what ``_check_standing`` returned: the key scan starts
-        at its instance-1 key, whose root is neither re-signed nor re-queried.
+        The labels are checked before any key is derived, and the key scan
+        starts at the instance-1 public key ``_check_standing`` kept: an
+        instance-1 proof takes its key pair from ``keys`` or derives it
+        into them, and its root is neither re-signed nor re-queried.
         """
         proof = req.proof
         if proof is None:
@@ -201,20 +219,24 @@ class TrustedCore:
         if erc is None or proof.endorsement != det_sign(
                 self.pm_key, endorsement_message(proof.epoch_id, proof.pseudonym_pub)):
             raise IssuanceDenied(DenialReason.BAD_PROOF)
-        first, root = firsts[proof.epoch_id]
-        keys = (pseudonym_keypair(req.cid, proof.epoch_id, i) if i > 1 else first
-                for i in range(1, self.max_instances + 1))
-        keypair = next((k for k in keys if k.public == proof.pseudonym_pub), None)
-        if keypair is None:
-            raise IssuanceDenied(DenialReason.BAD_PROOF)
         try:
             path = path_to_root(self.cfg_for(proof.epoch_id), req.proof_slot)
         except ValueError:              # a slot outside the epoch
             raise IssuanceDenied(DenialReason.BAD_PROOF) from None
-        known = {path[-1]: root} if keypair is first else {}   # probed already
-        if [lk.label for lk in proof.latchkeys] != path or any(
-                lk.sig != (known.get(lk.label) or det_sign(keypair, lk.label.canonical_bytes))
-                for lk in proof.latchkeys):
+        if [lk.label for lk in proof.latchkeys] != path:
+            raise IssuanceDenied(DenialReason.BAD_PROOF)
+        first = self.firsts[proof.epoch_id][req.cid]
+        if proof.pseudonym_pub == first[:PUBLIC_KEY_LEN]:
+            keypair = _first_key(keys, req.cid, proof.epoch_id)
+            known = {path[-1]: first[PUBLIC_KEY_LEN:]}
+        else:
+            scan = (pseudonym_keypair(req.cid, proof.epoch_id, i)
+                    for i in range(2, self.max_instances + 1))
+            keypair, known = next((k for k in scan if k.public == proof.pseudonym_pub), None), {}
+            if keypair is None:
+                raise IssuanceDenied(DenialReason.BAD_PROOF)
+        if any(lk.sig != (known.get(lk.label) or det_sign(keypair, lk.label.canonical_bytes))
+               for lk in proof.latchkeys):
             raise IssuanceDenied(DenialReason.BAD_PROOF)
         if any(erc.query(lk.sig) for lk in proof.latchkeys if lk.label not in known):
             raise IssuanceDenied(DenialReason.REVOKED)
@@ -285,11 +307,12 @@ class TrustedCore:
         """Discard epoch t, promote t+1, open an empty filter for t+2.
 
         Issuance counters of epoch t-1 go too: ``issue`` reads only the
-        epochs from the new t-1 to the new t+1.
+        epochs from the new t-1 to the new t+1.  ``firsts`` drops epoch t.
         """
         self.epoch_now += 1
         self.issued = {key: end for key, end in self.issued.items()
                        if key[1] >= self.epoch_now - 1}
+        self.firsts.pop(self.epoch_now - 1, None)
         self.erc_current = self.erc_next
         self.erc_next = BloomFilter(self.params, self.epoch_now + 1)
 
@@ -313,6 +336,7 @@ class PmNode:
         self.gossip_timeout = gossip_timeout
         self._reports: set[str] = set()   # managers that reported leaving epoch_now
         self._last_update: int | None = None     # when filters last arrived
+        self._recovered_at: int | None = None    # when the node last came back
         self._orders: dict[tuple, RevocationOrder] = {}  # relayed admin orders
         self._signed: set[tuple] = set()   # orders whose bits this core wrote
         self.stats = {"pushes": 0, "pulls": 0, "forwards": 0}
@@ -401,7 +425,10 @@ class PmNode:
 
     def on_gossip_timer(self, now: int) -> list[Outgoing]:
         """Report again in quarantine; pull unless filters arrived within
-        the last ``gossip_timeout``."""
+        the last ``gossip_timeout``.  A tick at the instant of a recovery
+        does neither: ``on_recover`` has just done both."""
+        if now == self._recovered_at:
+            return []
         out = self.on_clock(now) if self.node_id in self._reports else []
         if self._last_update is not None and now - self._last_update < self.gossip_timeout:
             return out
@@ -409,6 +436,7 @@ class PmNode:
 
     def on_recover(self, now: int) -> list[Outgoing]:
         """Back from a crash: begin a missed epoch transition, then pull."""
+        self._recovered_at = now
         return self.on_clock(now) + self._pull()
 
     def _pull(self) -> list[Outgoing]:

@@ -1,15 +1,17 @@
 """Pseudonym lifecycle: issuance, capability generation, verification.
 
 A pseudonym is an epoch-bound credential: a key pair derived
-deterministically from the secret client id, plus an endorsement signature
-from the issuing manager.  A capability instantiates a pseudonym for one
-time slot; it carries the pseudonym public key, the endorsement and one
-latchkey (a deterministic signature over a tree-node label) for every node
-on the slot's root-to-leaf path.
+deterministically from the client id, plus an endorsement signature from
+the issuing manager.  The client id is not yet a secret: it travels in
+clear in every ``RequestRrp`` and ``RevocationOrder``, so whoever reads
+one can derive the client's keys (ROADMAP item 14).  A capability
+instantiates a pseudonym for one time slot; it carries the pseudonym
+public key, the endorsement and one latchkey (a deterministic signature
+over a tree-node label) for every node on the slot's root-to-leaf path.
 
 Determinism is the point: the manager can re-create any pseudonym it ever
 issued from (cid, epoch, instance) alone, so it needs no per-pseudonym
-storage.
+storage.  What it keeps to save work (``TrustedCore.firsts``) is public.
 """
 
 from __future__ import annotations

@@ -861,19 +861,24 @@ def renonced(cap, rrp, rng):
 
 
 def probed(core, cid):
-    """What ``_check_standing`` hands on when the client's root latchkeys
-    are unrevoked: each live epoch's instance-1 key pair and root latchkey."""
-    firsts = {}
+    """What ``_check_standing`` does when the client's root latchkeys are
+    unrevoked: keeps each live epoch's instance-1 public key and root
+    latchkey in ``core.firsts`` if they are not kept yet, and hands on the
+    instance-1 key pairs it derived to make them."""
+    keys = {}
     for epoch_id in (core.epoch_now, core.epoch_now + 1):
-        keypair = pseudonym_keypair(cid, epoch_id, 1)
-        firsts[epoch_id] = keypair, det_sign(keypair, NodeLabel(epoch_id, 0, 0).canonical_bytes)
-    return firsts
+        kept = core.firsts.setdefault(epoch_id, {})
+        if cid not in kept:
+            keypair = keys[epoch_id] = pseudonym_keypair(cid, epoch_id, 1)
+            kept[cid] = keypair.public + det_sign(keypair,
+                                                  NodeLabel(epoch_id, 0, 0).canonical_bytes)
+    return keys
 
 
-def verdict(core, req, firsts=None):
+def verdict(core, req, keys=None):
     """``_check_proof`` alone, called as after a standing probe that passed."""
     try:
-        core._check_proof(req, firsts or probed(core, req.cid))
+        core._check_proof(req, probed(core, req.cid) if keys is None else keys)
     except IssuanceDenied as denied:
         return denied.reason
     return DenialReason.NONE
@@ -901,7 +906,10 @@ def count_crypto(monkeypatch) -> tuple[Counter, list[bytes]]:
 def test_probed_is_what_the_standing_probe_returns(pm_key, admin_key, cid):
     core = make_core(pm_key, admin_key, cid)
     core.rotate_epoch()
-    assert core._check_standing(cid) == probed(core, cid)
+    clone = copy.deepcopy(core)
+    assert core._check_standing(cid) == probed(clone, cid)
+    assert core.firsts == clone.firsts
+    assert core._check_standing(cid) == probed(clone, cid) == {}
 
 
 def test_nonce_taking_signer_is_ed25519(pm_key):
@@ -981,9 +989,9 @@ def test_wrong_endorsement_derives_no_key(pm_key, admin_key, cid, monkeypatch):
     core = make_core(pm_key, admin_key, cid)
     proof = proof_for(core, create_rrp(cid, 0, 3, pm_key, 8))
     forged = replace(proof, endorsement=det_sign(admin_key, b"not an endorsement"))
-    firsts = probed(core, cid)
+    keys = probed(core, cid)
     calls, _ = count_crypto(monkeypatch)
-    assert verdict(core, RequestRrp(cid, 0, 1, forged, 0), firsts) is DenialReason.BAD_PROOF
+    assert verdict(core, RequestRrp(cid, 0, 1, forged, 0), keys) is DenialReason.BAD_PROOF
     assert calls == {"det_sign": 1}
 
 
@@ -994,9 +1002,9 @@ def test_accepted_proof_costs_signatures_not_verifies(pm_key, admin_key, cid, mo
     instance-1 proof's root latchkey is the probe's."""
     core = make_core(pm_key, admin_key, cid)
     proof = proof_for(core, create_rrp(cid, 1, instance, pm_key, 8), 3)
-    firsts = probed(core, cid)
+    keys = probed(core, cid)
     calls, seeds = count_crypto(monkeypatch)
-    assert verdict(core, RequestRrp(cid, 0, 1, proof, 3), firsts) is DenialReason.NONE
+    assert verdict(core, RequestRrp(cid, 0, 1, proof, 3), keys) is DenialReason.NONE
     assert calls == Counter(det_keygen=instance - 1,
                             det_sign=GEOMETRY.height + 1 + (instance > 1))
     assert seeds == [seed_from_parts(cid, 1, i) for i in range(2, instance + 1)]
@@ -1005,18 +1013,19 @@ def test_accepted_proof_costs_signatures_not_verifies(pm_key, admin_key, cid, mo
 @pytest.mark.parametrize("count", [1, 3])
 def test_issue_derives_each_key_and_makes_each_signature_once(pm_key, admin_key, cid,
                                                               monkeypatch, count):
-    """A current-epoch request with an instance-1 proof that issues
-    instances 3 .. 2 + count: the probe's two instance-1 keys and one key
-    per new instance; two probe roots, the endorsement check, the proof's
-    h non-root latchkeys and one endorsement per new instance."""
+    """A repeat current-epoch request with an instance-1 proof that issues
+    instances 3 .. 2 + count: the probe's roots are kept from the first
+    request, so the proof's instance-1 key and one key per new instance;
+    the endorsement check, the proof's h non-root latchkeys and one
+    endorsement per new instance."""
     core = make_core(pm_key, admin_key, cid)
     first = core.issue(RequestRrp(cid, 0, 2))[0]
     req = RequestRrp(cid, 0, count, proof_for(core, first, 1), 1)
     calls, seeds = count_crypto(monkeypatch)
     rrps = core.issue(req)
     assert [r.instance for r in rrps] == list(range(3, 3 + count))
-    assert calls == Counter(det_keygen=2 + count, det_sign=GEOMETRY.height + 3 + count)
-    assert sorted(seeds) == sorted([seed_from_parts(cid, 0, 1), seed_from_parts(cid, 1, 1)]
+    assert calls == Counter(det_keygen=1 + count, det_sign=GEOMETRY.height + 1 + count)
+    assert sorted(seeds) == sorted([seed_from_parts(cid, 0, 1)]
                                    + [seed_from_parts(cid, 0, r.instance) for r in rrps])
     calls.clear()
     seeds.clear()
@@ -1195,6 +1204,58 @@ def random_proof_request(rng, pm_key, core, requester, epoch_id, count, clients,
         proof_slot = rng.choice((-1, cfg.slots))
     proof = replace(proof, latchkeys=tuple(keys))
     return RequestRrp(requester, epoch_id, count, proof, proof_slot), kind
+
+
+def kept_firsts(core) -> set[tuple[bytes, int]]:
+    """(cid, epoch) of every instance-1 public key and root the core keeps."""
+    return {(c, epoch_id) for epoch_id, kept in core.firsts.items() for c in kept}
+
+
+def test_a_root_merged_after_the_probe_was_kept_still_denies(pm_key, admin_key, cid):
+    """``firsts`` keeps roots, not verdicts: each request queries the kept
+    roots against the filters as they are now.  An instance-1 proof's root
+    is the probe's, so only the probe can catch a revocation from slot 0."""
+    core = make_core(pm_key, admin_key, cid)
+    first = core.issue(RequestRrp(cid, 0, 1))[0]
+    assert kept_firsts(core) == {(cid, 0), (cid, 1)}
+    req = RequestRrp(cid, 0, 1, proof_for(core, first, 3), 3)
+    assert len(core.issue(req)) == 1                      # granted on the kept roots
+    witness = make_core(pm_key, admin_key, cid)
+    witness.revoke(signed_order(admin_key, cid, 0, 0))
+    assert core.merge_filters(witness.erc_current, BloomFilter(PARAMS, 1))
+    assert cid not in core.revoked
+    with pytest.raises(IssuanceDenied) as exc:
+        core.issue(req)
+    assert exc.value.reason is DenialReason.REVOKED
+
+
+def test_rotation_keeps_firsts_of_live_epochs_only(pm_key, admin_key, cid):
+    core = make_core(pm_key, admin_key, cid)
+    first = core.issue(RequestRrp(cid, 1, 1))[0]
+    core.rotate_epoch()
+    assert kept_firsts(core) == {(cid, 1)}      # epoch 0 is t-1: no request probes it
+    assert (cid, 1) in core.issued
+    core.issue(RequestRrp(cid, 2, 1, proof_for(core, first), 0))
+    assert kept_firsts(core) == {(cid, 1), (cid, 2)}
+    core.rotate_epoch()
+    core.rotate_epoch()
+    assert set(core.firsts) <= {3, 4}
+    assert kept_firsts(core) == set() and set(core.issued) == {(cid, 2)}
+
+
+def test_two_epochs_of_a_client_never_share_a_first(pm_key, admin_key, cid):
+    """An epoch-1 instance-1 proof matches epoch 1's kept key, and a filter
+    revoking epoch 1's roots alone denies the client."""
+    core = make_core(pm_key, admin_key, cid)
+    core.issue(RequestRrp(cid, 1, 1))
+    proof = proof_for(core, create_rrp(cid, 1, 1, pm_key, 8), 2)
+    assert [r.instance for r in core.issue(RequestRrp(cid, 0, 1, proof, 2))] == [1]
+    witness = make_core(pm_key, admin_key, cid)
+    witness.revoke(signed_order(admin_key, cid, GEOMETRY.slots - 1, 0))
+    assert core.merge_filters(BloomFilter(PARAMS, 0), witness.erc_next)
+    with pytest.raises(IssuanceDenied) as exc:
+        core.issue(RequestRrp(cid, 0, 1, proof, 2))
+    assert exc.value.reason is DenialReason.REVOKED
 
 
 def test_core_keeps_no_pseudonym_key_or_seed(pm_key, admin_key):

@@ -1,5 +1,6 @@
 import hashlib
 import logging
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -30,7 +31,7 @@ from rangerevoke.simnet import (
 # SHA-256 of (report.txt, auths.csv) that ``rangerevoke --out DIR simulate
 # NAME`` writes for each bundled scenario
 BUNDLED_REPORTS = {
-    "quarantine": ("74a7b266f5a71442f42d62a39503324682305bb01baefc94027a342d4bbf44fb",
+    "quarantine": ("5a8bfed9a7b47e27248afcdffecd97fd32aa4610196378e2b949b04178ac0b6d",
                    "1e3ea17d79824602cd6dbd32e78ad5546fa2ce2014eb39c7d75a280c7d3d4f94"),
     "linkage": ("69d2c14964432b00b73a718947db6b471a45535bd8b4d29a29c61eb1de581f87",
                 "252dbbdf4b88794148c0376cddba209ddb27f221f4a9f2003ef0434920dab090"),
@@ -408,6 +409,23 @@ def test_a_manager_that_every_quorum_needs_still_rotates(seed):
                              CrashWindow("pm2", 50 * MICRO, 70 * MICRO)))
     report = Simulation(cfg).run()
     assert [row[1:3] for row in report.pm_state[:3]] == [(3, "serving")] * 3
+
+
+def test_a_recovery_on_a_gossip_tick_pulls_and_reports_once(monkeypatch):
+    # pm3 comes back at 80 s, a multiple of the 5 s gossip timeout, so its
+    # recovery and a gossip tick fall on one instant
+    sent = []
+    emit = Simulation._emit
+
+    def recording(sim, src, outgoing):
+        sent.extend((sim.now, src, type(out.msg).__name__) for out in outgoing)
+        emit(sim, src, outgoing)
+    monkeypatch.setattr(Simulation, "_emit", recording)
+    cfg = SimConfig(seed=1, n_pms=4, fault_bound=1, horizon=100 * MICRO,
+                    crashes=(CrashWindow("pm3", 25 * MICRO, 80 * MICRO),))
+    Simulation(cfg).run()
+    at_recovery = Counter(kind for now, src, kind in sent if (now, src) == (80 * MICRO, "pm3"))
+    assert at_recovery == {"ErcPullReq": 1, "EpochReport": 3}
 
 
 def test_nothing_to_show_records_nothing():
