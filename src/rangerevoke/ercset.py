@@ -69,9 +69,19 @@ class BloomFilter:
     so an item that is not in a half-full filter costs about two probes,
     not k.  Filters only accumulate: there is no removal, and merging is
     bitwise OR.
+
+    A filter built empty records the positions ``add`` sets, so that
+    merging it costs the bits it set rather than the whole array; a
+    revocation order's per-instance filters set a few dozen bits of tens
+    of thousands.  The record is exact: it holds precisely the set bits of
+    a filter built empty and written only by ``add``.  A filter built from
+    bits (decoded from the wire, or the result of a merge) has none, and
+    past m/256 positions, about where the whole-array OR becomes cheaper,
+    ``add`` drops the record for good.  Nothing but ``add`` writes
+    ``bits``: the codec and the simulator only read it.
     """
 
-    __slots__ = ("m", "k", "epoch_id", "salt", "bits")
+    __slots__ = ("m", "k", "epoch_id", "salt", "bits", "_positions")
 
     def __init__(self, params: FilterParams, epoch_id: int,
                  bits: bytes | None = None):
@@ -80,16 +90,15 @@ class BloomFilter:
         self.epoch_id = epoch_id
         self.salt = default_salt(epoch_id)
         nbytes = self.m // 8
+        self._positions: set[int] | None
         if bits is None:
             self.bits = bytearray(nbytes)
+            self._positions = set()
         else:
             if len(bits) != nbytes:
                 raise ValueError("bit array length does not match m")
             self.bits = bytearray(bits)
-
-    @property
-    def params(self) -> FilterParams:
-        return FilterParams(self.m, self.k)
+            self._positions = None
 
     @property
     def filter(self) -> "BloomFilter":
@@ -106,10 +115,14 @@ class BloomFilter:
 
     def add(self, item: bytes) -> None:
         i, step = self._probe(item)
-        m, bits = self.m, self.bits
+        m, bits, positions = self.m, self.bits, self._positions
         for _ in range(self.k):
             bits[i >> 3] |= 1 << (i & 7)
+            if positions is not None:
+                positions.add(i)
             i = (i + step) % m
+        if positions is not None and len(positions) > m >> 8:
+            self._positions = None
 
     def query(self, item: bytes) -> bool:
         i, step = self._probe(item)
@@ -127,19 +140,35 @@ class BloomFilter:
     def merged(self, other: "BloomFilter") -> "BloomFilter":
         """Bitwise OR with a compatible filter: the receiver itself when
         ``other`` adds no bit, so an idle merge builds nothing and callers
-        tell a gain by identity (no filter is modified once shared).  Most
-        gossiped filters equal the receiver's, which one byte comparison
-        settles."""
+        tell a gain by identity (no filter is modified once shared).
+
+        An ``other`` that records its positions (see the class docstring)
+        is ORed into one copy of the receiver, position by position: this
+        is how a revocation order's per-instance filters merge.  Any other
+        is ORed as one integer over the whole array; most gossiped filters
+        equal the receiver's, which one byte comparison settles."""
         if not self.compatible(other):
             raise IncompatibleFilters("cannot merge filters with different parameters")
+        if other._positions is not None:
+            bits = bytearray(self.bits)
+            for i in other._positions:
+                bits[i >> 3] |= 1 << (i & 7)
+            return self if bits == self.bits else self._with_bits(bits)
         if other.bits == self.bits:
             return self
         mine = int.from_bytes(self.bits, "little")
         combined = mine | int.from_bytes(other.bits, "little")
         if combined == mine:
             return self
-        return BloomFilter(self.params, self.epoch_id,
-                           combined.to_bytes(len(self.bits), "little"))
+        return self._with_bits(bytearray(combined.to_bytes(len(self.bits), "little")))
+
+    def _with_bits(self, bits: bytearray) -> "BloomFilter":
+        """A filter of this one's shape and epoch that takes ``bits`` as
+        its own: a merge result, built from bits, so it records nothing."""
+        flt = BloomFilter.__new__(BloomFilter)
+        flt.m, flt.k, flt.epoch_id, flt.salt = self.m, self.k, self.epoch_id, self.salt
+        flt.bits, flt._positions = bits, None
+        return flt
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, BloomFilter) and self.compatible(other) \

@@ -77,6 +77,9 @@ def revocation_cover_ercset(cid: bytes, epoch_id: int, instance: int,
     Signs only the cover's labels instead of materializing every in-range
     capability; the result is bit-identical to running the full capability
     pipeline (the cover labels are exactly the latchkeys that survive it).
+    The filter is built empty and written only by ``add``, so it records
+    the few positions it set, and merging it into a live filter costs
+    those bits, not the whole array (see ``BloomFilter``).
     """
     keypair = pseudonym_keypair(cid, epoch_id, instance)
     flt = BloomFilter(params, epoch_id)
@@ -402,9 +405,15 @@ class PmNode:
         if order.epoch_id > self.core.epoch_now + 1:
             log.warning("%s: filters unchanged: order targets epoch %d, current is %d",
                         self.node_id, order.epoch_id, self.core.epoch_now)
-        if before != (self.core.erc_current, self.core.erc_next):   # pushed on a gain only
+        if self._gained_since(before):   # pushed on a gain only
             return self.eager_push() + relays
         return relays
+
+    def _gained_since(self, before: tuple[BloomFilter, BloomFilter]) -> bool:
+        """Whether the core's filters gained a bit since ``before``:
+        ``merged`` returns its receiver exactly when no bit is gained, so
+        a filter that is another object has gained one."""
+        return before[0] is not self.core.erc_current or before[1] is not self.core.erc_next
 
     def eager_push(self) -> list[Outgoing]:
         """Send both filters to f+1 distinct random peers."""
@@ -490,5 +499,5 @@ class PmNode:
         for key in self._signed:
             if key[2] == self.core.epoch_now:
                 self.core.revoke(self._orders[key])
-        out = self.eager_push() if before != (self.core.erc_current, self.core.erc_next) else []
+        out = self.eager_push() if self._gained_since(before) else []
         return out + self.on_clock(now)

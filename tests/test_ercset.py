@@ -299,27 +299,71 @@ def test_root_only_revokes_everything(cid, pm_key, fig_cfg):
 
 
 def test_bloom_merge_matches_bytewise_or():
+    """``merged`` is the bytewise OR of its inputs however each was built:
+    from bits, empty and filled by ``add`` below and past the point where
+    it stops recording positions, or by a merge.  It returns the receiver
+    exactly when no bit is gained and modifies neither input, also when
+    the one new bit is any single recorded position, and after ``add`` on
+    a merge result or a decoded filter."""
     rnd = random.Random(3)
     for m in (8, 64, 8192, 70_608):
         params = FilterParams(m, 4)
-        for density in (0.0, 0.01, 0.5, 1.0):
-            a, b = (BloomFilter(params, 0, bits=bytes(
-                sum((rnd.random() < density) << j for j in range(8))
-                for _ in range(m // 8))) for _ in range(2))
-            a_bits, b_bits = bytes(a.bits), bytes(b.bits)
-            want = bytes(x | y for x, y in zip(a_bits, b_bits))
-            merged = a.merged(b)
-            assert bytes(merged.bits) == want, (m, density)
-            assert merged == b.merged(a)                    # commutes
-            assert merged.merged(merged) == merged          # idempotent
-            assert merged.merged(a) == merged               # absorbs its inputs
-            assert merged.params == params and merged.salt == a.salt
-            assert (bytes(a.bits), bytes(b.bits)) == (a_bits, b_bits)
-            # the receiver itself exactly when nothing is gained
-            assert (merged is a) == (want == a_bits)
-            assert merged.merged(BloomFilter(params, 0, bytes(merged.bits))) is merged
-            subset = BloomFilter(params, 0, bits=bytes(x & y for x, y in zip(a_bits, b_bits)))
-            assert a.merged(subset) is a
+        bound = m >> 8                      # positions a filter built empty records
+
+        def from_bits(density):
+            return BloomFilter(params, 0, bits=bytes(
+                sum((rnd.random() < density) << j for j in range(8)) for _ in range(m // 8)))
+
+        def by_add(items):
+            flt = BloomFilter(params, 0)
+            for _ in range(items):
+                flt.add(rnd.randbytes(8))
+            return flt
+
+        below = by_add(bound // params.k)
+        past = by_add(bound // params.k + 2)
+        assert below._positions == {i for i in range(m) if below.bits[i >> 3] & (1 << (i & 7))}
+        assert past._positions is None
+        operands = [from_bits(d) for d in (0.0, 0.01, 0.5, 1.0)] + [
+            below, past, by_add(0), by_add(bound // params.k // 2),
+            from_bits(0.01).merged(below), below.merged(from_bits(0.01))]
+        for a in operands:
+            for b in operands:
+                a_bits, b_bits = bytes(a.bits), bytes(b.bits)
+                a_rec, b_rec = (None if f._positions is None else set(f._positions)
+                                for f in (a, b))
+                want = bytes(x | y for x, y in zip(a_bits, b_bits))
+                merged = a.merged(b)
+                assert bytes(merged.bits) == want, m
+                assert merged == b.merged(a)                    # commutes
+                assert merged.merged(merged) == merged          # idempotent
+                assert merged.merged(a) == merged               # absorbs its inputs
+                assert (merged.m, merged.k, merged.salt) == (m, params.k, a.salt)
+                assert (bytes(a.bits), bytes(b.bits)) == (a_bits, b_bits)
+                assert (a._positions, b._positions) == (a_rec, b_rec)
+                # the receiver itself exactly when nothing is gained
+                assert (merged is a) == (want == a_bits)
+                assert merged is a or merged._positions is None
+                assert merged.merged(BloomFilter(params, 0, bytes(merged.bits))) is merged
+                subset = BloomFilter(params, 0, bits=bytes(x & y for x, y in zip(a_bits, b_bits)))
+                assert a.merged(subset) is a
+        # a gain of any one recorded position, over a receiver with other bits
+        noise = from_bits(0.01)
+        want = bytes(x | y for x, y in zip(noise.bits, below.bits))
+        for pos in sorted(below._positions):
+            bits = bytearray(want)
+            bits[pos >> 3] &= ~(1 << (pos & 7))
+            receiver = BloomFilter(params, 0, bits)
+            merged = receiver.merged(below)
+            assert merged is not receiver and bytes(merged.bits) == want
+            assert receiver.bits == bits
+        # add on a merge result and on a decoded filter, then merge both ways
+        for flt in (noise.merged(below), BloomFilter(params, 0, bytes(noise.bits))):
+            assert flt._positions is None
+            flt.add(rnd.randbytes(8))
+            for other in (below, from_bits(0.01)):
+                want = bytes(x | y for x, y in zip(flt.bits, other.bits))
+                assert bytes(flt.merged(other).bits) == bytes(other.merged(flt).bits) == want
 
 
 def test_bloom_merge_incompatible_epoch_and_type():

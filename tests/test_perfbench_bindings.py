@@ -9,6 +9,7 @@ instead of in the benchmark's own two-minute self-tests.  They only read
 """
 
 import ast
+import hashlib
 import importlib
 import sys
 from pathlib import Path
@@ -86,6 +87,23 @@ def test_every_gossip_run_passes_its_oracle():
     failed = [workload.runs[i][0] for i in range(workload.n_ops)
               if workload.check(i, workload.op(i))]
     assert workload.n_ops == 63 and failed == []
+
+
+def test_seed_7_filter_bits_are_pinned():
+    """The bits of a seed-7 manage pass's two filters, and of the seed-7
+    verify set-up's filter, filled by about 130 revocations: a change to
+    how revocations write or merge filter bits shows here."""
+    workloads = _import_bench("workloads")
+    manage = workloads.WORKLOADS["manage"](7)
+    manage.start_pass()
+    for i in range(manage.n_ops):
+        manage.op(i)
+    core = manage.core
+    assert hashlib.sha256(core.erc_current.bits + core.erc_next.bits).hexdigest() == \
+        "6cc3983663b67f53cf1d11c1e1b4286a533dfa0babb8269d4d20bf6944e2c416"
+    verify = workloads.WORKLOADS["verify"](7)
+    assert hashlib.sha256(verify.base.erc_local.bits).hexdigest() == \
+        "2b829049cd3bf7687d5847bc9c576dfbbec66c3394df86f2be5d92f961f268f9"
 
 
 def _tracer_test_bindings() -> list[tuple[str, object, str]]:
