@@ -67,10 +67,12 @@ def _write_csv(out_dir: str | None, name: str, rows: list[list]) -> None:
 
 def cmd_size(args: argparse.Namespace) -> int:
     delta = parse_duration(args.delta)
+    if not delta.is_integer():
+        raise ValueError(f"--delta {args.delta!r} is not a whole number of seconds")
     params = sizing.DeploymentParams(
         clients=args.clients, pseudonyms=args.pseudos,
         revoked_fraction=args.revoked_frac, fanout=args.fanout,
-        epoch_len=round(args.slots * delta), delta=round(delta),
+        epoch_len=args.slots * int(delta), delta=int(delta),
         needed=args.needed, extra=args.extra)
     result = sizing.plan_filter(params, args.fp)
     row = sizing.storage_row(params.delta, params.epoch_len, params.fanout,

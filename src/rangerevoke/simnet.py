@@ -363,8 +363,8 @@ class Simulation:
                     "epoch": ("epoch", None), "pm": ("manager", None)},
         "authenticate": {"client": ("client", REQUIRED),
                          "verifier": ("verifier", "v0")},
-        "revoke": {"client": ("client", REQUIRED), "epoch": ("epoch", None),
-                   "rts": ("slot", None), "pm": ("manager", "pm0")},
+        "revoke": {"client": ("client", REQUIRED), "rts": ("slot", None),
+                   "pm": ("manager", "pm0")},
     }
 
     def _arg(self, action: Action, name: str):
@@ -398,7 +398,6 @@ class Simulation:
                                          cap.pseudonym_pub))
         elif action.kind == "revoke":
             client = self.clients[args["client"]]
-            epoch_id = args.get("epoch", epoch_id)
             rts = args.get("rts", slot)
             order = RevocationOrder(client.cid, rts, epoch_id, b"")
             order = replace(order, admin_sig=det_sign(self.admin_key,

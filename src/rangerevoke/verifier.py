@@ -1,11 +1,11 @@
 """Verifier node: genuineness plus revocation checks, pull gossip, safe mode.
 
 A verifier grants access iff its revocation state is fresh, the capability
-belongs to the current epoch and slot (within the clock-skew tolerance),
-verifies as genuine, and none of its latchkeys queries true in the local
-filter.  When the verifier cannot refresh its filter for longer than
-three pull periods it stops granting anything: stale state may only ever
-deny, never admit, so safety is preserved at the cost of availability.
+belongs to the epoch and slot of the verifier's clock, verifies as genuine,
+and none of its latchkeys queries true in the local filter.  When the
+verifier cannot refresh its filter for longer than three pull periods it
+stops granting anything: stale state may only ever deny, never admit, so
+safety is preserved at the cost of availability.
 Like a manager, it takes whole messages through ``deliver``.
 """
 
@@ -36,38 +36,28 @@ class VerifierNode:
     """Single-node verifier state machine.
 
     ``geometry`` fixes the public time layout; its epoch_id field is
-    ignored.  ``epsilon`` is the assumed maximum clock skew: a capability
-    for slot s is accepted while the local clock is within
-    [s*delta - epsilon, (s+1)*delta + epsilon) of the epoch start.
+    ignored.  A capability for slot s is accepted only while the local
+    clock is in slot s of the capability's epoch.
     """
 
     def __init__(self, node_id: str, pm_public: bytes, geometry: EpochConfig,
                  pm_ids: list[str], rng: random.Random,
-                 pull_period: int = 5_000_000, epsilon: int = 0):
+                 pull_period: int = 5_000_000):
         self.node_id = node_id
         self.pm_public = pm_public
         self.geometry = geometry
         self.pm_ids = list(pm_ids)
         self.rng = rng
         self.staleness_limit = 3 * pull_period
-        self.epsilon = epsilon
         self.erc_local: BloomFilter | None = None
         self.last_pull: int | None = None
-        # capabilities found genuine in the (epoch, slot) of this
-        # verifier's clock, by leaf signature
-        self._genuine: dict[bytes, Capability] = {}
-        self._genuine_at = (-1, -1)
+        self._genuine: Capability | None = None   # the last found genuine
         self._cfg = geometry            # the geometry of the clock's epoch
 
     # -- time helpers -----------------------------------------------------
 
     def is_stale(self, now: int) -> bool:
         return self.last_pull is None or now - self.last_pull > self.staleness_limit
-
-    def _slot_acceptable(self, now: int, epoch_id: int, slot: int) -> bool:
-        start = epoch_id * self.geometry.epoch_len + slot * self.geometry.delta
-        end = start + self.geometry.delta
-        return start - self.epsilon <= now < end + self.epsilon
 
     # -- authentication ---------------------------------------------------
 
@@ -78,29 +68,25 @@ class VerifierNode:
         staleness): freshness, epoch, slot and revocation are checked on
         every showing.  Only the genuineness check is remembered:
         ``verify_capability`` is skipped for a capability equal in every
-        field to one already found genuine in the current slot of the
-        verifier's clock.  The leaf signature only finds the candidate;
-        equality decides.  The memo empties when the clock's slot changes.
+        field to the last one found genuine.  Genuineness depends on the
+        capability alone, and the epoch and slot checks before it tie an
+        equal capability to the clock's slot.
         """
-        at = self.geometry.epoch_and_slot(now)
-        epoch = at[0]
+        epoch, slot = self.geometry.epoch_and_slot(now)
         # a filter left over from a previous epoch cannot vouch for this one
         if self.is_stale(now) or self.erc_local is None \
                 or self.erc_local.epoch_id != epoch:
             return Decision.STALE_STATE
         if cap.epoch_id != epoch:
             return Decision.WRONG_EPOCH
-        if not self._slot_acceptable(now, epoch, cap.slot):
+        if cap.slot != slot:
             return Decision.WRONG_SLOT
-        if at != self._genuine_at:
-            self._genuine, self._genuine_at = {}, at
+        if cap != self._genuine:
             if self._cfg.epoch_id != epoch:
                 self._cfg = self.geometry.with_epoch(epoch)
-        leaf = cap.latchkeys[0].sig
-        if cap != self._genuine.get(leaf):
-            if not verify_capability(cap, self.pm_public, cap.slot, self._cfg):
+            if not verify_capability(cap, self.pm_public, slot, self._cfg):
                 return Decision.NOT_GENUINE
-            self._genuine[leaf] = cap
+            self._genuine = cap
         if is_revoked(self.erc_local, cap):
             return Decision.REVOKED
         return Decision.GRANTED

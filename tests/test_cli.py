@@ -69,6 +69,21 @@ def test_size_command_bad_params():
     assert cli.main(["size", "--revoked-frac", "2.0"]) == 2
 
 
+@pytest.mark.parametrize("slots, delta", [("144", "1.5"), ("10", "2.5"), ("144", "0.4")])
+def test_size_refuses_a_delta_of_part_seconds(capsys, slots, delta):
+    """A slot of part seconds has no integer geometry; rounding it apart
+    from the epoch printed another T than --slots (108 for 144 × 1.5 s)."""
+    assert cli.main(["size", "--slots", slots, "--delta", delta]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: --delta {delta!r} is not a whole number of seconds\n"
+
+
+def test_size_takes_whole_seconds_written_with_a_unit(capsys):
+    assert cli.main(["size", "--slots", "10", "--delta", "1.5m"]) == 0
+    assert "slots T              10\n" in capsys.readouterr().out
+
+
 # (arguments, what the error names)
 _BAD_NUMBERS = [
     ("size --delta 1e999", "duration '1e999'"),

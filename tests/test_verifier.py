@@ -59,13 +59,28 @@ def test_wrong_epoch_and_slot(cid, pm_key):
     assert v.authenticate(cap_for(cid, pm_key, 3), now=1) is Decision.WRONG_SLOT
 
 
-def test_slot_skew_tolerance(cid, pm_key):
-    v = make_verifier(pm_key, epsilon=2)
+def test_slot_boundaries_are_exact(cid, pm_key):
+    """A capability is granted from its slot's first to its last
+    microsecond and refused one microsecond outside, also in an epoch's
+    last, shorter slot (T = 4 slots of 15 in 50: the last one is 5 long)."""
+    cfg = EpochConfig(0, 50, 15)
+    v = VerifierNode("v0", pm_key.public, cfg, ["pm0"], random.Random(4),
+                     pull_period=cfg.epoch_len)
     fresh(v, now=0)
-    assert v.authenticate(cap_for(cid, pm_key, 1), now=13) is Decision.GRANTED
-    fresh(v, now=30)        # keep the filter fresh; only the slot is at issue
-    assert v.authenticate(cap_for(cid, pm_key, 1), now=31) is Decision.GRANTED
-    assert v.authenticate(cap_for(cid, pm_key, 1), now=33) is Decision.WRONG_SLOT
+    rrp = create_rrp(cid, 0, 1, pm_key, 8)
+    for slot in range(cfg.slots):
+        cap = get_capability(rrp, slot, cfg)
+        first, last = slot * cfg.delta, min((slot + 1) * cfg.delta, cfg.epoch_len) - 1
+        assert v.authenticate(cap, first) is Decision.GRANTED, slot
+        assert v.authenticate(cap, last) is Decision.GRANTED, slot
+        if slot > 0:
+            assert v.authenticate(cap, first - 1) is Decision.WRONG_SLOT, slot
+        if slot < cfg.slots - 1:
+            assert v.authenticate(cap, last + 1) is Decision.WRONG_SLOT, slot
+    assert last == 49 and last - first == 4
+    # one microsecond after the last slot the clock is in the next epoch
+    fresh(v, now=cfg.epoch_len, epoch=1)
+    assert v.authenticate(cap, cfg.epoch_len) is Decision.WRONG_EPOCH
 
 
 def test_not_genuine(cid, pm_key, admin_key):
@@ -210,16 +225,16 @@ def counting(monkeypatch):
     return counts
 
 
-def test_genuineness_is_checked_once_per_capability_in_its_slot(cid, pm_key,
-                                                                monkeypatch):
+def test_genuineness_is_remembered_for_the_last_genuine_capability(cid, pm_key,
+                                                                  monkeypatch):
     # the verify workload's geometry (T = 1,440, h = 11), one pseudonym shown
     # at consecutive slots
     cfg = EpochConfig(0, 86_400, 60)
     h = cfg.height
     v = VerifierNode("v0", pm_key.public, cfg, ["pm0"], random.Random(4),
-                     pull_period=cfg.epoch_len, epsilon=5)
+                     pull_period=cfg.epoch_len)
     fresh(v)
-    rrp = create_rrp(cid, 0, 1, pm_key, 8)
+    rrp, other = (create_rrp(cid, 0, i, pm_key, 8) for i in (1, 2))
     caps = [get_capability(rrp, slot, cfg) for slot in range(100, 106)]
     counts = counting(monkeypatch)
 
@@ -232,19 +247,24 @@ def test_genuineness_is_checked_once_per_capability_in_its_slot(cid, pm_key,
     for earlier, cap in zip([None] + caps, caps):
         start = cap.slot * cfg.delta
         assert cost(cap, start + 1) == (Decision.GRANTED, h + 2, h + 1)
-        # the clock's slot changed: nothing found genuine before is kept
-        assert list(v._genuine.values()) == [cap]
+        # an equal copy costs no verify, only the filter queries
         copy = codec.decode_capability(codec.encode_capability(cap))
         assert cost(copy, start + 30) == (Decision.GRANTED, 0, h + 1)
-        if earlier is not None:       # the skew still admits the previous slot:
-            # verified once more in the clock's slot, then remembered
-            assert cost(earlier, start + 2) == (Decision.GRANTED, h + 2, h + 1)
-            assert cost(earlier, start + 3) == (Decision.GRANTED, 0, h + 1)
-            assert list(v._genuine.values()) == [cap, earlier]
+        if earlier is not None:       # the previous slot's capability is refused
+            assert cost(earlier, start + 2) == (Decision.WRONG_SLOT, 0, 0)
+    # A, B, A within one slot: only the last genuine one is kept
+    a, b = caps[-1], get_capability(other, caps[-1].slot, cfg)
+    now = a.slot * cfg.delta + 40
+    assert cost(b, now) == (Decision.GRANTED, h + 2, h + 1)
+    assert cost(a, now) == (Decision.GRANTED, h + 2, h + 1)
+    # a copy with one byte changed is verified afresh, and does not displace A
+    forged = replace(a, endorsement=bytes([a.endorsement[0] ^ 1]) + a.endorsement[1:])
+    decision, verifies, queries = cost(forged, now)
+    assert decision is Decision.NOT_GENUINE and verifies > 0 and queries == 0
+    assert cost(a, now) == (Decision.GRANTED, 0, h + 1)
     # a revocation merged between two showings denies the second
-    v.erc_local.add(caps[-1].latchkeys[-1].sig)
-    assert cost(caps[-1], caps[-1].slot * cfg.delta + 40) == \
-        (Decision.REVOKED, 0, h + 1)
+    v.erc_local.add(a.latchkeys[-1].sig)
+    assert cost(a, now + 1) == (Decision.REVOKED, 0, h + 1)
 
 
 def flip(data: bytes, rng: random.Random) -> bytes:
@@ -272,7 +292,7 @@ def cache_free(v, cap, now):
     if cap.epoch_id != epoch:
         return Decision.WRONG_EPOCH
     start = epoch * GEOMETRY.epoch_len + cap.slot * GEOMETRY.delta
-    if not start - v.epsilon <= now < start + GEOMETRY.delta + v.epsilon:
+    if not start <= now < start + GEOMETRY.delta:
         return Decision.WRONG_SLOT
     if not verify_capability(cap, v.pm_public, cap.slot, GEOMETRY.with_epoch(epoch)):
         return Decision.NOT_GENUINE
@@ -285,13 +305,12 @@ def cache_free(v, cap, now):
 def test_cache_never_changes_a_decision(pm_key, admin_key, monkeypatch, seed):
     """A seeded stream over three epochs of four slots: repeated showings,
     tampered copies, revocations merged between two showings of one
-    capability, lapsed pulls, slots the skew admits or not, and epoch
-    changes."""
+    capability, lapsed pulls, adjacent slots and epoch changes."""
     rng = random.Random(f"verifier-cache/{seed}")
     cids = [bytes([i + 1]) * 32 for i in range(3)]
     core = TrustedCore(pm_key, admin_key.public, GEOMETRY, PARAMS, 2)
     rrps = {}
-    v = make_verifier(pm_key, epsilon=2)
+    v = make_verifier(pm_key)
     calls = []
     monkeypatch.setattr(verifier, "verify_capability",
                         lambda *args: calls.append(args) or verify_capability(*args))
