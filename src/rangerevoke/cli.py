@@ -65,8 +65,27 @@ def _write_csv(out_dir: str | None, name: str, rows: list[list]) -> None:
 
 # -- size -------------------------------------------------------------------
 
+# size flag -> (what its value must pass, the rule an error states)
+_SIZE_RULES = {
+    "clients": (lambda v: 0 < v < math.inf, "must be positive and finite"),
+    "pseudos": (lambda v: v > 0, "must be positive"),
+    "revoked_frac": (lambda v: 0 <= v <= 1, "must lie in [0, 1]"),
+    "slots": (lambda v: v > 0, "must be positive"),
+    "fanout": (lambda v: v >= 2, "must be at least 2"),
+    "fp": (lambda v: 0 < v < 1, "must lie strictly between 0 and 1"),
+    "needed": (lambda v: v > 0, "must be positive"),
+    "extra": (lambda v: v >= 0, "must not be negative"),
+}
+
+
 def cmd_size(args: argparse.Namespace) -> int:
+    for dest, (ok, rule) in _SIZE_RULES.items():
+        value = getattr(args, dest)
+        if not ok(value):
+            raise ValueError(f"--{dest.replace('_', '-')} {rule}, got {value:g}")
     delta = parse_duration(args.delta)
+    if delta <= 0:
+        raise ValueError(f"--delta must be positive, got {args.delta}")
     if not delta.is_integer():
         raise ValueError(f"--delta {args.delta!r} is not a whole number of seconds")
     params = sizing.DeploymentParams(

@@ -12,9 +12,12 @@ hooks, whose rules are the node's own.
 
 Time is integer microseconds.  Messages travel as wire bytes, encoded
 once per fan-out and decoded under ``FILTER`` on delivery, after the
-receiver's crash check, into each receiver's own copy; every run
-exercises the codec end to end, and a message lost to a crash or the
-horizon is never decoded.
+receiver's crash check.  A run decodes each distinct byte string once:
+later deliveries of equal bytes get the same message object, so
+receivers share immutable decoded messages (no handler writes a decoded
+filter), and none gets the sender's own object.  Every run exercises the
+codec end to end, and a message lost to a crash or the horizon is never
+decoded.
 
 A run keeps every capability its clients presented
 (``Simulation.presented``) for the checks in ``scenario`` to read.
@@ -32,7 +35,7 @@ from . import codec
 from .crypto import det_keygen, det_sign, seed_from_parts
 from .ercset import BloomFilter, FilterParams
 from .manager import PmNode, TrustedCore
-from .messages import Outgoing, RequestRrp, RevocationOrder, RrpResponse
+from .messages import Message, Outgoing, RequestRrp, RevocationOrder, RrpResponse
 from .pseudonym import Capability, Rrp, get_capability, pseudonym_keypair
 from .slot_tree import EpochConfig
 from .verifier import VerifierNode
@@ -40,6 +43,7 @@ from .verifier import VerifierNode
 MICRO = 1_000_000
 REQUIRED = "required"     # an ACTION_ARGS default: the argument must be given
 EVENT_BUDGET = 200_000    # a run past this many events has a divergent schedule
+DECODED_LIMIT = 1_024     # distinct wire messages a run keeps decoded; cleared when full
 FILTER = FilterParams(8192, 4)  # every manager's filter (m, k)
 INSTANCES = 8                   # I: pseudonyms per client and epoch
 
@@ -204,6 +208,7 @@ class Simulation:
         self._queue: list = []
         self.events_processed = 0
         self.messages: dict[str, int] = {}
+        self._decoded: dict[bytes, Message] = {}   # wire bytes -> their message
 
         geometry = cfg.geometry()
         self.geometry = geometry
@@ -322,7 +327,14 @@ class Simulation:
     def _on_deliver(self, src: str, dst: str, data: bytes) -> None:
         if self._crashed(dst, self.now):
             return
-        msg = codec.decode_message(data, FILTER)
+        decoded = self._decoded
+        msg = decoded.get(data)
+        if msg is None:
+            msg = codec.decode_message(data, FILTER)
+            if len(decoded) < DECODED_LIMIT:
+                decoded[data] = msg
+            else:
+                decoded.clear()
         node = self._nodes.get(dst)
         if node is None:
             client = self.clients[int(dst.removeprefix("client"))]

@@ -88,10 +88,21 @@ def test_size_takes_whole_seconds_written_with_a_unit(capsys):
 _BAD_NUMBERS = [
     ("size --delta 1e999", "duration '1e999'"),
     ("size --delta 1e308y", "duration '1e308y'"),
-    ("size --clients 1e999", "clients"),
-    ("size --clients nan", "clients"),
+    ("size --clients 1e999", "error: --clients must be positive and finite, got inf\n"),
+    ("size --clients nan", "error: --clients must be positive and finite, got nan\n"),
+    ("size --clients 0", "error: --clients must be positive and finite, got 0\n"),
+    ("size --slots 0", "error: --slots must be positive, got 0\n"),
+    ("size --slots -3", "error: --slots must be positive, got -3\n"),
+    ("size --delta 0", "error: --delta must be positive, got 0\n"),
+    ("size --delta -60", "error: --delta must be positive, got -60\n"),
+    ("size --pseudos 0", "error: --pseudos must be positive, got 0\n"),
+    ("size --needed 0", "error: --needed must be positive, got 0\n"),
+    ("size --extra -1", "error: --extra must not be negative, got -1\n"),
+    ("size --revoked-frac 2", "error: --revoked-frac must lie in [0, 1], got 2\n"),
+    ("size --fp 0", "error: --fp must lie strictly between 0 and 1, got 0\n"),
+    ("size --fp 1.5", "error: --fp must lie strictly between 0 and 1, got 1.5\n"),
     ("storage-compare --epoch 1e999", "duration '1e999'"),
-    ("size --fanout 1", "fanout"),
+    ("size --fanout 1", "error: --fanout must be at least 2, got 1\n"),
     ("storage-compare --fanout 1", "fanout"),
     ("storage-compare --delta 0", "delta"),
     ("storage-compare --daily-demand -5 --delta 1m --epoch 1d", "daily demand"),

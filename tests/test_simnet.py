@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from rangerevoke import codec, manager, pseudonym
+from rangerevoke import codec, manager, pseudonym, simnet
 from rangerevoke.crypto import det_sign
 from rangerevoke.manager import PmNode, TrustedCore
 from rangerevoke.messages import DenialReason, ErcPush, Outgoing, RequestRrp, RevocationOrder
@@ -524,10 +524,13 @@ def test_bundled_gossip_counters_match_the_messages_sent(name, caplog):
     assert caplog.records == []
 
 
-def test_one_encoding_per_fan_out_and_one_decode_per_delivery(monkeypatch):
+def test_one_encoding_per_fan_out_and_one_decode_per_distinct_message(monkeypatch):
     """Each ``_emit`` encodes each distinct message object once, however
-    many receivers it has, and only deliveries to a live node decode."""
-    calls = {"encode": 0, "decode": 0, "delivered": 0}
+    many receivers it has.  A run decodes each distinct byte string it
+    delivers to a live node once, and a delivery to a down node decodes
+    nothing."""
+    calls = {"encode": 0, "decode": 0, "delivered": 0, "to_down": 0}
+    delivered: set[bytes] = set()
     encode, decode = codec.encode_message, codec.decode_message
     emit, deliver = Simulation._emit, Simulation._on_deliver
 
@@ -545,8 +548,15 @@ def test_one_encoding_per_fan_out_and_one_decode_per_delivery(monkeypatch):
 
     def counted_deliver(sim, src, dst, data):
         assert isinstance(data, bytes)
-        calls["delivered"] += not sim._crashed(dst, sim.now)
+        before = calls["decode"]
+        down = sim._crashed(dst, sim.now)
         deliver(sim, src, dst, data)
+        if down:
+            calls["to_down"] += 1
+            assert calls["decode"] == before
+        else:
+            calls["delivered"] += 1
+            delivered.add(data)
 
     monkeypatch.setattr(codec, "encode_message", counting("encode", encode))
     monkeypatch.setattr(codec, "decode_message", counting("decode", decode))
@@ -557,10 +567,11 @@ def test_one_encoding_per_fan_out_and_one_decode_per_delivery(monkeypatch):
     report = Simulation(cfg).run()
     sends = sum(report.messages.values())
     assert calls["encode"] < sends                    # fan-outs share an encoding
-    assert calls["decode"] == calls["delivered"] < sends
+    assert calls["decode"] == len(delivered) < calls["delivered"]
+    assert calls["to_down"] > 0
 
 
-def test_receivers_of_one_push_decode_their_own_copies(monkeypatch):
+def test_receivers_of_one_push_share_one_decoded_copy(monkeypatch):
     sim = Simulation(small_cfg(script=()))
     core = sim.pms["pm0"].core
     push = ErcPush(core.erc_current, core.erc_next)
@@ -571,12 +582,65 @@ def test_receivers_of_one_push_decode_their_own_copies(monkeypatch):
     assert deliveries[0][3] is deliveries[1][3]                 # one encoding
     received = []
     monkeypatch.setattr(PmNode, "deliver",
-                        lambda self, sender, msg, now: received.append(msg.current) or [])
+                        lambda self, sender, msg, now: received.append(msg) or [])
     for _, src, dst, data in deliveries:
         sim._on_deliver(src, dst, data)
     a, b = received
-    assert a == b == push.current                               # the filter as sent
-    assert len({id(a), id(b), id(push.current)}) == 3
+    assert a is b                                               # one decoded copy
+    assert a == push                                            # the filters as sent
+    assert a.current is not push.current and a.next is not push.next
+
+
+def _equivalence_runs():
+    """The bundled scenarios and two runs of acceptance 8's grid, one with
+    a manager down while the revocation order spreads."""
+    from test_acceptance import _safety_cfg
+    runs = [pytest.param(parse_scenario(SCENARIO_DIR / f"{name}.scn")[0], id=name)
+            for name in sorted(BUNDLED_REPORTS)]
+    runs.append(pytest.param(_safety_cfg(4, None, 1, 150), id="grid-4-up"))
+    runs.append(pytest.param(_safety_cfg(3, "pm1", 2, 150), id="grid-3-pm1-down"))
+    return runs
+
+
+@pytest.mark.parametrize("cfg", _equivalence_runs())
+def test_shared_decodes_change_no_report_byte(cfg, monkeypatch):
+    """A run that decodes each distinct byte string once reports what one
+    that decodes every delivery (a bound of 0) reports, byte for byte, and
+    so does one whose bound of 2 clears it again and again.  Every message
+    the run kept still encodes to the bytes it was decoded from: no
+    handler wrote through a shared message."""
+    counts = {"decode": 0, "delivered": 0, "largest": 0}
+    decode, deliver = codec.decode_message, Simulation._on_deliver
+
+    def counted_decode(*args):
+        counts["decode"] += 1
+        return decode(*args)
+
+    def counted_deliver(sim, src, dst, data):
+        counts["delivered"] += not sim._crashed(dst, sim.now)
+        deliver(sim, src, dst, data)
+        counts["largest"] = max(counts["largest"], len(sim._decoded))
+
+    monkeypatch.setattr(codec, "decode_message", counted_decode)
+    monkeypatch.setattr(Simulation, "_on_deliver", counted_deliver)
+
+    def run(limit):
+        monkeypatch.setattr(simnet, "DECODED_LIMIT", limit)
+        counts.update(decode=0, delivered=0, largest=0)
+        sim = Simulation(cfg)
+        report = sim.run()
+        return sim, (report.as_text(), report.auth_csv()), dict(counts)
+
+    sim, shared, seen = run(simnet.DECODED_LIMIT)
+    assert seen["decode"] == len(sim._decoded) < seen["delivered"]
+    for data, msg in sim._decoded.items():
+        assert codec.encode_message(msg) == data
+    _, every, seen = run(0)
+    assert every == shared
+    assert seen["decode"] == seen["delivered"] and seen["largest"] == 0
+    _, bounded, seen = run(2)
+    assert bounded == shared
+    assert seen["largest"] == 2
 
 
 def test_client_derives_a_key_only_when_it_shows_the_pseudonym(monkeypatch):
