@@ -63,29 +63,51 @@ def _write_csv(out_dir: str | None, name: str, rows: list[list]) -> None:
     (path / name).write_text(text, encoding="utf-8")
 
 
-# -- size -------------------------------------------------------------------
-
-# size flag -> (what its value must pass, the rule an error states)
-_SIZE_RULES = {
+# flag of size or storage-compare -> (what each of its values must pass,
+# the rule an error states)
+_RULES = {
     "clients": (lambda v: 0 < v < math.inf, "must be positive and finite"),
     "pseudos": (lambda v: v > 0, "must be positive"),
-    "revoked_frac": (lambda v: 0 <= v <= 1, "must lie in [0, 1]"),
+    "revoked-frac": (lambda v: 0 <= v <= 1, "must lie in [0, 1]"),
     "slots": (lambda v: v > 0, "must be positive"),
+    "delta": (lambda v: v > 0, "must be positive"),
+    "epoch": (lambda v: v > 0, "must be positive"),
     "fanout": (lambda v: v >= 2, "must be at least 2"),
     "fp": (lambda v: 0 < v < 1, "must lie strictly between 0 and 1"),
     "needed": (lambda v: v > 0, "must be positive"),
     "extra": (lambda v: v >= 0, "must not be negative"),
+    "daily-demand": (lambda v: v >= 1, "must be at least 1"),
 }
 
 
-def cmd_size(args: argparse.Namespace) -> int:
-    for dest, (ok, rule) in _SIZE_RULES.items():
-        value = getattr(args, dest)
+def _check_numbers(args: argparse.Namespace) -> None:
+    """Check each number flag the subcommand takes against ``_RULES``."""
+    for flag, (ok, rule) in _RULES.items():
+        value = getattr(args, flag.replace("-", "_"), None)
+        if isinstance(value, (int, float)) and not ok(value):
+            raise ValueError(f"--{flag} {rule}, got {value:g}")
+
+
+def _durations(args: argparse.Namespace, flag: str) -> list[float]:
+    """The comma-separated durations of ``--flag``, each checked against
+    ``_RULES``; an error names the one at fault as written."""
+    ok, rule = _RULES[flag]
+    values = []
+    for item in getattr(args, flag).split(","):
+        value = parse_duration(item) if item.strip() else math.nan  # fails every rule
         if not ok(value):
-            raise ValueError(f"--{dest.replace('_', '-')} {rule}, got {value:g}")
-    delta = parse_duration(args.delta)
-    if delta <= 0:
-        raise ValueError(f"--delta must be positive, got {args.delta}")
+            raise ValueError(f"--{flag} {rule}, got {item.strip() or 'an empty item'}")
+        values.append(value)
+    return values
+
+
+# -- size -------------------------------------------------------------------
+
+def cmd_size(args: argparse.Namespace) -> int:
+    _check_numbers(args)
+    delta, *more = _durations(args, "delta")
+    if more:
+        raise ValueError(f"--delta takes one slot length, got {args.delta}")
     if not delta.is_integer():
         raise ValueError(f"--delta {args.delta!r} is not a whole number of seconds")
     params = sizing.DeploymentParams(
@@ -123,8 +145,8 @@ def cmd_size(args: argparse.Namespace) -> int:
 # -- storage-compare --------------------------------------------------------
 
 def cmd_storage_compare(args: argparse.Namespace) -> int:
-    deltas = [parse_duration(d) for d in args.delta.split(",")]
-    epochs = [parse_duration(e) for e in args.epoch.split(",")]
+    _check_numbers(args)
+    deltas, epochs = _durations(args, "delta"), _durations(args, "epoch")
     points = [(delta, epoch, sizing.storage_comparison(delta, epoch, args.fanout,
                                                        args.daily_demand))
               for epoch in epochs for delta in deltas if delta <= epoch]

@@ -10,14 +10,14 @@ trusted hardware:
   decides issuance.  Per pseudonym it keeps only public values: each
   client's instance-1 public key and root latchkey of each live epoch.
 * ``PmNode`` is the untrusted host shell: message routing, peer bookkeeping,
-  gossip fan-out, pull timers and the epoch-transition quarantine.  It
+  gossip fan-out, the periodic pull and the epoch-transition quarantine.  It
   holds no key material, but it does see client ids: every
   ``RequestRrp`` and ``RevocationOrder`` it routes carries its client's
   cid in clear, and ``_orders`` is keyed by it (ROADMAP item 14).
 
-A node is a single state machine on its own local clock: ``deliver`` and the
-timer hooks, each run by one periodic tick, return the messages to
-transmit, so nodes drop unchanged into the simulator or behind a real
+A node is a single state machine on its own local clock with two entry
+points, ``deliver`` and the periodic ``on_tick``, which return the messages
+to transmit, so nodes drop unchanged into the simulator or behind a real
 transport.  Filters enter one way, whichever message carries them: the core
 merges both or neither, only filters for a held epoch postpone the pull,
 and gainful pushed or pulled ones are forwarded.  The epoch transition is
@@ -25,7 +25,9 @@ one set: the managers, this one included, that reported leaving the
 current epoch; a manager in its own set is in quarantine.  Only a peer's
 report of that epoch counts; a laggard's report of a past epoch draws an
 echo, but the one completing a quorum does not.  Rotation follows the
-clock, and a gossip tick in quarantine reports again.
+clock, which only ``on_tick`` reads: each tick past ``epoch_now`` reports
+leaving it, which starts a transition, resends in quarantine and rejoins
+after a crash.
 
 An admin order expels its client and is relayed; only the managers the
 admin sends it to sign its filter bits, by one rule in whatever epoch it
@@ -339,7 +341,6 @@ class PmNode:
         self.gossip_timeout = gossip_timeout
         self._reports: set[str] = set()   # managers that reported leaving epoch_now
         self._last_update: int | None = None     # when filters last arrived
-        self._recovered_at: int | None = None    # when the node last came back
         self._orders: dict[tuple, RevocationOrder] = {}  # relayed admin orders
         self._signed: set[tuple] = set()   # orders whose bits this core wrote
         self.stats = {"pushes": 0, "pulls": 0, "forwards": 0}
@@ -432,21 +433,13 @@ class PmNode:
             out += [Outgoing(requester, order) for order in self._orders.values()]
         return out
 
-    def on_gossip_timer(self, now: int) -> list[Outgoing]:
-        """Report again in quarantine; pull unless filters arrived within
-        the last ``gossip_timeout``.  A tick at the instant of a recovery
-        does neither: ``on_recover`` has just done both."""
-        if now == self._recovered_at:
-            return []
-        out = self.on_clock(now) if self.node_id in self._reports else []
+    def on_tick(self, now: int) -> list[Outgoing]:
+        """Report leaving a past epoch (``on_clock``), then pull unless
+        filters arrived within the last ``gossip_timeout``."""
+        out = self.on_clock(now)
         if self._last_update is not None and now - self._last_update < self.gossip_timeout:
             return out
         return out + self._pull()
-
-    def on_recover(self, now: int) -> list[Outgoing]:
-        """Back from a crash: begin a missed epoch transition, then pull."""
-        self._recovered_at = now
-        return self.on_clock(now) + self._pull()
 
     def _pull(self) -> list[Outgoing]:
         if not self.peers:

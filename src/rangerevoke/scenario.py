@@ -20,11 +20,11 @@ Times are seconds (floats allowed)::
     epoch_len = 60
     delta = 15
     horizon = 100
-    ...                     ; also delta_net, gossip_timeout, pull_period;
-                            ; absent keys keep the SimConfig defaults
+    ...                     ; also delta_net, gossip_timeout <= epoch_len,
+                            ; pull_period; absent keys keep their defaults
 
     [crashes]
-    c1 = pm3 55..80         ; manager, then down-window
+    c1 = pm3 55..80         ; manager, down-window; rejoins at its next tick
 
     [unstable]
     w1 = 20..35             ; network partitions: messages held until end
@@ -160,15 +160,17 @@ def _sim_entry(key: str, value: str) -> tuple[str, int]:
 
 
 def _check_nodes(cfg: SimConfig) -> None:
-    """Values at least ``_SIM_LEAST``, a slot within its epoch, and f < N
-    so that the quarantine quorum N - f is not empty."""
+    """Values at least ``_SIM_LEAST``, a slot and a manager's tick (its
+    only clock check) within an epoch, and f < N so that the quarantine
+    quorum N - f is not empty."""
     for key, least in _SIM_LEAST.items():
         value = getattr(cfg, _SIM_INTS.get(key, key))
         if value < least:
             raise ValueError(f"[sim] {key}: must be >= {least}, got {value}" if key in _SIM_INTS
                              else f"[sim] {key}: must be > 0 s, got {value / MICRO:g} s")
-    if cfg.delta > cfg.epoch_len:
-        raise ValueError(f"[sim] delta: must not exceed epoch_len ({cfg.epoch_len / MICRO:g} s)")
+    for key in ("delta", "gossip_timeout"):
+        if getattr(cfg, key) > cfg.epoch_len:
+            raise ValueError(f"[sim] {key}: must not exceed epoch_len ({cfg.epoch_len / MICRO:g} s)")
     if not 0 <= cfg.fault_bound < cfg.n_pms:
         raise ValueError(f"[sim] fault_bound: must be in 0..{cfg.n_pms - 1}, "
                          f"got {cfg.fault_bound}")

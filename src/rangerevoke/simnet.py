@@ -2,13 +2,14 @@
 
 One seeded event loop drives manager nodes, verifiers, clients and the
 administrator under partial synchrony: bounded message delay in stable
-windows, arbitrary delay in unstable ones, and scripted crash/recovery
-of managers.  Every run uses one binary slot tree, ``FILTER`` and
+windows, arbitrary delay in unstable ones, and scripted crash windows of
+managers.  Every run uses one binary slot tree, ``FILTER`` and
 ``INSTANCES``, and every node reads one clock, ``Simulation.now``.
 Identical (config, seed) pairs reproduce byte-identical reports.  The
-loop carries bytes, keeps time and applies crashes; each node routes what
-its ``deliver`` receives, and one periodic tick runs each of its timer
-hooks, whose rules are the node's own.
+loop carries bytes, keeps time and applies crashes by three event kinds:
+``action``, ``deliver`` and one periodic ``tick`` per node.  A node's rules
+are its own, behind two entry points, ``deliver`` and ``on_tick``; a node
+down runs neither, so a crash ends at the node's first tick after it.
 
 Time is integer microseconds.  Messages travel as wire bytes, encoded
 once per fan-out and decoded under ``FILTER`` on delivery, after the
@@ -251,15 +252,10 @@ class Simulation:
 
         for action in cfg.script:
             self._schedule(action.at, ("action", action))
-        for pm_id, pm in self.pms.items():
-            self._schedule(cfg.gossip_timeout,
-                           ("tick", pm_id, pm.on_gossip_timer, cfg.gossip_timeout))
-            self._schedule(cfg.epoch_len + 1, ("tick", pm_id, pm.on_clock, cfg.epoch_len))
-        for v_id, v in self.verifiers.items():
-            self._schedule(1, ("tick", v_id, v.on_pull_timer, cfg.pull_period))
-        for crash in cfg.crashes:
-            # recovering managers immediately pull-gossip
-            self._schedule(crash.end, ("recover", crash.node))
+        for pm_id in self.pms:
+            self._schedule(cfg.gossip_timeout, ("tick", pm_id, cfg.gossip_timeout))
+        for v_id in self.verifiers:
+            self._schedule(1, ("tick", v_id, cfg.pull_period))
 
     # -- plumbing ---------------------------------------------------------
 
@@ -350,16 +346,12 @@ class Simulation:
                 len(resp.endorsements)))
         self._emit(dst, outgoing)
 
-    def _on_tick(self, node_id: str, hook, period: int) -> None:
-        """Run a node's periodic ``hook`` unless it is down."""
+    def _on_tick(self, node_id: str, period: int) -> None:
+        """Run a node's ``on_tick`` unless it is down."""
         now = self.now
-        self._schedule(now + period, ("tick", node_id, hook, period))
+        self._schedule(now + period, ("tick", node_id, period))
         if not self._crashed(node_id, now):
-            self._emit(node_id, hook(now))
-
-    def _on_recover(self, pm_id: str) -> None:
-        if not self._crashed(pm_id, self.now):      # not down in another window
-            self._emit(pm_id, self.pms[pm_id].on_recover(self.now))
+            self._emit(node_id, self._nodes[node_id].on_tick(now))
 
     # -- scripted workload ------------------------------------------------
 

@@ -6,7 +6,7 @@ and none of its latchkeys queries true in the local filter.  When the
 verifier cannot refresh its filter for longer than three pull periods it
 stops granting anything: stale state may only ever deny, never admit, so
 safety is preserved at the cost of availability.
-Like a manager, it takes whole messages through ``deliver``.
+Like a manager, it has two entry points, ``deliver`` and ``on_tick``.
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ class VerifierNode:
             self.handle_pull_response(msg, now)
         return []
 
-    def on_pull_timer(self, now: int) -> list[Outgoing]:
+    def on_tick(self, now: int) -> list[Outgoing]:
         """Ask a random manager for its filters."""
         return [Outgoing(self.rng.choice(self.pm_ids), ErcPullReq())]
 

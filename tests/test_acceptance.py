@@ -28,7 +28,7 @@ from rangerevoke.codec import decode_capability, encode_capability
 from rangerevoke.crypto import det_keygen, det_sign, digest, seed_from_parts
 from rangerevoke.ercset import BloomFilter, FilterParams, is_revoked
 from rangerevoke.manager import TrustedCore
-from rangerevoke.messages import RequestRrp, RevocationOrder
+from rangerevoke.messages import EpochReport, RequestRrp, RevocationOrder
 from rangerevoke.pseudonym import (
     Capability,
     Latchkey,
@@ -310,6 +310,51 @@ def test_08_distributed_safety_exhaustive():
               f"failures: {len(convergence_failures)}")
     if grant_violations or convergence_failures:
         detail += f", first: {(grant_violations + convergence_failures)[:3]}"
+    assert verdict(8, ok, detail)
+
+
+def test_08_ticks_off_the_boundary_start_each_transition_within_a_tick(monkeypatch):
+    # a manager's tick is its only clock check: with a gossip timeout that
+    # does not divide the 60 s epoch, a manager up at the boundary sends
+    # its first epoch-0 report on its first tick after it, within
+    # (60, 60 + timeout] s, and one down across it (25..80 s) on its first
+    # tick after its window; every run still converges as 8 requires
+    first = {}                          # manager -> its first epoch-0 report
+    emit = Simulation._emit
+
+    def recording(sim, src, outgoing):
+        if any(isinstance(o.msg, EpochReport) and o.msg.from_epoch == 0 for o in outgoing):
+            first.setdefault(src, sim.now)
+        emit(sim, src, outgoing)
+    monkeypatch.setattr(Simulation, "_emit", recording)
+    off_tick, convergence_failures, runs = [], [], 0
+    for timeout_s in (7, 13):
+        timeout = timeout_s * MICRO
+        for n_pms in (3, 4):
+            for crash in [None] + [f"pm{i}" for i in range(n_pms)]:
+                runs += 1
+                first.clear()
+                cfg = _safety_cfg(n_pms, crash, 1, 100)
+                cfg.gossip_timeout = timeout
+                sim = Simulation(cfg)
+                report = sim.run()
+                case = (timeout_s, n_pms, crash)
+                for pm in sim.correct_pms():
+                    start = 80 * MICRO if pm == crash else 60 * MICRO
+                    tick = -(-start // timeout) * timeout   # < start + timeout
+                    if first.get(pm) != tick:
+                        off_tick.append((case, pm, first.get(pm)))
+                rows = [r for r in report.pm_state if r[0] in sim.correct_pms()]
+                if not (all(r[1:3] == (1, "serving") for r in rows)
+                        and len({r[3:] for r in rows}) == 1):
+                    convergence_failures.append(case)
+    ok = not off_tick and not convergence_failures
+    detail = (f"{runs} runs (gossip timeout 7 or 13 s, N in 3..4, every <=1-crash "
+              f"subset): first reports not on the first tick past the boundary or "
+              f"the crash: {len(off_tick)}, correct-manager convergence failures: "
+              f"{len(convergence_failures)}")
+    if not ok:
+        detail += f", first: {(off_tick + convergence_failures)[:3]}"
     assert verdict(8, ok, detail)
 
 

@@ -103,10 +103,15 @@ _BAD_NUMBERS = [
     ("size --fp 1.5", "error: --fp must lie strictly between 0 and 1, got 1.5\n"),
     ("storage-compare --epoch 1e999", "duration '1e999'"),
     ("size --fanout 1", "error: --fanout must be at least 2, got 1\n"),
-    ("storage-compare --fanout 1", "fanout"),
-    ("storage-compare --delta 0", "delta"),
-    ("storage-compare --daily-demand -5 --delta 1m --epoch 1d", "daily demand"),
-    ("storage-compare --daily-demand 0", "daily demand"),
+    ("storage-compare --fanout 1", "error: --fanout must be at least 2, got 1\n"),
+    ("storage-compare --delta 0", "error: --delta must be positive, got 0\n"),
+    ("storage-compare --delta -60", "error: --delta must be positive, got -60\n"),
+    ("storage-compare --epoch 0", "error: --epoch must be positive, got 0\n"),
+    ("storage-compare --delta 1s,,1m", "error: --delta must be positive, got an empty item\n"),
+    ("size --delta 1,2", "error: --delta takes one slot length, got 1,2\n"),
+    ("storage-compare --daily-demand -5 --delta 1m --epoch 1d",
+     "error: --daily-demand must be at least 1, got -5\n"),
+    ("storage-compare --daily-demand 0", "error: --daily-demand must be at least 1, got 0\n"),
     ("storage-compare --delta 2d --epoch 1d", "every --delta exceeds every --epoch"),
 ]
 
@@ -296,6 +301,8 @@ _MALFORMED = [
     ("sim", "filter_k = 0", "[sim] filter_k: unknown [sim] key"),
     ("sim", "delta = 0", "[sim] delta: must be > 0 s, got 0 s"),
     ("sim", "delta = 90", "[sim] delta: must not exceed epoch_len (60 s)"),
+    # the tick is a manager's only clock check, so it runs at least once an epoch
+    ("sim", "gossip_timeout = 61", "[sim] gossip_timeout: must not exceed epoch_len (60 s)"),
     ("sim", "epoch_len = 0", "[sim] epoch_len: must be > 0 s, got 0 s"),
     ("sim", "fanout = 1", "[sim] fanout: unknown [sim] key"),
 ]

@@ -306,9 +306,9 @@ def test_deliver_answers_a_request_to_its_sender(pm_key, admin_key, cid):
 def test_gossip_timer_pulls_only_after_a_quiet_timeout(pm_key, admin_key, cid,
                                                       wire_messages, kind):
     node = make_node(pm_key, admin_key, cid, timeout=5)
-    node.deliver("pm1", dict(wire_messages)[kind], now=100)
-    assert node.on_gossip_timer(104) == []
-    out = node.on_gossip_timer(105)
+    node.deliver("pm1", dict(wire_messages)[kind], now=40)
+    assert node.on_tick(44) == []
+    out = node.on_tick(45)
     assert [type(o.msg) for o in out] == [ErcPullReq] and out[0].dst in node.peers
     assert node.stats["pulls"] == 1
 
@@ -342,9 +342,9 @@ def test_dropped_filters_do_not_postpone_the_pull(pm_key, admin_key, cid, wire_m
             with pytest.raises((codec.Truncated, codec.TrailingBytes)):
                 codec.decode_message(blob, PARAMS)
         else:
-            assert node.deliver("pm1", dict(wire_messages)[kind], now=100) == []
+            assert node.deliver("pm1", dict(wire_messages)[kind], now=40) == []
     assert caplog.records == []
-    out = node.on_gossip_timer(104)
+    out = node.on_tick(44)
     assert [type(o.msg) for o in out] == [ErcPullReq]
 
 
@@ -671,7 +671,7 @@ def test_pull_request_response(pm_key, admin_key, cid):
 
 def test_gossip_timeout_pulls_one_peer(pm_key, admin_key, cid):
     node = make_node(pm_key, admin_key, cid)
-    out = node.on_gossip_timer(now=0)           # no filters have ever arrived
+    out = node.on_tick(now=0)           # no filters have ever arrived
     assert len(out) == 1 and out[0].dst != "pm0"
 
 
@@ -760,14 +760,14 @@ def test_a_quarantined_manager_reports_again_on_each_gossip_tick(pm_key, admin_k
     """A report lost to a crash, or dropped by a peer still in the epoch
     before, is sent again: peers past the epoch then echo it."""
     node = make_node(pm_key, admin_key, cid, n=4, f=1)
-    assert [type(o.msg) for o in node.on_gossip_timer(5)] == [ErcPullReq]
+    assert [type(o.msg) for o in node.on_tick(5)] == [ErcPullReq]
     node.on_clock(now=61)
     node.deliver("pm1", EpochReport(0, node.core.erc_current, node.core.erc_next), 61)
-    out = node.on_gossip_timer(65)
+    out = node.on_tick(65)
     assert [(o.dst, o.msg.from_epoch) for o in out
             if isinstance(o.msg, EpochReport)] == [("pm1", 0), ("pm2", 0), ("pm3", 0)]
     node.deliver("pm2", EpochReport(0, node.core.erc_current, node.core.erc_next), 66)
-    assert not any(isinstance(o.msg, EpochReport) for o in node.on_gossip_timer(70))
+    assert not any(isinstance(o.msg, EpochReport) for o in node.on_tick(70))
 
 
 def test_quarantine_denies_two_epochs_ahead(pm_key, admin_key, cid):

@@ -31,7 +31,7 @@ from rangerevoke.simnet import (
 # SHA-256 of (report.txt, auths.csv) that ``rangerevoke --out DIR simulate
 # NAME`` writes for each bundled scenario
 BUNDLED_REPORTS = {
-    "quarantine": ("5a8bfed9a7b47e27248afcdffecd97fd32aa4610196378e2b949b04178ac0b6d",
+    "quarantine": ("9e81a229975e987edd69f73adbb3183422bc92ac669cc35f2021035ec93b1c4a",
                    "1e3ea17d79824602cd6dbd32e78ad5546fa2ce2014eb39c7d75a280c7d3d4f94"),
     "linkage": ("69d2c14964432b00b73a718947db6b471a45535bd8b4d29a29c61eb1de581f87",
                 "252dbbdf4b88794148c0376cddba209ddb27f221f4a9f2003ef0434920dab090"),
@@ -126,17 +126,27 @@ def test_crashed_pm_misses_traffic_then_recovers():
     assert len(states) == 1                      # pull gossip caught pm2 up
 
 
-def test_recovery_inside_another_crash_window_is_skipped(monkeypatch):
-    # pm2 is down for 10..20 s and 15..30 s: it recovers once, at 30 s
-    recovered = []
-    on_recover = PmNode.on_recover
-    monkeypatch.setattr(PmNode, "on_recover",
-                        lambda self, now: recovered.append((self.node_id, now))
-                        or on_recover(self, now))
+def record_sends(monkeypatch) -> list[tuple[int, str, str]]:
+    """(time, sender, message type) of every message a run sends."""
+    sent = []
+    emit = Simulation._emit
+
+    def recording(sim, src, outgoing):
+        sent.extend((sim.now, src, type(out.msg).__name__) for out in outgoing)
+        emit(sim, src, outgoing)
+    monkeypatch.setattr(Simulation, "_emit", recording)
+    return sent
+
+
+def test_a_manager_down_in_overlapping_windows_rejoins_once(monkeypatch):
+    # pm2 is down for 10..20 s and 15..30 s: it sends nothing until its
+    # first tick after both, at 30 s, and that tick sends one pull
+    sent = record_sends(monkeypatch)
     cfg = small_cfg(crashes=(CrashWindow("pm2", 10 * MICRO, 20 * MICRO),
                              CrashWindow("pm2", 15 * MICRO, 30 * MICRO)))
     Simulation(cfg).run()
-    assert recovered == [("pm2", 30 * MICRO)]
+    assert [(now, kind) for now, src, kind in sent
+            if src == "pm2" and 10 * MICRO <= now <= 30 * MICRO] == [(30 * MICRO, "ErcPullReq")]
 
 
 def test_an_order_sent_at_an_epoch_boundary_still_revokes_the_next_epoch():
@@ -412,20 +422,20 @@ def test_a_manager_that_every_quorum_needs_still_rotates(seed):
 
 
 def test_a_recovery_on_a_gossip_tick_pulls_and_reports_once(monkeypatch):
-    # pm3 comes back at 80 s, a multiple of the 5 s gossip timeout, so its
-    # recovery and a gossip tick fall on one instant
-    sent = []
-    emit = Simulation._emit
-
-    def recording(sim, src, outgoing):
-        sent.extend((sim.now, src, type(out.msg).__name__) for out in outgoing)
-        emit(sim, src, outgoing)
-    monkeypatch.setattr(Simulation, "_emit", recording)
-    cfg = SimConfig(seed=1, n_pms=4, fault_bound=1, horizon=100 * MICRO,
-                    crashes=(CrashWindow("pm3", 25 * MICRO, 80 * MICRO),))
-    Simulation(cfg).run()
-    at_recovery = Counter(kind for now, src, kind in sent if (now, src) == (80 * MICRO, "pm3"))
-    assert at_recovery == {"ErcPullReq": 1, "EpochReport": 3}
+    # pm3 is down from 25 s across the 60 s boundary, back at 80 s (a
+    # multiple of the 5 s gossip timeout) or at 77 s (between two ticks):
+    # either way it rejoins on the tick at 80 s, which pulls once and
+    # reports to each peer, and it sends nothing before
+    sent = record_sends(monkeypatch)
+    for end in (80, 77):
+        sent.clear()
+        cfg = SimConfig(seed=1, n_pms=4, fault_bound=1, horizon=100 * MICRO,
+                        crashes=(CrashWindow("pm3", 25 * MICRO, end * MICRO),))
+        Simulation(cfg).run()
+        assert not [s for s in sent if s[1] == "pm3" and end * MICRO <= s[0] < 80 * MICRO]
+        at_recovery = Counter(kind for now, src, kind in sent
+                              if (now, src) == (80 * MICRO, "pm3"))
+        assert at_recovery == {"ErcPullReq": 1, "EpochReport": 3}, end
 
 
 def test_nothing_to_show_records_nothing():

@@ -171,6 +171,21 @@ def test_simulator_routes_no_message():
     assert not offenders, f"the simulator calls node handlers: {offenders}"
 
 
+def test_simulator_has_three_event_kinds_and_one_node_hook():
+    """The simulator handles ``action``, ``deliver`` and ``tick`` events
+    alone, and the one periodic hook it runs on a node is ``on_tick``:
+    crash recovery and the epoch clock are that hook's, not events."""
+    tree = ast.parse((SRC / "simnet.py").read_text(encoding="utf-8"))
+    [sim] = [node for node in tree.body
+             if isinstance(node, ast.ClassDef) and node.name == "Simulation"]
+    handlers = {node.name for node in sim.body
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("_on_")}
+    hooks = {node.attr for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr.startswith("on_")}
+    assert handlers == {"_on_action", "_on_deliver", "_on_tick"}
+    assert hooks == {"on_tick"}
+
+
 def _keywords_of_sim_config_calls(tree: ast.AST) -> set[str]:
     return {kw.arg for node in ast.walk(tree) if isinstance(node, ast.Call)
             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "SimConfig"

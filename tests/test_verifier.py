@@ -151,7 +151,7 @@ def test_a_first_filter_of_another_shape_does_not_lock_out_honest_ones(pm_key):
 
 def test_make_pull_targets_known_manager(pm_key):
     v = make_verifier(pm_key)
-    [out] = v.on_pull_timer(now=0)
+    [out] = v.on_tick(now=0)
     assert out.dst in ("pm0", "pm1")
     assert out.msg == ErcPullReq()
 
