@@ -39,16 +39,17 @@ _UNIT_SECONDS = {"s": 1, "m": 60, "h": 3600, "d": 86_400, "y": 31_536_000}
 
 
 def parse_duration(text: str) -> float:
-    """'90', '1.5h', '1d', '1y' -> seconds; a non-finite result is refused."""
+    """'90', '1.5h', '1d', '1y' -> seconds, reading the whole text as a number
+    first (so 'nan' has no unit 'n'); a non-finite result is refused."""
     text = text.strip()
-    number, unit = text, 1
-    if text and text[-1].isalpha():
+    try:
+        seconds = float(text)
+    except ValueError:
         try:
-            unit = _UNIT_SECONDS[text[-1]]
-        except KeyError:
-            raise ValueError(f"unknown time unit in {text!r}") from None
-        number = text[:-1]
-    seconds = float(number) * unit
+            seconds = float(text[:-1]) * _UNIT_SECONDS[text[-1:]]
+        except (ValueError, KeyError):
+            raise ValueError(f"duration {text!r} is not a number with an optional "
+                             "unit s, m, h, d or y") from None
     if not math.isfinite(seconds):
         raise ValueError(f"duration {text!r} is not a finite number of seconds")
     return seconds
@@ -94,7 +95,10 @@ def _durations(args: argparse.Namespace, flag: str) -> list[float]:
     ok, rule = _RULES[flag]
     values = []
     for item in getattr(args, flag).split(","):
-        value = parse_duration(item) if item.strip() else math.nan  # fails every rule
+        try:
+            value = parse_duration(item) if item.strip() else math.nan  # fails every rule
+        except ValueError as exc:
+            raise ValueError(f"--{flag}: {exc}") from None
         if not ok(value):
             raise ValueError(f"--{flag} {rule}, got {item.strip() or 'an empty item'}")
         values.append(value)

@@ -139,8 +139,8 @@ class BloomFilter:
 
     def merged(self, other: "BloomFilter") -> "BloomFilter":
         """Bitwise OR with a compatible filter: the receiver itself when
-        ``other`` adds no bit, so an idle merge builds nothing and callers
-        tell a gain by identity (no filter is modified once shared).
+        ``other`` adds no bit (no filter is modified once shared), so an
+        idle merge builds nothing and ``merge_filters`` tells a gain by identity.
 
         An ``other`` that records its positions (see the class docstring)
         is ORed into one copy of the receiver, position by position: this

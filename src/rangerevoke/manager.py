@@ -11,9 +11,10 @@ trusted hardware:
   client's instance-1 public key and root latchkey of each live epoch.
 * ``PmNode`` is the untrusted host shell: message routing, peer bookkeeping,
   gossip fan-out, the periodic pull and the epoch-transition quarantine.  It
-  holds no key material, but it does see client ids: every
-  ``RequestRrp`` and ``RevocationOrder`` it routes carries its client's
-  cid in clear, and ``_orders`` is keyed by it (ROADMAP item 14).
+  holds no key material and reads no client id, though every ``RequestRrp``
+  and ``RevocationOrder`` it routes carries one in clear (ROADMAP item 14).
+  Its one order table maps each admin order taken, as signed and in
+  first-seen order, to whether this core signed its bits.
 
 A node is a single state machine on its own local clock with two entry
 points, ``deliver`` and the periodic ``on_tick``, which return the messages
@@ -341,8 +342,7 @@ class PmNode:
         self.gossip_timeout = gossip_timeout
         self._reports: set[str] = set()   # managers that reported leaving epoch_now
         self._last_update: int | None = None     # when filters last arrived
-        self._orders: dict[tuple, RevocationOrder] = {}  # relayed admin orders
-        self._signed: set[tuple] = set()   # orders whose bits this core wrote
+        self._orders: dict[RevocationOrder, bool] = {}  # order taken -> core signed it
         self.stats = {"pushes": 0, "pulls": 0, "forwards": 0}
 
     def deliver(self, sender: str, msg: Message, now: int) -> list[Outgoing]:
@@ -380,13 +380,13 @@ class PmNode:
     # -- revocation and gossip --------------------------------------------
 
     def handle_revoke(self, sender: str, order: RevocationOrder) -> list[Outgoing]:
-        """Relay an admin order once and sign its bits only on the admin's
-        own copy.  A peer's copy, relayed or resent in a pull response, only
-        expels; it never stands in for the admin's, so a spoofed sender can
-        delay that work but not drop it."""
-        key = (order.cid, order.rts, order.epoch_id)
+        """Relay an admin order on first sight and sign its bits only on the
+        admin's own copy.  A peer's copy, relayed or resent in a pull response,
+        only expels; it never stands in for the admin's, so a spoofed sender
+        can delay that work but not drop it.  A copy under another signature
+        is a new order, checked afresh."""
         relayed = sender in self.peers
-        if key in (self._orders if relayed else self._signed):
+        if order in self._orders and (relayed or self._orders[order]):
             return []
         before = self.core.erc_current, self.core.erc_next
         try:
@@ -397,24 +397,17 @@ class PmNode:
         # Relay the admin-signed order itself, once: peers that never served
         # this client learn the expulsion, which outlives both filter epochs.
         relays = []
-        if key not in self._orders:
-            self._orders[key] = order
+        if order not in self._orders:
             relays = [Outgoing(p, order) for p in self.rng.sample(self.peers, self.fanout)]
+        self._orders[order] = not relayed
         if relayed:
             return relays
-        self._signed.add(key)
         if order.epoch_id > self.core.epoch_now + 1:
             log.warning("%s: filters unchanged: order targets epoch %d, current is %d",
                         self.node_id, order.epoch_id, self.core.epoch_now)
-        if self._gained_since(before):   # pushed on a gain only
+        if before != (self.core.erc_current, self.core.erc_next):   # pushed on a gain only
             return self.eager_push() + relays
         return relays
-
-    def _gained_since(self, before: tuple[BloomFilter, BloomFilter]) -> bool:
-        """Whether the core's filters gained a bit since ``before``:
-        ``merged`` returns its receiver exactly when no bit is gained, so
-        a filter that is another object has gained one."""
-        return before[0] is not self.core.erc_current or before[1] is not self.core.erc_next
 
     def eager_push(self) -> list[Outgoing]:
         """Send both filters to f+1 distinct random peers."""
@@ -430,7 +423,7 @@ class PmNode:
             # peer managers also get the remembered orders so a recovering
             # node rebuilds its revoked-client set, not just its filter
             # bits; verifiers never do (orders name clients, filters don't)
-            out += [Outgoing(requester, order) for order in self._orders.values()]
+            out += [Outgoing(requester, order) for order in self._orders]
         return out
 
     def on_tick(self, now: int) -> list[Outgoing]:
@@ -489,8 +482,8 @@ class PmNode:
         self._reports.clear()
         self.core.rotate_epoch()
         before = self.core.erc_current, self.core.erc_next
-        for key in self._signed:
-            if key[2] == self.core.epoch_now:
-                self.core.revoke(self._orders[key])
-        out = self.eager_push() if self._gained_since(before) else []
+        for order, signed in self._orders.items():
+            if signed and order.epoch_id == self.core.epoch_now:
+                self.core.revoke(order)
+        out = self.eager_push() if before != (self.core.erc_current, self.core.erc_next) else []
         return out + self.on_clock(now)

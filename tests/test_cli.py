@@ -113,6 +113,11 @@ _BAD_NUMBERS = [
      "error: --daily-demand must be at least 1, got -5\n"),
     ("storage-compare --daily-demand 0", "error: --daily-demand must be at least 1, got 0\n"),
     ("storage-compare --delta 2d --epoch 1d", "every --delta exceeds every --epoch"),
+    ("storage-compare --delta abc", "error: --delta: duration 'abc' is not a number"),
+    ("storage-compare --delta m", "error: --delta: duration 'm' is not a number"),
+    ("storage-compare --delta nan", "error: --delta: duration 'nan' is not a finite number"),
+    ("storage-compare --epoch 1.2.3", "error: --epoch: duration '1.2.3' is not a number"),
+    ("size --delta 10x", "error: --delta: duration '10x' is not a number"),
 ]
 
 

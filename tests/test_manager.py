@@ -527,6 +527,49 @@ def test_a_relay_with_a_bad_signature_expels_nobody(pm_key, admin_key, cid, capl
     assert cid not in node.core.revoked and not node._orders
 
 
+def test_a_relay_of_an_order_this_node_signed_costs_nothing(pm_key, admin_key, cid,
+                                                            monkeypatch):
+    node = make_node(pm_key, admin_key, cid)
+    order = signed_order(admin_key, cid, 1, 0)
+    node.deliver("admin", order, 1)
+    calls = count_ed25519(monkeypatch)
+    assert node.deliver("pm1", order, 2) == []
+    assert not calls                       # not even an admin-signature check
+    assert node._orders == {order: True}
+
+
+@pytest.mark.parametrize("first", ["admin", "pm2"])
+def test_a_forged_relay_of_a_known_order_is_refused(pm_key, admin_key, cid, caplog, first):
+    """A relay is known by its whole signed order: a copy of a taken order
+    under another signature is checked like a new one, refused with one
+    warning, and kept out of the table."""
+    node = make_node(pm_key, admin_key, cid)
+    order = signed_order(admin_key, cid, 1, 0)
+    node.deliver(first, order, 1)
+    forged = replace(order, admin_sig=signed_order(admin_key, cid, 2, 0).admin_sig)
+    with caplog.at_level(logging.WARNING, logger="rangerevoke.manager"):
+        assert node.deliver("pm1", forged, 2) == []
+    assert [r.levelno for r in caplog.records] == [logging.WARNING]
+    assert "bad signature" in caplog.text
+    assert node._orders == {order: first == "admin"}
+
+
+def test_pull_responses_list_orders_in_first_seen_order(pm_key, admin_key, cid):
+    """Orders are resent in the order the node first took them, whoever
+    sent them; an admin copy taken after its relay keeps the relay's
+    place."""
+    node = make_node(pm_key, admin_key, cid)
+    orders = [signed_order(admin_key, cid, rts, 0) for rts in (3, 1, 2)]
+    node.deliver("pm1", orders[0], 1)
+    node.deliver("admin", orders[1], 1)
+    node.deliver("admin", orders[0], 2)
+    node.deliver("pm3", orders[2], 2)
+    resent = [o.msg for o in node.handle_pull_request("pm2")
+              if isinstance(o.msg, RevocationOrder)]
+    assert resent == orders
+    assert list(node._orders.values()) == [True, True, False]
+
+
 def test_the_admins_copy_after_a_relay_is_applied_in_full(pm_key, admin_key, cid):
     """A relay seen first does not stand in for the admin's own copy: that
     copy still writes every bit a fresh core's ``revoke`` writes and

@@ -186,6 +186,18 @@ def test_simulator_has_three_event_kinds_and_one_node_hook():
     assert hooks == {"on_tick"}
 
 
+def test_manager_shell_reads_no_client_id():
+    """The untrusted host shell ``PmNode`` reads no ``cid``: it keys orders
+    by the whole signed order and leaves client ids to the trusted core
+    (ROADMAP item 14, "``PmNode`` reads no cid")."""
+    tree = ast.parse((SRC / "manager.py").read_text(encoding="utf-8"))
+    [shell] = [node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "PmNode"]
+    offenders = [f"manager.py:{node.lineno}" for node in ast.walk(shell)
+                 if isinstance(node, ast.Attribute) and node.attr == "cid"]
+    assert not offenders, f"PmNode reads a client id: {offenders}"
+
+
 def _keywords_of_sim_config_calls(tree: ast.AST) -> set[str]:
     return {kw.arg for node in ast.walk(tree) if isinstance(node, ast.Call)
             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "SimConfig"
