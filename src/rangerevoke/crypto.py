@@ -1,8 +1,10 @@
 """Deterministic cryptographic primitives.
 
-Every other module consumes exactly four operations: det_keygen, det_sign,
-ver_sign and digest.  The concrete algorithms (Ed25519, SHA-256) are chosen
-here and nowhere else, so swapping them touches a single file.
+Other modules derive keys (det_keygen, or rebuild_keypair when the public
+key is already known), sign (det_sign), verify (ver_sign) and hash (digest,
+seed_from_parts).  The concrete algorithms (Ed25519, SHA-256) and
+libsodium's secret-key layout are known here and nowhere else, so swapping
+them touches a single file.
 
 Ed25519 runs in libsodium, called through ``ctypes``.  There is exactly one
 implementation and no fallback: Ed25519 libraries disagree on hostile
@@ -74,11 +76,10 @@ class KeyPair:
 
     ``seed`` doubles as the private key material (Ed25519 private keys are
     exactly a 32-byte seed).  ``public`` is the 32-byte raw verification key.
-    ``signer`` is libsodium's 64-byte secret key that ``det_keygen``
-    expands from the seed, kept so that signing never expands it again; it
-    is derived from the seed, so equality, hashing and repr leave it out
-    and stay on (seed, public).  Neither the seed nor the signer may appear
-    in any serialized artifact.
+    ``signer`` is libsodium's 64-byte secret key, ``seed ‖ public``, kept
+    so that signing never derives it again; it follows from the seed, so
+    equality, hashing and repr leave it out and stay on (seed, public).
+    Neither the seed nor the signer may appear in any serialized artifact.
     """
 
     seed: bytes
@@ -94,6 +95,24 @@ def det_keygen(seed: bytes) -> KeyPair:
     secret = _SecretBuffer()
     _sodium.crypto_sign_seed_keypair(public, secret, seed)
     return KeyPair(seed=seed, public=public.raw, signer=secret.raw)
+
+
+def rebuild_keypair(seed: bytes, public: bytes) -> KeyPair:
+    """The pair ``det_keygen(seed)`` returns, from ``seed``'s public key,
+    with no Ed25519 call.
+
+    libsodium's secret key is ``seed ‖ public``, and RFC 8032 signing reads
+    the public key from it instead of multiplying the base point again.
+    ``public`` is not checked against ``seed``: that check is the
+    multiplication this skips.  A wrong public key gives a pair whose
+    signatures verify under no key, so pass only a key that ``det_keygen``
+    gave for this very seed.
+    """
+    if len(seed) != SEED_LEN:
+        raise ValueError(f"seed must be {SEED_LEN} bytes, got {len(seed)}")
+    if len(public) != PUBLIC_KEY_LEN:
+        raise ValueError(f"public key must be {PUBLIC_KEY_LEN} bytes, got {len(public)}")
+    return KeyPair(seed=seed, public=public, signer=seed + public)
 
 
 def det_sign(key: KeyPair, message: bytes) -> bytes:

@@ -8,7 +8,8 @@ trusted hardware:
   per-client issuance counters, and the two live revocation filters (one
   for the current epoch, one for the next).  It alone builds filters and
   decides issuance.  Per pseudonym it keeps only public values: each
-  client's instance-1 public key and root latchkey of each live epoch.
+  client's instance-1 public key and root latchkey of each live epoch,
+  from which it rebuilds that instance's key pair without Ed25519.
 * ``PmNode`` is the untrusted host shell: message routing, peer bookkeeping,
   gossip fan-out, the periodic pull and the epoch-transition quarantine.  It
   holds no key material and reads no client id, though every ``RequestRrp``
@@ -42,7 +43,7 @@ import enum
 import logging
 import random
 
-from .crypto import PUBLIC_KEY_LEN, KeyPair, det_sign, ver_sign
+from .crypto import PUBLIC_KEY_LEN, KeyPair, det_sign, rebuild_keypair, ver_sign
 from .ercset import BloomFilter, FilterParams
 from .messages import (
     DenialReason,
@@ -59,7 +60,7 @@ from .messages import (
 # verify_capability is imported for perfbench/, whose tracer patches it in
 # this module; the proof check below does not call it
 from .pseudonym import (CLIENT_ID_LEN, Rrp, endorse, endorsement_message, pseudonym_keypair,
-                        verify_capability)
+                        pseudonym_seed, verify_capability)
 from .slot_tree import EpochConfig, NodeLabel, SlotRange, path_to_root, safe_cover
 
 log = logging.getLogger(__name__)
@@ -91,14 +92,6 @@ def revocation_cover_ercset(cid: bytes, epoch_id: int, instance: int,
     return flt
 
 
-def _first_key(keys: dict[int, KeyPair], cid: bytes, epoch_id: int) -> KeyPair:
-    """Instance 1's key pair for ``epoch_id``, derived at most once into
-    ``keys``, which lives for one request."""
-    if epoch_id not in keys:
-        keys[epoch_id] = pseudonym_keypair(cid, epoch_id, 1)
-    return keys[epoch_id]
-
-
 class IssuanceDenied(Exception):
     def __init__(self, reason: DenialReason):
         super().__init__(reason.name.lower().replace("_", "-"))
@@ -111,6 +104,16 @@ class TrustedCore:
     The core is deterministic: re-running issuance for the same
     (cid, epoch, instance) always reproduces byte-identical endorsements,
     which is what makes stateless recovery of a crashed manager possible.
+
+    ``issue`` denies in a fixed order: epoch window, registry, expelled
+    client, standing, budget, proof, so a request past its budget costs no
+    proof check.  ``firsts`` keeps, per live epoch and client, instance
+    1's public key and root latchkey.  Once they are kept, that instance's
+    key pair is rebuilt from its seed and the kept public key
+    (``rebuild_keypair``), never derived: to check an instance-1 proof, to
+    endorse a new instance 1 and to sign its revocation cover.  The kept
+    root is never signed again: the probe queries it, an instance-1 proof
+    is compared with it, and an order revoking the whole epoch writes it.
     """
 
     def __init__(self, pm_key: KeyPair, admin_public: bytes,
@@ -156,8 +159,10 @@ class TrustedCore:
         (it cannot have one); every later request must present, for the
         slot it names, the capability of one of the client's pseudonyms
         byte for byte as the core rebuilds it, and that capability must not
-        be revoked.  Each key and signature is made at most once per
-        request; no key pair outlives it.
+        be revoked.  Denials come in the order window, registry, expelled,
+        standing, budget, proof.  Each key is derived and each signature
+        made at most once per request, instance 1's kept key pair is
+        rebuilt instead, and no key pair outlives the request.
         """
         if req.epoch_id not in (self.epoch_now, self.epoch_now + 1):
             raise IssuanceDenied(DenialReason.QUARANTINE if quarantined
@@ -167,22 +172,22 @@ class TrustedCore:
             raise IssuanceDenied(DenialReason.UNKNOWN_CLIENT)
         if req.cid in self.revoked:
             raise IssuanceDenied(DenialReason.REVOKED)
-        keys = self._check_standing(req.cid)
-        if any(self.issued.get((req.cid, e)) for e in (self.epoch_now - 1,
-                                                       self.epoch_now,
-                                                       self.epoch_now + 1)):
-            self._check_proof(req, keys)
+        self._check_standing(req.cid)
         start = self.issued.get((req.cid, req.epoch_id), 0) + 1
         end = start + req.count - 1
         if end > self.max_instances:
             raise IssuanceDenied(DenialReason.BUDGET_EXHAUSTED)
-        rrps = [endorse(req.cid, req.epoch_id, i, _first_key(keys, req.cid, req.epoch_id)
+        if any(self.issued.get((req.cid, e)) for e in (self.epoch_now - 1,
+                                                       self.epoch_now,
+                                                       self.epoch_now + 1)):
+            self._check_proof(req)
+        rrps = [endorse(req.cid, req.epoch_id, i, self._first_keypair(req.cid, req.epoch_id)
                         if i == 1 else pseudonym_keypair(req.cid, req.epoch_id, i), self.pm_key)
                 for i in range(start, end + 1)]
         self.issued[(req.cid, req.epoch_id)] = end
         return rrps
 
-    def _check_standing(self, cid: bytes) -> dict[int, KeyPair]:
+    def _check_standing(self, cid: bytes) -> None:
         """Deny clients whose pseudonyms are wholesale-revoked for a live epoch.
 
         A manager that learned of a revocation only through gossiped filters
@@ -192,48 +197,52 @@ class TrustedCore:
         suffices because revocation always covers instance 1.  Each probe
         queries the current filter, but ``firsts`` keeps the probed public
         key and root latchkey, so only a client's first probe in an epoch
-        derives and signs.  Returns the instance-1 key pairs it derived,
-        by epoch, for the rest of the request to reuse.
+        derives and signs.  Afterwards ``firsts`` holds the client for both
+        live epochs.
         """
-        keys: dict[int, KeyPair] = {}
         for epoch_id in (self.epoch_now, self.epoch_now + 1):
             kept = self.firsts.setdefault(epoch_id, {})
             if cid not in kept:
-                keypair = _first_key(keys, cid, epoch_id)
+                keypair = pseudonym_keypair(cid, epoch_id, 1)
                 kept[cid] = keypair.public + det_sign(
                     keypair, NodeLabel(epoch_id, 0, 0).canonical_bytes)
             if self.erc_for(epoch_id).query(kept[cid][PUBLIC_KEY_LEN:]):
                 raise IssuanceDenied(DenialReason.REVOKED)
-        return keys
 
-    def _check_proof(self, req: RequestRrp, keys: dict[int, KeyPair]) -> None:
+    def _first_keypair(self, cid: bytes, epoch_id: int) -> KeyPair:
+        """Instance 1's key pair for an epoch whose ``firsts`` holds the
+        client, rebuilt from its seed and the kept public key."""
+        return rebuild_keypair(pseudonym_seed(cid, epoch_id, 1),
+                               self.firsts[epoch_id][cid][:PUBLIC_KEY_LEN])
+
+    def _check_proof(self, req: RequestRrp) -> None:
         """Deny unless the proof is exactly the capability the core rebuilds.
 
         Signing is deterministic: the core re-signs the endorsement, derives
         the client's keys until one is the proof's and re-signs the slot's
         latchkeys one by one.  Byte equality passes every genuine proof and
         refuses latchkeys re-signed with another nonce, which still verify.
-        The labels are checked before any key is derived, and the key scan
-        starts at the instance-1 public key ``_check_standing`` kept: an
-        instance-1 proof takes its key pair from ``keys`` or derives it
-        into them, and its root is neither re-signed nor re-queried.
+        The epoch and the labels are checked before any Ed25519 call, and
+        the key scan starts at the instance-1 public key ``_check_standing``
+        kept: an instance-1 proof's key pair is rebuilt from it, and its
+        root is neither re-signed nor re-queried.
         """
         proof = req.proof
         if proof is None:
             raise IssuanceDenied(DenialReason.BAD_PROOF)
         erc = self.erc_for(proof.epoch_id)
-        if erc is None or proof.endorsement != det_sign(
-                self.pm_key, endorsement_message(proof.epoch_id, proof.pseudonym_pub)):
+        if erc is None:
             raise IssuanceDenied(DenialReason.BAD_PROOF)
         try:
             path = path_to_root(self.cfg_for(proof.epoch_id), req.proof_slot)
         except ValueError:              # a slot outside the epoch
             raise IssuanceDenied(DenialReason.BAD_PROOF) from None
-        if [lk.label for lk in proof.latchkeys] != path:
+        if [lk.label for lk in proof.latchkeys] != path or proof.endorsement != det_sign(
+                self.pm_key, endorsement_message(proof.epoch_id, proof.pseudonym_pub)):
             raise IssuanceDenied(DenialReason.BAD_PROOF)
         first = self.firsts[proof.epoch_id][req.cid]
         if proof.pseudonym_pub == first[:PUBLIC_KEY_LEN]:
-            keypair = _first_key(keys, req.cid, proof.epoch_id)
+            keypair = self._first_keypair(req.cid, proof.epoch_id)
             known = {path[-1]: first[PUBLIC_KEY_LEN:]}
         else:
             scan = (pseudonym_keypair(req.cid, proof.epoch_id, i)
@@ -269,7 +278,9 @@ class TrustedCore:
         pseudonyms.  One rule, whatever epoch the core is in, writes each
         held epoch's part: E gets the minimal tree cover of [rts, T - 1],
         computed once and signed under each instance's key; E + 1 each
-        instance's root latchkey; any other epoch nothing.  A core before
+        instance's root latchkey; any other epoch nothing.  Where ``firsts``
+        holds the client, instance 1's key pair is rebuilt, not derived, and
+        its kept root latchkey is written as kept, unsigned.  A core before
         E cannot write E + 1; its node applies the order again on entering
         E.  Merging is idempotent, so replays change nothing.
         """
@@ -284,10 +295,27 @@ class TrustedCore:
                 cover = {NodeLabel(epoch_id, 0, 0)}
             else:
                 continue
+            first = self.firsts.get(epoch_id, {}).get(order.cid)
             for i in range(1, self.max_instances + 1):
-                held[j] = held[j].merged(revocation_cover_ercset(
-                    order.cid, epoch_id, i, cover, self.params))
+                held[j] = held[j].merged(
+                    self._first_cover(order.cid, epoch_id, cover, first) if i == 1 and first
+                    else revocation_cover_ercset(order.cid, epoch_id, i, cover, self.params))
         self.erc_current, self.erc_next = held
+
+    def _first_cover(self, cid: bytes, epoch_id: int, cover: set[NodeLabel],
+                     first: bytes) -> BloomFilter:
+        """``revocation_cover_ercset`` of instance 1 from ``first``, its kept
+        public key and root latchkey: a whole epoch's cover is the kept
+        root, added with no key and no signature, and any other cover is
+        signed under the rebuilt key pair."""
+        flt = BloomFilter(self.params, epoch_id)
+        if cover == {NodeLabel(epoch_id, 0, 0)}:
+            flt.add(first[PUBLIC_KEY_LEN:])
+            return flt
+        keypair = self._first_keypair(cid, epoch_id)
+        for label in cover:
+            flt.add(det_sign(keypair, label.canonical_bytes))
+        return flt
 
     # -- filter state -----------------------------------------------------
 

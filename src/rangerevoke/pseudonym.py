@@ -73,9 +73,14 @@ def endorsement_message(epoch_id: int, public: bytes) -> bytes:
     return epoch_id.to_bytes(8, "big") + public
 
 
+def pseudonym_seed(cid: bytes, epoch_id: int, instance: int) -> bytes:
+    """Seed of pseudonym instance i: digest(cid, epoch, i)."""
+    return seed_from_parts(cid, epoch_id, instance)
+
+
 def pseudonym_keypair(cid: bytes, epoch_id: int, instance: int) -> KeyPair:
-    """Key pair of pseudonym instance i: det_keygen(digest(cid, epoch, i))."""
-    return det_keygen(seed_from_parts(cid, epoch_id, instance))
+    """Key pair of pseudonym instance i: det_keygen of its seed."""
+    return det_keygen(pseudonym_seed(cid, epoch_id, instance))
 
 
 def create_rrp(cid: bytes, epoch_id: int, instance: int, pm_key: KeyPair,

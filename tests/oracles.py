@@ -323,7 +323,8 @@ def reference_issue(core: TrustedCore, req: RequestRrp,
     """``TrustedCore.issue`` with no reuse: the standing probe, the proof
     check and each new pseudonym derive their own keys, and the proof is
     compared with the whole capability ``get_capability`` rebuilds.  Raises
-    ``IssuanceDenied`` and records the issued instances like the core."""
+    ``IssuanceDenied`` in the core's order, the budget before the proof,
+    and records the issued instances like the core."""
     if req.epoch_id not in (core.epoch_now, core.epoch_now + 1):
         raise IssuanceDenied(DenialReason.QUARANTINE if quarantined
                              and req.epoch_id == core.epoch_now + 2
@@ -337,14 +338,14 @@ def reference_issue(core: TrustedCore, req: RequestRrp,
         root = NodeLabel(epoch_id, 0, 0)
         if core.erc_for(epoch_id).query(det_sign(keypair, root.canonical_bytes)):
             raise IssuanceDenied(DenialReason.REVOKED)
-    if any(core.issued.get((req.cid, e)) for e in (core.epoch_now - 1,
-                                                   core.epoch_now,
-                                                   core.epoch_now + 1)):
-        _reference_check_proof(core, req)
     start = core.issued.get((req.cid, req.epoch_id), 0) + 1
     end = start + req.count - 1
     if end > core.max_instances:
         raise IssuanceDenied(DenialReason.BUDGET_EXHAUSTED)
+    if any(core.issued.get((req.cid, e)) for e in (core.epoch_now - 1,
+                                                   core.epoch_now,
+                                                   core.epoch_now + 1)):
+        _reference_check_proof(core, req)
     rrps = [create_rrp(req.cid, req.epoch_id, i, core.pm_key, core.max_instances)
             for i in range(start, end + 1)]
     core.issued[(req.cid, req.epoch_id)] = end

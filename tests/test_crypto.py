@@ -26,6 +26,7 @@ from rangerevoke.crypto import (
     det_keygen,
     det_sign,
     digest,
+    rebuild_keypair,
     seed_from_parts,
     ver_sign,
 )
@@ -160,6 +161,32 @@ def test_sign_refuses_malformed_secret_key():
     for signer in (b"", key.signer[:32], key.signer + b"\x00"):
         with pytest.raises(ValueError):
             det_sign(KeyPair(key.seed, key.public, signer), b"m")
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.binary(min_size=32, max_size=32), msg=st.binary(max_size=128))
+def test_rebuilt_keypair_is_the_derived_one(seed, msg):
+    derived = det_keygen(seed)
+    rebuilt = rebuild_keypair(seed, derived.public)
+    assert (rebuilt.seed, rebuilt.public, rebuilt.signer) \
+        == (derived.seed, derived.public, derived.signer)
+    assert det_sign(rebuilt, msg) == det_sign(derived, msg)
+
+
+def test_rebuild_rejects_bad_lengths():
+    key = det_keygen(digest(b"k"))
+    for seed, public in ((b"short", key.public), (key.seed + b"\x00", key.public),
+                         (key.seed, key.public[:31]), (key.seed, key.public + b"\x00"),
+                         (key.seed, b"")):
+        with pytest.raises(ValueError):
+            rebuild_keypair(seed, public)
+
+
+def test_a_rebuilt_pair_with_a_wrong_public_key_signs_for_no_key():
+    key, other = det_keygen(digest(b"k")), det_keygen(digest(b"o"))
+    sig = det_sign(rebuild_keypair(key.seed, other.public), b"m")
+    assert not ver_sign(key.public, b"m", sig)
+    assert not ver_sign(other.public, b"m", sig)
 
 
 def test_keypair_equality_ignores_cached_signer():

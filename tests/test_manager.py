@@ -906,22 +906,21 @@ def renonced(cap, rrp, rng):
 def probed(core, cid):
     """What ``_check_standing`` does when the client's root latchkeys are
     unrevoked: keeps each live epoch's instance-1 public key and root
-    latchkey in ``core.firsts`` if they are not kept yet, and hands on the
-    instance-1 key pairs it derived to make them."""
-    keys = {}
+    latchkey in ``core.firsts`` if they are not kept yet."""
     for epoch_id in (core.epoch_now, core.epoch_now + 1):
         kept = core.firsts.setdefault(epoch_id, {})
         if cid not in kept:
-            keypair = keys[epoch_id] = pseudonym_keypair(cid, epoch_id, 1)
+            keypair = pseudonym_keypair(cid, epoch_id, 1)
             kept[cid] = keypair.public + det_sign(keypair,
                                                   NodeLabel(epoch_id, 0, 0).canonical_bytes)
-    return keys
 
 
-def verdict(core, req, keys=None):
-    """``_check_proof`` alone, called as after a standing probe that passed."""
+def verdict(core, req):
+    """``_check_proof`` alone, called as after a standing probe that passed;
+    the probe costs nothing when ``firsts`` already holds the client."""
+    probed(core, req.cid)
     try:
-        core._check_proof(req, probed(core, req.cid) if keys is None else keys)
+        core._check_proof(req)
     except IssuanceDenied as denied:
         return denied.reason
     return DenialReason.NONE
@@ -940,7 +939,7 @@ def count_crypto(monkeypatch) -> tuple[Counter, list[bytes]]:
             return getattr(crypto, name)(*args)
         return call
     for module in (manager, pseudonym):
-        for name in ("det_keygen", "det_sign", "ver_sign"):
+        for name in ("det_keygen", "rebuild_keypair", "det_sign", "ver_sign"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name))
     return calls, seeds
@@ -950,9 +949,9 @@ def test_probed_is_what_the_standing_probe_returns(pm_key, admin_key, cid):
     core = make_core(pm_key, admin_key, cid)
     core.rotate_epoch()
     clone = copy.deepcopy(core)
-    assert core._check_standing(cid) == probed(clone, cid)
-    assert core.firsts == clone.firsts
-    assert core._check_standing(cid) == probed(clone, cid) == {}
+    core._check_standing(cid)
+    probed(clone, cid)
+    assert core.firsts == clone.firsts and set(core.firsts) == {1, 2}
 
 
 def test_nonce_taking_signer_is_ed25519(pm_key):
@@ -1032,10 +1031,29 @@ def test_wrong_endorsement_derives_no_key(pm_key, admin_key, cid, monkeypatch):
     core = make_core(pm_key, admin_key, cid)
     proof = proof_for(core, create_rrp(cid, 0, 3, pm_key, 8))
     forged = replace(proof, endorsement=det_sign(admin_key, b"not an endorsement"))
-    keys = probed(core, cid)
+    probed(core, cid)
     calls, _ = count_crypto(monkeypatch)
-    assert verdict(core, RequestRrp(cid, 0, 1, forged, 0), keys) is DenialReason.BAD_PROOF
+    assert verdict(core, RequestRrp(cid, 0, 1, forged, 0)) is DenialReason.BAD_PROOF
     assert calls == {"det_sign": 1}
+
+
+def test_a_malformed_proof_costs_no_ed25519_call(pm_key, admin_key, cid, monkeypatch):
+    """The epoch, the slot and the labels are checked before the
+    endorsement is re-signed."""
+    core = make_core(pm_key, admin_key, cid)
+    rrp = create_rrp(cid, 0, 3, pm_key, 8)
+    proof = proof_for(core, rrp, 3)
+    keys = list(proof.latchkeys)
+    keys[1] = replace(keys[1], label=replace(keys[1].label, index=keys[1].label.index ^ 1))
+    relabelled = replace(proof, latchkeys=tuple(keys))
+    stale = get_capability(create_rrp(cid, 2, 1, pm_key, 8), 3, core.cfg_for(2))
+    probed(core, cid)
+    calls, _ = count_crypto(monkeypatch)
+    for cap, slot in ((relabelled, 3), (proof, -1), (proof, GEOMETRY.slots), (stale, 3)):
+        assert verdict(core, RequestRrp(cid, 0, 1, cap, slot)) is DenialReason.BAD_PROOF
+        assert calls == {}, (cap is stale, slot)
+    assert verdict(core, RequestRrp(cid, 0, 1, proof, 3)) is DenialReason.NONE
+    assert calls["det_sign"]
 
 
 @pytest.mark.parametrize("instance", [1, 4, 8])
@@ -1045,10 +1063,10 @@ def test_accepted_proof_costs_signatures_not_verifies(pm_key, admin_key, cid, mo
     instance-1 proof's root latchkey is the probe's."""
     core = make_core(pm_key, admin_key, cid)
     proof = proof_for(core, create_rrp(cid, 1, instance, pm_key, 8), 3)
-    keys = probed(core, cid)
+    probed(core, cid)
     calls, seeds = count_crypto(monkeypatch)
-    assert verdict(core, RequestRrp(cid, 0, 1, proof, 3), keys) is DenialReason.NONE
-    assert calls == Counter(det_keygen=instance - 1,
+    assert verdict(core, RequestRrp(cid, 0, 1, proof, 3)) is DenialReason.NONE
+    assert calls == Counter(det_keygen=instance - 1, rebuild_keypair=int(instance == 1),
                             det_sign=GEOMETRY.height + 1 + (instance > 1))
     assert seeds == [seed_from_parts(cid, 1, i) for i in range(2, instance + 1)]
 
@@ -1058,26 +1076,80 @@ def test_issue_derives_each_key_and_makes_each_signature_once(pm_key, admin_key,
                                                               monkeypatch, count):
     """A repeat current-epoch request with an instance-1 proof that issues
     instances 3 .. 2 + count: the probe's roots are kept from the first
-    request, so the proof's instance-1 key and one key per new instance;
-    the endorsement check, the proof's h non-root latchkeys and one
-    endorsement per new instance."""
+    request, so one key derived per new instance and the proof's instance-1
+    key rebuilt from the kept public key; the endorsement check, the
+    proof's h non-root latchkeys and one endorsement per new instance.  A
+    new client's first request derives and signs both probes' instance 1,
+    then rebuilds the pair it endorses as instance 1."""
     core = make_core(pm_key, admin_key, cid)
     first = core.issue(RequestRrp(cid, 0, 2))[0]
     req = RequestRrp(cid, 0, count, proof_for(core, first, 1), 1)
     calls, seeds = count_crypto(monkeypatch)
     rrps = core.issue(req)
     assert [r.instance for r in rrps] == list(range(3, 3 + count))
-    assert calls == Counter(det_keygen=1 + count, det_sign=GEOMETRY.height + 1 + count)
-    assert sorted(seeds) == sorted([seed_from_parts(cid, 0, 1)]
-                                   + [seed_from_parts(cid, 0, r.instance) for r in rrps])
+    assert calls == Counter(det_keygen=count, rebuild_keypair=1,
+                            det_sign=GEOMETRY.height + 1 + count)
+    assert seeds == [seed_from_parts(cid, 0, r.instance) for r in rrps]
     calls.clear()
     seeds.clear()
     other = b"\x0c" * 32
     core.register(other)
-    assert [r.instance for r in core.issue(RequestRrp(other, 1, count))] \
-        == list(range(1, 1 + count))                    # a new instance 1 reuses its key
-    assert calls == Counter(det_keygen=1 + count, det_sign=2 + count)
-    assert len(set(seeds)) == len(seeds)
+    rrps = core.issue(RequestRrp(other, 1, count))
+    assert [r.instance for r in rrps] == list(range(1, 1 + count))
+    assert calls == Counter(det_keygen=1 + count, rebuild_keypair=1, det_sign=2 + count)
+    assert seeds == [seed_from_parts(other, e, 1) for e in (0, 1)] \
+        + [seed_from_parts(other, 1, r.instance) for r in rrps[1:]]
+    assert rrps[0] == create_rrp(other, 1, 1, pm_key, 8)
+    assert rrps[0].keypair.signer == pseudonym_keypair(other, 1, 1).signer
+
+
+def test_an_over_budget_request_costs_no_proof_check(pm_key, admin_key, cid, monkeypatch):
+    """The budget is checked before the proof: with the probe's roots kept,
+    a request past the budget is refused with no crypto call, whatever
+    proof it carries."""
+    core = make_core(pm_key, admin_key, cid)
+    rrp = core.issue(RequestRrp(cid, 0, 8))[0]
+    proof = proof_for(core, rrp, 1)
+    forged = replace(proof, endorsement=det_sign(admin_key, b"not an endorsement"))
+    calls, _ = count_crypto(monkeypatch)
+    for cap in (forged, renonced(proof, rrp, random.Random(5)), proof):
+        with pytest.raises(IssuanceDenied) as exc:
+            core.issue(RequestRrp(cid, 0, 1, cap, 1))
+        assert exc.value.reason is DenialReason.BUDGET_EXHAUSTED
+    assert calls == {}
+
+
+@pytest.mark.parametrize("rts", [0, 1, 3])
+def test_revoke_rebuilds_the_kept_instance_1(pm_key, admin_key, cid, monkeypatch, rts):
+    """An order of the current epoch, at a core whose ``firsts`` holds the
+    client and at one that derives everything: the first rebuilds instance
+    1 of both epochs and writes its kept next-epoch root unsigned (and the
+    kept current-epoch root too when the cover is the whole epoch), so it
+    derives 2·I − 2 keys and makes I·|cover| + I − 1 signatures where the
+    other derives 2·I and makes I·|cover| + I.  Both make 2·I merges and
+    write the same bits."""
+    instances = 8
+    kept, fresh = make_core(pm_key, admin_key, cid), make_core(pm_key, admin_key, cid)
+    kept.issue(RequestRrp(cid, 0, 1))
+    order = signed_order(admin_key, cid, rts, 0)
+    cover = safe_cover(GEOMETRY, SlotRange(rts, GEOMETRY.slots - 1))
+    whole = int(cover == {NodeLabel(0, 0, 0)})
+    merges, merged = [], BloomFilter.merged
+    monkeypatch.setattr(BloomFilter, "merged",
+                        lambda flt, other: merges.append(other) or merged(flt, other))
+    calls, _ = count_crypto(monkeypatch)
+    for core, rebuilt in ((kept, 1), (fresh, 0)):
+        calls.clear()
+        merges.clear()
+        core.revoke(order)
+        assert calls == Counter(
+            ver_sign=1, det_keygen=2 * instances - 2 * rebuilt,
+            rebuild_keypair=rebuilt * (1 - whole),
+            det_sign=instances * len(cover) + instances - rebuilt * (1 + whole)), core
+        assert len(merges) == 2 * instances
+    assert whole == (rts == 0)
+    assert (kept.erc_current, kept.erc_next) == (fresh.erc_current, fresh.erc_next)
+    assert kept.erc_next.query(kept.firsts[1][cid][crypto.PUBLIC_KEY_LEN:])
 
 
 def test_rebuilt_proof_check_agrees_with_signature_checks(pm_key, admin_key, cid):
