@@ -9,8 +9,10 @@ Subcommands::
 
 Every subcommand is deterministic given its flags and seed.  Exit codes:
 0 success, 1 a scenario/acceptance check failed, 2 usage or config error.
-``--out DIR`` writes CSV artifacts; tables always go to stdout.  The env
-var ``RRP_LOG`` (error, info, debug) controls logging.
+A bad number flag is refused by its argparse ``type``, so the error names
+the flag.  ``--out DIR`` writes CSV artifacts; tables always go to stdout.
+The env var ``RRP_LOG`` sets the logging level: debug, info, warning,
+error or critical, in any case; anything else reads as error.
 
 Scenario files are described in ``rangerevoke.scenario``; performance is
 measured by ``perfbench/``.
@@ -64,60 +66,33 @@ def _write_csv(out_dir: str | None, name: str, rows: list[list]) -> None:
     (path / name).write_text(text, encoding="utf-8")
 
 
-# flag of size or storage-compare -> (what each of its values must pass,
-# the rule an error states)
-_RULES = {
-    "clients": (lambda v: 0 < v < math.inf, "must be positive and finite"),
-    "pseudos": (lambda v: v > 0, "must be positive"),
-    "revoked-frac": (lambda v: 0 <= v <= 1, "must lie in [0, 1]"),
-    "slots": (lambda v: v > 0, "must be positive"),
-    "delta": (lambda v: v > 0, "must be positive"),
-    "epoch": (lambda v: v > 0, "must be positive"),
-    "fanout": (lambda v: v >= 2, "must be at least 2"),
-    "fp": (lambda v: 0 < v < 1, "must lie strictly between 0 and 1"),
-    "needed": (lambda v: v > 0, "must be positive"),
-    "extra": (lambda v: v >= 0, "must not be negative"),
-    "daily-demand": (lambda v: v >= 1, "must be at least 1"),
-}
-
-
-def _check_numbers(args: argparse.Namespace) -> None:
-    """Check each number flag the subcommand takes against ``_RULES``."""
-    for flag, (ok, rule) in _RULES.items():
-        value = getattr(args, flag.replace("-", "_"), None)
-        if isinstance(value, (int, float)) and not ok(value):
-            raise ValueError(f"--{flag} {rule}, got {value:g}")
-
-
-def _durations(args: argparse.Namespace, flag: str) -> list[float]:
-    """The comma-separated durations of ``--flag``, each checked against
-    ``_RULES``; an error names the one at fault as written."""
-    ok, rule = _RULES[flag]
-    values = []
-    for item in getattr(args, flag).split(","):
+def _checked(kind, ok, rule: str, many: bool = False):
+    """An argparse ``type``: ``kind`` of the flag's text (a list, one per
+    comma-separated item, if ``many``), refused with ``rule`` and the item
+    as written unless ``ok`` passes it; argparse names the flag."""
+    def one(item: str):
         try:
-            value = parse_duration(item) if item.strip() else math.nan  # fails every rule
+            value = kind(item) if item.strip() else math.nan   # fails every rule
         except ValueError as exc:
-            raise ValueError(f"--{flag}: {exc}") from None
+            raise argparse.ArgumentTypeError(str(exc)) from None
         if not ok(value):
-            raise ValueError(f"--{flag} {rule}, got {item.strip() or 'an empty item'}")
-        values.append(value)
-    return values
+            raise argparse.ArgumentTypeError(f"{rule}, got {item.strip() or 'an empty item'}")
+        return value
+    return (lambda text: [one(item) for item in text.split(",")]) if many else one
+
+
+_POSITIVE_INT = _checked(int, lambda v: v > 0, "must be positive")
+_FANOUT = _checked(int, lambda v: v >= 2, "must be at least 2")
+_DURATIONS = _checked(parse_duration, lambda v: v > 0, "must be positive", many=True)
 
 
 # -- size -------------------------------------------------------------------
 
 def cmd_size(args: argparse.Namespace) -> int:
-    _check_numbers(args)
-    delta, *more = _durations(args, "delta")
-    if more:
-        raise ValueError(f"--delta takes one slot length, got {args.delta}")
-    if not delta.is_integer():
-        raise ValueError(f"--delta {args.delta!r} is not a whole number of seconds")
     params = sizing.DeploymentParams(
         clients=args.clients, pseudonyms=args.pseudos,
         revoked_fraction=args.revoked_frac, fanout=args.fanout,
-        epoch_len=args.slots * int(delta), delta=int(delta),
+        epoch_len=args.slots * int(args.delta), delta=int(args.delta),
         needed=args.needed, extra=args.extra)
     result = sizing.plan_filter(params, args.fp)
     row = sizing.storage_row(params.delta, params.epoch_len, params.fanout,
@@ -149,11 +124,9 @@ def cmd_size(args: argparse.Namespace) -> int:
 # -- storage-compare --------------------------------------------------------
 
 def cmd_storage_compare(args: argparse.Namespace) -> int:
-    _check_numbers(args)
-    deltas, epochs = _durations(args, "delta"), _durations(args, "epoch")
     points = [(delta, epoch, sizing.storage_comparison(delta, epoch, args.fanout,
                                                        args.daily_demand))
-              for epoch in epochs for delta in deltas if delta <= epoch]
+              for epoch in args.epoch for delta in args.delta if delta <= epoch]
     if not points:
         raise ValueError("no slot length fits in an epoch: every --delta "
                          "exceeds every --epoch")
@@ -207,15 +180,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("size", help="closed-form filter sizing")
-    p.add_argument("--clients", type=float, default=250_000_000)
-    p.add_argument("--pseudos", type=int, default=10)
-    p.add_argument("--revoked-frac", type=float, default=1e-4 / 365)
-    p.add_argument("--slots", type=int, default=144)
-    p.add_argument("--delta", default="600", help="slot length (e.g. 600, 10m)")
-    p.add_argument("--fanout", type=int, default=2)
-    p.add_argument("--fp", type=float, default=0.001, help="target FP rate")
-    p.add_argument("--needed", type=int, default=10, help="accesses per client")
-    p.add_argument("--extra", type=int, default=0, help="spare pseudonyms M")
+    p.add_argument("--clients", type=_checked(float, lambda v: 0 < v < math.inf,
+                                              "must be positive and finite"), default=250_000_000)
+    p.add_argument("--pseudos", type=_POSITIVE_INT, default=10)
+    p.add_argument("--revoked-frac", type=_checked(float, lambda v: 0 <= v <= 1,
+                                                   "must lie in [0, 1]"), default=1e-4 / 365)
+    p.add_argument("--slots", type=_POSITIVE_INT, default=144)
+    p.add_argument("--delta", type=_checked(parse_duration, lambda v: v > 0 and v.is_integer(),
+                                            "must be a positive whole number of seconds"),
+                   default="600", help="slot length (e.g. 600, 10m)")
+    p.add_argument("--fanout", type=_FANOUT, default=2)
+    p.add_argument("--fp", type=_checked(float, lambda v: 0 < v < 1, "must lie strictly "
+                                         "between 0 and 1"), default=0.001, help="target FP rate")
+    p.add_argument("--needed", type=_POSITIVE_INT, default=10, help="accesses per client")
+    p.add_argument("--extra", type=_checked(int, lambda v: v >= 0, "must not be negative"),
+                   default=0, help="spare pseudonyms M")
     p.set_defaults(fn=cmd_size)
 
     p = sub.add_parser("simulate", help="run a scenario file")
@@ -226,19 +205,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("storage-compare",
                        help="revocation storage vs slot-locked scheme")
-    p.add_argument("--delta", default="1s,1m,15m,6h,1d",
+    p.add_argument("--delta", type=_DURATIONS, default="1s,1m,15m,6h,1d",
                    help="comma-separated slot lengths")
-    p.add_argument("--epoch", default="1d,1y",
+    p.add_argument("--epoch", type=_DURATIONS, default="1d,1y",
                    help="comma-separated epoch lengths")
-    p.add_argument("--fanout", type=int, default=2)
-    p.add_argument("--daily-demand", type=int, default=692)
+    p.add_argument("--fanout", type=_FANOUT, default=2)
+    p.add_argument("--daily-demand", type=_checked(int, lambda v: v >= 1, "must be at least 1"),
+                   default=692)
     p.set_defaults(fn=cmd_storage_compare)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     level = os.environ.get("RRP_LOG", "error").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.ERROR))
+    logging.basicConfig(level=level if level in ("DEBUG", "INFO", "WARNING", "ERROR",
+                                                 "CRITICAL") else "ERROR")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -71,9 +71,9 @@ class PmMode(enum.Enum):
     QUARANTINE = "quarantine"
 
 
-def revocation_cover_ercset(cid: bytes, epoch_id: int, instance: int,
-                            cover: set[NodeLabel], params: FilterParams) -> BloomFilter:
-    """Filter revoking one pseudonym instance over a contiguous slot range.
+def revocation_cover_ercset(keypair: KeyPair, epoch_id: int, cover: set[NodeLabel],
+                            params: FilterParams, root: bytes | None = None) -> BloomFilter:
+    """Filter revoking the pseudonym of ``keypair`` over a contiguous slot range.
 
     ``cover`` is ``safe_cover(cfg, rng)`` of the range; it depends on the
     range alone, so a caller revoking many instances computes it once.  A
@@ -81,14 +81,15 @@ def revocation_cover_ercset(cid: bytes, epoch_id: int, instance: int,
     Signs only the cover's labels instead of materializing every in-range
     capability; the result is bit-identical to running the full capability
     pipeline (the cover labels are exactly the latchkeys that survive it).
-    The filter is built empty and written only by ``add``, so it records
-    the few positions it set, and merging it into a live filter costs
-    those bits, not the whole array (see ``BloomFilter``).
+    A kept ``root`` latchkey is written as it is, not signed again.  The
+    filter is built empty and written only by ``add``, so it records the
+    few positions it set, and merging it into a live filter costs those
+    bits, not the whole array (see ``BloomFilter``).
     """
-    keypair = pseudonym_keypair(cid, epoch_id, instance)
     flt = BloomFilter(params, epoch_id)
     for label in cover:
-        flt.add(det_sign(keypair, label.canonical_bytes))
+        flt.add(root if root is not None and label.level == 0
+                else det_sign(keypair, label.canonical_bytes))
     return flt
 
 
@@ -108,12 +109,12 @@ class TrustedCore:
     ``issue`` denies in a fixed order: epoch window, registry, expelled
     client, standing, budget, proof, so a request past its budget costs no
     proof check.  ``firsts`` keeps, per live epoch and client, instance
-    1's public key and root latchkey.  Once they are kept, that instance's
-    key pair is rebuilt from its seed and the kept public key
-    (``rebuild_keypair``), never derived: to check an instance-1 proof, to
-    endorse a new instance 1 and to sign its revocation cover.  The kept
-    root is never signed again: the probe queries it, an instance-1 proof
-    is compared with it, and an order revoking the whole epoch writes it.
+    1's public key and root latchkey.  ``_keypair`` is the one source of
+    pseudonym key pairs: it rebuilds instance 1's from its seed and the
+    kept public key (``rebuild_keypair``) and hands out the kept root with
+    it, and derives every other.  The kept root is never signed again: the
+    probe queries it, an instance-1 proof is compared with it, and an
+    order revoking the whole epoch writes it.
     """
 
     def __init__(self, pm_key: KeyPair, admin_public: bytes,
@@ -160,9 +161,9 @@ class TrustedCore:
         slot it names, the capability of one of the client's pseudonyms
         byte for byte as the core rebuilds it, and that capability must not
         be revoked.  Denials come in the order window, registry, expelled,
-        standing, budget, proof.  Each key is derived and each signature
-        made at most once per request, instance 1's kept key pair is
-        rebuilt instead, and no key pair outlives the request.
+        standing, budget, proof.  Every key pair comes from ``_keypair``,
+        so each key is derived (instance 1's rebuilt) and each signature
+        made at most once per request, and no key pair outlives the request.
         """
         if req.epoch_id not in (self.epoch_now, self.epoch_now + 1):
             raise IssuanceDenied(DenialReason.QUARANTINE if quarantined
@@ -181,9 +182,8 @@ class TrustedCore:
                                                        self.epoch_now,
                                                        self.epoch_now + 1)):
             self._check_proof(req)
-        rrps = [endorse(req.cid, req.epoch_id, i, self._first_keypair(req.cid, req.epoch_id)
-                        if i == 1 else pseudonym_keypair(req.cid, req.epoch_id, i), self.pm_key)
-                for i in range(start, end + 1)]
+        rrps = [endorse(req.cid, req.epoch_id, i, self._keypair(req.cid, req.epoch_id, i)[0],
+                        self.pm_key) for i in range(start, end + 1)]
         self.issued[(req.cid, req.epoch_id)] = end
         return rrps
 
@@ -203,17 +203,20 @@ class TrustedCore:
         for epoch_id in (self.epoch_now, self.epoch_now + 1):
             kept = self.firsts.setdefault(epoch_id, {})
             if cid not in kept:
-                keypair = pseudonym_keypair(cid, epoch_id, 1)
+                keypair, _ = self._keypair(cid, epoch_id, 1)     # derived: nothing kept yet
                 kept[cid] = keypair.public + det_sign(
                     keypair, NodeLabel(epoch_id, 0, 0).canonical_bytes)
             if self.erc_for(epoch_id).query(kept[cid][PUBLIC_KEY_LEN:]):
                 raise IssuanceDenied(DenialReason.REVOKED)
 
-    def _first_keypair(self, cid: bytes, epoch_id: int) -> KeyPair:
-        """Instance 1's key pair for an epoch whose ``firsts`` holds the
-        client, rebuilt from its seed and the kept public key."""
-        return rebuild_keypair(pseudonym_seed(cid, epoch_id, 1),
-                               self.firsts[epoch_id][cid][:PUBLIC_KEY_LEN])
+    def _keypair(self, cid: bytes, epoch_id: int, instance: int) -> tuple[KeyPair, bytes | None]:
+        """A pseudonym's key pair, and its root latchkey if kept: instance 1's
+        pair is rebuilt where ``firsts`` holds the client, any other derived."""
+        kept = self.firsts.get(epoch_id, {}).get(cid) if instance == 1 else None
+        if kept is None:
+            return pseudonym_keypair(cid, epoch_id, instance), None
+        return (rebuild_keypair(pseudonym_seed(cid, epoch_id, 1), kept[:PUBLIC_KEY_LEN]),
+                kept[PUBLIC_KEY_LEN:])
 
     def _check_proof(self, req: RequestRrp) -> None:
         """Deny unless the proof is exactly the capability the core rebuilds.
@@ -222,10 +225,10 @@ class TrustedCore:
         the client's keys until one is the proof's and re-signs the slot's
         latchkeys one by one.  Byte equality passes every genuine proof and
         refuses latchkeys re-signed with another nonce, which still verify.
-        The epoch and the labels are checked before any Ed25519 call, and
-        the key scan starts at the instance-1 public key ``_check_standing``
-        kept: an instance-1 proof's key pair is rebuilt from it, and its
-        root is neither re-signed nor re-queried.
+        The epoch and the labels are checked before any Ed25519 call.  The
+        key scan runs through ``_keypair`` from instance 1, which is tried
+        only if its kept public key is the proof's: its pair is then
+        rebuilt, and its root is neither re-signed nor re-queried.
         """
         proof = req.proof
         if proof is None:
@@ -240,20 +243,16 @@ class TrustedCore:
         if [lk.label for lk in proof.latchkeys] != path or proof.endorsement != det_sign(
                 self.pm_key, endorsement_message(proof.epoch_id, proof.pseudonym_pub)):
             raise IssuanceDenied(DenialReason.BAD_PROOF)
-        first = self.firsts[proof.epoch_id][req.cid]
-        if proof.pseudonym_pub == first[:PUBLIC_KEY_LEN]:
-            keypair = self._first_keypair(req.cid, proof.epoch_id)
-            known = {path[-1]: first[PUBLIC_KEY_LEN:]}
-        else:
-            scan = (pseudonym_keypair(req.cid, proof.epoch_id, i)
-                    for i in range(2, self.max_instances + 1))
-            keypair, known = next((k for k in scan if k.public == proof.pseudonym_pub), None), {}
-            if keypair is None:
-                raise IssuanceDenied(DenialReason.BAD_PROOF)
-        if any(lk.sig != (known.get(lk.label) or det_sign(keypair, lk.label.canonical_bytes))
-               for lk in proof.latchkeys):
+        kept = self.firsts[proof.epoch_id][req.cid][:PUBLIC_KEY_LEN]
+        scan = (self._keypair(req.cid, proof.epoch_id, i)
+                for i in range(1 if proof.pseudonym_pub == kept else 2, self.max_instances + 1))
+        keypair, root = next((pair for pair in scan if pair[0].public == proof.pseudonym_pub),
+                             (None, None))
+        if keypair is None or any(lk.sig != (root if root is not None and lk.label.level == 0
+                                             else det_sign(keypair, lk.label.canonical_bytes))
+                                  for lk in proof.latchkeys):
             raise IssuanceDenied(DenialReason.BAD_PROOF)
-        if any(erc.query(lk.sig) for lk in proof.latchkeys if lk.label not in known):
+        if any(erc.query(lk.sig) for lk in proof.latchkeys[:-1 if root else None]):
             raise IssuanceDenied(DenialReason.REVOKED)
 
     # -- revocation -------------------------------------------------------
@@ -278,9 +277,9 @@ class TrustedCore:
         pseudonyms.  One rule, whatever epoch the core is in, writes each
         held epoch's part: E gets the minimal tree cover of [rts, T - 1],
         computed once and signed under each instance's key; E + 1 each
-        instance's root latchkey; any other epoch nothing.  Where ``firsts``
-        holds the client, instance 1's key pair is rebuilt, not derived, and
-        its kept root latchkey is written as kept, unsigned.  A core before
+        instance's root latchkey; any other epoch nothing.  Key pairs come
+        from ``_keypair``, so where ``firsts`` holds the client instance 1's
+        is rebuilt and its kept root latchkey written as kept.  A core before
         E cannot write E + 1; its node applies the order again on entering
         E.  Merging is idempotent, so replays change nothing.
         """
@@ -295,27 +294,11 @@ class TrustedCore:
                 cover = {NodeLabel(epoch_id, 0, 0)}
             else:
                 continue
-            first = self.firsts.get(epoch_id, {}).get(order.cid)
             for i in range(1, self.max_instances + 1):
+                keypair, root = self._keypair(order.cid, epoch_id, i)
                 held[j] = held[j].merged(
-                    self._first_cover(order.cid, epoch_id, cover, first) if i == 1 and first
-                    else revocation_cover_ercset(order.cid, epoch_id, i, cover, self.params))
+                    revocation_cover_ercset(keypair, epoch_id, cover, self.params, root))
         self.erc_current, self.erc_next = held
-
-    def _first_cover(self, cid: bytes, epoch_id: int, cover: set[NodeLabel],
-                     first: bytes) -> BloomFilter:
-        """``revocation_cover_ercset`` of instance 1 from ``first``, its kept
-        public key and root latchkey: a whole epoch's cover is the kept
-        root, added with no key and no signature, and any other cover is
-        signed under the rebuilt key pair."""
-        flt = BloomFilter(self.params, epoch_id)
-        if cover == {NodeLabel(epoch_id, 0, 0)}:
-            flt.add(first[PUBLIC_KEY_LEN:])
-            return flt
-        keypair = self._first_keypair(cid, epoch_id)
-        for label in cover:
-            flt.add(det_sign(keypair, label.canonical_bytes))
-        return flt
 
     # -- filter state -----------------------------------------------------
 

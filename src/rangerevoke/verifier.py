@@ -5,7 +5,8 @@ belongs to the epoch and slot of the verifier's clock, verifies as genuine,
 and none of its latchkeys queries true in the local filter.  When the
 verifier cannot refresh its filter for longer than three pull periods it
 stops granting anything: stale state may only ever deny, never admit, so
-safety is preserved at the cost of availability.
+safety is preserved at the cost of availability.  A pull keeps the next
+epoch's filter too, which takes over at the boundary with no pull.
 Like a manager, it has two entry points, ``deliver`` and ``on_tick``.
 """
 
@@ -50,6 +51,7 @@ class VerifierNode:
         self.rng = rng
         self.staleness_limit = 3 * pull_period
         self.erc_local: BloomFilter | None = None
+        self.erc_next: BloomFilter | None = None  # the next epoch's, from the last pull
         self.last_pull: int | None = None
         self._genuine: Capability | None = None   # the last found genuine
         self._cfg = geometry            # the geometry of the clock's epoch
@@ -73,6 +75,8 @@ class VerifierNode:
         equal capability to the clock's slot.
         """
         epoch, slot = self.geometry.epoch_and_slot(now)
+        if self.erc_next is not None and self.erc_next.epoch_id == epoch:
+            self.erc_local, self.erc_next = self.erc_next, None   # a boundary passed
         # a filter left over from a previous epoch cannot vouch for this one
         if self.is_stale(now) or self.erc_local is None \
                 or self.erc_local.epoch_id != epoch:
@@ -104,14 +108,19 @@ class VerifierNode:
         return [Outgoing(self.rng.choice(self.pm_ids), ErcPullReq())]
 
     def handle_pull_response(self, resp: ErcPullResp, now: int) -> bool:
-        """Take the filter of our epoch; True if the pull counted.  A pull
-        with none (from a lagging manager) does not."""
+        """Take the filters of our epoch and the next; True if the pull
+        counted.  One with no filter of our epoch (from a manager an epoch
+        away) does not, and changes nothing.  One that counts also replaces
+        the next epoch's filter, or drops it, so freshness, which counts
+        from ``last_pull``, vouches for that filter when it takes over."""
         wanted, _ = self.geometry.epoch_and_slot(now)
-        incoming = next((f for f in (resp.current, resp.next) if f.epoch_id == wanted), None)
-        if incoming is None:
+        incoming = {resp.next.epoch_id: resp.next, resp.current.epoch_id: resp.current}
+        if wanted not in incoming:
             log.debug("%s: pull response has no epoch-%d filter", self.node_id, wanted)
             return False
-        if self.erc_local is not None and self.erc_local.epoch_id == wanted:
-            incoming = self.erc_local.merged(incoming)
-        self.erc_local, self.last_pull = incoming, now
+        held = {f.epoch_id: f for f in (self.erc_local, self.erc_next) if f is not None}
+        self.erc_local, self.erc_next = (
+            held[e].merged(incoming[e]) if e in held and e in incoming else incoming.get(e)
+            for e in (wanted, wanted + 1))
+        self.last_pull = now
         return True

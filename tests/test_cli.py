@@ -65,18 +65,27 @@ def test_size_command_degenerate_single_slot(capsys):
     assert "slots T              1" in capsys.readouterr().out
 
 
+def exit_code(argv: list[str]) -> int:
+    """``cli.main``'s exit code, whether it returns one or argparse exits."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 def test_size_command_bad_params():
-    assert cli.main(["size", "--revoked-frac", "2.0"]) == 2
+    assert exit_code(["size", "--revoked-frac", "2.0"]) == 2
 
 
 @pytest.mark.parametrize("slots, delta", [("144", "1.5"), ("10", "2.5"), ("144", "0.4")])
 def test_size_refuses_a_delta_of_part_seconds(capsys, slots, delta):
     """A slot of part seconds has no integer geometry; rounding it apart
     from the epoch printed another T than --slots (108 for 144 × 1.5 s)."""
-    assert cli.main(["size", "--slots", slots, "--delta", delta]) == 2
+    assert exit_code(["size", "--slots", slots, "--delta", delta]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == f"error: --delta {delta!r} is not a whole number of seconds\n"
+    assert err.endswith("rangerevoke size: error: argument --delta: must be a positive "
+                        f"whole number of seconds, got {delta}\n")
 
 
 def test_size_takes_whole_seconds_written_with_a_unit(capsys):
@@ -84,48 +93,58 @@ def test_size_takes_whole_seconds_written_with_a_unit(capsys):
     assert "slots T              10\n" in capsys.readouterr().out
 
 
-# (arguments, what the error names)
+_NOT_A_DURATION = "is not a number with an optional unit s, m, h, d or y\n"
+
+# (arguments, the last line of the error); argparse names the flag of a
+# value refused by its type, and a check of two flags names both
 _BAD_NUMBERS = [
-    ("size --delta 1e999", "duration '1e999'"),
-    ("size --delta 1e308y", "duration '1e308y'"),
-    ("size --clients 1e999", "error: --clients must be positive and finite, got inf\n"),
-    ("size --clients nan", "error: --clients must be positive and finite, got nan\n"),
-    ("size --clients 0", "error: --clients must be positive and finite, got 0\n"),
-    ("size --slots 0", "error: --slots must be positive, got 0\n"),
-    ("size --slots -3", "error: --slots must be positive, got -3\n"),
-    ("size --delta 0", "error: --delta must be positive, got 0\n"),
-    ("size --delta -60", "error: --delta must be positive, got -60\n"),
-    ("size --pseudos 0", "error: --pseudos must be positive, got 0\n"),
-    ("size --needed 0", "error: --needed must be positive, got 0\n"),
-    ("size --extra -1", "error: --extra must not be negative, got -1\n"),
-    ("size --revoked-frac 2", "error: --revoked-frac must lie in [0, 1], got 2\n"),
-    ("size --fp 0", "error: --fp must lie strictly between 0 and 1, got 0\n"),
-    ("size --fp 1.5", "error: --fp must lie strictly between 0 and 1, got 1.5\n"),
-    ("storage-compare --epoch 1e999", "duration '1e999'"),
-    ("size --fanout 1", "error: --fanout must be at least 2, got 1\n"),
-    ("storage-compare --fanout 1", "error: --fanout must be at least 2, got 1\n"),
-    ("storage-compare --delta 0", "error: --delta must be positive, got 0\n"),
-    ("storage-compare --delta -60", "error: --delta must be positive, got -60\n"),
-    ("storage-compare --epoch 0", "error: --epoch must be positive, got 0\n"),
-    ("storage-compare --delta 1s,,1m", "error: --delta must be positive, got an empty item\n"),
-    ("size --delta 1,2", "error: --delta takes one slot length, got 1,2\n"),
+    ("size --delta 1e999", "argument --delta: duration '1e999' is not a finite number"),
+    ("size --delta 1e308y", "argument --delta: duration '1e308y' is not a finite number"),
+    ("size --clients 1e999", "argument --clients: must be positive and finite, got 1e999\n"),
+    ("size --clients nan", "argument --clients: must be positive and finite, got nan\n"),
+    ("size --clients 0", "argument --clients: must be positive and finite, got 0\n"),
+    ("size --slots 0", "argument --slots: must be positive, got 0\n"),
+    ("size --slots -3", "argument --slots: must be positive, got -3\n"),
+    ("size --delta 0", "argument --delta: must be a positive whole number of seconds, got 0\n"),
+    ("size --delta -60",
+     "argument --delta: must be a positive whole number of seconds, got -60\n"),
+    ("size --pseudos 0", "argument --pseudos: must be positive, got 0\n"),
+    ("size --needed 0", "argument --needed: must be positive, got 0\n"),
+    ("size --extra -1", "argument --extra: must not be negative, got -1\n"),
+    ("size --revoked-frac 2", "argument --revoked-frac: must lie in [0, 1], got 2\n"),
+    ("size --fp 0", "argument --fp: must lie strictly between 0 and 1, got 0\n"),
+    ("size --fp 1.5", "argument --fp: must lie strictly between 0 and 1, got 1.5\n"),
+    ("storage-compare --epoch 1e999",
+     "argument --epoch: duration '1e999' is not a finite number"),
+    ("size --fanout 1", "argument --fanout: must be at least 2, got 1\n"),
+    ("storage-compare --fanout 1", "argument --fanout: must be at least 2, got 1\n"),
+    ("storage-compare --delta 0", "argument --delta: must be positive, got 0\n"),
+    ("storage-compare --delta -60", "argument --delta: must be positive, got -60\n"),
+    ("storage-compare --epoch 0", "argument --epoch: must be positive, got 0\n"),
+    ("storage-compare --delta 1s,,1m",
+     "argument --delta: must be positive, got an empty item\n"),
+    ("size --delta 1,2", f"argument --delta: duration '1,2' {_NOT_A_DURATION}"),
     ("storage-compare --daily-demand -5 --delta 1m --epoch 1d",
-     "error: --daily-demand must be at least 1, got -5\n"),
-    ("storage-compare --daily-demand 0", "error: --daily-demand must be at least 1, got 0\n"),
-    ("storage-compare --delta 2d --epoch 1d", "every --delta exceeds every --epoch"),
-    ("storage-compare --delta abc", "error: --delta: duration 'abc' is not a number"),
-    ("storage-compare --delta m", "error: --delta: duration 'm' is not a number"),
-    ("storage-compare --delta nan", "error: --delta: duration 'nan' is not a finite number"),
-    ("storage-compare --epoch 1.2.3", "error: --epoch: duration '1.2.3' is not a number"),
-    ("size --delta 10x", "error: --delta: duration '10x' is not a number"),
+     "argument --daily-demand: must be at least 1, got -5\n"),
+    ("storage-compare --daily-demand 0", "argument --daily-demand: must be at least 1, got 0\n"),
+    ("storage-compare --delta 2d --epoch 1d",
+     "error: no slot length fits in an epoch: every --delta exceeds every --epoch\n"),
+    ("storage-compare --delta abc", f"argument --delta: duration 'abc' {_NOT_A_DURATION}"),
+    ("storage-compare --delta m", f"argument --delta: duration 'm' {_NOT_A_DURATION}"),
+    ("storage-compare --delta nan", "argument --delta: duration 'nan' is not a finite number"),
+    ("storage-compare --epoch 1.2.3", f"argument --epoch: duration '1.2.3' {_NOT_A_DURATION}"),
+    ("size --delta 10x", f"argument --delta: duration '10x' {_NOT_A_DURATION}"),
 ]
 
 
 @pytest.mark.parametrize("args, names", _BAD_NUMBERS, ids=[a for a, _ in _BAD_NUMBERS])
 def test_bad_numbers_are_usage_errors(capsys, args, names):
-    assert cli.main(args.split()) == 2
+    assert exit_code(args.split()) == 2
     out, err = capsys.readouterr()
-    assert err.startswith("error: ") and names in err, err
+    last = err.splitlines(keepends=True)[-1]
+    command = args.split()[0]
+    assert last.startswith((f"rangerevoke {command}: error: argument --", "error: ")), err
+    assert names in last, err
     assert "Traceback" not in err
     assert out == ""
 
@@ -333,15 +352,30 @@ def test_malformed_scenario_refused_before_run(tmp_path, capsys, monkeypatch,
     assert err.startswith("error: bad scenario: ") and reason in err, err
 
 
-def test_import_cli_loads_no_scipy_or_numpy():
+def child_env(**extra: str) -> dict[str, str]:
+    """The environment of a child Python that imports this checkout's package."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]), **extra)
+
+
+def test_import_cli_loads_no_scipy_or_numpy():
     code = ("import sys, rangerevoke.cli; "
             "print(sorted(m for m in ('scipy', 'numpy') if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", code], env=child_env(), check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("value", ["basic_format", "bogus", "info"])
+def test_rrp_log_takes_only_level_names(value):
+    """``RRP_LOG`` names a logging level in any case; anything else, even
+    another attribute of ``logging``, reads as error.  Run in a child
+    process, since ``basicConfig`` sets up the whole process's root logger."""
+    run = subprocess.run([sys.executable, "-m", "rangerevoke.cli", "size"],
+                         env=child_env(RRP_LOG=value), capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stderr == "" and run.stdout.startswith("slots T")
 
 
 def test_usage_error_exit_code():

@@ -24,7 +24,7 @@ from rangerevoke.ercset import (
     is_revoked,
 )
 from rangerevoke.manager import revocation_cover_ercset
-from rangerevoke.pseudonym import create_rrp, get_capability
+from rangerevoke.pseudonym import create_rrp, get_capability, pseudonym_keypair
 from rangerevoke.slot_tree import EpochConfig, NodeLabel, SlotRange, safe_cover
 
 PARAMS = FilterParams(8192, 4)
@@ -254,7 +254,8 @@ def test_cover_shortcut_is_bit_identical(cid, pm_key):
         rng = SlotRange(first, last)
         caps = caps_for(rng, cfg, cid, pm_key)
         via_pipeline = create_ercset(caps, cfg, PARAMS)
-        via_cover = revocation_cover_ercset(cid, 2, 1, safe_cover(cfg, rng), PARAMS)
+        via_cover = revocation_cover_ercset(pseudonym_keypair(cid, 2, 1), 2,
+                                            safe_cover(cfg, rng), PARAMS)
         assert via_pipeline == via_cover, (slots, first, last)
 
 
@@ -290,7 +291,8 @@ def test_safe_set_disjoint_from_unrevoked_slots(cid, pm_key):
 
 def test_root_only_revokes_everything(cid, pm_key, fig_cfg):
     caps = caps_for(SlotRange(0, 3), fig_cfg, cid, pm_key)
-    erc = revocation_cover_ercset(cid, 0, 1, {NodeLabel(0, 0, 0)}, PARAMS)
+    erc = revocation_cover_ercset(pseudonym_keypair(cid, 0, 1), 0, {NodeLabel(0, 0, 0)},
+                                  PARAMS)
     root = [lk for lk in caps[0].latchkeys if lk.label == NodeLabel(0, 0, 0)]
     manual = BloomFilter(PARAMS, 0)
     manual.add(root[0].sig)

@@ -248,7 +248,8 @@ def test_rotate_epoch(pm_key, admin_key, cid):
 def test_merge_filters_reports_change(pm_key, admin_key, cid):
     core = make_core(pm_key, admin_key, cid)
     cfg = core.cfg_for(0)
-    incoming = revocation_cover_ercset(cid, 0, 1, safe_cover(cfg, SlotRange(1, 3)), PARAMS)
+    incoming = revocation_cover_ercset(pseudonym_keypair(cid, 0, 1), 0,
+                                       safe_cover(cfg, SlotRange(1, 3)), PARAMS)
     assert core.merge_filters(incoming, BloomFilter(PARAMS, 1)) is True
     assert core.merge_filters(incoming, BloomFilter(PARAMS, 1)) is False   # redundant
 
@@ -258,7 +259,8 @@ def test_merge_filters_takes_both_or_neither(pm_key, admin_key, cid):
     second raises before the first is stored.  No decoded message holds
     such a pair; only a direct caller can hand one over."""
     core = make_core(pm_key, admin_key, cid)
-    gainful = revocation_cover_ercset(cid, 0, 1, {NodeLabel(0, 0, 0)}, PARAMS)
+    gainful = revocation_cover_ercset(pseudonym_keypair(cid, 0, 1), 0, {NodeLabel(0, 0, 0)},
+                                      PARAMS)
     held = core.erc_current, core.erc_next
     with pytest.raises(IncompatibleFilters):
         core.merge_filters(gainful, BloomFilter(FilterParams(4096, 4), 1))
@@ -268,7 +270,8 @@ def test_merge_filters_takes_both_or_neither(pm_key, admin_key, cid):
 
 def test_helper_filters(pm_key, cid):
     cfg = GEOMETRY.with_epoch(1)
-    root = revocation_cover_ercset(cid, 1, 1, {NodeLabel(1, 0, 0)}, PARAMS)
+    root = revocation_cover_ercset(pseudonym_keypair(cid, 1, 1), 1, {NodeLabel(1, 0, 0)},
+                                   PARAMS)
     for slot in range(cfg.slots):
         assert is_revoked(root, get_capability(create_rrp(cid, 1, 1, pm_key, 8), slot, cfg))
         assert not is_revoked(root, get_capability(create_rrp(cid, 1, 2, pm_key, 8), slot, cfg))
@@ -318,7 +321,8 @@ def other_plan_message(kind, cid):
     whose filters are 4096-bit, or a push whose first filter is a gainful
     one of ``PARAMS`` and whose second is 4096-bit."""
     other = BloomFilter(FilterParams(4096, 4), 0), BloomFilter(FilterParams(4096, 4), 1)
-    gainful = revocation_cover_ercset(cid, 0, 1, {NodeLabel(0, 0, 0)}, PARAMS)
+    gainful = revocation_cover_ercset(pseudonym_keypair(cid, 0, 1), 0, {NodeLabel(0, 0, 0)},
+                                      PARAMS)
     return {"push-incompatible": ErcPush(*other),
             "push-half-incompatible": ErcPush(gainful, other[1]),
             "pull-response-incompatible": ErcPullResp(*other),
@@ -1005,8 +1009,9 @@ def test_only_the_probed_root_goes_unqueried(pm_key, admin_key, cid):
     root and an instance-1 proof of the same slot is not."""
     core = make_core(pm_key, admin_key, cid)
     first = core.issue(RequestRrp(cid, 0, 3))[0]
-    assert core.merge_filters(revocation_cover_ercset(cid, 0, 3, {NodeLabel(0, 0, 0)}, PARAMS),
-                              BloomFilter(PARAMS, 1))
+    root3 = revocation_cover_ercset(pseudonym_keypair(cid, 0, 3), 0, {NodeLabel(0, 0, 0)},
+                                    PARAMS)
+    assert core.merge_filters(root3, BloomFilter(PARAMS, 1))
     third = create_rrp(cid, 0, 3, pm_key, 8)
     with pytest.raises(IssuanceDenied) as exc:
         core.issue(RequestRrp(cid, 0, 1, proof_for(core, third, 2), 2))
@@ -1144,12 +1149,36 @@ def test_revoke_rebuilds_the_kept_instance_1(pm_key, admin_key, cid, monkeypatch
         core.revoke(order)
         assert calls == Counter(
             ver_sign=1, det_keygen=2 * instances - 2 * rebuilt,
-            rebuild_keypair=rebuilt * (1 - whole),
+            rebuild_keypair=2 * rebuilt,
             det_sign=instances * len(cover) + instances - rebuilt * (1 + whole)), core
         assert len(merges) == 2 * instances
     assert whole == (rts == 0)
     assert (kept.erc_current, kept.erc_next) == (fresh.erc_current, fresh.erc_next)
     assert kept.erc_next.query(kept.firsts[1][cid][crypto.PUBLIC_KEY_LEN:])
+
+
+@pytest.mark.parametrize("epoch_id, rts", [(0, 0), (0, 2), (1, 0), (1, 3)])
+def test_a_kept_root_writes_the_bits_of_signing_it(pm_key, admin_key, cid, epoch_id, rts):
+    """Instance 1's cover from ``_keypair``, without ``firsts`` (a derived
+    pair, no root) and with it (a rebuilt pair and the kept root), sets the
+    bits of the derived pair signing every label, for a whole-epoch cover
+    and a suffix cover; the kept root is written as it is."""
+    core = make_core(pm_key, admin_key, cid)
+    cfg = core.cfg_for(epoch_id)
+    cover = safe_cover(cfg, SlotRange(rts, cfg.slots - 1))
+    whole = {NodeLabel(epoch_id, 0, 0)}
+    assert (cover == whole) == (rts == 0)
+    signed = revocation_cover_ercset(pseudonym_keypair(cid, epoch_id, 1), epoch_id, cover,
+                                     PARAMS)
+    keypair, root = core._keypair(cid, epoch_id, 1)
+    assert root is None
+    assert revocation_cover_ercset(keypair, epoch_id, cover, PARAMS, root) == signed
+    probed(core, cid)
+    keypair, root = core._keypair(cid, epoch_id, 1)
+    assert root == det_sign(pseudonym_keypair(cid, epoch_id, 1), whole.pop().canonical_bytes)
+    assert revocation_cover_ercset(keypair, epoch_id, cover, PARAMS, root) == signed
+    planted = revocation_cover_ercset(keypair, epoch_id, cover, PARAMS, b"\x07" * 64)
+    assert planted.query(b"\x07" * 64) is (rts == 0)
 
 
 def test_rebuilt_proof_check_agrees_with_signature_checks(pm_key, admin_key, cid):

@@ -248,20 +248,21 @@ def test_every_verifier_holds_an_order_or_is_stale_by_the_deadline(crash):
 def count_signers(monkeypatch) -> dict[bytes, set[TrustedCore]]:
     """Per client id, the cores that wrote bits of an order for it: each
     ``manager.revocation_cover_ercset`` call is charged to the core whose
-    ``revoke`` is running."""
+    ``revoke`` is running, and to that order's client."""
     signers, running = {}, []
     cover, revoke = manager.revocation_cover_ercset, TrustedCore.revoke
 
     def tracked(core, order):
-        running.append(core)
+        running.append((core, order.cid))
         try:
             revoke(core, order)
         finally:
             running.pop()
 
-    def counted(cid, *args):
-        signers.setdefault(cid, set()).add(running[-1])
-        return cover(cid, *args)
+    def counted(*args):
+        core, cid = running[-1]
+        signers.setdefault(cid, set()).add(core)
+        return cover(*args)
     monkeypatch.setattr(TrustedCore, "revoke", tracked)
     monkeypatch.setattr(manager, "revocation_cover_ercset", counted)
     return signers
@@ -436,6 +437,25 @@ def test_a_recovery_on_a_gossip_tick_pulls_and_reports_once(monkeypatch):
         at_recovery = Counter(kind for now, src, kind in sent
                               if (now, src) == (80 * MICRO, "pm3"))
         assert at_recovery == {"ErcPullReq": 1, "EpochReport": 3}, end
+
+
+def test_a_verifier_crosses_three_epoch_boundaries_with_no_stale_state():
+    """A 7 s pull period does not divide the 60 s epoch, so no pull follows
+    a boundary at once.  The next epoch's filter from the last pull before
+    it takes over, and an honest client shown at 0.05, 1, 2 and 3 s into
+    each of epochs 1 to 3 is granted every time."""
+    script = [Action(MICRO, "request", {"client": 0, "count": 1, "epoch": 0}),
+              Action(10 * MICRO, "authenticate", {"client": 0})]
+    for epoch in (1, 2, 3):
+        start = epoch * 60 * MICRO
+        script.append(Action(start - 40 * MICRO, "request",
+                             {"client": 0, "count": 4, "epoch": epoch}))
+        script += [Action(start + after, "authenticate", {"client": 0})
+                   for after in (50_000, MICRO, 2 * MICRO, 3 * MICRO)]
+    cfg = SimConfig(seed=3, pull_period=7 * MICRO, horizon=190 * MICRO, script=tuple(script))
+    auths = Simulation(cfg).run().auths
+    assert [(a.epoch_id, a.decision) for a in auths] == \
+        [(0, "granted")] + [(epoch, "granted") for epoch in (1, 2, 3) for _ in range(4)]
 
 
 def test_nothing_to_show_records_nothing():

@@ -136,6 +136,42 @@ def test_pull_response_incompatible_params(pm_key):
     assert v.erc_local.m == PARAMS.m
 
 
+def test_the_next_epochs_filter_takes_over_at_the_boundary(cid, pm_key, admin_key):
+    """A pull at 50 s keeps epoch 1's filter, in which an epoch-0 order
+    already wrote the client's roots: with no pull since, the client is
+    denied right after the boundary and another client is granted."""
+    core = TrustedCore(pm_key, admin_key.public, GEOMETRY, PARAMS, 8)
+    order = RevocationOrder(cid, 2, 0, b"")
+    core.revoke(replace(order, admin_sig=det_sign(admin_key, order.signed_payload())))
+    v = make_verifier(pm_key)
+    assert v.handle_pull_response(ErcPullResp(core.erc_current, core.erc_next), now=50)
+    assert v.erc_next.epoch_id == 1
+    assert v.authenticate(cap_for(cid, pm_key, 0, epoch=1), now=61) is Decision.REVOKED
+    assert v.authenticate(cap_for(bytes(32), pm_key, 0, epoch=1), now=62) is Decision.GRANTED
+    assert v.erc_local.epoch_id == 1 and v.erc_next is None
+
+
+def test_a_held_next_filter_vouches_only_while_fresh(cid, pm_key):
+    """Freshness still counts from the last pull: once pulls stop, the
+    next epoch's filter is denied with everything else past the staleness
+    limit, and a pull that counts with no next filter (from a manager an
+    epoch behind) drops the one held."""
+    cap = cap_for(cid, pm_key, 0, epoch=1)
+    v = make_verifier(pm_key)
+    fresh(v, now=50)
+    assert v.authenticate(cap, now=65) is Decision.GRANTED
+    assert v.authenticate(cap, now=66) is Decision.STALE_STATE
+    v = make_verifier(pm_key)
+    fresh(v, now=44)
+    assert v.authenticate(cap, now=60) is Decision.STALE_STATE
+    later = cap_for(cid, pm_key, 0, epoch=2)
+    v = make_verifier(pm_key)
+    fresh(v, now=100, epoch=1)
+    assert v.handle_pull_response(ErcPullResp(empty(0), empty(1)), now=110)
+    assert v.erc_next is None
+    assert v.authenticate(later, now=121) is Decision.STALE_STATE
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "a verifier handed filter objects adopts its first one whatever its shape, "
     "and merging an honest 8192-bit one into a 4096-bit one then raises "
@@ -172,10 +208,11 @@ def test_refused_messages_leave_no_trace(pm_key, hostile_messages):
     v = make_verifier(pm_key)
     fresh(v, now=0)
     v.erc_local.add(b"revoked")
-    held, bits = v.erc_local, bytes(v.erc_local.bits)
+    held, bits, held_next = v.erc_local, bytes(v.erc_local.bits), v.erc_next
     for label, msg in hostile_messages:
         assert v.deliver("pm0", msg, now=1) == [], label
         assert v.erc_local is held and bytes(held.bits) == bits, label
+        assert v.erc_next is held_next and not any(held_next.bits), label
         assert v.last_pull == 0, label
 
 
