@@ -124,17 +124,19 @@ def cmd_size(args: argparse.Namespace) -> int:
 # -- storage-compare --------------------------------------------------------
 
 def cmd_storage_compare(args: argparse.Namespace) -> int:
-    points = [(delta, epoch, sizing.storage_comparison(delta, epoch, args.fanout,
-                                                       args.daily_demand))
-              for epoch in args.epoch for delta in args.delta if delta <= epoch]
-    if not points:
+    pairs = [(delta, epoch) for epoch in args.epoch for delta in args.delta if delta <= epoch]
+    if not pairs:
         raise ValueError("no slot length fits in an epoch: every --delta "
                          "exceeds every --epoch")
+    for delta, epoch in pairs:
+        if epoch / delta > 2**64:
+            raise ValueError(f"--epoch {epoch:g} over --delta {delta:g} is over 2**64 slots")
     rows = [["delta_s", "epoch_s", "slots", "demand", "per_slot",
              "tree_entries", "flat_entries", "tree_kb", "flat_kb", "ratio"]]
     print(f"{'delta':>10} {'epoch':>10} {'slots':>9} {'tree KB':>12} "
           f"{'slot-locked KB':>14} {'ratio':>7}")
-    for delta, epoch, row in points:
+    for delta, epoch in pairs:
+        row = sizing.storage_comparison(delta, epoch, args.fanout, args.daily_demand)
         rows.append([f"{delta:g}", f"{epoch:g}", row.slots, row.demand,
                      row.per_slot, row.tree_entries, row.flat_entries,
                      f"{row.tree_kb:.1f}", f"{row.flat_kb:.1f}",

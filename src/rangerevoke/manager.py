@@ -5,43 +5,44 @@ trusted hardware:
 
 * ``TrustedCore`` holds everything secret or safety-critical: the manager
   signing key, the administrator public key, the client registry and
-  per-client issuance counters, and the two live revocation filters (one
-  for the current epoch, one for the next).  It alone builds filters and
-  decides issuance.  Per pseudonym it keeps only public values: each
-  client's instance-1 public key and root latchkey of each live epoch,
-  from which it rebuilds that instance's key pair without Ed25519.
-* ``PmNode`` is the untrusted host shell: message routing, peer bookkeeping,
-  gossip fan-out, the periodic pull and the epoch-transition quarantine.  It
-  holds no key material and reads no client id, though every ``RequestRrp``
-  and ``RevocationOrder`` it routes carries one in clear (ROADMAP item 14).
-  Its one order table maps each admin order taken, as signed and in
-  first-seen order, to whether this core signed its bits.
+  per-client issuance counters, the two live revocation filters (one for
+  the current epoch, one for the next) and the epoch transition.  It alone
+  builds filters, decides issuance and rotates.  Per pseudonym it keeps
+  only public values: each client's instance-1 public key and root
+  latchkey of each live epoch, from which it rebuilds that instance's key
+  pair without Ed25519.
+* ``PmNode`` is the untrusted host shell: message routing, gossip fan-out,
+  the periodic pull, the clock and the laggard echo.  It holds no key
+  material and reads no client id, though every ``RequestRrp`` and
+  ``RevocationOrder`` it routes carries one in clear (ROADMAP item 14).
+  Its order table lists each admin order taken, as signed, in first-seen
+  order, to relay and resend.
 
 A node is a single state machine on its own local clock with two entry
 points, ``deliver`` and the periodic ``on_tick``, which return the messages
 to transmit, so nodes drop unchanged into the simulator or behind a real
 transport.  Filters enter one way, whichever message carries them: the core
 merges both or neither, only filters for a held epoch postpone the pull,
-and gainful pushed or pulled ones are forwarded.  The epoch transition is
-one set: the managers, this one included, that reported leaving the
-current epoch; a manager in its own set is in quarantine.  Only a peer's
-report of that epoch counts; a laggard's report of a past epoch draws an
-echo, but the one completing a quorum does not.  Rotation follows the
+and gainful pushed or pulled ones are forwarded.  The core counts the
+managers, itself included, that reported leaving its epoch; it is in
+quarantine once it reported itself and rotates at N - f.  The shell hands
+it a peer's report of that epoch; a laggard's report of a past epoch draws
+an echo, but the one completing a quorum does not.  Rotation follows the
 clock, which only ``on_tick`` reads: each tick past ``epoch_now`` reports
 leaving it, which starts a transition, resends in quarantine and rejoins
 after a crash.
 
 An admin order expels its client and is relayed; only the managers the
 admin sends it to sign its filter bits, by one rule in whatever epoch it
-arrives and again on entering the order's epoch if it came earlier, and
-push them on a gain.
+arrives, and their cores sign it again on entering the order's epoch if
+it came earlier; a gain is pushed.
 """
 
 from __future__ import annotations
 
-import enum
 import logging
 import random
+from collections.abc import Iterable
 
 from .crypto import PUBLIC_KEY_LEN, KeyPair, det_sign, rebuild_keypair, ver_sign
 from .ercset import BloomFilter, FilterParams
@@ -64,11 +65,6 @@ from .pseudonym import (CLIENT_ID_LEN, Rrp, endorse, endorsement_message, pseudo
 from .slot_tree import EpochConfig, NodeLabel, SlotRange, path_to_root, safe_cover
 
 log = logging.getLogger(__name__)
-
-
-class PmMode(enum.Enum):
-    SERVING = "serving"
-    QUARANTINE = "quarantine"
 
 
 def revocation_cover_ercset(keypair: KeyPair, epoch_id: int, cover: set[NodeLabel],
@@ -115,11 +111,15 @@ class TrustedCore:
     it, and derives every other.  The kept root is never signed again: the
     probe queries it, an instance-1 proof is compared with it, and an
     order revoking the whole epoch writes it.
+
+    ``peers`` are the other managers' ids and ``fault_bound`` is f, the most
+    managers assumed faulty; the defaults are a lone manager.  Only
+    ``report`` enters the next epoch.  ``signed`` lists the orders signed.
     """
 
     def __init__(self, pm_key: KeyPair, admin_public: bytes,
                  geometry: EpochConfig, params: FilterParams,
-                 max_instances: int):
+                 max_instances: int, peers: Iterable[str] = (), fault_bound: int = 0):
         self.pm_key = pm_key
         self.admin_public = admin_public
         self.geometry = geometry          # slot geometry; its epoch_id is the start epoch
@@ -134,6 +134,10 @@ class TrustedCore:
         self.firsts: dict[int, dict[bytes, bytes]] = {}
         self.erc_current = BloomFilter(params, self.epoch_now)
         self.erc_next = BloomFilter(params, self.epoch_now + 1)
+        self.peers = tuple(peers)
+        self.fault_bound = fault_bound
+        self._reports: set[str | None] = set()   # reported leaving epoch_now; None is this core
+        self.signed: dict[RevocationOrder, None] = {}
 
     def cfg_for(self, epoch_id: int) -> EpochConfig:
         return self.geometry.with_epoch(epoch_id)
@@ -144,15 +148,12 @@ class TrustedCore:
         self.registry.add(cid)
 
     def erc_for(self, epoch_id: int) -> BloomFilter | None:
-        if epoch_id == self.epoch_now:
-            return self.erc_current
-        if epoch_id == self.epoch_now + 1:
-            return self.erc_next
-        return None
+        i = epoch_id - self.epoch_now
+        return (self.erc_current, self.erc_next)[i] if 0 <= i <= 1 else None
 
     # -- issuance ---------------------------------------------------------
 
-    def issue(self, req: RequestRrp, quarantined: bool = False) -> list[Rrp]:
+    def issue(self, req: RequestRrp) -> list[Rrp]:
         """Issue the next unused instances, or raise ``IssuanceDenied``.
 
         Clients may request pseudonyms for the current or the next epoch
@@ -166,7 +167,7 @@ class TrustedCore:
         made at most once per request, and no key pair outlives the request.
         """
         if req.epoch_id not in (self.epoch_now, self.epoch_now + 1):
-            raise IssuanceDenied(DenialReason.QUARANTINE if quarantined
+            raise IssuanceDenied(DenialReason.QUARANTINE if self.quarantined
                                  and req.epoch_id == self.epoch_now + 2
                                  else DenialReason.EPOCH_OUT_OF_WINDOW)
         if req.cid not in self.registry:
@@ -280,10 +281,11 @@ class TrustedCore:
         instance's root latchkey; any other epoch nothing.  Key pairs come
         from ``_keypair``, so where ``firsts`` holds the client instance 1's
         is rebuilt and its kept root latchkey written as kept.  A core before
-        E cannot write E + 1; its node applies the order again on entering
-        E.  Merging is idempotent, so replays change nothing.
+        E cannot write E + 1; it signs the order again on entering E.
+        Merging is idempotent, so replays change nothing.
         """
         self.expel(order)
+        self.signed[order] = None
         cfg = self.cfg_for(order.epoch_id)
         held = [self.erc_current, self.erc_next]
         for j in range(2):
@@ -320,40 +322,55 @@ class TrustedCore:
         self.erc_current, self.erc_next = held
         return gained
 
-    def rotate_epoch(self) -> None:
+    # -- epoch transition -------------------------------------------------
+
+    @property
+    def quarantined(self) -> bool:      # reported leaving epoch_now
+        return None in self._reports
+
+    def report(self, sender: str | None = None) -> bool | None:
+        """Count this core's or a peer's report of leaving ``epoch_now``, once
+        each, and rotate at N - f: None if it did not, else whether signing
+        again gained a bit.  Any other id is ignored."""
+        if sender is None or sender in self.peers:
+            self._reports.add(sender)
+        if None in self._reports and len(self._reports) >= len(self.peers) + 1 - self.fault_bound:
+            return self._rotate()
+        return None
+
+    def _rotate(self) -> bool:
         """Discard epoch t, promote t+1, open an empty filter for t+2.
 
         Issuance counters of epoch t-1 go too: ``issue`` reads only the
         epochs from the new t-1 to the new t+1.  ``firsts`` drops epoch t.
-        """
+        Orders of the new t signed before it began are signed again for
+        their t+1 roots; whether that gained a bit."""
+        self._reports.clear()
         self.epoch_now += 1
         self.issued = {key: end for key, end in self.issued.items()
                        if key[1] >= self.epoch_now - 1}
         self.firsts.pop(self.epoch_now - 1, None)
         self.erc_current = self.erc_next
         self.erc_next = BloomFilter(self.params, self.epoch_now + 1)
+        before = self.erc_current, self.erc_next
+        for order in [o for o in self.signed if o.epoch_id == self.epoch_now]:
+            self.revoke(order)
+        return before != (self.erc_current, self.erc_next)
 
 
 class PmNode:
-    """Untrusted host shell around a ``TrustedCore``; one per manager.
+    """Untrusted host shell around a ``TrustedCore``; one per manager."""
 
-    ``fault_bound`` is f, the assumed maximum number of faulty managers;
-    eager push fans out to f+1 random peers and quarantine waits for
-    reports from N-f distinct managers (itself included).
-    """
-
-    def __init__(self, node_id: str, core: TrustedCore, peers: list[str],
-                 fault_bound: int, rng: random.Random, gossip_timeout: int):
+    def __init__(self, node_id: str, core: TrustedCore, rng: random.Random,
+                 gossip_timeout: int):
         self.node_id = node_id
         self.core = core
-        self.peers = [p for p in peers if p != node_id]
-        self.fault_bound = fault_bound
-        self.fanout = min(fault_bound + 1, len(self.peers))   # peers per push or relay
+        self.peers = core.peers
+        self.fanout = min(core.fault_bound + 1, len(self.peers))   # peers per push or relay
         self.rng = rng
         self.gossip_timeout = gossip_timeout
-        self._reports: set[str] = set()   # managers that reported leaving epoch_now
         self._last_update: int | None = None     # when filters last arrived
-        self._orders: dict[RevocationOrder, bool] = {}  # order taken -> core signed it
+        self._orders: dict[RevocationOrder, None] = {}   # orders taken, first seen first
         self.stats = {"pushes": 0, "pulls": 0, "forwards": 0}
 
     def deliver(self, sender: str, msg: Message, now: int) -> list[Outgoing]:
@@ -382,7 +399,7 @@ class PmNode:
 
     def handle_request(self, req: RequestRrp) -> RrpResponse:
         try:
-            rrps = self.core.issue(req, quarantined=self.mode is PmMode.QUARANTINE)
+            rrps = self.core.issue(req)
         except IssuanceDenied as denied:
             return RrpResponse(denied.reason, req.epoch_id)
         return RrpResponse(DenialReason.NONE, req.epoch_id,
@@ -397,7 +414,7 @@ class PmNode:
         can delay that work but not drop it.  A copy under another signature
         is a new order, checked afresh."""
         relayed = sender in self.peers
-        if order in self._orders and (relayed or self._orders[order]):
+        if order in self._orders and (relayed or order in self.core.signed):
             return []
         before = self.core.erc_current, self.core.erc_next
         try:
@@ -410,7 +427,7 @@ class PmNode:
         relays = []
         if order not in self._orders:
             relays = [Outgoing(p, order) for p in self.rng.sample(self.peers, self.fanout)]
-        self._orders[order] = not relayed
+            self._orders[order] = None
         if relayed:
             return relays
         if order.epoch_id > self.core.epoch_now + 1:
@@ -453,48 +470,27 @@ class PmNode:
 
     # -- epoch transition -------------------------------------------------
 
-    @property
-    def mode(self) -> PmMode:
-        return PmMode.QUARANTINE if self.node_id in self._reports else PmMode.SERVING
-
     def on_clock(self, now: int) -> list[Outgoing]:
         """Report leaving ``epoch_now`` once the local clock is past it."""
         if self.core.geometry.epoch_and_slot(now)[0] <= self.core.epoch_now:
             return []
-        self._reports.add(self.node_id)
         report = EpochReport(self.core.epoch_now, self.core.erc_current,
                              self.core.erc_next)
-        return [Outgoing(p, report) for p in self.peers] + self._maybe_finish_quarantine(now)
+        return [Outgoing(p, report) for p in self.peers] + self._counted(self.core.report(), now)
 
     def handle_epoch_report(self, sender: str, report: EpochReport, now: int) -> list[Outgoing]:
-        """Count a peer's report of ``epoch_now``, or echo a peer that lags."""
-        if sender not in self.peers:
-            return []
-        if report.from_epoch == self.core.epoch_now:
-            self._reports.add(sender)
-            return self._maybe_finish_quarantine(now)
-        if (report.from_epoch < self.core.epoch_now
+        """Hand the core a peer's report of ``epoch_now``, or echo a peer that lags."""
+        if report.from_epoch == self.core.epoch_now:       # the core ignores a non-peer
+            return self._counted(self.core.report(sender), now)
+        if (sender in self.peers and report.from_epoch < self.core.epoch_now
                 and report.current.epoch_id == report.from_epoch):
             # the sender lags; an echo's newer filter is never echoed back
             return [Outgoing(sender, EpochReport(report.from_epoch, self.core.erc_current,
                                                  self.core.erc_next))]
         return []
 
-    def _maybe_finish_quarantine(self, now: int) -> list[Outgoing]:
-        """Rotate once a quorum reported, push the filters on a gain, and
-        report the new epoch at once if the clock is already past it.
-
-        An order this core signed before its epoch E began could write no
-        E + 1 roots; it is signed again on entering E, when E + 1 is held.
-        """
-        quorum = len(self.peers) + 1 - self.fault_bound
-        if self.node_id not in self._reports or len(self._reports) < quorum:
+    def _counted(self, gained: bool | None, now: int) -> list[Outgoing]:
+        """After a rotation, push a gain and report the next epoch if due."""
+        if gained is None:
             return []
-        self._reports.clear()
-        self.core.rotate_epoch()
-        before = self.core.erc_current, self.core.erc_next
-        for order, signed in self._orders.items():
-            if signed and order.epoch_id == self.core.epoch_now:
-                self.core.revoke(order)
-        out = self.eager_push() if before != (self.core.erc_current, self.core.erc_next) else []
-        return out + self.on_clock(now)
+        return (self.eager_push() if gained else []) + self.on_clock(now)

@@ -110,11 +110,13 @@ def _seconds(text: str) -> int:
     """Non-negative seconds (floats allowed) -> integer microseconds."""
     try:
         value = float(text)
-        if math.isfinite(value) and value >= 0:
-            return round(value * MICRO)
     except ValueError:
-        pass
-    raise ValueError(f"expected a time in seconds >= 0, got {text!r}")
+        value = math.nan                # fails the check below
+    if not value >= 0:
+        raise ValueError(f"expected a time in seconds >= 0, got {text!r}")
+    if not math.isfinite(value * MICRO):
+        raise ValueError(f"time {text!r} s is too large")
+    return round(value * MICRO)
 
 
 def _span(text: str) -> tuple[int, int]:

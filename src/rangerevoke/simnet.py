@@ -220,11 +220,10 @@ class Simulation:
         pm_ids = cfg.pm_ids()
         self.pms: dict[str, PmNode] = {}
         for node_id in pm_ids:
-            core = TrustedCore(self.pm_key, self.admin_key.public, geometry,
-                               FILTER, INSTANCES)
-            self.pms[node_id] = PmNode(
-                node_id, core, pm_ids, cfg.fault_bound,
-                random.Random(self.rng.getrandbits(64)), cfg.gossip_timeout)
+            core = TrustedCore(self.pm_key, self.admin_key.public, geometry, FILTER, INSTANCES,
+                               [p for p in pm_ids if p != node_id], cfg.fault_bound)
+            self.pms[node_id] = PmNode(node_id, core, random.Random(self.rng.getrandbits(64)),
+                                       cfg.gossip_timeout)
 
         self.verifiers: dict[str, VerifierNode] = {}
         for node_id in cfg.verifier_ids():
@@ -423,17 +422,13 @@ class Simulation:
         return [p for p in sorted(self.pms) if p not in crashed_ever]
 
     def _report(self) -> SimReport:
-        pm_state = []
-        for node_id in sorted(self.pms):
-            pm = self.pms[node_id]
-            pm_state.append((node_id, pm.core.epoch_now, pm.mode.value,
-                             _filter_digest(pm.core.erc_current),
-                             _filter_digest(pm.core.erc_next)))
-        verifier_state = []
-        for v_id in sorted(self.verifiers):
-            v = self.verifiers[v_id]
-            mode = "safe" if v.is_stale(self.now) else "serving"
-            verifier_state.append((v_id, mode, _filter_digest(v.erc_local)))
+        pm_state = [(node_id, pm.core.epoch_now,
+                     "quarantine" if pm.core.quarantined else "serving",
+                     _filter_digest(pm.core.erc_current), _filter_digest(pm.core.erc_next))
+                    for node_id, pm in sorted(self.pms.items())]
+        verifier_state = [(v_id, "safe" if v.is_stale(self.now) else "serving",
+                           _filter_digest(v.erc_local))
+                          for v_id, v in sorted(self.verifiers.items())]
         latency = []
         for at, client_idx, _rts in self.revocations:
             denied = [a.at for a in self.auths

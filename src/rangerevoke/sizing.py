@@ -134,7 +134,9 @@ def plan_filter(params: DeploymentParams, target_fp: float) -> SizingResult:
     """Smallest whole-byte filter meeting ``target_fp`` at the expected load.
 
     Starts from the textbook optimum m = -n ln(p) / (ln 2)^2 and walks in
-    byte steps until the target holds with the optimal k for that m.
+    byte steps until the target holds with the optimal k for that m.  An
+    optimum over 2**40 bits is refused: 1 - 1/m rounds so coarsely there
+    that the walk would take about m/8 steps.
     """
     if not 0.0 < target_fp < 1.0:
         raise ValueError("target_fp must lie strictly between 0 and 1")
@@ -143,6 +145,9 @@ def plan_filter(params: DeploymentParams, target_fp: float) -> SizingResult:
         m = 8
         return _result(params, n, m, 1)
     ideal = -n * math.log(target_fp) / (math.log(2) ** 2)
+    if ideal > 2**40:
+        raise ValueError(f"{n:.3g} expected insertions need a filter of about {ideal:.3g} "
+                         "bits at this false-positive rate, over the 2**40-bit limit")
     m = max(8, (math.ceil(ideal) // 8) * 8)
     # walk down while the target still holds, then up until it does
     while m > 8 and false_positive_rate(m - 8, optimal_k(m - 8, n), n) <= target_fp:
@@ -171,9 +176,9 @@ ENTRY_BYTES = 82   # certificate-sized revocation record for both schemes
 
 # Synthetic urban-mobility demand calibrated to a heavy-tailed taxi trace:
 # the busiest client needs 692 pseudonyms over a day, and sub-linearly more
-# over longer epochs because trips repeat routes.
-_DEMAND_PRESETS = {1: 692, 30: 5_677, 365: 32_142}
-DEMAND_EXPONENT = 0.65
+# over longer epochs because trips repeat routes.  (days, pseudonyms):
+_DEMAND_TRACE = ((1, 692), (30, 5_677), (365, 32_142))
+DEMAND_EXPONENT = 0.65      # log-log slope outside the trace's points
 
 # How the busiest slot-window demand shrinks as the window shrinks.  The
 # busiest minute of the trace holds ~12 pseudonym changes out of 692/day:
@@ -182,16 +187,18 @@ CONCENTRATION_EXPONENT = 0.62
 
 
 def epoch_demand(epoch_seconds: float, daily: int = 692) -> int:
-    """Pseudonyms the busiest client needs over one epoch."""
+    """Pseudonyms the busiest client needs over one epoch, never falling as
+    it grows: the trace's points joined in log-log, with slope
+    ``DEMAND_EXPONENT`` past both ends, scaled by ``daily`` / 692."""
     if epoch_seconds <= 0:
         raise ValueError("epoch length must be positive")
     if daily < 1:
         raise ValueError(f"daily demand must be at least 1, got {daily}")
     days = epoch_seconds / DAY_SECONDS
-    key = round(days)
-    if key in _DEMAND_PRESETS and math.isclose(days, key) and daily == 692:
-        return _DEMAND_PRESETS[key]
-    return max(1, round(daily * days**DEMAND_EXPONENT))
+    i = sum(d <= days for d, _ in _DEMAND_TRACE[1:])       # the last point at or below
+    (d0, n0), (d1, n1) = _DEMAND_TRACE[i], _DEMAND_TRACE[min(i + 1, len(_DEMAND_TRACE) - 1)]
+    slope = math.log(n1 / n0) / math.log(d1 / d0) if d0 <= days < d1 else DEMAND_EXPONENT
+    return max(1, round(daily * n0 / 692 * (days / d0) ** slope))
 
 
 def slot_demand(delta: float, epoch_seconds: float, demand: int) -> int:
@@ -199,10 +206,7 @@ def slot_demand(delta: float, epoch_seconds: float, demand: int) -> int:
     single window of length ``delta`` in the trace."""
     if not 0 < delta <= epoch_seconds:
         raise ValueError("need 0 < delta <= epoch")
-    frac = delta / epoch_seconds
-    if frac >= 1.0:
-        return demand
-    return min(demand, max(1, math.ceil(demand * frac**CONCENTRATION_EXPONENT)))
+    return min(demand, max(1, math.ceil(demand * (delta / epoch_seconds)**CONCENTRATION_EXPONENT)))
 
 
 @dataclass(frozen=True)

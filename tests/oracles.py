@@ -318,15 +318,14 @@ def check_proof_by_verifying(core: TrustedCore, req: RequestRrp) -> DenialReason
     return DenialReason.NONE
 
 
-def reference_issue(core: TrustedCore, req: RequestRrp,
-                    quarantined: bool = False) -> list[Rrp]:
+def reference_issue(core: TrustedCore, req: RequestRrp) -> list[Rrp]:
     """``TrustedCore.issue`` with no reuse: the standing probe, the proof
     check and each new pseudonym derive their own keys, and the proof is
     compared with the whole capability ``get_capability`` rebuilds.  Raises
     ``IssuanceDenied`` in the core's order, the budget before the proof,
     and records the issued instances like the core."""
     if req.epoch_id not in (core.epoch_now, core.epoch_now + 1):
-        raise IssuanceDenied(DenialReason.QUARANTINE if quarantined
+        raise IssuanceDenied(DenialReason.QUARANTINE if core.quarantined
                              and req.epoch_id == core.epoch_now + 2
                              else DenialReason.EPOCH_OUT_OF_WINDOW)
     if req.cid not in core.registry:

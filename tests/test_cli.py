@@ -127,6 +127,9 @@ _BAD_NUMBERS = [
     ("storage-compare --daily-demand -5 --delta 1m --epoch 1d",
      "argument --daily-demand: must be at least 1, got -5\n"),
     ("storage-compare --daily-demand 0", "argument --daily-demand: must be at least 1, got 0\n"),
+    # 86,400 s over 1e-305 s slots is an infinite slot count
+    ("storage-compare --delta 1e-305 --epoch 1d",
+     "error: --epoch 86400 over --delta 1e-305 is over 2**64 slots\n"),
     ("storage-compare --delta 2d --epoch 1d",
      "error: no slot length fits in an epoch: every --delta exceeds every --epoch\n"),
     ("storage-compare --delta abc", f"argument --delta: duration 'abc' {_NOT_A_DURATION}"),
@@ -328,6 +331,10 @@ _MALFORMED = [
     # the tick is a manager's only clock check, so it runs at least once an epoch
     ("sim", "gossip_timeout = 61", "[sim] gossip_timeout: must not exceed epoch_len (60 s)"),
     ("sim", "epoch_len = 0", "[sim] epoch_len: must be > 0 s, got 0 s"),
+    # finite seconds, but an infinite number of microseconds
+    ("sim", "horizon = 1e303", "[sim] horizon: time '1e303' s is too large"),
+    ("sim", "epoch_len = 1e303", "[sim] epoch_len: time '1e303' s is too large"),
+    ("script", "a2 = 1e303 request client=0", "[script] a2: time '1e303' s is too large"),
     ("sim", "fanout = 1", "[sim] fanout: unknown [sim] key"),
 ]
 
@@ -357,6 +364,16 @@ def child_env(**extra: str) -> dict[str, str]:
     src = str(Path(cli.__file__).resolve().parents[1])
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]), **extra)
+
+
+def test_size_refuses_a_filter_past_the_limit_at_once():
+    """The planner refuses a filter of about 2.8e12 bits before it walks:
+    there 1 - 1/m rounds alike for a thousand byte steps and more, so the
+    walk down took about m/8 of them.  Run in a child under a time limit."""
+    run = subprocess.run([sys.executable, "-m", "rangerevoke.cli", "size", "--clients", "1e16"],
+                         env=child_env(), capture_output=True, text=True, timeout=20)
+    assert run.returncode == 2 and run.stdout == ""
+    assert run.stderr.startswith("error: ") and "over the 2**40-bit limit" in run.stderr
 
 
 def test_import_cli_loads_no_scipy_or_numpy():

@@ -6,6 +6,8 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     check_proof_by_verifying,
@@ -21,7 +23,6 @@ from rangerevoke.crypto import KeyPair, det_sign, seed_from_parts, ver_sign
 from rangerevoke.ercset import BloomFilter, FilterParams, IncompatibleFilters, is_revoked
 from rangerevoke.manager import (
     IssuanceDenied,
-    PmMode,
     PmNode,
     TrustedCore,
     revocation_cover_ercset,
@@ -51,8 +52,18 @@ PARAMS = FilterParams(8192, 4)
 GEOMETRY = EpochConfig(0, 60, 15, 2)
 
 
-def make_core(pm_key, admin_key, cid):
-    core = TrustedCore(pm_key, admin_key.public, GEOMETRY, PARAMS, max_instances=8)
+class Core(TrustedCore):
+    """A ``TrustedCore`` that tests can move on by hand: ``rotate_epoch``
+    hands it its own report, then each peer's until it rotates."""
+
+    def rotate_epoch(self) -> None:
+        for sender in (None, *self.peers):
+            if self.report(sender) is not None:
+                return
+
+
+def make_core(pm_key, admin_key, cid, peers=(), f=0):
+    core = Core(pm_key, admin_key.public, GEOMETRY, PARAMS, 8, peers, f)
     core.register(cid)
     return core
 
@@ -106,8 +117,10 @@ def test_epoch_window(pm_key, admin_key, cid):
     with pytest.raises(IssuanceDenied) as exc:
         core.issue(RequestRrp(cid, 2, 1))
     assert exc.value.reason is DenialReason.EPOCH_OUT_OF_WINDOW
+    quarantined = make_core(pm_key, admin_key, cid, peers=["pm1"])
+    assert quarantined.report() is None and quarantined.quarantined
     with pytest.raises(IssuanceDenied) as exc:
-        core.issue(RequestRrp(cid, 2, 1), quarantined=True)
+        quarantined.issue(RequestRrp(cid, 2, 1))
     assert exc.value.reason is DenialReason.QUARANTINE
 
 
@@ -280,9 +293,9 @@ def test_helper_filters(pm_key, cid):
 # -- node shell -------------------------------------------------------------
 
 def make_node(pm_key, admin_key, cid, node_id="pm0", n=4, f=1, seed=1, timeout=5):
-    peers = [f"pm{i}" for i in range(n)]
-    core = make_core(pm_key, admin_key, cid)
-    return PmNode(node_id, core, peers, f, random.Random(seed), timeout)
+    peers = [f"pm{i}" for i in range(n) if f"pm{i}" != node_id]
+    return PmNode(node_id, make_core(pm_key, admin_key, cid, peers, f), random.Random(seed),
+                  timeout)
 
 
 def test_deliver_takes_every_wire_message(pm_key, admin_key, cid, wire_messages):
@@ -291,7 +304,7 @@ def test_deliver_takes_every_wire_message(pm_key, admin_key, cid, wire_messages)
     for now in (1, 61):
         node = make_node(pm_key, admin_key, cid)
         node.on_clock(now)
-        assert (node.mode is PmMode.QUARANTINE) is (now == 61)
+        assert node.core.quarantined is (now == 61)
         for sender in ("pm1", "v0", "client0"):
             for label, msg in wire_messages:
                 out = node.deliver(sender, msg, now)
@@ -355,11 +368,11 @@ def test_dropped_filters_do_not_postpone_the_pull(pm_key, admin_key, cid, wire_m
 def node_trace(node):
     """Everything of a manager that a message could change."""
     core = node.core
-    return (core.epoch_now, node.mode, node._last_update,
+    return (core.epoch_now, core.quarantined, node._last_update,
             [(erc.epoch_id, hashlib.sha256(erc.bits).hexdigest())
              for erc in (core.erc_current, core.erc_next)],
-            set(node._reports), set(core.revoked),
-            dict(node._orders), dict(core.issued), dict(node.stats))
+            set(core._reports), set(core.revoked),
+            list(node._orders), list(core.signed), dict(core.issued), dict(node.stats))
 
 
 def test_refused_messages_leave_no_trace(pm_key, admin_key, cid, wire_messages,
@@ -392,9 +405,9 @@ def test_reports_far_ahead_keep_no_senders(pm_key, admin_key, cid):
         node.deliver("pm1", EpochReport(from_epoch, other.core.erc_current,
                                         other.core.erc_next), now=1)
     assert node.core.erc_current == other.core.erc_current     # merged all the same
-    assert node._reports == set()
+    assert node.core._reports == set()
     node.deliver("pm1", EpochReport(0, other.core.erc_current, other.core.erc_next), now=1)
-    assert node._reports == {"pm1"}
+    assert node.core._reports == {"pm1"}
 
 
 def test_handle_request_response(pm_key, admin_key, cid):
@@ -539,7 +552,7 @@ def test_a_relay_of_an_order_this_node_signed_costs_nothing(pm_key, admin_key, c
     calls = count_ed25519(monkeypatch)
     assert node.deliver("pm1", order, 2) == []
     assert not calls                       # not even an admin-signature check
-    assert node._orders == {order: True}
+    assert list(node._orders) == list(node.core.signed) == [order]
 
 
 @pytest.mark.parametrize("first", ["admin", "pm2"])
@@ -555,7 +568,8 @@ def test_a_forged_relay_of_a_known_order_is_refused(pm_key, admin_key, cid, capl
         assert node.deliver("pm1", forged, 2) == []
     assert [r.levelno for r in caplog.records] == [logging.WARNING]
     assert "bad signature" in caplog.text
-    assert node._orders == {order: first == "admin"}
+    assert list(node._orders) == [order]
+    assert list(node.core.signed) == ([order] if first == "admin" else [])
 
 
 def test_pull_responses_list_orders_in_first_seen_order(pm_key, admin_key, cid):
@@ -571,7 +585,7 @@ def test_pull_responses_list_orders_in_first_seen_order(pm_key, admin_key, cid):
     resent = [o.msg for o in node.handle_pull_request("pm2")
               if isinstance(o.msg, RevocationOrder)]
     assert resent == orders
-    assert list(node._orders.values()) == [True, True, False]
+    assert [order in node.core.signed for order in node._orders] == [True, True, False]
 
 
 def test_the_admins_copy_after_a_relay_is_applied_in_full(pm_key, admin_key, cid):
@@ -725,13 +739,13 @@ def test_gossip_timeout_pulls_one_peer(pm_key, admin_key, cid):
 def test_quarantine_quorum(pm_key, admin_key, cid):
     node = make_node(pm_key, admin_key, cid, n=4, f=1)
     out = node.on_clock(now=61)
-    assert node.mode is PmMode.QUARANTINE
+    assert node.core.quarantined
     assert len(out) == 3                       # report to every peer
     report = EpochReport(0, node.core.erc_current, node.core.erc_next)
     node.deliver("pm1", report, 61)
-    assert node.mode is PmMode.QUARANTINE      # 2 of 3 needed reports
+    assert node.core.quarantined               # 2 of 3 needed reports
     node.deliver("pm2", report, 61)
-    assert node.mode is PmMode.SERVING         # self + 2 peers = N - f
+    assert not node.core.quarantined           # self + 2 peers = N - f
     assert node.core.epoch_now == 1
 
 
@@ -741,7 +755,7 @@ def test_quarantine_ignores_duplicate_reports(pm_key, admin_key, cid):
     report = EpochReport(0, node.core.erc_current, node.core.erc_next)
     node.deliver("pm1", report, 61)
     node.deliver("pm1", report, 61)
-    assert node.mode is PmMode.QUARANTINE
+    assert node.core.quarantined
 
 
 def test_reports_of_a_past_epoch_are_echoed_not_kept(pm_key, admin_key, cid):
@@ -753,7 +767,7 @@ def test_reports_of_a_past_epoch_are_echoed_not_kept(pm_key, admin_key, cid):
     assert node.core.epoch_now == 1
     out = node.deliver("pm3", report, 61)       # after the quorum
     assert [(o.dst, o.msg.from_epoch) for o in out] == [("pm3", 0)]
-    assert node._reports == set()
+    assert node.core._reports == set()
 
 
 def test_laggard_gets_echo(pm_key, admin_key, cid):
@@ -774,7 +788,7 @@ def test_the_report_that_completes_a_quorum_draws_no_echo(pm_key, admin_key, cid
     report = EpochReport(0, node.core.erc_current, node.core.erc_next)
     assert node.deliver("pm1", report, 61) == []
     assert node.deliver("pm2", report, 61) == []    # rotates, answers nothing
-    assert node.core.epoch_now == 1 and node.mode is PmMode.SERVING
+    assert node.core.epoch_now == 1 and not node.core.quarantined
 
 
 def test_only_a_peers_report_counts_or_draws_an_echo(pm_key, admin_key, cid):
@@ -783,7 +797,7 @@ def test_only_a_peers_report_counts_or_draws_an_echo(pm_key, admin_key, cid):
     report = EpochReport(0, node.core.erc_current, node.core.erc_next)
     for sender in ("v0", "client0", "admin", "pm0"):
         assert node.deliver(sender, report, 61) == []
-    assert node._reports == {"pm0"} and node.core.epoch_now == 0
+    assert node.core._reports == {None} and node.core.epoch_now == 0
     node.deliver("pm1", report, 61)
     node.deliver("pm2", report, 61)
     assert node.core.epoch_now == 1
@@ -798,9 +812,9 @@ def test_rotation_follows_the_clock(pm_key, admin_key, cid):
     report = EpochReport(0, node.core.erc_current, node.core.erc_next)
     node.deliver("pm1", report, 121)
     out = node.deliver("pm2", report, 121)
-    assert node.core.epoch_now == 1 and node.mode is PmMode.QUARANTINE
+    assert node.core.epoch_now == 1 and node.core.quarantined
     assert [(o.dst, o.msg.from_epoch) for o in out] == [("pm1", 1), ("pm2", 1), ("pm3", 1)]
-    assert node._reports == {"pm0"}
+    assert node.core._reports == {None}
 
 
 def test_a_quarantined_manager_reports_again_on_each_gossip_tick(pm_key, admin_key, cid):
@@ -822,6 +836,67 @@ def test_quarantine_denies_two_epochs_ahead(pm_key, admin_key, cid):
     node.on_clock(now=61)
     resp = node.handle_request(RequestRrp(cid, 2, 1))
     assert not resp.granted and resp.reason is DenialReason.QUARANTINE
+
+
+# -- the core's epoch transition against its host ------------------------------
+
+def test_the_core_counts_its_own_report_and_distinct_peers(pm_key, admin_key, cid):
+    """N = 4, f = 1: the core enters the next epoch once it and two distinct
+    peers reported, in any order.  A repeated peer, an id that is no peer's
+    (its own included) and its peers' reports alone do not move it."""
+    core = make_core(pm_key, admin_key, cid, ["pm1", "pm2", "pm3"], 1)
+    for sender in ("pm1", "pm1", "pm0", "v0", "admin"):
+        assert core.report(sender) is None
+    assert core._reports == {"pm1"} and not core.quarantined
+    assert core.report("pm2") is None               # N - f peers, but not itself
+    assert core.report() is False                   # rotates: nothing to sign again
+    assert core.epoch_now == 1 and core._reports == set() and not core.quarantined
+    for sender in (None, "pm3", "pm3", None, "pm9"):
+        assert core.report(sender) is None
+    assert core.quarantined and core.epoch_now == 1
+    assert core.report("pm1") is False and core.epoch_now == 2
+
+
+HOST_SENDERS = (None, "pm0", "pm1", "pm2", "pm3", "v0")
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_a_malicious_host_cannot_rotate_the_core_without_a_quorum(pm_key, admin_key, cid,
+                                                                  data):
+    """A host calls the core's public methods in any order, each with one
+    of a few arguments; a public method this test does not know gets none.
+    The core's epoch ends only once it and N - f distinct peers reported
+    it, and no pseudonym is issued for an epoch past the one after it."""
+    peers, f = ("pm1", "pm2", "pm3"), 1
+    core = TrustedCore(pm_key, admin_key.public, GEOMETRY, PARAMS, 2, peers, f)
+    core.register(cid)
+    epochs, slots = st.integers(0, 4), st.integers(0, GEOMETRY.slots - 1)
+    orders = st.builds(lambda rts, e: (signed_order(admin_key, cid, rts, e),), slots, epochs)
+    args = {"report": st.tuples(st.sampled_from(HOST_SENDERS)),
+            "issue": st.builds(lambda e, n: (RequestRrp(cid, e, n),), epochs, st.integers(1, 2)),
+            "revoke": orders, "expel": orders,
+            "merge_filters": epochs.map(lambda e: (BloomFilter(PARAMS, e),
+                                                   BloomFilter(PARAMS, e + 1))),
+            "register": st.just((cid,)), "erc_for": st.tuples(epochs),
+            "cfg_for": st.tuples(epochs)}
+    public = sorted(name for name, value in vars(TrustedCore).items()
+                    if callable(value) and not name.startswith("_"))
+    epoch, reporters = 0, set()
+    for _ in range(data.draw(st.integers(1, 25))):
+        name = data.draw(st.sampled_from(public))
+        call = data.draw(args.get(name, st.just(())))
+        if name == "report" and call[0] in (None, *peers):
+            reporters.add(call[0])
+            if None in reporters and len(reporters) >= len(peers) + 1 - f:
+                epoch, reporters = epoch + 1, set()
+        try:
+            result = getattr(core, name)(*call)
+        except IssuanceDenied:
+            result = None
+        assert core.epoch_now == epoch, (name, call)
+        if name == "issue" and result:
+            assert result[0].epoch_id <= epoch + 1
 
 
 def test_revoke_matches_full_capability_pipeline(pm_key, admin_key, cid, monkeypatch):
@@ -1238,8 +1313,9 @@ def test_rebuilt_proof_check_agrees_with_signature_checks(pm_key, admin_key, cid
 # -- issuance against the reference; nothing kept per pseudonym --------------
 
 def test_issue_matches_the_reference_issuance(pm_key, admin_key):
-    """Seeded random requests, orders, filter merges and rotations go to the
-    core and to a copy that issues through ``reference_issue``: each request
+    """Seeded random requests, orders, filter merges, quarantines and
+    rotations go to the core and to a copy that issues through
+    ``reference_issue``: each request
     gets byte-equal pseudonyms or the same denial, and both record the same
     issued instances.  Proofs are of instance 1 or k, of any epoch, the
     requester's or another client's, genuine, re-nonced at one level or at
@@ -1251,7 +1327,7 @@ def test_issue_matches_the_reference_issuance(pm_key, admin_key):
     clients = [seed_from_parts(b"differential", i) for i in range(13)]
     seen = Counter()
     for params in (PARAMS, FilterParams(256, 2)):
-        core = TrustedCore(pm_key, admin_key.public, geometry, params, instances)
+        core = TrustedCore(pm_key, admin_key.public, geometry, params, instances, ["pm1"])
         for c in clients[:-1]:                             # the last is never registered
             core.register(c)
         reference = copy.deepcopy(core)
@@ -1273,9 +1349,9 @@ def test_issue_matches_the_reference_issuance(pm_key, admin_key):
                 assert core.merge_filters(witness.erc_current, nxt) \
                     == reference.merge_filters(witness.erc_current, nxt)
                 continue
-            if step % 200 == 199:
-                core.rotate_epoch()
-                reference.rotate_epoch()
+            if step % 200 in (159, 199):                   # quarantined, then rotated
+                assert core.report(None if step % 200 == 159 else "pm1") \
+                    == reference.report(None if step % 200 == 159 else "pm1")
             requester = rng.choice(clients)
             epoch_id = max(0, core.epoch_now + rng.choice((-1, 0, 0, 0, 1, 1, 1, 2)))
             count = instances if rng.random() < 0.05 else rng.randint(1, 3)
@@ -1283,11 +1359,10 @@ def test_issue_matches_the_reference_issuance(pm_key, admin_key):
             if rng.random() < 0.85:
                 req, kind = random_proof_request(rng, pm_key, core, requester, epoch_id,
                                                  count, clients, instances)
-            quarantined = rng.random() < 0.2
             checked = requester in core.registry and requester not in core.revoked and any(
                 core.issued.get((requester, core.epoch_now + d)) for d in (-1, 0, 1))
-            outcome = issued_or_denied(core.issue, req, quarantined)
-            expected = issued_or_denied(reference_issue, reference, req, quarantined)
+            outcome = issued_or_denied(core.issue, req)
+            expected = issued_or_denied(reference_issue, reference, req)
             assert outcome == expected, (step, kind)
             assert core.issued == reference.issued
             seen[kind, checked, outcome[0] if isinstance(outcome[0], DenialReason)
@@ -1417,7 +1492,7 @@ def test_core_keeps_no_pseudonym_key_or_seed(pm_key, admin_key):
     witness = make_core(pm_key, admin_key, clients[1])
     witness.revoke(signed_order(admin_key, clients[1], 0, 0))
     assert core.merge_filters(witness.erc_current, witness.erc_next)
-    core.rotate_epoch()
+    core.report()                          # a lone manager's own report ends its epoch
     for c in clients[2:]:
         proof = proof_for(core, create_rrp(c, 1, 3, pm_key, 8), 3)
         assert len(core.issue(RequestRrp(c, 2, 2, proof, 3))) == 2

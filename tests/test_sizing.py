@@ -199,6 +199,17 @@ def test_epoch_demand_presets():
     assert epoch_demand(2 * 86_400) > 692
 
 
+def test_epoch_demand_never_falls_as_the_epoch_grows():
+    """One rule for every daily demand, through and past the trace's 1, 30
+    and 365 days: the presets beside a power law fell from 6,299 at 29.9
+    days to 5,677 at 30, and from 32,142 at 365 days to 32,090 at 366."""
+    days = sorted({0.01, 0.5, 0.999, 1, 1.001, 2, 29.9, 30, 30.1, 100, 364, 365, 366,
+                   1000, *(x / 10 for x in range(1, 4000, 7))})
+    for daily in (1, 100, 692, 5000):
+        demands = [epoch_demand(d * 86_400, daily) for d in days]
+        assert demands == sorted(demands), daily
+
+
 def test_slot_demand_monotone_and_bounded():
     demand = 692
     values = [slot_demand(d, 86_400, demand) for d in (1, 60, 900, 21_600, 86_400)]
