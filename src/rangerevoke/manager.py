@@ -10,7 +10,7 @@ trusted hardware:
   builds filters, decides issuance and rotates.  Per pseudonym it keeps
   only public values: each client's instance-1 public key and root
   latchkey of each live epoch, from which it rebuilds that instance's key
-  pair without Ed25519.
+  pair without Ed25519, and instance 1's endorsement once it issued it.
 * ``PmNode`` is the untrusted host shell: message routing, gossip fan-out,
   the periodic pull, the clock and the laggard echo.  It holds no key
   material and reads no client id, though every ``RequestRrp`` and
@@ -34,8 +34,8 @@ after a crash.
 
 An admin order expels its client and is relayed; only the managers the
 admin sends it to sign its filter bits, by one rule in whatever epoch it
-arrives, and their cores sign it again on entering the order's epoch if
-it came earlier; a gain is pushed.
+arrives; each rotation writes into the filter it opens the part of every
+order signed before, and a gain is pushed.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ import logging
 import random
 from collections.abc import Iterable
 
-from .crypto import PUBLIC_KEY_LEN, KeyPair, det_sign, rebuild_keypair, ver_sign
+from .crypto import PUBLIC_KEY_LEN, SIGNATURE_LEN, KeyPair, det_sign, rebuild_keypair, ver_sign
 from .ercset import BloomFilter, FilterParams
 from .messages import (
     DenialReason,
@@ -65,6 +65,8 @@ from .pseudonym import (CLIENT_ID_LEN, Rrp, endorse, endorsement_message, pseudo
 from .slot_tree import EpochConfig, NodeLabel, SlotRange, path_to_root, safe_cover
 
 log = logging.getLogger(__name__)
+
+_ENDORSED = PUBLIC_KEY_LEN + SIGNATURE_LEN   # where a ``firsts`` entry's endorsement starts
 
 
 def revocation_cover_ercset(keypair: KeyPair, epoch_id: int, cover: set[NodeLabel],
@@ -105,12 +107,13 @@ class TrustedCore:
     ``issue`` denies in a fixed order: epoch window, registry, expelled
     client, standing, budget, proof, so a request past its budget costs no
     proof check.  ``firsts`` keeps, per live epoch and client, instance
-    1's public key and root latchkey.  ``_keypair`` is the one source of
-    pseudonym key pairs: it rebuilds instance 1's from its seed and the
-    kept public key (``rebuild_keypair``) and hands out the kept root with
-    it, and derives every other.  The kept root is never signed again: the
-    probe queries it, an instance-1 proof is compared with it, and an
-    order revoking the whole epoch writes it.
+    1's public key and root latchkey, and its endorsement once ``issue``
+    signed it.  ``_keypair`` is the one source of pseudonym key pairs: it
+    rebuilds instance 1's from its seed and the kept public key
+    (``rebuild_keypair``) and hands out the kept root with it, and derives
+    every other.  Nothing kept is signed again: the probe queries the
+    root, an instance-1 proof is compared with the root and the
+    endorsement, and an order revoking the whole epoch writes the root.
 
     ``peers`` are the other managers' ids and ``fault_bound`` is f, the most
     managers assumed faulty; the defaults are a lone manager.  Only
@@ -129,8 +132,9 @@ class TrustedCore:
         self.registry: set[bytes] = set()
         self.revoked: set[bytes] = set()  # expelled clients (order seen locally)
         self.issued: dict[tuple[bytes, int], int] = {}  # (cid, epoch) -> highest instance
-        # live epoch -> cid -> instance 1's public key ‖ root latchkey, flat
-        # bytes so that copying a core stays cheap
+        # live epoch -> cid -> instance 1's public key ‖ root latchkey, then
+        # its endorsement once issued here; flat bytes so that copying a core
+        # stays cheap
         self.firsts: dict[int, dict[bytes, bytes]] = {}
         self.erc_current = BloomFilter(params, self.epoch_now)
         self.erc_next = BloomFilter(params, self.epoch_now + 1)
@@ -165,6 +169,7 @@ class TrustedCore:
         standing, budget, proof.  Every key pair comes from ``_keypair``,
         so each key is derived (instance 1's rebuilt) and each signature
         made at most once per request, and no key pair outlives the request.
+        Instance 1's endorsement is kept in ``firsts`` beside its key.
         """
         if req.epoch_id not in (self.epoch_now, self.epoch_now + 1):
             raise IssuanceDenied(DenialReason.QUARANTINE if self.quarantined
@@ -185,6 +190,8 @@ class TrustedCore:
             self._check_proof(req)
         rrps = [endorse(req.cid, req.epoch_id, i, self._keypair(req.cid, req.epoch_id, i)[0],
                         self.pm_key) for i in range(start, end + 1)]
+        if start == 1:                  # the standing probe made the entry
+            self.firsts[req.epoch_id][req.cid] += rrps[0].endorsement
         self.issued[(req.cid, req.epoch_id)] = end
         return rrps
 
@@ -207,7 +214,7 @@ class TrustedCore:
                 keypair, _ = self._keypair(cid, epoch_id, 1)     # derived: nothing kept yet
                 kept[cid] = keypair.public + det_sign(
                     keypair, NodeLabel(epoch_id, 0, 0).canonical_bytes)
-            if self.erc_for(epoch_id).query(kept[cid][PUBLIC_KEY_LEN:]):
+            if self.erc_for(epoch_id).query(kept[cid][PUBLIC_KEY_LEN:_ENDORSED]):
                 raise IssuanceDenied(DenialReason.REVOKED)
 
     def _keypair(self, cid: bytes, epoch_id: int, instance: int) -> tuple[KeyPair, bytes | None]:
@@ -217,7 +224,7 @@ class TrustedCore:
         if kept is None:
             return pseudonym_keypair(cid, epoch_id, instance), None
         return (rebuild_keypair(pseudonym_seed(cid, epoch_id, 1), kept[:PUBLIC_KEY_LEN]),
-                kept[PUBLIC_KEY_LEN:])
+                kept[PUBLIC_KEY_LEN:_ENDORSED])
 
     def _check_proof(self, req: RequestRrp) -> None:
         """Deny unless the proof is exactly the capability the core rebuilds.
@@ -229,7 +236,8 @@ class TrustedCore:
         The epoch and the labels are checked before any Ed25519 call.  The
         key scan runs through ``_keypair`` from instance 1, which is tried
         only if its kept public key is the proof's: its pair is then
-        rebuilt, and its root is neither re-signed nor re-queried.
+        rebuilt, its root is neither re-signed nor re-queried, and its
+        endorsement is compared with the kept one if this core issued it.
         """
         proof = req.proof
         if proof is None:
@@ -241,12 +249,15 @@ class TrustedCore:
             path = path_to_root(self.cfg_for(proof.epoch_id), req.proof_slot)
         except ValueError:              # a slot outside the epoch
             raise IssuanceDenied(DenialReason.BAD_PROOF) from None
-        if [lk.label for lk in proof.latchkeys] != path or proof.endorsement != det_sign(
-                self.pm_key, endorsement_message(proof.epoch_id, proof.pseudonym_pub)):
+        kept = self.firsts[proof.epoch_id][req.cid]
+        first = proof.pseudonym_pub == kept[:PUBLIC_KEY_LEN]
+        endorsed = kept[_ENDORSED:] if first else b""
+        if [lk.label for lk in proof.latchkeys] != path or proof.endorsement != (
+                endorsed or det_sign(self.pm_key, endorsement_message(proof.epoch_id,
+                                                                      proof.pseudonym_pub))):
             raise IssuanceDenied(DenialReason.BAD_PROOF)
-        kept = self.firsts[proof.epoch_id][req.cid][:PUBLIC_KEY_LEN]
         scan = (self._keypair(req.cid, proof.epoch_id, i)
-                for i in range(1 if proof.pseudonym_pub == kept else 2, self.max_instances + 1))
+                for i in range(1 if first else 2, self.max_instances + 1))
         keypair, root = next((pair for pair in scan if pair[0].public == proof.pseudonym_pub),
                              (None, None))
         if keypair is None or any(lk.sig != (root if root is not None and lk.label.level == 0
@@ -281,26 +292,29 @@ class TrustedCore:
         instance's root latchkey; any other epoch nothing.  Key pairs come
         from ``_keypair``, so where ``firsts`` holds the client instance 1's
         is rebuilt and its kept root latchkey written as kept.  A core before
-        E cannot write E + 1; it signs the order again on entering E.
-        Merging is idempotent, so replays change nothing.
+        E lacks a part; each rotation writes the part of the filter it
+        opens.  Merging is idempotent, so replays change nothing.
         """
         self.expel(order)
         self.signed[order] = None
-        cfg = self.cfg_for(order.epoch_id)
-        held = [self.erc_current, self.erc_next]
-        for j in range(2):
-            epoch_id = self.epoch_now + j
-            if epoch_id == order.epoch_id:
-                cover = safe_cover(cfg, SlotRange(order.rts, cfg.slots - 1))
-            elif epoch_id == order.epoch_id + 1:
-                cover = {NodeLabel(epoch_id, 0, 0)}
-            else:
-                continue
-            for i in range(1, self.max_instances + 1):
-                keypair, root = self._keypair(order.cid, epoch_id, i)
-                held[j] = held[j].merged(
-                    revocation_cover_ercset(keypair, epoch_id, cover, self.params, root))
-        self.erc_current, self.erc_next = held
+        self.erc_current = self._written(order, self.erc_current)
+        self.erc_next = self._written(order, self.erc_next)
+
+    def _written(self, order: RevocationOrder, flt: BloomFilter) -> BloomFilter:
+        """``flt`` with the order's part of its epoch merged in, one
+        instance at a time."""
+        epoch_id = flt.epoch_id
+        if epoch_id == order.epoch_id:
+            cfg = self.cfg_for(epoch_id)
+            cover = safe_cover(cfg, SlotRange(order.rts, cfg.slots - 1))
+        elif epoch_id == order.epoch_id + 1:
+            cover = {NodeLabel(epoch_id, 0, 0)}
+        else:
+            return flt
+        for i in range(1, self.max_instances + 1):
+            keypair, root = self._keypair(order.cid, epoch_id, i)
+            flt = flt.merged(revocation_cover_ercset(keypair, epoch_id, cover, self.params, root))
+        return flt
 
     # -- filter state -----------------------------------------------------
 
@@ -343,19 +357,19 @@ class TrustedCore:
 
         Issuance counters of epoch t-1 go too: ``issue`` reads only the
         epochs from the new t-1 to the new t+1.  ``firsts`` drops epoch t.
-        Orders of the new t signed before it began are signed again for
-        their t+1 roots; whether that gained a bit."""
+        Only the new filter is written: the t+2 roots of each signed order
+        of t+1 and the t+2 cover of each of t+2, with no signature check;
+        whether that gained a bit."""
         self._reports.clear()
         self.epoch_now += 1
         self.issued = {key: end for key, end in self.issued.items()
                        if key[1] >= self.epoch_now - 1}
         self.firsts.pop(self.epoch_now - 1, None)
         self.erc_current = self.erc_next
-        self.erc_next = BloomFilter(self.params, self.epoch_now + 1)
-        before = self.erc_current, self.erc_next
-        for order in [o for o in self.signed if o.epoch_id == self.epoch_now]:
-            self.revoke(order)
-        return before != (self.erc_current, self.erc_next)
+        opened = self.erc_next = BloomFilter(self.params, self.epoch_now + 1)
+        for order in self.signed:
+            self.erc_next = self._written(order, self.erc_next)
+        return self.erc_next is not opened
 
 
 class PmNode:

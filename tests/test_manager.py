@@ -1,4 +1,5 @@
 import copy
+import functools
 import hashlib
 import logging
 import random
@@ -6,7 +7,7 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -609,10 +610,10 @@ def test_the_admins_copy_after_a_relay_is_applied_in_full(pm_key, admin_key, cid
 def test_an_order_taken_before_its_epoch_is_signed_again_on_entering_it(
         pm_key, admin_key, cid, monkeypatch):
     """A core in epoch 0 that signs an epoch-1 order holds no epoch 2, so
-    it writes the epoch-1 cover alone.  On rotating into epoch 1 it signs
-    the order again: its filters then equal those of a fresh epoch-1 core
-    that took both orders, with the epoch-2 roots, and it pushes them.  The
-    epoch-0 order is not signed again."""
+    it writes the epoch-1 cover alone.  Rotating into epoch 1 writes the
+    epoch-2 roots into the filter it opens, with no signature check: its
+    filters then equal those of a fresh epoch-1 core that took both orders,
+    and it pushes them.  The epoch-0 order writes nothing more."""
     node = make_node(pm_key, admin_key, cid)
     orders = signed_order(admin_key, cid, 1, 0), signed_order(admin_key, cid, 1, 1)
     for order in orders:
@@ -624,13 +625,53 @@ def test_an_order_taken_before_its_epoch_is_signed_again_on_entering_it(
     out = node.deliver("pm2", report, 61)
     assert node.core.epoch_now == 1
     assert len({o.dst for o in out if isinstance(o.msg, ErcPush)}) == 2
-    assert calls["ver_sign"] == 1                        # the epoch-1 order alone
+    assert calls["ver_sign"] == 0
     fresh = make_core(pm_key, admin_key, cid)
     fresh.rotate_epoch()
     for order in orders:
         fresh.revoke(order)
     assert (node.core.erc_current, node.core.erc_next) == (fresh.erc_current,
                                                            fresh.erc_next)
+
+
+def test_a_rotation_signs_only_the_roots_of_the_epoch_it_opens(pm_key, admin_key, cid,
+                                                              monkeypatch):
+    """An epoch-1 order taken in epoch 0 wrote its cover then: rotating into
+    epoch 1 makes the I epoch-2 root signatures alone, with no admin
+    signature check and no cover signed again, and gains them."""
+    core = make_core(pm_key, admin_key, cid)
+    order = signed_order(admin_key, cid, 1, 1)
+    core.revoke(order)
+    calls, seeds = count_crypto(monkeypatch)
+    core.report()                                      # a lone core rotates on its own report
+    assert core.epoch_now == 1
+    assert calls == Counter(det_keygen=core.max_instances, det_sign=core.max_instances)
+    assert seeds == [seed_from_parts(cid, 2, i) for i in range(1, core.max_instances + 1)]
+    fresh = make_core(pm_key, admin_key, cid)
+    fresh.rotate_epoch()
+    fresh.revoke(order)
+    assert (core.erc_current, core.erc_next) == (fresh.erc_current, fresh.erc_next)
+
+
+def test_an_early_orders_cover_is_in_the_filter_that_opens_its_epoch(pm_key, admin_key, cid):
+    """An epoch-2 order taken in epoch 0 writes nothing then.  The rotation
+    into epoch 1 opens the epoch-2 filter and writes the cover into it,
+    which verifiers promote at the boundary; the next writes the epoch-3
+    roots.  After each, the filters equal those of a core that took the
+    order in that epoch."""
+    core = make_core(pm_key, admin_key, cid)
+    order = signed_order(admin_key, cid, 2, 2)
+    core.revoke(order)
+    assert not core.erc_current.bits.strip(b"\0") and not core.erc_next.bits.strip(b"\0")
+    for epoch in (1, 2):
+        assert core.report() is True
+        fresh = make_core(pm_key, admin_key, cid)
+        while fresh.epoch_now < epoch:
+            fresh.rotate_epoch()
+        fresh.revoke(order)
+        assert (core.erc_current, core.erc_next) == (fresh.erc_current, fresh.erc_next), epoch
+    assert core.erc_current.query(det_sign(pseudonym_keypair(cid, 2, 1),
+                                           NodeLabel(2, 1, 1).canonical_bytes))
 
 
 def test_a_future_epoch_relay_logs_nothing(pm_key, admin_key, cid, caplog):
@@ -858,34 +899,61 @@ def test_the_core_counts_its_own_report_and_distinct_peers(pm_key, admin_key, ci
 
 
 HOST_SENDERS = (None, "pm0", "pm1", "pm2", "pm3", "v0")
+_EPOCHS = st.integers(0, 4)
+_ORDERS = st.tuples(st.integers(0, GEOMETRY.slots - 1), _EPOCHS)      # (rts, epoch)
+# a few arguments per public method, drawn bare and built in the test (orders
+# are signed there); a public method this test does not know gets none
+HOST_ARGS = {"report": st.tuples(st.sampled_from(HOST_SENDERS)),
+             "issue": st.tuples(_EPOCHS, st.integers(1, 2)), "revoke": _ORDERS,
+             "expel": _ORDERS, "merge_filters": st.tuples(_EPOCHS),
+             "register": st.just(()), "erc_for": st.tuples(_EPOCHS),
+             "cfg_for": st.tuples(_EPOCHS)}
+HOST_CALLS = st.sampled_from(sorted(
+    name for name, value in vars(TrustedCore).items()
+    if callable(value) and not name.startswith("_"))).flatmap(
+        lambda name: HOST_ARGS.get(name, st.just(())).map(lambda args: (name, args)))
+
+
+@functools.cache
+def written_latchkeys(order: RevocationOrder, epoch_id: int, instances: int) -> tuple:
+    """The latchkeys ``revoke`` writes for ``order`` into a filter of
+    ``epoch_id``, derived afresh: each instance's cover of [rts, T - 1] in
+    the order's epoch, its root in the next, nothing in any other."""
+    cfg = GEOMETRY.with_epoch(epoch_id)
+    if epoch_id == order.epoch_id:
+        cover = safe_cover(cfg, SlotRange(order.rts, cfg.slots - 1))
+    elif epoch_id == order.epoch_id + 1:
+        cover = {NodeLabel(epoch_id, 0, 0)}
+    else:
+        return ()
+    return tuple(det_sign(pseudonym_keypair(order.cid, epoch_id, i), label.canonical_bytes)
+                 for i in range(1, instances + 1) for label in cover)
 
 
 @settings(max_examples=40, deadline=None)
-@given(data=st.data())
+@given(calls=st.lists(HOST_CALLS, min_size=1, max_size=25))
+@example(calls=[("revoke", (2, 2)), ("report", (None,)), ("report", ("pm1",)),
+                ("report", ("pm3",)), ("report", ("pm2",))])
 def test_a_malicious_host_cannot_rotate_the_core_without_a_quorum(pm_key, admin_key, cid,
-                                                                  data):
+                                                                  calls):
     """A host calls the core's public methods in any order, each with one
-    of a few arguments; a public method this test does not know gets none.
-    The core's epoch ends only once it and N - f distinct peers reported
-    it, and no pseudonym is issued for an epoch past the one after it."""
+    of a few arguments.  After every call: the core's epoch ends only once
+    it and N - f distinct peers reported it; no pseudonym is issued for an
+    epoch past the one after it, nor at all once the core took an order
+    naming the client; and each live filter holds every latchkey
+    ``revoke`` writes into a filter of its epoch for each order signed,
+    whenever it was signed (the example signs an order two epochs early)."""
     peers, f = ("pm1", "pm2", "pm3"), 1
     core = TrustedCore(pm_key, admin_key.public, GEOMETRY, PARAMS, 2, peers, f)
     core.register(cid)
-    epochs, slots = st.integers(0, 4), st.integers(0, GEOMETRY.slots - 1)
-    orders = st.builds(lambda rts, e: (signed_order(admin_key, cid, rts, e),), slots, epochs)
-    args = {"report": st.tuples(st.sampled_from(HOST_SENDERS)),
-            "issue": st.builds(lambda e, n: (RequestRrp(cid, e, n),), epochs, st.integers(1, 2)),
-            "revoke": orders, "expel": orders,
-            "merge_filters": epochs.map(lambda e: (BloomFilter(PARAMS, e),
-                                                   BloomFilter(PARAMS, e + 1))),
-            "register": st.just((cid,)), "erc_for": st.tuples(epochs),
-            "cfg_for": st.tuples(epochs)}
-    public = sorted(name for name, value in vars(TrustedCore).items()
-                    if callable(value) and not name.startswith("_"))
-    epoch, reporters = 0, set()
-    for _ in range(data.draw(st.integers(1, 25))):
-        name = data.draw(st.sampled_from(public))
-        call = data.draw(args.get(name, st.just(())))
+    built = {"issue": lambda e, n: (RequestRrp(cid, e, n),),
+             "revoke": lambda rts, e: (signed_order(admin_key, cid, rts, e),),
+             "merge_filters": lambda e: (BloomFilter(PARAMS, e), BloomFilter(PARAMS, e + 1)),
+             "register": lambda: (cid,)}
+    built["expel"] = built["revoke"]
+    epoch, reporters, taken, signed = 0, set(), False, []
+    for name, args in calls:
+        call = built.get(name, lambda *a: a)(*args)
         if name == "report" and call[0] in (None, *peers):
             reporters.add(call[0])
             if None in reporters and len(reporters) >= len(peers) + 1 - f:
@@ -896,7 +964,14 @@ def test_a_malicious_host_cannot_rotate_the_core_without_a_quorum(pm_key, admin_
             result = None
         assert core.epoch_now == epoch, (name, call)
         if name == "issue" and result:
-            assert result[0].epoch_id <= epoch + 1
+            assert result[0].epoch_id <= epoch + 1 and not taken
+        taken |= name in ("revoke", "expel")
+        if name == "revoke":
+            signed.append(call[0])
+        for flt in (core.erc_current, core.erc_next):
+            for order in signed:
+                assert all(map(flt.query, written_latchkeys(order, flt.epoch_id, 2))), \
+                    (order, flt.epoch_id)
 
 
 def test_revoke_matches_full_capability_pipeline(pm_key, admin_key, cid, monkeypatch):
@@ -1157,8 +1232,9 @@ def test_issue_derives_each_key_and_makes_each_signature_once(pm_key, admin_key,
     """A repeat current-epoch request with an instance-1 proof that issues
     instances 3 .. 2 + count: the probe's roots are kept from the first
     request, so one key derived per new instance and the proof's instance-1
-    key rebuilt from the kept public key; the endorsement check, the
-    proof's h non-root latchkeys and one endorsement per new instance.  A
+    key rebuilt from the kept public key; the proof's h non-root latchkeys
+    and one endorsement per new instance, the proof's endorsement being
+    the one kept when instance 1 was issued.  A
     new client's first request derives and signs both probes' instance 1,
     then rebuilds the pair it endorses as instance 1."""
     core = make_core(pm_key, admin_key, cid)
@@ -1168,7 +1244,7 @@ def test_issue_derives_each_key_and_makes_each_signature_once(pm_key, admin_key,
     rrps = core.issue(req)
     assert [r.instance for r in rrps] == list(range(3, 3 + count))
     assert calls == Counter(det_keygen=count, rebuild_keypair=1,
-                            det_sign=GEOMETRY.height + 1 + count)
+                            det_sign=GEOMETRY.height + count)
     assert seeds == [seed_from_parts(cid, 0, r.instance) for r in rrps]
     calls.clear()
     seeds.clear()
@@ -1181,6 +1257,92 @@ def test_issue_derives_each_key_and_makes_each_signature_once(pm_key, admin_key,
         + [seed_from_parts(other, 1, r.instance) for r in rrps[1:]]
     assert rrps[0] == create_rrp(other, 1, 1, pm_key, 8)
     assert rrps[0].keypair.signer == pseudonym_keypair(other, 1, 1).signer
+
+
+def signers_of(monkeypatch) -> list[bytes]:
+    """The public key of every ``det_sign`` call the manager makes, in order."""
+    keys, sign = [], manager.det_sign
+    monkeypatch.setattr(manager, "det_sign",
+                        lambda keypair, message: keys.append(keypair.public)
+                        or sign(keypair, message))
+    return keys
+
+
+def test_an_instance_1_proof_at_its_issuer_signs_no_endorsement(pm_key, admin_key, cid,
+                                                                monkeypatch):
+    """The core that issued instance 1 kept its endorsement beside the key:
+    an instance-1 proof costs the rebuilt pair and its h non-root latchkeys
+    only, and is granted."""
+    core = make_core(pm_key, admin_key, cid)
+    first = core.issue(RequestRrp(cid, 0, 1))[0]
+    assert core.firsts[0][cid].endswith(first.endorsement)
+    req = RequestRrp(cid, 0, 1, proof_for(core, first, 3), 3)
+    calls, _ = count_crypto(monkeypatch)
+    signers = signers_of(monkeypatch)
+    assert verdict(core, req) is DenialReason.NONE
+    assert calls == Counter(rebuild_keypair=1, det_sign=GEOMETRY.height)
+    assert pm_key.public not in signers
+
+
+def test_a_flipped_byte_of_a_kept_endorsement_costs_no_ed25519_call(pm_key, admin_key, cid,
+                                                                    monkeypatch):
+    """Each byte of an instance-1 proof's endorsement, changed, is refused
+    by the comparison with the kept one, before any key or signature."""
+    core = make_core(pm_key, admin_key, cid)
+    first = core.issue(RequestRrp(cid, 0, 1))[0]
+    proof = proof_for(core, first, 2)
+    calls, _ = count_crypto(monkeypatch)
+    for i in range(len(proof.endorsement)):
+        flipped = bytearray(proof.endorsement)
+        flipped[i] ^= 0xFF
+        forged = replace(proof, endorsement=bytes(flipped))
+        assert verdict(core, RequestRrp(cid, 0, 1, forged, 2)) is DenialReason.BAD_PROOF, i
+    assert calls == {}
+
+
+def test_a_core_that_did_not_issue_instance_1_signs_its_endorsement(pm_key, admin_key, cid,
+                                                                    monkeypatch):
+    """Two managers with one key: one issued the client's epoch-0 instance 1,
+    the other only probed it (its first request there was for epoch 1).
+    Shown that pseudonym's proof, the issuer signs no endorsement and the
+    other signs it once; each still signs the endorsement of any other
+    instance.  Both grant, and the other keeps no endorsement it did not
+    issue."""
+    issuer, other = make_core(pm_key, admin_key, cid), make_core(pm_key, admin_key, cid)
+    first = issuer.issue(RequestRrp(cid, 0, 1))[0]
+    other.issue(RequestRrp(cid, 1, 1))
+    assert len(other.firsts[0][cid]) == crypto.PUBLIC_KEY_LEN + crypto.SIGNATURE_LEN
+    signers = signers_of(monkeypatch)
+    for core, instance, endorsements in ((issuer, 1, 0), (other, 1, 1),
+                                         (issuer, 2, 1), (other, 2, 1)):
+        signers.clear()
+        proof = proof_for(core, create_rrp(cid, 0, instance, pm_key, 8), 3)
+        assert verdict(core, RequestRrp(cid, 0, 1, proof, 3)) is DenialReason.NONE
+        assert signers.count(pm_key.public) == endorsements, (core is issuer, instance)
+        assert len(signers) == GEOMETRY.height + (instance > 1) + endorsements
+    assert first.endorsement not in other.firsts[0][cid]
+
+
+def test_a_kept_endorsement_leaves_with_its_epoch(pm_key, admin_key, cid, monkeypatch):
+    """Instance 1 issued in epochs 0 and 1: each entry keeps its own
+    endorsement.  The rotation into epoch 1 drops epoch 0's, and epoch 1's
+    still spares its proof the endorsement signature; the rotation into
+    epoch 2 drops it too, and the core holds neither."""
+    core = make_core(pm_key, admin_key, cid)
+    zero = core.issue(RequestRrp(cid, 0, 1))[0]
+    one = core.issue(RequestRrp(cid, 1, 1, proof_for(core, zero), 0))[0]
+    assert [core.firsts[e][cid][-crypto.SIGNATURE_LEN:] for e in (0, 1)] \
+        == [zero.endorsement, one.endorsement]
+    core.rotate_epoch()
+    assert set(core.firsts) <= {1, 2} and core.firsts[1][cid].endswith(one.endorsement)
+    signers = signers_of(monkeypatch)
+    assert verdict(core, RequestRrp(cid, 1, 1, proof_for(core, one, 2), 2)) \
+        is DenialReason.NONE
+    assert pm_key.public not in signers
+    core.rotate_epoch()
+    assert kept_firsts(core) <= {(cid, 2), (cid, 3)}
+    assert not [e for kept in core.firsts.values() for e in kept.values()
+                if zero.endorsement in e or one.endorsement in e]
 
 
 def test_an_over_budget_request_costs_no_proof_check(pm_key, admin_key, cid, monkeypatch):
