@@ -117,7 +117,9 @@ class TrustedCore:
 
     ``peers`` are the other managers' ids and ``fault_bound`` is f, the most
     managers assumed faulty; the defaults are a lone manager.  Only
-    ``report`` enters the next epoch.  ``signed`` lists the orders signed.
+    ``report`` enters the next epoch.  ``signed`` lists the orders signed
+    of epoch ``epoch_now`` - 1 or later; an older order writes no bit in
+    a live or later filter, so it is neither kept nor walked again.
     """
 
     def __init__(self, pm_key: KeyPair, admin_public: bytes,
@@ -293,10 +295,12 @@ class TrustedCore:
         from ``_keypair``, so where ``firsts`` holds the client instance 1's
         is rebuilt and its kept root latchkey written as kept.  A core before
         E lacks a part; each rotation writes the part of the filter it
-        opens.  Merging is idempotent, so replays change nothing.
+        opens.  Merging is idempotent, so replays change nothing.  An order
+        of an epoch before ``epoch_now`` - 1 costs its signature check alone.
         """
         self.expel(order)
-        self.signed[order] = None
+        if order.epoch_id >= self.epoch_now - 1:
+            self.signed[order] = None
         self.erc_current = self._written(order, self.erc_current)
         self.erc_next = self._written(order, self.erc_next)
 
@@ -356,15 +360,17 @@ class TrustedCore:
         """Discard epoch t, promote t+1, open an empty filter for t+2.
 
         Issuance counters of epoch t-1 go too: ``issue`` reads only the
-        epochs from the new t-1 to the new t+1.  ``firsts`` drops epoch t.
-        Only the new filter is written: the t+2 roots of each signed order
-        of t+1 and the t+2 cover of each of t+2, with no signature check;
-        whether that gained a bit."""
+        epochs from the new t-1 to the new t+1.  ``firsts`` drops epoch t,
+        and ``signed`` the orders of t-1.  Only the new filter is written:
+        the t+2 roots of each signed order of t+1 and the t+2 cover of each
+        of t+2, with no signature check; whether that gained a bit."""
         self._reports.clear()
         self.epoch_now += 1
         self.issued = {key: end for key, end in self.issued.items()
                        if key[1] >= self.epoch_now - 1}
         self.firsts.pop(self.epoch_now - 1, None)
+        self.signed = {order: None for order in self.signed
+                       if order.epoch_id >= self.epoch_now - 1}
         self.erc_current = self.erc_next
         opened = self.erc_next = BloomFilter(self.params, self.epoch_now + 1)
         for order in self.signed:
@@ -426,7 +432,8 @@ class PmNode:
         admin's own copy.  A peer's copy, relayed or resent in a pull response,
         only expels; it never stands in for the admin's, so a spoofed sender
         can delay that work but not drop it.  A copy under another signature
-        is a new order, checked afresh."""
+        is a new order, checked afresh, and so is the admin's replay of an
+        order the core no longer keeps: one signature check, no bit."""
         relayed = sender in self.peers
         if order in self._orders and (relayed or order in self.core.signed):
             return []

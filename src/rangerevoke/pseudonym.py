@@ -8,6 +8,9 @@ one can derive the client's keys (ROADMAP item 14).  A capability
 instantiates a pseudonym for one time slot; it carries the pseudonym
 public key, the endorsement and one latchkey (a deterministic signature
 over a tree-node label) for every node on the slot's root-to-leaf path.
+A pseudonym keeps the latchkeys of the last capability it built, so the
+next one signs only the labels of its path that differ: about two for the
+next slot, whatever the tree height.
 
 Determinism is the point: the manager can re-create any pseudonym it ever
 issued from (cid, epoch, instance) alone, so it needs no per-pseudonym
@@ -16,7 +19,7 @@ storage.  What it keeps to save work (``TrustedCore.firsts``) is public.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .crypto import KeyPair, det_keygen, det_sign, seed_from_parts, ver_sign
 from .slot_tree import EpochConfig, NodeLabel, path_to_root
@@ -41,6 +44,13 @@ class Rrp:
     cid is not yet a secret of the client and the manager: it travels in
     clear in every ``RequestRrp`` and ``RevocationOrder``, so whoever
     reads one can derive the client's keys (ROADMAP item 14).
+
+    ``last_path`` holds the latchkeys of the last capability built from
+    this pseudonym, leaf first, so at most one per tree level.  They are
+    public (that capability carried them) and follow from the key pair, so
+    equality, hashing and repr leave them out, and ``__init__`` does not
+    take them: a pseudonym built with ``dataclasses.replace`` starts with
+    none and cannot reuse another key's signatures.
     """
 
     cid: bytes
@@ -48,6 +58,8 @@ class Rrp:
     instance: int
     keypair: KeyPair
     endorsement: bytes
+    last_path: list[Latchkey] = field(default_factory=list, init=False, compare=False,
+                                      repr=False)
 
 
 @dataclass(frozen=True)
@@ -111,15 +123,23 @@ def get_capability(rrp: Rrp, slot: int, cfg: EpochConfig) -> Capability:
 
     Capabilities from the same pseudonym share latchkey bytes near the root
     (they are linkable by design); capabilities from different pseudonyms
-    share nothing.
+    share nothing.  A latchkey whose whole label equals the one at its
+    place in ``rrp.last_path`` is reused, and only the others are signed:
+    the first capability of a pseudonym signs h + 1 labels, the next slot's
+    about two.  Signing is deterministic, so the bytes are those a fresh
+    pseudonym would give.  A slot outside the epoch raises and keeps the
+    last path.
     """
     if rrp.epoch_id != cfg.epoch_id:
         raise ValueError(
             f"pseudonym epoch {rrp.epoch_id} does not match config epoch {cfg.epoch_id}")
+    kept = rrp.last_path[:]     # a snapshot, whatever another caller writes meanwhile
     latchkeys = tuple(
-        Latchkey(label, det_sign(rrp.keypair, label.canonical_bytes))
-        for label in path_to_root(cfg, slot)
+        kept[j] if j < len(kept) and kept[j].label == label
+        else Latchkey(label, det_sign(rrp.keypair, label.canonical_bytes))
+        for j, label in enumerate(path_to_root(cfg, slot))
     )
+    rrp.last_path[:] = latchkeys
     return Capability(rrp.epoch_id, rrp.keypair.public, rrp.endorsement, latchkeys)
 
 

@@ -133,10 +133,12 @@ def full_access_probability(p: int, extra: int, fp_capability: float) -> float:
 def plan_filter(params: DeploymentParams, target_fp: float) -> SizingResult:
     """Smallest whole-byte filter meeting ``target_fp`` at the expected load.
 
-    Starts from the textbook optimum m = -n ln(p) / (ln 2)^2 and walks in
-    byte steps until the target holds with the optimal k for that m.  An
-    optimum over 2**40 bits is refused: 1 - 1/m rounds so coarsely there
-    that the walk would take about m/8 steps.
+    Starts from the textbook optimum m = -n ln(p) / (ln 2)^2 and gallops
+    in doubling byte steps, down while the target still holds or up until
+    it does, then bisects the last step: O(log m) rate evaluations where a
+    byte-step walk took up to m/8 near the limit.  The search takes the
+    rate at the optimal k to fall as m grows.  An optimum over 2**40 bits
+    is refused, and so is a target that no filter up to 2**40 bits meets.
     """
     if not 0.0 < target_fp < 1.0:
         raise ValueError("target_fp must lie strictly between 0 and 1")
@@ -148,14 +150,28 @@ def plan_filter(params: DeploymentParams, target_fp: float) -> SizingResult:
     if ideal > 2**40:
         raise ValueError(f"{n:.3g} expected insertions need a filter of about {ideal:.3g} "
                          "bits at this false-positive rate, over the 2**40-bit limit")
-    m = max(8, (math.ceil(ideal) // 8) * 8)
-    # walk down while the target still holds, then up until it does
-    while m > 8 and false_positive_rate(m - 8, optimal_k(m - 8, n), n) <= target_fp:
-        m -= 8
-    while false_positive_rate(m, optimal_k(m, n), n) > target_fp:
-        m += 8
-        if m > 2**40:
-            raise ValueError("target false-positive rate unreachable")
+
+    def fits(size: int) -> bool:        # a filter of ``size`` bytes meets the target
+        m = 8 * size
+        return false_positive_rate(m, optimal_k(m, n), n) <= target_fp
+
+    # sizes ``fail`` < ``fit`` in bytes bound the answer; 0 stands for "none below"
+    start, step, limit = max(1, math.ceil(ideal) // 8), 1, 2**40 // 8
+    if fits(start):
+        fit = start
+        while fit > step and fits(fit - step):
+            fit, step = fit - step, 2 * step
+        fail = max(0, fit - step)
+    else:
+        fail = start
+        while not fits(fit := min(fail + step, limit)):
+            if fit == limit:
+                raise ValueError("target false-positive rate unreachable")
+            fail, step = fit, 2 * step
+    while fit - fail > 1:
+        mid = (fail + fit) // 2
+        fail, fit = (fail, mid) if fits(mid) else (mid, fit)
+    m = 8 * fit
     return _result(params, n, m, optimal_k(m, n))
 
 

@@ -35,6 +35,9 @@ straight-line forms they replaced, which the differential tests compare
 them with.  Gossip decodes each message the same way, every fixed-size
 part in one ``struct`` step; ``decode_message_by_field`` is the
 field-by-field reader that replaced, with its cursor ``_Reader``.
+
+The size planner finds its filter by galloping and bisection;
+``plan_filter_by_walk`` is the byte-step walk it replaced.
 """
 
 from __future__ import annotations
@@ -72,6 +75,8 @@ from rangerevoke.pseudonym import (
     pseudonym_public_keys_of,
     verify_capability,
 )
+from rangerevoke.sizing import (DeploymentParams, expected_insertions, false_positive_rate,
+                                optimal_k)
 from rangerevoke.slot_tree import EpochConfig, NodeLabel, path_to_root
 from rangerevoke.verifier import Decision, VerifierNode
 
@@ -273,6 +278,22 @@ def full_access_probability_as_printed(p: int, extra: int, fp_capability: float)
     failure = sum(coeff * q**j * (1.0 - q) ** (total - j)
                   for j in range(extra + 1, total + 1))
     return 1.0 - failure
+
+
+def plan_filter_by_walk(params: DeploymentParams, target_fp: float) -> int:
+    """The m of ``sizing.plan_filter`` by the byte-step walk it replaced:
+    from the textbook optimum, down while the target still holds, then up
+    until it does; up to m/8 rate evaluations near the 2**40-bit limit."""
+    n = expected_insertions(params)
+    if n <= 0:
+        return 8
+    ideal = -n * math.log(target_fp) / (math.log(2) ** 2)
+    m = max(8, (math.ceil(ideal) // 8) * 8)
+    while m > 8 and false_positive_rate(m - 8, optimal_k(m - 8, n), n) <= target_fp:
+        m -= 8
+    while false_positive_rate(m, optimal_k(m, n), n) > target_fp:
+        m += 8
+    return m
 
 
 # -- spare pseudonyms ---------------------------------------------------------

@@ -367,13 +367,24 @@ def child_env(**extra: str) -> dict[str, str]:
 
 
 def test_size_refuses_a_filter_past_the_limit_at_once():
-    """The planner refuses a filter of about 2.8e12 bits before it walks:
-    there 1 - 1/m rounds alike for a thousand byte steps and more, so the
-    walk down took about m/8 of them.  Run in a child under a time limit."""
+    """The planner refuses a filter of about 2.8e12 bits before it
+    searches: there 1 - 1/m rounds alike for a thousand byte steps and
+    more.  Run in a child under a time limit."""
     run = subprocess.run([sys.executable, "-m", "rangerevoke.cli", "size", "--clients", "1e16"],
                          env=child_env(), capture_output=True, text=True, timeout=20)
     assert run.returncode == 2 and run.stdout == ""
     assert run.stderr.startswith("error: ") and "over the 2**40-bit limit" in run.stderr
+
+
+def test_size_plans_the_largest_fleet_under_the_limit_quickly():
+    """3.8e15 clients need a filter just under 2**40 bits, where the
+    byte-step walk took 4 s; the planner's search answers at once.  Run
+    in a child under a 2 s limit, start-up included."""
+    run = subprocess.run([sys.executable, "-m", "rangerevoke.cli", "size",
+                          "--clients", "3.8e15"],
+                         env=child_env(), capture_output=True, text=True, timeout=2)
+    assert run.returncode == 0, run.stderr
+    assert "filter size m        1073243879032 bits" in run.stdout
 
 
 def test_import_cli_loads_no_scipy_or_numpy():

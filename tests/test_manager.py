@@ -674,6 +674,56 @@ def test_an_early_orders_cover_is_in_the_filter_that_opens_its_epoch(pm_key, adm
                                            NodeLabel(2, 1, 1).canonical_bytes))
 
 
+def test_a_core_keeps_no_order_that_can_write_no_bit(pm_key, admin_key):
+    """A lone core signs 5 orders in each of epochs 0-5 and rotates after
+    each.  After every call it holds no order of an epoch before
+    ``epoch_now`` - 1, so at epoch 6 it holds epoch 5's five, and its live
+    filters are byte-equal to those of a core handed every order again
+    before each rotation.  An order of a pruned epoch taken late is not
+    kept either."""
+    cids = [seed_from_parts(b"pruned-client", j) for j in range(5)]
+    core, keeper = make_core(pm_key, admin_key, cids[0]), make_core(pm_key, admin_key, cids[0])
+    taken = []
+
+    def oldest_kept() -> int:
+        return min(order.epoch_id for order in core.signed)
+
+    for epoch in range(6):
+        for j, client in enumerate(cids):
+            order = signed_order(admin_key, client, j % GEOMETRY.slots, epoch)
+            core.revoke(order)
+            keeper.revoke(order)
+            taken.append(order)
+            assert oldest_kept() >= core.epoch_now - 1
+        keeper.signed = dict.fromkeys(taken)
+        core.rotate_epoch()
+        keeper.rotate_epoch()
+        assert oldest_kept() >= core.epoch_now - 1
+        assert [(flt.epoch_id, flt.bits) for flt in (core.erc_current, core.erc_next)] == \
+            [(flt.epoch_id, flt.bits) for flt in (keeper.erc_current, keeper.erc_next)], epoch
+    assert core.epoch_now == 6 and list(core.signed) == taken[-5:]
+    core.revoke(taken[0])
+    assert list(core.signed) == taken[-5:] and cids[0] in core.revoked
+
+
+def test_an_admin_replay_of_a_pruned_order_costs_one_signature_check(pm_key, admin_key, cid,
+                                                                      monkeypatch):
+    """Once its core dropped an order two epochs old, the admin's replay of
+    it is checked again, writes no bit and is neither pushed nor relayed."""
+    node = make_node(pm_key, admin_key, cid)
+    order = signed_order(admin_key, cid, 1, 0)
+    node.deliver("admin", order, 1)
+    node.core.rotate_epoch()
+    node.core.rotate_epoch()
+    assert order not in node.core.signed and order in node._orders
+    before = node.core.erc_current, node.core.erc_next
+    calls = count_ed25519(monkeypatch)
+    assert node.deliver("admin", order, 130) == []
+    assert calls == Counter(ver_sign=1)
+    assert (node.core.erc_current, node.core.erc_next) == before
+    assert order not in node.core.signed and node.stats["pushes"] == 2
+
+
 def test_a_future_epoch_relay_logs_nothing(pm_key, admin_key, cid, caplog):
     """Only a manager that signs an order warns that it left the filters
     unchanged; a relay recipient signs nothing, so a relay for a far

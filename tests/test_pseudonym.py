@@ -1,12 +1,17 @@
+import copy
 import dataclasses
+import functools
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from oracles import label_name, verify_capability_by_path
-from rangerevoke import pseudonym
-from rangerevoke.crypto import det_keygen, digest, ver_sign
+from rangerevoke import codec, pseudonym
+from rangerevoke.crypto import det_keygen, det_sign, digest, ver_sign
 from rangerevoke.pseudonym import (
     Latchkey,
     create_rrp,
@@ -16,7 +21,7 @@ from rangerevoke.pseudonym import (
     pseudonym_public_keys_of,
     verify_capability,
 )
-from rangerevoke.slot_tree import EpochConfig, NodeLabel
+from rangerevoke.slot_tree import EpochConfig, NodeLabel, path_to_root
 
 
 def test_create_rrp_deterministic(cid, pm_key):
@@ -115,6 +120,90 @@ def test_same_pseudonym_shares_root_latchkey(cid, pm_key, fig_cfg):
     b = get_capability(rrp, 3, fig_cfg)
     assert a.latchkeys[-1] == b.latchkeys[-1]      # shared root
     assert a.latchkeys[0] != b.latchkeys[0]        # distinct leaves
+
+
+# one epoch, three trees: d = 2 over T = 10 and T = 16, d = 3 over T = 12
+SAME_EPOCH = (EpochConfig(4, 600, 60, 2), EpochConfig(4, 960, 60, 2),
+              EpochConfig(4, 720, 60, 3))
+SHOWINGS = st.lists(st.tuples(st.sampled_from(range(len(SAME_EPOCH))), st.integers(-2, 17)),
+                    max_size=30)
+
+
+@functools.cache
+def fresh_capability(cid: bytes, pm_key, instance: int, at: int, slot: int):
+    """The capability of a pseudonym that built none before."""
+    rrp = create_rrp(cid, 4, instance, pm_key, 8)
+    return get_capability(rrp, slot, SAME_EPOCH[at])
+
+
+def counted_signs():
+    """Patch the pseudonym layer's ``det_sign`` with a mock that counts."""
+    return mock.patch.object(pseudonym, "det_sign", side_effect=det_sign)
+
+
+@settings(max_examples=60, deadline=None)
+@given(showings=SHOWINGS)
+def test_any_slot_sequence_gives_a_fresh_pseudonyms_capabilities(cid, pm_key, showings):
+    """Whatever slots a pseudonym shows, in any order, repeated, in trees of
+    fanout 2 and 3 over one epoch, and with slots outside the epoch raising
+    in between, each capability equals a fresh pseudonym's and encodes to
+    the same bytes; the last path never outgrows the tree."""
+    rrp = create_rrp(cid, 4, 1, pm_key, 8)
+    for at, slot in showings:
+        cfg = SAME_EPOCH[at]
+        if not 0 <= slot < cfg.slots:
+            with pytest.raises(ValueError):
+                get_capability(rrp, slot, cfg)
+            continue
+        cap = get_capability(rrp, slot, cfg)
+        fresh = fresh_capability(cid, pm_key, 1, at, slot)
+        assert cap == fresh and codec.encode_capability(cap) == codec.encode_capability(fresh)
+        assert len(rrp.last_path) == cfg.height + 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(at=st.sampled_from(range(len(SAME_EPOCH))), data=st.data())
+def test_an_increasing_run_signs_each_label_once(cid, pm_key, at, data):
+    """A run of increasing slots makes one signature per distinct label of
+    the run's paths: a label that leaves the path never comes back."""
+    cfg = SAME_EPOCH[at]
+    slots = sorted(data.draw(st.sets(st.integers(0, cfg.slots - 1), min_size=1)))
+    rrp = create_rrp(cid, 4, 2, pm_key, 8)
+    with counted_signs() as signs:
+        for slot in slots:
+            get_capability(rrp, slot, cfg)
+    assert signs.call_count == len({label for slot in slots for label in path_to_root(cfg, slot)})
+
+
+def test_a_replaced_key_pair_starts_with_no_path(cid, pm_key):
+    """``dataclasses.replace`` builds a pseudonym that shares no latchkey
+    with the one it copies: its capabilities are the new key's."""
+    cfg = SAME_EPOCH[0]
+    rrp = create_rrp(cid, 4, 1, pm_key, 8)
+    get_capability(rrp, 3, cfg)
+    other = dataclasses.replace(rrp, keypair=pseudonym_keypair(cid, 4, 2))
+    assert other.last_path == []
+    cap = get_capability(other, 3, cfg)
+    assert [lk.sig for lk in cap.latchkeys] == [
+        lk.sig for lk in fresh_capability(cid, pm_key, 2, 0, 3).latchkeys]
+    assert all(ver_sign(other.keypair.public, lk.label.canonical_bytes, lk.sig)
+               for lk in cap.latchkeys)
+
+
+def test_a_deep_copy_signs_identically(cid, pm_key):
+    """A deep copy keeps its own last path: from then on it and the
+    original build the same capabilities with the same signatures made."""
+    cfg = SAME_EPOCH[1]
+    rrp = create_rrp(cid, 4, 1, pm_key, 8)
+    get_capability(rrp, 5, cfg)
+    twin = copy.deepcopy(rrp)
+    assert twin == rrp and twin.last_path == rrp.last_path
+    assert twin.last_path is not rrp.last_path
+    for holder in (rrp, twin):
+        with counted_signs() as signs:
+            caps = [get_capability(holder, slot, cfg) for slot in (6, 7, 2)]
+        assert signs.call_count == 2 + 1 + 3      # slot 5 to 6, 6 to 7, 7 to 2
+        assert caps == [fresh_capability(cid, pm_key, 1, 1, slot) for slot in (6, 7, 2)]
 
 
 def test_pseudonym_public_keys_of(cid):

@@ -27,6 +27,7 @@ from rangerevoke.simnet import (
     Simulation,
     Window,
 )
+from rangerevoke.slot_tree import path_to_root
 
 # SHA-256 of (report.txt, auths.csv) that ``rangerevoke --out DIR simulate
 # NAME`` writes for each bundled scenario
@@ -494,6 +495,23 @@ def test_linkage_adversary_counts():
     hits, probes, _ = prerevocation_probe(sim, client=0, rts=1)
     assert probes > 0
     assert hits <= probes
+
+
+@pytest.mark.parametrize("rts", [1, 3, 4])
+def test_prerevocation_probe_signs_each_label_once_per_pseudonym(monkeypatch, rts):
+    """The probe builds each pseudonym's capabilities for slots 0 to rts - 1
+    in order: I endorsements and, per pseudonym, one signature for each
+    distinct label of those slots' paths, not h + 1 per slot."""
+    sim = Simulation(small_cfg())
+    sim.run()
+    calls = Counter()
+    original = pseudonym.det_sign
+    monkeypatch.setattr(pseudonym, "det_sign",
+                        lambda *args: calls.update(["det_sign"]) or original(*args))
+    prerevocation_probe(sim, client=0, rts=rts)
+    geometry = sim.geometry.with_epoch(sim.pms["pm0"].core.erc_current.epoch_id)
+    labels = {label for slot in range(rts) for label in path_to_root(geometry, slot)}
+    assert calls == Counter(det_sign=INSTANCES * len(labels) + INSTANCES)
 
 
 def test_corrupted_endorsement_is_refused_by_the_verifier(monkeypatch):

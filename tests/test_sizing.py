@@ -1,9 +1,10 @@
+import itertools
 import math
 
 import pytest
 from scipy import stats
 
-from oracles import full_access_probability_as_printed
+from oracles import full_access_probability_as_printed, plan_filter_by_walk
 from rangerevoke import sizing
 from rangerevoke.sizing import (
     DeploymentParams,
@@ -157,6 +158,33 @@ def test_plan_filter_walks_down_from_the_textbook_optimum():
     assert (result.m, result.k) == (2_586_003_608, 1)
     assert result.fp_rate <= 0.5
     assert false_positive_rate(result.m - 8, optimal_k(result.m - 8, n), n) > 0.5
+
+
+def test_plan_filter_gallop_finds_the_walks_filter():
+    """Galloping and bisection give the m of the byte-step walk over a grid
+    of fleets, slot lengths and targets, and for the two largest fleets
+    under the 2**40-bit limit, where the walk takes seconds."""
+    grid = itertools.product((1, 1e3, 7.3e4, 1e6, 1e9, 1e12), (1, 7, 60, 600, 3600),
+                             (0.5, 0.25, 0.1, 1e-2, 1e-3, 1e-4, 3e-5, 1e-6))
+    for clients, delta, target in grid:
+        params = DeploymentParams(clients=clients, pseudonyms=10,
+                                  revoked_fraction=1e-4 / 365, delta=delta)
+        assert plan_filter(params, target).m == plan_filter_by_walk(params, target), \
+            (clients, delta, target)
+    for clients in (1e15, 3.8e15):
+        params = DeploymentParams(clients=clients, pseudonyms=10, revoked_fraction=1e-4 / 365)
+        assert plan_filter(params, 0.001).m == plan_filter_by_walk(params, 0.001), clients
+
+
+def test_plan_filter_evaluates_the_rate_a_logarithmic_number_of_times(monkeypatch):
+    """Just under the 2**40-bit limit the walk evaluated the rate about a
+    million times; the search needs two per doubling, some 80 at most."""
+    rate, calls = sizing.false_positive_rate, []
+    monkeypatch.setattr(sizing, "false_positive_rate",
+                        lambda *args: calls.append(args) or rate(*args))
+    params = DeploymentParams(clients=3.8e15, pseudonyms=10, revoked_fraction=1e-4 / 365)
+    assert plan_filter(params, 0.001).m == 1_073_243_879_032
+    assert len(calls) <= 2 * 40
 
 
 def test_plan_filter_validation_and_degenerate():

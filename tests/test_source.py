@@ -273,3 +273,39 @@ def test_local_time_serves_only_the_benchmark():
     ``Simulation.local_time`` returns it: only perfbench/workloads.py
     still calls it.  Once it does not, the method goes."""
     _used_only_by_the_benchmark("local_time", "Simulation")
+
+
+# the definitions a process-wide memo may wrap: each maps public values to
+# public values (an epoch to its filter salt, a geometry to its slot count
+# and height)
+CACHED = {"ercset.default_salt", "slot_tree.EpochConfig.slots", "slot_tree.EpochConfig.height"}
+CACHE_NAMES = {"cache", "lru_cache", "cached_property"}
+
+
+def _definitions(body: list, prefix: str):
+    """(qualified name, node) of every def and class, nested ones included."""
+    for node in body:
+        if isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef):
+            name = f"{prefix}.{node.name}"
+            yield name, node
+            yield from _definitions(node.body, name)
+
+
+def test_caches_hold_only_public_values():
+    """``functools.cache``, ``lru_cache`` and ``cached_property`` appear in
+    src/ only as decorators of the definitions in ``CACHED``.  A memo that
+    outlives its caller around a signer, a key derivation or a verifier
+    would hold key material for the whole process and answer faster for a
+    capability already seen, a timing signal; per-object state, like a
+    pseudonym's last path, is the place for reuse."""
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = {id(node) for name, definition in _definitions(tree.body, path.stem)
+                   if name in CACHED
+                   for decorator in definition.decorator_list for node in ast.walk(decorator)}
+        offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                      if (getattr(node, "id", None) in CACHE_NAMES
+                          or getattr(node, "attr", None) in CACHE_NAMES)
+                      and isinstance(node, ast.Name | ast.Attribute) and id(node) not in allowed]
+    assert not offenders, f"process-wide caches outside {sorted(CACHED)}: {offenders}"
