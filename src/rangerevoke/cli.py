@@ -68,13 +68,15 @@ def _write_csv(out_dir: str | None, name: str, rows: list[list]) -> None:
 
 def _checked(kind, ok, rule: str, many: bool = False):
     """An argparse ``type``: ``kind`` of the flag's text (a list, one per
-    comma-separated item, if ``many``), refused with ``rule`` and the item
-    as written unless ``ok`` passes it; argparse names the flag."""
+    comma-separated item, if ``many``), refused with the item as written if
+    ``kind`` cannot read it, or with ``rule`` if ``ok`` fails it; argparse names the flag."""
     def one(item: str):
         try:
             value = kind(item) if item.strip() else math.nan   # fails every rule
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
+        except ValueError as exc:           # parse_duration words its own refusal
+            unread = {int: "must be a whole number", float: "must be a number"}.get(kind)
+            raise argparse.ArgumentTypeError(
+                f"{unread}, got {item.strip()}" if unread else str(exc)) from None
         if not ok(value):
             raise argparse.ArgumentTypeError(f"{rule}, got {item.strip() or 'an empty item'}")
         return value

@@ -109,7 +109,7 @@ class BloomFilter:
         return self
 
     def _probe(self, item: bytes) -> tuple[int, int]:
-        """index_0 and the step between consecutive indices, both mod m."""
+        """index_0 and the step between indices, mod m (``query`` inlines this)."""
         g1, g2 = _WORDS.unpack_from(digest(item + self.salt))
         return g1 % self.m, g2 % self.m
 
@@ -125,8 +125,9 @@ class BloomFilter:
             self._positions = None
 
     def query(self, item: bytes) -> bool:
-        i, step = self._probe(item)
         m, bits = self.m, self.bits
+        g1, g2 = _WORDS.unpack_from(digest(item + self.salt))
+        i, step = g1 % m, g2 % m
         for _ in range(self.k):
             if not bits[i >> 3] & (1 << (i & 7)):
                 return False

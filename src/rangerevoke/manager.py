@@ -60,9 +60,9 @@ from .messages import (
 )
 # verify_capability is imported for perfbench/, whose tracer patches it in
 # this module; the proof check below does not call it
-from .pseudonym import (CLIENT_ID_LEN, Rrp, endorse, endorsement_message, pseudonym_keypair,
-                        pseudonym_seed, verify_capability)
-from .slot_tree import EpochConfig, NodeLabel, SlotRange, path_to_root, safe_cover
+from .pseudonym import (CLIENT_ID_LEN, Rrp, carries_path, endorse, endorsement_message,
+                        pseudonym_keypair, pseudonym_seed, verify_capability)
+from .slot_tree import EpochConfig, NodeLabel, SlotRange, safe_cover
 
 log = logging.getLogger(__name__)
 
@@ -235,28 +235,22 @@ class TrustedCore:
         the client's keys until one is the proof's and re-signs the slot's
         latchkeys one by one.  Byte equality passes every genuine proof and
         refuses latchkeys re-signed with another nonce, which still verify.
-        The epoch and the labels are checked before any Ed25519 call.  The
-        key scan runs through ``_keypair`` from instance 1, which is tried
-        only if its kept public key is the proof's: its pair is then
-        rebuilt, its root is neither re-signed nor re-queried, and its
-        endorsement is compared with the kept one if this core issued it.
+        The epoch, the slot and the labels pass the verifier's rule
+        (``carries_path``) before any Ed25519 call, and no tree object is
+        built.  The key scan runs through ``_keypair`` from instance 1,
+        which is tried only if its kept public key is the proof's: its pair
+        is then rebuilt, its root is neither re-signed nor re-queried, and
+        its endorsement is compared with the kept one if this core issued it.
         """
         proof = req.proof
-        if proof is None:
+        erc = None if proof is None else self.erc_for(proof.epoch_id)
+        if erc is None or not carries_path(proof, req.proof_slot, self.geometry):
             raise IssuanceDenied(DenialReason.BAD_PROOF)
-        erc = self.erc_for(proof.epoch_id)
-        if erc is None:
-            raise IssuanceDenied(DenialReason.BAD_PROOF)
-        try:
-            path = path_to_root(self.cfg_for(proof.epoch_id), req.proof_slot)
-        except ValueError:              # a slot outside the epoch
-            raise IssuanceDenied(DenialReason.BAD_PROOF) from None
         kept = self.firsts[proof.epoch_id][req.cid]
         first = proof.pseudonym_pub == kept[:PUBLIC_KEY_LEN]
         endorsed = kept[_ENDORSED:] if first else b""
-        if [lk.label for lk in proof.latchkeys] != path or proof.endorsement != (
-                endorsed or det_sign(self.pm_key, endorsement_message(proof.epoch_id,
-                                                                      proof.pseudonym_pub))):
+        if proof.endorsement != (endorsed or det_sign(
+                self.pm_key, endorsement_message(proof.epoch_id, proof.pseudonym_pub))):
             raise IssuanceDenied(DenialReason.BAD_PROOF)
         scan = (self._keypair(req.cid, proof.epoch_id, i)
                 for i in range(1 if first else 2, self.max_instances + 1))
@@ -275,10 +269,9 @@ class TrustedCore:
         """Expel an administrator order's client for good, writing no filter
         bit; ``ValueError``, and no state change, if its signature is bad or
         its slot lies outside the epoch."""
-        cfg = self.cfg_for(order.epoch_id)      # every epoch has the same slots
-        if not 0 <= order.rts < cfg.slots:
-            raise ValueError(f"rts {order.rts} outside the epoch's "
-                             f"{cfg.slots} slots")
+        slots = self.geometry.slots      # every epoch has the same slots
+        if not 0 <= order.rts < slots:
+            raise ValueError(f"rts {order.rts} outside the epoch's {slots} slots")
         if not ver_sign(self.admin_public, order.signed_payload(), order.admin_sig):
             raise ValueError("bad signature")
         self.revoked.add(order.cid)

@@ -143,6 +143,22 @@ def get_capability(rrp: Rrp, slot: int, cfg: EpochConfig) -> Capability:
     return Capability(rrp.epoch_id, rrp.keypair.public, rrp.endorsement, latchkeys)
 
 
+def carries_path(cap: Capability, slot: int, geometry: EpochConfig) -> bool:
+    """The one label rule, walked up the tree with no path built: ``cap`` has
+    h + 1 latchkeys, ``slot`` lies in [0, T) and latchkey j is the ``NodeLabel``
+    (cap's epoch, h - j, slot // d**j); T, h and d come from ``geometry``."""
+    height, fanout, epoch_id = geometry.height, geometry.fanout, cap.epoch_id
+    if not 0 <= slot < geometry.slots or len(cap.latchkeys) != height + 1:
+        return False
+    for level, lk in zip(range(height, -1, -1), cap.latchkeys):
+        label = lk.label
+        if type(label) is not NodeLabel or label.index != slot \
+                or label.level != level or label.epoch_id != epoch_id:
+            return False
+        slot //= fanout
+    return True
+
+
 def verify_capability(cap: Capability, pm_public: bytes, expected_slot: int,
                       cfg: EpochConfig) -> bool:
     """Genuineness check; revocation is a separate, later check.
@@ -150,28 +166,16 @@ def verify_capability(cap: Capability, pm_public: bytes, expected_slot: int,
     True iff the endorsement verifies under the manager key, the labels are
     exactly the expected slot's leaf-to-root path, and every latchkey
     verifies under the pseudonym key.  Any failure, malformed input
-    included, yields False.  Every label is checked first, in one walk up
-    the tree that builds no path: latchkey j must be the ``NodeLabel``
-    (epoch, h - j, slot // d**j).  Only then do the signatures run, the
-    endorsement first and the latchkeys leaf to root, stopping at the
-    first that fails.  The per-latchkey checks are independent and may run
-    in parallel.
+    included, yields False.  The epoch and the labels are checked first
+    (``carries_path``, the manager's rule too), then the signatures: the
+    endorsement first and the latchkeys leaf to root, stopping at the first
+    that fails.  The latchkey checks are independent and may run in parallel.
     """
-    epoch_id, height = cfg.epoch_id, cfg.height
-    if cap.epoch_id != epoch_id or not 0 <= expected_slot < cfg.slots \
-            or len(cap.latchkeys) != height + 1:
-        return False
-    index, fanout = expected_slot, cfg.fanout
-    for level, lk in zip(range(height, -1, -1), cap.latchkeys):
-        label = lk.label
-        if type(label) is not NodeLabel or label.index != index \
-                or label.level != level or label.epoch_id != epoch_id:
-            return False
-        index //= fanout
-    if not ver_sign(pm_public, endorsement_message(epoch_id, cap.pseudonym_pub),
-                    cap.endorsement):
+    if cap.epoch_id != cfg.epoch_id or not carries_path(cap, expected_slot, cfg):
         return False
     public = cap.pseudonym_pub
+    if not ver_sign(pm_public, endorsement_message(cap.epoch_id, public), cap.endorsement):
+        return False
     for lk in cap.latchkeys:
         if not ver_sign(public, lk.label.canonical_bytes, lk.sig):
             return False

@@ -137,6 +137,15 @@ _BAD_NUMBERS = [
     ("storage-compare --delta nan", "argument --delta: duration 'nan' is not a finite number"),
     ("storage-compare --epoch 1.2.3", f"argument --epoch: duration '1.2.3' {_NOT_A_DURATION}"),
     ("size --delta 10x", f"argument --delta: duration '10x' {_NOT_A_DURATION}"),
+    # text int() or float() cannot read is refused in the flag's words
+    ("size --pseudos 2.5", "argument --pseudos: must be a whole number, got 2.5\n"),
+    ("size --slots 1e3", "argument --slots: must be a whole number, got 1e3\n"),
+    ("size --fanout abc", "argument --fanout: must be a whole number, got abc\n"),
+    ("size --extra 1.5", "argument --extra: must be a whole number, got 1.5\n"),
+    ("storage-compare --daily-demand abc",
+     "argument --daily-demand: must be a whole number, got abc\n"),
+    ("size --clients abc", "argument --clients: must be a number, got abc\n"),
+    ("size --fp 1%", "argument --fp: must be a number, got 1%\n"),
 ]
 
 

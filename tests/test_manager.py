@@ -4,7 +4,7 @@ import hashlib
 import logging
 import random
 from collections import Counter
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -1259,6 +1259,60 @@ def test_a_malformed_proof_costs_no_ed25519_call(pm_key, admin_key, cid, monkeyp
         assert calls == {}, (cap is stale, slot)
     assert verdict(core, RequestRrp(cid, 0, 1, proof, 3)) is DenialReason.NONE
     assert calls["det_sign"]
+
+
+class _Label(NodeLabel):
+    """A ``NodeLabel`` in every field but its type."""
+
+
+def _label_defects(cap, slot, defect):
+    """(capability, slot) pairs that each break the label rule by ``defect``
+    alone: a per-latchkey defect at each latchkey in turn."""
+    def relabelled(j, label):
+        keys = list(cap.latchkeys)
+        keys[j] = Latchkey(label, keys[j].sig)
+        return replace(cap, latchkeys=tuple(keys)), slot
+
+    per_latchkey = {"epoch": lambda lb: replace(lb, epoch_id=lb.epoch_id ^ 1),
+                    "level": lambda lb: replace(lb, level=lb.level ^ 1),
+                    "index": lambda lb: replace(lb, index=lb.index ^ 1),
+                    "tuple": astuple,
+                    "subclass": lambda lb: _Label(*astuple(lb))}
+    if defect in per_latchkey:
+        return [relabelled(j, per_latchkey[defect](lk.label))
+                for j, lk in enumerate(cap.latchkeys)]
+    return {"h latchkeys": [(replace(cap, latchkeys=cap.latchkeys[:-1]), slot),
+                            (replace(cap, latchkeys=cap.latchkeys[1:]), slot)],
+            "h + 2 latchkeys": [(replace(cap, latchkeys=cap.latchkeys + cap.latchkeys[-1:]),
+                                 slot)],
+            "slot -1": [(cap, -1)],
+            "slot T": [(cap, GEOMETRY.slots)]}[defect]
+
+
+@pytest.mark.parametrize("defect", ["epoch", "level", "index", "tuple", "subclass",
+                                    "h latchkeys", "h + 2 latchkeys", "slot -1", "slot T"])
+def test_both_checkers_apply_the_one_label_rule(pm_key, admin_key, cid, monkeypatch, defect):
+    """``verify_capability`` and ``TrustedCore.issue``'s proof check refuse
+    each label defect before any Ed25519 call, and the proof check builds
+    no ``EpochConfig`` on the way; the genuine proof still passes both."""
+    core = make_core(pm_key, admin_key, cid)
+    core.issue(RequestRrp(cid, 0, 1))           # later requests need a proof
+    slot = GEOMETRY.slots - 1
+    proof = get_capability(create_rrp(cid, 0, 3, pm_key, 8), slot, GEOMETRY)
+
+    def no_config(self, epoch_id):
+        raise AssertionError("the proof check built an EpochConfig")
+
+    monkeypatch.setattr(TrustedCore, "cfg_for", no_config)
+    calls, _ = count_crypto(monkeypatch)
+    for cap, at in _label_defects(proof, slot, defect):
+        assert not verify_capability(cap, pm_key.public, at, GEOMETRY)
+        with pytest.raises(IssuanceDenied) as denied:
+            core.issue(RequestRrp(cid, 0, 1, cap, at))
+        assert denied.value.reason is DenialReason.BAD_PROOF
+        assert calls == {}, (cap, at)
+    assert verify_capability(proof, pm_key.public, slot, GEOMETRY)
+    assert [r.instance for r in core.issue(RequestRrp(cid, 0, 1, proof, slot))] == [2]
 
 
 @pytest.mark.parametrize("instance", [1, 4, 8])

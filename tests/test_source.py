@@ -198,6 +198,18 @@ def test_manager_shell_reads_no_client_id():
     assert not offenders, f"PmNode reads a client id: {offenders}"
 
 
+def test_only_the_client_builds_paths():
+    """Only ``pseudonym.get_capability`` builds a slot's labels with
+    ``path_to_root``: the verifier and the manager's proof check walk the
+    labels they are shown by one rule (``pseudonym.carries_path``)."""
+    callers = [f"{path.stem}.{fn.name}" for path in sorted(SRC.glob("*.py"))
+               for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn) if isinstance(node, ast.Call)
+               and getattr(node.func, "id", getattr(node.func, "attr", None)) == "path_to_root"]
+    assert callers == ["pseudonym.get_capability"], callers
+
+
 def _keywords_of_sim_config_calls(tree: ast.AST) -> set[str]:
     return {kw.arg for node in ast.walk(tree) if isinstance(node, ast.Call)
             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "SimConfig"
