@@ -8,9 +8,11 @@ trusted hardware:
   per-client issuance counters, the two live revocation filters (one for
   the current epoch, one for the next) and the epoch transition.  It alone
   builds filters, decides issuance and rotates.  Per pseudonym it keeps
-  only public values: each client's instance-1 public key and root
-  latchkey of each live epoch, from which it rebuilds that instance's key
-  pair without Ed25519, and instance 1's endorsement once it issued it.
+  only public values, per live epoch and client: instance 1's public key
+  and root latchkey, its endorsement once issued here, and the public key
+  of every other instance issued here.  It rebuilds the key pair of each
+  kept public key without Ed25519, so it never derives a key it issued
+  again.
 * ``PmNode`` is the untrusted host shell: message routing, gossip fan-out,
   the periodic pull, the clock and the laggard echo.  It holds no key
   material and reads no client id, though every ``RequestRrp`` and
@@ -67,6 +69,7 @@ from .slot_tree import EpochConfig, NodeLabel, SlotRange, safe_cover
 log = logging.getLogger(__name__)
 
 _ENDORSED = PUBLIC_KEY_LEN + SIGNATURE_LEN   # where a ``firsts`` entry's endorsement starts
+_ISSUED = _ENDORSED + SIGNATURE_LEN          # where instance 2's public key starts
 
 
 def revocation_cover_ercset(keypair: KeyPair, epoch_id: int, cover: set[NodeLabel],
@@ -106,14 +109,18 @@ class TrustedCore:
 
     ``issue`` denies in a fixed order: epoch window, registry, expelled
     client, standing, budget, proof, so a request past its budget costs no
-    proof check.  ``firsts`` keeps, per live epoch and client, instance
-    1's public key and root latchkey, and its endorsement once ``issue``
-    signed it.  ``_keypair`` is the one source of pseudonym key pairs: it
-    rebuilds instance 1's from its seed and the kept public key
-    (``rebuild_keypair``) and hands out the kept root with it, and derives
-    every other.  Nothing kept is signed again: the probe queries the
-    root, an instance-1 proof is compared with the root and the
-    endorsement, and an order revoking the whole epoch writes the root.
+    proof check.  ``firsts`` keeps, per live epoch and client, one flat
+    entry: instance 1's public key and root latchkey from the standing
+    probe, then its endorsement and the public keys of instances 2, 3, ...
+    in instance order as ``issue`` issues them (a core issues a client's
+    instances of an epoch contiguously from 1).  ``_keypair`` is the one
+    source of pseudonym key pairs: it rebuilds each pair whose public key
+    is kept from its seed (``rebuild_keypair``), hands out instance 1's
+    kept root with it, and derives every other pair.  So ``revoke``, a
+    rotation and the proof check derive no key this core issued.  Nothing
+    kept is signed again: the probe queries the root, an instance-1 proof
+    is compared with the root and the endorsement, and an order revoking
+    the whole epoch writes the root.
 
     ``peers`` are the other managers' ids and ``fault_bound`` is f, the most
     managers assumed faulty; the defaults are a lone manager.  Only
@@ -135,8 +142,8 @@ class TrustedCore:
         self.revoked: set[bytes] = set()  # expelled clients (order seen locally)
         self.issued: dict[tuple[bytes, int], int] = {}  # (cid, epoch) -> highest instance
         # live epoch -> cid -> instance 1's public key ‖ root latchkey, then
-        # its endorsement once issued here; flat bytes so that copying a core
-        # stays cheap
+        # its endorsement and instance 2's, 3's, ... public key as issued
+        # here; flat bytes so that copying a core stays cheap
         self.firsts: dict[int, dict[bytes, bytes]] = {}
         self.erc_current = BloomFilter(params, self.epoch_now)
         self.erc_next = BloomFilter(params, self.epoch_now + 1)
@@ -169,9 +176,10 @@ class TrustedCore:
         byte for byte as the core rebuilds it, and that capability must not
         be revoked.  Denials come in the order window, registry, expelled,
         standing, budget, proof.  Every key pair comes from ``_keypair``,
-        so each key is derived (instance 1's rebuilt) and each signature
-        made at most once per request, and no key pair outlives the request.
-        Instance 1's endorsement is kept in ``firsts`` beside its key.
+        so each key is derived (a kept one rebuilt) and each signature made
+        at most once per request, and no key pair outlives the request.
+        Instance 1's endorsement and every later instance's public key are
+        kept in ``firsts`` beside instance 1's key.
         """
         if req.epoch_id not in (self.epoch_now, self.epoch_now + 1):
             raise IssuanceDenied(DenialReason.QUARANTINE if self.quarantined
@@ -192,8 +200,9 @@ class TrustedCore:
             self._check_proof(req)
         rrps = [endorse(req.cid, req.epoch_id, i, self._keypair(req.cid, req.epoch_id, i)[0],
                         self.pm_key) for i in range(start, end + 1)]
-        if start == 1:                  # the standing probe made the entry
-            self.firsts[req.epoch_id][req.cid] += rrps[0].endorsement
+        # the standing probe made the entry; it grows in instance order
+        self.firsts[req.epoch_id][req.cid] += b"".join(
+            rrp.endorsement if rrp.instance == 1 else rrp.keypair.public for rrp in rrps)
         self.issued[(req.cid, req.epoch_id)] = end
         return rrps
 
@@ -220,13 +229,17 @@ class TrustedCore:
                 raise IssuanceDenied(DenialReason.REVOKED)
 
     def _keypair(self, cid: bytes, epoch_id: int, instance: int) -> tuple[KeyPair, bytes | None]:
-        """A pseudonym's key pair, and its root latchkey if kept: instance 1's
-        pair is rebuilt where ``firsts`` holds the client, any other derived."""
-        kept = self.firsts.get(epoch_id, {}).get(cid) if instance == 1 else None
-        if kept is None:
+        """A pseudonym's key pair, and its root latchkey if kept: rebuilt
+        where ``firsts`` keeps its public key (instance 1 once probed, any
+        other once issued here), else derived; only instance 1's root is
+        kept."""
+        kept = self.firsts.get(epoch_id, {}).get(cid, b"")
+        at = _ISSUED + (instance - 2) * PUBLIC_KEY_LEN if instance > 1 else 0
+        public = kept[at:at + PUBLIC_KEY_LEN]
+        if not public:
             return pseudonym_keypair(cid, epoch_id, instance), None
-        return (rebuild_keypair(pseudonym_seed(cid, epoch_id, 1), kept[:PUBLIC_KEY_LEN]),
-                kept[PUBLIC_KEY_LEN:_ENDORSED])
+        return (rebuild_keypair(pseudonym_seed(cid, epoch_id, instance), public),
+                kept[PUBLIC_KEY_LEN:_ENDORSED] if instance == 1 else None)
 
     def _check_proof(self, req: RequestRrp) -> None:
         """Deny unless the proof is exactly the capability the core rebuilds.
@@ -241,6 +254,7 @@ class TrustedCore:
         which is tried only if its kept public key is the proof's: its pair
         is then rebuilt, its root is neither re-signed nor re-queried, and
         its endorsement is compared with the kept one if this core issued it.
+        Any other instance this core issued is rebuilt, not derived.
         """
         proof = req.proof
         erc = None if proof is None else self.erc_for(proof.epoch_id)
@@ -248,7 +262,7 @@ class TrustedCore:
             raise IssuanceDenied(DenialReason.BAD_PROOF)
         kept = self.firsts[proof.epoch_id][req.cid]
         first = proof.pseudonym_pub == kept[:PUBLIC_KEY_LEN]
-        endorsed = kept[_ENDORSED:] if first else b""
+        endorsed = kept[_ENDORSED:_ISSUED] if first else b""
         if proof.endorsement != (endorsed or det_sign(
                 self.pm_key, endorsement_message(proof.epoch_id, proof.pseudonym_pub))):
             raise IssuanceDenied(DenialReason.BAD_PROOF)
@@ -286,10 +300,11 @@ class TrustedCore:
         computed once and signed under each instance's key; E + 1 each
         instance's root latchkey; any other epoch nothing.  Key pairs come
         from ``_keypair``, so where ``firsts`` holds the client instance 1's
-        is rebuilt and its kept root latchkey written as kept.  A core before
-        E lacks a part; each rotation writes the part of the filter it
-        opens.  Merging is idempotent, so replays change nothing.  An order
-        of an epoch before ``epoch_now`` - 1 costs its signature check alone.
+        is rebuilt and its kept root latchkey written as kept, and every
+        other instance this core issued is rebuilt.  A core before E lacks
+        a part; each rotation writes the part of the filter it opens.
+        Merging is idempotent, so replays change nothing.  An order of an
+        epoch before ``epoch_now`` - 1 costs its signature check alone.
         """
         self.expel(order)
         if order.epoch_id >= self.epoch_now - 1:
@@ -353,10 +368,11 @@ class TrustedCore:
         """Discard epoch t, promote t+1, open an empty filter for t+2.
 
         Issuance counters of epoch t-1 go too: ``issue`` reads only the
-        epochs from the new t-1 to the new t+1.  ``firsts`` drops epoch t,
-        and ``signed`` the orders of t-1.  Only the new filter is written:
-        the t+2 roots of each signed order of t+1 and the t+2 cover of each
-        of t+2, with no signature check; whether that gained a bit."""
+        epochs from the new t-1 to the new t+1.  ``firsts`` drops epoch t
+        with every public key kept for it, and ``signed`` the orders of
+        t-1.  Only the new filter is written: the t+2 roots of each signed
+        order of t+1 and the t+2 cover of each of t+2, with no signature
+        check; whether that gained a bit."""
         self._reports.clear()
         self.epoch_now += 1
         self.issued = {key: end for key, end in self.issued.items()

@@ -60,6 +60,9 @@ class Window:
 
 @dataclass(frozen=True)
 class CrashWindow:
+    """Manager ``node`` is down over [start, end); ``Simulation`` refuses
+    a window on any other node."""
+
     node: str
     start: int
     end: int
@@ -242,6 +245,8 @@ class Simulation:
         self._nodes: dict[str, PmNode | VerifierNode] = {**self.pms, **self.verifiers}
         self._crash_windows: dict[str, list[tuple[int, int]]] = {}
         for crash in cfg.crashes:
+            if crash.node not in self.pms:
+                raise ValueError(f"no manager {crash.node!r}")
             self._crash_windows.setdefault(crash.node, []).append((crash.start, crash.end))
 
         self.issuance: list[IssuanceRecord] = []

@@ -1498,6 +1498,72 @@ def test_revoke_rebuilds_the_kept_instance_1(pm_key, admin_key, cid, monkeypatch
     assert kept.erc_next.query(kept.firsts[1][cid][crypto.PUBLIC_KEY_LEN:])
 
 
+def issue_in_two_epochs(core, cid, n):
+    """Issue ``cid`` instances 1..n of epoch 0, in two requests, and of
+    epoch 1, each later request carrying a genuine proof; the pseudonyms
+    of both epochs in issuance order."""
+    zero = core.issue(RequestRrp(cid, 0, 2))
+    zero += core.issue(RequestRrp(cid, 0, n - 2, proof_for(core, zero[0], 1), 1))
+    one = core.issue(RequestRrp(cid, 1, n, proof_for(core, zero[-1], 2), 2))
+    assert [r.instance for r in zero] == [r.instance for r in one] == list(range(1, n + 1))
+    return zero + one
+
+
+def test_a_core_keeps_the_public_key_of_every_instance_it_issues(pm_key, admin_key, cid):
+    """Each epoch's entry grows in instance order, request by request:
+    instance 1's public key and root latchkey, its endorsement, then the
+    public key of each later instance.  The rotation out of epoch 0 drops
+    every key kept for it, and epoch 1's entry stays whole."""
+    core = make_core(pm_key, admin_key, cid)
+    rrps = issue_in_two_epochs(core, cid, 5)
+    for epoch_id in (0, 1):
+        mine = [r for r in rrps if r.epoch_id == epoch_id]
+        root = det_sign(mine[0].keypair, NodeLabel(epoch_id, 0, 0).canonical_bytes)
+        assert core.firsts[epoch_id][cid] == b"".join(
+            [mine[0].keypair.public, root, mine[0].endorsement]
+            + [r.keypair.public for r in mine[1:]]), epoch_id
+    kept_one = core.firsts[1][cid]
+    core.rotate_epoch()
+    assert 0 not in core.firsts and core.firsts[1][cid] == kept_one
+    left = b"".join(entry for kept in core.firsts.values() for entry in kept.values())
+    assert not [r for r in rrps if r.epoch_id == 0 and r.keypair.public in left]
+
+
+@pytest.mark.parametrize("issued", [3, 8])
+def test_revoke_derives_no_key_the_core_issued(pm_key, admin_key, cid, monkeypatch, issued):
+    """A core that issued instances 1..n of epochs 0 and 1 revokes the
+    client: it rebuilds those 2·n pairs and derives only instances n + 1..I
+    of each epoch, none when n = I, and its filters are bit-identical to
+    those of a fresh core that derives every key for the same order."""
+    core = make_core(pm_key, admin_key, cid)
+    issue_in_two_epochs(core, cid, issued)
+    order = signed_order(admin_key, cid, 3, 0)
+    calls, seeds = count_crypto(monkeypatch)
+    core.revoke(order)
+    instances = range(issued + 1, core.max_instances + 1)
+    assert seeds == [seed_from_parts(cid, e, i) for e in (0, 1) for i in instances]
+    assert calls["rebuild_keypair"] == 2 * issued
+    fresh = make_core(pm_key, admin_key, cid)
+    fresh.revoke(order)
+    assert (core.erc_current, core.erc_next) == (fresh.erc_current, fresh.erc_next)   # bits
+
+
+@pytest.mark.parametrize("instance", [2, 5, 7])
+def test_a_proof_of_an_issued_instance_is_matched_with_no_derivation(pm_key, admin_key, cid,
+                                                                     monkeypatch, instance):
+    """With instances 1..5 issued here, the key scan rebuilds instances
+    2..k of an issued instance k and derives only the instances past the
+    ones issued."""
+    core = make_core(pm_key, admin_key, cid)
+    core.issue(RequestRrp(cid, 0, 5))
+    proof = proof_for(core, create_rrp(cid, 0, instance, pm_key, 8), 3)
+    calls, seeds = count_crypto(monkeypatch)
+    assert verdict(core, RequestRrp(cid, 0, 1, proof, 3)) is DenialReason.NONE
+    assert calls == Counter(rebuild_keypair=min(instance, 5) - 1, det_keygen=max(0, instance - 5),
+                            det_sign=GEOMETRY.height + 2)
+    assert seeds == [seed_from_parts(cid, 0, i) for i in range(6, instance + 1)]
+
+
 @pytest.mark.parametrize("epoch_id, rts", [(0, 0), (0, 2), (1, 0), (1, 3)])
 def test_a_kept_root_writes_the_bits_of_signing_it(pm_key, admin_key, cid, epoch_id, rts):
     """Instance 1's cover from ``_keypair``, without ``firsts`` (a derived

@@ -127,6 +127,17 @@ def test_crashed_pm_misses_traffic_then_recovers():
     assert len(states) == 1                      # pull gossip caught pm2 up
 
 
+@pytest.mark.parametrize("node", ["v0", "pm3", "client0", "admin"])
+def test_a_crash_window_on_anything_but_a_manager_is_refused(node):
+    """Only managers crash: a verifier down from 10 s to 40 s would still
+    answer the authentications at 30 s and 32 s, so ``Simulation`` refuses
+    the window in the scenario parser's words, and a window on a node that
+    does not exist too."""
+    with pytest.raises(ValueError, match=f"no manager '{node}'"):
+        Simulation(small_cfg(crashes=(CrashWindow("pm2", 15 * MICRO, 35 * MICRO),
+                                      CrashWindow(node, 10 * MICRO, 40 * MICRO))))
+
+
 def record_sends(monkeypatch) -> list[tuple[int, str, str]]:
     """(time, sender, message type) of every message a run sends."""
     sent = []
