@@ -49,6 +49,7 @@ from collections.abc import Iterable
 from .crypto import PUBLIC_KEY_LEN, SIGNATURE_LEN, KeyPair, det_sign, rebuild_keypair, ver_sign
 from .ercset import BloomFilter, FilterParams
 from .messages import (
+    PULL_REQUEST,
     DenialReason,
     EpochReport,
     ErcPullReq,
@@ -388,7 +389,11 @@ class TrustedCore:
 
 
 class PmNode:
-    """Untrusted host shell around a ``TrustedCore``; one per manager."""
+    """Untrusted host shell around a ``TrustedCore``; one per manager.
+
+    It answers pulls with one ``ErcPullResp`` per pair of the core's
+    filters, kept until either is replaced: filters are never written in
+    place, so the response still holds the bits it was built with."""
 
     def __init__(self, node_id: str, core: TrustedCore, rng: random.Random,
                  gossip_timeout: int):
@@ -400,6 +405,7 @@ class PmNode:
         self.gossip_timeout = gossip_timeout
         self._last_update: int | None = None     # when filters last arrived
         self._orders: dict[RevocationOrder, None] = {}   # orders taken, first seen first
+        self._pull_resp: ErcPullResp | None = None       # the core's filters, as last pulled
         self.stats = {"pushes": 0, "pulls": 0, "forwards": 0}
 
     def deliver(self, sender: str, msg: Message, now: int) -> list[Outgoing]:
@@ -475,8 +481,11 @@ class PmNode:
         return [Outgoing(t, push) for t in targets]
 
     def handle_pull_request(self, requester: str) -> list[Outgoing]:
-        out = [Outgoing(requester,
-                        ErcPullResp(self.core.erc_current, self.core.erc_next))]
+        core, resp = self.core, self._pull_resp
+        if resp is None or resp.current is not core.erc_current \
+                or resp.next is not core.erc_next:
+            resp = self._pull_resp = ErcPullResp(core.erc_current, core.erc_next)
+        out = [Outgoing(requester, resp)]
         if requester in self.peers:
             # peer managers also get the remembered orders so a recovering
             # node rebuilds its revoked-client set, not just its filter
@@ -496,7 +505,7 @@ class PmNode:
         if not self.peers:
             return []
         self.stats["pulls"] += 1
-        return [Outgoing(self.rng.choice(self.peers), ErcPullReq())]
+        return [Outgoing(self.rng.choice(self.peers), PULL_REQUEST)]
 
     # -- epoch transition -------------------------------------------------
 

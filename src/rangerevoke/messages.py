@@ -79,6 +79,9 @@ class ErcPullReq:
     """Ask for both live filters; the responder picks the epochs."""
 
 
+PULL_REQUEST = ErcPullReq()     # the one every node sends: it has no field
+
+
 @dataclass(frozen=True)
 class ErcPullResp:
     current: BloomFilter

@@ -12,8 +12,12 @@ are its own, behind two entry points, ``deliver`` and ``on_tick``; a node
 down runs neither, so a crash ends at the node's first tick after it.
 
 Time is integer microseconds.  Messages travel as wire bytes, encoded
-once per fan-out and decoded under ``FILTER`` on delivery, after the
-receiver's crash check.  A run decodes each distinct byte string once:
+once per message object per run and decoded under ``FILTER`` on
+delivery, after the receiver's crash check.  A run keeps each object it
+sent with its bytes, so an object sent again (an unchanged pull
+response, the pull request, a resent order) is not encoded again; no
+node writes into a message or filter it sent.  A run decodes each
+distinct byte string once:
 later deliveries of equal bytes get the same message object, so
 receivers share immutable decoded messages (no handler writes a decoded
 filter), and none gets the sender's own object.  Every run exercises the
@@ -44,7 +48,8 @@ from .verifier import VerifierNode
 MICRO = 1_000_000
 REQUIRED = "required"     # an ACTION_ARGS default: the argument must be given
 EVENT_BUDGET = 200_000    # a run past this many events has a divergent schedule
-DECODED_LIMIT = 1_024     # distinct wire messages a run keeps decoded; cleared when full
+DECODED_LIMIT = 1_024     # messages a run keeps decoded, and sent objects it keeps
+                          # encoded; each cache is cleared when full
 FILTER = FilterParams(8192, 4)  # every manager's filter (m, k)
 INSTANCES = 8                   # I: pseudonyms per client and epoch
 
@@ -213,6 +218,7 @@ class Simulation:
         self.events_processed = 0
         self.messages: dict[str, int] = {}
         self._decoded: dict[bytes, Message] = {}   # wire bytes -> their message
+        self._encoded: dict[int, tuple[Message, bytes]] = {}  # id(sent) -> it, its bytes
 
         geometry = cfg.geometry()
         self.geometry = geometry
@@ -272,31 +278,40 @@ class Simulation:
 
     def _delay(self) -> int:
         rng, delta_net, windows = self.rng, self.cfg.delta_net, self.cfg.unstable
+        if not windows:
+            return 1 + rng.randrange(delta_net)     # randint(1, delta_net)'s one draw
         deliver_at = self.now + rng.randint(1, delta_net)
         for w in windows:
             if deliver_at in w or self.now in w:
                 # unstable window: hold the message until stability returns
                 deliver_at = w.end + rng.randint(1, delta_net)
         # a hold can end inside another window: hold on until none holds it
-        # (a run without windows builds no list per message)
-        while windows and (held := [w for w in windows if deliver_at in w]):
+        while held := [w for w in windows if deliver_at in w]:
             deliver_at = held[0].end + rng.randint(1, delta_net)
         return deliver_at - self.now
 
     def _emit(self, src: str, outgoing: list[Outgoing]) -> None:
-        """Schedule each delivery of ``src``, which is up, with its wire bytes."""
+        """Schedule each delivery of ``src``, which is up, with its wire
+        bytes: those kept for the object if the run sent it before.  An
+        entry holds its object, so no other object can take its id."""
         now = self.now
         if not outgoing:
             return
         messages, delay, queue, seq = self.messages, self._delay, self._queue, self._seq
-        wire: dict[int, bytes] = {}
+        encoded = self._encoded
         for out in outgoing:
             msg = out.msg
             name = type(msg).__name__
             messages[name] = messages.get(name, 0) + 1
-            data = wire.get(id(msg))
-            if data is None:
-                data = wire[id(msg)] = codec.encode_message(msg)
+            kept = encoded.get(id(msg))
+            if kept is not None:
+                data = kept[1]
+            else:
+                data = codec.encode_message(msg)
+                if len(encoded) < DECODED_LIMIT:
+                    encoded[id(msg)] = (msg, data)
+                else:
+                    encoded.clear()
             heapq.heappush(queue, (now + delay(), next(seq), ("deliver", src, out.dst, data)))
 
     def local_time(self, node: str) -> int:
@@ -325,7 +340,7 @@ class Simulation:
         return self._report()
 
     def _on_deliver(self, src: str, dst: str, data: bytes) -> None:
-        if self._crashed(dst, self.now):
+        if dst in self._crash_windows and self._crashed(dst, self.now):
             return
         decoded = self._decoded
         msg = decoded.get(data)

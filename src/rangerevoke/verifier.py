@@ -17,7 +17,7 @@ import logging
 import random
 
 from .ercset import BloomFilter, is_revoked
-from .messages import ErcPullReq, ErcPullResp, Message, Outgoing
+from .messages import PULL_REQUEST, ErcPullResp, Message, Outgoing
 from .pseudonym import Capability, verify_capability
 from .slot_tree import EpochConfig
 
@@ -105,7 +105,7 @@ class VerifierNode:
 
     def on_tick(self, now: int) -> list[Outgoing]:
         """Ask a random manager for its filters."""
-        return [Outgoing(self.rng.choice(self.pm_ids), ErcPullReq())]
+        return [Outgoing(self.rng.choice(self.pm_ids), PULL_REQUEST)]
 
     def handle_pull_response(self, resp: ErcPullResp, now: int) -> bool:
         """Take the filters of our epoch and the next; True if the pull

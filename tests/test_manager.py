@@ -821,6 +821,53 @@ def test_pull_request_response(pm_key, admin_key, cid):
     assert out[0].msg.current is node.core.erc_current
 
 
+def test_one_pull_response_per_pair_of_filters(pm_key, admin_key, cid):
+    """Pulls get the same ``ErcPullResp`` while the core's two filters are
+    the same objects; a revoke or a merge that gains bits, or a rotation,
+    gets the next pull a new one with the core's new filters."""
+    node = make_node(pm_key, admin_key, cid)
+    core = node.core
+
+    def pulled(requester="v0"):
+        resp = node.handle_pull_request(requester)[0].msg
+        assert resp.current is core.erc_current and resp.next is core.erc_next
+        return resp
+
+    first = pulled()
+    assert pulled("pm1") is first
+    assert node.deliver("pm1", ErcPush(core.erc_current, core.erc_next), 1) == []
+    assert core.merge_filters(first.current, first.next) is False
+    assert pulled() is first
+
+    node.deliver("admin", signed_order(admin_key, cid, 1, 0), 2)
+    revoked = pulled()
+    assert revoked is not first and pulled() is revoked
+    assert revoked.current.bits != first.current.bits
+    assert revoked.next.bits != first.next.bits
+
+    # a merge that gains bits in the current filter alone, then in the next alone
+    root = revocation_cover_ercset(pseudonym_keypair(cid, 0, 1), 0, {NodeLabel(0, 0, 0)},
+                                   PARAMS)
+    assert core.merge_filters(root, core.erc_next) is True
+    gained_current = pulled()
+    assert gained_current is not revoked and pulled() is gained_current
+    assert gained_current.current.bits != revoked.current.bits
+    assert gained_current.next is revoked.next
+    half = revocation_cover_ercset(pseudonym_keypair(cid, 1, 1), 1, {NodeLabel(1, 1, 0)},
+                                   PARAMS)
+    assert core.merge_filters(core.erc_current, half) is True
+    merged = pulled()
+    assert merged is not gained_current and pulled() is merged
+    assert merged.current is gained_current.current
+    assert merged.next.bits != gained_current.next.bits
+
+    core.rotate_epoch()
+    rotated = pulled()
+    assert rotated is not merged and pulled() is rotated
+    assert rotated.current is merged.next
+    assert (rotated.current.epoch_id, rotated.next.epoch_id) == (1, 2)
+
+
 def test_gossip_timeout_pulls_one_peer(pm_key, admin_key, cid):
     node = make_node(pm_key, admin_key, cid)
     out = node.on_tick(now=0)           # no filters have ever arrived

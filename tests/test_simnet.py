@@ -1,5 +1,6 @@
 import hashlib
 import logging
+import random
 from collections import Counter
 from dataclasses import replace
 
@@ -583,27 +584,34 @@ def test_bundled_gossip_counters_match_the_messages_sent(name, caplog):
     assert caplog.records == []
 
 
-def test_one_encoding_per_fan_out_and_one_decode_per_distinct_message(monkeypatch):
-    """Each ``_emit`` encodes each distinct message object once, however
-    many receivers it has.  A run decodes each distinct byte string it
-    delivers to a live node once, and a delivery to a down node decodes
-    nothing."""
+def test_one_encoding_per_sent_object_and_one_decode_per_distinct_message(monkeypatch):
+    """A run encodes each distinct message object it sends once, however
+    many receivers and sends it has: the pull request, an unchanged pull
+    response and a resent order are encoded on their first send alone.  A
+    run decodes each distinct byte string it delivers to a live node once,
+    and a delivery to a down node decodes nothing."""
     calls = {"encode": 0, "decode": 0, "delivered": 0, "to_down": 0}
+    encoded = Counter()                     # message type -> its encodings
+    sent: dict[int, object] = {}            # every object sent, kept so no id is reused
     delivered: set[bytes] = set()
     encode, decode = codec.encode_message, codec.decode_message
     emit, deliver = Simulation._emit, Simulation._on_deliver
 
-    def counting(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
+    def counted_encode(msg):
+        calls["encode"] += 1
+        encoded[type(msg).__name__] += 1
+        return encode(msg)
+
+    def counted_decode(*args):
+        calls["decode"] += 1
+        return decode(*args)
 
     def checked_emit(sim, src, outgoing):
         before = calls["encode"]
+        new = {id(o.msg): o.msg for o in outgoing if id(o.msg) not in sent}
         emit(sim, src, outgoing)
-        distinct = 0 if sim._crashed(src, sim.now) else len({id(o.msg) for o in outgoing})
-        assert calls["encode"] - before == distinct
+        assert calls["encode"] - before == len(new)
+        sent.update(new)
 
     def counted_deliver(sim, src, dst, data):
         assert isinstance(data, bytes)
@@ -617,15 +625,19 @@ def test_one_encoding_per_fan_out_and_one_decode_per_distinct_message(monkeypatc
             calls["delivered"] += 1
             delivered.add(data)
 
-    monkeypatch.setattr(codec, "encode_message", counting("encode", encode))
-    monkeypatch.setattr(codec, "decode_message", counting("decode", decode))
+    monkeypatch.setattr(codec, "encode_message", counted_encode)
+    monkeypatch.setattr(codec, "decode_message", counted_decode)
     monkeypatch.setattr(Simulation, "_emit", checked_emit)
     monkeypatch.setattr(Simulation, "_on_deliver", counted_deliver)
     cfg = small_cfg(crashes=(CrashWindow("pm2", 15 * MICRO, 35 * MICRO),),
                     horizon=70 * MICRO)
-    report = Simulation(cfg).run()
-    sends = sum(report.messages.values())
-    assert calls["encode"] < sends                    # fan-outs share an encoding
+    sim = Simulation(cfg)
+    report = sim.run()
+    sends = report.messages
+    assert calls["encode"] == len(sent) == len(sim._encoded) < sum(sends.values())
+    assert encoded["ErcPullReq"] == 1 < sends["ErcPullReq"]
+    assert encoded["ErcPullResp"] < sends["ErcPullResp"]
+    assert encoded["RevocationOrder"] < sends["RevocationOrder"]
     assert calls["decode"] == len(delivered) < calls["delivered"]
     assert calls["to_down"] > 0
 
@@ -700,6 +712,62 @@ def test_shared_decodes_change_no_report_byte(cfg, monkeypatch):
     _, bounded, seen = run(2)
     assert bounded == shared
     assert seen["largest"] == 2
+
+
+@pytest.mark.parametrize("cfg", _equivalence_runs())
+def test_shared_encodings_change_no_report_byte(cfg, monkeypatch):
+    """A run that encodes each sent object once reports what one that
+    encodes every send (a bound of 0) reports, byte for byte, and so does
+    one whose bound of 2 clears its encodings again and again.  Every
+    object the run kept still encodes to the bytes it was sent as: no node
+    wrote into a message or filter it sent."""
+    counts = {"encode": 0, "largest": 0}
+    encode, emit = codec.encode_message, Simulation._emit
+
+    def counted_encode(msg):
+        counts["encode"] += 1
+        return encode(msg)
+
+    def measured_emit(sim, src, outgoing):
+        emit(sim, src, outgoing)
+        counts["largest"] = max(counts["largest"], len(sim._encoded))
+
+    monkeypatch.setattr(codec, "encode_message", counted_encode)
+    monkeypatch.setattr(Simulation, "_emit", measured_emit)
+
+    def run(limit):
+        monkeypatch.setattr(simnet, "DECODED_LIMIT", limit)
+        counts.update(encode=0, largest=0)
+        sim = Simulation(cfg)
+        report = sim.run()
+        return (sim, (report.as_text(), report.auth_csv()), sum(report.messages.values()),
+                dict(counts))
+
+    sim, shared, sends, seen = run(simnet.DECODED_LIMIT)
+    assert seen["encode"] < sends
+    for msg, data in sim._encoded.values():
+        assert encode(msg) == data
+    _, every, _, seen = run(0)
+    assert every == shared
+    assert seen["encode"] == sends and seen["largest"] == 0
+    _, bounded, _, seen = run(2)
+    assert bounded == shared
+    assert seen["largest"] == 2
+
+
+def test_a_run_without_unstable_windows_draws_randints_delays():
+    """With no unstable window, ``_delay`` draws what ``randint(1,
+    delta_net)`` draws, in the same order, whatever the clock reads."""
+    for delta_net in (1, 2, 7, 100_000):
+        cfg = small_cfg(delta_net=delta_net)
+        sim = Simulation(cfg)
+        sim.rng.seed(cfg.seed)
+        reference = random.Random(cfg.seed)
+        delays = []
+        for now in range(0, 50 * MICRO, MICRO // 2):
+            sim.now = now
+            delays.append(sim._delay())
+        assert delays == [reference.randint(1, delta_net) for _ in delays]
 
 
 def test_client_derives_a_key_only_when_it_shows_the_pseudonym(monkeypatch):
