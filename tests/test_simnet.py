@@ -755,7 +755,7 @@ def test_shared_encodings_change_no_report_byte(cfg, monkeypatch):
     assert seen["largest"] == 2
 
 
-def test_a_run_without_unstable_windows_draws_randints_delays():
+def test_a_run_without_unstable_windows_draws_delays_as_randint_does():
     """With no unstable window, ``_delay`` draws what ``randint(1,
     delta_net)`` draws, in the same order, whatever the clock reads."""
     for delta_net in (1, 2, 7, 100_000):
