@@ -1,9 +1,11 @@
 """Deterministic cryptographic primitives.
 
-Other modules derive keys (det_keygen, or rebuild_keypair when the public
-key is already known), sign (det_sign), verify (ver_sign) and hash (digest,
-seed_from_parts).  The concrete algorithms (Ed25519, SHA-256) and
-libsodium's secret-key layout are known here and nowhere else, so swapping
+Other modules derive keys (det_keygen), sign (det_sign), verify
+(ver_sign) and hash (digest, seed_from_parts).  A key pair is its 32-byte
+seed and 32-byte public key, nothing more; a caller that already knows a
+seed's public key builds ``KeyPair(seed, public)`` with no Ed25519 call.
+The concrete algorithms (Ed25519, SHA-256) and libsodium's secret-key
+layout (``seed ‖ public``) are known here and nowhere else, so swapping
 them touches a single file.
 
 Ed25519 runs in libsodium, called through ``ctypes``.  There is exactly one
@@ -76,15 +78,12 @@ class KeyPair:
 
     ``seed`` doubles as the private key material (Ed25519 private keys are
     exactly a 32-byte seed).  ``public`` is the 32-byte raw verification key.
-    ``signer`` is libsodium's 64-byte secret key, ``seed ‖ public``, kept
-    so that signing never derives it again; it follows from the seed, so
-    equality, hashing and repr leave it out and stay on (seed, public).
-    Neither the seed nor the signer may appear in any serialized artifact.
+    The seed may appear in no serialized artifact, so repr leaves it out.
+    A pair whose ``public`` is not its seed's key signs for no key.
     """
 
-    seed: bytes
+    seed: bytes = field(repr=False)
     public: bytes
-    signer: bytes = field(compare=False, repr=False)
 
 
 def det_keygen(seed: bytes) -> KeyPair:
@@ -92,60 +91,34 @@ def det_keygen(seed: bytes) -> KeyPair:
     if len(seed) != SEED_LEN:
         raise ValueError(f"seed must be {SEED_LEN} bytes, got {len(seed)}")
     public = _PublicBuffer()
-    secret = _SecretBuffer()
-    _sodium.crypto_sign_seed_keypair(public, secret, seed)
-    return KeyPair(seed=seed, public=public.raw, signer=secret.raw)
-
-
-def rebuild_keypair(seed: bytes, public: bytes) -> KeyPair:
-    """The pair ``det_keygen(seed)`` returns, from ``seed``'s public key,
-    with no Ed25519 call.
-
-    libsodium's secret key is ``seed ‖ public``, and RFC 8032 signing reads
-    the public key from it instead of multiplying the base point again.
-    ``public`` is not checked against ``seed``: that check is the
-    multiplication this skips.  A wrong public key gives a pair whose
-    signatures verify under no key, so pass only a key that ``det_keygen``
-    gave for this very seed.
-    """
-    if len(seed) != SEED_LEN:
-        raise ValueError(f"seed must be {SEED_LEN} bytes, got {len(seed)}")
-    if len(public) != PUBLIC_KEY_LEN:
-        raise ValueError(f"public key must be {PUBLIC_KEY_LEN} bytes, got {len(public)}")
-    return KeyPair(seed=seed, public=public, signer=seed + public)
+    _sodium.crypto_sign_seed_keypair(public, _SecretBuffer(), seed)
+    return KeyPair(seed, public.raw)
 
 
 def det_sign(key: KeyPair, message: bytes) -> bytes:
     """Sign deterministically: same (key, message), byte-identical signature.
-    ``message`` may be any bytes-like value."""
-    if len(key.signer) != SECRET_KEY_LEN:
-        raise ValueError(f"secret key must be {SECRET_KEY_LEN} bytes")
+
+    libsodium's secret key is ``seed ‖ public``, and RFC 8032 signing reads
+    the public key from it instead of multiplying the base point again.
+    """
+    if len(key.seed) != SEED_LEN or len(key.public) != PUBLIC_KEY_LEN:
+        raise ValueError(f"seed and public key must be {SEED_LEN} and "
+                         f"{PUBLIC_KEY_LEN} bytes")
     sig = _SignatureBuffer()
-    try:
-        _sodium.crypto_sign_detached(sig, None, message, len(message), key.signer)
-    except ctypes.ArgumentError:        # a bytes-like message other than bytes
-        message = _raw(message)
-        _sodium.crypto_sign_detached(sig, None, message, len(message), key.signer)
+    _sodium.crypto_sign_detached(sig, None, message, len(message), key.seed + key.public)
     return sig.raw
 
 
 def ver_sign(public: bytes, message: bytes, sig: bytes) -> bool:
     """Check ``sig`` over ``message`` under ``public``.
 
-    Any bytes-like values are accepted.  Malformed key or signature bytes
+    Values that are not ``bytes`` and malformed key or signature bytes
     yield False, never an exception.
     """
-    if type(public) is not bytes or type(message) is not bytes or type(sig) is not bytes:
-        public, message, sig = _raw(public), _raw(message), _raw(sig)
-    if len(public) != PUBLIC_KEY_LEN or len(sig) != SIGNATURE_LEN:
+    if (type(public) is not bytes or type(message) is not bytes or type(sig) is not bytes
+            or len(public) != PUBLIC_KEY_LEN or len(sig) != SIGNATURE_LEN):
         return False
     return _sodium.crypto_sign_verify_detached(sig, message, len(message), public) == 0
-
-
-def _raw(value) -> bytes:
-    """A copy of a bytes-like value (``bytearray``, ``memoryview``) as
-    ``bytes``, the only type ctypes passes as a pointer."""
-    return memoryview(value).tobytes()
 
 
 def digest(message: bytes) -> bytes:

@@ -46,7 +46,7 @@ import logging
 import random
 from collections.abc import Iterable
 
-from .crypto import PUBLIC_KEY_LEN, SIGNATURE_LEN, KeyPair, det_sign, rebuild_keypair, ver_sign
+from .crypto import PUBLIC_KEY_LEN, SIGNATURE_LEN, KeyPair, det_sign, ver_sign
 from .ercset import BloomFilter, FilterParams
 from .messages import (
     PULL_REQUEST,
@@ -115,13 +115,13 @@ class TrustedCore:
     probe, then its endorsement and the public keys of instances 2, 3, ...
     in instance order as ``issue`` issues them (a core issues a client's
     instances of an epoch contiguously from 1).  ``_keypair`` is the one
-    source of pseudonym key pairs: it rebuilds each pair whose public key
-    is kept from its seed (``rebuild_keypair``), hands out instance 1's
-    kept root with it, and derives every other pair.  So ``revoke``, a
-    rotation and the proof check derive no key this core issued.  Nothing
-    kept is signed again: the probe queries the root, an instance-1 proof
-    is compared with the root and the endorsement, and an order revoking
-    the whole epoch writes the root.
+    source of pseudonym key pairs: it pairs each kept public key with its
+    seed (no Ed25519 call), hands out instance 1's kept root with it, and
+    derives every other pair.  So ``revoke``, a rotation and the proof
+    check derive no key this core issued.  Nothing kept is signed again:
+    the probe queries the root, an instance-1 proof is compared with the
+    root and the endorsement, and an order revoking the whole epoch writes
+    the root.
 
     ``peers`` are the other managers' ids and ``fault_bound`` is f, the most
     managers assumed faulty; the defaults are a lone manager.  Only
@@ -177,8 +177,9 @@ class TrustedCore:
         byte for byte as the core rebuilds it, and that capability must not
         be revoked.  Denials come in the order window, registry, expelled,
         standing, budget, proof.  Every key pair comes from ``_keypair``,
-        so each key is derived (a kept one rebuilt) and each signature made
-        at most once per request, and no key pair outlives the request.
+        so each key is derived (a kept one paired with its seed) and each
+        signature made at most once per request, and no key pair outlives
+        the request.
         Instance 1's endorsement and every later instance's public key are
         kept in ``firsts`` beside instance 1's key.
         """
@@ -230,8 +231,8 @@ class TrustedCore:
                 raise IssuanceDenied(DenialReason.REVOKED)
 
     def _keypair(self, cid: bytes, epoch_id: int, instance: int) -> tuple[KeyPair, bytes | None]:
-        """A pseudonym's key pair, and its root latchkey if kept: rebuilt
-        where ``firsts`` keeps its public key (instance 1 once probed, any
+        """A pseudonym's key pair, and its root latchkey if kept: its seed
+        and the public key ``firsts`` keeps (instance 1 once probed, any
         other once issued here), else derived; only instance 1's root is
         kept."""
         kept = self.firsts.get(epoch_id, {}).get(cid, b"")
@@ -239,7 +240,7 @@ class TrustedCore:
         public = kept[at:at + PUBLIC_KEY_LEN]
         if not public:
             return pseudonym_keypair(cid, epoch_id, instance), None
-        return (rebuild_keypair(pseudonym_seed(cid, epoch_id, instance), public),
+        return (KeyPair(pseudonym_seed(cid, epoch_id, instance), public),
                 kept[PUBLIC_KEY_LEN:_ENDORSED] if instance == 1 else None)
 
     def _check_proof(self, req: RequestRrp) -> None:

@@ -1190,7 +1190,7 @@ def count_crypto(monkeypatch) -> tuple[Counter, list[bytes]]:
             return getattr(crypto, name)(*args)
         return call
     for module in (manager, pseudonym):
-        for name in ("det_keygen", "rebuild_keypair", "det_sign", "ver_sign"):
+        for name in ("det_keygen", "det_sign", "ver_sign"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name))
     return calls, seeds
@@ -1372,7 +1372,7 @@ def test_accepted_proof_costs_signatures_not_verifies(pm_key, admin_key, cid, mo
     probed(core, cid)
     calls, seeds = count_crypto(monkeypatch)
     assert verdict(core, RequestRrp(cid, 0, 1, proof, 3)) is DenialReason.NONE
-    assert calls == Counter(det_keygen=instance - 1, rebuild_keypair=int(instance == 1),
+    assert calls == Counter(det_keygen=instance - 1,
                             det_sign=GEOMETRY.height + 1 + (instance > 1))
     assert seeds == [seed_from_parts(cid, 1, i) for i in range(2, instance + 1)]
 
@@ -1394,8 +1394,7 @@ def test_issue_derives_each_key_and_makes_each_signature_once(pm_key, admin_key,
     calls, seeds = count_crypto(monkeypatch)
     rrps = core.issue(req)
     assert [r.instance for r in rrps] == list(range(3, 3 + count))
-    assert calls == Counter(det_keygen=count, rebuild_keypair=1,
-                            det_sign=GEOMETRY.height + count)
+    assert calls == Counter(det_keygen=count, det_sign=GEOMETRY.height + count)
     assert seeds == [seed_from_parts(cid, 0, r.instance) for r in rrps]
     calls.clear()
     seeds.clear()
@@ -1403,11 +1402,11 @@ def test_issue_derives_each_key_and_makes_each_signature_once(pm_key, admin_key,
     core.register(other)
     rrps = core.issue(RequestRrp(other, 1, count))
     assert [r.instance for r in rrps] == list(range(1, 1 + count))
-    assert calls == Counter(det_keygen=1 + count, rebuild_keypair=1, det_sign=2 + count)
+    assert calls == Counter(det_keygen=1 + count, det_sign=2 + count)
     assert seeds == [seed_from_parts(other, e, 1) for e in (0, 1)] \
         + [seed_from_parts(other, 1, r.instance) for r in rrps[1:]]
     assert rrps[0] == create_rrp(other, 1, 1, pm_key, 8)
-    assert rrps[0].keypair.signer == pseudonym_keypair(other, 1, 1).signer
+    assert rrps[0].keypair == pseudonym_keypair(other, 1, 1)
 
 
 def signers_of(monkeypatch) -> list[bytes]:
@@ -1431,7 +1430,7 @@ def test_an_instance_1_proof_at_its_issuer_signs_no_endorsement(pm_key, admin_ke
     calls, _ = count_crypto(monkeypatch)
     signers = signers_of(monkeypatch)
     assert verdict(core, req) is DenialReason.NONE
-    assert calls == Counter(rebuild_keypair=1, det_sign=GEOMETRY.height)
+    assert calls == Counter(det_sign=GEOMETRY.height)
     assert pm_key.public not in signers
 
 
@@ -1537,7 +1536,6 @@ def test_revoke_rebuilds_the_kept_instance_1(pm_key, admin_key, cid, monkeypatch
         core.revoke(order)
         assert calls == Counter(
             ver_sign=1, det_keygen=2 * instances - 2 * rebuilt,
-            rebuild_keypair=2 * rebuilt,
             det_sign=instances * len(cover) + instances - rebuilt * (1 + whole)), core
         assert len(merges) == 2 * instances
     assert whole == (rts == 0)
@@ -1589,7 +1587,6 @@ def test_revoke_derives_no_key_the_core_issued(pm_key, admin_key, cid, monkeypat
     core.revoke(order)
     instances = range(issued + 1, core.max_instances + 1)
     assert seeds == [seed_from_parts(cid, e, i) for e in (0, 1) for i in instances]
-    assert calls["rebuild_keypair"] == 2 * issued
     fresh = make_core(pm_key, admin_key, cid)
     fresh.revoke(order)
     assert (core.erc_current, core.erc_next) == (fresh.erc_current, fresh.erc_next)   # bits
@@ -1606,8 +1603,7 @@ def test_a_proof_of_an_issued_instance_is_matched_with_no_derivation(pm_key, adm
     proof = proof_for(core, create_rrp(cid, 0, instance, pm_key, 8), 3)
     calls, seeds = count_crypto(monkeypatch)
     assert verdict(core, RequestRrp(cid, 0, 1, proof, 3)) is DenialReason.NONE
-    assert calls == Counter(rebuild_keypair=min(instance, 5) - 1, det_keygen=max(0, instance - 5),
-                            det_sign=GEOMETRY.height + 2)
+    assert calls == Counter(det_keygen=max(0, instance - 5), det_sign=GEOMETRY.height + 2)
     assert seeds == [seed_from_parts(cid, 0, i) for i in range(6, instance + 1)]
 
 

@@ -32,6 +32,13 @@ def test_create_rrp_deterministic(cid, pm_key):
     assert a.keypair.public != create_rrp(cid, 4, 1, pm_key, 8).keypair.public
 
 
+def test_repr_shows_no_private_seed(cid, pm_key):
+    rrp = create_rrp(cid, 3, 1, pm_key, 8)
+    for seed in (rrp.keypair.seed, pm_key.seed):
+        assert repr(seed) not in repr(rrp.keypair) and repr(seed) not in repr(rrp)
+    assert repr(rrp.keypair.public) in repr(rrp)
+
+
 def test_create_rrp_validation(cid, pm_key):
     with pytest.raises(ValueError):
         create_rrp(b"short", 0, 1, pm_key, 8)
