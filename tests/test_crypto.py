@@ -159,10 +159,18 @@ def test_sign_refuses_malformed_secret_key():
     # libsodium's secret key is seed ‖ public: either half of the wrong
     # length is refused before it is read
     key = det_keygen(digest(b"k"))
-    for seed, public in ((b"", key.public), (b"short", key.public),
-                         (key.seed + b"\x00", key.public), (key.seed, key.public[:31]),
-                         (key.seed, key.public + b"\x00"), (key.seed, b""),
-                         (key.seed + key.public, b"")):
+    for seed, public in ((b"", key.public), (key.seed + key.public, b"")):
+        with pytest.raises(ValueError):
+            det_sign(KeyPair(seed, public), b"m")
+
+
+def test_rebuild_rejects_bad_lengths():
+    # a pair rebuilt from a seed and public key of the wrong lengths
+    # signs nothing
+    key = det_keygen(digest(b"k"))
+    for seed, public in ((b"short", key.public), (key.seed + b"\x00", key.public),
+                         (key.seed, key.public[:31]), (key.seed, key.public + b"\x00"),
+                         (key.seed, b"")):
         with pytest.raises(ValueError):
             det_sign(KeyPair(seed, public), b"m")
 
